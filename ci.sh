@@ -15,6 +15,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p iw-metrics -p iw-scenario -p iw-policy -p infiniwolf -p iw-biosig -p iw-bench
 cargo test --workspace -q
 
+# The benchmark package's tiny-size checks: digest repeatability, energy
+# conservation and coordinator == in-process digest on every workload.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 # Smoke: the registry-driven tables must regenerate the headline rows
 # (Tables III/IV plus the A2/A7 ablations, the D1 cluster cycle
 # accounting and the D2 fleet sweep) without faulting, plus the D3

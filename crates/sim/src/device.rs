@@ -1,18 +1,26 @@
 //! The whole-device simulation: the InfiniWolf bracelet assembled from
 //! event-engine components.
 //!
-//! Component wiring (every event is broadcast; arrows show who schedules
-//! what):
+//! Component wiring. Each component receives only the event kinds listed
+//! on its rows (its subscriptions); arrows show what it does and
+//! schedules in response. Components are added in this order, which is
+//! also the order in which two subscribers of one kind run:
 //!
 //! ```text
+//! FaultComponent    ── every kind but Sample ─▶ fault windows, gauge noise,
+//!                                               brownout poll + recovery
 //! EnvComponent      ── EnvSegment{i} ──▶ sets solar/TEG intake, End at t_end
 //! PolicyComponent   ── PolicyTick ─────▶ AcquireStart + next PolicyTick
 //! SensorComponent   ── AcquireStart ───▶ AFE load on, AcquireEnd at +3 s
 //!                   ── AcquireEnd ─────▶ AFE load off, ComputeStart
+//!                   ── FaultStart ─────▶ taints open windows (after faults)
 //! ComputeComponent  ── ComputeStart ───▶ cluster load on, ComputeEnd at +T
 //!                   ── ComputeEnd ─────▶ one detection retired
 //! RadioComponent    ── ComputeEnd ─────▶ result-notification impulse
 //!                   ── BleSyncStart ───▶ radio load on, BleSyncEnd at +burst
+//!                   ── BleSyncEnd ─────▶ sync outcome, retry or next burst
+//! BleScanComponent  ── ContactStart ───▶ scan load on, ContactEnd at +scan
+//!                   ── ContactEnd ─────▶ contact observed or missed
 //! SamplerComponent  ── Sample ─────────▶ TracePoint + harvest counters
 //! ```
 //!
@@ -34,7 +42,7 @@ use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, Engine, Event, LoadSlot, SimCtx};
+use crate::engine::{secs_to_us, Component, Engine, Event, EventKind, LoadSlot, SimCtx};
 use crate::faults::{finalize_reliability, FaultComponent, BLE_STREAM};
 use iw_policy::{PolicySpec, TargetRule};
 
@@ -422,6 +430,10 @@ impl<S: TraceSink> Component<S> for EnvComponent {
         "environment"
     }
 
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[EventKind::EnvSegment]
+    }
+
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         // End is scheduled first: at a shared final timestamp it wins the
         // sequence tie-break, so no new work starts exactly at t_end.
@@ -482,14 +494,16 @@ impl<S: TraceSink> Component<S> for PolicyComponent {
         "policy"
     }
 
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[EventKind::PolicyTick]
+    }
+
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         ctx.schedule_at(0, Event::PolicyTick);
     }
 
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        if ev != Event::PolicyTick {
-            return;
-        }
+        debug_assert_eq!(ev, Event::PolicyTick);
         // Maintain the trailing harvest forecast on every evaluation, so
         // it is a pure function of the (deterministic) event sequence.
         ctx.state.harvest_avg_w = HARVEST_EWMA_ALPHA * ctx.state.intake_w()
@@ -564,6 +578,14 @@ impl SensorComponent {
 impl<S: TraceSink> Component<S> for SensorComponent {
     fn name(&self) -> &'static str {
         "sensors"
+    }
+
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[
+            EventKind::AcquireStart,
+            EventKind::AcquireEnd,
+            EventKind::FaultStart,
+        ]
     }
 
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
@@ -696,6 +718,10 @@ impl<S: TraceSink> Component<S> for ComputeComponent {
         "compute"
     }
 
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[EventKind::ComputeStart, EventKind::ComputeEnd]
+    }
+
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("compute"));
     }
@@ -814,6 +840,14 @@ impl RadioComponent {
 impl<S: TraceSink> Component<S> for RadioComponent {
     fn name(&self) -> &'static str {
         "radio"
+    }
+
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[
+            EventKind::ComputeEnd,
+            EventKind::BleSyncStart,
+            EventKind::BleSyncEnd,
+        ]
     }
 
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
@@ -980,6 +1014,10 @@ impl<S: TraceSink> Component<S> for BleScanComponent {
         "ble-scan"
     }
 
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[EventKind::ContactStart, EventKind::ContactEnd]
+    }
+
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("scan"));
         if !self.plan.entries.is_empty() {
@@ -1067,14 +1105,16 @@ impl<S: TraceSink> Component<S> for SamplerComponent {
         "sampler"
     }
 
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[EventKind::Sample]
+    }
+
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         ctx.schedule_at(0, Event::Sample);
     }
 
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        if ev != Event::Sample {
-            return;
-        }
+        debug_assert_eq!(ev, Event::Sample);
         let point = TracePoint {
             t_s: ctx.now_s(),
             soc: ctx.state.battery.soc(),

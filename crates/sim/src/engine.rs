@@ -70,9 +70,10 @@ impl SimClock {
 
 /// The closed event vocabulary of the whole-device simulation.
 ///
-/// Components communicate exclusively through these events (every event is
-/// broadcast to every component), so the wiring between environment,
-/// policy, sensors, compute and radio is visible in one place.
+/// Components communicate exclusively through these events. The engine
+/// routes each event only to the components subscribed to its
+/// [`EventKind`] (see [`Component::subscriptions`]), so the wiring between
+/// environment, policy, sensors, compute and radio is visible in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
     /// The environment entered segment `index` of its profile.
@@ -132,6 +133,74 @@ pub enum Event {
     Sample,
     /// End of simulation: integrate up to here, then stop.
     End,
+}
+
+/// The field-less kind of an [`Event`]: a dense index into the engine's
+/// routing table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// [`Event::EnvSegment`].
+    EnvSegment,
+    /// [`Event::PolicyTick`].
+    PolicyTick,
+    /// [`Event::AcquireStart`].
+    AcquireStart,
+    /// [`Event::AcquireEnd`].
+    AcquireEnd,
+    /// [`Event::ComputeStart`].
+    ComputeStart,
+    /// [`Event::ComputeEnd`].
+    ComputeEnd,
+    /// [`Event::BleSyncStart`].
+    BleSyncStart,
+    /// [`Event::BleSyncEnd`].
+    BleSyncEnd,
+    /// [`Event::FaultStart`].
+    FaultStart,
+    /// [`Event::FaultEnd`].
+    FaultEnd,
+    /// [`Event::ContactStart`].
+    ContactStart,
+    /// [`Event::ContactEnd`].
+    ContactEnd,
+    /// [`Event::GaugeTick`].
+    GaugeTick,
+    /// [`Event::BrownoutRecover`].
+    BrownoutRecover,
+    /// [`Event::Sample`].
+    Sample,
+    /// [`Event::End`] (consumed by the engine, never routed).
+    End,
+}
+
+impl EventKind {
+    /// Number of event kinds (`End` is the last variant).
+    pub const COUNT: usize = EventKind::End as usize + 1;
+}
+
+impl Event {
+    /// This event's kind.
+    #[must_use]
+    pub fn kind(self) -> EventKind {
+        match self {
+            Event::EnvSegment { .. } => EventKind::EnvSegment,
+            Event::PolicyTick => EventKind::PolicyTick,
+            Event::AcquireStart => EventKind::AcquireStart,
+            Event::AcquireEnd => EventKind::AcquireEnd,
+            Event::ComputeStart => EventKind::ComputeStart,
+            Event::ComputeEnd { .. } => EventKind::ComputeEnd,
+            Event::BleSyncStart => EventKind::BleSyncStart,
+            Event::BleSyncEnd => EventKind::BleSyncEnd,
+            Event::FaultStart { .. } => EventKind::FaultStart,
+            Event::FaultEnd { .. } => EventKind::FaultEnd,
+            Event::ContactStart { .. } => EventKind::ContactStart,
+            Event::ContactEnd { .. } => EventKind::ContactEnd,
+            Event::GaugeTick => EventKind::GaugeTick,
+            Event::BrownoutRecover => EventKind::BrownoutRecover,
+            Event::Sample => EventKind::Sample,
+            Event::End => EventKind::End,
+        }
+    }
 }
 
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -416,12 +485,16 @@ impl<S: TraceSink> SimCtx<'_, S> {
     }
 }
 
-/// One piece of the simulated device. Every event is broadcast to every
-/// component; a component reacts to the events it cares about and ignores
-/// the rest.
+/// One piece of the simulated device. A component declares the event
+/// kinds it handles, and the engine routes it only events of those kinds.
 pub trait Component<S: TraceSink> {
     /// Name for diagnostics.
     fn name(&self) -> &'static str;
+
+    /// The event kinds routed to [`Self::handle`], read once after
+    /// [`Self::start`]. Events of any other kind never reach this
+    /// component.
+    fn subscriptions(&self) -> &'static [EventKind];
 
     /// Called once before the first event: register load slots and
     /// schedule the component's initial events.
@@ -429,7 +502,7 @@ pub trait Component<S: TraceSink> {
         let _ = ctx;
     }
 
-    /// Handles one event.
+    /// Handles one event of a subscribed kind.
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>);
 }
 
@@ -463,9 +536,9 @@ impl<S: TraceSink> Engine<S> {
         }
     }
 
-    /// Adds a component. Broadcast order is insertion order, but the
-    /// simulation result must never depend on it — components interact
-    /// only through scheduled events and the shared state.
+    /// Adds a component. Components subscribed to the same event kind
+    /// handle it in insertion order, so a component may rely on an
+    /// earlier-added one having already reacted to the same event.
     pub fn add(&mut self, component: Box<dyn Component<S>>) {
         self.components.push(component);
     }
@@ -478,7 +551,8 @@ impl<S: TraceSink> Engine<S> {
 
     /// High-water mark of the event-queue depth across the run so far.
     /// Components only push during dispatch (they cannot pop), so
-    /// sampling the depth after each broadcast captures the true peak.
+    /// sampling the depth after each event is dispatched captures the
+    /// true peak.
     #[must_use]
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water
@@ -491,9 +565,10 @@ impl<S: TraceSink> Engine<S> {
     }
 
     /// Runs to completion: pops events in (time, sequence) order,
-    /// integrates the battery over each inter-event gap, and broadcasts
-    /// each event to every component. Returns the number of events
-    /// processed.
+    /// integrates the battery over each inter-event gap, and hands each
+    /// event to the components subscribed to its kind, in insertion
+    /// order. An event nobody subscribes to still advances the battery
+    /// and counts as processed. Returns the number of events processed.
     pub fn run(&mut self, sink: &mut S) -> u64 {
         let tracks = Tracks {
             device: sink.track("device", 1.0),
@@ -515,6 +590,12 @@ impl<S: TraceSink> Engine<S> {
                 c.start(&mut ctx);
             }
         }
+        let mut routes: [Vec<usize>; EventKind::COUNT] = std::array::from_fn(|_| Vec::new());
+        for (i, c) in components.iter().enumerate() {
+            for &kind in c.subscriptions() {
+                routes[kind as usize].push(i);
+            }
+        }
         self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
         while let Some(Reverse(scheduled)) = self.queue.pop() {
             let dt_s = self.clock.advance_to(scheduled.t_us);
@@ -532,8 +613,8 @@ impl<S: TraceSink> Engine<S> {
                 seq: &mut self.seq,
                 stopped: &mut stopped,
             };
-            for c in &mut components {
-                c.handle(scheduled.ev, &mut ctx);
+            for &i in &routes[scheduled.ev.kind() as usize] {
+                components[i].handle(scheduled.ev, &mut ctx);
             }
             self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
             if stopped {
@@ -563,11 +644,16 @@ impl<S: TraceSink> std::fmt::Debug for Engine<S> {
 mod tests {
     use super::*;
     use iw_trace::NoopSink;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    /// Draws a constant power for a fixed time, then stops the run.
+    /// Draws a constant power, subscribes to nothing, and schedules one
+    /// `last` event after a fixed time; the run ends there (at `End`, or
+    /// when the queue drains).
     struct ConstantLoad {
         power_w: f64,
         duration_us: u64,
+        last: Event,
         slot: Option<LoadSlot>,
     }
 
@@ -575,13 +661,18 @@ mod tests {
         fn name(&self) -> &'static str {
             "constant-load"
         }
+        fn subscriptions(&self) -> &'static [EventKind] {
+            &[]
+        }
         fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
             let slot = ctx.state.register_load("constant");
             ctx.state.set_load(slot, self.power_w);
             self.slot = Some(slot);
-            ctx.schedule_in(self.duration_us, Event::End);
+            ctx.schedule_in(self.duration_us, self.last);
         }
-        fn handle(&mut self, _ev: Event, _ctx: &mut SimCtx<'_, S>) {}
+        fn handle(&mut self, _ev: Event, _ctx: &mut SimCtx<'_, S>) {
+            unreachable!("subscribed to nothing");
+        }
     }
 
     #[test]
@@ -592,6 +683,7 @@ mod tests {
         engine.add(Box::new(ConstantLoad {
             power_w: 1e-3,
             duration_us: secs_to_us(1000.0),
+            last: Event::End,
             slot: None,
         }));
         engine.run(&mut NoopSink);
@@ -610,6 +702,7 @@ mod tests {
         engine.add(Box::new(ConstantLoad {
             power_w: 1.0,
             duration_us: secs_to_us(10.0),
+            last: Event::End,
             slot: None,
         }));
         engine.run(&mut NoopSink);
@@ -618,32 +711,135 @@ mod tests {
         assert_eq!(engine.state.battery.soc(), 0.0);
     }
 
+    /// Every `(probe name, time, event)` the probes of one run handled,
+    /// in dispatch order.
+    type Log = Rc<RefCell<Vec<(&'static str, u64, Event)>>>;
+
+    /// Schedules a fixed list of events at start and logs every event
+    /// routed to it.
+    struct Probe {
+        name: &'static str,
+        kinds: &'static [EventKind],
+        schedule: Vec<(u64, Event)>,
+        log: Log,
+    }
+
+    impl<S: TraceSink> Component<S> for Probe {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn subscriptions(&self) -> &'static [EventKind] {
+            self.kinds
+        }
+        fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+            for &(t_us, ev) in &self.schedule {
+                ctx.schedule_at(t_us, ev);
+            }
+        }
+        fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+            self.log.borrow_mut().push((self.name, ctx.now_us, ev));
+        }
+    }
+
     #[test]
     fn ties_dispatch_in_scheduling_order() {
-        /// Records the order its two same-time events arrive in.
-        struct TieProbe {
-            order: Vec<Event>,
-        }
-        impl<S: TraceSink> Component<S> for TieProbe {
-            fn name(&self) -> &'static str {
-                "tie-probe"
-            }
-            fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-                ctx.schedule_at(5, Event::PolicyTick);
-                ctx.schedule_at(5, Event::Sample);
-                ctx.schedule_at(6, Event::End);
-            }
-            fn handle(&mut self, ev: Event, _ctx: &mut SimCtx<'_, S>) {
-                self.order.push(ev);
-            }
-        }
+        let log = Log::default();
         let mut engine: Engine<NoopSink> = Engine::new(Battery::new(10.0));
-        engine.add(Box::new(TieProbe { order: Vec::new() }));
+        engine.add(Box::new(Probe {
+            name: "tie",
+            kinds: &[EventKind::PolicyTick, EventKind::Sample],
+            schedule: vec![(5, Event::PolicyTick), (5, Event::Sample), (6, Event::End)],
+            log: Rc::clone(&log),
+        }));
         engine.run(&mut NoopSink);
         // PolicyTick was scheduled first, so at the shared timestamp it
         // dispatches first — deterministically.
-        let probe_events = engine.events_processed();
-        assert_eq!(probe_events, 3);
+        assert_eq!(
+            *log.borrow(),
+            [("tie", 5, Event::PolicyTick), ("tie", 5, Event::Sample)]
+        );
+        assert_eq!(engine.events_processed(), 3);
+    }
+
+    #[test]
+    fn components_see_only_subscribed_kinds() {
+        let log = Log::default();
+        let mut engine: Engine<NoopSink> = Engine::new(Battery::new(10.0));
+        engine.add(Box::new(Probe {
+            name: "ticks",
+            kinds: &[EventKind::PolicyTick],
+            schedule: vec![
+                (1, Event::Sample),
+                (2, Event::PolicyTick),
+                (3, Event::FaultStart { index: 4 }),
+                (9, Event::End),
+            ],
+            log: Rc::clone(&log),
+        }));
+        engine.add(Box::new(Probe {
+            name: "faults",
+            kinds: &[EventKind::FaultStart, EventKind::FaultEnd],
+            schedule: vec![(4, Event::FaultEnd { index: 4 })],
+            log: Rc::clone(&log),
+        }));
+        engine.run(&mut NoopSink);
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("ticks", 2, Event::PolicyTick),
+                ("faults", 3, Event::FaultStart { index: 4 }),
+                ("faults", 4, Event::FaultEnd { index: 4 }),
+            ]
+        );
+        // The unrouted Sample still counts, as does End.
+        assert_eq!(engine.events_processed(), 5);
+    }
+
+    #[test]
+    fn subscribers_of_one_kind_run_in_insertion_order() {
+        let log = Log::default();
+        let mut engine: Engine<NoopSink> = Engine::new(Battery::new(10.0));
+        for name in ["first", "second", "third"] {
+            engine.add(Box::new(Probe {
+                name,
+                kinds: &[EventKind::ComputeEnd],
+                schedule: Vec::new(),
+                log: Rc::clone(&log),
+            }));
+        }
+        engine.add(Box::new(Probe {
+            name: "scheduler",
+            kinds: &[],
+            schedule: vec![(7, Event::ComputeEnd { job: 2 })],
+            log: Rc::clone(&log),
+        }));
+        engine.run(&mut NoopSink);
+        let ev = Event::ComputeEnd { job: 2 };
+        assert_eq!(
+            *log.borrow(),
+            [("first", 7, ev), ("second", 7, ev), ("third", 7, ev)]
+        );
+    }
+
+    #[test]
+    fn unrouted_event_integrates_its_gap_and_counts() {
+        let mut battery = Battery::new(100.0);
+        battery.set_soc(0.5);
+        let mut engine: Engine<NoopSink> = Engine::new(battery);
+        // Nobody subscribes to GaugeTick, and the queue drains after it:
+        // the run stops exactly at the unrouted event.
+        engine.add(Box::new(ConstantLoad {
+            power_w: 1e-3,
+            duration_us: secs_to_us(1000.0),
+            last: Event::GaugeTick,
+            slot: None,
+        }));
+        engine.run(&mut NoopSink);
+        assert_eq!(engine.now_us(), secs_to_us(1000.0));
+        assert_eq!(engine.events_processed(), 1);
+        // 1 mW × 1000 s = 1 J.
+        assert!((engine.state.consumed_j - 1.0).abs() < 1e-12);
+        assert!((engine.state.battery.charge_j() - 49.0).abs() < 1e-12);
     }
 
     #[test]
@@ -653,6 +849,9 @@ mod tests {
         impl<S: TraceSink> Component<S> for Impulse {
             fn name(&self) -> &'static str {
                 "impulse"
+            }
+            fn subscriptions(&self) -> &'static [EventKind] {
+                &[EventKind::PolicyTick]
             }
             fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
                 ctx.schedule_at(secs_to_us(1.0), Event::PolicyTick);

@@ -28,7 +28,7 @@
 use iw_fault::{mix, FaultKind, FaultPlan, SplitMix64};
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, DeviceState, Event, SimCtx};
+use crate::engine::{secs_to_us, Component, DeviceState, Event, EventKind, SimCtx};
 
 /// Stream-derivation constant for the fuel-gauge noise stream (keeps it
 /// decorrelated from the BLE-loss stream derived from the same plan
@@ -96,8 +96,8 @@ impl FaultComponent {
     }
 
     /// The brownout state machine, evaluated against the *true* state of
-    /// charge on every event (events are the only instants anything can
-    /// change, so per-event polling is exact).
+    /// charge on every state-changing event (events are the only instants
+    /// anything can change, so per-event polling is exact).
     fn poll_brownout<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
         let soc = ctx.state.battery.soc();
         let model = self.plan.brownout;
@@ -150,6 +150,31 @@ impl<S: TraceSink> Component<S> for FaultComponent {
         "faults"
     }
 
+    /// Every kind but `Sample`: the brownout machine polls on every event
+    /// that can change state. Trace sampling is pure observation — a
+    /// `Sample` event exists only when a sampler is attached — so polling
+    /// on it would let the *act of tracing* shift detection timestamps;
+    /// leaving it out keeps a traced run bit-identical to the untraced one.
+    fn subscriptions(&self) -> &'static [EventKind] {
+        &[
+            EventKind::EnvSegment,
+            EventKind::PolicyTick,
+            EventKind::AcquireStart,
+            EventKind::AcquireEnd,
+            EventKind::ComputeStart,
+            EventKind::ComputeEnd,
+            EventKind::BleSyncStart,
+            EventKind::BleSyncEnd,
+            EventKind::FaultStart,
+            EventKind::FaultEnd,
+            EventKind::ContactStart,
+            EventKind::ContactEnd,
+            EventKind::GaugeTick,
+            EventKind::BrownoutRecover,
+            EventKind::End,
+        ]
+    }
+
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         if !self.plan.windows.is_empty() {
             ctx.schedule_at(
@@ -185,15 +210,7 @@ impl<S: TraceSink> Component<S> for FaultComponent {
             Event::BrownoutRecover => self.try_resume(ctx),
             _ => {}
         }
-        // Trace sampling is pure observation: a `Sample` event exists
-        // only when a sampler/recorder is attached, so polling the
-        // brownout machine on it would let the *act of tracing* shift
-        // detection timestamps. Skipping it keeps a traced run
-        // bit-identical to the untraced one (every state-changing event
-        // still polls).
-        if ev != Event::Sample {
-            self.poll_brownout(ctx);
-        }
+        self.poll_brownout(ctx);
     }
 }
 

@@ -49,7 +49,8 @@ pub use device::{
     DeviceReport,
 };
 pub use engine::{
-    secs_to_us, Component, DeviceState, Engine, Event, LoadSlot, SimClock, SimCtx, Tracks, US_PER_S,
+    secs_to_us, Component, DeviceState, Engine, Event, EventKind, LoadSlot, SimClock, SimCtx,
+    Tracks, US_PER_S,
 };
 pub use faults::FaultComponent;
 pub use fleet::{

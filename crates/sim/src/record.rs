@@ -969,13 +969,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, RecordError> {
         }
         got += n;
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
+    let len = u32::from_le_bytes(len_buf);
     if len == 0 {
         return Ok(None);
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|_| RecordError::Truncated)?;
+    // The prefix is untrusted: grow the buffer only with bytes actually
+    // received, so a corrupt length cannot allocate up to 4 GiB up front.
+    let mut payload = Vec::new();
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() as u64 != u64::from(len) {
+        return Err(RecordError::Truncated);
+    }
     Ok(Some(payload))
 }
 
@@ -1287,5 +1291,33 @@ mod tests {
         // Mid-frame EOF is an error.
         let mut cut = &pipe[..2];
         assert!(matches!(read_frame(&mut cut), Err(RecordError::Truncated)));
+        // So is EOF inside the payload.
+        let mut cut = &pipe[..5];
+        assert!(matches!(read_frame(&mut cut), Err(RecordError::Truncated)));
+    }
+
+    #[test]
+    fn corrupt_length_prefix_does_not_preallocate() {
+        /// Reads from `data`, remembering the largest buffer it was handed.
+        struct Offers<'a> {
+            data: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Offers<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+        // A 0xFFFF_FFFF prefix followed by EOF.
+        let prefix = u32::MAX.to_le_bytes();
+        let mut r = Offers {
+            data: &prefix,
+            largest: 0,
+        };
+        assert!(matches!(read_frame(&mut r), Err(RecordError::Truncated)));
+        // The payload buffer only grows with bytes received: no read was
+        // handed anything near the 4 GiB the prefix claims.
+        assert!(r.largest <= 64 * 1024, "read offered {} bytes", r.largest);
     }
 }
