@@ -29,13 +29,18 @@ cargo run --release -q -p iw-bench --bin tables -- t3 t4 a2 a7 d1 d2 d3 d4 >/dev
 
 # Smoke: the tracing layer must produce a valid Perfetto timeline with
 # one track per cluster core and a non-empty hotspot report for the
-# 8-core RI5CY target on Network A (--check exits non-zero otherwise).
+# 8-core RI5CY target on Network A (--check exits non-zero otherwise),
+# and the same for a single-core target, whose recording runs the
+# instrumented pre-decoded loop rather than its block-compiled product
+# path.
 cargo run --release -q -p iw-bench --bin trace -- neta cl8 --check >/dev/null
+cargo run --release -q -p iw-bench --bin trace -- neta m4 --check >/dev/null
 
-# Smoke: every registered target must be bit-identical on all three
-# interpreter paths (uncached reference, pre-decoded, block-compiled
-# superinstructions) on both evaluation networks — the semantic gate for
-# the block-cache layer, without Criterion's timing cost.
+# Smoke: every registered target's product interpreter (fusion-compiled
+# program on the M4, block cache on the Ibex FC and a single RI5CY,
+# decode-cache bursts on the multi-core cluster) must be bit-identical
+# to the uncached reference on both evaluation networks, without
+# Criterion's timing cost.
 cargo bench -q -p iw-bench --bench iss_bench -- --check >/dev/null
 
 # Smoke: the discrete-event fleet runner must produce bit-identical
@@ -72,7 +77,7 @@ cargo run --release -q -p iw-bench --bin policy-search -- \
 
 # Smoke: the networked-scenario engine — two worker processes play the
 # compiled epidemic scenario (mobility contacts via BLE scans, weather
-# fronts, gateway outages), stream scenario-bearing v3 records with
+# fronts, gateway outages), stream scenario-bearing v4 records with
 # epoch-beat telemetry interleaved, and the coordinator's epidemic fold
 # over the merged edge set must land on a digest bit-identical to the
 # in-process single-thread reference (--check exits non-zero otherwise).

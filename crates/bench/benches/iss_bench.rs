@@ -1,18 +1,19 @@
 //! ISS-throughput bench: simulated instructions per second on the
-//! block-compiled (superinstruction), pre-decoded (product) and uncached
-//! (reference) paths, on both evaluation networks and all four paper
-//! targets.
+//! product (`PreparedFixed::run`) and uncached reference paths, on both
+//! evaluation networks and all four paper targets.
 //!
-//! The three paths are timed **interleaved** — one sample of each per
-//! round — so the reported ratios are within-run and immune to clock
-//! drift. Results land in `BENCH_iss.json` at the repo root: per-target
-//! simulated Minstr/s for every path, the block-cache hit rate, and the
-//! mean superinstruction burst length. EXPERIMENTS.md records the derived
-//! table (the acceptance bar is ≥1.3× blocks-over-predecoded on the
-//! single-RI5CY and M4 Network-B rows).
+//! The product path is each target's own interpreter: the fusion-compiled
+//! program on the M4, the block cache on the Ibex FC and a single RI5CY,
+//! decode-cache horizon bursts on the multi-core cluster. The two paths
+//! are timed **interleaved** — one sample of each per round — so the
+//! reported ratios are within-run and immune to clock drift. Results land
+//! in `BENCH_iss.json` at the repo root: per-target simulated Minstr/s for
+//! both paths, the product/reference speedup and the product path's
+//! dispatch statistics (mean burst, dispatches, gated breaks, block-cache
+//! hit rate). EXPERIMENTS.md records the derived table.
 //!
-//! `--check` skips all timing and instead asserts that the three paths
-//! are bit-identical for every registry target on both networks — the
+//! `--check` skips all timing and instead asserts that the product path
+//! equals the reference for every registry target on both networks — the
 //! fast identity smoke ci.sh runs:
 //!
 //! ```text
@@ -22,7 +23,7 @@
 use std::time::Instant;
 
 use iw_bench::evaluation_nets;
-use iw_kernels::{registry, FixedTarget, PreparedFixed};
+use iw_kernels::{registry, FixedTarget, PreparedFixed, ProductStats};
 use iw_metrics::Registry;
 
 /// Rounds of interleaved timing per (network, target) row.
@@ -36,33 +37,26 @@ fn main() {
     }
 }
 
-/// Identity smoke: every registered target must produce bit-identical
-/// runs on all three interpreter paths, for both evaluation networks.
-/// No timing loops — this is the ci.sh gate.
+/// Identity smoke: every registered target's product path must be
+/// bit-identical to the reference, for both evaluation networks. No
+/// timing loops — this is the ci.sh gate.
 fn check() {
     let mut rows = 0;
     for (name, _, fixed, qin) in evaluation_nets() {
         for entry in registry() {
             let prep = PreparedFixed::on(&*entry.machine(), &fixed, &qin).expect("deploys");
-            let fast = prep.run().expect("cached path runs");
+            let product = prep.run().expect("product path runs");
             let reference = prep.run_uncached().expect("reference path runs");
-            let blocks = prep.run_blocks().expect("blocks path runs");
             assert_eq!(
-                fast,
+                product,
                 reference,
-                "{name}/{id}: cached vs reference",
-                id = entry.id
-            );
-            assert_eq!(
-                blocks,
-                reference,
-                "{name}/{id}: blocks vs reference",
+                "{name}/{id}: product vs reference",
                 id = entry.id
             );
             rows += 1;
         }
     }
-    println!("iss_bench --check: {rows} target×network rows bit-identical on all three paths");
+    println!("iss_bench --check: {rows} target×network rows, product == reference");
 }
 
 /// One timed sample: wall-clock seconds of a single simulated
@@ -76,22 +70,24 @@ fn sample<R>(mut f: impl FnMut() -> R) -> f64 {
 struct RowResult {
     target: String,
     instructions: u64,
-    uncached_s: f64,
-    predecoded_s: f64,
-    blocks_s: f64,
-    hit_rate: f64,
-    avg_burst: f64,
-    dispatches: u64,
-    gated_breaks: u64,
-    /// Pre-decoded-path scheduler picks and burst, on targets with an
-    /// event-driven scheduler (the Mr. Wolf rows) — the baseline the
-    /// block path's burst is compared against.
-    decoded: Option<(u64, f64)>,
+    reference_s: f64,
+    product_s: f64,
+    stats: ProductStats,
 }
 
 impl RowResult {
     fn minstr(&self, seconds: f64) -> f64 {
         self.instructions as f64 / seconds / 1e6
+    }
+
+    /// Block-cache hit rate, when the product path is block-compiled
+    /// (the M4 program is compiled once up front and never misses).
+    fn hit_rate(&self) -> Option<f64> {
+        match (self.stats.rv32, self.stats.m4) {
+            (Some(rv), _) => Some(rv.hit_rate()),
+            (None, Some(_)) => Some(1.0),
+            (None, None) => None,
+        }
     }
 }
 
@@ -99,7 +95,7 @@ fn bench() {
     let mut out = String::from("{\n  \"workloads\": [\n");
     // Machine-readable mirror of the throughput table, in the same
     // sample schema the fleet `--metrics` exporter emits — one gauge
-    // per (network, target, path) plus the block-cache statistics.
+    // per (network, target, path) plus the dispatch statistics.
     let reg = Registry::new();
     let nets = evaluation_nets();
     for (ni, (name, _, fixed, qin)) in nets.iter().enumerate() {
@@ -111,55 +107,34 @@ fn bench() {
             // bench measures simulator throughput, not code generation.
             let prep = PreparedFixed::new(target, fixed, qin).expect("deploys");
             let reference = prep.run_uncached().expect("target runs");
-            let fast = prep.run().expect("target runs");
-            let (blocks, stats) = prep.run_blocks_stats().expect("target runs");
-            assert_eq!(fast, reference, "cached path must be bit-identical");
-            assert_eq!(blocks, reference, "blocks path must be bit-identical");
+            let (product, stats) = prep.run_stats().expect("target runs");
+            assert_eq!(product, reference, "product path must be bit-identical");
 
             // Interleaved best-of-N: one sample of each path per round.
-            let (mut u, mut p, mut b) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+            let (mut r, mut p) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..ROUNDS {
-                u = u.min(sample(|| prep.run_uncached().expect("runs")));
+                r = r.min(sample(|| prep.run_uncached().expect("runs")));
                 p = p.min(sample(|| prep.run().expect("runs")));
-                b = b.min(sample(|| prep.run_blocks().expect("runs")));
             }
-            let stats = stats.expect("paper targets collect block stats");
-            let (_, decoded) = prep.run_decoded_stats().expect("target runs");
             let row = RowResult {
                 target: target.name(),
                 instructions: reference.instructions,
-                uncached_s: u,
-                predecoded_s: p,
-                blocks_s: b,
-                hit_rate: stats.hit_rate,
-                avg_burst: stats.avg_burst,
-                dispatches: stats.dispatches,
-                gated_breaks: stats.gated_breaks,
-                decoded: decoded.map(|d| (d.picks, d.avg_burst)),
+                reference_s: r,
+                product_s: p,
+                stats,
             };
             println!(
-                "{target:<20} instrs={instructions:>9}  uncached={um:>7.2}  predecoded={pm:>7.2}  \
-                 blocks={bm:>7.2} Minstr/s  blocks/predecoded={r:.2}x  hit={hit:.3}  burst={burst:.2}",
+                "{target:<20} instrs={instructions:>9}  reference={rm:>7.2}  product={pm:>7.2} \
+                 Minstr/s  product/reference={x:.2}x  burst={burst:.2}  dispatches={d}",
                 target = row.target,
                 instructions = row.instructions,
-                um = row.minstr(u),
+                rm = row.minstr(r),
                 pm = row.minstr(p),
-                bm = row.minstr(b),
-                r = p / b,
-                hit = row.hit_rate,
-                burst = row.avg_burst,
+                x = r / p,
+                burst = row.stats.avg_burst,
+                d = row.stats.dispatches,
             );
-            if let Some((picks, burst)) = row.decoded {
-                println!(
-                    "{:<20} sched: decoded burst={burst:.4} ({picks} picks) -> blocks burst={:.4} ({} picks)",
-                    "", row.avg_burst, row.dispatches,
-                );
-            }
-            for (path, seconds) in [
-                ("uncached", row.uncached_s),
-                ("predecoded", row.predecoded_s),
-                ("blocks", row.blocks_s),
-            ] {
+            for (path, seconds) in [("reference", r), ("product", p)] {
                 reg.gauge(
                     "iss_minstr_per_s",
                     &[("network", name), ("target", &row.target), ("path", path)],
@@ -169,8 +144,11 @@ fn bench() {
             let labels = [("network", name.as_str()), ("target", row.target.as_str())];
             reg.counter("iss_instructions", &labels)
                 .add(row.instructions);
-            reg.gauge("iss_block_hit_rate", &labels).set(row.hit_rate);
-            reg.gauge("iss_block_avg_burst", &labels).set(row.avg_burst);
+            reg.gauge("iss_product_avg_burst", &labels)
+                .set(row.stats.avg_burst);
+            if let Some(hit) = row.hit_rate() {
+                reg.gauge("iss_block_hit_rate", &labels).set(hit);
+            }
             rows.push(row);
         }
 
@@ -179,24 +157,19 @@ fn bench() {
             json_str(name)
         ));
         for (ri, row) in rows.iter().enumerate() {
-            let decoded = row.decoded.map_or(String::new(), |(picks, burst)| {
-                format!(
-                    ",\n          \"decoded_picks\": {picks},\n          \"decoded_avg_burst\": {burst:.4}"
-                )
+            let hit = row.hit_rate().map_or(String::new(), |hit| {
+                format!(",\n          \"block_hit_rate\": {hit:.4}")
             });
             out.push_str(&format!(
-                "        {{\n          \"target\": {target},\n          \"instructions\": {instructions},\n          \"minstr_per_s\": {{\"uncached\": {um:.3}, \"predecoded\": {pm:.3}, \"blocks\": {bm:.3}}},\n          \"speedup_blocks_vs_predecoded\": {sp:.3},\n          \"speedup_blocks_vs_uncached\": {su:.3},\n          \"block_hit_rate\": {hit:.4},\n          \"block_avg_burst\": {burst:.4},\n          \"block_dispatches\": {dispatches},\n          \"block_gated_breaks\": {gated}{decoded}\n        }}{comma}\n",
+                "        {{\n          \"target\": {target},\n          \"instructions\": {instructions},\n          \"minstr_per_s\": {{\"reference\": {rm:.3}, \"product\": {pm:.3}}},\n          \"speedup_product_vs_reference\": {x:.3},\n          \"avg_burst\": {burst:.4},\n          \"dispatches\": {dispatches},\n          \"gated_breaks\": {gated}{hit}\n        }}{comma}\n",
                 target = json_str(&row.target),
                 instructions = row.instructions,
-                um = row.minstr(row.uncached_s),
-                pm = row.minstr(row.predecoded_s),
-                bm = row.minstr(row.blocks_s),
-                sp = row.predecoded_s / row.blocks_s,
-                su = row.uncached_s / row.blocks_s,
-                hit = row.hit_rate,
-                burst = row.avg_burst,
-                dispatches = row.dispatches,
-                gated = row.gated_breaks,
+                rm = row.minstr(row.reference_s),
+                pm = row.minstr(row.product_s),
+                x = row.reference_s / row.product_s,
+                burst = row.stats.avg_burst,
+                dispatches = row.stats.dispatches,
+                gated = row.stats.gated_breaks,
                 comma = if ri + 1 < rows.len() { "," } else { "" },
             ));
         }

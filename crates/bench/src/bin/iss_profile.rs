@@ -1,5 +1,5 @@
 //! Manual timing harness for the ISS hot paths (`perf` is unavailable in
-//! the build environment). Times the components of the cached and
+//! the build environment). Times the components of the product and
 //! uncached interpreter loops on the Network B workloads so optimisation
 //! work targets the real bottleneck; run with
 //! `cargo run --release -p iw-bench --bin iss_profile`.
@@ -89,42 +89,36 @@ fn main() {
         let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
         let instructions = prep.run().expect("runs").instructions;
         let name = entry.label;
-        let c = time(&format!("{name}: predecoded run"), instructions, || {
+        let p = time(&format!("{name}: product run"), instructions, || {
             prep.run().expect("runs")
         });
         let u = time(&format!("{name}: uncached run"), instructions, || {
             prep.run_uncached().expect("runs")
         });
-        let b = time(&format!("{name}: block-compiled run"), instructions, || {
-            prep.run_blocks().expect("runs")
-        });
         println!(
-            "{name:<44} blocks {:.2}x over predecoded, {:.2}x over uncached ({instructions} instrs)",
-            c / b,
-            u / b
+            "{name:<44} product {:.2}x over uncached ({instructions} instrs)",
+            u / p
         );
-        print_block_stats(&prep);
+        print_product_stats(&prep);
     }
 }
 
-/// Block-level report for one target: compilation and fusion-site counts
-/// per pattern, dispatch-loop exit reasons, and (on the cluster) how many
-/// bursts the lockstep runner-up gate cut short.
-fn print_block_stats(prep: &PreparedFixed) {
-    let Ok((_, Some(s))) = prep.run_blocks_stats() else {
-        return;
-    };
+/// Dispatch report for one target's product path: burst length, how many
+/// multi-core bursts the runner-up gate cut short, and the block-level
+/// counters (fusion sites per pattern, dispatch-loop exit reasons) when
+/// the path is block-compiled.
+fn print_product_stats(prep: &PreparedFixed) {
+    let (_, s) = prep.run_stats().expect("runs");
     println!(
-        "  blocks: compiled={} hit_rate={:.4} dispatches={} avg_burst={:.2} fused_execs={} gated_breaks={}",
-        s.compiled, s.hit_rate, s.dispatches, s.avg_burst, s.fused, s.gated_breaks
+        "  product: dispatches={} avg_burst={:.3} gated_breaks={}",
+        s.dispatches, s.avg_burst, s.gated_breaks
     );
-    if let Ok((_, Some(d))) = prep.run_decoded_stats() {
-        println!(
-            "  decoded: picks={} avg_burst={:.3} gated_breaks={} (block picks={} avg_burst={:.3})",
-            d.picks, d.avg_burst, d.gated_breaks, s.dispatches, s.avg_burst
-        );
-    }
     if let Some(r) = s.rv32 {
+        println!(
+            "  blocks: compiled={} hit_rate={:.4}",
+            r.blocks_compiled,
+            r.hit_rate()
+        );
         println!(
             "  fusion sites: lp+lp+sdotsp={} lp+lp={} lp+sdotsp={} lp+mac={} mul+srai+add={} addi+branch={}",
             r.fused_lp_lp_sdotsp,

@@ -5,7 +5,7 @@
 
 use iw_bench::trace_target;
 use iw_kernels::{registry, PreparedFixed};
-use iw_trace::{validate_json, NoopSink, TraceSink};
+use iw_trace::{validate_json, NoopSink, Recorder, TraceSink};
 
 fn neta_cluster8() -> iw_bench::TraceArtifacts {
     trace_target("neta", "cl8").expect("neta/cluster8 traces")
@@ -80,18 +80,23 @@ fn m4_trace_has_code_track_and_soc_counter() {
 fn recording_does_not_perturb_the_run() {
     // The iss_bench measurement path is PreparedFixed::run with the
     // NoopSink monomorphized in; the sink must be compile-time disabled
-    // and the recorded run observationally identical.
+    // and the recorded run observationally identical. On the single-core
+    // rows the two take different interpreters: recording runs the
+    // instrumented pre-decoded loop, `run()` the block-compiled one.
     const { assert!(!NoopSink::ENABLED) };
     let [(_, _, fixed, qin), _] = iw_bench::evaluation_nets();
-    let entry = registry()
-        .into_iter()
-        .find(|e| e.id == "cluster8")
-        .expect("cluster8 registered");
-    let prep = PreparedFixed::on(&*entry.machine(), &fixed, &qin).expect("deploys");
-    let plain = prep.run().expect("runs");
-    let art = neta_cluster8();
-    assert_eq!(art.run.cycles, plain.cycles);
-    assert_eq!(art.run.instructions, plain.instructions);
-    assert_eq!(art.run.outputs, plain.outputs);
-    assert_eq!(art.run.cluster, plain.cluster);
+    for id in ["m4", "ibex", "riscy", "cluster8"] {
+        let entry = registry()
+            .into_iter()
+            .find(|e| e.id == id)
+            .expect("registered");
+        let prep = PreparedFixed::on(&*entry.machine(), &fixed, &qin).expect("deploys");
+        let plain = prep.run().expect("runs");
+        let recorded = prep.run_recorded(&mut Recorder::new()).expect("runs");
+        assert_eq!(recorded.cycles, plain.cycles, "{id}");
+        assert_eq!(recorded.instructions, plain.instructions, "{id}");
+        assert_eq!(recorded.outputs, plain.outputs, "{id}");
+        assert_eq!(recorded.profile, plain.profile, "{id}");
+        assert_eq!(recorded.cluster, plain.cluster, "{id}");
+    }
 }

@@ -444,7 +444,7 @@ mod tests {
         ];
         for m in machines {
             let dep = m.deploy(&w).unwrap();
-            let fast = dep.run(ExecPath::Cached).unwrap();
+            let fast = dep.run(ExecPath::Product).unwrap();
             let slow = dep.run(ExecPath::Reference).unwrap();
             assert_eq!(fast, slow, "{}", m.name());
             assert_eq!(
@@ -465,10 +465,10 @@ mod tests {
         let w = FeatureWorkload::new(&rr, &gsr).unwrap();
         let expected = w.reference();
         let dep = WolfMachine::riscy().deploy(&w).unwrap();
-        let run = dep.run(ExecPath::Cached).unwrap();
+        let run = dep.run(ExecPath::Product).unwrap();
         assert_eq!(FeatureSummary::decode(&run.output), expected);
         let dep = M4Machine::new().deploy(&w).unwrap();
-        let run = dep.run(ExecPath::Cached).unwrap();
+        let run = dep.run(ExecPath::Product).unwrap();
         assert_eq!(FeatureSummary::decode(&run.output), expected);
     }
 
@@ -479,7 +479,7 @@ mod tests {
         assert_eq!(expected.nn50, 1);
         assert_eq!(expected.slope_max, expected.slope_min);
         let dep = WolfMachine::cluster(8).deploy(&w).unwrap();
-        let run = dep.run(ExecPath::Cached).unwrap();
+        let run = dep.run(ExecPath::Product).unwrap();
         assert_eq!(FeatureSummary::decode(&run.output), expected);
     }
 
@@ -503,7 +503,7 @@ mod tests {
         // budget the cost model carries.
         let w = windows(8, 120, 400);
         let dep = WolfMachine::cluster(8).deploy(&w).unwrap();
-        let run = dep.run(ExecPath::Cached).unwrap();
+        let run = dep.run(ExecPath::Product).unwrap();
         let measured = FeatureCost::measured(run.cycles, 8);
         let op = OperatingPoint::efficient();
         let secs = measured.seconds(&op);

@@ -54,8 +54,8 @@ pub mod workloads;
 pub use features::{FeatureCost, FeatureSummary, FeatureWorkload};
 pub use m4::{emit_m4_fixed_kernel, emit_m4_float_kernel};
 pub use machine::{
-    registry, targets_in, BlockRunStats, Deployment, EnergyBreakdown, ExecPath, Isa, Machine,
-    MachineError, MachineRun, SchedSummary, TargetEntry, TargetGroup, Workload, WorkloadFootprint,
+    registry, targets_in, Deployment, EnergyBreakdown, ExecPath, Isa, Machine, MachineError,
+    MachineRun, ProductStats, TargetEntry, TargetGroup, Workload, WorkloadFootprint,
 };
 pub use machine::{M4Machine, WolfMachine};
 pub use q15::{
@@ -64,8 +64,7 @@ pub use q15::{
 };
 pub use rv::{emit_fixed_kernel, RvKernelOpts, XpulpOpts};
 pub use targets::{
-    run_fixed, run_fixed_blocks, run_fixed_on, run_fixed_uncached, run_m4_fixed,
-    run_m4_fixed_uncached, run_m4_float, run_wolf_fixed_with, FixedRun, FixedTarget, FloatRun,
-    KernelError, PreparedFixed,
+    run_fixed, run_fixed_on, run_fixed_uncached, run_m4_fixed, run_m4_fixed_uncached, run_m4_float,
+    run_wolf_fixed_with, FixedRun, FixedTarget, FloatRun, KernelError, PreparedFixed,
 };
 pub use workloads::{FixedWorkload, FloatWorkload, Q15Workload};

@@ -12,11 +12,20 @@
 //! Deployment::run(ExecPath) -> MachineRun       (stage memories, run-to-halt)
 //! ```
 //!
-//! All three execution paths are first-class: [`ExecPath::Cached`] is the
-//! pre-decoded/batched product path, [`ExecPath::Reference`] the frozen
-//! per-instruction interpreter, [`ExecPath::Blocks`] the block-compiled
-//! superinstruction path — and all are bit- and cycle-identical by the
-//! conformance tests.
+//! Each target has one product interpreter, [`ExecPath::Product`], chosen
+//! by the target and not by the caller:
+//!
+//! | Target | Product path |
+//! |---|---|
+//! | Cortex-M4 | fusion-compiled `BlockProgram`, built at deploy time |
+//! | Ibex FC | RISC-V block cache |
+//! | single RI5CY | single-core block burst |
+//! | multi-core cluster | decode-cache horizon bursts |
+//!
+//! [`ExecPath::Reference`] is the frozen per-instruction interpreter. The
+//! two are bit- and cycle-identical by the conformance tests. Recorded
+//! runs ([`Deployment::run_recorded`]) use the instrumented pre-decoded
+//! loops, which are identical to both.
 //!
 //! The target list itself is data: [`registry`] returns one row per
 //! registered backend (the four paper columns, the A2 Xpulp ablation
@@ -37,7 +46,7 @@
 //! let input = fixed.quantize_input(&[0.1, -0.3, 0.7, 0.2, -0.5]);
 //! let workload = FixedWorkload::new(&fixed, &input)?;
 //! let deployment = WolfMachine::cluster(8).deploy(&workload)?;
-//! let fast = deployment.run(ExecPath::Cached)?;
+//! let fast = deployment.run(ExecPath::Product)?;
 //! let reference = deployment.run(ExecPath::Reference)?;
 //! assert_eq!(fast, reference); // the frozen path agrees bit-for-bit
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -45,11 +54,11 @@
 
 use iw_armv7m::{M4Error, ThumbInstr};
 use iw_mrwolf::memmap::{L2_BASE, L2_SIZE, TCDM_BASE, TCDM_SIZE};
-use iw_mrwolf::{ClusterConfig, ClusterError, ClusterRun, MrWolf, OperatingPoint, WolfMode};
+use iw_mrwolf::{ClusterConfig, ClusterError, ClusterRun, FcRun, MrWolf, OperatingPoint, WolfMode};
 use iw_nrf52::{Nrf52, FLASH_BASE, FLASH_SIZE, RAM_BASE, RAM_SIZE};
 use iw_rv32::asm::AsmError;
 use iw_rv32::{CpuError, ExecProfile};
-use iw_trace::{NoopSink, Recorder, TraceSink, TrackId, CYCLES};
+use iw_trace::{NoopSink, Recorder, TraceSink, CYCLES};
 
 use crate::rv::RvKernelOpts;
 
@@ -136,60 +145,35 @@ impl From<M4Error> for MachineError {
     }
 }
 
-/// Which interpreter path a run uses. All are bit- and cycle-identical;
-/// only the simulator's wall-clock speed differs.
+/// Which interpreter a run uses. Both are bit- and cycle-identical; only
+/// the simulator's wall-clock speed differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// The pre-decoded/batched product path (decode caches, horizon-burst
-    /// cluster scheduling).
-    Cached,
+    /// The target's product interpreter (see the module docs).
+    Product,
     /// The frozen reference path: fetch and decode every dynamic
     /// instruction, no batching.
     Reference,
-    /// The block-compiled superinstruction path: basic-block caches with
-    /// macro-op fusion on the RISC-V side, fusion-compiled programs on
-    /// the M4 (see `iw_rv32::BlockCache` / `iw_armv7m::BlockProgram`).
-    Blocks,
 }
 
-/// Block-path execution statistics of one [`ExecPath::Blocks`] run.
+/// Dispatch statistics of one [`ExecPath::Product`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockRunStats {
-    /// Block-cache hit rate (1.0 on the M4, whose program is compiled
-    /// once up front and never invalidated).
-    pub hit_rate: f64,
-    /// Mean instructions retired per dispatch-loop iteration.
-    pub avg_burst: f64,
-    /// Fused superinstructions executed during the run.
-    pub fused: u64,
-    /// Basic blocks (RISC-V) or fusion sites (M4) compiled.
-    pub compiled: u64,
+pub struct ProductStats {
     /// Dispatch decisions: scheduler picks on the Mr. Wolf cluster,
     /// dispatch-loop iterations elsewhere.
     pub dispatches: u64,
-    /// Cluster bursts cut short by the lockstep runner-up gate (see
+    /// Mean instructions retired per dispatch.
+    pub avg_burst: f64,
+    /// Multi-core bursts cut short by the runner-up gate (see
     /// [`iw_mrwolf::SchedStats::gated_breaks`]); 0 on single-core
     /// targets.
     pub gated_breaks: u64,
-    /// Full RISC-V block-cache counters (per-pattern fusion sites,
-    /// dispatch-loop exits), when the target ran on one.
+    /// RISC-V block-cache counters (per-pattern fusion sites,
+    /// dispatch-loop exits), when the product path is the block cache.
     pub rv32: Option<iw_rv32::BlockStats>,
-    /// Full M4 fusion counters (per-pattern executed superinstructions),
-    /// when the target was the Cortex-M4.
+    /// M4 fusion counters (per-pattern executed superinstructions), when
+    /// the target is the Cortex-M4.
     pub m4: Option<iw_armv7m::FusedStats>,
-}
-
-/// Scheduler statistics of one pre-decoded ([`ExecPath::Cached`]) run on
-/// an event-driven multi-core backend — the baseline the block path's
-/// [`BlockRunStats::avg_burst`] is compared against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedSummary {
-    /// Scheduler picks (arbitration decisions).
-    pub picks: u64,
-    /// Bursts cut short by the lockstep runner-up gate.
-    pub gated_breaks: u64,
-    /// Mean instructions retired per scheduler pick.
-    pub avg_burst: f64,
 }
 
 /// Per-domain energy of one run, joules.
@@ -345,12 +329,12 @@ pub trait Deployment {
     /// See [`MachineError`].
     fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError>;
 
-    /// Simulates one run-to-halt on the *product* ([`ExecPath::Cached`])
-    /// path with `rec` recording the full timeline: execution tracks and
-    /// PC samples from the backend, the workload's symbol table, the
-    /// machine clock, and end-of-run energy counters on an `soc` track.
-    /// The recorded run is observationally identical to
-    /// [`Deployment::run`] — recording never perturbs the simulation.
+    /// Simulates one run-to-halt with `rec` recording the full timeline:
+    /// execution tracks and PC samples from the backend, the workload's
+    /// symbol table, the machine clock, and end-of-run energy counters on
+    /// an `soc` track. The block-compiled product paths take no sink, so
+    /// backends record through their instrumented pre-decoded loops; the
+    /// recorded run is observationally identical to [`Deployment::run`].
     ///
     /// The default implementation records nothing (backends opt in).
     ///
@@ -359,31 +343,16 @@ pub trait Deployment {
     /// See [`MachineError`].
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
         let _ = rec;
-        self.run(ExecPath::Cached)
+        self.run(ExecPath::Product)
     }
 
-    /// [`Deployment::run`] on [`ExecPath::Blocks`], additionally
-    /// returning block-path statistics when the backend collects them.
-    /// The default implementation runs the blocks path without statistics.
+    /// [`Deployment::run`] on [`ExecPath::Product`], additionally
+    /// returning the product path's dispatch statistics.
     ///
     /// # Errors
     ///
     /// See [`MachineError`].
-    fn run_blocks_stats(&self) -> Result<(MachineRun, Option<BlockRunStats>), MachineError> {
-        Ok((self.run(ExecPath::Blocks)?, None))
-    }
-
-    /// [`Deployment::run`] on [`ExecPath::Cached`], additionally
-    /// returning scheduler statistics when the backend has an
-    /// event-driven scheduler (the Mr. Wolf cluster). The default
-    /// implementation runs the cached path without statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`MachineError`].
-    fn run_decoded_stats(&self) -> Result<(MachineRun, Option<SchedSummary>), MachineError> {
-        Ok((self.run(ExecPath::Cached)?, None))
-    }
+    fn run_stats(&self) -> Result<(MachineRun, ProductStats), MachineError>;
 }
 
 /// Cycle budget for a single run (Network B on Ibex is ~1 M cycles; leave
@@ -490,55 +459,41 @@ impl M4Deployment {
             output,
         }
     }
-
-    /// Product-path run with a sink attached; `run(Cached)` is this with
-    /// the [`NoopSink`], `run_recorded` this with the [`Recorder`].
-    fn run_cached_sink<S: TraceSink>(
-        &self,
-        sink: &mut S,
-        track: TrackId,
-    ) -> Result<MachineRun, MachineError> {
-        let mut soc = self.staged_soc();
-        let run = soc.run_sink(&self.program, MAX_CYCLES, sink, track)?;
-        Ok(self.machine_run(&soc, run))
-    }
 }
 
 impl Deployment for M4Deployment {
     fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError> {
         match path {
-            ExecPath::Cached => self.run_cached_sink(&mut NoopSink, TrackId::default()),
+            ExecPath::Product => Ok(self.run_stats()?.0),
             ExecPath::Reference => {
                 let mut soc = self.staged_soc();
                 let run = soc.run_code(&self.code, MAX_CYCLES)?;
                 Ok(self.machine_run(&soc, run))
             }
-            ExecPath::Blocks => Ok(self.run_blocks_stats()?.0),
         }
     }
 
-    fn run_blocks_stats(&self) -> Result<(MachineRun, Option<BlockRunStats>), MachineError> {
+    fn run_stats(&self) -> Result<(MachineRun, ProductStats), MachineError> {
         let mut soc = self.staged_soc();
         let mut stats = iw_armv7m::FusedStats::default();
         let run = soc.run_blocks(&self.fused, MAX_CYCLES, &mut stats)?;
-        let block = BlockRunStats {
-            hit_rate: 1.0,
-            avg_burst: stats.avg_burst(),
-            fused: stats.fused_total(),
-            compiled: self.fused.fused_sites() as u64,
+        let product = ProductStats {
             dispatches: stats.dispatches,
+            avg_burst: stats.avg_burst(),
             gated_breaks: 0,
             rv32: None,
             m4: Some(stats),
         };
-        Ok((self.machine_run(&soc, run), Some(block)))
+        Ok((self.machine_run(&soc, run), product))
     }
 
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
         rec.set_cycles_per_us(iw_nrf52::Nrf52Power::default().freq_hz / 1e6);
         rec.set_symbols(self.symbols.clone());
         let track = rec.track("m4", CYCLES);
-        let run = self.run_cached_sink(rec, track)?;
+        let mut soc = self.staged_soc();
+        let run = soc.run_sink(&self.program, MAX_CYCLES, rec, track)?;
+        let run = self.machine_run(&soc, run);
         let soc = rec.track("soc", CYCLES);
         rec.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
         Ok(run)
@@ -754,138 +709,83 @@ impl WolfDeployment {
         }
     }
 
-    /// Shared run body with a sink attached; `run` is this with the
-    /// [`NoopSink`], `run_recorded` this with the [`Recorder`]. The FC
-    /// reference path carries no instrumentation (it is the differential
+    /// Pre-decoded (`decode_cache`) or reference run with a sink
+    /// attached: `run(Reference)` is the latter with the [`NoopSink`],
+    /// `run_recorded` the former with the [`Recorder`]. The reference
+    /// FC path carries no instrumentation (it is the differential
     /// baseline).
     fn run_sinked<S: TraceSink>(
         &self,
-        path: ExecPath,
+        decode_cache: bool,
         sink: &mut S,
     ) -> Result<MachineRun, MachineError> {
-        let cfg = match path {
-            ExecPath::Cached => self.cfg,
-            ExecPath::Reference => ClusterConfig {
-                decode_cache: false,
-                ..self.cfg
-            },
-            ExecPath::Blocks => ClusterConfig {
-                block_fusion: true,
-                ..self.cfg
-            },
-        };
-        let mut wolf = self.staged_wolf(cfg);
-        let (cycles, instructions, cluster, profile) = if self.on_fc {
-            let run = match path {
-                ExecPath::Cached => {
-                    let track = sink.track("fc", CYCLES);
-                    wolf.run_fc_sink(L2_BASE, MAX_CYCLES, true, sink, track)?
-                }
-                ExecPath::Reference => wolf.run_fc_uncached(L2_BASE, MAX_CYCLES)?,
-                ExecPath::Blocks => wolf.run_fc_blocks(L2_BASE, MAX_CYCLES)?.0,
-            };
-            (
-                run.result.cycles,
-                run.result.instructions,
-                None,
-                run.profile,
-            )
+        let mut wolf = self.staged_wolf(ClusterConfig {
+            decode_cache,
+            ..self.cfg
+        });
+        if self.on_fc {
+            let track = sink.track("fc", CYCLES);
+            let run = wolf.run_fc_sink(L2_BASE, MAX_CYCLES, decode_cache, sink, track)?;
+            Ok(self.fc_run(&wolf, &run))
         } else {
             let run = wolf.run_cluster_sink(L2_BASE, MAX_CYCLES, sink)?;
-            let profile = run.profile;
-            (run.cycles, run.instructions, Some(run.clone()), profile)
-        };
-        Ok(self.machine_run(&wolf, cycles, instructions, cluster, profile))
+            Ok(self.cluster_run(&wolf, run))
+        }
+    }
+
+    fn fc_run(&self, wolf: &MrWolf, run: &FcRun) -> MachineRun {
+        let r = run.result;
+        self.machine_run(wolf, r.cycles, r.instructions, None, run.profile)
+    }
+
+    fn cluster_run(&self, wolf: &MrWolf, run: ClusterRun) -> MachineRun {
+        let (cycles, instructions, profile) = (run.cycles, run.instructions, run.profile);
+        self.machine_run(wolf, cycles, instructions, Some(run), profile)
     }
 }
 
 impl Deployment for WolfDeployment {
     fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError> {
-        self.run_sinked(path, &mut NoopSink)
+        match path {
+            ExecPath::Product => Ok(self.run_stats()?.0),
+            ExecPath::Reference => self.run_sinked(false, &mut NoopSink),
+        }
     }
 
-    fn run_blocks_stats(&self) -> Result<(MachineRun, Option<BlockRunStats>), MachineError> {
-        let cfg = ClusterConfig {
-            block_fusion: true,
-            ..self.cfg
-        };
-        let mut wolf = self.staged_wolf(cfg);
+    fn run_stats(&self) -> Result<(MachineRun, ProductStats), MachineError> {
+        let mut wolf = self.staged_wolf(self.cfg);
         if self.on_fc {
-            let (run, stats) = wolf.run_fc_blocks(L2_BASE, MAX_CYCLES)?;
+            let (run, stats) = wolf.run_fc(L2_BASE, MAX_CYCLES)?;
             let dispatches = stats.hits + stats.misses + stats.fallback_steps;
-            let block = BlockRunStats {
-                hit_rate: stats.hit_rate(),
+            let product = ProductStats {
+                dispatches,
                 avg_burst: if dispatches == 0 {
                     1.0
                 } else {
                     run.result.instructions as f64 / dispatches as f64
                 },
-                fused: stats.fused_total(),
-                compiled: stats.blocks_compiled,
-                dispatches,
                 gated_breaks: 0,
                 rv32: Some(stats),
                 m4: None,
             };
-            let mr = self.machine_run(
-                &wolf,
-                run.result.cycles,
-                run.result.instructions,
-                None,
-                run.profile,
-            );
-            Ok((mr, Some(block)))
+            Ok((self.fc_run(&wolf, &run), product))
         } else {
             let (run, sched) = wolf.run_cluster_stats(L2_BASE, MAX_CYCLES)?;
-            let stats = sched.block.unwrap_or_default();
-            let block = BlockRunStats {
-                hit_rate: stats.hit_rate(),
-                avg_burst: sched.avg_burst(),
-                fused: stats.fused_total(),
-                compiled: stats.blocks_compiled,
+            let product = ProductStats {
                 dispatches: sched.picks,
+                avg_burst: sched.avg_burst(),
                 gated_breaks: sched.gated_breaks,
                 rv32: sched.block,
                 m4: None,
             };
-            let profile = run.profile;
-            let mr = self.machine_run(
-                &wolf,
-                run.cycles,
-                run.instructions,
-                Some(run.clone()),
-                profile,
-            );
-            Ok((mr, Some(block)))
+            Ok((self.cluster_run(&wolf, run), product))
         }
-    }
-
-    fn run_decoded_stats(&self) -> Result<(MachineRun, Option<SchedSummary>), MachineError> {
-        if self.on_fc {
-            return Ok((self.run(ExecPath::Cached)?, None));
-        }
-        let mut wolf = self.staged_wolf(self.cfg);
-        let (run, sched) = wolf.run_cluster_stats(L2_BASE, MAX_CYCLES)?;
-        let summary = SchedSummary {
-            picks: sched.picks,
-            gated_breaks: sched.gated_breaks,
-            avg_burst: sched.avg_burst(),
-        };
-        let profile = run.profile;
-        let mr = self.machine_run(
-            &wolf,
-            run.cycles,
-            run.instructions,
-            Some(run.clone()),
-            profile,
-        );
-        Ok((mr, Some(summary)))
     }
 
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
         rec.set_cycles_per_us(OperatingPoint::efficient().freq_hz / 1e6);
         rec.set_symbols(self.symbols.clone());
-        let run = self.run_sinked(ExecPath::Cached, rec)?;
+        let run = self.run_sinked(true, rec)?;
         let soc = rec.track("soc", CYCLES);
         rec.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
         rec.counter(soc, "cluster_uj", run.cycles, run.energy.cluster_j * 1e6);

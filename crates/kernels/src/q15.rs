@@ -259,7 +259,7 @@ pub fn run_q15_on(
 ) -> Result<Q15Run, KernelError> {
     let workload = Q15Workload::new(net, input)?;
     Ok(Q15Run::from_machine(
-        machine.deploy(&workload)?.run(ExecPath::Cached)?,
+        machine.deploy(&workload)?.run(ExecPath::Product)?,
     ))
 }
 

@@ -14,7 +14,7 @@ use iw_rv32::ExecProfile;
 use iw_mrwolf::ClusterConfig;
 
 use crate::machine::{
-    Deployment, ExecPath, M4Machine, Machine, MachineError, MachineRun, WolfMachine,
+    Deployment, ExecPath, M4Machine, Machine, MachineError, MachineRun, ProductStats, WolfMachine,
 };
 use crate::rv::RvKernelOpts;
 use crate::workloads::{FixedWorkload, FloatWorkload};
@@ -238,15 +238,15 @@ impl PreparedFixed {
         PreparedFixed::on(&machine, net, input)
     }
 
-    /// Simulates one classification through the pre-decoded/batched fast
-    /// path.
+    /// Simulates one classification through the target's product
+    /// interpreter ([`ExecPath::Product`]).
     ///
     /// # Errors
     ///
     /// See [`KernelError`].
     pub fn run(&self) -> Result<FixedRun, KernelError> {
         Ok(FixedRun::from_machine(
-            self.deployment.run(ExecPath::Cached)?,
+            self.deployment.run(ExecPath::Product)?,
         ))
     }
 
@@ -264,52 +264,19 @@ impl PreparedFixed {
         ))
     }
 
-    /// Simulates one classification through the block-compiled
-    /// superinstruction path (basic-block caches with macro-op fusion on
-    /// the RISC-V targets, a fusion-compiled program on the M4). Bit- and
-    /// cycle-identical to [`PreparedFixed::run`] — the fast side of the
-    /// ISS-throughput bench.
+    /// [`PreparedFixed::run`] plus the product path's dispatch statistics
+    /// (burst length, block-cache and fusion counters).
     ///
     /// # Errors
     ///
     /// See [`KernelError`].
-    pub fn run_blocks(&self) -> Result<FixedRun, KernelError> {
-        Ok(FixedRun::from_machine(
-            self.deployment.run(ExecPath::Blocks)?,
-        ))
-    }
-
-    /// [`PreparedFixed::run_blocks`] plus the block-path statistics the
-    /// backend collected (hit rate, burst length, fusion counts), when
-    /// available.
-    ///
-    /// # Errors
-    ///
-    /// See [`KernelError`].
-    pub fn run_blocks_stats(
-        &self,
-    ) -> Result<(FixedRun, Option<crate::machine::BlockRunStats>), KernelError> {
-        let (run, stats) = self.deployment.run_blocks_stats()?;
+    pub fn run_stats(&self) -> Result<(FixedRun, ProductStats), KernelError> {
+        let (run, stats) = self.deployment.run_stats()?;
         Ok((FixedRun::from_machine(run), stats))
     }
 
-    /// [`PreparedFixed::run`] plus the scheduler statistics the backend
-    /// collected (picks, gate breaks, burst length), when available —
-    /// the pre-decoded baseline the block path's burst is compared
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// See [`KernelError`].
-    pub fn run_decoded_stats(
-        &self,
-    ) -> Result<(FixedRun, Option<crate::machine::SchedSummary>), KernelError> {
-        let (run, stats) = self.deployment.run_decoded_stats()?;
-        Ok((FixedRun::from_machine(run), stats))
-    }
-
-    /// Simulates one classification through the fast path with `rec`
-    /// recording the full timeline (see
+    /// Simulates one classification with `rec` recording the full
+    /// timeline (see
     /// [`Deployment::run_recorded`]). Observationally identical to
     /// [`PreparedFixed::run`].
     ///
@@ -383,7 +350,7 @@ pub fn run_m4_fixed_uncached(net: &FixedNet, input: &[i32]) -> Result<FixedRun, 
 /// [`crate::emit_m4_float_kernel`]).
 pub fn run_m4_float(net: &Mlp, input: &[f32]) -> Result<FloatRun, KernelError> {
     let workload = FloatWorkload::new(net, input)?;
-    let run = M4Machine::new().deploy(&workload)?.run(ExecPath::Cached)?;
+    let run = M4Machine::new().deploy(&workload)?.run(ExecPath::Product)?;
     Ok(FloatRun {
         cycles: run.cycles,
         instructions: run.instructions,
@@ -420,21 +387,6 @@ pub fn run_fixed_uncached(
     input: &[i32],
 ) -> Result<FixedRun, KernelError> {
     PreparedFixed::new(target, net, input)?.run_uncached()
-}
-
-/// Runs one fixed-point classification on any target through the
-/// block-compiled superinstruction path. Bit- and cycle-identical to
-/// [`run_fixed`]; the fast side of the ISS-throughput bench.
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn run_fixed_blocks(
-    target: FixedTarget,
-    net: &FixedNet,
-    input: &[i32],
-) -> Result<FixedRun, KernelError> {
-    PreparedFixed::new(target, net, input)?.run_blocks()
 }
 
 #[cfg(test)]
@@ -500,23 +452,31 @@ mod tests {
             let fast = run_fixed(target, &fixed, &qin).unwrap();
             let reference = run_fixed_uncached(target, &fixed, &qin).unwrap();
             assert_eq!(fast, reference, "target {target:?}");
-            let blocks = run_fixed_blocks(target, &fixed, &qin).unwrap();
-            assert_eq!(blocks, reference, "blocks path, target {target:?}");
         }
     }
 
     #[test]
-    fn blocks_stats_match_run_and_report_fusion() {
+    fn product_stats_match_run_and_report_fusion() {
         let (_, fixed, qin) = small_net(109);
         for target in FixedTarget::paper_targets() {
             let prep = PreparedFixed::new(target, &fixed, &qin).unwrap();
-            let plain = prep.run_blocks().unwrap();
-            let (run, stats) = prep.run_blocks_stats().unwrap();
+            let plain = prep.run().unwrap();
+            let (run, stats) = prep.run_stats().unwrap();
             assert_eq!(run, plain, "target {target:?}");
-            let stats = stats.expect("all paper targets collect block stats");
-            assert!(stats.hit_rate > 0.5, "target {target:?}: {stats:?}");
             assert!(stats.avg_burst >= 1.0, "target {target:?}: {stats:?}");
-            assert!(stats.compiled > 0, "target {target:?}: {stats:?}");
+            // Every single-core product path is block-compiled and fuses.
+            let fused = match (stats.rv32, stats.m4) {
+                (Some(rv), None) => rv.fused_total(),
+                (None, Some(m4)) => m4.fused_total(),
+                _ => 0,
+            };
+            let multi_core = matches!(target, FixedTarget::WolfCluster { cores } if cores > 1);
+            assert_eq!(fused > 0, !multi_core, "target {target:?}: {stats:?}");
+            // The RISC-V block caches compile each block once and then hit.
+            if let Some(rv) = stats.rv32 {
+                assert!(rv.hit_rate() > 0.5, "target {target:?}: {stats:?}");
+                assert!(rv.blocks_compiled > 0, "target {target:?}: {stats:?}");
+            }
         }
     }
 

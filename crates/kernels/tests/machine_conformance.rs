@@ -1,6 +1,6 @@
 //! Conformance harness for the execution layer: every backend registered
 //! in [`iw_kernels::registry`] must honour the [`Machine`] contract —
-//! bit- and cycle-identical cached/reference paths, correct outputs
+//! bit- and cycle-identical product/reference paths, correct outputs
 //! against the crate-independent forward pass, sane energy accounting,
 //! and typed errors for inputs that cannot run.
 
@@ -17,11 +17,11 @@ fn fixed_net(seed: u64) -> FixedNet {
     FixedNet::export(&net).expect("export network A")
 }
 
-/// Cached and reference interpreters must agree on every observable:
+/// Product and reference interpreters must agree on every observable:
 /// retired work, cycle count, energy and output bytes — on every
 /// registered backend, not just the four paper targets.
 #[test]
-fn fixed_cached_path_matches_reference_on_every_backend() {
+fn fixed_product_path_matches_reference_on_every_backend() {
     let fixed = fixed_net(11);
     let input = fixed.quantize_input(&[0.3, -0.2, 0.8, 0.1, -0.6]);
     let expect = fixed.forward(&input);
@@ -29,26 +29,26 @@ fn fixed_cached_path_matches_reference_on_every_backend() {
         let machine = entry.machine();
         let workload = FixedWorkload::new(&fixed, &input).expect("valid input");
         let deployment = machine.deploy(&workload).expect("deploy");
-        let cached = deployment.run(ExecPath::Cached).expect("cached run");
+        let product = deployment.run(ExecPath::Product).expect("product run");
         let reference = deployment.run(ExecPath::Reference).expect("reference run");
-        assert_eq!(cached.cycles, reference.cycles, "{}: cycles", entry.id);
+        assert_eq!(product.cycles, reference.cycles, "{}: cycles", entry.id);
         assert_eq!(
-            cached.instructions, reference.instructions,
+            product.instructions, reference.instructions,
             "{}: instructions",
             entry.id
         );
         assert_eq!(
-            cached.output, reference.output,
+            product.output, reference.output,
             "{}: output bytes",
             entry.id
         );
         assert_eq!(
-            cached.energy.total_j, reference.energy.total_j,
+            product.energy.total_j, reference.energy.total_j,
             "{}: energy",
             entry.id
         );
         assert_eq!(
-            FixedWorkload::decode_outputs(&cached.output),
+            FixedWorkload::decode_outputs(&product.output),
             expect,
             "{}: forward-pass outputs",
             entry.id
@@ -74,7 +74,7 @@ fn energy_is_decomposed_and_monotone_in_cycles() {
             machine
                 .deploy(&workload)
                 .expect("deploy")
-                .run(ExecPath::Cached)
+                .run(ExecPath::Product)
                 .expect("run")
         };
         let a = run(&small, &small_input);
@@ -113,16 +113,16 @@ fn q15_workload_conforms_on_q15_targets() {
         let machine = entry.machine();
         let workload = Q15Workload::new(&q15, &input).expect("valid input");
         let deployment = machine.deploy(&workload).expect("deploy");
-        let cached = deployment.run(ExecPath::Cached).expect("cached run");
+        let product = deployment.run(ExecPath::Product).expect("product run");
         let reference = deployment.run(ExecPath::Reference).expect("reference run");
-        assert_eq!(cached.cycles, reference.cycles, "{}: cycles", entry.id);
+        assert_eq!(product.cycles, reference.cycles, "{}: cycles", entry.id);
         assert_eq!(
-            cached.output, reference.output,
+            product.output, reference.output,
             "{}: output bytes",
             entry.id
         );
         assert_eq!(
-            Q15Workload::decode_outputs(&cached.output),
+            Q15Workload::decode_outputs(&product.output),
             expect,
             "{}: q15 outputs",
             entry.id
@@ -142,16 +142,16 @@ fn feature_workload_conforms_on_every_backend() {
     for entry in registry() {
         let machine = entry.machine();
         let deployment = machine.deploy(&workload).expect("deploy");
-        let cached = deployment.run(ExecPath::Cached).expect("cached run");
+        let product = deployment.run(ExecPath::Product).expect("product run");
         let reference = deployment.run(ExecPath::Reference).expect("reference run");
-        assert_eq!(cached.cycles, reference.cycles, "{}: cycles", entry.id);
+        assert_eq!(product.cycles, reference.cycles, "{}: cycles", entry.id);
         assert_eq!(
-            cached.output, reference.output,
+            product.output, reference.output,
             "{}: output bytes",
             entry.id
         );
         assert_eq!(
-            iw_kernels::FeatureSummary::decode(&cached.output),
+            iw_kernels::FeatureSummary::decode(&product.output),
             expect,
             "{}: feature summary",
             entry.id
@@ -174,7 +174,7 @@ fn profile_counts_account_for_every_instruction_and_cycle() {
         let run = machine
             .deploy(&workload)
             .expect("deploy")
-            .run(ExecPath::Cached)
+            .run(ExecPath::Product)
             .expect("run");
         let total = run.profile.total();
         assert_eq!(

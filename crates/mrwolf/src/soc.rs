@@ -2,8 +2,8 @@
 //! controller and the RI5CY cluster.
 
 use iw_rv32::{
-    BlockCache, BlockStats, Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, FusionLevel,
-    MemWidth, Ram, Reg, RunResult, Timing,
+    BlockCache, BlockStats, Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, MemWidth, Ram,
+    Reg, RunResult, Timing,
 };
 
 use iw_trace::{NoopSink, TraceSink, TrackId};
@@ -58,7 +58,7 @@ impl Bus for FcBus<'_> {
 /// # asm.li(Reg::A0, 7);
 /// # asm.ecall();
 /// wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble()?);
-/// let run = wolf.run_fc(L2_BASE, 10_000)?;
+/// let (run, _) = wolf.run_fc(L2_BASE, 10_000)?;
 /// assert!(run.result.instructions > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -134,51 +134,49 @@ impl MrWolf {
     }
 
     /// Runs a program on the Ibex fabric controller (RV32IM, cluster off)
-    /// until `ecall`.
+    /// until `ecall`, and returns the block-cache counters alongside.
     ///
     /// The FC stack pointer starts at the top of L2. Execution uses the
-    /// batched pre-decoded path ([`Cpu::run_cached`]), which is bit- and
-    /// cycle-identical to the reference interpreter.
+    /// block-compiled path ([`Cpu::run_blocks`]): hot basic blocks are
+    /// translated once into flat handler arrays with superinstruction
+    /// fusion. Bit- and cycle-identical to the reference interpreter
+    /// ([`MrWolf::run_fc_uncached`]).
     ///
     /// # Errors
     ///
     /// Propagates [`CpuError`] (including the cycle limit).
-    pub fn run_fc(&mut self, entry: u32, max_cycles: u64) -> Result<FcRun, CpuError> {
-        self.run_fc_inner(entry, max_cycles, true)
+    pub fn run_fc(&mut self, entry: u32, max_cycles: u64) -> Result<(FcRun, BlockStats), CpuError> {
+        let (mut cpu, mut bus) = self.fc(entry);
+        // The FC is alone on its bus; xpulp=false compiles Xpulp
+        // encodings to faulting ops, as Ibex would.
+        let mut cache = BlockCache::new(entry, 64 * 1024, false);
+        let result = cpu.run_blocks(&mut bus, &Timing::ibex(), max_cycles, &mut cache)?;
+        let run = FcRun {
+            result,
+            a0: cpu.reg(Reg::A0),
+            profile: *cpu.profile(),
+        };
+        Ok((run, cache.stats()))
     }
 
     /// Reference fabric-controller run: fetch-and-decode every dynamic
-    /// instruction, no decode cache. Bit- and cycle-identical to
-    /// [`MrWolf::run_fc`]; exists as the uncached baseline for the
-    /// ISS-throughput bench and the differential tests.
+    /// instruction, no caching. Bit- and cycle-identical to
+    /// [`MrWolf::run_fc`]; the baseline of the ISS-throughput bench and
+    /// the differential tests.
     ///
     /// # Errors
     ///
     /// Propagates [`CpuError`] (including the cycle limit).
     pub fn run_fc_uncached(&mut self, entry: u32, max_cycles: u64) -> Result<FcRun, CpuError> {
-        self.run_fc_inner(entry, max_cycles, false)
+        self.run_fc_sink(entry, max_cycles, false, &mut NoopSink, TrackId::default())
     }
 
-    fn run_fc_inner(
-        &mut self,
-        entry: u32,
-        max_cycles: u64,
-        decode_cache: bool,
-    ) -> Result<FcRun, CpuError> {
-        self.run_fc_sink(
-            entry,
-            max_cycles,
-            decode_cache,
-            &mut NoopSink,
-            TrackId::default(),
-        )
-    }
-
-    /// [`MrWolf::run_fc`] with an instrumentation sink attached; see
+    /// Fabric-controller run with an instrumentation sink attached; see
     /// [`iw_rv32::Cpu::run_cached_sink`] for the events emitted on
     /// `track`. The `decode_cache` flag selects the pre-decoded or the
-    /// reference interpreter (instrumentation is only batched on the
-    /// former; the reference path emits no events).
+    /// reference interpreter (only the former emits events). The block
+    /// path of [`MrWolf::run_fc`] takes no sink, so recorded runs use the
+    /// pre-decoded loop, which is bit- and cycle-identical to it.
     ///
     /// # Errors
     ///
@@ -191,12 +189,7 @@ impl MrWolf {
         sink: &mut S,
         track: TrackId,
     ) -> Result<FcRun, CpuError> {
-        let mut cpu = Cpu::new_rv32im(entry);
-        cpu.set_reg(Reg::SP, L2_BASE + L2_SIZE as u32);
-        let mut bus = FcBus {
-            tcdm: &mut self.tcdm,
-            l2: &mut self.l2,
-        };
+        let (mut cpu, mut bus) = self.fc(entry);
         let result = if decode_cache {
             let mut cache = DecodeCache::new(entry, 64 * 1024);
             cpu.run_cached_sink(
@@ -217,37 +210,15 @@ impl MrWolf {
         })
     }
 
-    /// Block-compiled fabric-controller run ([`Cpu::run_blocks`]): hot
-    /// basic blocks are translated once into flat handler arrays with
-    /// superinstruction fusion. Bit- and cycle-identical to
-    /// [`MrWolf::run_fc`]; also returns the block-cache counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CpuError`] (including the cycle limit).
-    pub fn run_fc_blocks(
-        &mut self,
-        entry: u32,
-        max_cycles: u64,
-    ) -> Result<(FcRun, BlockStats), CpuError> {
+    /// A fresh Ibex hart at `entry` (stack at the top of L2) and its bus.
+    fn fc(&mut self, entry: u32) -> (Cpu, FcBus<'_>) {
         let mut cpu = Cpu::new_rv32im(entry);
         cpu.set_reg(Reg::SP, L2_BASE + L2_SIZE as u32);
-        let mut bus = FcBus {
+        let bus = FcBus {
             tcdm: &mut self.tcdm,
             l2: &mut self.l2,
         };
-        // The FC is alone on its bus, so full fusion is safe; xpulp=false
-        // compiles Xpulp encodings to faulting ops, as Ibex would.
-        let mut cache = BlockCache::new(entry, 64 * 1024, false, FusionLevel::Full);
-        let result = cpu.run_blocks(&mut bus, &Timing::ibex(), max_cycles, &mut cache)?;
-        Ok((
-            FcRun {
-                result,
-                a0: cpu.reg(Reg::A0),
-                profile: *cpu.profile(),
-            },
-            cache.stats(),
-        ))
+        (cpu, bus)
     }
 
     /// Runs an SPMD program on the RI5CY cluster; see
@@ -318,7 +289,7 @@ mod tests {
         asm.mul(Reg::A0, Reg::A0, Reg::A1);
         asm.ecall();
         wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble().unwrap());
-        let run = wolf.run_fc(L2_BASE, 10_000).unwrap();
+        let (run, _) = wolf.run_fc(L2_BASE, 10_000).unwrap();
         assert_eq!(run.a0, 42);
     }
 
@@ -343,12 +314,12 @@ mod tests {
         asm.lw(Reg::A0, Reg::T0, 0);
         asm.ecall();
         wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble().unwrap());
-        let run = wolf.run_fc(L2_BASE, 10_000).unwrap();
+        let (run, _) = wolf.run_fc(L2_BASE, 10_000).unwrap();
         assert_eq!(run.a0, 123);
     }
 
     #[test]
-    fn fc_uncached_matches_cached() {
+    fn fc_paths_match_reference() {
         let program = {
             let mut asm = Asm::new(L2_BASE);
             asm.li(Reg::A0, 0);
@@ -361,18 +332,18 @@ mod tests {
             asm.ecall();
             asm.assemble().unwrap()
         };
-        let mut wolf_a = MrWolf::new();
-        wolf_a.l2_mut().write_bytes(L2_BASE, &program);
-        let cached = wolf_a.run_fc(L2_BASE, 100_000).unwrap();
-        let mut wolf_b = MrWolf::new();
-        wolf_b.l2_mut().write_bytes(L2_BASE, &program);
-        let reference = wolf_b.run_fc_uncached(L2_BASE, 100_000).unwrap();
-        assert_eq!(cached, reference);
-
-        let mut wolf_c = MrWolf::new();
-        wolf_c.l2_mut().write_bytes(L2_BASE, &program);
-        let (blocks, stats) = wolf_c.run_fc_blocks(L2_BASE, 100_000).unwrap();
+        let fresh = || {
+            let mut wolf = MrWolf::new();
+            wolf.l2_mut().write_bytes(L2_BASE, &program);
+            wolf
+        };
+        let reference = fresh().run_fc_uncached(L2_BASE, 100_000).unwrap();
+        let (blocks, stats) = fresh().run_fc(L2_BASE, 100_000).unwrap();
         assert_eq!(blocks, reference);
+        let predecoded = fresh()
+            .run_fc_sink(L2_BASE, 100_000, true, &mut NoopSink, TrackId::default())
+            .unwrap();
+        assert_eq!(predecoded, reference);
         assert!(stats.fused_addi_branch > 0, "{stats:?}");
         assert!(stats.hit_rate() > 0.9, "{stats:?}");
     }

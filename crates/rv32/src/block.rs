@@ -35,29 +35,6 @@ use crate::timing::Timing;
 /// Longest block, in sub-instructions.
 const MAX_BLOCK_INSTRS: usize = 32;
 
-/// Op flag: the op (or one of its fused sub-instructions) accesses data
-/// memory — the cluster scheduler must arbitrate before issuing it past
-/// another core's timestamp.
-const F_MEM: u8 = 1;
-/// Op flag: the op halts the core (`ecall`/`ebreak`).
-const F_HALT: u8 = 2;
-
-/// How aggressively the compiler may fuse memory accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionLevel {
-    /// Fused ops carry at most one memory access, and only as their
-    /// *first* sub-instruction. This is what the multi-core lockstep
-    /// scheduler needs: it arbitrates the single access at the op's
-    /// issue time, exactly where the reference path would, and no sub
-    /// after the first can fault (so a mid-op error never leaves
-    /// partially retired state behind a shared-memory pick).
-    SharedMem,
-    /// Multi-load bodies fuse too (`p.lw`+`p.lw`+`pv.sdotsp.h` as one
-    /// op). Only bit-exact where port arbitration cannot stall — a
-    /// single core on the interconnect, or a plain flat bus.
-    Full,
-}
-
 /// Result of executing one (possibly fused) block op.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Exec {
@@ -67,12 +44,12 @@ pub struct Exec {
     /// redirect or the cycle budget stopped the op early).
     pub retired: u32,
     /// First data access, performed by the first sub-instruction that
-    /// touches memory (always the first sub for `SharedMem` ops).
+    /// touches memory.
     pub mem: Option<MemAccess>,
     /// Base cycles of the sub-instruction behind [`Exec::mem`] — the
     /// cluster model replaces these with the L2 latency for L2 hits.
     pub mem_cycles: u32,
-    /// Second data access ([`FusionLevel::Full`] ops only).
+    /// Second data access (multi-load fused ops only).
     pub mem2: Option<MemAccess>,
     /// Base cycles of the sub-instruction behind [`Exec::mem2`].
     pub mem2_cycles: u32,
@@ -96,7 +73,6 @@ type Handler<B> = fn(&mut Cpu, &mut B, &Op<B>, &Timing, u64) -> Result<Exec, Cpu
 pub struct Op<B> {
     handler: Handler<B>,
     pc: u32,
-    flags: u8,
     cond: BranchCond,
     /// First sub-instruction, kept decoded for the generic handler.
     instr: Instr,
@@ -117,7 +93,6 @@ fn op_base<B: Bus>(handler: Handler<B>, pc: u32, instr: Instr) -> Op<B> {
     Op {
         handler,
         pc,
-        flags: 0,
         cond: BranchCond::Eq,
         instr,
         rd: Reg::ZERO,
@@ -172,14 +147,6 @@ impl<B: Bus> Block<B> {
     #[must_use]
     pub fn op_pc(&self, i: usize) -> u32 {
         self.ops[i].pc
-    }
-
-    /// `true` if op `i` accesses data memory or halts — the points where
-    /// the lockstep cluster scheduler must stop a core's burst at
-    /// another core's timestamp.
-    #[must_use]
-    pub fn op_is_sync(&self, i: usize) -> bool {
-        self.ops[i].flags & (F_MEM | F_HALT) != 0
     }
 
     /// Executes op `i`. `budget` is the remaining base-cycle budget; the
@@ -275,14 +242,14 @@ impl BlockStats {
 /// # Examples
 ///
 /// ```
-/// use iw_rv32::{asm::Asm, BlockCache, Cpu, FusionLevel, Ram, Reg, Timing};
+/// use iw_rv32::{asm::Asm, BlockCache, Cpu, Ram, Reg, Timing};
 /// let mut asm = Asm::new(0);
 /// asm.li(Reg::A0, 21);
 /// asm.add(Reg::A0, Reg::A0, Reg::A0);
 /// asm.ecall();
 /// let mut ram = Ram::new(0, 64);
 /// ram.write_bytes(0, &asm.assemble()?);
-/// let mut cache = BlockCache::new(0, 64, true, FusionLevel::Full);
+/// let mut cache = BlockCache::new(0, 64, true);
 /// let mut cpu = Cpu::new(0);
 /// let run = cpu.run_blocks(&mut ram, &Timing::riscy(), 1_000, &mut cache)?;
 /// assert_eq!(cpu.reg(Reg::A0), 42);
@@ -292,7 +259,6 @@ impl BlockStats {
 pub struct BlockCache<B> {
     base: u32,
     xpulp: bool,
-    fusion: FusionLevel,
     slots: Vec<Option<Rc<Block<B>>>>,
     covered: Vec<bool>,
     stats: BlockStats,
@@ -304,7 +270,6 @@ impl<B> core::fmt::Debug for BlockCache<B> {
             .field("base", &self.base)
             .field("words", &self.slots.len())
             .field("xpulp", &self.xpulp)
-            .field("fusion", &self.fusion)
             .field("stats", &self.stats)
             .finish()
     }
@@ -319,14 +284,13 @@ impl<B: Bus> BlockCache<B> {
     /// hart: on a non-Xpulp hart, Xpulp instructions compile to an op
     /// that raises [`CpuError::IllegalXpulp`], as the reference would.
     #[must_use]
-    pub fn new(base: u32, len: u32, xpulp: bool, fusion: FusionLevel) -> BlockCache<B> {
+    pub fn new(base: u32, len: u32, xpulp: bool) -> BlockCache<B> {
         let base = base & !3;
         let len = len.min(Self::MAX_WINDOW).min(u32::MAX - base);
         let words = (len / 4) as usize;
         BlockCache {
             base,
             xpulp,
-            fusion,
             slots: vec![None; words],
             covered: vec![false; words],
             stats: BlockStats::default(),
@@ -423,7 +387,7 @@ impl<B: Bus> BlockCache<B> {
             }
         }
         debug_assert!(!instrs.is_empty(), "covers() guaranteed a fetchable pc");
-        let ops = lower(&instrs, self.xpulp, self.fusion, &mut self.stats);
+        let ops = lower(&instrs, self.xpulp, &mut self.stats);
         self.stats.blocks_compiled += 1;
         self.stats.ops_lowered += ops.len() as u64;
         self.stats.instrs_compiled += instrs.len() as u64;
@@ -609,17 +573,12 @@ impl Cpu {
 // Lowering.
 // ---------------------------------------------------------------------
 
-fn lower<B: Bus>(
-    instrs: &[(u32, Instr)],
-    xpulp: bool,
-    fusion: FusionLevel,
-    stats: &mut BlockStats,
-) -> Vec<Op<B>> {
+fn lower<B: Bus>(instrs: &[(u32, Instr)], xpulp: bool, stats: &mut BlockStats) -> Vec<Op<B>> {
     let mut ops = Vec::with_capacity(instrs.len());
     let mut i = 0;
     while i < instrs.len() {
         let (pc, instr) = instrs[i];
-        if let Some((op, width)) = try_fuse(instrs, i, xpulp, fusion, stats) {
+        if let Some((op, width)) = try_fuse(instrs, i, xpulp, stats) {
             ops.push(op);
             i += width;
             continue;
@@ -636,18 +595,16 @@ fn try_fuse<B: Bus>(
     instrs: &[(u32, Instr)],
     i: usize,
     xpulp: bool,
-    fusion: FusionLevel,
     stats: &mut BlockStats,
 ) -> Option<(Op<B>, usize)> {
     let (pc, first) = instrs[i];
     if !xpulp && first.is_xpulp() {
         return None;
     }
-    let full = fusion == FusionLevel::Full;
     // Three-wide patterns first.
     if i + 2 < instrs.len() {
         let (second, third) = (instrs[i + 1].1, instrs[i + 2].1);
-        if full && xpulp {
+        if xpulp {
             if let (
                 Instr::LoadPost {
                     width: MemWidth::W,
@@ -670,7 +627,6 @@ fn try_fuse<B: Bus>(
             ) = (first, second, third)
             {
                 let mut op = op_base(h_lp_lp_sdotsp::<B>, pc, first);
-                op.flags = F_MEM;
                 op.rd = d1;
                 op.rs1 = p1;
                 op.imm = o1;
@@ -730,25 +686,22 @@ fn try_fuse<B: Bus>(
                 offset: o1,
             } = first
             {
-                if full {
-                    if let Instr::LoadPost {
-                        width: MemWidth::W,
-                        rd: d2,
-                        rs1: p2,
-                        offset: o2,
-                    } = second
-                    {
-                        let mut op = op_base(h_lp_lp::<B>, pc, first);
-                        op.flags = F_MEM;
-                        op.rd = d1;
-                        op.rs1 = p1;
-                        op.imm = o1;
-                        op.rd2 = d2;
-                        op.rs1b = p2;
-                        op.imm2 = o2;
-                        stats.fused_lp_lp += 1;
-                        return Some((op, 2));
-                    }
+                if let Instr::LoadPost {
+                    width: MemWidth::W,
+                    rd: d2,
+                    rs1: p2,
+                    offset: o2,
+                } = second
+                {
+                    let mut op = op_base(h_lp_lp::<B>, pc, first);
+                    op.rd = d1;
+                    op.rs1 = p1;
+                    op.imm = o1;
+                    op.rd2 = d2;
+                    op.rs1b = p2;
+                    op.imm2 = o2;
+                    stats.fused_lp_lp += 1;
+                    return Some((op, 2));
                 }
                 if let Instr::Simd {
                     op: SimdOp::SdotspH,
@@ -758,7 +711,6 @@ fn try_fuse<B: Bus>(
                 } = second
                 {
                     let mut op = op_base(h_lp_sdotsp::<B>, pc, first);
-                    op.flags = F_MEM;
                     op.rd = d1;
                     op.rs1 = p1;
                     op.imm = o1;
@@ -770,7 +722,6 @@ fn try_fuse<B: Bus>(
                 }
                 if let Instr::Mac { rd, rs1, rs2 } = second {
                     let mut op = op_base(h_lp_mac::<B>, pc, first);
-                    op.flags = F_MEM;
                     op.rd = d1;
                     op.rs1 = p1;
                     op.imm = o1;
@@ -816,7 +767,7 @@ fn lower_single<B: Bus>(pc: u32, instr: Instr, xpulp: bool) -> Op<B> {
     if !xpulp && instr.is_xpulp() {
         return op_base(h_illegal_xpulp::<B>, pc, instr);
     }
-    let mut op = match instr {
+    match instr {
         Instr::Lui { rd, imm } => {
             let mut op = op_base(h_lui::<B>, pc, instr);
             op.rd = rd;
@@ -952,14 +903,7 @@ fn lower_single<B: Bus>(pc: u32, instr: Instr, xpulp: bool) -> Op<B> {
         }
         Instr::Ecall | Instr::Ebreak => op_base(h_halt::<B>, pc, instr),
         _ => op_base(h_generic::<B>, pc, instr),
-    };
-    if instr.is_mem() {
-        op.flags |= F_MEM;
     }
-    if matches!(instr, Instr::Ecall | Instr::Ebreak) {
-        op.flags |= F_HALT;
-    }
-    op
 }
 
 // ---------------------------------------------------------------------
@@ -1526,23 +1470,13 @@ mod tests {
         let mut ref_cpu = new_cpu(0);
         let ref_res = ref_cpu.run(&mut ram_a, &timing, max_cycles);
 
-        for fusion in [FusionLevel::SharedMem, FusionLevel::Full] {
-            let mut ram_b = Ram::new(0, 4096);
-            ram_b.write_bytes(0, &image);
-            let mut cpu = new_cpu(0);
-            let mut cache = BlockCache::new(0, 4096, xpulp, fusion);
-            let res = cpu.run_blocks(&mut ram_b, &timing, max_cycles, &mut cache);
-            assert_eq!(
-                outcome(&cpu, &res),
-                outcome(&ref_cpu, &ref_res),
-                "fusion = {fusion:?}"
-            );
-            assert_eq!(
-                ram_b.read_bytes(0, 4096),
-                ram_a.read_bytes(0, 4096),
-                "fusion = {fusion:?}"
-            );
-        }
+        let mut ram_b = Ram::new(0, 4096);
+        ram_b.write_bytes(0, &image);
+        let mut cpu = new_cpu(0);
+        let mut cache = BlockCache::new(0, 4096, xpulp);
+        let res = cpu.run_blocks(&mut ram_b, &timing, max_cycles, &mut cache);
+        assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
+        assert_eq!(ram_b.read_bytes(0, 4096), ram_a.read_bytes(0, 4096));
     }
 
     fn dot_kernel() -> Asm {
@@ -1586,26 +1520,17 @@ mod tests {
         let mut ref_cpu = Cpu::new(0);
         let ref_res = ref_cpu.run(&mut ram_a, &timing, 100_000);
 
-        for fusion in [FusionLevel::SharedMem, FusionLevel::Full] {
-            let mut ram_b = Ram::new(0, 4096);
-            ram_b.write_bytes(0, &image);
-            fill_data(&mut ram_b);
-            let mut cpu = Cpu::new(0);
-            let mut cache = BlockCache::new(0, 4096, true, fusion);
-            let res = cpu.run_blocks(&mut ram_b, &timing, 100_000, &mut cache);
-            assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
-            let stats = cache.stats();
-            assert!(stats.fused_total() > 0, "kernel should fuse ({fusion:?})");
-            assert!(stats.fused_mul_srai_add >= 1);
-            if fusion == FusionLevel::Full {
-                assert!(stats.fused_lp_lp_sdotsp >= 1);
-            } else {
-                assert_eq!(stats.fused_lp_lp_sdotsp, 0);
-                assert_eq!(stats.fused_lp_lp, 0);
-                assert!(stats.fused_lp_sdotsp >= 1);
-            }
-            assert!(stats.hits > 0, "hardware loop should re-enter its block");
-        }
+        let mut ram_b = Ram::new(0, 4096);
+        ram_b.write_bytes(0, &image);
+        fill_data(&mut ram_b);
+        let mut cpu = Cpu::new(0);
+        let mut cache = BlockCache::new(0, 4096, true);
+        let res = cpu.run_blocks(&mut ram_b, &timing, 100_000, &mut cache);
+        assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
+        let stats = cache.stats();
+        assert!(stats.fused_lp_lp_sdotsp >= 1, "{stats:?}");
+        assert!(stats.fused_mul_srai_add >= 1, "{stats:?}");
+        assert!(stats.hits > 0, "hardware loop should re-enter its block");
     }
 
     #[test]
@@ -1640,7 +1565,7 @@ mod tests {
             ram_b.write_bytes(0, &image);
             fill_data(&mut ram_b);
             let mut cpu = Cpu::new(0);
-            let mut cache = BlockCache::new(0, 4096, true, FusionLevel::Full);
+            let mut cache = BlockCache::new(0, 4096, true);
             let res = cpu.run_blocks(&mut ram_b, &timing, limit, &mut cache);
             assert_eq!(
                 outcome(&cpu, &res),
@@ -1692,7 +1617,7 @@ mod tests {
             cpu.set_reg(Reg::T1, 0x08);
             cpu.set_reg(Reg::T2, patch_word);
             let res = if blocks {
-                let mut cache = BlockCache::new(0, 4096, true, FusionLevel::Full);
+                let mut cache = BlockCache::new(0, 4096, true);
                 let r = cpu.run_blocks(&mut ram, &Timing::riscy(), 1_000_000, &mut cache);
                 assert!(cache.stats().demotions > 0);
                 assert!(cache.stats().exit_smc > 0);
@@ -1728,7 +1653,7 @@ mod tests {
         let mut ram = Ram::new(0, 512);
         ram.write_bytes(0x100, &asm.assemble().unwrap());
         let mut cpu = Cpu::new(0x100);
-        let mut cache = BlockCache::new(0, 64, true, FusionLevel::Full); // window ends at 0x40
+        let mut cache = BlockCache::new(0, 64, true); // window ends at 0x40
         let res = cpu
             .run_blocks(&mut ram, &Timing::riscy(), 1_000, &mut cache)
             .unwrap();
@@ -1740,7 +1665,7 @@ mod tests {
 
     #[test]
     fn misaligned_spanning_store_demotes_both_blocks() {
-        let mut cache: BlockCache<Ram> = BlockCache::new(0, 4096, true, FusionLevel::Full);
+        let mut cache: BlockCache<Ram> = BlockCache::new(0, 4096, true);
         let mut asm = Asm::new(0);
         asm.li(Reg::A0, 1);
         asm.ecall();

@@ -69,7 +69,7 @@ mod instr;
 mod profile;
 mod timing;
 
-pub use block::{Block, BlockCache, BlockStats, Exec, FusionLevel};
+pub use block::{Block, BlockCache, BlockStats, Exec};
 pub use bus::{Bus, BusError, Ram};
 pub use cache::DecodeCache;
 pub use cpu::{Cpu, CpuError, HwLoop, MemAccess, RunResult, Step};

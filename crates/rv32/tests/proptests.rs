@@ -1,13 +1,13 @@
 //! Property tests: every constructible instruction encodes to a word that
 //! decodes back to itself, decoding arbitrary words never panics, and the
 //! accelerated execution paths — pre-decoded ([`Cpu::run_cached`]) and
-//! block-compiled ([`Cpu::run_blocks`], both fusion levels) — are bit- and
+//! block-compiled ([`Cpu::run_blocks`]) — are bit- and
 //! cycle-identical to the fetch-and-decode reference ([`Cpu::run`]),
 //! including on faults, cycle-limit exits and self-modifying stores.
 
 use iw_rv32::{
-    decode, encode, AluImmOp, AluOp, BlockCache, BranchCond, Cpu, CpuError, DecodeCache,
-    FusionLevel, Instr, LoopIdx, MemWidth, PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
+    decode, encode, AluImmOp, AluOp, BlockCache, BranchCond, Cpu, CpuError, DecodeCache, Instr,
+    LoopIdx, MemWidth, PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
 };
 use proptest::prelude::*;
 
@@ -254,9 +254,9 @@ fn run_cached(words: &[u32], regs: &[u32], window: u32) -> Outcome {
     outcome(cpu, &ram, result)
 }
 
-fn run_blocks(words: &[u32], regs: &[u32], window: u32, fusion: FusionLevel) -> Outcome {
+fn run_blocks(words: &[u32], regs: &[u32], window: u32) -> Outcome {
     let (mut cpu, mut ram) = fresh_machine(words, regs);
-    let mut cache = BlockCache::new(0, window, true, fusion);
+    let mut cache = BlockCache::new(0, window, true);
     let result = cpu.run_blocks(&mut ram, &Timing::riscy(), MAX_CYCLES, &mut cache);
     outcome(cpu, &ram, result)
 }
@@ -267,12 +267,10 @@ fn assert_all_paths_match(words: &[u32], regs: &[u32], reference: &Outcome) {
     assert_eq!(&cached, reference, "run_cached, full window");
     let narrow = run_cached(words, regs, 0x40);
     assert_eq!(&narrow, reference, "run_cached, narrow window");
-    for fusion in [FusionLevel::SharedMem, FusionLevel::Full] {
-        let blocks = run_blocks(words, regs, MEM_SIZE as u32, fusion);
-        assert_eq!(&blocks, reference, "run_blocks {fusion:?}, full window");
-        let narrow = run_blocks(words, regs, 0x40, fusion);
-        assert_eq!(&narrow, reference, "run_blocks {fusion:?}, narrow window");
-    }
+    let blocks = run_blocks(words, regs, MEM_SIZE as u32);
+    assert_eq!(&blocks, reference, "run_blocks, full window");
+    let narrow = run_blocks(words, regs, 0x40);
+    assert_eq!(&narrow, reference, "run_blocks, narrow window");
 }
 
 /// Register values biased into the mapped address range so that random

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     1  RECORD_VERSION (0x03)
+//!      0     1  RECORD_VERSION (0x04)
 //!      1     8  device index            u64
 //!      9     8  days                    f64 bits
 //!     17     8  detections              u64
@@ -339,7 +339,7 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Encodes one device result into the version-3 wire layout (see the
+/// Encodes one device result into the version-4 wire layout (see the
 /// module docs for the exact offsets).
 #[must_use]
 pub fn encode_result(r: &DeviceResult) -> Vec<u8> {

@@ -4,9 +4,11 @@
 
 use iw_metrics::Histogram;
 use iw_sim::record::{
-    decode_epoch, decode_heartbeat, decode_result, decode_stats, decode_stream_frame, encode_epoch,
-    encode_heartbeat, encode_result, encode_stats, EpochBeat, Heartbeat, RecordError, StreamFrame,
-    WorkerStats,
+    decode_aggregate, decode_epoch, decode_heartbeat, decode_result, decode_stats,
+    decode_stream_frame, encode_epoch, encode_heartbeat, encode_result, encode_stats, read_frame,
+    EpochBeat, Heartbeat, RecordError, StreamFrame, WorkerStats, AGGREGATE_VERSION,
+    AGGREGATE_VERSION_V2, AGGREGATE_VERSION_V3, EPOCH_TAG, HEARTBEAT_TAG, RECORD_VERSION,
+    RECORD_VERSION_MIN, STATS_VERSION,
 };
 use iw_sim::{ContactEdge, DeviceResult, FaultCounters, FaultKind, ReliabilityCounters};
 use proptest::prelude::*;
@@ -47,6 +49,23 @@ fn label() -> BoxedStrategy<String> {
         Just("aware-24".to_string()),
         Just("bürö-ß·µW".to_string()),
         (0u32..10_000).prop_map(|n| format!("env-{n}")),
+    ]
+    .boxed()
+}
+
+/// A leading byte for arbitrary input: any byte, or one that passes a
+/// decoder's version/tag check so the body reaches the field parsers.
+fn any_tag() -> BoxedStrategy<u8> {
+    prop_oneof![
+        any::<u8>(),
+        Just(RECORD_VERSION_MIN),
+        Just(RECORD_VERSION),
+        Just(AGGREGATE_VERSION_V2),
+        Just(AGGREGATE_VERSION_V3),
+        Just(AGGREGATE_VERSION),
+        Just(HEARTBEAT_TAG),
+        Just(EPOCH_TAG),
+        Just(STATS_VERSION),
     ]
     .boxed()
 }
@@ -201,6 +220,28 @@ proptest! {
         prop_assert_eq!(r.conservation_j.to_bits(), back.conservation_j.to_bits());
         for kind in FaultKind::ALL {
             prop_assert_eq!(r.faults.get(kind), back.faults.get(kind));
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(
+        tag in any_tag(),
+        body in prop::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&body);
+        // Every decoder returns Ok or Err; a panic fails the case.
+        let _ = decode_result(&bytes);
+        let _ = decode_aggregate(&bytes);
+        let _ = decode_heartbeat(&bytes);
+        let _ = decode_epoch(&bytes);
+        let _ = decode_stats(&bytes);
+        let _ = decode_stream_frame(&bytes);
+        // The same bytes as a frame stream: every Ok(Some) frame consumes
+        // at least five bytes, so the loop ends.
+        let mut stream = std::io::Cursor::new(&bytes);
+        while let Ok(Some(frame)) = read_frame(&mut stream) {
+            let _ = decode_stream_frame(&frame);
         }
     }
 
