@@ -643,6 +643,7 @@ impl<S: TraceSink> Component<S> for SensorComponent {
 pub struct ComputeComponent {
     jobs: Vec<ComputeJob>,
     durations_us: Vec<u64>,
+    powers_w: Vec<f64>,
     targets: Option<TargetRule>,
     trace_spans: bool,
     slot: Option<LoadSlot>,
@@ -657,6 +658,7 @@ impl ComputeComponent {
         ComputeComponent {
             jobs: vec![job],
             durations_us: vec![secs_to_us(job.duration_s)],
+            powers_w: vec![job.power_w()],
             targets: None,
             trace_spans,
             slot: None,
@@ -675,6 +677,7 @@ impl ComputeComponent {
     ) -> ComputeComponent {
         ComputeComponent {
             durations_us: jobs.iter().map(|j| secs_to_us(j.duration_s)).collect(),
+            powers_w: jobs.iter().map(ComputeJob::power_w).collect(),
             jobs: jobs.to_vec(),
             targets: Some(rule),
             trace_spans,
@@ -690,8 +693,8 @@ impl ComputeComponent {
     fn load_w(&self) -> f64 {
         self.active
             .iter()
-            .zip(&self.jobs)
-            .map(|(&n, job)| f64::from(n) * job.power_w())
+            .zip(&self.powers_w)
+            .map(|(&n, &power_w)| f64::from(n) * power_w)
             .sum()
     }
 }
@@ -1174,6 +1177,28 @@ mod tests {
         // The open tail is at most two windows' worth of energy.
         assert!(report.sim.consumed_j - retired < 2.0 * costs.total_j());
         assert!(!report.sim.browned_out);
+    }
+
+    #[test]
+    fn hundreds_of_overlapping_windows_keep_exact_event_order() {
+        // 6000/min = 10 ms period with 3 s windows: ~300 windows overlap,
+        // so the engine queue holds hundreds of events, most of them in
+        // its far tier, and the near tier refills every few events. The
+        // counts and the exact energy bits pin the (time, sequence)
+        // dispatch order.
+        let mut cfg = DeviceConfig::new(
+            dark_day(600.0),
+            DetectionPolicy::FixedRate { per_minute: 6000.0 },
+            micro_costs(),
+        );
+        cfg.battery = Battery::new(1e6);
+        cfg.battery.set_soc(0.9);
+        cfg.trace_points = 0;
+        let report = cfg.run();
+        assert_eq!(report.events, 299_102);
+        assert_eq!(report.queue_high_water, 303);
+        assert_eq!(report.detections, 59_700);
+        assert_eq!(report.sim.consumed_j.to_bits(), 0x4042_0b4c_1a8a_bfcf);
     }
 
     #[test]

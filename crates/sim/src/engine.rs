@@ -4,20 +4,21 @@
 //! # Execution model
 //!
 //! Time is a monotone `u64` microsecond counter ([`SimClock`]). Components
-//! schedule [`Event`]s into a binary-heap queue; ties are broken by a
-//! scheduling sequence number, so a run is a deterministic function of the
-//! initial component state — independent of component iteration order or
-//! host thread count.
+//! schedule [`Event`]s into the engine's queue, which dispatches them in
+//! (time, scheduling sequence number) order, so a run is a deterministic
+//! function of the initial component state — independent of component
+//! iteration order or host thread count.
 //!
 //! Between two consecutive events every power contribution is constant:
 //! the harvest intake set by the environment component and the load
 //! registered in named [`LoadSlot`]s. The engine therefore integrates the
 //! battery *exactly* (power × elapsed time) when it advances the clock —
-//! there is no fixed integration step and no step-size error. Events only
-//! exist where power actually changes.
+//! there is no fixed integration step and no step-size error. Power only
+//! changes at an event; bookkeeping events (policy and gauge ticks, trace
+//! samples) fall between changes and integrate a gap like any other.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use iw_fault::{FaultCounters, ReliabilityCounters};
 use iw_harvest::{Battery, TracePoint};
@@ -210,7 +211,80 @@ struct Scheduled {
     ev: Event,
 }
 
-type Queue = BinaryHeap<Reverse<Scheduled>>;
+/// Most future events kept in the sorted `near` tier.
+const NEAR_CAP: usize = 16;
+/// Events moved from `far` to `near` when `near` runs dry.
+const REFILL: usize = 8;
+
+/// The pending events, dispatched in (time, sequence) order.
+///
+/// Device runs keep only a handful of events pending, and a third of all
+/// events are due at the current instant, so the queue has three parts:
+///
+/// - `lane`: events due *now*, in scheduling order. They were scheduled
+///   at the current instant, so their sequence numbers exceed those of
+///   every future-tier event due now (scheduled before the clock got
+///   here); [`Queue::pop`] therefore drains those first, then the lane.
+/// - `near`: at most [`NEAR_CAP`] future events, sorted by descending
+///   (time, sequence), so the next one is the last element.
+/// - `far`: a heap of every other future event.
+///
+/// Invariants: every `near` event precedes every `far` event, and `near`
+/// is empty only when `far` is.
+#[derive(Debug, Default)]
+struct Queue {
+    lane: VecDeque<Event>,
+    near: Vec<Scheduled>,
+    far: BinaryHeap<Reverse<Scheduled>>,
+    seq: u64,
+}
+
+impl Queue {
+    fn len(&self) -> usize {
+        self.lane.len() + self.near.len() + self.far.len()
+    }
+
+    /// Queues `ev` at `t_us`, where the clock reads `now_us <= t_us`.
+    fn push(&mut self, now_us: u64, t_us: u64, ev: Event) {
+        let seq = self.seq;
+        self.seq += 1;
+        if t_us == now_us {
+            self.lane.push_back(ev);
+            return;
+        }
+        let s = Scheduled { t_us, seq, ev };
+        // Later than every `near` event while `far` holds events: it may
+        // sort after some of them, so it belongs in `far`.
+        if !self.far.is_empty() && self.near.first().is_some_and(|latest| s > *latest) {
+            self.far.push(Reverse(s));
+            return;
+        }
+        let at = self.near.iter().rposition(|n| *n > s).map_or(0, |i| i + 1);
+        self.near.insert(at, s);
+        if self.near.len() > NEAR_CAP {
+            let latest = self.near.remove(0);
+            self.far.push(Reverse(latest));
+        }
+    }
+
+    /// Takes the next event and its time, where the clock reads `now_us`.
+    fn pop(&mut self, now_us: u64) -> Option<(u64, Event)> {
+        if !self.lane.is_empty() && self.near.last().is_none_or(|s| s.t_us > now_us) {
+            return self.lane.pop_front().map(|ev| (now_us, ev));
+        }
+        let next = self.near.pop()?;
+        if self.near.is_empty() {
+            while self.near.len() < REFILL {
+                let Some(Reverse(s)) = self.far.pop() else {
+                    break;
+                };
+                self.near.push(s);
+            }
+            self.near.reverse();
+        }
+        Some((next.t_us, next.ev))
+    }
+}
 
 /// Handle to one named battery-side load contribution (see
 /// [`DeviceState::register_load`]).
@@ -441,7 +515,6 @@ pub struct SimCtx<'a, S: TraceSink> {
     /// Pre-registered track handles.
     pub tracks: Tracks,
     queue: &'a mut Queue,
-    seq: &'a mut u64,
     stopped: &'a mut bool,
 }
 
@@ -459,12 +532,7 @@ impl<S: TraceSink> SimCtx<'_, S> {
     /// Panics when `t_us` is in the past.
     pub fn schedule_at(&mut self, t_us: u64, ev: Event) {
         assert!(t_us >= self.now_us, "cannot schedule into the past");
-        self.queue.push(Reverse(Scheduled {
-            t_us,
-            seq: *self.seq,
-            ev,
-        }));
-        *self.seq += 1;
+        self.queue.push(self.now_us, t_us, ev);
     }
 
     /// Schedules `ev` after `delay_us` microseconds.
@@ -515,7 +583,6 @@ pub struct Engine<S: TraceSink> {
     pub state: DeviceState,
     clock: SimClock,
     queue: Queue,
-    seq: u64,
     events_processed: u64,
     queue_high_water: u64,
     components: Vec<Box<dyn Component<S>>>,
@@ -528,8 +595,7 @@ impl<S: TraceSink> Engine<S> {
         Engine {
             state: DeviceState::new(battery),
             clock: SimClock::default(),
-            queue: Queue::new(),
-            seq: 0,
+            queue: Queue::default(),
             events_processed: 0,
             queue_high_water: 0,
             components: Vec::new(),
@@ -583,7 +649,6 @@ impl<S: TraceSink> Engine<S> {
                 sink,
                 tracks,
                 queue: &mut self.queue,
-                seq: &mut self.seq,
                 stopped: &mut stopped,
             };
             for c in &mut components {
@@ -597,11 +662,13 @@ impl<S: TraceSink> Engine<S> {
             }
         }
         self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
-        while let Some(Reverse(scheduled)) = self.queue.pop() {
-            let dt_s = self.clock.advance_to(scheduled.t_us);
-            self.state.advance(dt_s);
+        while let Some((t_us, ev)) = self.queue.pop(self.clock.now_us()) {
+            if t_us > self.clock.now_us() {
+                let dt_s = self.clock.advance_to(t_us);
+                self.state.advance(dt_s);
+            }
             self.events_processed += 1;
-            if scheduled.ev == Event::End {
+            if ev == Event::End {
                 break;
             }
             let mut ctx = SimCtx {
@@ -610,11 +677,10 @@ impl<S: TraceSink> Engine<S> {
                 sink,
                 tracks,
                 queue: &mut self.queue,
-                seq: &mut self.seq,
                 stopped: &mut stopped,
             };
-            for &i in &routes[scheduled.ev.kind() as usize] {
-                components[i].handle(scheduled.ev, &mut ctx);
+            for &i in &routes[ev.kind() as usize] {
+                components[i].handle(ev, &mut ctx);
             }
             self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
             if stopped {
@@ -840,6 +906,64 @@ mod tests {
         // 1 mW × 1000 s = 1 J.
         assert!((engine.state.consumed_j - 1.0).abs() < 1e-12);
         assert!((engine.state.battery.charge_j() - 49.0).abs() < 1e-12);
+    }
+
+    mod queue_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        type Reference = BinaryHeap<Reverse<(u64, usize)>>;
+
+        /// Dispatches the next event from both queues, moving the clock to
+        /// its time, and checks both give the same `(time, sequence)`.
+        fn pop_both(
+            queue: &mut Queue,
+            reference: &mut Reference,
+            now_us: &mut u64,
+        ) -> Result<(), String> {
+            let got = queue.pop(*now_us).map(|(t_us, ev)| match ev {
+                Event::FaultStart { index } => (t_us, index),
+                other => unreachable!("only FaultStart is queued, got {other:?}"),
+            });
+            if let Some((t_us, _)) = got {
+                *now_us = t_us;
+            }
+            prop_assert_eq!(got, reference.pop().map(|Reverse(next)| next));
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The queue pops exactly the (time, sequence) order of a plain
+            /// binary heap, across ties, same-instant pushes and enough
+            /// pending events to evict into and refill from the far tier.
+            /// Each step schedules an event a few µs (`op` 0–2, ties and
+            /// same-instant pushes) or up to 0.1 s (`op` 3) after the
+            /// clock, or dispatches the next one (`op` 4–5).
+            #[test]
+            fn queue_pops_in_time_then_sequence_order(
+                ops in prop::collection::vec((0u8..6, 0u64..100_000), 0..400),
+            ) {
+                let mut queue = Queue::default();
+                let mut reference = Reference::new();
+                let mut now_us = 0;
+                for (seq, (op, delay_us)) in ops.into_iter().enumerate() {
+                    if op < 4 {
+                        let t_us = now_us + if op < 3 { delay_us % 4 } else { delay_us };
+                        queue.push(now_us, t_us, Event::FaultStart { index: seq });
+                        reference.push(Reverse((t_us, seq)));
+                    } else {
+                        pop_both(&mut queue, &mut reference, &mut now_us)?;
+                    }
+                    prop_assert_eq!(queue.len(), reference.len());
+                }
+                while !reference.is_empty() {
+                    pop_both(&mut queue, &mut reference, &mut now_us)?;
+                }
+                prop_assert_eq!(queue.pop(now_us), None);
+            }
+        }
     }
 
     #[test]

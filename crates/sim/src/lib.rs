@@ -1,8 +1,8 @@
 //! Discrete-event whole-device co-simulation of the InfiniWolf bracelet.
 //!
 //! The crate replaces the old fixed-timestep battery loop with an event
-//! engine ([`Engine`]): a monotonic [`SimClock`], a binary-heap event
-//! queue with deterministic (time, sequence) ordering, and a set of
+//! engine ([`Engine`]): a monotonic [`SimClock`], an event queue with
+//! deterministic (time, sequence) ordering, and a set of
 //! [`Component`]s that react to [`Event`]s. Power is piecewise constant
 //! between events and integrated *exactly* over each interval, so the
 //! engine is both faster and more accurate than stepping a fixed `dt`.
