@@ -19,6 +19,17 @@ cargo test --workspace -q
 # conservation and coordinator == in-process digest on every workload.
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
+# Pin the tiny workload digests: a change to the engine's event order
+# (or to anything else the digests cover) fails here and names the
+# workload.
+for pin in policy-sweep:35341c5f3af3eb32 fleet-stream:1c607c7f01e0f553; do
+  workload=${pin%%:*}
+  cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --tiny --seed 1 --seconds 1 --trace 0 \
+    --expect-digest "${pin#*:}" >/dev/null ||
+    { echo "ci.sh: $workload tiny digest changed" >&2; exit 1; }
+done
+
 # Smoke: the registry-driven tables must regenerate the headline rows
 # (Tables III/IV plus the A2/A7 ablations, the D1 cluster cycle
 # accounting and the D2 fleet sweep) without faulting, plus the D3

@@ -1202,6 +1202,27 @@ mod tests {
     }
 
     #[test]
+    fn thousands_of_overlapping_windows_keep_exact_event_order() {
+        // 60000/min = 1 ms period with 3 s windows: ~3000 windows overlap,
+        // the extreme of the test above. Same pins, ten times the depth.
+        let mut cfg = DeviceConfig::new(
+            dark_day(600.0),
+            DetectionPolicy::FixedRate {
+                per_minute: 60000.0,
+            },
+            micro_costs(),
+        );
+        cfg.battery = Battery::new(1e6);
+        cfg.battery.set_soc(0.9);
+        cfg.trace_points = 0;
+        let report = cfg.run();
+        assert_eq!(report.events, 2_991_002);
+        assert_eq!(report.queue_high_water, 3003);
+        assert_eq!(report.detections, 597_000);
+        assert_eq!(report.sim.consumed_j.to_bits(), 0x4076_875d_7880_9f64);
+    }
+
+    #[test]
     fn overlapping_windows_draw_summed_power() {
         // 60/min = 1 s period with 3 s windows: three windows overlap at
         // any instant, so the average load must be ~3× the unit power.

@@ -18,7 +18,7 @@
 //! samples) fall between changes and integrate a gap like any other.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use iw_fault::{FaultCounters, ReliabilityCounters};
 use iw_harvest::{Battery, TracePoint};
@@ -204,83 +204,126 @@ impl Event {
     }
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Scheduled {
     t_us: u64,
     seq: u64,
     ev: Event,
 }
 
-/// Most future events kept in the sorted `near` tier.
+/// Most events kept in the sorted `near` array.
 const NEAR_CAP: usize = 16;
 /// Events moved from `far` to `near` when `near` runs dry.
 const REFILL: usize = 8;
 
 /// The pending events, dispatched in (time, sequence) order.
 ///
-/// Device runs keep only a handful of events pending, and a third of all
-/// events are due at the current instant, so the queue has three parts:
-///
-/// - `lane`: events due *now*, in scheduling order. They were scheduled
-///   at the current instant, so their sequence numbers exceed those of
-///   every future-tier event due now (scheduled before the clock got
-///   here); [`Queue::pop`] therefore drains those first, then the lane.
-/// - `near`: at most [`NEAR_CAP`] future events, sorted by descending
-///   (time, sequence), so the next one is the last element.
-/// - `far`: a heap of every other future event.
+/// Device runs keep only a handful of events pending, so the queue is a
+/// fixed array of at most [`NEAR_CAP`] events, sorted by descending
+/// (time, sequence) so the next one is the last, in front of a `far`
+/// heap of every other event. An event scheduled at the current instant
+/// needs no special case: its sequence number is the highest so far, so
+/// it sorts after every pending event due now and before every later
+/// one, a compare or two from the back of the array.
 ///
 /// Invariants: every `near` event precedes every `far` event, and `near`
 /// is empty only when `far` is.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Queue {
-    lane: VecDeque<Event>,
-    near: Vec<Scheduled>,
+    /// The array; only `near[..len]` holds events.
+    near: [Scheduled; NEAR_CAP],
+    len: usize,
     far: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
 }
 
+impl Default for Queue {
+    fn default() -> Queue {
+        let unused = Scheduled {
+            t_us: 0,
+            seq: 0,
+            ev: Event::End,
+        };
+        Queue {
+            near: [unused; NEAR_CAP],
+            len: 0,
+            far: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+}
+
+// `push` and `pop` run once per event, and `push` is called from the
+// component handlers in other codegen units, where LLVM keeps it out of
+// line even when marked `#[inline]`; hence `#[inline(always)]`. Only the
+// common case is inlined at each call site: the rest is `push_far`.
 impl Queue {
     fn len(&self) -> usize {
-        self.lane.len() + self.near.len() + self.far.len()
+        self.len + self.far.len()
     }
 
-    /// Queues `ev` at `t_us`, where the clock reads `now_us <= t_us`.
-    fn push(&mut self, now_us: u64, t_us: u64, ev: Event) {
-        let seq = self.seq;
+    /// Queues `ev` at `t_us`, no earlier than the current instant.
+    #[inline(always)]
+    fn push(&mut self, t_us: u64, ev: Event) {
+        let s = Scheduled {
+            t_us,
+            seq: self.seq,
+            ev,
+        };
         self.seq += 1;
-        if t_us == now_us {
-            self.lane.push_back(ev);
-            return;
-        }
-        let s = Scheduled { t_us, seq, ev };
-        // Later than every `near` event while `far` holds events: it may
-        // sort after some of them, so it belongs in `far`.
-        if !self.far.is_empty() && self.near.first().is_some_and(|latest| s > *latest) {
-            self.far.push(Reverse(s));
-            return;
-        }
-        let at = self.near.iter().rposition(|n| *n > s).map_or(0, |i| i + 1);
-        self.near.insert(at, s);
-        if self.near.len() > NEAR_CAP {
-            let latest = self.near.remove(0);
-            self.far.push(Reverse(latest));
+        let len = self.len;
+        if len < NEAR_CAP && (len == 0 || self.far.is_empty() || s < self.near[0]) {
+            // Room in `near`, and `s` belongs there: move each earlier
+            // event one place towards the back until `s` fits.
+            let mut i = len;
+            while i > 0 && self.near[i - 1] < s {
+                self.near[i] = self.near[i - 1];
+                i -= 1;
+            }
+            self.near[i] = s;
+            self.len = len + 1;
+        } else {
+            self.push_far(s);
         }
     }
 
-    /// Takes the next event and its time, where the clock reads `now_us`.
-    fn pop(&mut self, now_us: u64) -> Option<(u64, Event)> {
-        if !self.lane.is_empty() && self.near.last().is_none_or(|s| s.t_us > now_us) {
-            return self.lane.pop_front().map(|ev| (now_us, ev));
-        }
-        let next = self.near.pop()?;
-        if self.near.is_empty() {
-            while self.near.len() < REFILL {
-                let Some(Reverse(s)) = self.far.pop() else {
-                    break;
-                };
-                self.near.push(s);
+    /// The rest of [`Queue::push`]: `s` belongs in `far`, or `near` is
+    /// full and must evict its latest event there.
+    #[cold]
+    #[inline(never)]
+    fn push_far(&mut self, s: Scheduled) {
+        if s > self.near[0] {
+            // Later than every `near` event, and either `near` is full
+            // (so it would be the one evicted) or `far` holds events it
+            // may sort after.
+            self.far.push(Reverse(s));
+        } else {
+            // Full: evict the latest to `far`, then move each later
+            // event one place towards the front until `s` fits.
+            self.far.push(Reverse(self.near[0]));
+            let mut i = 0;
+            while i + 1 < NEAR_CAP && self.near[i + 1] > s {
+                self.near[i] = self.near[i + 1];
+                i += 1;
             }
-            self.near.reverse();
+            self.near[i] = s;
+        }
+    }
+
+    /// Takes the next event and its time.
+    #[inline(always)]
+    fn pop(&mut self) -> Option<(u64, Event)> {
+        self.len = self.len.checked_sub(1)?;
+        let next = self.near[self.len];
+        if self.len == 0 {
+            // The heap pops in ascending order; `near` is descending.
+            let n = REFILL.min(self.far.len());
+            for slot in self.near[..n].iter_mut().rev() {
+                if let Some(Reverse(s)) = self.far.pop() {
+                    *slot = s;
+                }
+            }
+            self.len = n;
         }
         Some((next.t_us, next.ev))
     }
@@ -530,12 +573,15 @@ impl<S: TraceSink> SimCtx<'_, S> {
     /// # Panics
     ///
     /// Panics when `t_us` is in the past.
+    // Inlined into the handlers for the reason given on `impl Queue`.
+    #[inline(always)]
     pub fn schedule_at(&mut self, t_us: u64, ev: Event) {
         assert!(t_us >= self.now_us, "cannot schedule into the past");
-        self.queue.push(self.now_us, t_us, ev);
+        self.queue.push(t_us, ev);
     }
 
     /// Schedules `ev` after `delay_us` microseconds.
+    #[inline(always)]
     pub fn schedule_in(&mut self, delay_us: u64, ev: Event) {
         self.schedule_at(self.now_us.saturating_add(delay_us), ev);
     }
@@ -662,7 +708,7 @@ impl<S: TraceSink> Engine<S> {
             }
         }
         self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
-        while let Some((t_us, ev)) = self.queue.pop(self.clock.now_us()) {
+        while let Some((t_us, ev)) = self.queue.pop() {
             if t_us > self.clock.now_us() {
                 let dt_s = self.clock.advance_to(t_us);
                 self.state.advance(dt_s);
@@ -912,24 +958,57 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        type Reference = BinaryHeap<Reverse<(u64, usize)>>;
+        /// The queue under test beside a plain binary heap of
+        /// `(time, sequence)`, and the clock both share.
+        #[derive(Default)]
+        struct Pair {
+            queue: Queue,
+            reference: BinaryHeap<Reverse<(u64, usize)>>,
+            pushed: usize,
+            now_us: u64,
+        }
 
-        /// Dispatches the next event from both queues, moving the clock to
-        /// its time, and checks both give the same `(time, sequence)`.
-        fn pop_both(
-            queue: &mut Queue,
-            reference: &mut Reference,
-            now_us: &mut u64,
-        ) -> Result<(), String> {
-            let got = queue.pop(*now_us).map(|(t_us, ev)| match ev {
-                Event::FaultStart { index } => (t_us, index),
-                other => unreachable!("only FaultStart is queued, got {other:?}"),
-            });
-            if let Some((t_us, _)) = got {
-                *now_us = t_us;
+        impl Pair {
+            /// Schedules the next event (its index is its sequence number)
+            /// `delay_us` after the clock in both queues.
+            fn push(&mut self, delay_us: u64) {
+                let t_us = self.now_us + delay_us;
+                let seq = self.pushed;
+                self.pushed += 1;
+                self.queue.push(t_us, Event::FaultStart { index: seq });
+                self.reference.push(Reverse((t_us, seq)));
             }
-            prop_assert_eq!(got, reference.pop().map(|Reverse(next)| next));
-            Ok(())
+
+            /// Dispatches the next event from both queues, moving the clock
+            /// to its time, and checks both give the same
+            /// `(time, sequence)`.
+            fn pop(&mut self) -> Result<(), String> {
+                let got = self.queue.pop().map(|(t_us, ev)| match ev {
+                    Event::FaultStart { index } => (t_us, index),
+                    other => unreachable!("only FaultStart is queued, got {other:?}"),
+                });
+                if let Some((t_us, _)) = got {
+                    self.now_us = t_us;
+                }
+                prop_assert_eq!(got, self.reference.pop().map(|Reverse(next)| next));
+                Ok(())
+            }
+
+            /// Both queues hold the same number of events.
+            fn check_len(&self) -> Result<(), String> {
+                prop_assert_eq!(self.queue.len(), self.reference.len());
+                Ok(())
+            }
+
+            /// Dispatches everything left, then checks both are empty.
+            fn drain(&mut self) -> Result<(), String> {
+                while !self.reference.is_empty() {
+                    self.pop()?;
+                    self.check_len()?;
+                }
+                prop_assert_eq!(self.queue.pop(), None);
+                Ok(())
+            }
         }
 
         proptest! {
@@ -940,29 +1019,55 @@ mod tests {
             /// pending events to evict into and refill from the far tier.
             /// Each step schedules an event a few µs (`op` 0–2, ties and
             /// same-instant pushes) or up to 0.1 s (`op` 3) after the
-            /// clock, or dispatches the next one (`op` 4–5).
+            /// clock, dispatches the next one (`op` 4–5), or, as a handler
+            /// does, dispatches the next one, schedules up to 19 events
+            /// 1 µs apart after it and then up to 4 at its instant (`op`
+            /// 6): same-instant pushes into a full array with `far` in
+            /// use, including ones earlier than every array event.
             #[test]
             fn queue_pops_in_time_then_sequence_order(
-                ops in prop::collection::vec((0u8..6, 0u64..100_000), 0..400),
+                ops in prop::collection::vec((0u8..7, 0u64..100_000), 0..400),
             ) {
-                let mut queue = Queue::default();
-                let mut reference = Reference::new();
-                let mut now_us = 0;
-                for (seq, (op, delay_us)) in ops.into_iter().enumerate() {
-                    if op < 4 {
-                        let t_us = now_us + if op < 3 { delay_us % 4 } else { delay_us };
-                        queue.push(now_us, t_us, Event::FaultStart { index: seq });
-                        reference.push(Reverse((t_us, seq)));
-                    } else {
-                        pop_both(&mut queue, &mut reference, &mut now_us)?;
+                let mut pair = Pair::default();
+                for (op, delay_us) in ops {
+                    match op {
+                        0..=2 => pair.push(delay_us % 4),
+                        3 => pair.push(delay_us),
+                        4 | 5 => pair.pop()?,
+                        _ => {
+                            pair.pop()?;
+                            for k in 1..=delay_us % 20 {
+                                pair.push(k);
+                            }
+                            for _ in 0..=delay_us / 20 % 4 {
+                                pair.push(0);
+                            }
+                        }
                     }
-                    prop_assert_eq!(queue.len(), reference.len());
+                    pair.check_len()?;
                 }
-                while !reference.is_empty() {
-                    pop_both(&mut queue, &mut reference, &mut now_us)?;
-                }
-                prop_assert_eq!(queue.pop(now_us), None);
+                pair.drain()?;
             }
+        }
+
+        #[test]
+        fn same_instant_pushes_into_a_full_array_keep_heap_order() {
+            let mut pair = Pair::default();
+            for t_us in 1..=20 {
+                pair.push(t_us);
+                pair.check_len().unwrap();
+            }
+            assert_eq!(pair.queue.len, NEAR_CAP);
+            assert!(!pair.queue.far.is_empty());
+            for step in 0..20 {
+                pair.push(0);
+                pair.check_len().unwrap();
+                for _ in 0..1 + step % 2 {
+                    pair.pop().unwrap();
+                    pair.check_len().unwrap();
+                }
+            }
+            pair.drain().unwrap();
         }
     }
 
