@@ -6,7 +6,7 @@ use infiniwolf::{detection_costs, DetectionBudget};
 use iw_harvest::{
     daily_intake, EnvProfile, LightCondition, SolarHarvester, TegHarvester, ThermalCondition,
 };
-use iw_sim::{DetectionPolicy, DeviceConfig};
+use iw_sim::{DeviceConfig, PolicySpec};
 
 fn bench_models(c: &mut Criterion) {
     let solar = SolarHarvester::infiniwolf();
@@ -30,7 +30,7 @@ fn bench_day_simulation(c: &mut Criterion) {
         b.iter(|| {
             let mut cfg = DeviceConfig::new(
                 EnvProfile::paper_indoor_day(),
-                DetectionPolicy::FixedRate { per_minute: 24.0 },
+                PolicySpec::fixed_rate(24.0),
                 costs,
             );
             cfg.battery.set_soc(0.5);

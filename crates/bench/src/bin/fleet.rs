@@ -31,7 +31,7 @@
 //! profile. `--scenario none|epidemic` attaches the compiled epidemic
 //! scenario (mobility contacts, weather fronts, gateway outages,
 //! scripted infection); workers then interleave per-epoch contact
-//! tallies as auxiliary epoch-beat frames (advisory — the epidemic fold
+//! tallies as epoch-beat frames (advisory — the epidemic fold
 //! itself rides the merged aggregate edge set) and the coordinator
 //! finalises the report with the epoch-barrier epidemic outcome. `--heartbeat-ms N` sets the worker heartbeat period (0
 //! disables heartbeats). `--metrics PATH` exports the fleet metrics
@@ -168,7 +168,7 @@ fn fleet_config(args: &Args, threads: usize) -> FleetConfig {
     } else {
         iw_bench::d3_fleet_config(args.devices, threads, args.seed, args.faults)
     };
-    // A malformed policy (e.g. EnergyAware with min_soc >= 1) silently
+    // A malformed policy (e.g. energy_aware with min_soc >= 1) silently
     // degenerates into a device that never detects — surface it as a
     // configuration error instead of a mysteriously idle sweep.
     for (name, spec) in &cfg.policies {
@@ -227,7 +227,7 @@ fn run_worker(args: &Args, shard: usize, of: usize) -> Result<(), RecordError> {
     };
     let mut last_beat = Instant::now();
     // Per-epoch observed-contact tallies for this shard, emitted as
-    // auxiliary epoch-beat frames after the record stream.
+    // epoch-beat frames after the record stream.
     let mut epoch_contacts: std::collections::BTreeMap<u32, u64> =
         std::collections::BTreeMap::new();
     let agg = cfg.run_chunk_with(range, |r| {
@@ -414,8 +414,7 @@ struct ShardResult {
 
 /// Drains one worker's stdout: counts record frames (re-folding each
 /// decoded record into an independent digest accumulator), folds
-/// heartbeat frames into the shared progress board, skips unknown
-/// auxiliary frames (forward compatibility with newer workers), then
+/// heartbeat and epoch-beat frames into the shared progress board, then
 /// decodes the aggregate and stats frames. The re-folded digest must
 /// match the worker's shipped aggregate — a per-shard integrity check
 /// on the wire format itself.
@@ -444,7 +443,6 @@ fn read_worker<R: Read>(
             StreamFrame::Epoch(eb) => {
                 board.lock().expect("progress board lock").epoch_beat(&eb);
             }
-            StreamFrame::Skipped(_) => {}
         }
     }
     let agg_frame = read_frame(stream)

@@ -170,79 +170,59 @@ fn a10() {
     }
 }
 
+/// A table: the ids that select it and the function that prints it.
+type Table = (&'static [&'static str], fn());
+
+/// Every table in print order (Tables III and IV come from the same
+/// runs, so either id prints both).
+const TABLES: &[Table] = &[
+    (&["t1"], t1),
+    (&["t2"], t2),
+    (&["t3", "t4"], t3t4),
+    (&["f3"], f3),
+    (&["x1"], x1),
+    (&["x2"], x2),
+    (&["x3"], x3),
+    (&["a1"], a1),
+    (&["a2"], a2),
+    (&["a3"], a3),
+    (&["a4"], a4),
+    (&["a5"], a5),
+    (&["a6"], a6),
+    (&["a7"], a7),
+    (&["a8"], a8),
+    (&["a9"], a9),
+    (&["a10"], a10),
+    (&["d1"], d1),
+    (&["d2"], d2),
+    (&["d3"], d3),
+    (&["d4"], d4),
+    (&["d5"], d5),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let ids = || TABLES.iter().flat_map(|(ids, _)| ids.iter().copied());
+    if let Some(bad) = args
+        .iter()
+        .find(|a| *a != "all" && !ids().any(|id| id == *a))
+    {
+        let valid: Vec<&str> = ids().collect();
+        eprintln!(
+            "tables: unknown table id `{bad}`; valid ids: {} (or `all`)",
+            valid.join(" ")
+        );
+        std::process::exit(2);
+    }
     let run_all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |key: &str| run_all || args.iter().any(|a| a == key);
 
     println!("InfiniWolf reproduction — experiment harness");
     println!("(absolute-number matches are not expected on a simulator; the");
     println!(" paper column is shown so the shape can be judged per row)");
 
-    if want("t1") {
-        t1();
-    }
-    if want("t2") {
-        t2();
-    }
-    if want("t3") || want("t4") {
-        t3t4();
-    }
-    if want("f3") {
-        f3();
-    }
-    if want("x1") {
-        x1();
-    }
-    if want("x2") {
-        x2();
-    }
-    if want("x3") {
-        x3();
-    }
-    if want("a1") {
-        a1();
-    }
-    if want("a2") {
-        a2();
-    }
-    if want("a3") {
-        a3();
-    }
-    if want("a4") {
-        a4();
-    }
-    if want("a5") {
-        a5();
-    }
-    if want("a6") {
-        a6();
-    }
-    if want("a7") {
-        a7();
-    }
-    if want("a8") {
-        a8();
-    }
-    if want("a9") {
-        a9();
-    }
-    if want("a10") {
-        a10();
-    }
-    if want("d1") {
-        d1();
-    }
-    if want("d2") {
-        d2();
-    }
-    if want("d3") {
-        d3();
-    }
-    if want("d4") {
-        d4();
-    }
-    if want("d5") {
-        d5();
+    for (ids, print) in TABLES {
+        if run_all || args.iter().any(|a| ids.contains(&a.as_str())) {
+            print();
+        }
     }
 }

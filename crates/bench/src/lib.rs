@@ -20,8 +20,8 @@ use iw_kernels::{
 use iw_mrwolf::ClusterConfig;
 use iw_nrf52::BleRadio;
 use iw_sim::{
-    BleSync, ComputeJob, DetectionPolicy, FaultBackoff, FaultProfile, FleetConfig, FleetReport,
-    PolicySpec, RateRule, Scenario, TargetRule,
+    BleSync, ComputeJob, FaultBackoff, FaultProfile, FleetConfig, FleetReport, PolicySpec,
+    RateRule, Scenario, TargetRule,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -786,11 +786,7 @@ pub fn d3_fleet_config(
     cfg.sync = Some(BleSync::nrf52(&BleRadio::default(), 300.0, 32));
     cfg.policies.push((
         "duty-300s".into(),
-        DetectionPolicy::DutyCycledSync {
-            per_minute: 24.0,
-            sync_interval_s: 300.0,
-        }
-        .into(),
+        PolicySpec::fixed_rate(24.0).with_sync_interval(300.0),
     ));
     cfg.faults = profile;
     cfg
@@ -872,7 +868,8 @@ pub struct PolicyOutcome {
     pub name: String,
     /// The evaluated spec.
     pub spec: PolicySpec,
-    /// Whether the spec uses closed-loop behaviour beyond a legacy policy.
+    /// Whether the spec behaves unlike every preset policy
+    /// ([`PolicySpec::is_adaptive`]).
     pub adaptive: bool,
     /// Mean device uptime fraction.
     pub uptime: f64,
@@ -939,23 +936,15 @@ pub fn d5_candidates(seed: u64) -> Vec<PolicyCandidate> {
     let mut out = vec![
         PolicyCandidate {
             name: "fixed-24".into(),
-            spec: DetectionPolicy::FixedRate { per_minute: 24.0 }.into(),
+            spec: PolicySpec::fixed_rate(24.0),
         },
         PolicyCandidate {
             name: "aware-24".into(),
-            spec: DetectionPolicy::EnergyAware {
-                max_per_minute: 24.0,
-                min_soc: 0.10,
-            }
-            .into(),
+            spec: PolicySpec::energy_aware(24.0, 0.10),
         },
         PolicyCandidate {
             name: "duty-300s".into(),
-            spec: DetectionPolicy::DutyCycledSync {
-                per_minute: 24.0,
-                sync_interval_s: 300.0,
-            }
-            .into(),
+            spec: PolicySpec::fixed_rate(24.0).with_sync_interval(300.0),
         },
     ];
     for max_per_minute in [24.0, 36.0] {

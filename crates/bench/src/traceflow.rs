@@ -6,7 +6,7 @@
 use infiniwolf::{detection_costs, DetectionBudget};
 use iw_harvest::{record_harvest, EnvProfile};
 use iw_kernels::{registry, FixedRun, PreparedFixed};
-use iw_sim::{DetectionPolicy, DeviceConfig};
+use iw_sim::{DeviceConfig, PolicySpec};
 use iw_trace::Recorder;
 
 use crate::evaluation_nets;
@@ -60,7 +60,7 @@ pub fn trace_target(net_key: &str, target_id: &str) -> Result<TraceArtifacts, St
     // simulated on the discrete-event engine at the paper's 24/min rate.
     let mut day = DeviceConfig::new(
         EnvProfile::paper_indoor_day(),
-        DetectionPolicy::FixedRate { per_minute: 24.0 },
+        PolicySpec::fixed_rate(24.0),
         detection_costs(&DetectionBudget::paper()),
     );
     day.battery.set_soc(0.5);

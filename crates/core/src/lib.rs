@@ -63,6 +63,4 @@ pub use detection::{measure_detection_budget, DetectionBudget};
 pub use device::{DeviceMode, InfiniWolf};
 pub use loso::{loso_evaluation, LosoReport};
 pub use pipeline::{train_stress_pipeline, PipelineConfig, StressPipeline};
-pub use sustain::{
-    detection_costs, simulate_policy, sustainability, DetectionPolicy, SustainReport,
-};
+pub use sustain::{detection_costs, simulate_policy, sustainability, PolicySpec, SustainReport};

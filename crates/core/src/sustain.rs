@@ -8,7 +8,7 @@ use iw_sim::{ComputeJob, DetectionCosts, DeviceConfig};
 
 use crate::detection::DetectionBudget;
 
-pub use iw_sim::DetectionPolicy;
+pub use iw_sim::PolicySpec;
 
 /// Result of the steady-state sustainability analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,7 +87,7 @@ pub fn simulate_policy(
     teg: &TegHarvester,
     battery: &mut Battery,
     budget: &DetectionBudget,
-    policy: DetectionPolicy,
+    policy: PolicySpec,
     sleep_floor_w: f64,
 ) -> SimReport {
     let mut cfg = DeviceConfig::new(profile.clone(), policy, detection_costs(budget));
@@ -143,11 +143,9 @@ mod tests {
             &TegHarvester::infiniwolf(),
             &mut battery,
             &budget,
-            DetectionPolicy::FixedRate {
-                // Slightly below the steady-state limit: charge losses eat
-                // the 5 % margin.
-                per_minute: report.detections_per_minute * 0.85,
-            },
+            // Slightly below the steady-state limit: charge losses eat the
+            // 5 % margin.
+            PolicySpec::fixed_rate(report.detections_per_minute * 0.85),
             0.0,
         );
         assert!(!sim.browned_out);
@@ -174,9 +172,7 @@ mod tests {
             &TegHarvester::infiniwolf(),
             &mut battery,
             &budget,
-            DetectionPolicy::FixedRate {
-                per_minute: report.detections_per_minute * 2.0,
-            },
+            PolicySpec::fixed_rate(report.detections_per_minute * 2.0),
             0.0,
         );
         assert!(sim.final_soc < 0.5, "soc should fall: {}", sim.final_soc);

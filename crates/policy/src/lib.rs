@@ -2,146 +2,27 @@
 //!
 //! The paper's headline claim is that *opportunistic, energy-aware
 //! scheduling* is what makes the bracelet self-sustaining. This crate
-//! owns that scheduling vocabulary: the three classic
-//! [`DetectionPolicy`] variants the experiment tables are frozen
-//! against, and the declarative [`PolicySpec`] that subsumes them and
-//! adds two closed-loop behaviours — workload-adaptive compute-target
+//! owns that scheduling vocabulary in one type, [`PolicySpec`]: a rate
+//! law ([`RateRule`] — a fixed rate, or a ramp over the observed state
+//! of charge), an optional duty-cycled BLE sync interval, and two
+//! optional closed-loop behaviours — workload-adaptive compute-target
 //! selection ([`TargetRule`]) and fault-aware backoff
 //! ([`FaultBackoff`]).
+//!
+//! The three classic policies the experiment tables are frozen against
+//! are presets: [`PolicySpec::fixed_rate`], [`PolicySpec::energy_aware`]
+//! (a ramp that reaches the full rate only at a full battery) and the
+//! duty-cycled `fixed_rate(pm).with_sync_interval(s)`.
+//! [`PolicySpec::is_adaptive`] is true exactly when a spec behaves
+//! differently from every preset; the fleet layer folds its
+//! policy-attribution block into the digest only then.
 //!
 //! Everything here is a pure function of observable device state
 //! (observed state of charge, queue depth, a trailing harvest average,
 //! fault signals), so the simulation stays deterministic and the fleet
-//! digest algebra is untouched: a [`PolicySpec`] wrapping a legacy
-//! [`DetectionPolicy`] evaluates the *identical* float expressions and
-//! therefore reproduces legacy digests bit for bit.
+//! digest algebra is untouched.
 
 #![warn(missing_docs)]
-
-/// A detection-scheduling policy for the battery-coupled simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DetectionPolicy {
-    /// Fixed detection rate, detections per minute.
-    FixedRate {
-        /// Detections per minute.
-        per_minute: f64,
-    },
-    /// Energy-aware: scales a maximum rate by the battery state of charge
-    /// (the "opportunistic" acquisition the paper describes).
-    EnergyAware {
-        /// Rate at full battery, detections per minute.
-        max_per_minute: f64,
-        /// State of charge below which detection stops entirely.
-        min_soc: f64,
-    },
-    /// Fixed detection rate with duty-cycled BLE sync: results are not
-    /// notified per detection but batched and delivered at the periodic
-    /// sync burst, amortising radio wake-ups (the ROADMAP's duty-cycled
-    /// sync policy). The device layer suppresses per-detection
-    /// notifications and flushes the batch on each *successful* sync.
-    DutyCycledSync {
-        /// Detections per minute.
-        per_minute: f64,
-        /// Interval between BLE sync bursts, seconds.
-        sync_interval_s: f64,
-    },
-}
-
-impl DetectionPolicy {
-    /// Instantaneous detection rate at state of charge `soc`, per second.
-    /// Zero (or a non-positive value) means "do not detect now; re-check
-    /// later".
-    #[must_use]
-    pub fn rate_per_s(&self, soc: f64) -> f64 {
-        match *self {
-            DetectionPolicy::FixedRate { per_minute }
-            | DetectionPolicy::DutyCycledSync { per_minute, .. } => per_minute / 60.0,
-            DetectionPolicy::EnergyAware {
-                max_per_minute,
-                min_soc,
-            } => {
-                if soc <= min_soc || min_soc >= 1.0 {
-                    0.0
-                } else {
-                    max_per_minute / 60.0 * ((soc - min_soc) / (1.0 - min_soc))
-                }
-            }
-        }
-    }
-
-    /// The sync-batching interval, when this policy duty-cycles BLE sync.
-    #[must_use]
-    pub fn sync_interval_s(&self) -> Option<f64> {
-        match *self {
-            DetectionPolicy::DutyCycledSync {
-                sync_interval_s, ..
-            } => Some(sync_interval_s),
-            _ => None,
-        }
-    }
-
-    /// Scales the policy's rate by `factor` (used by the fleet runner to
-    /// model per-subject activity levels).
-    #[must_use]
-    pub fn scaled(&self, factor: f64) -> DetectionPolicy {
-        match *self {
-            DetectionPolicy::FixedRate { per_minute } => DetectionPolicy::FixedRate {
-                per_minute: per_minute * factor,
-            },
-            DetectionPolicy::EnergyAware {
-                max_per_minute,
-                min_soc,
-            } => DetectionPolicy::EnergyAware {
-                max_per_minute: max_per_minute * factor,
-                min_soc,
-            },
-            DetectionPolicy::DutyCycledSync {
-                per_minute,
-                sync_interval_s,
-            } => DetectionPolicy::DutyCycledSync {
-                per_minute: per_minute * factor,
-                sync_interval_s,
-            },
-        }
-    }
-
-    /// Rejects malformed policies with a human-readable reason.
-    ///
-    /// The headline catch: `EnergyAware { min_soc >= 1.0 }` silently
-    /// degenerates to "never detect" inside
-    /// [`rate_per_s`](DetectionPolicy::rate_per_s); drivers should surface that as a
-    /// configuration error instead of a mysteriously idle device.
-    ///
-    /// # Errors
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            DetectionPolicy::FixedRate { per_minute } => {
-                ensure_rate("FixedRate per_minute", per_minute)
-            }
-            DetectionPolicy::EnergyAware {
-                max_per_minute,
-                min_soc,
-            } => {
-                ensure_rate("EnergyAware max_per_minute", max_per_minute)?;
-                if !min_soc.is_finite() || !(0.0..1.0).contains(&min_soc) {
-                    return Err(format!(
-                        "EnergyAware min_soc must be in [0, 1), got {min_soc} \
-                         (min_soc >= 1 never detects)"
-                    ));
-                }
-                Ok(())
-            }
-            DetectionPolicy::DutyCycledSync {
-                per_minute,
-                sync_interval_s,
-            } => {
-                ensure_rate("DutyCycledSync per_minute", per_minute)?;
-                ensure_interval("DutyCycledSync sync_interval_s", sync_interval_s)
-            }
-        }
-    }
-}
 
 fn ensure_rate(what: &str, rate: f64) -> Result<(), String> {
     if rate.is_finite() && rate >= 0.0 {
@@ -163,14 +44,18 @@ fn ensure_interval(what: &str, interval: f64) -> Result<(), String> {
 /// rate responds to the observed state of charge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateRule {
-    /// One of the three classic policies, verbatim — same float
-    /// expressions, same digests.
-    Legacy(DetectionPolicy),
+    /// A fixed detection rate, whatever the state of charge.
+    Fixed {
+        /// Detections per minute.
+        per_minute: f64,
+    },
     /// A two-knee ramp: zero at or below `min_soc`, the full rate at or
-    /// above `full_soc`, linear in between. `EnergyAware` is the special
-    /// case `full_soc = 1.0`; pulling `full_soc` down runs the detector
-    /// flat out over most of the usable charge range while still backing
-    /// off before a brown-out.
+    /// above `full_soc`, linear in between. The energy-aware preset
+    /// ([`PolicySpec::energy_aware`]) is the special case
+    /// `full_soc = 1.0`, which scales the rate by the state of charge
+    /// (the "opportunistic" acquisition the paper describes); pulling
+    /// `full_soc` down runs the detector flat out over most of the
+    /// usable charge range while still backing off before a brown-out.
     SocRamp {
         /// Rate at or above `full_soc`, detections per minute.
         max_per_minute: f64,
@@ -186,7 +71,7 @@ impl RateRule {
     #[must_use]
     pub fn rate_per_s(&self, soc: f64) -> f64 {
         match *self {
-            RateRule::Legacy(p) => p.rate_per_s(soc),
+            RateRule::Fixed { per_minute } => per_minute / 60.0,
             RateRule::SocRamp {
                 max_per_minute,
                 min_soc,
@@ -207,7 +92,9 @@ impl RateRule {
     #[must_use]
     pub fn scaled(&self, factor: f64) -> RateRule {
         match *self {
-            RateRule::Legacy(p) => RateRule::Legacy(p.scaled(factor)),
+            RateRule::Fixed { per_minute } => RateRule::Fixed {
+                per_minute: per_minute * factor,
+            },
             RateRule::SocRamp {
                 max_per_minute,
                 min_soc,
@@ -226,7 +113,7 @@ impl RateRule {
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            RateRule::Legacy(p) => p.validate(),
+            RateRule::Fixed { per_minute } => ensure_rate("Fixed per_minute", per_minute),
             RateRule::SocRamp {
                 max_per_minute,
                 min_soc,
@@ -234,7 +121,10 @@ impl RateRule {
             } => {
                 ensure_rate("SocRamp max_per_minute", max_per_minute)?;
                 if !min_soc.is_finite() || !(0.0..1.0).contains(&min_soc) {
-                    return Err(format!("SocRamp min_soc must be in [0, 1), got {min_soc}"));
+                    return Err(format!(
+                        "SocRamp min_soc must be in [0, 1), got {min_soc} \
+                         (min_soc >= 1 never detects)"
+                    ));
                 }
                 if !full_soc.is_finite() || full_soc <= min_soc || full_soc > 1.0 {
                     return Err(format!(
@@ -390,17 +280,17 @@ impl TargetRule {
 }
 
 /// A declarative, parameterized detection policy: a rate law plus
-/// optional closed-loop behaviours. `PolicySpec::from(legacy)` embeds a
-/// classic [`DetectionPolicy`] unchanged, so every pre-existing
-/// configuration keeps its exact simulation trace and digest.
+/// optional sync batching and closed-loop behaviours. The three classic
+/// policies are the presets [`PolicySpec::fixed_rate`],
+/// [`PolicySpec::energy_aware`] and
+/// `fixed_rate(pm).with_sync_interval(s)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicySpec {
     /// How the detection rate responds to the observed state of charge.
     pub rate: RateRule,
     /// Duty-cycled BLE sync interval, seconds. `Some` batches result
-    /// notifications and flushes them at each successful sync burst
-    /// (exactly like [`DetectionPolicy::DutyCycledSync`]); `None` defers
-    /// to the rate rule's legacy interval, if any.
+    /// notifications and flushes them at each successful sync burst,
+    /// amortising radio wake-ups; `None` notifies per detection.
     pub sync_interval_s: Option<f64>,
     /// Fault-aware backoff, if enabled.
     pub backoff: Option<FaultBackoff>,
@@ -418,6 +308,26 @@ impl PolicySpec {
             backoff: None,
             targets: None,
         }
+    }
+
+    /// The fixed-rate preset: `per_minute` detections per minute,
+    /// whatever the state of charge.
+    #[must_use]
+    pub fn fixed_rate(per_minute: f64) -> PolicySpec {
+        PolicySpec::new(RateRule::Fixed { per_minute })
+    }
+
+    /// The energy-aware preset: `max_per_minute` scaled by how far the
+    /// state of charge sits between `min_soc` (nothing) and a full
+    /// battery (the full rate) — a [`RateRule::SocRamp`] with
+    /// `full_soc = 1.0`.
+    #[must_use]
+    pub fn energy_aware(max_per_minute: f64, min_soc: f64) -> PolicySpec {
+        PolicySpec::new(RateRule::SocRamp {
+            max_per_minute,
+            min_soc,
+            full_soc: 1.0,
+        })
     }
 
     /// Adds duty-cycled sync batching at `interval_s`.
@@ -448,16 +358,6 @@ impl PolicySpec {
         self.rate.rate_per_s(soc)
     }
 
-    /// The sync-batching interval: the explicit one if set, otherwise
-    /// whatever the embedded legacy policy declares.
-    #[must_use]
-    pub fn sync_interval_s(&self) -> Option<f64> {
-        self.sync_interval_s.or(match self.rate {
-            RateRule::Legacy(p) => p.sync_interval_s(),
-            RateRule::SocRamp { .. } => None,
-        })
-    }
-
     /// Scales the detection rate by `factor`, keeping thresholds,
     /// intervals and closed-loop behaviours (per-subject activity
     /// scaling in the fleet runner).
@@ -469,15 +369,18 @@ impl PolicySpec {
         }
     }
 
-    /// True when the spec uses any behaviour beyond a verbatim legacy
-    /// policy — the fleet layer uses this to gate the policy-attribution
-    /// digest block so legacy digests stay frozen.
+    /// True when the spec behaves differently from every preset: it has
+    /// fault backoff or target selection, or a ramp that either reaches
+    /// the full rate below a full battery or batches sync. The fleet
+    /// layer folds the policy-attribution block into the digest only
+    /// for adaptive specs, so preset digests stay frozen.
     #[must_use]
     pub fn is_adaptive(&self) -> bool {
-        !matches!(self.rate, RateRule::Legacy(_))
-            || self.sync_interval_s.is_some()
-            || self.backoff.is_some()
-            || self.targets.is_some()
+        let adaptive_rate = match self.rate {
+            RateRule::Fixed { .. } => false,
+            RateRule::SocRamp { full_soc, .. } => full_soc < 1.0 || self.sync_interval_s.is_some(),
+        };
+        adaptive_rate || self.backoff.is_some() || self.targets.is_some()
     }
 
     /// Rejects malformed specs with a human-readable reason.
@@ -499,29 +402,20 @@ impl PolicySpec {
     }
 }
 
-impl From<DetectionPolicy> for PolicySpec {
-    fn from(policy: DetectionPolicy) -> PolicySpec {
-        PolicySpec::new(RateRule::Legacy(policy))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fixed_rate_ignores_soc() {
-        let p = DetectionPolicy::FixedRate { per_minute: 24.0 };
+        let p = PolicySpec::fixed_rate(24.0);
         assert_eq!(p.rate_per_s(0.1), p.rate_per_s(0.9));
         assert!((p.rate_per_s(0.5) - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn energy_aware_scales_and_cuts_off() {
-        let p = DetectionPolicy::EnergyAware {
-            max_per_minute: 60.0,
-            min_soc: 0.2,
-        };
+        let p = PolicySpec::energy_aware(60.0, 0.2);
         assert_eq!(p.rate_per_s(0.2), 0.0);
         assert_eq!(p.rate_per_s(0.05), 0.0);
         assert!((p.rate_per_s(1.0) - 1.0).abs() < 1e-12);
@@ -530,85 +424,36 @@ mod tests {
 
     #[test]
     fn degenerate_min_soc_never_detects() {
-        let p = DetectionPolicy::EnergyAware {
-            max_per_minute: 60.0,
-            min_soc: 1.0,
-        };
-        assert_eq!(p.rate_per_s(1.0), 0.0);
+        assert_eq!(PolicySpec::energy_aware(60.0, 1.0).rate_per_s(1.0), 0.0);
     }
 
     #[test]
     fn scaling_multiplies_the_rate() {
-        let p = DetectionPolicy::FixedRate { per_minute: 10.0 }.scaled(1.5);
+        let p = PolicySpec::fixed_rate(10.0).scaled(1.5);
         assert!((p.rate_per_s(0.5) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn duty_cycled_sync_rate_ignores_soc_and_keeps_interval() {
-        let p = DetectionPolicy::DutyCycledSync {
-            per_minute: 24.0,
-            sync_interval_s: 120.0,
-        };
+        let p = PolicySpec::fixed_rate(24.0).with_sync_interval(120.0);
         assert_eq!(p.rate_per_s(0.1), p.rate_per_s(0.9));
         assert!((p.rate_per_s(0.5) - 0.4).abs() < 1e-12);
-        assert_eq!(p.sync_interval_s(), Some(120.0));
-        assert_eq!(
-            DetectionPolicy::FixedRate { per_minute: 1.0 }.sync_interval_s(),
-            None
-        );
+        assert_eq!(p.sync_interval_s, Some(120.0));
+        assert_eq!(PolicySpec::fixed_rate(1.0).sync_interval_s, None);
         let scaled = p.scaled(0.5);
         assert!((scaled.rate_per_s(0.5) - 0.2).abs() < 1e-12);
-        assert_eq!(scaled.sync_interval_s(), Some(120.0));
+        assert_eq!(scaled.sync_interval_s, Some(120.0));
     }
 
     #[test]
     fn validate_catches_the_degenerate_min_soc() {
-        assert!(DetectionPolicy::EnergyAware {
-            max_per_minute: 24.0,
-            min_soc: 1.0,
-        }
-        .validate()
-        .is_err());
-        assert!(DetectionPolicy::EnergyAware {
-            max_per_minute: 24.0,
-            min_soc: 0.1,
-        }
-        .validate()
-        .is_ok());
-        assert!(DetectionPolicy::FixedRate {
-            per_minute: f64::NAN
-        }
-        .validate()
-        .is_err());
-        assert!(DetectionPolicy::DutyCycledSync {
-            per_minute: 24.0,
-            sync_interval_s: 0.0,
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
-    fn legacy_spec_reproduces_the_legacy_policy_exactly() {
-        let legacy = DetectionPolicy::EnergyAware {
-            max_per_minute: 24.0,
-            min_soc: 0.1,
-        };
-        let spec = PolicySpec::from(legacy);
-        for soc in [0.0, 0.05, 0.1, 0.1000001, 0.37, 0.5, 0.99, 1.0] {
-            assert_eq!(
-                spec.rate_per_s(soc).to_bits(),
-                legacy.rate_per_s(soc).to_bits()
-            );
-        }
-        assert_eq!(spec.sync_interval_s(), None);
-        assert!(!spec.is_adaptive());
-        let scaled = spec.scaled(1.5);
-        let legacy_scaled = legacy.scaled(1.5);
-        assert_eq!(
-            scaled.rate_per_s(0.5).to_bits(),
-            legacy_scaled.rate_per_s(0.5).to_bits()
-        );
+        assert!(PolicySpec::energy_aware(24.0, 1.0).validate().is_err());
+        assert!(PolicySpec::energy_aware(24.0, 0.1).validate().is_ok());
+        assert!(PolicySpec::fixed_rate(f64::NAN).validate().is_err());
+        assert!(PolicySpec::fixed_rate(24.0)
+            .with_sync_interval(0.0)
+            .validate()
+            .is_err());
     }
 
     #[test]
@@ -678,7 +523,7 @@ mod tests {
             sync_stretch: 4.0,
         });
         assert!(spec.validate().is_ok());
-        assert_eq!(spec.sync_interval_s(), Some(300.0));
+        assert_eq!(spec.sync_interval_s, Some(300.0));
         assert!(spec.is_adaptive());
         assert!(spec
             .with_backoff(FaultBackoff {

@@ -1,31 +1,18 @@
 //! Property tests for the policy engine: every valid [`PolicySpec`]'s
-//! rate law must be monotone non-decreasing in the state of charge, and
-//! validation must accept exactly the specs the generators produce.
+//! rate law must be monotone non-decreasing in the state of charge,
+//! validation must accept exactly the specs the generators produce, and
+//! the three presets must evaluate the classic policies' float
+//! expressions bit for bit.
 
-use iw_policy::{DetectionPolicy, FaultBackoff, PolicySpec, RateRule, TargetClass, TargetRule};
+use iw_policy::{FaultBackoff, PolicySpec, RateRule, TargetClass, TargetRule};
 use proptest::prelude::*;
-
-fn legacy_policy() -> impl Strategy<Value = DetectionPolicy> {
-    prop_oneof![
-        (0.0f64..60.0).prop_map(|per_minute| DetectionPolicy::FixedRate { per_minute }),
-        (0.0f64..60.0, 0.0f64..0.99).prop_map(|(max_per_minute, min_soc)| {
-            DetectionPolicy::EnergyAware {
-                max_per_minute,
-                min_soc,
-            }
-        }),
-        (0.0f64..60.0, 1.0f64..3600.0).prop_map(|(per_minute, sync_interval_s)| {
-            DetectionPolicy::DutyCycledSync {
-                per_minute,
-                sync_interval_s,
-            }
-        }),
-    ]
-}
 
 fn rate_rule() -> impl Strategy<Value = RateRule> {
     prop_oneof![
-        legacy_policy().prop_map(RateRule::Legacy),
+        (0.0f64..60.0).prop_map(|per_minute| RateRule::Fixed { per_minute }),
+        (0.0f64..60.0, 0.0f64..0.99).prop_map(|(max_per_minute, min_soc)| {
+            PolicySpec::energy_aware(max_per_minute, min_soc).rate
+        }),
         (0.0f64..60.0, 0.0f64..0.9, 0.01f64..0.1).prop_map(|(max_per_minute, min_soc, step)| {
             RateRule::SocRamp {
                 max_per_minute,
@@ -34,6 +21,23 @@ fn rate_rule() -> impl Strategy<Value = RateRule> {
             }
         }),
     ]
+}
+
+/// The fixed-rate policy's rate expression, written out: the reference
+/// [`PolicySpec::fixed_rate`] (with or without sync batching) must
+/// match bit for bit.
+fn reference_fixed_rate(per_minute: f64) -> f64 {
+    per_minute / 60.0
+}
+
+/// The energy-aware policy's rate expression, written out: the
+/// reference [`PolicySpec::energy_aware`] must match bit for bit.
+fn reference_energy_aware(max_per_minute: f64, min_soc: f64, soc: f64) -> f64 {
+    if soc <= min_soc || min_soc >= 1.0 {
+        0.0
+    } else {
+        max_per_minute / 60.0 * ((soc - min_soc) / (1.0 - min_soc))
+    }
 }
 
 fn policy_spec() -> impl Strategy<Value = PolicySpec> {
@@ -101,9 +105,71 @@ proptest! {
         let scaled = spec.scaled(factor);
         let expect = spec.rate_per_s(soc) * factor;
         prop_assert!((scaled.rate_per_s(soc) - expect).abs() <= 1e-12 * expect.abs().max(1.0));
-        prop_assert_eq!(scaled.sync_interval_s(), spec.sync_interval_s());
+        prop_assert_eq!(scaled.sync_interval_s, spec.sync_interval_s);
         prop_assert_eq!(scaled.backoff, spec.backoff);
         prop_assert_eq!(scaled.targets, spec.targets);
+    }
+
+    /// The presets reproduce the classic policies' rate expressions
+    /// bit for bit at every state of charge, before and after scaling.
+    #[test]
+    fn presets_match_the_classic_expressions_bit_for_bit(
+        min_soc in prop_oneof![Just(0.0), 0.0f64..1.0],
+        soc_pick in 0u8..4,
+        interior in 0.0f64..=1.0,
+        rate in prop_oneof![Just(24.0), 0.0f64..6000.0],
+        interval_s in 1.0f64..3600.0,
+        factor in prop_oneof![Just(1.0), 0.0f64..4.0],
+    ) {
+        // 0, `min_soc` and a full battery exactly, as often as an
+        // interior point.
+        let soc = [0.0, min_soc, 1.0, interior][usize::from(soc_pick)];
+        let fixed = PolicySpec::fixed_rate(rate);
+        let duty = PolicySpec::fixed_rate(rate).with_sync_interval(interval_s);
+        let aware = PolicySpec::energy_aware(rate, min_soc);
+        for (spec, scale) in [(fixed, 1.0), (fixed.scaled(factor), factor), (duty.scaled(factor), factor)] {
+            prop_assert_eq!(
+                spec.rate_per_s(soc).to_bits(),
+                reference_fixed_rate(rate * scale).to_bits()
+            );
+        }
+        prop_assert_eq!(
+            aware.rate_per_s(soc).to_bits(),
+            reference_energy_aware(rate, min_soc, soc).to_bits(),
+            "energy_aware({}, {}) at soc {}", rate, min_soc, soc
+        );
+        prop_assert_eq!(
+            aware.scaled(factor).rate_per_s(soc).to_bits(),
+            reference_energy_aware(rate * factor, min_soc, soc).to_bits()
+        );
+    }
+
+    /// The presets are never adaptive; backoff or target selection makes
+    /// any spec adaptive.
+    #[test]
+    fn presets_are_not_adaptive_and_closed_loops_are(
+        spec in policy_spec(),
+        rate in 0.0f64..60.0,
+        min_soc in 0.0f64..0.99,
+        interval_s in 1.0f64..3600.0,
+    ) {
+        let presets = [
+            PolicySpec::fixed_rate(rate),
+            PolicySpec::energy_aware(rate, min_soc),
+            PolicySpec::fixed_rate(rate).with_sync_interval(interval_s),
+        ];
+        for preset in presets {
+            prop_assert!(!preset.is_adaptive(), "{:?}", preset);
+            if let Some(backoff) = spec.backoff {
+                prop_assert!(preset.with_backoff(backoff).is_adaptive());
+            }
+            if let Some(targets) = spec.targets {
+                prop_assert!(preset.with_targets(targets).is_adaptive());
+            }
+        }
+        if spec.backoff.is_some() || spec.targets.is_some() {
+            prop_assert!(spec.is_adaptive(), "{:?}", spec);
+        }
     }
 
     /// Target selection is total: every (SoC, queue, harvest) triple

@@ -198,8 +198,7 @@ pub struct DeviceConfig {
     pub teg: TegHarvester,
     /// The battery, in its starting state.
     pub battery: Battery,
-    /// Detection-scheduling policy (a legacy [`crate::DetectionPolicy`]
-    /// converts via `Into`, evaluating the identical rate expressions).
+    /// Detection-scheduling policy.
     pub policy: PolicySpec,
     /// Per-detection costs.
     pub costs: DetectionCosts,
@@ -238,17 +237,13 @@ impl DeviceConfig {
     /// A paper-configured device: InfiniWolf harvesters and battery, the
     /// shared-table sleep floor, no BLE, ~500 trace points.
     #[must_use]
-    pub fn new(
-        env: EnvProfile,
-        policy: impl Into<PolicySpec>,
-        costs: DetectionCosts,
-    ) -> DeviceConfig {
+    pub fn new(env: EnvProfile, policy: PolicySpec, costs: DetectionCosts) -> DeviceConfig {
         DeviceConfig {
             env,
             solar: SolarHarvester::infiniwolf(),
             teg: TegHarvester::infiniwolf(),
             battery: Battery::infiniwolf(),
-            policy: policy.into(),
+            policy,
             costs,
             target_jobs: None,
             sleep_floor_w: default_sleep_floor_w(),
@@ -308,7 +303,7 @@ impl DeviceConfig {
         // A duty-cycled policy always gets a radio: notifications are
         // batched into the periodic sync burst even when `sync` is unset
         // (a default nRF52 burst at the policy's interval).
-        let batch_interval_s = self.policy.sync_interval_s();
+        let batch_interval_s = self.policy.sync_interval_s;
         let sync = match (batch_interval_s, self.sync) {
             (Some(interval_s), Some(sync)) => Some(BleSync { interval_s, ..sync }),
             (Some(interval_s), None) => Some(BleSync::nrf52(&BleRadio::default(), interval_s, 32)),
@@ -463,9 +458,9 @@ impl PolicyComponent {
     /// old fixed-timestep simulator's granularity) and a 1 ms floor on
     /// the detection period.
     #[must_use]
-    pub fn new(policy: impl Into<PolicySpec>) -> PolicyComponent {
+    pub fn new(policy: PolicySpec) -> PolicyComponent {
         PolicyComponent {
-            policy: policy.into(),
+            policy,
             idle_recheck_us: secs_to_us(10.0),
             min_interval_us: 1_000,
         }
@@ -1125,7 +1120,7 @@ impl<S: TraceSink> Component<S> for SamplerComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iw_policy::{DetectionPolicy, FaultBackoff, RateRule, TargetClass};
+    use iw_policy::{FaultBackoff, RateRule, TargetClass};
     use iw_trace::{Event as TraceEvent, Recorder};
 
     fn micro_costs() -> DetectionCosts {
@@ -1149,11 +1144,7 @@ mod tests {
         // exactly — the event engine's load multiplicity never loses or
         // double-counts an overlapping window.
         let costs = micro_costs();
-        let mut cfg = DeviceConfig::new(
-            dark_day(3600.0),
-            DetectionPolicy::FixedRate { per_minute: 24.0 },
-            costs,
-        );
+        let mut cfg = DeviceConfig::new(dark_day(3600.0), PolicySpec::fixed_rate(24.0), costs);
         cfg.sleep_floor_w = 0.0;
         cfg.teg = TegHarvester {
             // Dead TEG: no intake at all.
@@ -1188,7 +1179,7 @@ mod tests {
         // dispatch order.
         let mut cfg = DeviceConfig::new(
             dark_day(600.0),
-            DetectionPolicy::FixedRate { per_minute: 6000.0 },
+            PolicySpec::fixed_rate(6000.0),
             micro_costs(),
         );
         cfg.battery = Battery::new(1e6);
@@ -1207,9 +1198,7 @@ mod tests {
         // the extreme of the test above. Same pins, ten times the depth.
         let mut cfg = DeviceConfig::new(
             dark_day(600.0),
-            DetectionPolicy::FixedRate {
-                per_minute: 60000.0,
-            },
+            PolicySpec::fixed_rate(60000.0),
             micro_costs(),
         );
         cfg.battery = Battery::new(1e6);
@@ -1227,11 +1216,7 @@ mod tests {
         // 60/min = 1 s period with 3 s windows: three windows overlap at
         // any instant, so the average load must be ~3× the unit power.
         let costs = micro_costs();
-        let mut cfg = DeviceConfig::new(
-            dark_day(600.0),
-            DetectionPolicy::FixedRate { per_minute: 60.0 },
-            costs,
-        );
+        let mut cfg = DeviceConfig::new(dark_day(600.0), PolicySpec::fixed_rate(60.0), costs);
         cfg.sleep_floor_w = 0.0;
         cfg.battery.set_soc(0.9);
         let report = cfg.run();
@@ -1247,7 +1232,7 @@ mod tests {
     fn energy_is_conserved_exactly() {
         let cfg = DeviceConfig::new(
             EnvProfile::paper_indoor_day(),
-            DetectionPolicy::FixedRate { per_minute: 20.0 },
+            PolicySpec::fixed_rate(20.0),
             micro_costs(),
         );
         let initial_j = cfg.battery.charge_j();
@@ -1262,7 +1247,7 @@ mod tests {
     fn trace_is_sampled_and_ordered() {
         let mut cfg = DeviceConfig::new(
             EnvProfile::paper_indoor_day(),
-            DetectionPolicy::FixedRate { per_minute: 6.0 },
+            PolicySpec::fixed_rate(6.0),
             micro_costs(),
         );
         cfg.battery.set_soc(0.5);
@@ -1280,7 +1265,7 @@ mod tests {
     fn tiny_battery_browns_out_under_load() {
         let mut cfg = DeviceConfig::new(
             dark_day(3600.0),
-            DetectionPolicy::FixedRate { per_minute: 60.0 },
+            PolicySpec::fixed_rate(60.0),
             micro_costs(),
         );
         cfg.battery = Battery::new(1.0);
@@ -1292,11 +1277,8 @@ mod tests {
 
     #[test]
     fn ble_components_notify_and_sync() {
-        let mut cfg = DeviceConfig::new(
-            dark_day(600.0),
-            DetectionPolicy::FixedRate { per_minute: 12.0 },
-            micro_costs(),
-        );
+        let mut cfg =
+            DeviceConfig::new(dark_day(600.0), PolicySpec::fixed_rate(12.0), micro_costs());
         cfg.battery.set_soc(0.9);
         cfg.notify_j = 1e-6;
         cfg.sync = Some(BleSync {
@@ -1312,11 +1294,8 @@ mod tests {
 
     #[test]
     fn traced_run_emits_counters_and_spans() {
-        let mut cfg = DeviceConfig::new(
-            dark_day(120.0),
-            DetectionPolicy::FixedRate { per_minute: 4.0 },
-            micro_costs(),
-        );
+        let mut cfg =
+            DeviceConfig::new(dark_day(120.0), PolicySpec::fixed_rate(4.0), micro_costs());
         cfg.battery.set_soc(0.8);
         cfg.notify_j = 1e-6;
         cfg.trace_points = 24;
@@ -1349,11 +1328,8 @@ mod tests {
 
     #[test]
     fn contact_scans_cost_scan_energy_and_queue_for_sync() {
-        let mut cfg = DeviceConfig::new(
-            dark_day(600.0),
-            DetectionPolicy::FixedRate { per_minute: 2.0 },
-            micro_costs(),
-        );
+        let mut cfg =
+            DeviceConfig::new(dark_day(600.0), PolicySpec::fixed_rate(2.0), micro_costs());
         cfg.battery.set_soc(0.9);
         cfg.notify_j = 1e-6;
         cfg.sync = Some(BleSync {
@@ -1396,11 +1372,8 @@ mod tests {
 
     #[test]
     fn gateway_outage_forces_drops_and_defers_contact_uplink() {
-        let mut cfg = DeviceConfig::new(
-            dark_day(600.0),
-            DetectionPolicy::FixedRate { per_minute: 2.0 },
-            micro_costs(),
-        );
+        let mut cfg =
+            DeviceConfig::new(dark_day(600.0), PolicySpec::fixed_rate(2.0), micro_costs());
         cfg.battery.set_soc(0.9);
         cfg.notify_j = 1e-6;
         cfg.sync = Some(BleSync {
@@ -1453,7 +1426,7 @@ mod tests {
             severity: 0.0,
         };
         let run = |backoff: Option<FaultBackoff>| {
-            let mut spec = PolicySpec::from(DetectionPolicy::FixedRate { per_minute: 12.0 });
+            let mut spec = PolicySpec::fixed_rate(12.0);
             spec.backoff = backoff;
             let mut cfg = DeviceConfig::new(dark_day(600.0), spec, micro_costs());
             cfg.sleep_floor_w = 0.0;
@@ -1494,8 +1467,7 @@ mod tests {
             harvest_weight: 0.0,
             queue_cluster: u64::MAX,
         };
-        let spec =
-            PolicySpec::from(DetectionPolicy::FixedRate { per_minute: 24.0 }).with_targets(rule);
+        let spec = PolicySpec::fixed_rate(24.0).with_targets(rule);
         let mut cfg = DeviceConfig::new(dark_day(3600.0), spec, micro_costs());
         cfg.battery = Battery::new(2.0);
         cfg.battery.set_soc(0.9);
@@ -1536,10 +1508,7 @@ mod tests {
     fn energy_aware_policy_throttles_in_the_dark() {
         let mut cfg = DeviceConfig::new(
             dark_day(7.0 * 86_400.0),
-            DetectionPolicy::EnergyAware {
-                max_per_minute: 24.0,
-                min_soc: 0.15,
-            },
+            PolicySpec::energy_aware(24.0, 0.15),
             micro_costs(),
         );
         cfg.battery.set_soc(0.6);

@@ -40,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::device::{BleSync, ComputeJob, DetectionCosts, DeviceConfig, DeviceReport};
-use iw_policy::{DetectionPolicy, PolicySpec};
+use iw_policy::PolicySpec;
 
 /// Stream-derivation constant separating each device's fault-plan seed
 /// from its configuration-jitter seed.
@@ -80,8 +80,8 @@ pub struct FleetConfig {
     pub environments: Vec<(String, EnvProfile)>,
     /// Wearer archetypes devices cycle through.
     pub subjects: Vec<SubjectProfile>,
-    /// Detection policy specs devices cycle through (legacy
-    /// [`DetectionPolicy`] variants convert via `Into<PolicySpec>`).
+    /// Detection policy specs devices cycle through (the classic
+    /// policies are the [`PolicySpec`] presets).
     pub policies: Vec<(String, PolicySpec)>,
     /// Per-target compute jobs (M4 / Ibex / 8×RI5CY cluster order) for
     /// policy specs that carry a target-selection rule; `None` keeps
@@ -175,7 +175,8 @@ pub struct DeviceResult {
     /// Observed contact edges (`device` is always this device's index).
     pub contact_edges: Vec<ContactEdge>,
     /// Whether this result carries an adaptive-policy attribution block
-    /// (the device ran a [`PolicySpec`] beyond the legacy variants).
+    /// (the device ran a [`PolicySpec`] that behaves unlike every
+    /// preset; see [`PolicySpec::is_adaptive`]).
     /// When false every attribution field below is zero and the digest
     /// is byte-for-byte the pre-policy-engine digest.
     pub adaptive: bool,
@@ -247,7 +248,7 @@ impl DeviceResult {
             }
         }
         // Likewise the adaptive-policy attribution block: folded only
-        // for adaptive specs, so every legacy-policy sweep digests
+        // for adaptive specs, so every preset-policy sweep digests
         // exactly as it did before the policy engine existed.
         if self.adaptive {
             h = fnv1a(h, b"pol");
@@ -387,29 +388,12 @@ impl FleetMetrics {
     }
 
     /// Rebuilds from histograms in the [`FleetMetrics::histograms`] wire
-    /// order (the codec path). Accepts the 8-histogram pre-scenario wire
-    /// shape (the two contact histograms default empty) as well as the
-    /// current 10. Returns `None` on any other length.
+    /// order (the codec path).
     #[must_use]
-    pub fn from_wire(mut hists: Vec<Histogram>) -> Option<FleetMetrics> {
-        let (contact_degree, scan_energy_uj) = match hists.len() {
-            8 => (Histogram::default(), Histogram::default()),
-            10 => {
-                let scan = hists.pop()?;
-                let degree = hists.pop()?;
-                (degree, scan)
-            }
-            _ => return None,
-        };
-        let sync_backoff_us = hists.pop()?;
-        let sync_attempts = hists.pop()?;
-        let queue_high_water = hists.pop()?;
-        let events = hists.pop()?;
-        let downtime_us = hists.pop()?;
-        let detections = hists.pop()?;
-        let final_soc_ppm = hists.pop()?;
-        let uptime_ppm = hists.pop()?;
-        Some(FleetMetrics {
+    pub fn from_wire(hists: [Histogram; 10]) -> FleetMetrics {
+        let [uptime_ppm, final_soc_ppm, detections, downtime_us, events, queue_high_water, sync_attempts, sync_backoff_us, contact_degree, scan_energy_uj] =
+            hists;
+        FleetMetrics {
             uptime_ppm,
             final_soc_ppm,
             detections,
@@ -420,7 +404,7 @@ impl FleetMetrics {
             sync_backoff_us,
             contact_degree,
             scan_energy_uj,
-        })
+        }
     }
 }
 
@@ -1131,18 +1115,8 @@ impl FleetConfig {
                 },
             ],
             policies: vec![
-                (
-                    "fixed-24".into(),
-                    DetectionPolicy::FixedRate { per_minute: 24.0 }.into(),
-                ),
-                (
-                    "aware-24".into(),
-                    DetectionPolicy::EnergyAware {
-                        max_per_minute: 24.0,
-                        min_soc: 0.10,
-                    }
-                    .into(),
-                ),
+                ("fixed-24".into(), PolicySpec::fixed_rate(24.0)),
+                ("aware-24".into(), PolicySpec::energy_aware(24.0, 0.10)),
             ],
             target_jobs: None,
             costs,

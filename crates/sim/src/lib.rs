@@ -11,7 +11,7 @@
 //! components: dual-source harvesting (`iw-harvest`), sensor acquisition
 //! windows, compute jobs dispatched through the `iw-kernels`
 //! machine/deployment registry, BLE sync bursts (`iw-nrf52`) and the
-//! detection policies in [`DetectionPolicy`]. Runs can stream into any
+//! detection policies in [`PolicySpec`]. Runs can stream into any
 //! `iw-trace` [`iw_trace::TraceSink`].
 //!
 //! The fleet layer ([`FleetConfig`]) sweeps N devices × wearer subjects
@@ -61,7 +61,7 @@ pub use iw_fault::{
     BrownoutModel, FaultCounters, FaultKind, FaultPlan, FaultProfile, FaultWindow,
     ReliabilityCounters, SyncOutcome,
 };
-pub use iw_policy::{DetectionPolicy, FaultBackoff, PolicySpec, RateRule, TargetClass, TargetRule};
+pub use iw_policy::{FaultBackoff, PolicySpec, RateRule, TargetClass, TargetRule};
 pub use iw_scenario::{
     paper_environments, run_epidemic, CompiledScenario, ContactEdge, ContactEntry, ContactPlan,
     EpidemicOutcome, EpidemicScript, Scenario,

@@ -49,12 +49,10 @@
 //!          8  sync_stretches          u64
 //! ```
 //!
-//! The decoder also accepts the three historical layouts: version 3
-//! (no trailing adaptive-policy attribution block), version 2
-//! (additionally no scenario block) and version 1 (reliability counters
-//! straight to the strings — no `queue_high_water`, no telemetry
-//! histograms). Missing fields decode to their defaults, so a v4 reader
-//! replays old capture files unchanged.
+//! The decoder accepts this layout only: any other leading byte is a
+//! [`RecordError::Version`] error. Every stream is written and read by
+//! the same binary within one run, so there are no older layouts to
+//! replay.
 //!
 //! A histogram travels as its carried scalars plus *sparse* buckets —
 //! `count u64 · sum u128 · min u64 · max u64 · n u16 ·
@@ -76,14 +74,10 @@
 //! end marker · aggregate frame · stats frame*.
 //!
 //! Every payload's first byte is its **tag**. Result records carry
-//! [`RECORD_VERSION`] (or a historical record version); auxiliary
-//! telemetry frames carry tags in `0x40..=0x7f`
-//! ([`AUX_TAG_MIN`]..=[`AUX_TAG_MAX`]) — today [`HEARTBEAT_TAG`] and
-//! [`EPOCH_TAG`] — and the stream decoder ([`decode_stream_frame`])
-//! *skips* auxiliary tags it does not know, so an old coordinator keeps
-//! working when a newer worker interleaves new telemetry frame kinds
-//! (a pre-scenario coordinator skips epoch beats the same way). Any
-//! other unknown tag is a hard [`RecordError::Version`] error.
+//! [`RECORD_VERSION`]; the two telemetry frames interleaved with them
+//! carry [`HEARTBEAT_TAG`] and [`EPOCH_TAG`]. The stream decoder
+//! ([`decode_stream_frame`]) knows exactly these three tags: any other
+//! is a hard [`RecordError::Version`] error.
 
 use std::io::{Read, Write};
 
@@ -99,32 +93,13 @@ use crate::fleet::{
 /// Version byte of a [`DeviceResult`] record.
 pub const RECORD_VERSION: u8 = 0x04;
 
-/// Oldest record version [`decode_result`] still accepts.
-pub const RECORD_VERSION_MIN: u8 = 0x01;
-
 /// Version byte of a [`FleetAggregate`] frame.
 pub const AGGREGATE_VERSION: u8 = 0x84;
 
-/// Previous aggregate version (no per-policy detection/energy totals or
-/// adaptive-policy attribution counters); still decodable.
-pub const AGGREGATE_VERSION_V3: u8 = 0x83;
-
-/// Oldest aggregate version (8 metrics histograms, no scenario
-/// section); still decodable.
-pub const AGGREGATE_VERSION_V2: u8 = 0x82;
-
-/// First auxiliary (skippable) stream tag.
-pub const AUX_TAG_MIN: u8 = 0x40;
-
-/// Last auxiliary (skippable) stream tag.
-pub const AUX_TAG_MAX: u8 = 0x7f;
-
-/// Tag byte of a worker [`Heartbeat`] frame (inside the auxiliary
-/// range, so coordinators that predate heartbeats skip them).
+/// Tag byte of a worker [`Heartbeat`] frame.
 pub const HEARTBEAT_TAG: u8 = 0x48;
 
-/// Tag byte of a worker [`EpochBeat`] frame (auxiliary, so
-/// pre-scenario coordinators skip them).
+/// Tag byte of a worker [`EpochBeat`] frame.
 pub const EPOCH_TAG: u8 = 0x45;
 
 /// Tag byte of a worker [`WorkerStats`] frame.
@@ -379,8 +354,8 @@ pub fn encode_result(r: &DeviceResult) -> Vec<u8> {
             out.extend_from_slice(&edge.peer.to_le_bytes());
         }
     }
-    // Version 4: the adaptive-policy attribution block, behind a
-    // presence flag — legacy-policy records pay a single zero byte.
+    // The adaptive-policy attribution block, behind a presence flag —
+    // preset-policy records pay a single zero byte.
     out.push(u8::from(r.adaptive));
     if r.adaptive {
         put_u64(&mut out, r.target_m4);
@@ -393,8 +368,6 @@ pub fn encode_result(r: &DeviceResult) -> Vec<u8> {
 }
 
 /// Decodes one device result; the whole buffer must be consumed.
-/// Accepts versions 1 through [`RECORD_VERSION`]: fields a historical
-/// layout lacks decode to their defaults.
 ///
 /// # Errors
 ///
@@ -404,7 +377,7 @@ pub fn encode_result(r: &DeviceResult) -> Vec<u8> {
 pub fn decode_result(buf: &[u8]) -> Result<DeviceResult, RecordError> {
     let mut cur = Cur::new(buf);
     let version = cur.u8()?;
-    if !(RECORD_VERSION_MIN..=RECORD_VERSION).contains(&version) {
+    if version != RECORD_VERSION {
         return Err(RecordError::Version(version));
     }
     let device = cur.u64()? as usize;
@@ -419,17 +392,13 @@ pub fn decode_result(buf: &[u8]) -> Result<DeviceResult, RecordError> {
     let conservation_j = cur.f64()?;
     let faults = cur.faults()?;
     let reliability = cur.reliability()?;
-    // Version 1 predates the telemetry block: no queue high-water mark,
-    // no per-device histograms.
-    let (queue_high_water, sync_attempts, sync_backoff_us) = if version >= 0x02 {
-        (cur.u64()?, cur.hist()?, cur.hist()?)
-    } else {
-        (0, Histogram::default(), Histogram::default())
-    };
+    let queue_high_water = cur.u64()?;
+    let sync_attempts = cur.hist()?;
+    let sync_backoff_us = cur.hist()?;
     let env = cur.string()?;
     let subject = cur.string()?;
     let policy = cur.string()?;
-    // Version 3 appends the scenario block behind a presence flag.
+    // The scenario block, behind a presence flag.
     let mut scenario = false;
     let mut contacts_observed = 0;
     let mut contacts_missed = 0;
@@ -437,7 +406,7 @@ pub fn decode_result(buf: &[u8]) -> Result<DeviceResult, RecordError> {
     let mut scan_energy_j = 0.0;
     let mut infected_seed = false;
     let mut contact_edges = Vec::new();
-    if version >= 0x03 && cur.u8()? != 0 {
+    if cur.u8()? != 0 {
         scenario = true;
         contacts_observed = cur.u64()?;
         contacts_missed = cur.u64()?;
@@ -454,15 +423,14 @@ pub fn decode_result(buf: &[u8]) -> Result<DeviceResult, RecordError> {
             });
         }
     }
-    // Version 4 appends the adaptive-policy attribution block behind a
-    // presence flag; older records decode to all-zero attribution.
+    // The adaptive-policy attribution block, behind a presence flag.
     let mut adaptive = false;
     let mut target_m4 = 0;
     let mut target_ibex = 0;
     let mut target_cluster = 0;
     let mut backoff_skips = 0;
     let mut sync_stretches = 0;
-    if version >= 0x04 && cur.u8()? != 0 {
+    if cur.u8()? != 0 {
         adaptive = true;
         target_m4 = cur.u64()?;
         target_ibex = cur.u64()?;
@@ -514,7 +482,6 @@ fn put_policy(out: &mut Vec<u8>, p: &PolicyAccum) {
     put_i128(out, p.final_soc.raw());
     put_i128(out, p.uptime.raw());
     put_reliability(out, &p.reliability);
-    // Version 0x84: detection/energy totals and adaptive attribution.
     put_u64(out, p.detections);
     put_i128(out, p.consumed_j.raw());
     put_u64(out, p.target_m4);
@@ -558,7 +525,7 @@ pub fn encode_aggregate(agg: &FleetAggregate) -> Vec<u8> {
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(&rec);
     }
-    // Version 0x83: the scenario section, behind a presence flag.
+    // The scenario section, behind a presence flag.
     out.push(u8::from(agg.scenario));
     if agg.scenario {
         put_u64(&mut out, agg.contacts_observed);
@@ -585,7 +552,7 @@ pub fn encode_aggregate(agg: &FleetAggregate) -> Vec<u8> {
 pub fn decode_aggregate(buf: &[u8]) -> Result<FleetAggregate, RecordError> {
     let mut cur = Cur::new(buf);
     let version = cur.u8()?;
-    if !(AGGREGATE_VERSION_V2..=AGGREGATE_VERSION).contains(&version) {
+    if version != AGGREGATE_VERSION {
         return Err(RecordError::Version(version));
     }
     let device_count = cur.u64()? as usize;
@@ -597,19 +564,11 @@ pub fn decode_aggregate(buf: &[u8]) -> Result<FleetAggregate, RecordError> {
     let reliability = cur.reliability()?;
     let uptime = ExactSum::from_raw(cur.i128()?);
     let max_conservation_j = cur.f64()?;
-    // 0x82 shipped 8 metrics histograms; 0x83 ships 10 (contact degree
-    // and scan energy joined the wire order).
-    let n_hists = if version == AGGREGATE_VERSION_V2 {
-        8
-    } else {
-        10
-    };
-    let mut hists = Vec::with_capacity(n_hists);
-    for _ in 0..n_hists {
-        hists.push(cur.hist()?);
+    let mut hists: [Histogram; 10] = std::array::from_fn(|_| Histogram::default());
+    for h in &mut hists {
+        *h = cur.hist()?;
     }
-    let metrics =
-        FleetMetrics::from_wire(hists).ok_or(RecordError::Malformed("fleet metrics shape"))?;
+    let metrics = FleetMetrics::from_wire(hists);
     let n_policies = cur.u16()? as usize;
     let mut agg = FleetAggregate::with_policies(std::iter::empty(), 0);
     agg.device_count = device_count;
@@ -633,17 +592,13 @@ pub fn decode_aggregate(buf: &[u8]) -> Result<FleetAggregate, RecordError> {
         p.final_soc = ExactSum::from_raw(cur.i128()?);
         p.uptime = ExactSum::from_raw(cur.i128()?);
         p.reliability = cur.reliability()?;
-        // 0x84 appended the detection/energy totals and adaptive
-        // attribution; older frames decode them to zero.
-        if version >= AGGREGATE_VERSION {
-            p.detections = cur.u64()?;
-            p.consumed_j = ExactSum::from_raw(cur.i128()?);
-            p.target_m4 = cur.u64()?;
-            p.target_ibex = cur.u64()?;
-            p.target_cluster = cur.u64()?;
-            p.backoff_skips = cur.u64()?;
-            p.sync_stretches = cur.u64()?;
-        }
+        p.detections = cur.u64()?;
+        p.consumed_j = ExactSum::from_raw(cur.i128()?);
+        p.target_m4 = cur.u64()?;
+        p.target_ibex = cur.u64()?;
+        p.target_cluster = cur.u64()?;
+        p.backoff_skips = cur.u64()?;
+        p.sync_stretches = cur.u64()?;
         agg.policies.push(p);
     }
     agg.sample_cap = cur.u64()? as usize;
@@ -653,7 +608,7 @@ pub fn decode_aggregate(buf: &[u8]) -> Result<FleetAggregate, RecordError> {
         let rec = cur.take(len)?;
         agg.sample.push(decode_result(rec)?);
     }
-    if version >= AGGREGATE_VERSION_V3 && cur.u8()? != 0 {
+    if cur.u8()? != 0 {
         agg.scenario = true;
         agg.contacts_observed = cur.u64()?;
         agg.contacts_missed = cur.u64()?;
@@ -778,8 +733,7 @@ pub fn decode_heartbeat(buf: &[u8]) -> Result<Heartbeat, RecordError> {
 /// Like heartbeats, epoch beats are *advisory*: the deterministic
 /// cross-device exchange rides the aggregate frame's merged edge set,
 /// not these — they exist so the coordinator can narrate the epoch
-/// timeline live and sanity-check shard contact budgets. Pre-scenario
-/// coordinators skip them (the tag is in the auxiliary range).
+/// timeline live and sanity-check shard contact budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochBeat {
     /// Shard index of the emitting worker.
@@ -902,26 +856,20 @@ pub enum StreamFrame {
     Heartbeat(Heartbeat),
     /// A per-epoch shard tally from a networked-scenario run.
     Epoch(EpochBeat),
-    /// An auxiliary frame with a tag this decoder does not know —
-    /// forward compatibility: newer workers may interleave new telemetry
-    /// kinds, and the coordinator must keep consuming the stream.
-    Skipped(u8),
 }
 
-/// Decodes one worker-stream frame by its leading tag byte: result
-/// records and heartbeats decode fully; unknown tags inside the
-/// auxiliary range are returned as [`StreamFrame::Skipped`].
+/// Decodes one worker-stream frame by its leading tag byte: a result
+/// record, a heartbeat or an epoch beat.
 ///
 /// # Errors
 ///
-/// [`RecordError::Version`] on a non-auxiliary unknown tag, plus the
-/// usual decode failures of the recognised frame kinds.
+/// [`RecordError::Version`] on any other tag, plus the usual decode
+/// failures of the three frame kinds.
 pub fn decode_stream_frame(buf: &[u8]) -> Result<StreamFrame, RecordError> {
     match buf.first().copied().ok_or(RecordError::Truncated)? {
-        RECORD_VERSION_MIN..=RECORD_VERSION => Ok(StreamFrame::Result(decode_result(buf)?)),
+        RECORD_VERSION => Ok(StreamFrame::Result(decode_result(buf)?)),
         HEARTBEAT_TAG => Ok(StreamFrame::Heartbeat(decode_heartbeat(buf)?)),
         EPOCH_TAG => Ok(StreamFrame::Epoch(decode_epoch(buf)?)),
-        tag @ AUX_TAG_MIN..=AUX_TAG_MAX => Ok(StreamFrame::Skipped(tag)),
         tag => Err(RecordError::Version(tag)),
     }
 }
@@ -1050,7 +998,7 @@ mod tests {
     }
 
     /// The sample result with its scenario and adaptive-policy blocks
-    /// stripped — the shape every pre-scenario record had.
+    /// stripped.
     fn plain_result() -> DeviceResult {
         DeviceResult {
             scenario: false,
@@ -1159,17 +1107,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_aux_tags_are_skipped_others_rejected() {
-        // An old coordinator facing a future telemetry frame: skip it.
-        assert_eq!(
-            decode_stream_frame(&[0x55, 1, 2, 3]).unwrap(),
-            StreamFrame::Skipped(0x55)
-        );
-        assert_eq!(
-            decode_stream_frame(&[AUX_TAG_MAX]).unwrap(),
-            StreamFrame::Skipped(AUX_TAG_MAX)
-        );
-        // Outside the auxiliary range: a hard version error.
+    fn unknown_stream_tags_are_rejected() {
+        // Telemetry-looking tags other than the two known ones are
+        // errors like any other.
+        for tag in [0x40, 0x55, 0x7f] {
+            assert!(matches!(
+                decode_stream_frame(&[tag, 1, 2, 3]),
+                Err(RecordError::Version(t)) if t == tag
+            ));
+        }
         assert!(matches!(
             decode_stream_frame(&[0x05]),
             Err(RecordError::Version(0x05))
@@ -1185,6 +1131,33 @@ mod tests {
     }
 
     #[test]
+    fn historical_versions_are_rejected() {
+        // Older record (0x01–0x03) and aggregate (0x82–0x83) version
+        // bytes are refused before any field is read, even in front of a
+        // current-layout body.
+        let mut record = encode_result(&plain_result());
+        for version in 0x01..=0x03 {
+            record[0] = version;
+            assert!(matches!(
+                decode_result(&record),
+                Err(RecordError::Version(v)) if v == version
+            ));
+            assert!(matches!(
+                decode_stream_frame(&record),
+                Err(RecordError::Version(v)) if v == version
+            ));
+        }
+        let mut agg = encode_aggregate(&FleetAggregate::with_policies(["fixed-24"], 0));
+        for version in 0x82..=0x83 {
+            agg[0] = version;
+            assert!(matches!(
+                decode_aggregate(&agg),
+                Err(RecordError::Version(v)) if v == version
+            ));
+        }
+    }
+
+    #[test]
     fn plain_record_has_no_scenario_block_but_round_trips() {
         let r = plain_result();
         let bytes = encode_result(&r);
@@ -1194,40 +1167,6 @@ mod tests {
         let back = decode_result(&bytes).expect("round trip");
         assert_eq!(back, r);
         assert_eq!(back.digest(), r.digest());
-    }
-
-    #[test]
-    fn historical_record_versions_still_decode() {
-        // v3: the v4 layout sans the trailing adaptive-policy flag.
-        let r = plain_result();
-        let mut v3 = encode_result(&r);
-        assert_eq!(v3.pop(), Some(0));
-        v3[0] = 0x03;
-        let back = decode_result(&v3).expect("v3 decode");
-        assert_eq!(back, r);
-        assert_eq!(back.digest(), r.digest());
-        // v2: additionally sans the scenario flag.
-        let mut v2 = v3.clone();
-        assert_eq!(v2.pop(), Some(0));
-        v2[0] = 0x02;
-        let back = decode_result(&v2).expect("v2 decode");
-        assert_eq!(back, r);
-        assert_eq!(back.digest(), r.digest());
-        // v1: additionally predates the telemetry block (queue
-        // high-water mark and the two histograms, which encode to 42
-        // bytes each when empty).
-        let flat = DeviceResult {
-            queue_high_water: 0,
-            sync_attempts: Histogram::new(),
-            sync_backoff_us: Histogram::new(),
-            ..plain_result()
-        };
-        let v4 = encode_result(&flat);
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&v4[..218]);
-        v1.extend_from_slice(&v4[218 + 8 + 42 + 42..v4.len() - 2]);
-        v1[0] = 0x01;
-        assert_eq!(decode_result(&v1).expect("v1 decode"), flat);
     }
 
     #[test]
@@ -1245,36 +1184,6 @@ mod tests {
             StreamFrame::Epoch(back) => assert_eq!(back, beat),
             other => panic!("expected epoch beat, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn historical_aggregate_frames_still_decode() {
-        // An empty pre-scenario aggregate: every histogram is empty
-        // (42 bytes each after the 217-byte scalar prefix) and the one
-        // policy accumulator encodes 154 v3 bytes followed by the 64
-        // bytes of 0x84 detection/energy/attribution extras.
-        let agg = FleetAggregate::with_policies(["fixed-24"], 0);
-        let v4 = encode_aggregate(&agg);
-        let hists_start = 217;
-        let p_v3_end = hists_start + 10 * 42 + 2 + 154;
-        // v3 (0x83): the 0x84 stream with the per-policy extras cut.
-        let mut v3 = Vec::new();
-        v3.extend_from_slice(&v4[..p_v3_end]);
-        v3.extend_from_slice(&v4[p_v3_end + 64..]);
-        v3[0] = AGGREGATE_VERSION_V3;
-        let back = decode_aggregate(&v3).expect("v3 aggregate decode");
-        assert_eq!(back, agg);
-        assert_eq!(back.digest(), agg.digest());
-        // v2 (0x82): additionally cut the last two histogram blocks and
-        // the trailing scenario flag.
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&v4[..hists_start + 8 * 42]);
-        v2.extend_from_slice(&v4[hists_start + 10 * 42..p_v3_end]);
-        v2.extend_from_slice(&v4[p_v3_end + 64..v4.len() - 1]);
-        v2[0] = AGGREGATE_VERSION_V2;
-        let back = decode_aggregate(&v2).expect("v2 aggregate decode");
-        assert_eq!(back, agg);
-        assert_eq!(back.digest(), agg.digest());
     }
 
     #[test]

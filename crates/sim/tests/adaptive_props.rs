@@ -2,13 +2,14 @@
 //! never deadlock acquisition once the faults clear, sync stretching
 //! must fire on dead links and stay deterministic, and a fleet running
 //! an adaptive policy must produce bit-identical digests across every
-//! worker topology.
+//! worker topology, and a spec that behaves like a preset must digest
+//! like it.
 
 use iw_harvest::{Battery, EnvProfile, EnvSegment, LightCondition, ThermalCondition};
 use iw_nrf52::BleRadio;
 use iw_sim::{
-    BleSync, ComputeJob, DetectionCosts, DetectionPolicy, DeviceConfig, FaultBackoff, FaultKind,
-    FaultProfile, FaultWindow, FleetConfig, PolicySpec, RateRule, TargetRule,
+    BleSync, ComputeJob, DetectionCosts, DeviceConfig, FaultBackoff, FaultKind, FaultProfile,
+    FaultWindow, FleetConfig, PolicySpec, RateRule, TargetRule,
 };
 
 fn lit_env(duration_s: f64) -> EnvProfile {
@@ -60,13 +61,11 @@ fn jobs() -> [ComputeJob; 3] {
 #[test]
 fn sync_stretch_fires_on_gateway_outage_and_saves_bursts() {
     let run = |stretch: f64| {
-        let mut spec = PolicySpec::from(DetectionPolicy::FixedRate { per_minute: 12.0 })
-            .with_backoff(FaultBackoff {
-                gate_acquisition: false,
-                recheck_s: 20.0,
-                sync_stretch: stretch,
-            });
-        spec.sync_interval_s = None;
+        let spec = PolicySpec::fixed_rate(12.0).with_backoff(FaultBackoff {
+            gate_acquisition: false,
+            recheck_s: 20.0,
+            sync_stretch: stretch,
+        });
         let mut cfg = DeviceConfig::new(lit_env(3600.0), spec, costs());
         cfg.battery = Battery::new(40.0);
         cfg.battery.set_soc(0.9);
@@ -113,6 +112,31 @@ fn adaptive_fleet_digest_is_topology_invariant() {
     }
 }
 
+#[test]
+fn full_battery_ramp_digests_like_the_energy_aware_preset() {
+    // A ramp that reaches the full rate only at a full battery *is* the
+    // energy-aware preset: same rate bits, so it must not fold the
+    // adaptive-policy block either.
+    let ramp = PolicySpec::new(RateRule::SocRamp {
+        max_per_minute: 24.0,
+        min_soc: 0.1,
+        full_soc: 1.0,
+    });
+    let aware = PolicySpec::energy_aware(24.0, 0.1);
+    let run = |spec: PolicySpec| {
+        let mut cfg = FleetConfig::paper(6, 1, 2020, costs());
+        cfg.policies = vec![("aware-24".into(), spec)];
+        (0..cfg.devices)
+            .map(|i| cfg.run_device(i))
+            .collect::<Vec<_>>()
+    };
+    let (ramp, aware) = (run(ramp), run(aware));
+    for (r, a) in ramp.iter().zip(&aware) {
+        assert!(!r.adaptive && !a.adaptive);
+        assert_eq!(r.digest(), a.digest(), "device {}", r.device);
+    }
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -139,13 +163,12 @@ mod proptests {
                 FaultKind::GsrDetach,
             ][kind_idx];
             let duration_s = start_s + len_s + recheck_s * 5.0 + 60.0;
-            let mut spec = PolicySpec::from(DetectionPolicy::FixedRate { per_minute: 24.0 })
+            let spec = PolicySpec::fixed_rate(24.0)
                 .with_backoff(FaultBackoff {
                     gate_acquisition: true,
                     recheck_s,
                     sync_stretch: 1.0,
                 });
-            spec.sync_interval_s = None;
             let mut cfg = DeviceConfig::new(lit_env(duration_s), spec, costs());
             cfg.battery = Battery::new(40.0);
             cfg.battery.set_soc(0.5 + (seed_jitter as f64) * 0.05);

@@ -6,7 +6,7 @@
 //! cargo run --release --example wearable_day
 //! ```
 
-use infiniwolf::{detection_costs, sustainability, DetectionBudget, DetectionPolicy, InfiniWolf};
+use infiniwolf::{detection_costs, sustainability, DetectionBudget, InfiniWolf, PolicySpec};
 use iw_harvest::{
     EnvProfile, EnvSegment, LightCondition, SolarHarvester, TegHarvester, ThermalCondition,
 };
@@ -37,7 +37,7 @@ fn downsample(socs: &[f64], max: usize) -> Vec<f64> {
     socs.iter().step_by(step).copied().collect()
 }
 
-fn run_scenario(name: &str, profile: &EnvProfile, policy: DetectionPolicy, start_soc: f64) {
+fn run_scenario(name: &str, profile: &EnvProfile, policy: PolicySpec, start_soc: f64) {
     let dev = InfiniWolf::new();
     let mut cfg = DeviceConfig::new(
         profile.clone(),
@@ -88,17 +88,13 @@ fn main() {
     run_scenario(
         "indoor day, sustainable fixed rate (80% of the limit)",
         &indoor,
-        DetectionPolicy::FixedRate {
-            per_minute: report.detections_per_minute * 0.8,
-        },
+        PolicySpec::fixed_rate(report.detections_per_minute * 0.8),
         0.5,
     );
     run_scenario(
         "indoor day, greedy fixed rate (3x the limit)",
         &indoor,
-        DetectionPolicy::FixedRate {
-            per_minute: report.detections_per_minute * 3.0,
-        },
+        PolicySpec::fixed_rate(report.detections_per_minute * 3.0),
         0.5,
     );
 
@@ -113,16 +109,13 @@ fn main() {
     run_scenario(
         "dark week, greedy fixed rate",
         &dark_week,
-        DetectionPolicy::FixedRate { per_minute: 60.0 },
+        PolicySpec::fixed_rate(60.0),
         0.9,
     );
     run_scenario(
         "dark week, energy-aware policy",
         &dark_week,
-        DetectionPolicy::EnergyAware {
-            max_per_minute: 60.0,
-            min_soc: 0.15,
-        },
+        PolicySpec::energy_aware(60.0, 0.15),
         0.9,
     );
 }

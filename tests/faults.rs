@@ -5,7 +5,7 @@
 
 use infiniwolf::{detection_costs, DetectionBudget};
 use iw_harvest::{Battery, EnvProfile, EnvSegment, LightCondition, ThermalCondition};
-use iw_sim::{DetectionPolicy, DeviceConfig, FaultProfile};
+use iw_sim::{DeviceConfig, FaultProfile, PolicySpec};
 use proptest::prelude::*;
 
 /// A short two-segment day: `lit_h` hours of indoor light, `dark_h`
@@ -31,7 +31,7 @@ fn faulted_config(profile: FaultProfile, seed: u64, env: EnvProfile) -> DeviceCo
     let duration_s = env.duration_s();
     let mut cfg = DeviceConfig::new(
         env,
-        DetectionPolicy::FixedRate { per_minute: 24.0 },
+        PolicySpec::fixed_rate(24.0),
         detection_costs(&DetectionBudget::paper()),
     );
     cfg.faults = profile.plan(seed, duration_s);
@@ -77,11 +77,7 @@ fn brownout_recovers_after_the_lights_come_back() {
 #[test]
 fn harsh_profile_degrades_but_keeps_running() {
     let mut cfg = faulted_config(FaultProfile::Harsh, 7, lit_then_dark(12.0, 12.0));
-    cfg.policy = DetectionPolicy::DutyCycledSync {
-        per_minute: 24.0,
-        sync_interval_s: 300.0,
-    }
-    .into();
+    cfg.policy = PolicySpec::fixed_rate(24.0).with_sync_interval(300.0);
     cfg.notify_j = 10e-6;
     let report = cfg.run();
     assert!(report.faults.total() > 0, "harsh plan injected nothing");
@@ -99,11 +95,7 @@ fn harsh_profile_degrades_but_keeps_running() {
 #[test]
 fn duty_cycled_sync_reports_outcomes_even_fault_free() {
     let mut cfg = faulted_config(FaultProfile::Clean, 3, lit_then_dark(2.0, 0.5));
-    cfg.policy = DetectionPolicy::DutyCycledSync {
-        per_minute: 24.0,
-        sync_interval_s: 120.0,
-    }
-    .into();
+    cfg.policy = PolicySpec::fixed_rate(24.0).with_sync_interval(120.0);
     cfg.notify_j = 10e-6;
     let report = cfg.run();
     let rel = &report.reliability;
@@ -146,13 +138,10 @@ proptest! {
         let profile = FaultProfile::ALL[profile_idx];
         let mut cfg = faulted_config(profile, seed, lit_then_dark(lit_h, dark_h));
         if duty_cycled {
-            cfg.policy = DetectionPolicy::DutyCycledSync {
-                per_minute,
-                sync_interval_s: 120.0,
-            }.into();
+            cfg.policy = PolicySpec::fixed_rate(per_minute).with_sync_interval(120.0);
             cfg.notify_j = 10e-6;
         } else {
-            cfg.policy = DetectionPolicy::FixedRate { per_minute }.into();
+            cfg.policy = PolicySpec::fixed_rate(per_minute);
         }
         cfg.battery = Battery::new(capacity_j);
         cfg.battery.set_soc(start_soc);

@@ -2,7 +2,7 @@
 //! on the `iw-sim` discrete-event engine.
 
 use infiniwolf::{
-    detection_costs, simulate_policy, sustainability, DetectionBudget, DetectionPolicy, InfiniWolf,
+    detection_costs, simulate_policy, sustainability, DetectionBudget, InfiniWolf, PolicySpec,
 };
 use iw_harvest::{
     daily_intake, Battery, EnvProfile, EnvSegment, Illuminant, LightCondition, SolarHarvester,
@@ -57,10 +57,7 @@ fn energy_aware_policy_never_browns_out() {
         &dev.teg,
         &mut battery,
         &DetectionBudget::paper(),
-        DetectionPolicy::EnergyAware {
-            max_per_minute: 24.0,
-            min_soc: 0.10,
-        },
+        PolicySpec::energy_aware(24.0, 0.10),
         0.0,
     );
     assert!(!sim.browned_out, "final soc {}", sim.final_soc);
@@ -86,7 +83,7 @@ fn office_week_is_comfortably_sustainable() {
         &dev.teg,
         &mut battery,
         &DetectionBudget::paper(),
-        DetectionPolicy::FixedRate { per_minute: 24.0 },
+        PolicySpec::fixed_rate(24.0),
         dev.battery_power_w(infiniwolf::DeviceMode::Sleep),
     );
     assert!(!sim.browned_out);
@@ -141,7 +138,7 @@ proptest! {
             &dev.teg,
             &mut battery,
             &DetectionBudget::paper(),
-            DetectionPolicy::FixedRate { per_minute: rate },
+            PolicySpec::fixed_rate(rate),
             5e-6,
         );
         prop_assert!((0.0..=1.0).contains(&sim.final_soc));
@@ -188,9 +185,9 @@ proptest! {
             .collect();
         let profile = EnvProfile { segments };
         let policy = if energy_aware {
-            DetectionPolicy::EnergyAware { max_per_minute: max_rate, min_soc }
+            PolicySpec::energy_aware(max_rate, min_soc)
         } else {
-            DetectionPolicy::FixedRate { per_minute: max_rate }
+            PolicySpec::fixed_rate(max_rate)
         };
         let mut cfg = DeviceConfig::new(
             profile.clone(),
