@@ -19,10 +19,12 @@ cargo test --workspace -q
 # conservation and coordinator == in-process digest on every workload.
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
-# Pin the tiny workload digests: a change to the engine's event order
-# (or to anything else the digests cover) fails here and names the
-# workload.
-for pin in policy-sweep:35341c5f3af3eb32 fleet-stream:1c607c7f01e0f553; do
+# Pin the tiny workload digests: a change to the engine's event order,
+# to any ISS run's cycles, instructions or outputs (the iss-classify
+# digest folds every run's), or to anything else the digests cover fails
+# here and names the workload.
+for pin in policy-sweep:35341c5f3af3eb32 fleet-stream:1c607c7f01e0f553 \
+  iss-classify:b4f463d275956fad; do
   workload=${pin%%:*}
   cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --tiny --seed 1 --seconds 1 --trace 0 \
@@ -42,16 +44,15 @@ cargo run --release -q -p iw-bench --bin tables -- t3 t4 a2 a7 d1 d2 d3 d4 >/dev
 # one track per cluster core and a non-empty hotspot report for the
 # 8-core RI5CY target on Network A (--check exits non-zero otherwise),
 # and the same for a single-core target, whose recording runs the
-# instrumented pre-decoded loop rather than its block-compiled product
-# path.
+# instrumented pre-decoded loop rather than its fused product program.
 cargo run --release -q -p iw-bench --bin trace -- neta cl8 --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- neta m4 --check >/dev/null
 
-# Smoke: every registered target's product interpreter (fusion-compiled
-# program on the M4, block cache on the Ibex FC and a single RI5CY,
-# decode-cache bursts on the multi-core cluster) must be bit-identical
-# to the uncached reference on both evaluation networks, without
-# Criterion's timing cost.
+# Smoke: every registered target's product interpreter (the
+# fusion-compiled program on the M4; the per-PC RV32 op program on the
+# Ibex FC, a single RI5CY and, in horizon bursts, the multi-core cluster)
+# must be bit-identical to the uncached reference on both evaluation
+# networks, without Criterion's timing cost.
 cargo bench -q -p iw-bench --bench iss_bench -- --check >/dev/null
 
 # Smoke: the discrete-event fleet runner must produce bit-identical

@@ -3,14 +3,14 @@
 //! evaluation networks and all four paper targets.
 //!
 //! The product path is each target's own interpreter: the fusion-compiled
-//! program on the M4, the block cache on the Ibex FC and a single RI5CY,
-//! decode-cache horizon bursts on the multi-core cluster. The two paths
+//! program on the M4, and the per-PC RV32 op program on the Ibex FC, a
+//! single RI5CY and the multi-core cluster (horizon bursts). The two paths
 //! are timed **interleaved** — one sample of each per round — so the
 //! reported ratios are within-run and immune to clock drift. Results land
 //! in `BENCH_iss.json` at the repo root: per-target simulated Minstr/s for
 //! both paths, the product/reference speedup and the product path's
-//! dispatch statistics (mean burst, dispatches, gated breaks, block-cache
-//! hit rate). EXPERIMENTS.md records the derived table.
+//! dispatch statistics (mean burst, dispatches, gated breaks, and
+//! instructions per dispatched op). EXPERIMENTS.md records the derived table.
 //!
 //! `--check` skips all timing and instead asserts that the product path
 //! equals the reference for every registry target on both networks — the
@@ -80,12 +80,12 @@ impl RowResult {
         self.instructions as f64 / seconds / 1e6
     }
 
-    /// Block-cache hit rate, when the product path is block-compiled
-    /// (the M4 program is compiled once up front and never misses).
-    fn hit_rate(&self) -> Option<f64> {
+    /// Mean instructions per dispatched op of the fused program (RV32 op
+    /// program or M4 `BlockProgram`).
+    fn instrs_per_op(&self) -> Option<f64> {
         match (self.stats.rv32, self.stats.m4) {
-            (Some(rv), _) => Some(rv.hit_rate()),
-            (None, Some(_)) => Some(1.0),
+            (Some(rv), _) => Some(rv.avg_burst()),
+            (None, Some(m4)) => Some(m4.avg_burst()),
             (None, None) => None,
         }
     }
@@ -102,9 +102,10 @@ fn bench() {
         println!("== iss_throughput/{name} ==");
         let mut rows: Vec<RowResult> = Vec::new();
         for target in FixedTarget::paper_targets() {
-            // Deployment (kernel emission, assembly, block compilation,
-            // weight image) happens once, outside the timed region: the
-            // bench measures simulator throughput, not code generation.
+            // Deployment (kernel emission, assembly, the M4's program
+            // compilation, weight image) happens once, outside the timed
+            // region: the bench measures simulator throughput, not code
+            // generation. The RV32 op programs translate inside each run.
             let prep = PreparedFixed::new(target, fixed, qin).expect("deploys");
             let reference = prep.run_uncached().expect("target runs");
             let (product, stats) = prep.run_stats().expect("target runs");
@@ -146,8 +147,8 @@ fn bench() {
                 .add(row.instructions);
             reg.gauge("iss_product_avg_burst", &labels)
                 .set(row.stats.avg_burst);
-            if let Some(hit) = row.hit_rate() {
-                reg.gauge("iss_block_hit_rate", &labels).set(hit);
+            if let Some(per_op) = row.instrs_per_op() {
+                reg.gauge("iss_product_instrs_per_op", &labels).set(per_op);
             }
             rows.push(row);
         }
@@ -157,11 +158,11 @@ fn bench() {
             json_str(name)
         ));
         for (ri, row) in rows.iter().enumerate() {
-            let hit = row.hit_rate().map_or(String::new(), |hit| {
-                format!(",\n          \"block_hit_rate\": {hit:.4}")
+            let per_op = row.instrs_per_op().map_or(String::new(), |per_op| {
+                format!(",\n          \"instrs_per_op\": {per_op:.4}")
             });
             out.push_str(&format!(
-                "        {{\n          \"target\": {target},\n          \"instructions\": {instructions},\n          \"minstr_per_s\": {{\"reference\": {rm:.3}, \"product\": {pm:.3}}},\n          \"speedup_product_vs_reference\": {x:.3},\n          \"avg_burst\": {burst:.4},\n          \"dispatches\": {dispatches},\n          \"gated_breaks\": {gated}{hit}\n        }}{comma}\n",
+                "        {{\n          \"target\": {target},\n          \"instructions\": {instructions},\n          \"minstr_per_s\": {{\"reference\": {rm:.3}, \"product\": {pm:.3}}},\n          \"speedup_product_vs_reference\": {x:.3},\n          \"avg_burst\": {burst:.4},\n          \"dispatches\": {dispatches},\n          \"gated_breaks\": {gated}{per_op}\n        }}{comma}\n",
                 target = json_str(&row.target),
                 instructions = row.instructions,
                 rm = row.minstr(row.reference_s),

@@ -104,9 +104,10 @@ fn main() {
 }
 
 /// Dispatch report for one target's product path: burst length, how many
-/// multi-core bursts the runner-up gate cut short, and the block-level
-/// counters (fusion sites per pattern, dispatch-loop exit reasons) when
-/// the path is block-compiled.
+/// multi-core bursts the runner-up gate cut short, and, on the RV32
+/// targets, the op program's counters (ops dispatched, instructions per
+/// op, fused executions per pattern, translations and code-store
+/// re-decodes).
 fn print_product_stats(prep: &PreparedFixed) {
     let (_, s) = prep.run_stats().expect("runs");
     println!(
@@ -115,22 +116,20 @@ fn print_product_stats(prep: &PreparedFixed) {
     );
     if let Some(r) = s.rv32 {
         println!(
-            "  blocks: compiled={} hit_rate={:.4}",
-            r.blocks_compiled,
-            r.hit_rate()
+            "  program: ops={} instrs/op={:.3} translations={} redecodes={}",
+            r.dispatches,
+            r.avg_burst(),
+            r.translations,
+            r.redecodes
         );
         println!(
-            "  fusion sites: lp+lp+sdotsp={} lp+lp={} lp+sdotsp={} lp+mac={} mul+srai+add={} addi+branch={}",
+            "  fused execs: lp+lp+sdotsp={} lp+lp={} lp+sdotsp={} lp+mac={} mul+srai+add={} addi+branch={}",
             r.fused_lp_lp_sdotsp,
             r.fused_lp_lp,
             r.fused_lp_sdotsp,
             r.fused_lp_mac,
             r.fused_mul_srai_add,
             r.fused_addi_branch
-        );
-        println!(
-            "  dispatch exits: fallthrough={} redirect={} halt={} smc={} fallback_steps={} demotions={}",
-            r.exit_fallthrough, r.exit_redirect, r.exit_halt, r.exit_smc, r.fallback_steps, r.demotions
         );
     }
     if let Some(m) = s.m4 {

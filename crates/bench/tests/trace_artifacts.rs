@@ -80,9 +80,10 @@ fn m4_trace_has_code_track_and_soc_counter() {
 fn recording_does_not_perturb_the_run() {
     // The iss_bench measurement path is PreparedFixed::run with the
     // NoopSink monomorphized in; the sink must be compile-time disabled
-    // and the recorded run observationally identical. On the single-core
+    // and the recorded run observationally identical. On the M4 and Ibex
     // rows the two take different interpreters: recording runs the
-    // instrumented pre-decoded loop, `run()` the block-compiled one.
+    // instrumented pre-decoded loop, `run()` the fused op program; the
+    // cluster rows record through the product burst itself.
     const { assert!(!NoopSink::ENABLED) };
     let [(_, _, fixed, qin), _] = iw_bench::evaluation_nets();
     for id in ["m4", "ibex", "riscy", "cluster8"] {

@@ -18,14 +18,15 @@
 //! | Target | Product path |
 //! |---|---|
 //! | Cortex-M4 | fusion-compiled `BlockProgram`, built at deploy time |
-//! | Ibex FC | RISC-V block cache |
-//! | single RI5CY | single-core block burst |
-//! | multi-core cluster | decode-cache horizon bursts |
+//! | Ibex FC | per-PC RV32 op program (`iw_rv32::Program`), translated per run |
+//! | single RI5CY | the same op program, one burst with no horizon |
+//! | multi-core cluster | the same op program, horizon bursts |
 //!
 //! [`ExecPath::Reference`] is the frozen per-instruction interpreter. The
 //! two are bit- and cycle-identical by the conformance tests. Recorded
 //! runs ([`Deployment::run_recorded`]) use the instrumented pre-decoded
-//! loops, which are identical to both.
+//! loops on the M4 and the Ibex and the product burst, one instruction
+//! per dispatch, on the cluster; all are identical to both.
 //!
 //! The target list itself is data: [`registry`] returns one row per
 //! registered backend (the four paper columns, the A2 Xpulp ablation
@@ -53,7 +54,7 @@
 //! ```
 
 use iw_armv7m::{M4Error, ThumbInstr};
-use iw_mrwolf::memmap::{L2_BASE, L2_SIZE, TCDM_BASE, TCDM_SIZE};
+use iw_mrwolf::memmap::{L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE};
 use iw_mrwolf::{ClusterConfig, ClusterError, ClusterRun, FcRun, MrWolf, OperatingPoint, WolfMode};
 use iw_nrf52::{Nrf52, FLASH_BASE, FLASH_SIZE, RAM_BASE, RAM_SIZE};
 use iw_rv32::asm::AsmError;
@@ -168,9 +169,9 @@ pub struct ProductStats {
     /// [`iw_mrwolf::SchedStats::gated_breaks`]); 0 on single-core
     /// targets.
     pub gated_breaks: u64,
-    /// RISC-V block-cache counters (per-pattern fusion sites,
-    /// dispatch-loop exits), when the product path is the block cache.
-    pub rv32: Option<iw_rv32::BlockStats>,
+    /// RV32 op-program counters (ops dispatched, fused executions per
+    /// pattern, code-store re-decodes) on every Mr. Wolf target.
+    pub rv32: Option<iw_rv32::ProgramStats>,
     /// M4 fusion counters (per-pattern executed superinstructions), when
     /// the target is the Cortex-M4.
     pub m4: Option<iw_armv7m::FusedStats>,
@@ -332,8 +333,9 @@ pub trait Deployment {
     /// Simulates one run-to-halt with `rec` recording the full timeline:
     /// execution tracks and PC samples from the backend, the workload's
     /// symbol table, the machine clock, and end-of-run energy counters on
-    /// an `soc` track. The block-compiled product paths take no sink, so
-    /// backends record through their instrumented pre-decoded loops; the
+    /// an `soc` track. The single-core fused programs take no sink, so
+    /// the M4 and the Ibex record through their instrumented pre-decoded
+    /// loops; the cluster records through its product burst. The
     /// recorded run is observationally identical to [`Deployment::run`].
     ///
     /// The default implementation records nothing (backends opt in).
@@ -520,12 +522,12 @@ pub fn wolf_layout(fp: &WorkloadFootprint) -> Result<(DataLayout, bool), Machine
     let weights_base = if weights_in_tcdm {
         TCDM_BASE + fp.buf_bytes as u32
     } else {
-        L2_BASE + 0x2_0000 // program region is the first 128 kB of L2
+        L2_BASE + PROGRAM_SIZE as u32 // behind the program region
     };
-    if !weights_in_tcdm && fp.weight_bytes > L2_SIZE - 0x2_0000 {
+    if !weights_in_tcdm && fp.weight_bytes > L2_SIZE - PROGRAM_SIZE {
         return Err(MachineError::DoesNotFit {
             required: fp.weight_bytes,
-            available: L2_SIZE - 0x2_0000,
+            available: L2_SIZE - PROGRAM_SIZE,
         });
     }
     Ok((
@@ -640,7 +642,12 @@ impl Machine for WolfMachine {
                 isa: "rv32",
             });
         };
-        assert!(program.len() < 0x2_0000, "program exceeds its L2 region");
+        if program.len() >= PROGRAM_SIZE {
+            return Err(MachineError::DoesNotFit {
+                required: program.len(),
+                available: PROGRAM_SIZE,
+            });
+        }
         let cfg = self.cfg.unwrap_or(ClusterConfig {
             cores: self.opts.cores,
             ..ClusterConfig::default()
@@ -756,14 +763,9 @@ impl Deployment for WolfDeployment {
         let mut wolf = self.staged_wolf(self.cfg);
         if self.on_fc {
             let (run, stats) = wolf.run_fc(L2_BASE, MAX_CYCLES)?;
-            let dispatches = stats.hits + stats.misses + stats.fallback_steps;
             let product = ProductStats {
-                dispatches,
-                avg_burst: if dispatches == 0 {
-                    1.0
-                } else {
-                    run.result.instructions as f64 / dispatches as f64
-                },
+                dispatches: stats.dispatches,
+                avg_burst: stats.avg_burst(),
                 gated_breaks: 0,
                 rv32: Some(stats),
                 m4: None,
@@ -775,7 +777,7 @@ impl Deployment for WolfDeployment {
                 dispatches: sched.picks,
                 avg_burst: sched.avg_burst(),
                 gated_breaks: sched.gated_breaks,
-                rv32: sched.block,
+                rv32: sched.program,
                 m4: None,
             };
             Ok((self.cluster_run(&wolf, run), product))
@@ -942,6 +944,66 @@ pub fn targets_in(group: TargetGroup) -> Vec<TargetEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A workload whose RV32 image is `bytes` long and does nothing else.
+    struct RawImage(usize);
+
+    impl Workload for RawImage {
+        fn name(&self) -> &'static str {
+            "raw-image"
+        }
+
+        fn footprint(&self) -> WorkloadFootprint {
+            WorkloadFootprint {
+                weight_bytes: 0,
+                buf_bytes: 0,
+            }
+        }
+
+        fn lower(&self, isa: &Isa, _: &DataLayout) -> Result<LoweredProgram, MachineError> {
+            match isa {
+                Isa::Rv32 { .. } => Ok(LoweredProgram::Rv32 {
+                    image: vec![0; self.0],
+                    symbols: Vec::new(),
+                }),
+                Isa::Thumb2 => Err(MachineError::Unsupported {
+                    workload: self.name(),
+                    isa: isa.name(),
+                }),
+            }
+        }
+
+        fn image(&self, _: &DataLayout) -> Vec<(u32, Vec<u8>)> {
+            Vec::new()
+        }
+
+        fn output_window(&self, layout: &DataLayout) -> (u32, usize) {
+            (layout.buf_base, 0)
+        }
+    }
+
+    #[test]
+    fn oversized_rv32_program_is_an_error_not_a_panic() {
+        for machine in [
+            WolfMachine::ibex(),
+            WolfMachine::riscy(),
+            WolfMachine::cluster(8),
+        ] {
+            for bytes in [PROGRAM_SIZE, PROGRAM_SIZE + 4096] {
+                let err = machine.deploy(&RawImage(bytes)).err();
+                assert!(
+                    matches!(
+                        err,
+                        Some(MachineError::DoesNotFit { required, available })
+                            if required == bytes && available == PROGRAM_SIZE
+                    ),
+                    "{}: {bytes} B: {err:?}",
+                    machine.name()
+                );
+            }
+            assert!(machine.deploy(&RawImage(PROGRAM_SIZE - 4)).is_ok());
+        }
+    }
 
     #[test]
     fn registry_ids_unique() {

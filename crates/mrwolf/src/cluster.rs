@@ -6,51 +6,44 @@
 //! The scheduler is an event loop: the core with the smallest local time
 //! steps next. With [`ClusterConfig::decode_cache`] enabled, each pick
 //! computes the *horizon* — the earliest instant any **other** runnable
-//! core can act — and then bursts the picked core through the shared
-//! [`DecodeCache`], memory instructions included, for as long as its
-//! local time stays strictly below that horizon. Bank and L2-port
-//! arbitration is applied inline with the same grant bookkeeping the
-//! scheduler uses, stores invalidate the decode cache, and halts,
-//! barrier arrivals, faults and the cycle budget break back to the
-//! scheduler exactly where the reference would act, so results are bit-
-//! and cycle-identical to the one-instruction-per-pick reference path
-//! (`decode_cache: false`).
+//! core can act — and then bursts the picked core through the ops of one
+//! shared per-PC [`Program`] (all cores run the same SPMD image, so every
+//! core dispatches slots its siblings already translated), memory
+//! instructions included, for as long as its local time stays strictly
+//! below that horizon. Past the horizon only ops whose first instruction
+//! touches no shared state (no data access, no halt) may continue; the
+//! first shared one ends the burst (a *gated break*), and a fused op stops
+//! inside itself rather than issue a second access at or past the
+//! horizon. Bank and L2-port arbitration is charged by the bus per access,
+//! at that access's own issue time, with the same grant bookkeeping the
+//! reference uses. Halts, barrier arrivals, faults and the cycle budget
+//! break back to the scheduler exactly where the reference would act, so
+//! results are bit- and cycle-identical to the one-instruction-per-pick
+//! reference path (`decode_cache: false`).
 //!
-//! # Single-core block bursts
-//!
-//! A single active core with no trace sink and memory timings of at
-//! least one cycle runs through compiled basic blocks from a
-//! [`BlockCache`] instead: fused Xpulp loop bodies (post-increment loads
-//! feeding MAC/SIMD chains, `addi`+branch tails) execute as one handler
-//! call. With no sibling there is no horizon to gate on and no
-//! arbitration stall to charge (see `single_core_block_burst`), so a
-//! barrier-free run is one pick. With siblings the decode-cache bursts stay:
-//! on the lockstep 8-core kernels nearly every burst ends at the next
-//! memory op, so compiled blocks would pay their dispatch overhead
-//! without amortising it.
+//! A single core with memory timings of at least one cycle runs the same
+//! burst with no horizon (there is no runner-up) and without arbitration:
+//! every grant reserves its bank or the L2 port for exactly one cycle and
+//! its next access issues at least one cycle later, so nothing can stall
+//! it. Only the L2 latency remap remains, and a barrier-free run is one
+//! pick. With a recording sink the burst dispatches each fused op's head
+//! instruction alone ([`Op::head`](iw_rv32::Op::head)), so every
+//! instruction gets its PC sample and stall spans.
 //!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
 //! coherence either (the fetch path models a warm shared I-cache), so
 //! cross-core self-modifying code is already outside the modelled
-//! envelope; same-core self-modifying code is handled exactly via cache
-//! invalidation on stores.
+//! envelope; same-core self-modifying code is exact: a store into
+//! translated code drops the slots it rewrites before the next dispatch.
 
 use iw_rv32::{
-    Block, BlockCache, BlockStats, Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, Instr,
-    MemWidth, Ram, Reg, Timing,
+    Bus, BusError, Cpu, CpuError, ExecProfile, MemWidth, Program, ProgramStats, Ram, Reg, Timing,
 };
 
 use iw_trace::{NoopSink, TraceSink, TrackId, CYCLES};
-use std::rc::Rc;
 
-use crate::memmap::{region_of, Region, BARRIER_ADDR};
-
-/// Size of the pre-decode window starting at the cluster entry point.
-/// 64 KiB comfortably covers the kernel images this model runs while
-/// bounding the per-run allocation; out-of-window code still executes,
-/// just without pre-decoding.
-const DECODE_WINDOW: u32 = 64 * 1024;
+use crate::memmap::{region_of, Region, BARRIER_ADDR, PROGRAM_SIZE};
 
 /// Cluster configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,10 +65,10 @@ pub struct ClusterConfig {
     pub offload_cycles: u64,
     /// Core timing model.
     pub timing: Timing,
-    /// Run the product path: decode-cache horizon bursts, or compiled
-    /// block bursts on a single core (see the module docs). Results are
-    /// identical to the reference event loop. Disable to force the
-    /// one-instruction-per-pick reference interpreter.
+    /// Run the product path: horizon bursts over the per-PC op program
+    /// (see the module docs). Results are identical to the reference
+    /// event loop. Disable to force the one-instruction-per-pick
+    /// reference interpreter.
     pub decode_cache: bool,
 }
 
@@ -182,8 +175,9 @@ pub struct SchedStats {
     /// past the runner-up core's. The dominant burst terminator on
     /// memory-bound multi-core workloads.
     pub gated_breaks: u64,
-    /// Block-cache counters, when the single-core block burst ran.
-    pub block: Option<BlockStats>,
+    /// Op-program counters (ops dispatched, fused executions per
+    /// pattern, code-store re-decodes), when the product path ran.
+    pub program: Option<ProgramStats>,
 }
 
 impl SchedStats {
@@ -198,12 +192,59 @@ impl SchedStats {
 }
 
 /// Routes cluster-core accesses to TCDM / L2 / the event unit, recording
-/// which region the last data access hit.
+/// which region the last data access hit. Timed accesses (the product
+/// path) also charge the memory system: the L2 latency and, when
+/// `arbitrate` is set, bank and L2-port stalls at the access's issue time.
 struct ClusterBus<'a> {
     tcdm: &'a mut Ram,
     l2: &'a mut Ram,
     last_region: Option<Region>,
     barrier_arrived: bool,
+    arbitrate: bool,
+    l2_latency: u32,
+    bank_free: Vec<u64>,
+    l2_free: u64,
+    /// Stall cycles charged by timed accesses, all cores.
+    tcdm_stalls: u64,
+    l2_stalls: u64,
+}
+
+impl ClusterBus<'_> {
+    /// Cost of a TCDM access issued at `at`: bank-conflict stall plus the
+    /// instruction's base cost.
+    #[inline(always)]
+    fn tcdm_cost(&mut self, addr: u32, base: u32, at: u64) -> u32 {
+        if !self.arbitrate {
+            return base;
+        }
+        let (word, banks) = ((addr >> 2) as usize, self.bank_free.len());
+        // Same bank as `word % banks`, without a division on the usual
+        // power-of-two bank counts.
+        let bank = if banks.is_power_of_two() {
+            word & (banks - 1)
+        } else {
+            word % banks
+        };
+        let grant = at.max(self.bank_free[bank]);
+        let stall = grant - at;
+        self.bank_free[bank] = grant + 1;
+        self.tcdm_stalls += stall;
+        (stall + u64::from(base)) as u32
+    }
+
+    /// Cost of an L2 access issued at `at`: port stall plus the L2
+    /// latency (which replaces the instruction's base cost).
+    #[inline(always)]
+    fn l2_cost(&mut self, at: u64) -> u32 {
+        if !self.arbitrate {
+            return self.l2_latency;
+        }
+        let grant = at.max(self.l2_free);
+        let stall = grant - at;
+        self.l2_free = grant + 1;
+        self.l2_stalls += stall;
+        (stall + u64::from(self.l2_latency)) as u32
+    }
 }
 
 impl Bus for ClusterBus<'_> {
@@ -249,6 +290,54 @@ impl Bus for ClusterBus<'_> {
             _ => Err(BusError { addr, write: false }),
         }
     }
+
+    #[inline(always)]
+    fn load_timed(
+        &mut self,
+        addr: u32,
+        width: MemWidth,
+        base: u32,
+        at: u64,
+    ) -> Result<(u32, u32), BusError> {
+        match region_of(addr) {
+            Some(Region::Tcdm) => {
+                let v = self.tcdm.load(addr, width)?;
+                Ok((v, self.tcdm_cost(addr, base, at)))
+            }
+            Some(Region::L2) => {
+                let v = self.l2.load(addr, width)?;
+                Ok((v, self.l2_cost(at)))
+            }
+            _ => Err(BusError { addr, write: false }),
+        }
+    }
+
+    #[inline(always)]
+    fn store_timed(
+        &mut self,
+        addr: u32,
+        width: MemWidth,
+        value: u32,
+        base: u32,
+        at: u64,
+    ) -> Result<u32, BusError> {
+        match region_of(addr) {
+            Some(Region::Tcdm) => {
+                self.tcdm.store(addr, width, value)?;
+                Ok(self.tcdm_cost(addr, base, at))
+            }
+            Some(Region::L2) => {
+                self.l2.store(addr, width, value)?;
+                Ok(self.l2_cost(at))
+            }
+            Some(Region::EventUnit) if addr == BARRIER_ADDR => {
+                // Event-unit store: base store cost only.
+                self.barrier_arrived = true;
+                Ok(base)
+            }
+            _ => Err(BusError { addr, write: true }),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,7 +369,7 @@ pub fn run_cluster(
 }
 
 /// [`run_cluster`] that also reports scheduler statistics (picks, burst
-/// length, block-cache counters) alongside the run.
+/// length, op-program counters) alongside the run.
 ///
 /// # Errors
 ///
@@ -329,140 +418,6 @@ pub fn run_cluster_sink<S: TraceSink>(
     run_cluster_inner(cfg, tcdm, l2, entry, max_cycles, sink, &mut sched)
 }
 
-/// Block-burst dispatch loop for a single-core cluster with no trace
-/// sink attached.
-///
-/// With one core the burst horizon is infinite — there is no runner-up
-/// pick — and when every memory instruction costs at least one cycle the
-/// one-access-per-cycle TCDM banks and the L2 port can never stall it:
-/// each grant reserves its resource for exactly one cycle and the next
-/// access issues at least one cycle later (a fused second access trails
-/// its leader by the leader's ≥ 1-cycle memory cost). Both the horizon
-/// gate and the bank/port arbitration therefore drop out of the dispatch
-/// loop; only the L2 latency remap survives. The caller checks the
-/// preconditions ([`ClusterConfig::timing`] load/store and
-/// [`ClusterConfig::l2_latency`] all ≥ 1), and the differential suites
-/// hold this loop bit-identical to the reference pick loop.
-fn single_core_block_burst<'m>(
-    bc: &mut BlockCache<ClusterBus<'m>>,
-    cpu: &mut Cpu,
-    bus: &mut ClusterBus<'m>,
-    cfg: &ClusterConfig,
-    run: &mut ClusterRun,
-    t: u64,
-    max_cycles: u64,
-) -> Result<(u64, u64, bool, bool), ClusterError> {
-    let mut done_at = t;
-    let mut retired = 0u64;
-    let mut halted = false;
-    let mut barrier = false;
-    // Most-recently-entered block: hardware-loop back edges re-enter the
-    // same block every iteration, so the entry compare serves the common
-    // case without touching the slot table. Any demotion clears it.
-    let mut mru: Option<Rc<Block<ClusterBus<'m>>>> = None;
-    'burst: loop {
-        let pc = cpu.pc();
-        if !bc.covers(pc) {
-            // Out-of-window code: plain reference steps.
-            let step = cpu
-                .step(bus, &cfg.timing)
-                .map_err(|source| ClusterError::Core { core: 0, source })?;
-            let Some(step) = step else {
-                break;
-            };
-            let mut cost = u64::from(step.cycles);
-            if let Some(mem) = step.mem {
-                if mem.write && bc.invalidate_store(mem.addr, mem.width) {
-                    mru = None;
-                }
-                if region_of(mem.addr) == Some(Region::L2) {
-                    cost = u64::from(cfg.l2_latency);
-                }
-            }
-            run.busy_cycles += cost;
-            done_at += cost;
-            retired += 1;
-            bc.stats_mut().fallback_steps += 1;
-            if step.halted {
-                halted = true;
-                break;
-            }
-            if bus.barrier_arrived {
-                barrier = true;
-                break;
-            }
-            if done_at > max_cycles {
-                return Err(ClusterError::CycleLimit { limit: max_cycles });
-            }
-            continue 'burst;
-        }
-        let block = match &mru {
-            Some(b) if b.entry() == pc => {
-                bc.stats_mut().hits += 1;
-                Rc::clone(b)
-            }
-            _ => {
-                let b = bc
-                    .lookup(bus, pc)
-                    .map_err(|source| ClusterError::Core { core: 0, source })?;
-                mru = Some(Rc::clone(&b));
-                b
-            }
-        };
-        let (b_entry, b_end) = (block.entry(), block.end());
-        let mut j = 0;
-        while j < block.len() {
-            if cpu.pc() != block.op_pc(j) {
-                // Hardware-loop redirect or partial fused op: re-enter
-                // through a fresh lookup.
-                break;
-            }
-            let budget = max_cycles.saturating_sub(done_at);
-            let exec = block
-                .exec_op(j, cpu, bus, &cfg.timing, budget)
-                .map_err(|source| ClusterError::Core { core: 0, source })?;
-            let mut cost = u64::from(exec.cycles);
-            let mut smc = false;
-            for (mem, mem_cycles) in [(exec.mem, exec.mem_cycles), (exec.mem2, exec.mem2_cycles)] {
-                let Some(mem) = mem else { continue };
-                if mem.write {
-                    if bc.invalidate_store(mem.addr, mem.width) {
-                        mru = None;
-                    }
-                    let span = u64::from(mem.width.bytes());
-                    if u64::from(mem.addr) + span > u64::from(b_entry) && mem.addr < b_end {
-                        smc = true;
-                    }
-                }
-                if region_of(mem.addr) == Some(Region::L2) {
-                    cost = cost - u64::from(mem_cycles) + u64::from(cfg.l2_latency);
-                }
-            }
-            run.busy_cycles += cost;
-            done_at += cost;
-            retired += u64::from(exec.retired);
-            if cpu.is_halted() {
-                halted = true;
-                break 'burst;
-            }
-            if bus.barrier_arrived {
-                barrier = true;
-                break 'burst;
-            }
-            if done_at > max_cycles {
-                return Err(ClusterError::CycleLimit { limit: max_cycles });
-            }
-            if smc {
-                // The store rewrote this block's own bytes: drop the
-                // stale translation and recompile on re-entry.
-                break;
-            }
-            j += 1;
-        }
-    }
-    Ok((done_at, retired, halted, barrier))
-}
-
 fn run_cluster_inner<S: TraceSink>(
     cfg: &ClusterConfig,
     tcdm: &mut Ram,
@@ -491,13 +446,15 @@ fn run_cluster_inner<S: TraceSink>(
     let mut ready_at = vec![0u64; n];
     // Scheduler keys: `time << 3 | core_id` for Running cores (so one
     // branchless min pass yields both the pick and the tie-break by id),
-    // `u64::MAX` otherwise. Times stay far below 2^61 for any simulatable
-    // budget, so the packing never overflows.
-    let mut ready_key: Vec<u64> = (0..n as u64).collect();
-    // Instruction already fetched for a core whose burst stopped at the
-    // horizon: consumed (it is that core's next instruction) at its next
-    // pick, skipping the cache lookup.
-    let mut pending: Vec<Option<Instr>> = vec![None; n];
+    // `u64::MAX` otherwise (and for the slots of cores not powered on).
+    // Times stay far below 2^61 for any simulatable budget, so the
+    // packing never overflows.
+    let mut ready_key = [u64::MAX; 8];
+    for (k, key) in ready_key.iter_mut().enumerate().take(n) {
+        *key = k as u64;
+    }
+    // Arbitration state of the reference path (the product path's lives
+    // in its bus).
     let mut bank_free = vec![0u64; cfg.tcdm_banks];
     let mut l2_free = 0u64;
     let mut arrived = vec![false; n];
@@ -525,28 +482,29 @@ fn run_cluster_inner<S: TraceSink>(
     };
     let mut busy_from = vec![0u64; n];
 
-    // One core with ≥ 1-cycle memory instructions can never stall on the
-    // banks or the L2 port and has no runner-up to gate its bursts:
-    // dispatch it through the arbitration-free block loop. A trace sink
-    // needs the instrumented loop, and custom zero-cost memory timings
-    // keep the arbitrated one so same-cycle grant collisions still stall.
-    let fast_single = cfg.decode_cache
-        && n == 1
-        && !S::ENABLED
-        && cfg.timing.load >= 1
-        && cfg.timing.store >= 1
-        && cfg.l2_latency >= 1;
-    let mut bcache = fast_single.then(|| BlockCache::<ClusterBus>::new(entry, DECODE_WINDOW, true));
-    // One decode cache shared by all cores: they run the same SPMD image,
-    // so every core hits lines its siblings already filled.
-    let mut cache =
-        (cfg.decode_cache && !fast_single).then(|| DecodeCache::new(entry, DECODE_WINDOW));
-
+    // One per-PC op program shared by all cores: they run the same SPMD
+    // image, so every core dispatches slots its siblings translated.
+    let mut program = cfg
+        .decode_cache
+        .then(|| Program::new(entry, PROGRAM_SIZE as u32, true));
     let mut bus = ClusterBus {
         tcdm,
         l2,
         last_region: None,
         barrier_arrived: false,
+        // One core with ≥ 1-cycle memory instructions can never stall on
+        // the banks or the L2 port (see the module docs); custom
+        // zero-cost memory timings keep arbitration so same-cycle grant
+        // collisions still stall.
+        arbitrate: !(n == 1
+            && cfg.timing.load >= 1
+            && cfg.timing.store >= 1
+            && cfg.l2_latency >= 1),
+        l2_latency: cfg.l2_latency,
+        bank_free: vec![0; cfg.tcdm_banks],
+        l2_free: 0,
+        tcdm_stalls: 0,
+        l2_stalls: 0,
     };
     loop {
         // Pick the runnable core with the smallest key (= smallest local
@@ -576,11 +534,9 @@ fn run_cluster_inner<S: TraceSink>(
         bus.barrier_arrived = false;
         sched.picks += 1;
 
-        let (done_at, retired, halted, barrier_arrived) = if let Some(bc) = &mut bcache {
-            single_core_block_burst(bc, &mut cpus[0], &mut bus, cfg, &mut run, t, max_cycles)?
-        } else if let Some(cache) = &mut cache {
-            // Fast path: horizon burst. Every other runnable core acts no
-            // earlier than `horizon` (the runner-up scheduler key), so
+        let (done_at, halted, barrier_arrived) = if let Some(prog) = &mut program {
+            // Product path: horizon burst. Every other runnable core acts
+            // no earlier than `horizon` (the runner-up scheduler key), so
             // while this core's local time stays strictly below it, the
             // scheduler could only ever pick this core again — run it
             // inline, memory arbitration included. `horizon` cannot move
@@ -588,93 +544,80 @@ fn run_cluster_inner<S: TraceSink>(
             // and barrier releases require this core's arrival (which ends
             // the burst).
             let horizon = m2 >> 3;
+            let cpu = &mut cpus[i];
             let mut done_at = t;
-            let mut retired = 0u64;
+            let mut first = true;
             let mut halted = false;
             let mut barrier = false;
             loop {
-                // The first instruction of a pick always runs (the
-                // reference runs it at this exact pick). Past the horizon,
-                // only instructions that cannot interact with the rest of
-                // the cluster may continue — non-memory, non-halting ones
-                // touch no shared state, so their interleaving with other
-                // cores is unobservable. Below the horizon everything may
-                // run: no other core can act before this one.
-                let first = retired == 0;
-                let pc = cpus[i].pc();
-                let instr = match pending[i].take() {
-                    Some(instr) => instr,
-                    None => match cache.fetch_decode(&mut bus, pc) {
-                        Ok(instr) => instr,
-                        Err(source) if first => {
-                            return Err(ClusterError::Core { core: i, source });
+                // The first op of a pick always runs (the reference runs
+                // its first instruction at this exact pick). Past the
+                // horizon, only ops whose first instruction cannot
+                // interact with the rest of the cluster may continue —
+                // non-memory, non-halting ones touch no shared state, so
+                // their interleaving with other cores is unobservable.
+                // Below the horizon everything may run: no other core can
+                // act before this one, so a fault there is the one the
+                // reference raises at this core's next pick.
+                let pc = cpu.pc();
+                if !first && done_at >= horizon {
+                    match prog.fetch(&mut bus, pc) {
+                        Ok(op) if op.is_shared() => {
+                            sched.gated_breaks += 1;
+                            break;
                         }
+                        Ok(_) => {}
                         // Re-raised through the pick path next time this
-                        // core is the minimum; a failed fetch mutates
-                        // nothing.
+                        // core is the minimum; a failed translation
+                        // mutates nothing.
                         Err(_) => break,
-                    },
-                };
-                if !first
-                    && done_at >= horizon
-                    && (instr.is_mem() || matches!(instr, Instr::Ecall | Instr::Ebreak))
-                {
-                    // Hand the already-decoded instruction to the next pick.
-                    sched.gated_breaks += 1;
-                    pending[i] = Some(instr);
-                    break;
+                    }
                 }
-                let (cycles, mem) = match cpus[i].execute(instr, pc, &mut bus, &cfg.timing) {
-                    Ok(x) => x,
-                    Err(source) if first => {
+                let (timing, room) = (&cfg.timing, horizon.saturating_sub(done_at));
+                let budget = max_cycles.saturating_sub(done_at);
+                // Read back by the recording sink only.
+                let stalls_before = (bus.tcdm_stalls, bus.l2_stalls);
+                let res = if S::ENABLED {
+                    // A recording sink samples every instruction: dispatch
+                    // the fused op's head instruction alone.
+                    prog.fetch(&mut bus, pc).and_then(|op| {
+                        prog.exec(op.head(), cpu, &mut bus, timing, done_at, budget, room)
+                    })
+                } else {
+                    prog.step(cpu, &mut bus, timing, done_at, budget, room)
+                };
+                let cost = match res {
+                    Ok(cost) => cost,
+                    Err(source) if first || done_at < horizon => {
                         return Err(ClusterError::Core { core: i, source });
                     }
-                    // A failed execute mutates no architectural state, so
-                    // the re-run at the next pick raises identically.
+                    // Past the horizon only non-memory ops run, and the
+                    // ones that can fail (a translation, an op through
+                    // `Cpu::execute`) fail before mutating anything, so the
+                    // re-run at the next pick raises identically.
                     Err(_) => break,
                 };
-                let mut cost = u64::from(cycles);
-                let mut stall = 0u64;
-                let mut stall_kind = "";
-                if let Some(mem) = mem {
-                    if mem.write {
-                        cache.invalidate_store(mem.addr, mem.width);
-                    }
-                    match region_of(mem.addr) {
-                        Some(Region::Tcdm) => {
-                            let bank = ((mem.addr >> 2) as usize) % cfg.tcdm_banks;
-                            let grant = done_at.max(bank_free[bank]);
-                            stall = grant - done_at;
-                            bank_free[bank] = grant + 1;
-                            run.tcdm_conflict_stalls += stall;
-                            cost = stall + u64::from(cycles);
-                            stall_kind = "tcdm-stall";
-                        }
-                        Some(Region::L2) => {
-                            let grant = done_at.max(l2_free);
-                            stall = grant - done_at;
-                            l2_free = grant + 1;
-                            run.l2_port_stalls += stall;
-                            cost = stall + u64::from(cfg.l2_latency);
-                            stall_kind = "l2-stall";
-                        }
-                        _ => {}
-                    }
-                }
-                run.busy_cycles += cost - stall;
                 if S::ENABLED {
+                    // One instruction, so at most one stalled access.
+                    let tcdm_stall = bus.tcdm_stalls - stalls_before.0;
+                    let stall = tcdm_stall + bus.l2_stalls - stalls_before.1;
                     if stall > 0 {
                         if done_at > busy_from[i] {
                             sink.span(core_tracks[i], "busy", busy_from[i], done_at);
                         }
-                        sink.span(core_tracks[i], stall_kind, done_at, done_at + stall);
+                        let kind = if tcdm_stall > 0 {
+                            "tcdm-stall"
+                        } else {
+                            "l2-stall"
+                        };
+                        sink.span(core_tracks[i], kind, done_at, done_at + stall);
                         busy_from[i] = done_at + stall;
                     }
                     sink.pc_sample(core_tracks[i], pc, done_at, cost as u32);
                 }
                 done_at += cost;
-                retired += 1;
-                if cpus[i].is_halted() {
+                first = false;
+                if cpu.is_halted() {
                     halted = true;
                     break;
                 }
@@ -694,7 +637,10 @@ fn run_cluster_inner<S: TraceSink>(
                     break;
                 }
             }
-            (done_at, retired, halted, barrier)
+            // Stalls included: the bus's stall totals come back out of
+            // the busy time once the run ends.
+            run.busy_cycles += done_at - t;
+            (done_at, halted, barrier)
         } else {
             // Reference path: exactly one instruction per pick.
             let step = cpus[i]
@@ -748,13 +694,10 @@ fn run_cluster_inner<S: TraceSink>(
                 }
                 sink.pc_sample(core_tracks[i], step.pc, t, cost as u32);
             }
-            (t + cost, 1, step.halted, barrier_arrived)
+            (t + cost, step.halted, barrier_arrived)
         };
 
-        run.instructions += retired;
-        sched.instructions += retired;
         ready_at[i] = done_at;
-        run.per_core_cycles[i] = done_at;
         ready_key[i] = (done_at << 3) | i as u64;
 
         if halted {
@@ -810,9 +753,16 @@ fn run_cluster_inner<S: TraceSink>(
 
     for cpu in &cpus {
         run.profile.merge(cpu.profile());
+        run.instructions += cpu.retired();
     }
+    sched.instructions = run.instructions;
+    // Every core ran to its halt, so its ready time is its completion.
+    run.per_core_cycles = ready_at;
+    run.tcdm_conflict_stalls += bus.tcdm_stalls;
+    run.l2_port_stalls += bus.l2_stalls;
+    run.busy_cycles -= bus.tcdm_stalls + bus.l2_stalls;
     run.cycles = run.per_core_cycles.iter().copied().max().unwrap_or(0) + cfg.offload_cycles;
-    sched.block = bcache.as_ref().map(|c| c.stats());
+    sched.program = program.as_ref().map(Program::stats);
     Ok(run)
 }
 
@@ -823,6 +773,7 @@ mod tests {
     use super::*;
     use crate::memmap::{L2_BASE, L2_SIZE, TCDM_BASE, TCDM_SIZE};
     use iw_rv32::{asm::Asm, MemWidth};
+    use proptest::prelude::*;
 
     fn fresh_mems() -> (Ram, Ram) {
         (Ram::new(TCDM_BASE, TCDM_SIZE), Ram::new(L2_BASE, L2_SIZE))
@@ -1087,8 +1038,11 @@ mod tests {
                 sched_fast.avg_burst(),
                 sched_ref.avg_burst()
             );
-            // Only the single core runs compiled blocks.
-            assert_eq!(sched_fast.block.is_some(), cores == 1, "cores={cores}");
+            // Every core count dispatches the op program; the reference
+            // translates nothing.
+            let prog = sched_fast.program.expect("product path");
+            assert_eq!(prog.instructions, run_fast.instructions, "cores={cores}");
+            assert!(sched_ref.program.is_none(), "cores={cores}");
         }
         let (run_ref, _, _) = run_with(&image, 8, "reference");
         assert!(
@@ -1120,9 +1074,11 @@ mod tests {
         let (run_ref, _, _) = run_with(&image, 1, "reference");
         let (run_fast, sched, _) = run_with(&image, 1, "cached");
         assert_eq!(run_fast, run_ref);
-        // With no sibling to wait for, the whole run is one pick.
-        let stats = sched.block.unwrap();
-        assert!(stats.fused_lp_lp_sdotsp > 0, "{stats:?}");
+        // With no sibling to wait for, the whole run is one pick, and
+        // every one of the 8 loop iterations is one fused dispatch.
+        let stats = sched.program.unwrap();
+        assert_eq!(stats.fused_lp_lp_sdotsp, 8, "{stats:?}");
+        assert_eq!(stats.instructions, run_fast.instructions);
         assert_eq!(sched.picks, 1);
     }
 
@@ -1212,6 +1168,230 @@ mod tests {
                 ClusterError::CycleLimit { limit: 1_000 },
                 "cores={cores} cache={decode_cache}"
             );
+        }
+    }
+
+    /// One fragment of a random SPMD test program. Every core runs the
+    /// same fragments with core-independent control flow, so barriers
+    /// always pair up.
+    #[derive(Debug, Clone)]
+    enum Frag {
+        /// ALU op over the temporaries (`addi`, `add`, `mul`, `srai`).
+        Alu(u8, u8, u8, i16),
+        /// `p.lw` through cursor `c` (two private TCDM streams or L2).
+        LoadPost(u8, u8),
+        /// Two `p.lw` back to back (a fused pair; both may hit L2).
+        LoadPair(u8, u8),
+        /// `p.sw` through the core's private store cursor.
+        StorePost(u8),
+        /// `lw`/`sw` on one of eight shared TCDM words: bank conflicts and
+        /// cross-core races.
+        Shared(bool, u8, u8),
+        /// `lw` from the shared L2 data block: port stalls.
+        L2Load(u8, u8),
+        /// Hardware loop over `p.lw`/`p.lw`/`pv.sdotsp.h`.
+        Dot(u8),
+        /// `p.lw` + `p.mac`.
+        LoadMac,
+        /// `mul` + `srai` + `add`.
+        Requant(u8),
+        /// Counted `addi` + `bne` loop.
+        CountLoop(u8),
+        /// Event-unit barrier.
+        Barrier,
+        /// Store over the `add` of the fused op at the top of the body,
+        /// which every core executes again on the second pass. Barriers
+        /// on both sides keep every core's first-pass execution before
+        /// any store and its second pass after all of them.
+        CodeStore,
+        /// Load from an unmapped address (inserted by the property, not
+        /// drawn, so most programs run to completion).
+        Fault,
+    }
+
+    fn any_frag() -> impl Strategy<Value = Frag> {
+        let alu = || {
+            (0u8..4, 0u8..6, 0u8..6, -64i16..64).prop_map(|(op, d, s, k)| Frag::Alu(op, d, s, k))
+        };
+        let shared = || (any::<bool>(), 0u8..8, 0u8..6).prop_map(|(w, k, r)| Frag::Shared(w, k, r));
+        // Uniform over the arms: ALU and shared-word arms appear twice.
+        prop_oneof![
+            alu(),
+            alu(),
+            (0u8..3, 0u8..6).prop_map(|(c, d)| Frag::LoadPost(c, d)),
+            (0u8..3, 0u8..3).prop_map(|(a, b)| Frag::LoadPair(a, b)),
+            (0u8..6).prop_map(Frag::StorePost),
+            shared(),
+            shared(),
+            (0u8..8, 0u8..6).prop_map(|(k, d)| Frag::L2Load(k, d)),
+            (1u8..6).prop_map(Frag::Dot),
+            Just(Frag::LoadMac),
+            (0u8..6).prop_map(Frag::Requant),
+            (1u8..5).prop_map(Frag::CountLoop),
+            Just(Frag::Barrier),
+            Just(Frag::CodeStore),
+        ]
+    }
+
+    const L2_DATA: u32 = L2_BASE + 0x8000;
+
+    /// Assembles `frags` with the shared prologue into a body that runs
+    /// twice, headed by a fused `mul`/`srai`/`add` whose `add` the code
+    /// stores patch into a `sub`; `target` is that `add`'s address (two
+    /// passes: the first learns it).
+    fn build_random(frags: &[Frag], target: u32) -> (Vec<u8>, u32) {
+        use iw_rv32::{encode, AluOp, Instr, LoopIdx, ShiftOp, SimdOp};
+        let t = [Reg::T0, Reg::T1, Reg::T2, Reg::T3, Reg::T4, Reg::T5];
+        // Private TCDM streams (per core), the L2 stream (shared).
+        let cursors = [Reg::S0, Reg::S7, Reg::S2];
+        let mut asm = Asm::new(L2_BASE);
+        asm.slli(Reg::T6, Reg::A0, 10);
+        for (cur, base) in [
+            (Reg::S0, TCDM_BASE + 0x1000),
+            (Reg::S7, TCDM_BASE + 0x3000),
+            (Reg::S3, TCDM_BASE + 0x5000),
+        ] {
+            asm.li(cur, base as i32);
+            asm.add(cur, cur, Reg::T6);
+        }
+        asm.li(Reg::S1, TCDM_BASE as i32);
+        asm.li(Reg::S2, L2_DATA as i32);
+        asm.li(Reg::S4, BARRIER_ADDR as i32);
+        asm.li(Reg::S5, target as i32);
+        let patch = Instr::Alu {
+            op: AluOp::Sub,
+            rd: Reg::T3,
+            rs1: Reg::T0,
+            rs2: Reg::T1,
+        };
+        asm.li(Reg::S6, encode(&patch).unwrap() as i32);
+        asm.li(Reg::S8, 2);
+        let body = asm.here();
+        asm.alu(AluOp::Mul, Reg::T0, Reg::T1, Reg::T2);
+        asm.shift(ShiftOp::Srai, Reg::T0, Reg::T0, 3);
+        let add_at = asm.current_addr();
+        asm.add(Reg::T3, Reg::T0, Reg::T1);
+        for f in frags {
+            match *f {
+                Frag::Alu(op, d, s, k) => {
+                    let (d, s) = (t[d as usize], t[s as usize]);
+                    match op {
+                        0 => asm.addi(d, s, i32::from(k)),
+                        1 => asm.add(d, d, s),
+                        2 => asm.mul(d, d, s),
+                        _ => asm.srai(d, s, (k & 31) as u8),
+                    }
+                }
+                Frag::LoadPost(c, d) => {
+                    asm.load_post(MemWidth::W, t[d as usize], cursors[c as usize], 4);
+                }
+                Frag::LoadPair(a, b) => {
+                    asm.load_post(MemWidth::W, Reg::T0, cursors[a as usize], 4);
+                    asm.load_post(MemWidth::W, Reg::T1, cursors[b as usize], 4);
+                }
+                Frag::StorePost(r) => asm.store_post(MemWidth::W, t[r as usize], Reg::S3, 4),
+                Frag::Shared(write, k, r) => {
+                    let off = 4 * i32::from(k);
+                    if write {
+                        asm.sw(t[r as usize], Reg::S1, off);
+                    } else {
+                        asm.lw(t[r as usize], Reg::S1, off);
+                    }
+                }
+                Frag::L2Load(k, d) => asm.lw(t[d as usize], Reg::S2, 4 * i32::from(k)),
+                Frag::Dot(n) => {
+                    asm.li(Reg::T4, i32::from(n));
+                    let end = asm.new_label();
+                    asm.lp_setup_to(LoopIdx::L0, Reg::T4, end);
+                    asm.load_post(MemWidth::W, Reg::T0, Reg::S0, 4);
+                    asm.load_post(MemWidth::W, Reg::T1, Reg::S7, 4);
+                    asm.simd(SimdOp::SdotspH, Reg::T2, Reg::T0, Reg::T1);
+                    asm.bind(end);
+                }
+                Frag::LoadMac => {
+                    asm.load_post(MemWidth::W, Reg::T0, Reg::S0, 4);
+                    asm.mac(Reg::T2, Reg::T0, Reg::T1);
+                }
+                Frag::Requant(d) => {
+                    asm.mul(Reg::T5, Reg::T2, Reg::T1);
+                    asm.shift(ShiftOp::Srai, Reg::T5, Reg::T5, 5);
+                    asm.add(t[d as usize], Reg::T5, Reg::T0);
+                }
+                Frag::CountLoop(n) => {
+                    asm.li(Reg::T5, i32::from(n));
+                    let top = asm.here();
+                    asm.addi(Reg::T5, Reg::T5, -1);
+                    asm.bne_to(Reg::T5, Reg::ZERO, top);
+                }
+                Frag::Barrier => asm.sw(Reg::ZERO, Reg::S4, 0),
+                Frag::CodeStore => {
+                    asm.sw(Reg::ZERO, Reg::S4, 0);
+                    asm.sw(Reg::S6, Reg::S5, 0);
+                    asm.sw(Reg::ZERO, Reg::S4, 0);
+                }
+                Frag::Fault => asm.lw(Reg::T0, Reg::ZERO, 0),
+            }
+        }
+        asm.addi(Reg::S8, Reg::S8, -1);
+        asm.bne_to(Reg::S8, Reg::ZERO, body);
+        asm.sw(Reg::T3, Reg::S3, 0);
+        asm.ecall();
+        (asm.assemble().unwrap(), add_at)
+    }
+
+    type Outcome = (Result<ClusterRun, ClusterError>, Vec<u8>, Vec<u8>);
+
+    fn run_random(image: &[u8], cores: usize, decode_cache: bool, limit: u64) -> Outcome {
+        let (mut tcdm, mut l2) = fresh_mems();
+        for w in 0..(TCDM_SIZE as u32 / 4) {
+            let v = w.wrapping_mul(0x9e37_79b9) ^ (w << 7);
+            tcdm.write_bytes(TCDM_BASE + 4 * w, &v.to_le_bytes());
+        }
+        for w in 0..1024u32 {
+            let v = w.wrapping_mul(0x85eb_ca6b) ^ 0x5bd1_e995;
+            l2.write_bytes(L2_DATA + 4 * w, &v.to_le_bytes());
+        }
+        l2.write_bytes(L2_BASE, image);
+        let cfg = ClusterConfig {
+            cores,
+            decode_cache,
+            ..ClusterConfig::default()
+        };
+        let res = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, limit);
+        // TCDM whole; L2: the code and the data block the loads touch.
+        let tcdm_bytes = tcdm.read_bytes(TCDM_BASE, TCDM_SIZE).to_vec();
+        let l2_bytes = l2.read_bytes(L2_BASE, 0x9000).to_vec();
+        (res, tcdm_bytes, l2_bytes)
+    }
+
+    proptest! {
+
+        /// Random SPMD programs on 1, 2 and 8 cores: the op-program
+        /// product path must reproduce the reference pick loop exactly —
+        /// `ClusterRun`, every TCDM word, the touched L2 words and errors
+        /// (faults, cycle limits) — through bank conflicts, L2 port
+        /// stalls, barriers, fused ops gated at the horizon and code
+        /// stores that rewrite a fused op every core already executed
+        /// and executes again.
+        #[test]
+        fn random_programs_match_reference(
+            mut frags in prop::collection::vec(any_frag(), 0..40),
+            fault_at in 0usize..120,
+            limit in prop_oneof![Just(1_000_000u64), Just(1_000_000u64), 20u64..3_000],
+        ) {
+            if fault_at < frags.len() {
+                frags.insert(fault_at, Frag::Fault);
+            }
+            let (_, target) = build_random(&frags, L2_BASE + 4);
+            let (image, add_at) = build_random(&frags, target);
+            prop_assert_eq!(add_at, target);
+            for cores in [1, 2, 8] {
+                let reference = run_random(&image, cores, false, limit);
+                let product = run_random(&image, cores, true, limit);
+                prop_assert_eq!(&product.0, &reference.0, "cores={}", cores);
+                prop_assert!(product.1 == reference.1, "cores={}: TCDM differs", cores);
+                prop_assert!(product.2 == reference.2, "cores={}: L2 differs", cores);
+            }
         }
     }
 }

@@ -14,6 +14,11 @@ pub const L2_BASE: u32 = 0x1C00_0000;
 /// Size of the L2 memory in bytes (512 kB on Mr. Wolf).
 pub const L2_SIZE: usize = 512 * 1024;
 
+/// Size of the program region at the start of L2: kernel images are
+/// assembled at [`L2_BASE`] and must end below `L2_BASE + PROGRAM_SIZE`,
+/// where the spilled weights begin.
+pub const PROGRAM_SIZE: usize = 128 * 1024;
+
 /// Event-unit MMIO: a word store to this address signals barrier arrival;
 /// the core then sleeps until every active core has arrived.
 pub const BARRIER_ADDR: u32 = 0x1020_0000;
@@ -42,6 +47,7 @@ pub enum Region {
 /// assert_eq!(region_of(0), None);
 /// ```
 #[must_use]
+#[inline]
 pub fn region_of(addr: u32) -> Option<Region> {
     if (TCDM_BASE..TCDM_BASE + TCDM_SIZE as u32).contains(&addr) {
         Some(Region::Tcdm)

@@ -2,14 +2,14 @@
 //! controller and the RI5CY cluster.
 
 use iw_rv32::{
-    BlockCache, BlockStats, Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, MemWidth, Ram,
+    Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, MemWidth, Program, ProgramStats, Ram,
     Reg, RunResult, Timing,
 };
 
 use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::cluster::{ClusterConfig, ClusterError, ClusterRun, SchedStats};
-use crate::memmap::{region_of, Region, L2_BASE, L2_SIZE, TCDM_BASE, TCDM_SIZE};
+use crate::memmap::{region_of, Region, L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE};
 
 /// Bus seen by the fabric controller: L2 and TCDM, no contention (the
 /// cluster is off while the FC computes in this model, as in the paper's
@@ -20,6 +20,7 @@ struct FcBus<'a> {
 }
 
 impl Bus for FcBus<'_> {
+    #[inline(always)]
     fn load(&mut self, addr: u32, width: MemWidth) -> Result<u32, BusError> {
         match region_of(addr) {
             Some(Region::Tcdm) => self.tcdm.load(addr, width),
@@ -28,6 +29,7 @@ impl Bus for FcBus<'_> {
         }
     }
 
+    #[inline(always)]
     fn store(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), BusError> {
         match region_of(addr) {
             Some(Region::Tcdm) => self.tcdm.store(addr, width, value),
@@ -134,29 +136,33 @@ impl MrWolf {
     }
 
     /// Runs a program on the Ibex fabric controller (RV32IM, cluster off)
-    /// until `ecall`, and returns the block-cache counters alongside.
+    /// until `ecall`, and returns the op-program counters alongside.
     ///
-    /// The FC stack pointer starts at the top of L2. Execution uses the
-    /// block-compiled path ([`Cpu::run_blocks`]): hot basic blocks are
-    /// translated once into flat handler arrays with superinstruction
-    /// fusion. Bit- and cycle-identical to the reference interpreter
-    /// ([`MrWolf::run_fc_uncached`]).
+    /// The FC stack pointer starts at the top of L2. Execution dispatches
+    /// a per-PC op program ([`Cpu::run_program`]): each static instruction
+    /// is translated once per run into a pre-resolved op, with
+    /// superinstruction fusion. Bit- and cycle-identical to the reference
+    /// interpreter ([`MrWolf::run_fc_uncached`]).
     ///
     /// # Errors
     ///
     /// Propagates [`CpuError`] (including the cycle limit).
-    pub fn run_fc(&mut self, entry: u32, max_cycles: u64) -> Result<(FcRun, BlockStats), CpuError> {
+    pub fn run_fc(
+        &mut self,
+        entry: u32,
+        max_cycles: u64,
+    ) -> Result<(FcRun, ProgramStats), CpuError> {
         let (mut cpu, mut bus) = self.fc(entry);
-        // The FC is alone on its bus; xpulp=false compiles Xpulp
+        // The FC is alone on its bus; xpulp=false translates Xpulp
         // encodings to faulting ops, as Ibex would.
-        let mut cache = BlockCache::new(entry, 64 * 1024, false);
-        let result = cpu.run_blocks(&mut bus, &Timing::ibex(), max_cycles, &mut cache)?;
+        let mut prog = Program::new(entry, PROGRAM_SIZE as u32, false);
+        let result = cpu.run_program(&mut bus, &Timing::ibex(), max_cycles, &mut prog)?;
         let run = FcRun {
             result,
             a0: cpu.reg(Reg::A0),
             profile: *cpu.profile(),
         };
-        Ok((run, cache.stats()))
+        Ok((run, prog.stats()))
     }
 
     /// Reference fabric-controller run: fetch-and-decode every dynamic
@@ -174,9 +180,9 @@ impl MrWolf {
     /// Fabric-controller run with an instrumentation sink attached; see
     /// [`iw_rv32::Cpu::run_cached_sink`] for the events emitted on
     /// `track`. The `decode_cache` flag selects the pre-decoded or the
-    /// reference interpreter (only the former emits events). The block
-    /// path of [`MrWolf::run_fc`] takes no sink, so recorded runs use the
-    /// pre-decoded loop, which is bit- and cycle-identical to it.
+    /// reference interpreter (only the former emits events). The op
+    /// program of [`MrWolf::run_fc`] takes no sink, so recorded runs use
+    /// the pre-decoded loop, which is bit- and cycle-identical to it.
     ///
     /// # Errors
     ///
@@ -255,7 +261,7 @@ impl MrWolf {
     }
 
     /// [`MrWolf::run_cluster`] that also reports scheduler statistics
-    /// (picks, average burst length, block-cache counters).
+    /// (picks, average burst length, op-program counters).
     ///
     /// # Errors
     ///
@@ -338,14 +344,18 @@ mod tests {
             wolf
         };
         let reference = fresh().run_fc_uncached(L2_BASE, 100_000).unwrap();
-        let (blocks, stats) = fresh().run_fc(L2_BASE, 100_000).unwrap();
-        assert_eq!(blocks, reference);
+        let (product, stats) = fresh().run_fc(L2_BASE, 100_000).unwrap();
+        assert_eq!(product, reference);
         let predecoded = fresh()
             .run_fc_sink(L2_BASE, 100_000, true, &mut NoopSink, TrackId::default())
             .unwrap();
         assert_eq!(predecoded, reference);
-        assert!(stats.fused_addi_branch > 0, "{stats:?}");
-        assert!(stats.hit_rate() > 0.9, "{stats:?}");
+        // Each of the 200 iterations dispatches add + fused addi/bne, and
+        // only the five op heads (li, li, add, addi/bne, ecall) translate.
+        assert_eq!(stats.fused_addi_branch, 200, "{stats:?}");
+        assert_eq!(stats.instructions, reference.result.instructions);
+        assert!(stats.avg_burst() > 1.4, "{stats:?}");
+        assert_eq!(stats.translations, 5, "{stats:?}");
     }
 
     #[test]

@@ -1,221 +1,289 @@
-//! Basic-block compilation with superinstruction fusion.
+//! Per-PC op program with superinstruction fusion.
 //!
-//! The [`DecodeCache`](crate::DecodeCache) path still pays one dispatch
-//! `match` plus cache lookup per *dynamic* instruction. This module moves
-//! translation to once per *static* basic block: blocks are keyed by
-//! entry PC, decoded straight from the bus into a flat array of
-//! pre-resolved [`Op`] entries (a handler function pointer plus
-//! immediates and register indices), and executed back to back with no
-//! per-step `Instr` match. On top of the flat lowering, adjacent
-//! instructions that form the inner-loop idioms of the InfiniWolf
-//! kernels — post-increment load pairs feeding `pv.sdotsp.h` or `p.mac`,
-//! `mul`/`srai`/`add` fixed-point chains, `addi`+branch counter tails —
-//! are *fused* into single macro-op handlers, so a five-instruction loop
-//! body costs one or two indirect calls instead of five matches.
+//! The [`DecodeCache`](crate::DecodeCache) path still pays one cache
+//! lookup plus the full [`Cpu::execute`] `match` per *dynamic*
+//! instruction. A [`Program`] moves translation to once per *static*
+//! instruction: an array indexed by `(pc - base) / 4` whose slot holds the
+//! pre-resolved [`Op`] that starts at that PC — register indices and
+//! immediates already extracted, every memory form specialised. Where the
+//! instructions at a PC form one of the inner-loop idioms of the InfiniWolf
+//! kernels, the slot holds a *fused* superinstruction instead:
 //!
-//! Correctness contract: every sub-instruction of every handler retires
+//! * `p.lw` + `p.lw` + `pv.sdotsp.h` — the packed SIMD dot-product loop,
+//! * `p.lw` + `p.lw`, `p.lw` + `pv.sdotsp.h`, `p.lw` + `p.mac` — the
+//!   post-increment streaming pairs,
+//! * `mul` + `srai` + `add` — the fixed-point requantisation tail,
+//! * `addi` + branch — the counter back-edge.
+//!
+//! Every PC owns its slot, so a core can resume anywhere — after a taken
+//! branch, a hardware-loop back edge, a partial fused op or a scheduler
+//! switch — with one index and no block lookup; instructions *inside* a
+//! fusion site keep their own slots. The single op of a fusion site's
+//! first instruction stays reachable through [`Op::head`], for callers
+//! that need one instruction per dispatch (instrumented runs).
+//!
+//! Translation is lazy and per run: slots are decoded from the bus on
+//! first execution, and the array grows to the highest PC reached, so it
+//! is sized by the program rather than by its window.
+//!
+//! Memory timing is resolved per access by the bus ([`Bus::load_timed`],
+//! [`Bus::store_timed`]): a handler returns the op's total cost, memory
+//! latency and arbitration stalls included, and nothing else.
+//!
+//! Correctness contract: every sub-instruction of every op retires
 //! through [`Cpu::retire`] with exactly the semantics of the frozen
-//! reference interpreter, one at a time, so a fault, cycle-limit stop or
-//! hardware-loop redirect between sub-instructions leaves architectural
-//! state (registers, memory, `pc`, profile, retired count) bit-identical
-//! to [`Cpu::run`]. The differential property tests in
-//! `tests/proptests.rs` enforce this, including under self-modifying
-//! code: stores report through [`BlockCache::invalidate_store`], which
-//! demotes every compiled block covering the written word.
-
-use std::rc::Rc;
+//! reference interpreter, one at a time, so a fault, cycle-limit stop,
+//! gate stop or hardware-loop redirect between sub-instructions leaves
+//! architectural state (registers, memory, `pc`, profile, retired count)
+//! bit-identical to [`Cpu::run`]. A store into the translated range drops
+//! every slot whose op covers the stored word, fused ops included, so the
+//! next dispatch re-decodes it from memory. The differential property
+//! tests in `tests/proptests.rs` enforce all of this, self-modifying code
+//! included.
 
 use crate::bus::Bus;
-use crate::cpu::{Cpu, CpuError, MemAccess, RunResult};
+use crate::cpu::{Cpu, CpuError, RunResult};
 use crate::decode::{decode, DecodeError};
 use crate::instr::{AluImmOp, AluOp, BranchCond, Instr, MemWidth, Reg, ShiftOp, SimdOp};
 use crate::profile::InstrClass;
 use crate::timing::Timing;
 
-/// Longest block, in sub-instructions.
-const MAX_BLOCK_INSTRS: usize = 32;
-
-/// Result of executing one (possibly fused) block op.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Exec {
-    /// Base cycles of all retired sub-instructions.
-    pub cycles: u32,
-    /// Sub-instructions retired (< the op's width if a hardware-loop
-    /// redirect or the cycle budget stopped the op early).
-    pub retired: u32,
-    /// First data access, performed by the first sub-instruction that
-    /// touches memory.
-    pub mem: Option<MemAccess>,
-    /// Base cycles of the sub-instruction behind [`Exec::mem`] — the
-    /// cluster model replaces these with the L2 latency for L2 hits.
-    pub mem_cycles: u32,
-    /// Second data access (multi-load fused ops only).
-    pub mem2: Option<MemAccess>,
-    /// Base cycles of the sub-instruction behind [`Exec::mem2`].
-    pub mem2_cycles: u32,
-}
-
-impl Exec {
-    #[inline]
-    fn one(cycles: u32) -> Exec {
-        Exec {
-            cycles,
-            retired: 1,
-            ..Exec::default()
-        }
-    }
-}
-
-type Handler<B> = fn(&mut Cpu, &mut B, &Op<B>, &Timing, u64) -> Result<Exec, CpuError>;
-
-/// One pre-resolved entry of a compiled block: a handler pointer plus
-/// the operands of up to three fused sub-instructions.
-pub struct Op<B> {
-    handler: Handler<B>,
-    pc: u32,
-    cond: BranchCond,
-    /// First sub-instruction, kept decoded for the generic handler.
-    instr: Instr,
+/// Operands of one `p.lw rd, imm(rs1!)` sub-instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PostLoad {
     rd: Reg,
     rs1: Reg,
-    rs2: Reg,
     imm: i32,
-    rd2: Reg,
-    rs1b: Reg,
-    rs2b: Reg,
-    imm2: i32,
-    rd3: Reg,
-    rs1c: Reg,
-    rs2c: Reg,
 }
 
-fn op_base<B: Bus>(handler: Handler<B>, pc: u32, instr: Instr) -> Op<B> {
-    Op {
-        handler,
-        pc,
-        cond: BranchCond::Eq,
-        instr,
-        rd: Reg::ZERO,
-        rs1: Reg::ZERO,
-        rs2: Reg::ZERO,
-        imm: 0,
-        rd2: Reg::ZERO,
-        rs1b: Reg::ZERO,
-        rs2b: Reg::ZERO,
-        imm2: 0,
-        rd3: Reg::ZERO,
-        rs1c: Reg::ZERO,
-        rs2c: Reg::ZERO,
+/// One pre-resolved slot: a single instruction or a fused superinstruction
+/// starting at the slot's PC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Lui {
+        rd: Reg,
+        imm: i32,
+    },
+    Addi {
+        rd: Reg,
+        rs1: Reg,
+        imm: i32,
+    },
+    Add {
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    Sub {
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    Mul {
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    Slli {
+        rd: Reg,
+        rs1: Reg,
+        shamt: u8,
+    },
+    Srli {
+        rd: Reg,
+        rs1: Reg,
+        shamt: u8,
+    },
+    Srai {
+        rd: Reg,
+        rs1: Reg,
+        shamt: u8,
+    },
+    Load {
+        width: MemWidth,
+        rd: Reg,
+        rs1: Reg,
+        imm: i32,
+    },
+    Store {
+        width: MemWidth,
+        rs2: Reg,
+        rs1: Reg,
+        imm: i32,
+    },
+    LoadPost {
+        width: MemWidth,
+        rd: Reg,
+        rs1: Reg,
+        imm: i32,
+    },
+    StorePost {
+        width: MemWidth,
+        rs2: Reg,
+        rs1: Reg,
+        imm: i32,
+    },
+    Mac {
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    Sdotsp {
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    Branch {
+        cond: BranchCond,
+        rs1: Reg,
+        rs2: Reg,
+        imm: i32,
+    },
+    Jal {
+        rd: Reg,
+        imm: i32,
+    },
+    Jalr {
+        rd: Reg,
+        rs1: Reg,
+        imm: i32,
+    },
+    Halt,
+    IllegalXpulp,
+    /// Any other non-memory instruction, through [`Cpu::execute`].
+    Other(Instr),
+    LpLpSdotsp {
+        a: PostLoad,
+        b: PostLoad,
+        acc: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    LpLp {
+        a: PostLoad,
+        b: PostLoad,
+    },
+    LpSdotsp {
+        a: PostLoad,
+        acc: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    LpMac {
+        a: PostLoad,
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+    },
+    MulSraiAdd {
+        rd: Reg,
+        rs1: Reg,
+        rs2: Reg,
+        rd2: Reg,
+        rs1b: Reg,
+        shamt: u8,
+        rd3: Reg,
+        rs1c: Reg,
+        rs2c: Reg,
+    },
+    AddiBranch {
+        rd: Reg,
+        rs1: Reg,
+        imm: i32,
+        cond: BranchCond,
+        rs1b: Reg,
+        rs2b: Reg,
+        offset: i32,
+    },
+}
+
+/// The op starting at one PC of a [`Program`]: a single pre-resolved
+/// instruction or a fused superinstruction. Obtained from
+/// [`Program::fetch`], executed by [`Program::exec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Op(Kind);
+
+impl Op {
+    /// Instructions the op covers (1 for a single instruction).
+    fn width(&self) -> usize {
+        match self.0 {
+            Kind::LpLpSdotsp { .. } | Kind::MulSraiAdd { .. } => 3,
+            Kind::LpLp { .. }
+            | Kind::LpSdotsp { .. }
+            | Kind::LpMac { .. }
+            | Kind::AddiBranch { .. } => 2,
+            _ => 1,
+        }
+    }
+
+    /// `true` if the op's first instruction touches state shared with
+    /// other cores: a data access or a halt (`ecall`/`ebreak`).
+    #[must_use]
+    pub fn is_shared(&self) -> bool {
+        matches!(
+            self.0,
+            Kind::Load { .. }
+                | Kind::Store { .. }
+                | Kind::LoadPost { .. }
+                | Kind::StorePost { .. }
+                | Kind::Halt
+                | Kind::LpLpSdotsp { .. }
+                | Kind::LpLp { .. }
+                | Kind::LpSdotsp { .. }
+                | Kind::LpMac { .. }
+        )
+    }
+
+    /// The single op of the first instruction: `self` unless the op is a
+    /// fused superinstruction.
+    #[must_use]
+    pub fn head(self) -> Op {
+        let lp = |a: PostLoad| Kind::LoadPost {
+            width: MemWidth::W,
+            rd: a.rd,
+            rs1: a.rs1,
+            imm: a.imm,
+        };
+        Op(match self.0 {
+            Kind::LpLpSdotsp { a, .. }
+            | Kind::LpLp { a, .. }
+            | Kind::LpSdotsp { a, .. }
+            | Kind::LpMac { a, .. } => lp(a),
+            Kind::MulSraiAdd { rd, rs1, rs2, .. } => Kind::Mul { rd, rs1, rs2 },
+            Kind::AddiBranch { rd, rs1, imm, .. } => Kind::Addi { rd, rs1, imm },
+            k => k,
+        })
     }
 }
 
-/// A compiled basic block: straight-line code from its entry PC up to
-/// (and including) its terminating branch/jump/halt, lowered to ops.
-pub struct Block<B> {
-    entry: u32,
-    end: u32,
-    ops: Vec<Op<B>>,
-}
-
-impl<B: Bus> Block<B> {
-    /// Entry PC (address of the first sub-instruction).
-    #[must_use]
-    pub fn entry(&self) -> u32 {
-        self.entry
-    }
-
-    /// First byte past the last sub-instruction.
-    #[must_use]
-    pub fn end(&self) -> u32 {
-        self.end
-    }
-
-    /// Number of (possibly fused) ops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` if the block compiled to no ops (never produced by
-    /// [`BlockCache::lookup`], which errors instead).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// PC of op `i`'s first sub-instruction.
-    #[must_use]
-    pub fn op_pc(&self, i: usize) -> u32 {
-        self.ops[i].pc
-    }
-
-    /// Executes op `i`. `budget` is the remaining base-cycle budget; the
-    /// op stops (returning a partial [`Exec`]) before starting a
-    /// sub-instruction once the retired sub-instructions exceed it, so
-    /// the caller's cycle-limit check fires between sub-instructions
-    /// exactly as the reference interpreter's would.
-    ///
-    /// # Errors
-    ///
-    /// Any fault the sub-instructions raise; sub-instructions retired
-    /// before the fault remain retired, as in the reference path.
-    #[inline]
-    pub fn exec_op(
-        &self,
-        i: usize,
-        cpu: &mut Cpu,
-        bus: &mut B,
-        timing: &Timing,
-        budget: u64,
-    ) -> Result<Exec, CpuError> {
-        let op = &self.ops[i];
-        (op.handler)(cpu, bus, op, timing, budget)
-    }
-}
-
-/// Per-cache counters: compilation, fusion, lookup and dispatch-loop
-/// exit statistics.
+/// Dispatch counters of a [`Program`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockStats {
-    /// Blocks translated (recompiles after demotion count again).
-    pub blocks_compiled: u64,
-    /// Ops emitted across all compiled blocks.
-    pub ops_lowered: u64,
-    /// Sub-instructions across all compiled blocks.
-    pub instrs_compiled: u64,
-    /// Lookups served by an existing block.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Blocks dropped because a store overlapped them.
-    pub demotions: u64,
-    /// Single-stepped instructions at PCs outside the cache window.
-    pub fallback_steps: u64,
-    /// `p.lw` + `p.lw` + `pv.sdotsp.h` fusions emitted.
+pub struct ProgramStats {
+    /// Ops dispatched (single or fused).
+    pub dispatches: u64,
+    /// Instructions retired through those ops.
+    pub instructions: u64,
+    /// Slots translated, re-decodes after code stores included.
+    pub translations: u64,
+    /// Translated slots dropped because a store rewrote a word they
+    /// cover; each is re-decoded from memory if executed again.
+    pub redecodes: u64,
+    /// `p.lw` + `p.lw` + `pv.sdotsp.h` superinstructions executed.
     pub fused_lp_lp_sdotsp: u64,
-    /// `p.lw` + `p.lw` fusions emitted.
+    /// `p.lw` + `p.lw` superinstructions executed.
     pub fused_lp_lp: u64,
-    /// `p.lw` + `pv.sdotsp.h` fusions emitted.
+    /// `p.lw` + `pv.sdotsp.h` superinstructions executed.
     pub fused_lp_sdotsp: u64,
-    /// `p.lw` + `p.mac` fusions emitted.
+    /// `p.lw` + `p.mac` superinstructions executed.
     pub fused_lp_mac: u64,
-    /// `mul` + `srai` + `add` fusions emitted.
+    /// `mul` + `srai` + `add` superinstructions executed.
     pub fused_mul_srai_add: u64,
-    /// `addi` + branch fusions emitted.
+    /// `addi` + branch superinstructions executed.
     pub fused_addi_branch: u64,
-    /// Dispatch loops that ran a block to its final op.
-    pub exit_fallthrough: u64,
-    /// Dispatch loops broken by a PC redirect (hardware-loop back edge
-    /// or partial fused op) away from the next op.
-    pub exit_redirect: u64,
-    /// Dispatch loops broken by `ecall`/`ebreak`.
-    pub exit_halt: u64,
-    /// Dispatch loops broken because a store hit the executing block.
-    pub exit_smc: u64,
 }
 
-impl BlockStats {
-    /// Total fused macro-ops emitted at compile time.
+impl ProgramStats {
+    /// Total fused superinstructions executed.
     #[must_use]
     pub fn fused_total(&self) -> u64 {
         self.fused_lp_lp_sdotsp
@@ -226,184 +294,190 @@ impl BlockStats {
             + self.fused_addi_branch
     }
 
-    /// Lookup hit rate in `[0, 1]` (1.0 when there were no lookups).
+    /// Mean instructions retired per dispatched op (1.0 with no
+    /// dispatches).
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 1.0;
+    pub fn avg_burst(&self) -> f64 {
+        if self.dispatches == 0 {
+            1.0
+        } else {
+            self.instructions as f64 / self.dispatches as f64
         }
-        self.hits as f64 / total as f64
     }
 }
 
-/// Basic-block cache over one word-aligned program window.
+/// Per-PC op program over one word-aligned code window.
 ///
 /// # Examples
 ///
 /// ```
-/// use iw_rv32::{asm::Asm, BlockCache, Cpu, Ram, Reg, Timing};
+/// use iw_rv32::{asm::Asm, Cpu, Program, Ram, Reg, Timing};
 /// let mut asm = Asm::new(0);
 /// asm.li(Reg::A0, 21);
 /// asm.add(Reg::A0, Reg::A0, Reg::A0);
 /// asm.ecall();
 /// let mut ram = Ram::new(0, 64);
 /// ram.write_bytes(0, &asm.assemble()?);
-/// let mut cache = BlockCache::new(0, 64, true);
+/// let mut prog = Program::new(0, 64, true);
 /// let mut cpu = Cpu::new(0);
-/// let run = cpu.run_blocks(&mut ram, &Timing::riscy(), 1_000, &mut cache)?;
+/// let run = cpu.run_program(&mut ram, &Timing::riscy(), 1_000, &mut prog)?;
 /// assert_eq!(cpu.reg(Reg::A0), 42);
-/// assert!(run.instructions > 0);
+/// assert_eq!(prog.stats().instructions, run.instructions);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct BlockCache<B> {
-    base: u32,
+#[derive(Debug, Clone)]
+pub struct Program {
     xpulp: bool,
-    slots: Vec<Option<Rc<Block<B>>>>,
-    covered: Vec<bool>,
-    stats: BlockStats,
+    /// Largest number of slots the window allows.
+    max_slots: usize,
+    slots: Vec<Option<Op>>,
+    ex: ExecState,
 }
 
-impl<B> core::fmt::Debug for BlockCache<B> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("BlockCache")
-            .field("base", &self.base)
-            .field("words", &self.slots.len())
-            .field("xpulp", &self.xpulp)
-            .field("stats", &self.stats)
-            .finish()
-    }
+/// The part of a [`Program`] its ops update while they run, apart from
+/// the slots they execute from.
+#[derive(Debug, Clone)]
+struct ExecState {
+    base: u32,
+    /// Bytes past `base` a store must land below to possibly rewrite a
+    /// translated op: the slots plus the two words a fused op in the last
+    /// slot may cover.
+    span: u32,
+    /// A store the running op made into that span, for the caller to
+    /// apply once the op's slot is no longer borrowed.
+    code_store: Option<(u32, MemWidth)>,
+    stats: ProgramStats,
 }
 
-impl<B: Bus> BlockCache<B> {
-    /// Largest window a cache will allocate, in bytes.
-    pub const MAX_WINDOW: u32 = 4 << 20;
-
-    /// Creates a cache over `[base, base + len)` (word-rounded, capped at
-    /// [`BlockCache::MAX_WINDOW`]). `xpulp` must match the executing
-    /// hart: on a non-Xpulp hart, Xpulp instructions compile to an op
-    /// that raises [`CpuError::IllegalXpulp`], as the reference would.
-    #[must_use]
-    pub fn new(base: u32, len: u32, xpulp: bool) -> BlockCache<B> {
-        let base = base & !3;
-        let len = len.min(Self::MAX_WINDOW).min(u32::MAX - base);
-        let words = (len / 4) as usize;
-        BlockCache {
-            base,
-            xpulp,
-            slots: vec![None; words],
-            covered: vec![false; words],
-            stats: BlockStats::default(),
+impl ExecState {
+    #[inline(always)]
+    fn note_store(&mut self, addr: u32, width: MemWidth) {
+        if addr.wrapping_sub(self.base) < self.span {
+            self.code_store = Some((addr, width));
         }
     }
+}
 
-    /// `true` if `pc` is word-aligned and inside the window.
+impl Program {
+    /// Largest window a program will cover, in bytes.
+    pub const MAX_WINDOW: u32 = 4 << 20;
+
+    /// Creates an empty program over `[base, base + len)` (word-rounded,
+    /// capped at [`Program::MAX_WINDOW`]); nothing is allocated until
+    /// slots are translated. PCs outside the window still execute,
+    /// translated afresh at every dispatch. `xpulp` must match the
+    /// executing hart: on a non-Xpulp hart, Xpulp instructions translate
+    /// to an op that raises [`CpuError::IllegalXpulp`], as the reference
+    /// would.
     #[must_use]
-    pub fn covers(&self, pc: u32) -> bool {
-        pc & 3 == 0 && self.word_index(pc).is_some()
+    pub fn new(base: u32, len: u32, xpulp: bool) -> Program {
+        let base = base & !3;
+        let len = len.min(Self::MAX_WINDOW).min(u32::MAX - base);
+        Program {
+            xpulp,
+            max_slots: (len / 4) as usize,
+            slots: Vec::new(),
+            ex: ExecState {
+                base,
+                span: 0,
+                code_store: None,
+                stats: ProgramStats::default(),
+            },
+        }
     }
 
     /// Counters accumulated so far.
     #[must_use]
-    pub fn stats(&self) -> BlockStats {
-        self.stats
+    pub fn stats(&self) -> ProgramStats {
+        self.ex.stats
     }
 
-    /// Mutable access to the counters, for embedders that drive compiled
-    /// blocks through their own dispatch loop (the Mr. Wolf cluster
-    /// scheduler records its fallback steps here).
-    pub fn stats_mut(&mut self) -> &mut BlockStats {
-        &mut self.stats
+    /// Slots allocated so far (the highest translated PC's index + 1).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.slots.len()
     }
 
-    #[inline]
-    fn word_index(&self, addr: u32) -> Option<usize> {
-        let off = (addr.wrapping_sub(self.base) / 4) as usize;
-        (addr >= self.base && off < self.slots.len()).then_some(off)
+    /// `true` before the first slot is translated.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
     }
 
-    fn in_window(&self, pc: u32) -> bool {
-        pc & 3 == 0 && self.word_index(pc).is_some()
+    /// Slot index of `pc`: a misaligned offset rotates its low bits to
+    /// the top, past any slot count, so one compare covers both the
+    /// window and alignment.
+    #[inline(always)]
+    fn slot_of(&self, pc: u32) -> usize {
+        pc.wrapping_sub(self.ex.base).rotate_right(2) as usize
     }
 
-    /// The block entered at `pc`, compiling it on a miss.
-    ///
-    /// `pc` must satisfy [`BlockCache::covers`].
+    /// The op starting at `pc`, translating its slot on first use.
     ///
     /// # Errors
     ///
-    /// Fetch or decode faults on the *first* instruction of the block —
-    /// exactly the error the reference interpreter would raise at `pc`.
-    /// (Faults further into a block truncate it instead and surface if
-    /// and when execution reaches them.)
-    pub fn lookup(&mut self, bus: &mut B, pc: u32) -> Result<Rc<Block<B>>, CpuError> {
-        let idx = self.word_index(pc).expect("lookup pc outside window");
-        if let Some(b) = &self.slots[idx] {
-            self.stats.hits += 1;
-            return Ok(Rc::clone(b));
+    /// The fetch or decode fault the reference interpreter would raise at
+    /// `pc`. A failed translation leaves the program unchanged.
+    #[inline(always)]
+    pub fn fetch<B: Bus>(&mut self, bus: &mut B, pc: u32) -> Result<Op, CpuError> {
+        if let Some(Some(op)) = self.slots.get(self.slot_of(pc)) {
+            return Ok(*op);
         }
-        self.stats.misses += 1;
-        let block = Rc::new(self.compile(bus, pc)?);
-        for w in (block.entry..block.end).step_by(4) {
-            if let Some(i) = self.word_index(w) {
-                self.covered[i] = true;
-            }
-        }
-        self.slots[idx] = Some(Rc::clone(&block));
-        Ok(block)
+        self.fetch_slow(bus, pc)
     }
 
-    fn compile(&mut self, bus: &mut B, entry: u32) -> Result<Block<B>, CpuError> {
-        let mut instrs: Vec<(u32, Instr)> = Vec::new();
-        let mut pc = entry;
-        while instrs.len() < MAX_BLOCK_INSTRS && self.in_window(pc) {
-            let word = match bus.fetch(pc) {
-                Ok(w) => w,
-                Err(e) if instrs.is_empty() => return Err(e.into()),
-                Err(_) => break,
-            };
-            let instr = match decode(word) {
-                Ok(i) => i,
-                Err(e) if instrs.is_empty() => {
-                    return Err(CpuError::Decode(DecodeError {
-                        addr: Some(pc),
-                        ..e
-                    }))
+    #[cold]
+    #[inline(never)]
+    fn fetch_slow<B: Bus>(&mut self, bus: &mut B, pc: u32) -> Result<Op, CpuError> {
+        let op = self.translate(bus, pc)?;
+        let k = self.slot_of(pc);
+        if k < self.max_slots {
+            if k >= self.slots.len() {
+                self.slots.resize(k + 1, None);
+                self.ex.span = ((k as u32) + 3).saturating_mul(4);
+            }
+            self.slots[k] = Some(op);
+            self.ex.stats.translations += 1;
+        }
+        Ok(op)
+    }
+
+    fn translate<B: Bus>(&self, bus: &mut B, pc: u32) -> Result<Op, CpuError> {
+        let first = fetch_decode(bus, pc)?;
+        if !self.xpulp && first.is_xpulp() {
+            return Ok(Op(Kind::IllegalXpulp));
+        }
+        // Only fusion heads pay for the look-ahead; a look-ahead word that
+        // does not fetch or decode simply ends the pattern.
+        let head = matches!(
+            first,
+            Instr::LoadPost {
+                width: MemWidth::W,
+                ..
+            } | Instr::Alu { op: AluOp::Mul, .. }
+                | Instr::AluImm {
+                    op: AluImmOp::Addi,
+                    ..
                 }
-                Err(_) => break,
-            };
-            let terminates = matches!(
-                instr,
-                Instr::Branch { .. }
-                    | Instr::Jal { .. }
-                    | Instr::Jalr { .. }
-                    | Instr::Ecall
-                    | Instr::Ebreak
-            ) || (!self.xpulp && instr.is_xpulp());
-            instrs.push((pc, instr));
-            pc = pc.wrapping_add(4);
-            if terminates {
-                break;
+        );
+        if head {
+            let mut next = |n: u32| fetch_decode(bus, pc.wrapping_add(4 * n)).ok();
+            let second = next(1);
+            let third = second.and_then(|_| next(2));
+            if let Some(op) = fuse(self.xpulp, first, second, third) {
+                return Ok(op);
             }
         }
-        debug_assert!(!instrs.is_empty(), "covers() guaranteed a fetchable pc");
-        let ops = lower(&instrs, self.xpulp, &mut self.stats);
-        self.stats.blocks_compiled += 1;
-        self.stats.ops_lowered += ops.len() as u64;
-        self.stats.instrs_compiled += instrs.len() as u64;
-        Ok(Block {
-            entry,
-            end: pc,
-            ops,
-        })
+        Ok(single(first))
     }
 
-    /// Demotes every block whose words a store of `width` bytes at
-    /// `addr` touched. Returns `true` if any block was dropped.
+    /// Drops every translated slot whose op covers a word that a store of
+    /// `width` bytes at `addr` touched; the next dispatch re-decodes them
+    /// from memory. Returns `true` if any slot was dropped.
     ///
-    /// Like [`DecodeCache::invalidate_store`](crate::DecodeCache::invalidate_store),
-    /// the full byte span is walked, so a misaligned store straddling a
-    /// word boundary demotes blocks on both sides.
+    /// The full byte span is walked, so a misaligned store straddling a
+    /// word boundary (reported on behalf of another agent — the CPU's own
+    /// stores fault on misalignment) drops slots on both sides.
     pub fn invalidate_store(&mut self, addr: u32, width: MemWidth) -> bool {
         let first = addr & !3;
         let last = addr.wrapping_add(width.bytes() - 1) & !3;
@@ -415,325 +489,482 @@ impl<B: Bus> BlockCache<B> {
     }
 
     fn invalidate_word(&mut self, w: u32) -> bool {
-        let Some(wi) = self.word_index(w) else {
-            return false;
-        };
-        if !self.covered[wi] {
+        let off = w.wrapping_sub(self.ex.base);
+        if off >= self.ex.span {
             return false;
         }
-        // Any block covering word `w` starts at most MAX_BLOCK_INSTRS - 1
-        // words earlier and is registered at its entry slot.
-        let lo = wi.saturating_sub(MAX_BLOCK_INSTRS - 1);
+        // Fused ops cover at most three words: the slots that can cover
+        // word `j` start at `j - 2 ..= j`.
+        let j = (off / 4) as usize;
         let mut any = false;
-        for slot in lo..=wi {
-            let drop_it = match &self.slots[slot] {
-                Some(b) => b.end > w,
-                None => false,
-            };
-            if drop_it {
-                self.slots[slot] = None;
-                self.stats.demotions += 1;
-                any = true;
+        for s in j.saturating_sub(2)..=j.min(self.slots.len().saturating_sub(1)) {
+            if let Some(op) = self.slots[s] {
+                if s + op.width() > j {
+                    self.slots[s] = None;
+                    self.ex.stats.redecodes += 1;
+                    any = true;
+                }
             }
         }
-        // Every block covering `w` is gone now; later stores to this word
-        // can skip the scan until a new block covers it.
-        self.covered[wi] = false;
         any
     }
 
-    /// Drops every compiled block.
-    pub fn invalidate_all(&mut self) {
-        self.slots.fill(None);
-        self.covered.fill(false);
+    /// Applies the code store the last op made, if any.
+    #[inline(always)]
+    fn settle(&mut self, res: Result<u64, CpuError>) -> Result<u64, CpuError> {
+        if let Some((addr, width)) = self.ex.code_store.take() {
+            self.invalidate_store(addr, width);
+        }
+        res
+    }
+
+    /// Executes the op starting at the hart's PC, translating its slot on
+    /// first use, and returns its cost in cycles: base costs plus whatever
+    /// the bus charges per access ([`Bus::load_timed`],
+    /// [`Bus::store_timed`]).
+    ///
+    /// `at` is the issue time of the op's first instruction; each later
+    /// access of a fused op issues at `at` plus the cost retired before
+    /// it. A fused op stops early — returning the cost so far, with every
+    /// retired sub-instruction complete — before a sub-instruction once
+    /// its cost exceeds `budget` (so the caller's cycle-limit check fires
+    /// between sub-instructions, as the reference's would), before a
+    /// memory sub-instruction once its cost reaches `mem_room` (so no
+    /// access issues at or past a multi-core scheduling horizon), and when
+    /// a hardware-loop back edge redirects the PC mid-pattern. A store
+    /// into translated code drops the slots it rewrote before this
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// The fetch or decode fault of an untranslatable PC, or any fault a
+    /// sub-instruction raises; sub-instructions retired before the fault
+    /// remain retired, as in the reference path.
+    #[inline(always)]
+    pub fn step<B: Bus>(
+        &mut self,
+        cpu: &mut Cpu,
+        bus: &mut B,
+        t: &Timing,
+        at: u64,
+        budget: u64,
+        mem_room: u64,
+    ) -> Result<u64, CpuError> {
+        // Match on the slot in place: copying the op out first costs a
+        // store-forwarding stall on every dispatch.
+        let res = match self.slots.get(self.slot_of(cpu.pc)) {
+            Some(Some(op)) => run(&op.0, &mut self.ex, cpu, bus, t, at, budget, mem_room),
+            _ => {
+                let op = self.fetch_slow(bus, cpu.pc)?;
+                run(&op.0, &mut self.ex, cpu, bus, t, at, budget, mem_room)
+            }
+        };
+        self.settle(res)
+    }
+
+    /// Executes `op`, which must be the op [`Program::fetch`] returned for
+    /// the hart's current PC or that op's [`Op::head`]; see
+    /// [`Program::step`] for the cost, the early stops and the errors.
+    ///
+    /// # Errors
+    ///
+    /// Any fault a sub-instruction raises.
+    #[allow(clippy::too_many_arguments)]
+    pub fn exec<B: Bus>(
+        &mut self,
+        op: Op,
+        cpu: &mut Cpu,
+        bus: &mut B,
+        t: &Timing,
+        at: u64,
+        budget: u64,
+        mem_room: u64,
+    ) -> Result<u64, CpuError> {
+        let res = run(&op.0, &mut self.ex, cpu, bus, t, at, budget, mem_room);
+        self.settle(res)
+    }
+}
+
+/// Executes one op and counts it.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn run<B: Bus>(
+    kind: &Kind,
+    ex: &mut ExecState,
+    cpu: &mut Cpu,
+    bus: &mut B,
+    t: &Timing,
+    at: u64,
+    budget: u64,
+    mem_room: u64,
+) -> Result<u64, CpuError> {
+    ex.stats.dispatches += 1;
+    let before = cpu.retired;
+    let res = run_op(kind, ex, cpu, bus, t, at, budget, mem_room);
+    ex.stats.instructions += cpu.retired - before;
+    res
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn run_op<B: Bus>(
+    kind: &Kind,
+    ex: &mut ExecState,
+    cpu: &mut Cpu,
+    bus: &mut B,
+    t: &Timing,
+    at: u64,
+    budget: u64,
+    mem_room: u64,
+) -> Result<u64, CpuError> {
+    let pc = cpu.pc;
+    let next = pc.wrapping_add(4);
+    let alu = |cpu: &mut Cpu, rd: Reg, v: u32| -> Result<u64, CpuError> {
+        cpu.set_reg(rd, v);
+        cpu.retire(InstrClass::Alu, t.alu, next, true);
+        Ok(u64::from(t.alu))
+    };
+    match *kind {
+        Kind::Lui { rd, imm } => alu(cpu, rd, imm as u32),
+        Kind::Addi { rd, rs1, imm } => alu(cpu, rd, cpu.reg(rs1).wrapping_add(imm as u32)),
+        Kind::Add { rd, rs1, rs2 } => alu(cpu, rd, cpu.reg(rs1).wrapping_add(cpu.reg(rs2))),
+        Kind::Sub { rd, rs1, rs2 } => alu(cpu, rd, cpu.reg(rs1).wrapping_sub(cpu.reg(rs2))),
+        Kind::Slli { rd, rs1, shamt } => alu(cpu, rd, cpu.reg(rs1) << shamt),
+        Kind::Srli { rd, rs1, shamt } => alu(cpu, rd, cpu.reg(rs1) >> shamt),
+        Kind::Srai { rd, rs1, shamt } => alu(cpu, rd, ((cpu.reg(rs1) as i32) >> shamt) as u32),
+        Kind::Mul { rd, rs1, rs2 } => {
+            cpu.set_reg(rd, cpu.reg(rs1).wrapping_mul(cpu.reg(rs2)));
+            cpu.retire(InstrClass::Mul, t.mul, next, true);
+            Ok(u64::from(t.mul))
+        }
+        Kind::Load {
+            width,
+            rd,
+            rs1,
+            imm,
+        } => {
+            let addr = cpu.reg(rs1).wrapping_add(imm as u32);
+            let (v, cost) = load(cpu, bus, addr, width, t, at)?;
+            cpu.set_reg(rd, v);
+            cpu.retire(InstrClass::Load, t.load, next, true);
+            Ok(cost)
+        }
+        Kind::Store {
+            width,
+            rs2,
+            rs1,
+            imm,
+        } => {
+            let addr = cpu.reg(rs1).wrapping_add(imm as u32);
+            let cost = store(cpu, bus, addr, width, cpu.reg(rs2), t, at)?;
+            cpu.retire(InstrClass::Store, t.store, next, true);
+            ex.note_store(addr, width);
+            Ok(cost)
+        }
+        Kind::LoadPost {
+            width,
+            rd,
+            rs1,
+            imm,
+        } => {
+            let addr = cpu.reg(rs1);
+            let (v, cost) = load(cpu, bus, addr, width, t, at)?;
+            cpu.set_reg(rd, v);
+            // Post-increment happens after the load; if rd == rs1 the
+            // loaded value wins (as on RI5CY).
+            if rd != rs1 {
+                cpu.set_reg(rs1, addr.wrapping_add(imm as u32));
+            }
+            cpu.retire(InstrClass::Load, t.load, next, true);
+            Ok(cost)
+        }
+        Kind::StorePost {
+            width,
+            rs2,
+            rs1,
+            imm,
+        } => {
+            let addr = cpu.reg(rs1);
+            let cost = store(cpu, bus, addr, width, cpu.reg(rs2), t, at)?;
+            cpu.set_reg(rs1, addr.wrapping_add(imm as u32));
+            cpu.retire(InstrClass::Store, t.store, next, true);
+            ex.note_store(addr, width);
+            Ok(cost)
+        }
+        Kind::Mac { rd, rs1, rs2 } => {
+            let v = cpu
+                .reg(rd)
+                .wrapping_add(cpu.reg(rs1).wrapping_mul(cpu.reg(rs2)));
+            cpu.set_reg(rd, v);
+            cpu.retire(InstrClass::Dsp, t.xpulp, next, true);
+            Ok(u64::from(t.xpulp))
+        }
+        Kind::Sdotsp { rd, rs1, rs2 } => {
+            cpu.set_reg(rd, sdotsp(cpu.reg(rd), cpu.reg(rs1), cpu.reg(rs2)));
+            cpu.retire(InstrClass::Simd, t.xpulp, next, true);
+            Ok(u64::from(t.xpulp))
+        }
+        Kind::Branch {
+            cond,
+            rs1,
+            rs2,
+            imm,
+        } => Ok(branch(cpu, t, pc, cond, rs1, rs2, imm)),
+        Kind::Jal { rd, imm } => {
+            cpu.set_reg(rd, next);
+            cpu.retire(InstrClass::Jump, t.jump, pc.wrapping_add(imm as u32), false);
+            Ok(u64::from(t.jump))
+        }
+        Kind::Jalr { rd, rs1, imm } => {
+            let target = cpu.reg(rs1).wrapping_add(imm as u32) & !1;
+            cpu.set_reg(rd, next);
+            cpu.retire(InstrClass::Jump, t.jump, target, false);
+            Ok(u64::from(t.jump))
+        }
+        Kind::Halt => {
+            cpu.halted = true;
+            cpu.retire(InstrClass::System, t.alu, pc, true);
+            Ok(u64::from(t.alu))
+        }
+        Kind::IllegalXpulp => Err(CpuError::IllegalXpulp { pc }),
+        Kind::Other(instr) => {
+            let (cycles, mem) = cpu.execute(instr, pc, bus, t)?;
+            debug_assert!(mem.is_none(), "memory forms have their own ops");
+            Ok(u64::from(cycles))
+        }
+        // Fused ops: between sub-instructions, stop on the cycle
+        // budget, on the memory gate before a second access, and on a
+        // hardware-loop redirect away from the next sub-instruction.
+        Kind::LpLpSdotsp {
+            a,
+            b,
+            acc,
+            rs1,
+            rs2,
+        } => {
+            ex.stats.fused_lp_lp_sdotsp += 1;
+            let mut c = post_load(cpu, bus, a, t, next, at)?;
+            if c > budget || c >= mem_room || cpu.pc != next {
+                return Ok(c);
+            }
+            c += post_load(cpu, bus, b, t, pc.wrapping_add(8), at + c)?;
+            if c > budget || cpu.pc != pc.wrapping_add(8) {
+                return Ok(c);
+            }
+            cpu.set_reg(acc, sdotsp(cpu.reg(acc), cpu.reg(rs1), cpu.reg(rs2)));
+            cpu.retire(InstrClass::Simd, t.xpulp, pc.wrapping_add(12), true);
+            Ok(c + u64::from(t.xpulp))
+        }
+        Kind::LpLp { a, b } => {
+            ex.stats.fused_lp_lp += 1;
+            let c = post_load(cpu, bus, a, t, next, at)?;
+            if c > budget || c >= mem_room || cpu.pc != next {
+                return Ok(c);
+            }
+            Ok(c + post_load(cpu, bus, b, t, pc.wrapping_add(8), at + c)?)
+        }
+        Kind::LpSdotsp { a, acc, rs1, rs2 } => {
+            ex.stats.fused_lp_sdotsp += 1;
+            let c = post_load(cpu, bus, a, t, next, at)?;
+            if c > budget || cpu.pc != next {
+                return Ok(c);
+            }
+            cpu.set_reg(acc, sdotsp(cpu.reg(acc), cpu.reg(rs1), cpu.reg(rs2)));
+            cpu.retire(InstrClass::Simd, t.xpulp, pc.wrapping_add(8), true);
+            Ok(c + u64::from(t.xpulp))
+        }
+        Kind::LpMac { a, rd, rs1, rs2 } => {
+            ex.stats.fused_lp_mac += 1;
+            let c = post_load(cpu, bus, a, t, next, at)?;
+            if c > budget || cpu.pc != next {
+                return Ok(c);
+            }
+            let v = cpu
+                .reg(rd)
+                .wrapping_add(cpu.reg(rs1).wrapping_mul(cpu.reg(rs2)));
+            cpu.set_reg(rd, v);
+            cpu.retire(InstrClass::Dsp, t.xpulp, pc.wrapping_add(8), true);
+            Ok(c + u64::from(t.xpulp))
+        }
+        Kind::MulSraiAdd {
+            rd,
+            rs1,
+            rs2,
+            rd2,
+            rs1b,
+            shamt,
+            rd3,
+            rs1c,
+            rs2c,
+        } => {
+            ex.stats.fused_mul_srai_add += 1;
+            cpu.set_reg(rd, cpu.reg(rs1).wrapping_mul(cpu.reg(rs2)));
+            cpu.retire(InstrClass::Mul, t.mul, next, true);
+            let mut c = u64::from(t.mul);
+            if c > budget || cpu.pc != next {
+                return Ok(c);
+            }
+            cpu.set_reg(rd2, ((cpu.reg(rs1b) as i32) >> shamt) as u32);
+            cpu.retire(InstrClass::Alu, t.alu, pc.wrapping_add(8), true);
+            c += u64::from(t.alu);
+            if c > budget || cpu.pc != pc.wrapping_add(8) {
+                return Ok(c);
+            }
+            cpu.set_reg(rd3, cpu.reg(rs1c).wrapping_add(cpu.reg(rs2c)));
+            cpu.retire(InstrClass::Alu, t.alu, pc.wrapping_add(12), true);
+            Ok(c + u64::from(t.alu))
+        }
+        Kind::AddiBranch {
+            rd,
+            rs1,
+            imm,
+            cond,
+            rs1b,
+            rs2b,
+            offset,
+        } => {
+            ex.stats.fused_addi_branch += 1;
+            cpu.set_reg(rd, cpu.reg(rs1).wrapping_add(imm as u32));
+            cpu.retire(InstrClass::Alu, t.alu, next, true);
+            let c = u64::from(t.alu);
+            if c > budget || cpu.pc != next {
+                return Ok(c);
+            }
+            Ok(c + branch(cpu, t, next, cond, rs1b, rs2b, offset))
+        }
     }
 }
 
 impl Cpu {
-    /// Runs until the core halts, executing compiled basic blocks from
-    /// `cache`.
+    /// Runs until the core halts, dispatching the ops of `prog`.
     ///
     /// Architectural results — registers, memory, `pc`, cycle and
     /// instruction counts, the execution profile and any error — are
     /// bit-identical to [`Cpu::run`]: every sub-instruction retires
     /// individually, the cycle limit is re-checked between
-    /// sub-instructions, stores demote overlapping blocks (including the
-    /// one currently executing), and a PC that leaves the block (taken
-    /// branch, hardware-loop back edge) re-enters through a fresh block
-    /// lookup. PCs outside the cache window fall back to single
-    /// fetch + decode + execute steps.
+    /// sub-instructions, and stores into translated code drop the slots
+    /// they rewrite. Cycle costs are the bus's ([`Bus::load_timed`],
+    /// [`Bus::store_timed`]); with the default bus timing they are the
+    /// base costs [`Cpu::run`] charges.
     ///
     /// # Errors
     ///
     /// Same as [`Cpu::run`].
-    pub fn run_blocks<B: Bus>(
+    pub fn run_program<B: Bus>(
         &mut self,
         bus: &mut B,
         timing: &Timing,
         max_cycles: u64,
-        cache: &mut BlockCache<B>,
+        prog: &mut Program,
     ) -> Result<RunResult, CpuError> {
+        let start = self.retired;
         let mut cycles = 0u64;
-        let mut instructions = 0u64;
-        // Most-recently-entered block: hardware-loop back edges re-enter
-        // the same block every iteration, so the entry compare serves the
-        // common case without touching the slot table. Any demotion
-        // clears it (`invalidate_store` reports drops), so it can never
-        // outlive its cache entry.
-        let mut mru: Option<Rc<Block<B>>> = None;
         while !self.halted {
-            let pc = self.pc;
-            if !cache.covers(pc) {
-                // Out-of-window (or misaligned) pc: plain reference step.
-                let word = bus.fetch(pc)?;
-                let instr = decode(word).map_err(|e| {
-                    CpuError::Decode(DecodeError {
-                        addr: Some(pc),
-                        ..e
-                    })
-                })?;
-                let (cost, mem) = self.execute(instr, pc, bus, timing)?;
-                if let Some(m) = mem {
-                    if m.write && cache.invalidate_store(m.addr, m.width) {
-                        mru = None;
-                    }
-                }
-                cycles += u64::from(cost);
-                instructions += 1;
-                cache.stats.fallback_steps += 1;
-                if cycles > max_cycles {
-                    return Err(CpuError::CycleLimit { limit: max_cycles });
-                }
-                continue;
-            }
-            let block = match &mru {
-                Some(b) if b.entry == pc => {
-                    cache.stats.hits += 1;
-                    Rc::clone(b)
-                }
-                _ => {
-                    let b = cache.lookup(bus, pc)?;
-                    mru = Some(Rc::clone(&b));
-                    b
-                }
-            };
-            let (entry, end) = (block.entry, block.end);
-            let mut i = 0;
-            loop {
-                if i >= block.ops.len() {
-                    cache.stats.exit_fallthrough += 1;
-                    break;
-                }
-                let op = &block.ops[i];
-                if self.pc != op.pc {
-                    cache.stats.exit_redirect += 1;
-                    break;
-                }
-                let budget = max_cycles - cycles;
-                let exec = (op.handler)(self, bus, op, timing, budget)?;
-                cycles += u64::from(exec.cycles);
-                instructions += u64::from(exec.retired);
-                let mut smc = false;
-                for m in [exec.mem, exec.mem2].into_iter().flatten() {
-                    if m.write {
-                        if cache.invalidate_store(m.addr, m.width) {
-                            mru = None;
-                        }
-                        let span = m.width.bytes();
-                        if m.addr < end && m.addr.saturating_add(span) > entry {
-                            smc = true;
-                        }
-                    }
-                }
-                if cycles > max_cycles {
-                    return Err(CpuError::CycleLimit { limit: max_cycles });
-                }
-                if self.halted {
-                    cache.stats.exit_halt += 1;
-                    break;
-                }
-                if smc {
-                    // The store rewrote bytes of this very block: stop
-                    // executing the stale translation and re-enter, which
-                    // recompiles from the fresh bytes.
-                    cache.stats.exit_smc += 1;
-                    break;
-                }
-                i += 1;
+            cycles += prog.step(self, bus, timing, cycles, max_cycles - cycles, u64::MAX)?;
+            if cycles > max_cycles {
+                return Err(CpuError::CycleLimit { limit: max_cycles });
             }
         }
         Ok(RunResult {
             cycles,
-            instructions,
+            instructions: self.retired - start,
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// Lowering.
+// Translation.
 // ---------------------------------------------------------------------
 
-fn lower<B: Bus>(instrs: &[(u32, Instr)], xpulp: bool, stats: &mut BlockStats) -> Vec<Op<B>> {
-    let mut ops = Vec::with_capacity(instrs.len());
-    let mut i = 0;
-    while i < instrs.len() {
-        let (pc, instr) = instrs[i];
-        if let Some((op, width)) = try_fuse(instrs, i, xpulp, stats) {
-            ops.push(op);
-            i += width;
-            continue;
-        }
-        ops.push(lower_single(pc, instr, xpulp));
-        i += 1;
-    }
-    ops
+fn fetch_decode<B: Bus>(bus: &mut B, pc: u32) -> Result<Instr, CpuError> {
+    let word = bus.fetch(pc)?;
+    decode(word).map_err(|e| {
+        CpuError::Decode(DecodeError {
+            addr: Some(pc),
+            ..e
+        })
+    })
 }
 
-/// Attempts a fusion starting at `instrs[i]`; returns the fused op and
-/// the number of sub-instructions it consumed.
-fn try_fuse<B: Bus>(
-    instrs: &[(u32, Instr)],
-    i: usize,
-    xpulp: bool,
-    stats: &mut BlockStats,
-) -> Option<(Op<B>, usize)> {
-    let (pc, first) = instrs[i];
-    if !xpulp && first.is_xpulp() {
+/// The fused op for the pattern starting with `first`, if any.
+fn fuse(xpulp: bool, first: Instr, second: Option<Instr>, third: Option<Instr>) -> Option<Op> {
+    let post_load = |i: Option<Instr>| match i {
+        Some(Instr::LoadPost {
+            width: MemWidth::W,
+            rd,
+            rs1,
+            offset,
+        }) if xpulp => Some(PostLoad {
+            rd,
+            rs1,
+            imm: offset,
+        }),
+        _ => None,
+    };
+    let sdotsp = |i: Option<Instr>| match i {
+        Some(Instr::Simd {
+            op: SimdOp::SdotspH,
+            rd,
+            rs1,
+            rs2,
+        }) => Some((rd, rs1, rs2)),
+        _ => None,
+    };
+    if let Some(a) = post_load(Some(first)) {
+        if let Some(b) = post_load(second) {
+            if let Some((acc, rs1, rs2)) = sdotsp(third) {
+                return Some(Op(Kind::LpLpSdotsp {
+                    a,
+                    b,
+                    acc,
+                    rs1,
+                    rs2,
+                }));
+            }
+            return Some(Op(Kind::LpLp { a, b }));
+        }
+        if let Some((acc, rs1, rs2)) = sdotsp(second) {
+            return Some(Op(Kind::LpSdotsp { a, acc, rs1, rs2 }));
+        }
+        if let Some(Instr::Mac { rd, rs1, rs2 }) = second {
+            return Some(Op(Kind::LpMac { a, rd, rs1, rs2 }));
+        }
         return None;
     }
-    // Three-wide patterns first.
-    if i + 2 < instrs.len() {
-        let (second, third) = (instrs[i + 1].1, instrs[i + 2].1);
-        if xpulp {
-            if let (
-                Instr::LoadPost {
-                    width: MemWidth::W,
-                    rd: d1,
-                    rs1: p1,
-                    offset: o1,
-                },
-                Instr::LoadPost {
-                    width: MemWidth::W,
-                    rd: d2,
-                    rs1: p2,
-                    offset: o2,
-                },
-                Instr::Simd {
-                    op: SimdOp::SdotspH,
-                    rd: acc,
-                    rs1: m1,
-                    rs2: m2,
-                },
-            ) = (first, second, third)
-            {
-                let mut op = op_base(h_lp_lp_sdotsp::<B>, pc, first);
-                op.rd = d1;
-                op.rs1 = p1;
-                op.imm = o1;
-                op.rd2 = d2;
-                op.rs1b = p2;
-                op.imm2 = o2;
-                op.rd3 = acc;
-                op.rs1c = m1;
-                op.rs2c = m2;
-                stats.fused_lp_lp_sdotsp += 1;
-                return Some((op, 3));
-            }
-        }
-        if let (
+    match (first, second?) {
+        (
             Instr::Alu {
                 op: AluOp::Mul,
-                rd: d1,
-                rs1: a,
-                rs2: b,
+                rd,
+                rs1,
+                rs2,
             },
             Instr::Shift {
                 op: ShiftOp::Srai,
-                rd: d2,
-                rs1: s,
+                rd: rd2,
+                rs1: rs1b,
                 shamt,
             },
+        ) => match third? {
             Instr::Alu {
                 op: AluOp::Add,
-                rd: d3,
-                rs1: x,
-                rs2: y,
-            },
-        ) = (first, second, third)
-        {
-            let mut op = op_base(h_mul_srai_add::<B>, pc, first);
-            op.rd = d1;
-            op.rs1 = a;
-            op.rs2 = b;
-            op.rd2 = d2;
-            op.rs1b = s;
-            op.imm2 = i32::from(shamt);
-            op.rd3 = d3;
-            op.rs1c = x;
-            op.rs2c = y;
-            stats.fused_mul_srai_add += 1;
-            return Some((op, 3));
-        }
-    }
-    // Two-wide patterns.
-    if i + 1 < instrs.len() {
-        let second = instrs[i + 1].1;
-        if xpulp {
-            if let Instr::LoadPost {
-                width: MemWidth::W,
-                rd: d1,
-                rs1: p1,
-                offset: o1,
-            } = first
-            {
-                if let Instr::LoadPost {
-                    width: MemWidth::W,
-                    rd: d2,
-                    rs1: p2,
-                    offset: o2,
-                } = second
-                {
-                    let mut op = op_base(h_lp_lp::<B>, pc, first);
-                    op.rd = d1;
-                    op.rs1 = p1;
-                    op.imm = o1;
-                    op.rd2 = d2;
-                    op.rs1b = p2;
-                    op.imm2 = o2;
-                    stats.fused_lp_lp += 1;
-                    return Some((op, 2));
-                }
-                if let Instr::Simd {
-                    op: SimdOp::SdotspH,
-                    rd: acc,
-                    rs1: m1,
-                    rs2: m2,
-                } = second
-                {
-                    let mut op = op_base(h_lp_sdotsp::<B>, pc, first);
-                    op.rd = d1;
-                    op.rs1 = p1;
-                    op.imm = o1;
-                    op.rd2 = acc;
-                    op.rs1b = m1;
-                    op.rs2b = m2;
-                    stats.fused_lp_sdotsp += 1;
-                    return Some((op, 2));
-                }
-                if let Instr::Mac { rd, rs1, rs2 } = second {
-                    let mut op = op_base(h_lp_mac::<B>, pc, first);
-                    op.rd = d1;
-                    op.rs1 = p1;
-                    op.imm = o1;
-                    op.rd2 = rd;
-                    op.rs1b = rs1;
-                    op.rs2b = rs2;
-                    stats.fused_lp_mac += 1;
-                    return Some((op, 2));
-                }
-            }
-        }
-        if let (
+                rd: rd3,
+                rs1: rs1c,
+                rs2: rs2c,
+            } => Some(Op(Kind::MulSraiAdd {
+                rd,
+                rs1,
+                rs2,
+                rd2,
+                rs1b,
+                shamt,
+                rd3,
+                rs1c,
+                rs2c,
+            })),
+            _ => None,
+        },
+        (
             Instr::AluImm {
                 op: AluImmOp::Addi,
                 rd,
@@ -742,173 +973,121 @@ fn try_fuse<B: Bus>(
             },
             Instr::Branch {
                 cond,
-                rs1: b1,
-                rs2: b2,
+                rs1: rs1b,
+                rs2: rs2b,
                 offset,
             },
-        ) = (first, second)
-        {
-            let mut op = op_base(h_addi_branch::<B>, pc, first);
-            op.cond = cond;
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.imm = imm;
-            op.rs1b = b1;
-            op.rs2b = b2;
-            op.imm2 = offset;
-            stats.fused_addi_branch += 1;
-            return Some((op, 2));
-        }
+        ) => Some(Op(Kind::AddiBranch {
+            rd,
+            rs1,
+            imm,
+            cond,
+            rs1b,
+            rs2b,
+            offset,
+        })),
+        _ => None,
     }
-    None
 }
 
-fn lower_single<B: Bus>(pc: u32, instr: Instr, xpulp: bool) -> Op<B> {
-    if !xpulp && instr.is_xpulp() {
-        return op_base(h_illegal_xpulp::<B>, pc, instr);
-    }
-    match instr {
-        Instr::Lui { rd, imm } => {
-            let mut op = op_base(h_lui::<B>, pc, instr);
-            op.rd = rd;
-            op.imm = imm;
-            op
-        }
+/// The single op of `instr` (already checked against the hart's ISA).
+fn single(instr: Instr) -> Op {
+    Op(match instr {
+        Instr::Lui { rd, imm } => Kind::Lui { rd, imm },
         Instr::AluImm {
             op: AluImmOp::Addi,
             rd,
             rs1,
             imm,
-        } => {
-            let mut op = op_base(h_addi::<B>, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.imm = imm;
-            op
+        } => Kind::Addi { rd, rs1, imm },
+        Instr::Alu { op, rd, rs1, rs2 } if matches!(op, AluOp::Add | AluOp::Sub | AluOp::Mul) => {
+            match op {
+                AluOp::Add => Kind::Add { rd, rs1, rs2 },
+                AluOp::Sub => Kind::Sub { rd, rs1, rs2 },
+                _ => Kind::Mul { rd, rs1, rs2 },
+            }
         }
-        Instr::Alu {
-            op: alu_op,
-            rd,
-            rs1,
-            rs2,
-        } if matches!(alu_op, AluOp::Add | AluOp::Sub | AluOp::Mul) => {
-            let handler = match alu_op {
-                AluOp::Add => h_add::<B>,
-                AluOp::Sub => h_sub::<B>,
-                _ => h_mul::<B>,
-            };
-            let mut op = op_base(handler, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.rs2 = rs2;
-            op
-        }
-        Instr::Shift {
-            op: shift_op,
-            rd,
-            rs1,
-            shamt,
-        } => {
-            let handler = match shift_op {
-                ShiftOp::Slli => h_slli::<B>,
-                ShiftOp::Srli => h_srli::<B>,
-                ShiftOp::Srai => h_srai::<B>,
-            };
-            let mut op = op_base(handler, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.imm = i32::from(shamt);
-            op
-        }
+        Instr::Shift { op, rd, rs1, shamt } => match op {
+            ShiftOp::Slli => Kind::Slli { rd, rs1, shamt },
+            ShiftOp::Srli => Kind::Srli { rd, rs1, shamt },
+            ShiftOp::Srai => Kind::Srai { rd, rs1, shamt },
+        },
         Instr::Load {
-            width: MemWidth::W,
+            width,
             rd,
             rs1,
             offset,
-        } => {
-            let mut op = op_base(h_lw::<B>, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.imm = offset;
-            op
-        }
+        } => Kind::Load {
+            width,
+            rd,
+            rs1,
+            imm: offset,
+        },
         Instr::Store {
-            width: MemWidth::W,
+            width,
             rs2,
             rs1,
             offset,
-        } => {
-            let mut op = op_base(h_sw::<B>, pc, instr);
-            op.rs1 = rs1;
-            op.rs2 = rs2;
-            op.imm = offset;
-            op
-        }
+        } => Kind::Store {
+            width,
+            rs2,
+            rs1,
+            imm: offset,
+        },
         Instr::LoadPost {
-            width: MemWidth::W,
+            width,
             rd,
             rs1,
             offset,
-        } => {
-            let mut op = op_base(h_load_post_w::<B>, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.imm = offset;
-            op
-        }
-        Instr::Mac { rd, rs1, rs2 } => {
-            let mut op = op_base(h_mac::<B>, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.rs2 = rs2;
-            op
-        }
+        } => Kind::LoadPost {
+            width,
+            rd,
+            rs1,
+            imm: offset,
+        },
+        Instr::StorePost {
+            width,
+            rs2,
+            rs1,
+            offset,
+        } => Kind::StorePost {
+            width,
+            rs2,
+            rs1,
+            imm: offset,
+        },
+        Instr::Mac { rd, rs1, rs2 } => Kind::Mac { rd, rs1, rs2 },
         Instr::Simd {
             op: SimdOp::SdotspH,
             rd,
             rs1,
             rs2,
-        } => {
-            let mut op = op_base(h_sdotsp::<B>, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.rs2 = rs2;
-            op
-        }
+        } => Kind::Sdotsp { rd, rs1, rs2 },
         Instr::Branch {
             cond,
             rs1,
             rs2,
             offset,
-        } => {
-            let mut op = op_base(h_branch::<B>, pc, instr);
-            op.cond = cond;
-            op.rs1 = rs1;
-            op.rs2 = rs2;
-            op.imm = offset;
-            op
-        }
-        Instr::Jal { rd, offset } => {
-            let mut op = op_base(h_jal::<B>, pc, instr);
-            op.rd = rd;
-            op.imm = offset;
-            op
-        }
-        Instr::Jalr { rd, rs1, offset } => {
-            let mut op = op_base(h_jalr::<B>, pc, instr);
-            op.rd = rd;
-            op.rs1 = rs1;
-            op.imm = offset;
-            op
-        }
-        Instr::Ecall | Instr::Ebreak => op_base(h_halt::<B>, pc, instr),
-        _ => op_base(h_generic::<B>, pc, instr),
-    }
+        } => Kind::Branch {
+            cond,
+            rs1,
+            rs2,
+            imm: offset,
+        },
+        Instr::Jal { rd, offset } => Kind::Jal { rd, imm: offset },
+        Instr::Jalr { rd, rs1, offset } => Kind::Jalr {
+            rd,
+            rs1,
+            imm: offset,
+        },
+        Instr::Ecall | Instr::Ebreak => Kind::Halt,
+        other => Kind::Other(other),
+    })
 }
 
 // ---------------------------------------------------------------------
-// Handlers. Each performs the exact architectural effects of the
-// reference interpreter and retires through `Cpu::retire`.
+// Sub-instruction helpers. Each performs the exact architectural effects
+// of the reference interpreter.
 // ---------------------------------------------------------------------
 
 #[inline]
@@ -918,226 +1097,6 @@ fn sdotsp(acc: u32, a: u32, b: u32) -> u32 {
     acc.wrapping_add(
         (i32::from(a0) * i32::from(b0)).wrapping_add(i32::from(a1) * i32::from(b1)) as u32,
     )
-}
-
-/// Executes one `p.lw rd, imm(rs1!)` sub-instruction and retires it.
-#[inline]
-fn sub_load_post_w<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    rd: Reg,
-    rs1: Reg,
-    offset: i32,
-    t: &Timing,
-    next_pc: u32,
-) -> Result<MemAccess, CpuError> {
-    let addr = cpu.reg(rs1);
-    let v = cpu.mem_load(bus, addr, MemWidth::W)?;
-    cpu.set_reg(rd, v);
-    if rd != rs1 {
-        cpu.set_reg(rs1, addr.wrapping_add(offset as u32));
-    }
-    cpu.retire(InstrClass::Load, t.load, next_pc, true);
-    Ok(MemAccess {
-        addr,
-        write: false,
-        width: MemWidth::W,
-    })
-}
-
-fn h_lui<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    cpu.set_reg(op.rd, op.imm as u32);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_addi<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = cpu.reg(op.rs1).wrapping_add(op.imm as u32);
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_add<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = cpu.reg(op.rs1).wrapping_add(cpu.reg(op.rs2));
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_sub<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = cpu.reg(op.rs1).wrapping_sub(cpu.reg(op.rs2));
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_mul<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = cpu.reg(op.rs1).wrapping_mul(cpu.reg(op.rs2));
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Mul, t.mul, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.mul))
-}
-
-fn h_slli<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = cpu.reg(op.rs1) << op.imm;
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_srli<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = cpu.reg(op.rs1) >> op.imm;
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_srai<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = ((cpu.reg(op.rs1) as i32) >> op.imm) as u32;
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_lw<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let addr = cpu.reg(op.rs1).wrapping_add(op.imm as u32);
-    let v = cpu.mem_load(bus, addr, MemWidth::W)?;
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Load, t.load, op.pc.wrapping_add(4), true);
-    Ok(Exec {
-        cycles: t.load,
-        retired: 1,
-        mem: Some(MemAccess {
-            addr,
-            write: false,
-            width: MemWidth::W,
-        }),
-        mem_cycles: t.load,
-        ..Exec::default()
-    })
-}
-
-fn h_sw<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let addr = cpu.reg(op.rs1).wrapping_add(op.imm as u32);
-    cpu.mem_store(bus, addr, MemWidth::W, cpu.reg(op.rs2))?;
-    cpu.retire(InstrClass::Store, t.store, op.pc.wrapping_add(4), true);
-    Ok(Exec {
-        cycles: t.store,
-        retired: 1,
-        mem: Some(MemAccess {
-            addr,
-            write: true,
-            width: MemWidth::W,
-        }),
-        mem_cycles: t.store,
-        ..Exec::default()
-    })
-}
-
-fn h_load_post_w<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let mem = sub_load_post_w(cpu, bus, op.rd, op.rs1, op.imm, t, op.pc.wrapping_add(4))?;
-    Ok(Exec {
-        cycles: t.load,
-        retired: 1,
-        mem: Some(mem),
-        mem_cycles: t.load,
-        ..Exec::default()
-    })
-}
-
-fn h_mac<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = cpu
-        .reg(op.rd)
-        .wrapping_add(cpu.reg(op.rs1).wrapping_mul(cpu.reg(op.rs2)));
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Dsp, t.xpulp, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.xpulp))
-}
-
-fn h_sdotsp<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let v = sdotsp(cpu.reg(op.rd), cpu.reg(op.rs1), cpu.reg(op.rs2));
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Simd, t.xpulp, op.pc.wrapping_add(4), true);
-    Ok(Exec::one(t.xpulp))
 }
 
 #[inline]
@@ -1152,284 +1111,85 @@ fn branch_taken(cond: BranchCond, a: u32, b: u32) -> bool {
     }
 }
 
-fn h_branch<B: Bus>(
+/// Executes and retires the conditional branch at `pc`; returns its cost.
+#[inline(always)]
+fn branch(
     cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
     t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    if branch_taken(op.cond, cpu.reg(op.rs1), cpu.reg(op.rs2)) {
-        cpu.retire(
-            InstrClass::BranchTaken,
-            t.branch_taken,
-            op.pc.wrapping_add(op.imm as u32),
-            true,
-        );
-        Ok(Exec::one(t.branch_taken))
+    pc: u32,
+    cond: BranchCond,
+    rs1: Reg,
+    rs2: Reg,
+    imm: i32,
+) -> u64 {
+    if branch_taken(cond, cpu.reg(rs1), cpu.reg(rs2)) {
+        let target = pc.wrapping_add(imm as u32);
+        cpu.retire(InstrClass::BranchTaken, t.branch_taken, target, true);
+        u64::from(t.branch_taken)
     } else {
-        cpu.retire(
-            InstrClass::BranchNotTaken,
-            t.branch_not_taken,
-            op.pc.wrapping_add(4),
-            true,
-        );
-        Ok(Exec::one(t.branch_not_taken))
+        let next = pc.wrapping_add(4);
+        cpu.retire(InstrClass::BranchNotTaken, t.branch_not_taken, next, true);
+        u64::from(t.branch_not_taken)
     }
 }
 
-fn h_jal<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
+/// Aligned, timed, sign-extending data load.
+#[inline(always)]
+fn load<B: Bus>(
+    cpu: &Cpu,
+    bus: &mut B,
+    addr: u32,
+    width: MemWidth,
     t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    cpu.set_reg(op.rd, op.pc.wrapping_add(4));
-    cpu.retire(
-        InstrClass::Jump,
-        t.jump,
-        op.pc.wrapping_add(op.imm as u32),
-        false,
-    );
-    Ok(Exec::one(t.jump))
+    at: u64,
+) -> Result<(u32, u64), CpuError> {
+    if !addr.is_multiple_of(width.bytes()) {
+        return Err(CpuError::Misaligned { addr, pc: cpu.pc });
+    }
+    let (raw, cost) = bus.load_timed(addr, width, t.load, at)?;
+    let v = match width {
+        MemWidth::B => raw as u8 as i8 as i32 as u32,
+        MemWidth::H => raw as u16 as i16 as i32 as u32,
+        MemWidth::W | MemWidth::Bu | MemWidth::Hu => raw,
+    };
+    Ok((v, u64::from(cost)))
 }
 
-fn h_jalr<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
+/// Aligned, timed data store.
+#[inline(always)]
+fn store<B: Bus>(
+    cpu: &Cpu,
+    bus: &mut B,
+    addr: u32,
+    width: MemWidth,
+    value: u32,
     t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let target = cpu.reg(op.rs1).wrapping_add(op.imm as u32) & !1;
-    cpu.set_reg(op.rd, op.pc.wrapping_add(4));
-    cpu.retire(InstrClass::Jump, t.jump, target, false);
-    Ok(Exec::one(t.jump))
+    at: u64,
+) -> Result<u64, CpuError> {
+    if !addr.is_multiple_of(width.bytes()) {
+        return Err(CpuError::Misaligned { addr, pc: cpu.pc });
+    }
+    Ok(u64::from(bus.store_timed(addr, width, value, t.store, at)?))
 }
 
-fn h_halt<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    cpu.halted = true;
-    cpu.retire(InstrClass::System, t.alu, op.pc, true);
-    Ok(Exec::one(t.alu))
-}
-
-fn h_illegal_xpulp<B: Bus>(
-    _cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    _t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    Err(CpuError::IllegalXpulp { pc: op.pc })
-}
-
-fn h_generic<B: Bus>(
+/// One `p.lw rd, imm(rs1!)` sub-instruction, retired to `next_pc`.
+#[inline(always)]
+fn post_load<B: Bus>(
     cpu: &mut Cpu,
     bus: &mut B,
-    op: &Op<B>,
+    l: PostLoad,
     t: &Timing,
-    _budget: u64,
-) -> Result<Exec, CpuError> {
-    let (cycles, mem) = cpu.execute(op.instr, op.pc, bus, t)?;
-    Ok(Exec {
-        cycles,
-        retired: 1,
-        mem,
-        mem_cycles: cycles,
-        ..Exec::default()
-    })
-}
-
-// ---- Fused handlers -------------------------------------------------
-//
-// Between sub-instructions each handler re-checks (a) the cycle budget,
-// because the reference interpreter tests the limit after every
-// instruction, and (b) that `pc` still points at the next
-// sub-instruction, because a hardware-loop back edge can redirect
-// mid-pattern. Either condition returns a partial `Exec`; the dispatch
-// loop re-enters at the architecturally-correct pc.
-
-fn h_lp_lp_sdotsp<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    budget: u64,
-) -> Result<Exec, CpuError> {
-    let mut e = Exec::default();
-    let m1 = sub_load_post_w(cpu, bus, op.rd, op.rs1, op.imm, t, op.pc.wrapping_add(4))?;
-    e.cycles = t.load;
-    e.retired = 1;
-    e.mem = Some(m1);
-    e.mem_cycles = t.load;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(4) {
-        return Ok(e);
+    next_pc: u32,
+    at: u64,
+) -> Result<u64, CpuError> {
+    let addr = cpu.reg(l.rs1);
+    let (v, cost) = load(cpu, bus, addr, MemWidth::W, t, at)?;
+    cpu.set_reg(l.rd, v);
+    if l.rd != l.rs1 {
+        cpu.set_reg(l.rs1, addr.wrapping_add(l.imm as u32));
     }
-    let m2 = sub_load_post_w(cpu, bus, op.rd2, op.rs1b, op.imm2, t, op.pc.wrapping_add(8))?;
-    e.cycles += t.load;
-    e.retired = 2;
-    e.mem2 = Some(m2);
-    e.mem2_cycles = t.load;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(8) {
-        return Ok(e);
-    }
-    let v = sdotsp(cpu.reg(op.rd3), cpu.reg(op.rs1c), cpu.reg(op.rs2c));
-    cpu.set_reg(op.rd3, v);
-    cpu.retire(InstrClass::Simd, t.xpulp, op.pc.wrapping_add(12), true);
-    e.cycles += t.xpulp;
-    e.retired = 3;
-    Ok(e)
-}
-
-fn h_lp_lp<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    budget: u64,
-) -> Result<Exec, CpuError> {
-    let mut e = Exec::default();
-    let m1 = sub_load_post_w(cpu, bus, op.rd, op.rs1, op.imm, t, op.pc.wrapping_add(4))?;
-    e.cycles = t.load;
-    e.retired = 1;
-    e.mem = Some(m1);
-    e.mem_cycles = t.load;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(4) {
-        return Ok(e);
-    }
-    let m2 = sub_load_post_w(cpu, bus, op.rd2, op.rs1b, op.imm2, t, op.pc.wrapping_add(8))?;
-    e.cycles += t.load;
-    e.retired = 2;
-    e.mem2 = Some(m2);
-    e.mem2_cycles = t.load;
-    Ok(e)
-}
-
-fn h_lp_sdotsp<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    budget: u64,
-) -> Result<Exec, CpuError> {
-    let mut e = Exec::default();
-    let m1 = sub_load_post_w(cpu, bus, op.rd, op.rs1, op.imm, t, op.pc.wrapping_add(4))?;
-    e.cycles = t.load;
-    e.retired = 1;
-    e.mem = Some(m1);
-    e.mem_cycles = t.load;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(4) {
-        return Ok(e);
-    }
-    let v = sdotsp(cpu.reg(op.rd2), cpu.reg(op.rs1b), cpu.reg(op.rs2b));
-    cpu.set_reg(op.rd2, v);
-    cpu.retire(InstrClass::Simd, t.xpulp, op.pc.wrapping_add(8), true);
-    e.cycles += t.xpulp;
-    e.retired = 2;
-    Ok(e)
-}
-
-fn h_lp_mac<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    budget: u64,
-) -> Result<Exec, CpuError> {
-    let mut e = Exec::default();
-    let m1 = sub_load_post_w(cpu, bus, op.rd, op.rs1, op.imm, t, op.pc.wrapping_add(4))?;
-    e.cycles = t.load;
-    e.retired = 1;
-    e.mem = Some(m1);
-    e.mem_cycles = t.load;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(4) {
-        return Ok(e);
-    }
-    let v = cpu
-        .reg(op.rd2)
-        .wrapping_add(cpu.reg(op.rs1b).wrapping_mul(cpu.reg(op.rs2b)));
-    cpu.set_reg(op.rd2, v);
-    cpu.retire(InstrClass::Dsp, t.xpulp, op.pc.wrapping_add(8), true);
-    e.cycles += t.xpulp;
-    e.retired = 2;
-    Ok(e)
-}
-
-fn h_mul_srai_add<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    budget: u64,
-) -> Result<Exec, CpuError> {
-    let mut e = Exec::default();
-    let v = cpu.reg(op.rs1).wrapping_mul(cpu.reg(op.rs2));
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Mul, t.mul, op.pc.wrapping_add(4), true);
-    e.cycles = t.mul;
-    e.retired = 1;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(4) {
-        return Ok(e);
-    }
-    let v = ((cpu.reg(op.rs1b) as i32) >> op.imm2) as u32;
-    cpu.set_reg(op.rd2, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(8), true);
-    e.cycles += t.alu;
-    e.retired = 2;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(8) {
-        return Ok(e);
-    }
-    let v = cpu.reg(op.rs1c).wrapping_add(cpu.reg(op.rs2c));
-    cpu.set_reg(op.rd3, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(12), true);
-    e.cycles += t.alu;
-    e.retired = 3;
-    Ok(e)
-}
-
-fn h_addi_branch<B: Bus>(
-    cpu: &mut Cpu,
-    _bus: &mut B,
-    op: &Op<B>,
-    t: &Timing,
-    budget: u64,
-) -> Result<Exec, CpuError> {
-    let mut e = Exec::default();
-    let v = cpu.reg(op.rs1).wrapping_add(op.imm as u32);
-    cpu.set_reg(op.rd, v);
-    cpu.retire(InstrClass::Alu, t.alu, op.pc.wrapping_add(4), true);
-    e.cycles = t.alu;
-    e.retired = 1;
-    if u64::from(e.cycles) > budget || cpu.pc != op.pc.wrapping_add(4) {
-        return Ok(e);
-    }
-    let branch_pc = op.pc.wrapping_add(4);
-    if branch_taken(op.cond, cpu.reg(op.rs1b), cpu.reg(op.rs2b)) {
-        cpu.retire(
-            InstrClass::BranchTaken,
-            t.branch_taken,
-            branch_pc.wrapping_add(op.imm2 as u32),
-            true,
-        );
-        e.cycles += t.branch_taken;
-    } else {
-        cpu.retire(
-            InstrClass::BranchNotTaken,
-            t.branch_not_taken,
-            branch_pc.wrapping_add(4),
-            true,
-        );
-        e.cycles += t.branch_not_taken;
-    }
-    e.retired = 2;
-    Ok(e)
+    cpu.retire(InstrClass::Load, t.load, next_pc, true);
+    Ok(cost)
 }
 
 #[cfg(test)]
@@ -1473,8 +1233,8 @@ mod tests {
         let mut ram_b = Ram::new(0, 4096);
         ram_b.write_bytes(0, &image);
         let mut cpu = new_cpu(0);
-        let mut cache = BlockCache::new(0, 4096, xpulp);
-        let res = cpu.run_blocks(&mut ram_b, &timing, max_cycles, &mut cache);
+        let mut prog = Program::new(0, 4096, xpulp);
+        let res = cpu.run_program(&mut ram_b, &timing, max_cycles, &mut prog);
         assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
         assert_eq!(ram_b.read_bytes(0, 4096), ram_a.read_bytes(0, 4096));
     }
@@ -1524,13 +1284,19 @@ mod tests {
         ram_b.write_bytes(0, &image);
         fill_data(&mut ram_b);
         let mut cpu = Cpu::new(0);
-        let mut cache = BlockCache::new(0, 4096, true);
-        let res = cpu.run_blocks(&mut ram_b, &timing, 100_000, &mut cache);
+        let mut prog = Program::new(0, 4096, true);
+        let res = cpu.run_program(&mut ram_b, &timing, 100_000, &mut prog);
         assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
-        let stats = cache.stats();
-        assert!(stats.fused_lp_lp_sdotsp >= 1, "{stats:?}");
-        assert!(stats.fused_mul_srai_add >= 1, "{stats:?}");
-        assert!(stats.hits > 0, "hardware loop should re-enter its block");
+        let stats = prog.stats();
+        // Every loop iteration runs as one fused dispatch.
+        assert_eq!(stats.fused_lp_lp_sdotsp, 8, "{stats:?}");
+        assert_eq!(stats.fused_mul_srai_add, 1, "{stats:?}");
+        assert_eq!(stats.instructions, res.unwrap().instructions);
+        assert!(stats.avg_burst() > 1.5, "{stats:?}");
+        // Sized to the code actually reached; slots inside fusion sites
+        // are never dispatched, so never translated.
+        assert_eq!(prog.len(), image.len() / 4);
+        assert!(stats.translations < prog.len() as u64, "{stats:?}");
     }
 
     #[test]
@@ -1565,14 +1331,45 @@ mod tests {
             ram_b.write_bytes(0, &image);
             fill_data(&mut ram_b);
             let mut cpu = Cpu::new(0);
-            let mut cache = BlockCache::new(0, 4096, true);
-            let res = cpu.run_blocks(&mut ram_b, &timing, limit, &mut cache);
+            let mut prog = Program::new(0, 4096, true);
+            let res = cpu.run_program(&mut ram_b, &timing, limit, &mut prog);
             assert_eq!(
                 outcome(&cpu, &res),
                 outcome(&ref_cpu, &ref_res),
                 "limit = {limit}"
             );
         }
+    }
+
+    #[test]
+    fn memory_gate_stops_before_a_second_access() {
+        // A fused p.lw pair given no room for a second access retires its
+        // first load only; the pc then indexes the second load's own slot.
+        let mut asm = Asm::new(0);
+        asm.li(Reg::A0, 0x200);
+        asm.load_post(MemWidth::W, Reg::A3, Reg::A0, 4);
+        asm.load_post(MemWidth::W, Reg::A4, Reg::A0, 4);
+        asm.ecall();
+        let mut ram = Ram::new(0, 4096);
+        ram.write_bytes(0, &asm.assemble().unwrap());
+        fill_data(&mut ram);
+        let t = Timing::riscy();
+        let mut cpu = Cpu::new(0);
+        let mut prog = Program::new(0, 4096, true);
+        let li = prog.fetch(&mut ram, 0).unwrap();
+        prog.exec(li, &mut cpu, &mut ram, &t, 0, u64::MAX, u64::MAX)
+            .unwrap();
+        let pair = prog.fetch(&mut ram, 4).unwrap();
+        assert_eq!(pair.width(), 2);
+        assert!(pair.is_shared());
+        assert_eq!(pair.head().width(), 1);
+        let cost = prog
+            .exec(pair, &mut cpu, &mut ram, &t, 1, u64::MAX, u64::from(t.load))
+            .unwrap();
+        assert_eq!(cost, u64::from(t.load));
+        assert_eq!(cpu.pc(), 8);
+        assert_eq!(cpu.reg(Reg::A0), 0x204);
+        assert_eq!(prog.fetch(&mut ram, 8).unwrap().width(), 1);
     }
 
     #[test]
@@ -1591,10 +1388,9 @@ mod tests {
     }
 
     #[test]
-    fn self_modifying_store_demotes_block() {
-        // Same shape as the DecodeCache SMC test: patch the *previous*
-        // loop body instruction mid-run and require the next iteration
-        // to see the new bytes.
+    fn self_modifying_store_redecodes_the_slot() {
+        // Patch the *previous* loop body instruction mid-run and require
+        // the next iteration to see the new bytes.
         let mut asm = Asm::new(0);
         asm.li(Reg::A0, 0); // 0x00
         asm.li(Reg::T0, 2); // 0x04
@@ -1610,17 +1406,16 @@ mod tests {
         patch.addi(Reg::A0, Reg::A0, 7);
         let patch_word = u32::from_le_bytes(patch.assemble().unwrap()[..4].try_into().unwrap());
 
-        let run = |blocks: bool| {
+        let run = |program: bool| {
             let mut ram = Ram::new(0, 4096);
             ram.write_bytes(0, &image);
             let mut cpu = Cpu::new(0);
             cpu.set_reg(Reg::T1, 0x08);
             cpu.set_reg(Reg::T2, patch_word);
-            let res = if blocks {
-                let mut cache = BlockCache::new(0, 4096, true);
-                let r = cpu.run_blocks(&mut ram, &Timing::riscy(), 1_000_000, &mut cache);
-                assert!(cache.stats().demotions > 0);
-                assert!(cache.stats().exit_smc > 0);
+            let res = if program {
+                let mut prog = Program::new(0, 4096, true);
+                let r = cpu.run_program(&mut ram, &Timing::riscy(), 1_000_000, &mut prog);
+                assert!(prog.stats().redecodes > 0);
                 r
             } else {
                 cpu.run(&mut ram, &Timing::riscy(), 1_000_000)
@@ -1630,14 +1425,41 @@ mod tests {
         };
 
         let (a0_ref, res_ref) = run(false);
-        let (a0_blocks, res_blocks) = run(true);
+        let (a0_prog, res_prog) = run(true);
         assert_eq!(a0_ref, 1 + 7);
-        assert_eq!(a0_blocks, a0_ref);
-        assert_eq!(res_blocks, res_ref);
+        assert_eq!(a0_prog, a0_ref);
+        assert_eq!(res_prog, res_ref);
     }
 
     #[test]
-    fn ibex_rejects_xpulp_in_blocks() {
+    fn store_into_a_fused_tail_drops_the_fused_op() {
+        // mul/srai/add fuse at 0; a store over the `add` at 8 must drop
+        // the fused op at 0 and the `add`'s own slot, but neither the
+        // single `srai` at 4 nor the `ecall` past it.
+        let mut asm = Asm::new(0);
+        asm.alu(AluOp::Mul, Reg::A6, Reg::A2, Reg::A5);
+        asm.shift(ShiftOp::Srai, Reg::A6, Reg::A6, 7);
+        asm.alu(AluOp::Add, Reg::A7, Reg::A6, Reg::A5);
+        asm.ecall();
+        let mut ram = Ram::new(0, 4096);
+        ram.write_bytes(0, &asm.assemble().unwrap());
+        let mut prog = Program::new(0, 4096, true);
+        for pc in [0, 4, 8, 12] {
+            prog.fetch(&mut ram, pc).unwrap();
+        }
+        assert_eq!(prog.fetch(&mut ram, 0).unwrap().width(), 3);
+        assert!(prog.invalidate_store(8, MemWidth::W));
+        assert_eq!(prog.stats().redecodes, 2);
+        assert!(!prog.invalidate_store(8, MemWidth::W));
+        assert!(!prog.invalidate_store(16, MemWidth::W));
+        assert!(!prog.invalidate_store(0x800, MemWidth::W));
+        // The next dispatch re-decodes the fused op from memory.
+        assert_eq!(prog.fetch(&mut ram, 0).unwrap().width(), 3);
+        assert_eq!(prog.stats().translations, 5);
+    }
+
+    #[test]
+    fn ibex_rejects_xpulp_in_programs() {
         let mut asm = Asm::new(0);
         asm.li(Reg::A0, 1);
         asm.mac(Reg::A0, Reg::A1, Reg::A2);
@@ -1646,37 +1468,37 @@ mod tests {
     }
 
     #[test]
-    fn out_of_window_pc_falls_back() {
+    fn out_of_window_pc_translates_without_a_slot() {
         let mut asm = Asm::new(0x100);
         asm.li(Reg::A0, 7);
         asm.ecall();
         let mut ram = Ram::new(0, 512);
         ram.write_bytes(0x100, &asm.assemble().unwrap());
         let mut cpu = Cpu::new(0x100);
-        let mut cache = BlockCache::new(0, 64, true); // window ends at 0x40
+        let mut prog = Program::new(0, 64, true); // window ends at 0x40
         let res = cpu
-            .run_blocks(&mut ram, &Timing::riscy(), 1_000, &mut cache)
+            .run_program(&mut ram, &Timing::riscy(), 1_000, &mut prog)
             .unwrap();
         assert_eq!(cpu.reg(Reg::A0), 7);
         assert!(res.instructions > 0);
-        assert_eq!(cache.stats().fallback_steps, res.instructions);
-        assert_eq!(cache.stats().blocks_compiled, 0);
+        assert_eq!(prog.stats().dispatches, res.instructions);
+        assert!(prog.is_empty());
     }
 
     #[test]
-    fn misaligned_spanning_store_demotes_both_blocks() {
-        let mut cache: BlockCache<Ram> = BlockCache::new(0, 4096, true);
+    fn misaligned_spanning_store_drops_both_words() {
         let mut asm = Asm::new(0);
         asm.li(Reg::A0, 1);
+        asm.li(Reg::A1, 2);
         asm.ecall();
         let mut ram = Ram::new(0, 4096);
         ram.write_bytes(0, &asm.assemble().unwrap());
-        let b = cache.lookup(&mut ram, 0).unwrap();
-        assert!(b.end() >= 8);
-        // A word store at offset 2 touches words 0 and 4 — both belong
-        // to the compiled block, which must be demoted (once).
-        assert!(cache.invalidate_store(2, MemWidth::W));
-        assert_eq!(cache.stats().demotions, 1);
-        assert!(!cache.invalidate_store(2, MemWidth::W));
+        let mut prog = Program::new(0, 4096, true);
+        prog.fetch(&mut ram, 0).unwrap();
+        prog.fetch(&mut ram, 4).unwrap();
+        // A word store at offset 2 touches words 0 and 4: both slots drop.
+        assert!(prog.invalidate_store(2, MemWidth::W));
+        assert_eq!(prog.stats().redecodes, 2);
+        assert!(!prog.invalidate_store(2, MemWidth::W));
     }
 }

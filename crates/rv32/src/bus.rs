@@ -54,6 +54,48 @@ pub trait Bus {
     fn fetch(&mut self, addr: u32) -> Result<u32, BusError> {
         self.load(addr, MemWidth::W)
     }
+
+    /// Timed data load, used by the [`Program`](crate::Program)
+    /// dispatcher: performs the load and returns the raw bytes plus the
+    /// access's cycle cost, given the instruction's base cost `base` and
+    /// its issue time `at` on the caller's clock. Buses with a memory
+    /// system (latency, arbitration stalls) charge it here, once per
+    /// access. Defaults to the base cost.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Bus::load`].
+    #[inline(always)]
+    fn load_timed(
+        &mut self,
+        addr: u32,
+        width: MemWidth,
+        base: u32,
+        at: u64,
+    ) -> Result<(u32, u32), BusError> {
+        let _ = at;
+        Ok((self.load(addr, width)?, base))
+    }
+
+    /// Timed data store: the store counterpart of [`Bus::load_timed`];
+    /// returns the access's cycle cost.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Bus::store`].
+    #[inline(always)]
+    fn store_timed(
+        &mut self,
+        addr: u32,
+        width: MemWidth,
+        value: u32,
+        base: u32,
+        at: u64,
+    ) -> Result<u32, BusError> {
+        let _ = at;
+        self.store(addr, width, value)?;
+        Ok(base)
+    }
 }
 
 impl<B: Bus + ?Sized> Bus for &mut B {
@@ -65,6 +107,25 @@ impl<B: Bus + ?Sized> Bus for &mut B {
     }
     fn fetch(&mut self, addr: u32) -> Result<u32, BusError> {
         (**self).fetch(addr)
+    }
+    fn load_timed(
+        &mut self,
+        addr: u32,
+        width: MemWidth,
+        base: u32,
+        at: u64,
+    ) -> Result<(u32, u32), BusError> {
+        (**self).load_timed(addr, width, base, at)
+    }
+    fn store_timed(
+        &mut self,
+        addr: u32,
+        width: MemWidth,
+        value: u32,
+        base: u32,
+        at: u64,
+    ) -> Result<u32, BusError> {
+        (**self).store_timed(addr, width, value, base, at)
     }
 }
 
@@ -136,29 +197,35 @@ impl Ram {
 }
 
 impl Bus for Ram {
+    #[inline]
     fn load(&mut self, addr: u32, width: MemWidth) -> Result<u32, BusError> {
-        let n = width.bytes();
-        if !self.contains(addr, n) {
-            return Err(BusError { addr, write: false });
-        }
-        let off = (addr - self.base) as usize;
-        let mut v = 0u32;
-        for i in 0..n as usize {
-            v |= u32::from(self.data[off + i]) << (8 * i);
-        }
-        Ok(v)
+        // Little-endian, zero-extended.
+        let tail = addr
+            .checked_sub(self.base)
+            .and_then(|off| self.data.get(off as usize..));
+        tail.and_then(|b| match width {
+            MemWidth::B | MemWidth::Bu => b.first().map(|&x| u32::from(x)),
+            MemWidth::H | MemWidth::Hu => {
+                b.first_chunk().map(|&h| u32::from(u16::from_le_bytes(h)))
+            }
+            MemWidth::W => b.first_chunk().map(|&w| u32::from_le_bytes(w)),
+        })
+        .ok_or(BusError { addr, write: false })
     }
 
+    #[inline]
     fn store(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), BusError> {
-        let n = width.bytes();
-        if !self.contains(addr, n) {
-            return Err(BusError { addr, write: true });
-        }
-        let off = (addr - self.base) as usize;
-        for i in 0..n as usize {
-            self.data[off + i] = (value >> (8 * i)) as u8;
-        }
-        Ok(())
+        let tail = addr
+            .checked_sub(self.base)
+            .and_then(|off| self.data.get_mut(off as usize..));
+        tail.and_then(|b| match width {
+            MemWidth::B | MemWidth::Bu => b.first_mut().map(|x| *x = value as u8),
+            MemWidth::H | MemWidth::Hu => b
+                .first_chunk_mut()
+                .map(|h| *h = (value as u16).to_le_bytes()),
+            MemWidth::W => b.first_chunk_mut().map(|w| *w = value.to_le_bytes()),
+        })
+        .ok_or(BusError { addr, write: true })
     }
 }
 

@@ -1,10 +1,20 @@
 //! PC-indexed cache of pre-decoded instructions.
 //!
-//! The interpreter's hot loop otherwise pays a `fetch` + [`decode`] pair
-//! for every *dynamic* instruction. A [`DecodeCache`] moves that cost to
-//! once per *static* instruction: a direct-mapped array of decoded
-//! [`Instr`] values spanning a word-aligned window of the program region,
-//! filled lazily on first execution.
+//! The fetch-and-decode reference pays a `fetch` + [`decode`] pair for
+//! every *dynamic* instruction. A [`DecodeCache`] moves that cost to once
+//! per *static* instruction: a direct-mapped array of decoded [`Instr`]
+//! values spanning a word-aligned window of the program region, filled
+//! lazily on first execution, executed one instruction per step through
+//! [`Cpu::execute`](crate::Cpu::execute).
+//!
+//! It backs the instrumented single-core loops ([`Cpu::run_cached_sink`],
+//! [`Cpu::run_traced`], [`Cpu::step_cached`]), which need a per-step hook.
+//! Product runs dispatch a [`Program`](crate::Program) instead: one
+//! pre-resolved, possibly fused op per PC.
+//!
+//! [`Cpu::run_cached_sink`]: crate::Cpu::run_cached_sink
+//! [`Cpu::run_traced`]: crate::Cpu::run_traced
+//! [`Cpu::step_cached`]: crate::Cpu::step_cached
 //!
 //! Coherence: callers must report every store through
 //! [`DecodeCache::invalidate_store`], which drops every line whose word

@@ -239,12 +239,13 @@ impl Cpu {
     /// Retires one instruction: applies the hardware-loop back-edge
     /// redirect, records the profile and advances `pc`.
     ///
-    /// This is the exact tail of [`Cpu::execute`], factored out so block
-    /// handlers (`block.rs`) that have already performed an instruction's
-    /// architectural effects can finish it identically — sub-instructions
-    /// of a fused macro-op each retire through here so a fault or budget
-    /// stop between them leaves state exactly as the reference path would.
-    #[inline]
+    /// This is the exact tail of [`Cpu::execute`], factored out so the
+    /// [`Program`](crate::Program) ops that have already performed an
+    /// instruction's architectural effects can finish it identically —
+    /// sub-instructions of a fused op each retire through here so a fault
+    /// or budget stop between them leaves state exactly as the reference
+    /// path would.
+    #[inline(always)]
     pub(crate) fn retire(
         &mut self,
         class: InstrClass,

@@ -20,10 +20,13 @@
 //! [`Step::mem`] so the SoC model (`iw-mrwolf`) can add TCDM bank-conflict
 //! stalls.
 //!
-//! Simulation throughput comes from pre-decoding: a [`DecodeCache`] decodes
-//! each static instruction once, and the batched [`Cpu::run_cached`] loop
-//! executes from it with bit- and cycle-identical results to the
-//! fetch-and-decode reference path ([`Cpu::run`]).
+//! Simulation throughput comes from translating each static instruction
+//! once: a [`Program`] holds one pre-resolved op per PC, fusing the
+//! kernels' inner-loop idioms into superinstructions, and
+//! [`Cpu::run_program`] dispatches it with bit- and cycle-identical
+//! results to the fetch-and-decode reference path ([`Cpu::run`]). The
+//! instrumented loops ([`Cpu::run_cached_sink`]) pre-decode through a
+//! [`DecodeCache`] instead, one instruction per step.
 //!
 //! # Examples
 //!
@@ -69,7 +72,7 @@ mod instr;
 mod profile;
 mod timing;
 
-pub use block::{Block, BlockCache, BlockStats, Exec};
+pub use block::{Op, Program, ProgramStats};
 pub use bus::{Bus, BusError, Ram};
 pub use cache::DecodeCache;
 pub use cpu::{Cpu, CpuError, HwLoop, MemAccess, RunResult, Step};

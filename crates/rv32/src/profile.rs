@@ -117,6 +117,7 @@ impl ExecProfile {
     }
 
     /// Records one retired instruction.
+    #[inline]
     pub fn record(&mut self, class: InstrClass, cycles: u32) {
         let slot = &mut self.slots[class.index()];
         slot.instructions += 1;

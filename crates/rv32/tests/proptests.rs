@@ -1,13 +1,13 @@
 //! Property tests: every constructible instruction encodes to a word that
 //! decodes back to itself, decoding arbitrary words never panics, and the
 //! accelerated execution paths — pre-decoded ([`Cpu::run_cached`]) and
-//! block-compiled ([`Cpu::run_blocks`]) — are bit- and
+//! the per-PC op program ([`Cpu::run_program`]) — are bit- and
 //! cycle-identical to the fetch-and-decode reference ([`Cpu::run`]),
 //! including on faults, cycle-limit exits and self-modifying stores.
 
 use iw_rv32::{
-    decode, encode, AluImmOp, AluOp, BlockCache, BranchCond, Cpu, CpuError, DecodeCache, Instr,
-    LoopIdx, MemWidth, PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
+    decode, encode, AluImmOp, AluOp, BranchCond, Cpu, CpuError, DecodeCache, Instr, LoopIdx,
+    MemWidth, Program, PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
 };
 use proptest::prelude::*;
 
@@ -254,10 +254,10 @@ fn run_cached(words: &[u32], regs: &[u32], window: u32) -> Outcome {
     outcome(cpu, &ram, result)
 }
 
-fn run_blocks(words: &[u32], regs: &[u32], window: u32) -> Outcome {
+fn run_program(words: &[u32], regs: &[u32], window: u32) -> Outcome {
     let (mut cpu, mut ram) = fresh_machine(words, regs);
-    let mut cache = BlockCache::new(0, window, true);
-    let result = cpu.run_blocks(&mut ram, &Timing::riscy(), MAX_CYCLES, &mut cache);
+    let mut prog = Program::new(0, window, true);
+    let result = cpu.run_program(&mut ram, &Timing::riscy(), MAX_CYCLES, &mut prog);
     outcome(cpu, &ram, result)
 }
 
@@ -267,16 +267,94 @@ fn assert_all_paths_match(words: &[u32], regs: &[u32], reference: &Outcome) {
     assert_eq!(&cached, reference, "run_cached, full window");
     let narrow = run_cached(words, regs, 0x40);
     assert_eq!(&narrow, reference, "run_cached, narrow window");
-    let blocks = run_blocks(words, regs, MEM_SIZE as u32);
-    assert_eq!(&blocks, reference, "run_blocks, full window");
-    let narrow = run_blocks(words, regs, 0x40);
-    assert_eq!(&narrow, reference, "run_blocks, narrow window");
+    let program = run_program(words, regs, MEM_SIZE as u32);
+    assert_eq!(&program, reference, "run_program, full window");
+    let narrow = run_program(words, regs, 0x40);
+    assert_eq!(&narrow, reference, "run_program, narrow window");
 }
 
 /// Register values biased into the mapped address range so that random
 /// loads/stores frequently hit memory instead of faulting immediately.
 fn any_regs() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..MEM_SIZE as u32, 31)
+}
+
+/// Instruction groups that form the op program's fusion patterns (with
+/// random registers, so some sites alias their own operands), mixed with
+/// arbitrary instructions and word stores into the code.
+fn fusion_fragment() -> impl Strategy<Value = Vec<Instr>> {
+    let lp = |rd, rs1| Instr::LoadPost {
+        width: MemWidth::W,
+        rd,
+        rs1,
+        offset: 4,
+    };
+    let sdotsp = |rd, rs1, rs2| Instr::Simd {
+        op: SimdOp::SdotspH,
+        rd,
+        rs1,
+        rs2,
+    };
+    prop_oneof![
+        any_instr().prop_map(|i| vec![i]),
+        (any_reg(), any_reg(), any_reg(), any_reg(), any_reg()).prop_map(
+            move |(d1, p1, d2, p2, acc)| vec![lp(d1, p1), lp(d2, p2), sdotsp(acc, d1, d2)]
+        ),
+        (any_reg(), any_reg(), any_reg(), any_reg())
+            .prop_map(move |(d1, p1, d2, p2)| vec![lp(d1, p1), lp(d2, p2)]),
+        (any_reg(), any_reg(), any_reg(), any_reg())
+            .prop_map(move |(d1, p1, acc, m)| vec![lp(d1, p1), sdotsp(acc, d1, m)]),
+        (any_reg(), any_reg(), any_reg(), any_reg()).prop_map(move |(d1, p1, acc, m)| vec![
+            lp(d1, p1),
+            Instr::Mac {
+                rd: acc,
+                rs1: d1,
+                rs2: m
+            }
+        ]),
+        (any_reg(), any_reg(), any_reg(), 0u8..32, any_reg()).prop_map(|(d, a, b, sh, e)| vec![
+            Instr::Alu {
+                op: AluOp::Mul,
+                rd: d,
+                rs1: a,
+                rs2: b
+            },
+            Instr::Shift {
+                op: ShiftOp::Srai,
+                rd: d,
+                rs1: d,
+                shamt: sh
+            },
+            Instr::Alu {
+                op: AluOp::Add,
+                rd: e,
+                rs1: d,
+                rs2: b
+            },
+        ]),
+        (any_reg(), -4i32..4, any_reg(), -6i32..6).prop_map(|(r, k, s, w)| vec![
+            Instr::AluImm {
+                op: AluImmOp::Addi,
+                rd: r,
+                rs1: r,
+                imm: k
+            },
+            Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: r,
+                rs2: s,
+                offset: 4 * w
+            },
+        ]),
+        (prop_oneof![Just(Reg::S10), Just(Reg::S11)], 0i32..48).prop_map(|(rs2, w)| vec![
+            Instr::Store {
+                width: MemWidth::W,
+                rs2,
+                rs1: Reg::ZERO,
+                offset: 4 * w
+            },
+        ]),
+    ]
 }
 
 proptest! {
@@ -305,7 +383,7 @@ proptest! {
 
     /// Arbitrary programs — including ones that branch wildly, fault, or
     /// spin until the cycle limit — behave identically on the cached,
-    /// block-compiled and uncached paths, with both a full-memory window
+    /// op-program and uncached paths, with both a full-memory window
     /// and a narrow one that forces out-of-window fallback fetches.
     #[test]
     fn cached_execution_is_bit_exact(
@@ -368,10 +446,10 @@ proptest! {
     }
 
     /// Self-modifying-code fuzzing: programs randomly interleaved with
-    /// stores aimed back into the code region, so compiled blocks are
-    /// demoted mid-run — sometimes the very block being executed. Every
-    /// accelerated path must track the reference bit-for-bit through the
-    /// demotions and recompiles.
+    /// stores aimed back into the code region, so translated ops — fused
+    /// ones included — are dropped mid-run, sometimes the very op just
+    /// executed. Every accelerated path must track the reference
+    /// bit-for-bit through the drops and re-decodes.
     #[test]
     fn random_code_stores_stay_bit_exact(
         prog in prop::collection::vec(
@@ -379,7 +457,7 @@ proptest! {
                 any_instr(),
                 any_instr(),
                 // Aligned word stores into the first 48 words: rewrite
-                // whole instructions, exercising demotion + recompile.
+                // whole instructions, exercising drop + re-decode.
                 (any_reg(), 0i32..48).prop_map(|(rs2, w)| Instr::Store {
                     width: MemWidth::W,
                     rs2,
@@ -406,6 +484,53 @@ proptest! {
             .map(|i| encode(i).expect("generated instruction must encode"))
             .collect();
         words.push(encode(&Instr::Ecall).unwrap());
+
+        let reference = run_uncached(&words, &regs);
+        assert_all_paths_match(&words, &regs, &reference);
+    }
+
+    /// Programs built from fusion patterns — inside hardware loops whose
+    /// end cuts a pattern short, branched into mid-pattern, faulting
+    /// mid-pattern, and, on the second and third pass of an outer loop,
+    /// rewritten by code stores of valid instruction words that land
+    /// inside fused ops already translated — run bit-exactly on every
+    /// accelerated path.
+    #[test]
+    fn fused_patterns_stay_bit_exact(
+        frags in prop::collection::vec(
+            (fusion_fragment(), 0u8..4, 1usize..4),
+            0..16,
+        ),
+        words_in in prop::collection::vec(0u32..(MEM_SIZE as u32 / 4), 31),
+        patches in (fusion_fragment(), fusion_fragment()),
+    ) {
+        let mut body: Vec<Instr> = Vec::new();
+        for (frag, count, cut) in &frags {
+            if *count > 0 {
+                // A hardware loop over the first `cut` instructions.
+                let cut = (*cut).min(frag.len()) as i32;
+                body.push(Instr::LpSetupi { l: LoopIdx::L0, count: *count, offset: 4 * (1 + cut) });
+            }
+            body.extend(frag.iter().copied());
+        }
+        let mut program = vec![Instr::AluImm { op: AluImmOp::Addi, rd: Reg::S9, rs1: Reg::ZERO, imm: 3 }];
+        program.extend(body.iter().copied());
+        program.push(Instr::AluImm { op: AluImmOp::Addi, rd: Reg::S9, rs1: Reg::S9, imm: -1 });
+        program.push(Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: Reg::S9,
+            rs2: Reg::ZERO,
+            offset: -4 * (body.len() as i32 + 1),
+        });
+        program.push(Instr::Ecall);
+        let words: Vec<u32> = program
+            .iter()
+            .map(|i| encode(i).expect("generated instruction must encode"))
+            .collect();
+        // Word-aligned pointers, so post-increment streams mostly load.
+        let mut regs: Vec<u32> = words_in.iter().map(|w| 4 * w).collect();
+        regs[Reg::S10.index() as usize - 1] = encode(&patches.0[0]).unwrap();
+        regs[Reg::S11.index() as usize - 1] = encode(&patches.1[0]).unwrap();
 
         let reference = run_uncached(&words, &regs);
         assert_all_paths_match(&words, &regs, &reference);
