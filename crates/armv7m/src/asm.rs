@@ -57,8 +57,8 @@ impl ThumbAsm {
     /// Names the region starting at the current instruction index. Marks
     /// are pure metadata — they emit nothing — and feed the trace
     /// layer's symbolized hotspot/region reports. Positions are in
-    /// *instruction index* units, matching the PC of the pre-decoded
-    /// [`crate::CortexM4::run`] path.
+    /// *instruction index* units, matching the PC of the fused
+    /// [`crate::CortexM4::run_fused`] path.
     pub fn mark(&mut self, name: &str) {
         self.symbols
             .push((self.items.len() as u32, name.to_string()));

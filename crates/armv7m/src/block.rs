@@ -21,12 +21,16 @@
 //! Every fused handler replays the exact per-instruction semantics of
 //! [`CortexM4::exec_decoded`] — flag updates, the load-pipelining cycle
 //! discount, per-class profile accounting, and fault ordering — so results,
-//! cycle counts, and error states are bit-identical to [`CortexM4::run`].
-//! Indices *inside* a fused pattern keep their unfused single entries, so a
-//! branch that jumps into the middle of a pattern executes the remaining
-//! instructions individually; no basic-block boundary analysis is needed.
+//! cycle counts, and error states are bit-identical to the per-halfword
+//! reference [`CortexM4::run_code`]. Indices *inside* a fused pattern keep
+//! their unfused single entries, so a branch that jumps into the middle of
+//! a pattern executes the remaining instructions individually; no
+//! basic-block boundary analysis is needed. A recorded run
+//! ([`CortexM4::run_fused_sink`]) executes only each slot's first
+//! instruction, so every instruction gets its own PC sample.
 
 use iw_rv32::{Bus, InstrClass, MemWidth};
+use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::cpu::{CortexM4, Flags, M4Error, RunResult};
 use crate::instr::{AddrMode, Cond, DpOp, LsWidth, ThumbInstr, R, S};
@@ -92,6 +96,37 @@ enum FusedOp {
         cond: Cond,
         target: usize,
     },
+}
+
+impl FusedOp {
+    /// The instruction at this slot's own index: the single instruction,
+    /// or the first instruction of the fused pattern.
+    fn head(&self) -> ThumbInstr {
+        match *self {
+            FusedOp::Single(instr) => instr,
+            FusedOp::VldrVldrVmla { sa, ra, offa, .. } => ThumbInstr::VldrPost {
+                sd: sa,
+                rn: ra,
+                offset: offa,
+            },
+            FusedOp::LdrLdrSmlad { rta, ra, offa, .. } | FusedOp::LdrLdr { rta, ra, offa, .. } => {
+                ThumbInstr::Ldr {
+                    width: LsWidth::W,
+                    rt: rta,
+                    rn: ra,
+                    offset: offa,
+                    mode: AddrMode::PostInc,
+                }
+            }
+            FusedOp::MulAsrAdd { rd, rn, rm, .. } => ThumbInstr::Dp {
+                op: DpOp::Mul,
+                rd,
+                rn,
+                rm,
+            },
+            FusedOp::SubsB { rd, rn, imm, .. } => ThumbInstr::SubsImm { rd, rn, imm },
+        }
+    }
 }
 
 /// Execution counters for [`CortexM4::run_fused`].
@@ -598,15 +633,16 @@ impl CortexM4 {
         Ok(Burst { cycles, retired })
     }
 
-    /// Runs until `bkpt` over a fusion-compiled program — the
-    /// superinstruction fast path for [`CortexM4::run`]. Results, cycle
-    /// counts, profiles, and error states are bit-identical to running the
-    /// source `&[ThumbInstr]` program; `stats` accumulates dispatch and
-    /// per-pattern counters across calls.
+    /// Runs until `bkpt` over a fusion-compiled program — the M4's
+    /// product interpreter. Results, cycle counts, profiles, and error
+    /// states are bit-identical to running the source program's encoding
+    /// on the reference ([`CortexM4::run_code`]); `stats` accumulates
+    /// dispatch and per-pattern counters across calls.
     ///
     /// # Errors
     ///
-    /// Same as [`CortexM4::run`].
+    /// Returns [`M4Error::CycleLimit`] if `max_cycles` elapses first, or any
+    /// other [`M4Error`] the program raises.
     pub fn run_fused<B: Bus>(
         &mut self,
         prog: &BlockProgram,
@@ -615,26 +651,77 @@ impl CortexM4 {
         max_cycles: u64,
         stats: &mut FusedStats,
     ) -> Result<RunResult, M4Error> {
+        self.run_fused_sink(
+            prog,
+            bus,
+            t,
+            max_cycles,
+            stats,
+            &mut NoopSink,
+            TrackId::default(),
+        )
+    }
+
+    /// [`CortexM4::run_fused`] with an instrumentation sink attached.
+    ///
+    /// With the default [`NoopSink`] every emission site folds away and
+    /// this *is* the fused hot loop. With a recording sink each dispatch
+    /// executes only the first instruction of its slot, and the run emits
+    /// one PC sample per retired instruction (PC in *instruction index*
+    /// units — the same units [`crate::asm::ThumbAsm::mark`] records
+    /// symbols in) plus a single `exec-batch` span covering the whole run:
+    /// nRF52832 code executes from flash, which stores cannot reach, so
+    /// the compiled program is never invalidated and the batch never
+    /// breaks.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CortexM4::run_fused`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_fused_sink<B: Bus, S: TraceSink>(
+        &mut self,
+        prog: &BlockProgram,
+        bus: &mut B,
+        t: &CortexM4Timing,
+        max_cycles: u64,
+        stats: &mut FusedStats,
+        sink: &mut S,
+        track: TrackId,
+    ) -> Result<RunResult, M4Error> {
         let mut cycles = 0u64;
         let mut instructions = 0u64;
         while !self.halted {
             let pc = self.pc;
             let op = prog.ops.get(pc).ok_or(M4Error::PcOutOfRange { pc })?;
             stats.dispatches += 1;
-            if let FusedOp::Single(instr) = op {
-                let cost = self.exec_decoded(*instr, pc, pc + 1, bus, t)?;
-                cycles += u64::from(cost);
-                instructions += 1;
-                stats.instructions += 1;
-            } else {
-                let burst = self.exec_fused(op, pc, bus, t, max_cycles - cycles, stats)?;
-                cycles += burst.cycles;
-                instructions += burst.retired;
-                stats.instructions += burst.retired;
+            let (cost, retired) = match op {
+                FusedOp::Single(instr) => {
+                    let cost = self.exec_decoded(*instr, pc, pc + 1, bus, t)?;
+                    (u64::from(cost), 1)
+                }
+                // A recording sink samples every instruction: execute the
+                // fused pattern's first instruction alone.
+                _ if S::ENABLED => {
+                    let cost = self.exec_decoded(op.head(), pc, pc + 1, bus, t)?;
+                    (u64::from(cost), 1)
+                }
+                _ => {
+                    let burst = self.exec_fused(op, pc, bus, t, max_cycles - cycles, stats)?;
+                    (burst.cycles, burst.retired)
+                }
+            };
+            if S::ENABLED {
+                sink.pc_sample(track, pc as u32, cycles, cost as u32);
             }
+            cycles += cost;
+            instructions += retired;
+            stats.instructions += retired;
             if cycles > max_cycles {
                 return Err(M4Error::CycleLimit { limit: max_cycles });
             }
+        }
+        if S::ENABLED && cycles > 0 {
+            sink.span(track, "exec-batch", 0, cycles);
         }
         Ok(RunResult {
             cycles,
@@ -647,20 +734,23 @@ impl CortexM4 {
 mod tests {
     use super::*;
     use crate::asm::ThumbAsm;
+    use crate::code::{encode_program, instr_len};
     use iw_rv32::{Bus, Ram};
 
-    /// Runs `program` on both the reference interpreter and the fused
-    /// path and asserts every observable output is bit-identical.
+    /// Runs `program` on the fused path and its encoding on the
+    /// per-halfword reference, and asserts every observable output is
+    /// bit-identical (program counters compared in halfword units).
     fn compare(
         program: &[ThumbInstr],
         max_cycles: u64,
         setup: impl Fn(&mut CortexM4, &mut Ram),
     ) -> (CortexM4, FusedStats) {
+        let code = encode_program(program).unwrap();
         let mut ref_cpu = CortexM4::new();
         let mut ref_ram = Ram::new(0, 4096);
         setup(&mut ref_cpu, &mut ref_ram);
         let t = CortexM4Timing::default();
-        let ref_res = ref_cpu.run(program, &mut ref_ram, &t, max_cycles);
+        let ref_res = ref_cpu.run_code(&code, &mut ref_ram, &t, max_cycles);
 
         let prog = BlockProgram::compile(program);
         let mut cpu = CortexM4::new();
@@ -669,8 +759,22 @@ mod tests {
         let mut stats = FusedStats::default();
         let res = cpu.run_fused(&prog, &mut ram, &t, max_cycles, &mut stats);
 
+        // Halfword offset of every instruction index, one past the end
+        // included.
+        let hw: Vec<usize> = core::iter::once(0)
+            .chain(program.iter().scan(0, |at, i| {
+                *at += instr_len(i);
+                Some(*at)
+            }))
+            .collect();
+        let res = res.map_err(|e| match e {
+            M4Error::PcOutOfRange { pc } => M4Error::PcOutOfRange { pc: hw[pc] },
+            M4Error::Misaligned { addr, pc } => M4Error::Misaligned { addr, pc: hw[pc] },
+            M4Error::BadStoreWidth { pc } => M4Error::BadStoreWidth { pc: hw[pc] },
+            e => e,
+        });
         assert_eq!(res, ref_res);
-        assert_eq!(cpu.pc(), ref_cpu.pc());
+        assert_eq!(hw[cpu.pc()], ref_cpu.pc());
         assert_eq!(cpu.is_halted(), ref_cpu.is_halted());
         assert_eq!(cpu.retired(), ref_cpu.retired());
         assert_eq!(cpu.flags(), ref_cpu.flags());
@@ -742,8 +846,7 @@ mod tests {
         assert!(stats.avg_burst() > 1.5);
     }
 
-    #[test]
-    fn f32_mac_loop_matches_reference_and_fuses() {
+    fn f32_mac_kernel() -> Vec<ThumbInstr> {
         let mut asm = ThumbAsm::new();
         asm.li(R::R0, 0x100);
         asm.li(R::R1, 0x200);
@@ -767,7 +870,12 @@ mod tests {
         asm.subs(R::R2, R::R2, 1);
         asm.b_to(Cond::Ne, top);
         asm.bkpt();
-        let program = asm.finish().unwrap();
+        asm.finish().unwrap()
+    }
+
+    #[test]
+    fn f32_mac_loop_matches_reference_and_fuses() {
+        let program = f32_mac_kernel();
         let (cpu, stats) = compare(&program, 1_000_000, |_, ram| {
             for i in 0..6u32 {
                 let a = (i as f32) * 0.5 + 1.0;
@@ -862,6 +970,19 @@ mod tests {
         assert!(!prog.is_empty());
         assert!(prog.fused_sites() >= 3); // ldr/ldr/smlad + subs/b + mul/asr/add
         assert!(prog.fused_instrs() >= 8);
+    }
+
+    #[test]
+    fn every_slot_heads_with_its_own_instruction() {
+        // A recorded run executes `head()` at every pc, fused slots
+        // included, so each must rebuild the source instruction exactly.
+        for program in [q15_dot_kernel(), f32_mac_kernel()] {
+            let prog = BlockProgram::compile(&program);
+            assert!(prog.fused_sites() >= 2);
+            for (i, instr) in program.iter().enumerate() {
+                assert_eq!(prog.ops[i].head(), *instr, "index {i}");
+            }
+        }
     }
 
     #[test]

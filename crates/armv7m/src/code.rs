@@ -15,10 +15,12 @@
 //!   variable-length decode on each step.
 //! * [`DecodedProgram::decode`] decodes every *static* instruction once,
 //!   turning halfword branch targets back into instruction indices. The
-//!   result runs on the fast [`CortexM4::run`](crate::CortexM4::run)
-//!   path. On the nRF52832, code executes from flash, which data stores
-//!   cannot touch, so this pre-decoded program never needs invalidation —
-//!   the whole-program decode *is* the M4's decode cache.
+//!   result compiles into the fused
+//!   [`BlockProgram`](crate::BlockProgram) that
+//!   [`CortexM4::run_fused`](crate::CortexM4::run_fused) dispatches. On
+//!   the nRF52832, code executes from flash, which data stores cannot
+//!   touch, so this pre-decoded program never needs invalidation — the
+//!   whole-program decode *is* the M4's decode cache.
 //!
 //! Encoding layout: `hw1 = [wide:1][opcode:6][a:5][b:4]`, plus a 16-bit
 //! payload halfword when `wide` is set. Branches store a signed halfword
@@ -691,7 +693,7 @@ impl DecodedProgram {
     }
 
     /// The decoded instructions, branch targets in instruction indices —
-    /// directly executable by [`CortexM4::run`](crate::CortexM4::run).
+    /// the input of [`BlockProgram::compile`](crate::BlockProgram::compile).
     #[must_use]
     pub fn instrs(&self) -> &[ThumbInstr] {
         &self.instrs
@@ -710,6 +712,7 @@ mod tests {
     use crate::asm::ThumbAsm;
     use crate::cpu::CortexM4;
     use crate::timing::CortexM4Timing;
+    use crate::{BlockProgram, FusedStats};
     use iw_rv32::Ram;
 
     /// A program touching every encoding family: narrow + wide integer,
@@ -791,8 +794,10 @@ mod tests {
         fill(&mut ram_a);
         let mut ref_cpu = CortexM4::new();
         let decoded = DecodedProgram::decode(&code).unwrap();
+        let fused = BlockProgram::compile(decoded.instrs());
+        let mut stats = FusedStats::default();
         let ref_res = ref_cpu
-            .run(decoded.instrs(), &mut ram_a, &t, 1_000_000)
+            .run_fused(&fused, &mut ram_a, &t, 1_000_000, &mut stats)
             .unwrap();
 
         let mut ram_b = Ram::new(0, 4096);

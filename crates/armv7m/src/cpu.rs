@@ -1,7 +1,6 @@
 //! The Cortex-M4F interpreter.
 
 use iw_rv32::{Bus, BusError, ExecProfile, InstrClass, MemWidth};
-use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::instr::{AddrMode, Cond, DpOp, LsWidth, ThumbInstr, R, S};
 use crate::timing::CortexM4Timing;
@@ -255,27 +254,6 @@ impl CortexM4 {
             LsWidth::H | LsWidth::Sh => MemWidth::H,
             LsWidth::W => MemWidth::W,
         }
-    }
-
-    /// Executes one instruction from a pre-decoded program; returns its
-    /// cycle cost, or `None` if the core is already halted (halt is a
-    /// terminal state, not a retired instruction).
-    ///
-    /// # Errors
-    ///
-    /// See [`M4Error`].
-    pub fn step<B: Bus>(
-        &mut self,
-        program: &[ThumbInstr],
-        bus: &mut B,
-        t: &CortexM4Timing,
-    ) -> Result<Option<u32>, M4Error> {
-        if self.halted {
-            return Ok(None);
-        }
-        let pc = self.pc;
-        let instr = *program.get(pc).ok_or(M4Error::PcOutOfRange { pc })?;
-        self.exec_decoded(instr, pc, pc + 1, bus, t).map(Some)
     }
 
     /// Executes an already-decoded instruction.
@@ -699,18 +677,16 @@ impl CortexM4 {
         Ok(cycles)
     }
 
-    /// Runs until `bkpt` over a pre-decoded program.
-    ///
-    /// A `&[ThumbInstr]` program *is* the decoded-instruction cache for
-    /// this core: nRF52832 code executes from flash, which data stores
-    /// cannot reach, so the whole program is decoded once up front (see
-    /// [`crate::code::DecodedProgram`]) and never invalidated. The
-    /// per-halfword decoding baseline is [`CortexM4::run_code`].
+    /// Runs until `bkpt` over a pre-decoded program: compiles it into a
+    /// [`BlockProgram`](crate::BlockProgram) and runs that
+    /// ([`CortexM4::run_fused`]). A convenience for one-off runs; a caller
+    /// that runs one program repeatedly compiles it once. The
+    /// per-halfword decoding reference is [`CortexM4::run_code`].
     ///
     /// # Errors
     ///
     /// Returns [`M4Error::CycleLimit`] if `max_cycles` elapses first, or any
-    /// fault from [`CortexM4::step`].
+    /// other [`M4Error`] the program raises.
     pub fn run<B: Bus>(
         &mut self,
         program: &[ThumbInstr],
@@ -718,68 +694,14 @@ impl CortexM4 {
         t: &CortexM4Timing,
         max_cycles: u64,
     ) -> Result<RunResult, M4Error> {
-        self.run_sink(
-            program,
-            bus,
-            t,
-            max_cycles,
-            &mut NoopSink,
-            TrackId::default(),
-        )
-    }
-
-    /// [`CortexM4::run`] with an instrumentation sink attached.
-    ///
-    /// With the default [`NoopSink`] every emission site folds away and
-    /// this *is* the pre-decoded hot loop. With a recording sink it
-    /// emits one PC sample per retired instruction (PC in *instruction
-    /// index* units — the same units [`crate::asm::ThumbAsm::mark`]
-    /// records symbols in) plus a single `exec-batch` span covering the
-    /// whole run: nRF52832 code executes from flash, which stores cannot
-    /// reach, so the pre-decoded program is never invalidated and the
-    /// batch never breaks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CortexM4::run`].
-    pub fn run_sink<B: Bus, S: TraceSink>(
-        &mut self,
-        program: &[ThumbInstr],
-        bus: &mut B,
-        t: &CortexM4Timing,
-        max_cycles: u64,
-        sink: &mut S,
-        track: TrackId,
-    ) -> Result<RunResult, M4Error> {
-        let mut cycles = 0u64;
-        let mut instructions = 0u64;
-        loop {
-            let pc = self.pc;
-            let Some(cost) = self.step(program, bus, t)? else {
-                break;
-            };
-            if S::ENABLED {
-                sink.pc_sample(track, pc as u32, cycles, cost);
-            }
-            cycles += u64::from(cost);
-            instructions += 1;
-            if cycles > max_cycles {
-                return Err(M4Error::CycleLimit { limit: max_cycles });
-            }
-        }
-        if S::ENABLED && cycles > 0 {
-            sink.span(track, "exec-batch", 0, cycles);
-        }
-        Ok(RunResult {
-            cycles,
-            instructions,
-        })
+        let prog = crate::BlockProgram::compile(program);
+        self.run_fused(&prog, bus, t, max_cycles, &mut crate::FusedStats::default())
     }
 
     /// Runs until `bkpt` over *encoded* code, decoding every dynamic
-    /// instruction — the uncached reference for [`CortexM4::run`] on a
-    /// [`crate::code::DecodedProgram`]. The program counter is in
-    /// halfword units here.
+    /// instruction — the uncached reference for [`CortexM4::run_fused`]
+    /// on the program's [`crate::code::DecodedProgram`]. The program
+    /// counter is in halfword units here.
     ///
     /// # Errors
     ///

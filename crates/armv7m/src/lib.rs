@@ -16,8 +16,11 @@
 //! Thumb-2 (1–2 halfwords per instruction, pc-relative branches) without
 //! claiming ARM bit-exactness. Pre-decoding a whole program once with
 //! [`code::DecodedProgram`] is the M4's decode cache: code executes from
-//! immutable flash, so the cache never invalidates, and the decoded
-//! `&[ThumbInstr]` runs on the fast [`CortexM4::run`] path. The
+//! immutable flash, so the cache never invalidates. The decoded
+//! `&[ThumbInstr]` compiles into a fused [`BlockProgram`] that
+//! [`CortexM4::run_fused`] dispatches (its sink twin
+//! [`CortexM4::run_fused_sink`] records the same run, one instruction per
+//! dispatch; [`CortexM4::run`] compiles and runs in one call). The
 //! per-halfword [`CortexM4::run_code`] path is the uncached reference,
 //! bit- and cycle-identical by differential test. This is documented in
 //! DESIGN.md: the paper's evaluation needs cycle counts and results of the

@@ -80,10 +80,11 @@ fn m4_trace_has_code_track_and_soc_counter() {
 fn recording_does_not_perturb_the_run() {
     // The iss_bench measurement path is PreparedFixed::run with the
     // NoopSink monomorphized in; the sink must be compile-time disabled
-    // and the recorded run observationally identical. On the M4 and Ibex
-    // rows the two take different interpreters: recording runs the
-    // instrumented pre-decoded loop, `run()` the fused op program; the
-    // cluster rows record through the product burst itself.
+    // and the recorded run observationally identical. Every row records
+    // through its product interpreter, one instruction per dispatch, so
+    // each retired instruction leaves exactly one PC sample. On the M4
+    // and the Ibex FC, a lone core with no cluster scheduler around it,
+    // the samples' cycles add up to the run's too.
     const { assert!(!NoopSink::ENABLED) };
     let [(_, _, fixed, qin), _] = iw_bench::evaluation_nets();
     for id in ["m4", "ibex", "riscy", "cluster8"] {
@@ -93,7 +94,15 @@ fn recording_does_not_perturb_the_run() {
             .expect("registered");
         let prep = PreparedFixed::on(&*entry.machine(), &fixed, &qin).expect("deploys");
         let plain = prep.run().expect("runs");
-        let recorded = prep.run_recorded(&mut Recorder::new()).expect("runs");
+        let mut rec = Recorder::new();
+        let recorded = prep.run_recorded(&mut rec).expect("runs");
+        let samples = rec.pc_histogram().values();
+        let count: u64 = samples.clone().map(|s| s.count).sum();
+        assert_eq!(count, plain.instructions, "{id}: PC samples");
+        if matches!(id, "m4" | "ibex") {
+            let cycles: u64 = samples.map(|s| s.cycles).sum();
+            assert_eq!(cycles, plain.cycles, "{id}: sampled cycles");
+        }
         assert_eq!(recorded.cycles, plain.cycles, "{id}");
         assert_eq!(recorded.instructions, plain.instructions, "{id}");
         assert_eq!(recorded.outputs, plain.outputs, "{id}");

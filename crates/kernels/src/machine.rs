@@ -24,9 +24,9 @@
 //!
 //! [`ExecPath::Reference`] is the frozen per-instruction interpreter. The
 //! two are bit- and cycle-identical by the conformance tests. Recorded
-//! runs ([`Deployment::run_recorded`]) use the instrumented pre-decoded
-//! loops on the M4 and the Ibex and the product burst, one instruction
-//! per dispatch, on the cluster; all are identical to both.
+//! runs ([`Deployment::run_recorded`]) go through the product path with a
+//! recording sink, which dispatches one instruction at a time so each
+//! gets its own PC sample; they are identical to both.
 //!
 //! The target list itself is data: [`registry`] returns one row per
 //! registered backend (the four paper columns, the A2 Xpulp ablation
@@ -59,7 +59,7 @@ use iw_mrwolf::{ClusterConfig, ClusterError, ClusterRun, FcRun, MrWolf, Operatin
 use iw_nrf52::{Nrf52, FLASH_BASE, FLASH_SIZE, RAM_BASE, RAM_SIZE};
 use iw_rv32::asm::AsmError;
 use iw_rv32::{CpuError, ExecProfile};
-use iw_trace::{NoopSink, Recorder, TraceSink, CYCLES};
+use iw_trace::{Recorder, TraceSink, CYCLES};
 
 use crate::rv::RvKernelOpts;
 
@@ -333,10 +333,9 @@ pub trait Deployment {
     /// Simulates one run-to-halt with `rec` recording the full timeline:
     /// execution tracks and PC samples from the backend, the workload's
     /// symbol table, the machine clock, and end-of-run energy counters on
-    /// an `soc` track. The single-core fused programs take no sink, so
-    /// the M4 and the Ibex record through their instrumented pre-decoded
-    /// loops; the cluster records through its product burst. The
-    /// recorded run is observationally identical to [`Deployment::run`].
+    /// an `soc` track. Every target records through its product path,
+    /// one instruction per dispatch. The recorded run is observationally
+    /// identical to [`Deployment::run`].
     ///
     /// The default implementation records nothing (backends opt in).
     ///
@@ -416,10 +415,8 @@ impl Machine for M4Machine {
                 isa: "thumb2",
             });
         };
-        let fused = iw_armv7m::BlockProgram::compile(&program);
         Ok(Box::new(M4Deployment {
-            program,
-            fused,
+            fused: iw_armv7m::BlockProgram::compile(&program),
             code,
             symbols,
             image: workload.image(&layout),
@@ -429,7 +426,6 @@ impl Machine for M4Machine {
 }
 
 struct M4Deployment {
-    program: Vec<ThumbInstr>,
     fused: iw_armv7m::BlockProgram,
     code: Vec<u16>,
     symbols: Vec<(u32, String)>,
@@ -494,7 +490,8 @@ impl Deployment for M4Deployment {
         rec.set_symbols(self.symbols.clone());
         let track = rec.track("m4", CYCLES);
         let mut soc = self.staged_soc();
-        let run = soc.run_sink(&self.program, MAX_CYCLES, rec, track)?;
+        let mut stats = iw_armv7m::FusedStats::default();
+        let run = soc.run_blocks_sink(&self.fused, MAX_CYCLES, &mut stats, rec, track)?;
         let run = self.machine_run(&soc, run);
         let soc = rec.track("soc", CYCLES);
         rec.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
@@ -716,30 +713,6 @@ impl WolfDeployment {
         }
     }
 
-    /// Pre-decoded (`decode_cache`) or reference run with a sink
-    /// attached: `run(Reference)` is the latter with the [`NoopSink`],
-    /// `run_recorded` the former with the [`Recorder`]. The reference
-    /// FC path carries no instrumentation (it is the differential
-    /// baseline).
-    fn run_sinked<S: TraceSink>(
-        &self,
-        decode_cache: bool,
-        sink: &mut S,
-    ) -> Result<MachineRun, MachineError> {
-        let mut wolf = self.staged_wolf(ClusterConfig {
-            decode_cache,
-            ..self.cfg
-        });
-        if self.on_fc {
-            let track = sink.track("fc", CYCLES);
-            let run = wolf.run_fc_sink(L2_BASE, MAX_CYCLES, decode_cache, sink, track)?;
-            Ok(self.fc_run(&wolf, &run))
-        } else {
-            let run = wolf.run_cluster_sink(L2_BASE, MAX_CYCLES, sink)?;
-            Ok(self.cluster_run(&wolf, run))
-        }
-    }
-
     fn fc_run(&self, wolf: &MrWolf, run: &FcRun) -> MachineRun {
         let r = run.result;
         self.machine_run(wolf, r.cycles, r.instructions, None, run.profile)
@@ -755,7 +728,19 @@ impl Deployment for WolfDeployment {
     fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError> {
         match path {
             ExecPath::Product => Ok(self.run_stats()?.0),
-            ExecPath::Reference => self.run_sinked(false, &mut NoopSink),
+            ExecPath::Reference => {
+                let mut wolf = self.staged_wolf(ClusterConfig {
+                    decode_cache: false,
+                    ..self.cfg
+                });
+                if self.on_fc {
+                    let run = wolf.run_fc_uncached(L2_BASE, MAX_CYCLES)?;
+                    Ok(self.fc_run(&wolf, &run))
+                } else {
+                    let run = wolf.run_cluster(L2_BASE, MAX_CYCLES)?;
+                    Ok(self.cluster_run(&wolf, run))
+                }
+            }
         }
     }
 
@@ -787,7 +772,15 @@ impl Deployment for WolfDeployment {
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
         rec.set_cycles_per_us(OperatingPoint::efficient().freq_hz / 1e6);
         rec.set_symbols(self.symbols.clone());
-        let run = self.run_sinked(true, rec)?;
+        let mut wolf = self.staged_wolf(self.cfg);
+        let run = if self.on_fc {
+            let track = rec.track("fc", CYCLES);
+            let (run, _) = wolf.run_fc_sink(L2_BASE, MAX_CYCLES, rec, track)?;
+            self.fc_run(&wolf, &run)
+        } else {
+            let run = wolf.run_cluster_sink(L2_BASE, MAX_CYCLES, rec)?;
+            self.cluster_run(&wolf, run)
+        };
         let soc = rec.track("soc", CYCLES);
         rec.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
         rec.counter(soc, "cluster_uj", run.cycles, run.energy.cluster_j * 1e6);

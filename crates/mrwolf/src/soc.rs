@@ -2,8 +2,8 @@
 //! controller and the RI5CY cluster.
 
 use iw_rv32::{
-    Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, MemWidth, Program, ProgramStats, Ram,
-    Reg, RunResult, Timing,
+    Bus, BusError, Cpu, CpuError, ExecProfile, MemWidth, Program, ProgramStats, Ram, Reg,
+    RunResult, Timing,
 };
 
 use iw_trace::{NoopSink, TraceSink, TrackId};
@@ -152,17 +152,35 @@ impl MrWolf {
         entry: u32,
         max_cycles: u64,
     ) -> Result<(FcRun, ProgramStats), CpuError> {
+        self.run_fc_sink(entry, max_cycles, &mut NoopSink, TrackId::default())
+    }
+
+    /// [`MrWolf::run_fc`] with an instrumentation sink attached; see
+    /// [`Cpu::run_program_sink`] for the events emitted on `track`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`MrWolf::run_fc`].
+    pub fn run_fc_sink<S: TraceSink>(
+        &mut self,
+        entry: u32,
+        max_cycles: u64,
+        sink: &mut S,
+        track: TrackId,
+    ) -> Result<(FcRun, ProgramStats), CpuError> {
         let (mut cpu, mut bus) = self.fc(entry);
         // The FC is alone on its bus; xpulp=false translates Xpulp
         // encodings to faulting ops, as Ibex would.
         let mut prog = Program::new(entry, PROGRAM_SIZE as u32, false);
-        let result = cpu.run_program(&mut bus, &Timing::ibex(), max_cycles, &mut prog)?;
-        let run = FcRun {
-            result,
-            a0: cpu.reg(Reg::A0),
-            profile: *cpu.profile(),
-        };
-        Ok((run, prog.stats()))
+        let result = cpu.run_program_sink(
+            &mut bus,
+            &Timing::ibex(),
+            max_cycles,
+            &mut prog,
+            sink,
+            track,
+        )?;
+        Ok((fc_run(&cpu, result), prog.stats()))
     }
 
     /// Reference fabric-controller run: fetch-and-decode every dynamic
@@ -174,46 +192,9 @@ impl MrWolf {
     ///
     /// Propagates [`CpuError`] (including the cycle limit).
     pub fn run_fc_uncached(&mut self, entry: u32, max_cycles: u64) -> Result<FcRun, CpuError> {
-        self.run_fc_sink(entry, max_cycles, false, &mut NoopSink, TrackId::default())
-    }
-
-    /// Fabric-controller run with an instrumentation sink attached; see
-    /// [`iw_rv32::Cpu::run_cached_sink`] for the events emitted on
-    /// `track`. The `decode_cache` flag selects the pre-decoded or the
-    /// reference interpreter (only the former emits events). The op
-    /// program of [`MrWolf::run_fc`] takes no sink, so recorded runs use
-    /// the pre-decoded loop, which is bit- and cycle-identical to it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MrWolf::run_fc`].
-    pub fn run_fc_sink<S: TraceSink>(
-        &mut self,
-        entry: u32,
-        max_cycles: u64,
-        decode_cache: bool,
-        sink: &mut S,
-        track: TrackId,
-    ) -> Result<FcRun, CpuError> {
         let (mut cpu, mut bus) = self.fc(entry);
-        let result = if decode_cache {
-            let mut cache = DecodeCache::new(entry, 64 * 1024);
-            cpu.run_cached_sink(
-                &mut bus,
-                &Timing::ibex(),
-                max_cycles,
-                &mut cache,
-                sink,
-                track,
-            )?
-        } else {
-            cpu.run(&mut bus, &Timing::ibex(), max_cycles)?
-        };
-        Ok(FcRun {
-            result,
-            a0: cpu.reg(Reg::A0),
-            profile: *cpu.profile(),
-        })
+        let result = cpu.run(&mut bus, &Timing::ibex(), max_cycles)?;
+        Ok(fc_run(&cpu, result))
     }
 
     /// A fresh Ibex hart at `entry` (stack at the top of L2) and its bus.
@@ -281,10 +262,20 @@ impl MrWolf {
     }
 }
 
+/// The [`FcRun`] of a finished fabric-controller hart.
+fn fc_run(cpu: &Cpu, result: RunResult) -> FcRun {
+    FcRun {
+        result,
+        a0: cpu.reg(Reg::A0),
+        profile: *cpu.profile(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use iw_rv32::asm::Asm;
+    use iw_trace::{Event, Recorder, CYCLES};
 
     #[test]
     fn fc_runs_and_returns_a0() {
@@ -346,16 +337,63 @@ mod tests {
         let reference = fresh().run_fc_uncached(L2_BASE, 100_000).unwrap();
         let (product, stats) = fresh().run_fc(L2_BASE, 100_000).unwrap();
         assert_eq!(product, reference);
-        let predecoded = fresh()
-            .run_fc_sink(L2_BASE, 100_000, true, &mut NoopSink, TrackId::default())
-            .unwrap();
-        assert_eq!(predecoded, reference);
         // Each of the 200 iterations dispatches add + fused addi/bne, and
         // only the five op heads (li, li, add, addi/bne, ecall) translate.
         assert_eq!(stats.fused_addi_branch, 200, "{stats:?}");
         assert_eq!(stats.instructions, reference.result.instructions);
         assert!(stats.avg_burst() > 1.4, "{stats:?}");
         assert_eq!(stats.translations, 5, "{stats:?}");
+    }
+
+    #[test]
+    fn fc_recording_follows_self_modifying_code() {
+        // The FC runs `addi a0, a0, 1`, stores `addi a0, a0, 7` over it and
+        // runs it again: the recorded run re-decodes the slot once and
+        // still matches the reference exactly.
+        let mut patch = Asm::new(0);
+        patch.addi(Reg::A0, Reg::A0, 7);
+        let patch_word = u32::from_le_bytes(patch.assemble().unwrap()[..4].try_into().unwrap());
+        let mut asm = Asm::new(L2_BASE);
+        let (target, setup, done) = (asm.new_label(), asm.new_label(), asm.new_label());
+        asm.li(Reg::A0, 0);
+        asm.li(Reg::T0, 2);
+        asm.jal_to(Reg::ZERO, setup);
+        let target_addr = asm.current_addr();
+        asm.bind(target);
+        asm.addi(Reg::A0, Reg::A0, 1);
+        asm.addi(Reg::T0, Reg::T0, -1);
+        asm.beq_to(Reg::T0, Reg::ZERO, done);
+        asm.sw(Reg::T2, Reg::T1, 0);
+        asm.jal_to(Reg::ZERO, target);
+        asm.bind(setup);
+        asm.li(Reg::T1, target_addr as i32);
+        asm.li(Reg::T2, patch_word as i32);
+        asm.jal_to(Reg::ZERO, target);
+        asm.bind(done);
+        asm.ecall();
+        let program = asm.assemble().unwrap();
+        let fresh = || {
+            let mut wolf = MrWolf::new();
+            wolf.l2_mut().write_bytes(L2_BASE, &program);
+            wolf
+        };
+
+        let reference = fresh().run_fc_uncached(L2_BASE, 10_000).unwrap();
+        assert_eq!(reference.a0, 1 + 7);
+        let mut rec = Recorder::new();
+        let track = rec.track("fc", CYCLES);
+        let (recorded, stats) = fresh()
+            .run_fc_sink(L2_BASE, 10_000, &mut rec, track)
+            .unwrap();
+        assert_eq!(recorded, reference);
+        assert!(stats.redecodes > 0, "{stats:?}");
+        let invalidations = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::Instant { name, .. } if name == "decode-invalidate"))
+            .count();
+        assert_eq!(invalidations, 1);
+        assert_eq!(rec.span_ticks(track, "exec-batch"), reference.result.cycles);
     }
 
     #[test]

@@ -123,69 +123,73 @@ impl Nrf52 {
     /// Runs `program` from its first instruction until `bkpt`, returning
     /// cycles and active-mode energy.
     ///
-    /// The `&[ThumbInstr]` slice is the pre-decoded program — the M4's
-    /// decode cache (code lives in immutable flash, so it never
-    /// invalidates). See [`Nrf52::run_code`] for the per-halfword-decode
-    /// reference path.
+    /// A convenience over [`Nrf52::run_blocks`]: compiles `program` into a
+    /// [`BlockProgram`] and runs it. See [`Nrf52::run_code`] for the
+    /// per-halfword-decode reference path.
     ///
     /// # Errors
     ///
     /// Propagates [`M4Error`] (including the cycle limit).
     pub fn run(&mut self, program: &[ThumbInstr], max_cycles: u64) -> Result<Nrf52Run, M4Error> {
-        self.run_sink(program, max_cycles, &mut NoopSink, TrackId::default())
-    }
-
-    /// [`Nrf52::run`] with an instrumentation sink attached; see
-    /// [`CortexM4::run_sink`] for the events emitted on `track`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Nrf52::run`].
-    pub fn run_sink<S: TraceSink>(
-        &mut self,
-        program: &[ThumbInstr],
-        max_cycles: u64,
-        sink: &mut S,
-        track: TrackId,
-    ) -> Result<Nrf52Run, M4Error> {
-        self.cpu.set_pc(0);
-        self.cpu.reset_profile();
-        let result = self.cpu.run_sink(
-            program,
-            &mut self.mem,
-            &self.timing,
-            max_cycles,
-            sink,
-            track,
-        )?;
-        Ok(self.finish_run(result))
+        let program = BlockProgram::compile(program);
+        self.run_blocks(&program, max_cycles, &mut FusedStats::default())
     }
 
     /// Runs a fusion-compiled program (see [`BlockProgram::compile`]) —
-    /// the superinstruction fast path above [`Nrf52::run`], bit- and
-    /// cycle-identical by differential test. Dispatch and per-pattern
+    /// the M4's product interpreter, bit- and cycle-identical to
+    /// [`Nrf52::run_code`] by differential test. Dispatch and per-pattern
     /// fusion counters accumulate into `stats`.
     ///
     /// # Errors
     ///
-    /// Same as [`Nrf52::run`].
+    /// Propagates [`M4Error`] (including the cycle limit).
     pub fn run_blocks(
         &mut self,
         program: &BlockProgram,
         max_cycles: u64,
         stats: &mut FusedStats,
     ) -> Result<Nrf52Run, M4Error> {
+        self.run_blocks_sink(
+            program,
+            max_cycles,
+            stats,
+            &mut NoopSink,
+            TrackId::default(),
+        )
+    }
+
+    /// [`Nrf52::run_blocks`] with an instrumentation sink attached; see
+    /// [`CortexM4::run_fused_sink`] for the events emitted on `track`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Nrf52::run_blocks`].
+    pub fn run_blocks_sink<S: TraceSink>(
+        &mut self,
+        program: &BlockProgram,
+        max_cycles: u64,
+        stats: &mut FusedStats,
+        sink: &mut S,
+        track: TrackId,
+    ) -> Result<Nrf52Run, M4Error> {
         self.cpu.set_pc(0);
         self.cpu.reset_profile();
-        let result = self
-            .cpu
-            .run_fused(program, &mut self.mem, &self.timing, max_cycles, stats)?;
+        let result = self.cpu.run_fused_sink(
+            program,
+            &mut self.mem,
+            &self.timing,
+            max_cycles,
+            stats,
+            sink,
+            track,
+        )?;
         Ok(self.finish_run(result))
     }
 
     /// Runs halfword-encoded `code` (see [`iw_armv7m::encode_program`]),
-    /// decoding every dynamic instruction — the uncached baseline for
-    /// [`Nrf52::run`], bit- and cycle-identical by differential test.
+    /// decoding every dynamic instruction — the uncached reference for
+    /// [`Nrf52::run_blocks`], bit- and cycle-identical by differential
+    /// test.
     ///
     /// # Errors
     ///

@@ -1,9 +1,9 @@
 //! Per-PC op program with superinstruction fusion.
 //!
-//! The [`DecodeCache`](crate::DecodeCache) path still pays one cache
-//! lookup plus the full [`Cpu::execute`] `match` per *dynamic*
-//! instruction. A [`Program`] moves translation to once per *static*
-//! instruction: an array indexed by `(pc - base) / 4` whose slot holds the
+//! The reference interpreter ([`Cpu::run`]) pays a fetch, a decode and a
+//! full dispatch `match` per *dynamic* instruction. A [`Program`] moves
+//! translation to once per *static* instruction: an array indexed by
+//! `(pc - base) / 4` whose slot holds the
 //! pre-resolved [`Op`] that starts at that PC — register indices and
 //! immediates already extracted, every memory form specialised. Where the
 //! instructions at a PC form one of the inner-loop idioms of the InfiniWolf
@@ -20,7 +20,8 @@
 //! switch — with one index and no block lookup; instructions *inside* a
 //! fusion site keep their own slots. The single op of a fusion site's
 //! first instruction stays reachable through [`Op::head`], for callers
-//! that need one instruction per dispatch (instrumented runs).
+//! that need one instruction per dispatch (recorded runs:
+//! [`Cpu::run_program_sink`] and the cluster's bursts).
 //!
 //! Translation is lazy and per run: slots are decoded from the bus on
 //! first execution, and the array grows to the highest PC reached, so it
@@ -47,6 +48,7 @@ use crate::decode::{decode, DecodeError};
 use crate::instr::{AluImmOp, AluOp, BranchCond, Instr, MemWidth, Reg, ShiftOp, SimdOp};
 use crate::profile::InstrClass;
 use crate::timing::Timing;
+use iw_trace::{NoopSink, TraceSink, TrackId};
 
 /// Operands of one `p.lw rd, imm(rs1!)` sub-instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -857,13 +859,71 @@ impl Cpu {
         max_cycles: u64,
         prog: &mut Program,
     ) -> Result<RunResult, CpuError> {
+        self.run_program_sink(
+            bus,
+            timing,
+            max_cycles,
+            prog,
+            &mut NoopSink,
+            TrackId::default(),
+        )
+    }
+
+    /// [`Cpu::run_program`] with an instrumentation sink attached.
+    ///
+    /// With the default [`NoopSink`] (`S::ENABLED == false`) every
+    /// emission site folds away and this *is* the fused hot loop. With a
+    /// recording sink each dispatch runs only the head instruction of its
+    /// op ([`Op::head`]), so every retired instruction is sampled, and it
+    /// emits on `track`:
+    ///
+    /// * one `exec-batch` span per uninterrupted stretch of translated
+    ///   execution (batches end at stores that dropped translated slots,
+    ///   flagged by a `decode-invalidate` instant),
+    /// * one PC sample per retired instruction, feeding the hotspot
+    ///   histogram and the symbolized region timeline.
+    ///
+    /// Results are the same under either sink.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Cpu::run`].
+    pub fn run_program_sink<B: Bus, S: TraceSink>(
+        &mut self,
+        bus: &mut B,
+        timing: &Timing,
+        max_cycles: u64,
+        prog: &mut Program,
+        sink: &mut S,
+        track: TrackId,
+    ) -> Result<RunResult, CpuError> {
         let start = self.retired;
         let mut cycles = 0u64;
+        let mut batch_start = 0u64;
         while !self.halted {
-            cycles += prog.step(self, bus, timing, cycles, max_cycles - cycles, u64::MAX)?;
+            let budget = max_cycles - cycles;
+            let cost = if S::ENABLED {
+                let (pc, redecodes) = (self.pc, prog.ex.stats.redecodes);
+                let op = prog.fetch(bus, pc)?.head();
+                let cost = prog.exec(op, self, bus, timing, cycles, budget, u64::MAX)?;
+                if prog.ex.stats.redecodes != redecodes {
+                    let end = cycles + cost;
+                    sink.span(track, "exec-batch", batch_start, end);
+                    sink.instant(track, "decode-invalidate", end);
+                    batch_start = end;
+                }
+                sink.pc_sample(track, pc, cycles, cost as u32);
+                cost
+            } else {
+                prog.step(self, bus, timing, cycles, budget, u64::MAX)?
+            };
+            cycles += cost;
             if cycles > max_cycles {
                 return Err(CpuError::CycleLimit { limit: max_cycles });
             }
+        }
+        if S::ENABLED && cycles > batch_start {
+            sink.span(track, "exec-batch", batch_start, cycles);
         }
         Ok(RunResult {
             cycles,

@@ -1,12 +1,10 @@
 //! The instruction-set interpreter.
 
 use crate::bus::{Bus, BusError};
-use crate::cache::DecodeCache;
 use crate::decode::{decode, DecodeError};
 use crate::instr::{AluImmOp, AluOp, BranchCond, Instr, MemWidth, PulpAluOp, Reg, ShiftOp, SimdOp};
 use crate::profile::{ExecProfile, InstrClass};
 use crate::timing::Timing;
-use iw_trace::{NoopSink, TraceSink, TrackId};
 
 /// Error raised while executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,39 +324,6 @@ impl Cpu {
             })
         })?;
         let (cycles, mem) = self.execute_reference(instr, pc, bus, timing)?;
-        Ok(Some(Step {
-            instr,
-            pc,
-            cycles,
-            mem,
-            halted: self.halted,
-        }))
-    }
-
-    /// Like [`Cpu::step`], but fetches the pre-decoded instruction through
-    /// `cache` and reports any store back to it, keeping the cache coherent
-    /// with self-modifying code.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cpu::step`].
-    pub fn step_cached<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        timing: &Timing,
-        cache: &mut DecodeCache,
-    ) -> Result<Option<Step>, CpuError> {
-        if self.halted {
-            return Ok(None);
-        }
-        let pc = self.pc;
-        let instr = cache.fetch_decode(bus, pc)?;
-        let (cycles, mem) = self.execute(instr, pc, bus, timing)?;
-        if let Some(m) = mem {
-            if m.write {
-                cache.invalidate_store(m.addr, m.width);
-            }
-        }
         Ok(Some(Step {
             instr,
             pc,
@@ -749,15 +714,15 @@ impl Cpu {
     /// Executes an already-decoded instruction.
     ///
     /// `instr` must be the instruction fetched from `pc` (callers that
-    /// pre-decode are responsible for cache coherence — see
-    /// [`DecodeCache`]). Architectural state, the hardware-loop redirect,
-    /// the execution profile, `pc` and the retired count are all updated
-    /// exactly as [`Cpu::step`] would.
+    /// pre-decode are responsible for coherence with code stores).
+    /// Architectural state, the hardware-loop redirect, the execution
+    /// profile, `pc` and the retired count are all updated exactly as
+    /// [`Cpu::step`] would.
     ///
     /// # Errors
     ///
     /// Propagates bus faults, alignment faults and illegal Xpulp usage.
-    pub fn execute<B: Bus>(
+    pub(crate) fn execute<B: Bus>(
         &mut self,
         instr: Instr,
         pc: u32,
@@ -1128,7 +1093,7 @@ impl Cpu {
 
     /// Runs until the core halts (`ecall`/`ebreak`), fetching and decoding
     /// every dynamic instruction. This is the reference interpreter;
-    /// [`Cpu::run_cached`] is the fast path.
+    /// [`Cpu::run_program`] is the fast path.
     ///
     /// # Errors
     ///
@@ -1143,126 +1108,6 @@ impl Cpu {
         let mut cycles = 0u64;
         let mut instructions = 0u64;
         while let Some(step) = self.step(bus, timing)? {
-            cycles += u64::from(step.cycles);
-            instructions += 1;
-            if cycles > max_cycles {
-                return Err(CpuError::CycleLimit { limit: max_cycles });
-            }
-        }
-        Ok(RunResult {
-            cycles,
-            instructions,
-        })
-    }
-
-    /// Runs until the core halts, decoding each static instruction once
-    /// through `cache`.
-    ///
-    /// The hot loop keeps its counters in locals and builds no per-step
-    /// [`Step`] values; stores are reported to the cache so self-modifying
-    /// code stays coherent. Results are bit- and cycle-identical to
-    /// [`Cpu::run`]. Use [`Cpu::run_traced`] when per-step detail is
-    /// needed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cpu::run`].
-    pub fn run_cached<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        timing: &Timing,
-        max_cycles: u64,
-        cache: &mut DecodeCache,
-    ) -> Result<RunResult, CpuError> {
-        self.run_cached_sink(
-            bus,
-            timing,
-            max_cycles,
-            cache,
-            &mut NoopSink,
-            TrackId::default(),
-        )
-    }
-
-    /// [`Cpu::run_cached`] with an instrumentation sink attached.
-    ///
-    /// With the default [`NoopSink`] (`S::ENABLED == false`) every
-    /// emission site folds away and this *is* the batched hot loop.
-    /// With a recording sink it emits, on `track`:
-    ///
-    /// * one `exec-batch` span per uninterrupted stretch of pre-decoded
-    ///   execution (batches end at stores that actually dropped a cached
-    ///   line, flagged by a `decode-invalidate` instant),
-    /// * one PC sample per retired instruction, feeding the hotspot
-    ///   histogram and the symbolized region timeline.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cpu::run`].
-    pub fn run_cached_sink<B: Bus, S: TraceSink>(
-        &mut self,
-        bus: &mut B,
-        timing: &Timing,
-        max_cycles: u64,
-        cache: &mut DecodeCache,
-        sink: &mut S,
-        track: TrackId,
-    ) -> Result<RunResult, CpuError> {
-        let mut cycles = 0u64;
-        let mut instructions = 0u64;
-        let mut batch_start = 0u64;
-        while !self.halted {
-            let pc = self.pc;
-            let instr = cache.fetch_decode(bus, pc)?;
-            let (cost, mem) = self.execute(instr, pc, bus, timing)?;
-            if let Some(m) = mem {
-                if m.write {
-                    let dropped = cache.invalidate_store(m.addr, m.width);
-                    if S::ENABLED && dropped {
-                        let end = cycles + u64::from(cost);
-                        sink.span(track, "exec-batch", batch_start, end);
-                        sink.instant(track, "decode-invalidate", end);
-                        batch_start = end;
-                    }
-                }
-            }
-            if S::ENABLED {
-                sink.pc_sample(track, pc, cycles, cost);
-            }
-            cycles += u64::from(cost);
-            instructions += 1;
-            if cycles > max_cycles {
-                return Err(CpuError::CycleLimit { limit: max_cycles });
-            }
-        }
-        if S::ENABLED && cycles > batch_start {
-            sink.span(track, "exec-batch", batch_start, cycles);
-        }
-        Ok(RunResult {
-            cycles,
-            instructions,
-        })
-    }
-
-    /// Like [`Cpu::run_cached`], but invokes `hook` with every retired
-    /// [`Step`] — the profiling/tracing path, which pays the per-step
-    /// bookkeeping the batched loop avoids.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cpu::run`].
-    pub fn run_traced<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        timing: &Timing,
-        max_cycles: u64,
-        cache: &mut DecodeCache,
-        hook: &mut dyn FnMut(&Step),
-    ) -> Result<RunResult, CpuError> {
-        let mut cycles = 0u64;
-        let mut instructions = 0u64;
-        while let Some(step) = self.step_cached(bus, timing, cache)? {
-            hook(&step);
             cycles += u64::from(step.cycles);
             instructions += 1;
             if cycles > max_cycles {
@@ -1502,101 +1347,5 @@ mod tests {
         let retired = cpu.retired();
         assert!(cpu.step(&mut ram, &Timing::riscy()).unwrap().is_none());
         assert_eq!(cpu.retired(), retired);
-    }
-
-    #[test]
-    fn cached_run_matches_uncached() {
-        let mut asm = Asm::new(0);
-        asm.li(Reg::A0, 5);
-        asm.li(Reg::A1, 0);
-        let top = asm.here();
-        asm.addi(Reg::A1, Reg::A1, 2);
-        asm.addi(Reg::A0, Reg::A0, -1);
-        asm.bne_to(Reg::A0, Reg::ZERO, top);
-        asm.ecall();
-        let image = asm.assemble().unwrap();
-
-        let mut ram_a = Ram::new(0, 4096);
-        ram_a.write_bytes(0, &image);
-        let mut ref_cpu = Cpu::new(0);
-        let ref_res = ref_cpu
-            .run(&mut ram_a, &Timing::riscy(), 1_000_000)
-            .unwrap();
-
-        let mut ram_b = Ram::new(0, 4096);
-        ram_b.write_bytes(0, &image);
-        let mut cpu = Cpu::new(0);
-        let mut cache = DecodeCache::new(0, 4096);
-        let res = cpu
-            .run_cached(&mut ram_b, &Timing::riscy(), 1_000_000, &mut cache)
-            .unwrap();
-
-        assert_eq!(res, ref_res);
-        assert_eq!(cpu.regs, ref_cpu.regs);
-        assert_eq!(cpu.pc, ref_cpu.pc);
-        assert_eq!(cpu.profile, ref_cpu.profile);
-    }
-
-    #[test]
-    fn self_modifying_store_invalidates_cached_line() {
-        // Overwrite the *next* instruction (addi a0, a0, 1 -> addi a0, a0, 7)
-        // after it has already been executed (and therefore cached) once.
-        let mut asm = Asm::new(0);
-        asm.li(Reg::A0, 0); // 0x00
-        asm.li(Reg::T0, 2); // 0x04
-        let top = asm.here(); // 0x08: patch target below
-        asm.addi(Reg::A0, Reg::A0, 1); // 0x08 (patched to +7 on 2nd pass)
-        asm.store(MemWidth::W, Reg::T2, Reg::T1, 0); // 0x0c: overwrite 0x08
-        asm.addi(Reg::T0, Reg::T0, -1); // 0x10
-        asm.bne_to(Reg::T0, Reg::ZERO, top); // 0x14
-        asm.ecall(); // 0x18
-        let image = asm.assemble().unwrap();
-
-        // New encoding for address 0x08: addi a0, a0, 7.
-        let mut patch = Asm::new(0);
-        patch.addi(Reg::A0, Reg::A0, 7);
-        let patch_word = u32::from_le_bytes(patch.assemble().unwrap()[..4].try_into().unwrap());
-
-        let run = |cached: bool| {
-            let mut ram = Ram::new(0, 4096);
-            ram.write_bytes(0, &image);
-            let mut cpu = Cpu::new(0);
-            cpu.set_reg(Reg::T1, 0x08);
-            cpu.set_reg(Reg::T2, patch_word);
-            let res = if cached {
-                let mut cache = DecodeCache::new(0, 4096);
-                cpu.run_cached(&mut ram, &Timing::riscy(), 1_000_000, &mut cache)
-            } else {
-                cpu.run(&mut ram, &Timing::riscy(), 1_000_000)
-            }
-            .unwrap();
-            (cpu.reg(Reg::A0), res)
-        };
-
-        let (a0_ref, res_ref) = run(false);
-        let (a0_cached, res_cached) = run(true);
-        assert_eq!(a0_ref, 1 + 7, "first pass +1, second pass sees the patch");
-        assert_eq!(a0_cached, a0_ref);
-        assert_eq!(res_cached, res_ref);
-    }
-
-    #[test]
-    fn run_traced_reports_every_step() {
-        let mut asm = Asm::new(0);
-        asm.li(Reg::A0, 1);
-        asm.li(Reg::A1, 2);
-        asm.ecall();
-        let mut ram = Ram::new(0, 256);
-        ram.write_bytes(0, &asm.assemble().unwrap());
-        let mut cpu = Cpu::new(0);
-        let mut cache = DecodeCache::new(0, 256);
-        let mut pcs = Vec::new();
-        let res = cpu
-            .run_traced(&mut ram, &Timing::riscy(), 1_000, &mut cache, &mut |s| {
-                pcs.push(s.pc)
-            })
-            .unwrap();
-        assert_eq!(pcs.len() as u64, res.instructions);
-        assert_eq!(pcs.first(), Some(&0));
     }
 }

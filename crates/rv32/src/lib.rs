@@ -24,9 +24,9 @@
 //! once: a [`Program`] holds one pre-resolved op per PC, fusing the
 //! kernels' inner-loop idioms into superinstructions, and
 //! [`Cpu::run_program`] dispatches it with bit- and cycle-identical
-//! results to the fetch-and-decode reference path ([`Cpu::run`]). The
-//! instrumented loops ([`Cpu::run_cached_sink`]) pre-decode through a
-//! [`DecodeCache`] instead, one instruction per step.
+//! results to the fetch-and-decode reference path ([`Cpu::run`]). Its
+//! sink twin ([`Cpu::run_program_sink`]) records the same run, one
+//! instruction per dispatch.
 //!
 //! # Examples
 //!
@@ -64,7 +64,6 @@
 pub mod asm;
 mod block;
 mod bus;
-mod cache;
 mod cpu;
 mod decode;
 mod encode;
@@ -74,7 +73,6 @@ mod timing;
 
 pub use block::{Op, Program, ProgramStats};
 pub use bus::{Bus, BusError, Ram};
-pub use cache::DecodeCache;
 pub use cpu::{Cpu, CpuError, HwLoop, MemAccess, RunResult, Step};
 pub use decode::{decode, DecodeError};
 pub use encode::{encode, EncodeError};

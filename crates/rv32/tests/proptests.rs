@@ -1,14 +1,15 @@
 //! Property tests: every constructible instruction encodes to a word that
 //! decodes back to itself, decoding arbitrary words never panics, and the
-//! accelerated execution paths — pre-decoded ([`Cpu::run_cached`]) and
-//! the per-PC op program ([`Cpu::run_program`]) — are bit- and
+//! per-PC op program ([`Cpu::run_program`]), fused or recorded one
+//! instruction per dispatch ([`Cpu::run_program_sink`]), is bit- and
 //! cycle-identical to the fetch-and-decode reference ([`Cpu::run`]),
 //! including on faults, cycle-limit exits and self-modifying stores.
 
 use iw_rv32::{
-    decode, encode, AluImmOp, AluOp, BranchCond, Cpu, CpuError, DecodeCache, Instr, LoopIdx,
-    MemWidth, Program, PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
+    decode, encode, AluImmOp, AluOp, BranchCond, Cpu, CpuError, Instr, LoopIdx, MemWidth, Program,
+    PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
 };
+use iw_trace::{Recorder, TraceSink, CYCLES};
 use proptest::prelude::*;
 
 fn any_reg() -> impl Strategy<Value = Reg> {
@@ -206,7 +207,7 @@ const MEM_SIZE: usize = 0x2000;
 const DATA_BASE: u32 = 0x1000;
 const MAX_CYCLES: u64 = 5_000;
 
-/// Full post-run machine state, for exact cached-vs-uncached comparison.
+/// Full post-run machine state, for exact comparison with the reference.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     result: Result<RunResult, CpuError>,
@@ -247,13 +248,6 @@ fn run_uncached(words: &[u32], regs: &[u32]) -> Outcome {
     outcome(cpu, &ram, result)
 }
 
-fn run_cached(words: &[u32], regs: &[u32], window: u32) -> Outcome {
-    let (mut cpu, mut ram) = fresh_machine(words, regs);
-    let mut cache = DecodeCache::new(0, window);
-    let result = cpu.run_cached(&mut ram, &Timing::riscy(), MAX_CYCLES, &mut cache);
-    outcome(cpu, &ram, result)
-}
-
 fn run_program(words: &[u32], regs: &[u32], window: u32) -> Outcome {
     let (mut cpu, mut ram) = fresh_machine(words, regs);
     let mut prog = Program::new(0, window, true);
@@ -261,16 +255,35 @@ fn run_program(words: &[u32], regs: &[u32], window: u32) -> Outcome {
     outcome(cpu, &ram, result)
 }
 
+/// [`run_program`] under a recording sink, which dispatches one
+/// instruction at a time; asserts that every retired instruction was
+/// sampled exactly once.
+fn run_recorded(words: &[u32], regs: &[u32]) -> Outcome {
+    let (mut cpu, mut ram) = fresh_machine(words, regs);
+    let mut prog = Program::new(0, MEM_SIZE as u32, true);
+    let mut rec = Recorder::new();
+    let track = rec.track("core", CYCLES);
+    let result = cpu.run_program_sink(
+        &mut ram,
+        &Timing::riscy(),
+        MAX_CYCLES,
+        &mut prog,
+        &mut rec,
+        track,
+    );
+    let sampled: u64 = rec.pc_histogram().values().map(|s| s.count).sum();
+    assert_eq!(sampled, cpu.retired(), "PC samples vs retired instructions");
+    outcome(cpu, &ram, result)
+}
+
 /// Asserts every accelerated path reproduces `reference` exactly.
 fn assert_all_paths_match(words: &[u32], regs: &[u32], reference: &Outcome) {
-    let cached = run_cached(words, regs, MEM_SIZE as u32);
-    assert_eq!(&cached, reference, "run_cached, full window");
-    let narrow = run_cached(words, regs, 0x40);
-    assert_eq!(&narrow, reference, "run_cached, narrow window");
     let program = run_program(words, regs, MEM_SIZE as u32);
     assert_eq!(&program, reference, "run_program, full window");
     let narrow = run_program(words, regs, 0x40);
     assert_eq!(&narrow, reference, "run_program, narrow window");
+    let recorded = run_recorded(words, regs);
+    assert_eq!(&recorded, reference, "run_program_sink, recording");
 }
 
 /// Register values biased into the mapped address range so that random
@@ -382,9 +395,10 @@ proptest! {
     }
 
     /// Arbitrary programs — including ones that branch wildly, fault, or
-    /// spin until the cycle limit — behave identically on the cached,
-    /// op-program and uncached paths, with both a full-memory window
-    /// and a narrow one that forces out-of-window fallback fetches.
+    /// spin until the cycle limit — behave identically on the fused and
+    /// the recorded op-program paths and the uncached one, with both a
+    /// full-memory window and a narrow one that forces out-of-window
+    /// fallback fetches.
     #[test]
     fn cached_execution_is_bit_exact(
         instrs in prop::collection::vec(any_instr(), 0..40),
@@ -401,7 +415,7 @@ proptest! {
     }
 
     /// Self-modifying code: a store patches one of the instructions ahead
-    /// of the pc; the cache must invalidate the line so the patched word
+    /// of the pc; the op program must drop the slot so the patched word
     /// executes, exactly as on the uncached path.
     #[test]
     fn self_modifying_store_stays_bit_exact(
