@@ -106,8 +106,8 @@ fn main() {
 /// Dispatch report for one target's product path: burst length, how many
 /// multi-core bursts the runner-up gate cut short, and, on the RV32
 /// targets, the op program's counters (ops dispatched, instructions per
-/// op, fused executions per pattern, translations and code-store
-/// re-decodes).
+/// op, fused executions per pattern, loop-op entries and native
+/// iterations, translations and code-store re-decodes).
 fn print_product_stats(prep: &PreparedFixed) {
     let (_, s) = prep.run_stats().expect("runs");
     println!(
@@ -130,6 +130,13 @@ fn print_product_stats(prep: &PreparedFixed) {
             r.fused_lp_mac,
             r.fused_mul_srai_add,
             r.fused_addi_branch
+        );
+        println!(
+            "  loop ops: hwloop-dot entries={} iterations={} counted-dot entries={} iterations={}",
+            r.hwloop_dot_entries,
+            r.hwloop_dot_iterations,
+            r.counted_dot_entries,
+            r.counted_dot_iterations
         );
     }
     if let Some(m) = s.m4 {

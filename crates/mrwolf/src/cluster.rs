@@ -1082,6 +1082,42 @@ mod tests {
         assert_eq!(sched.picks, 1);
     }
 
+    #[test]
+    fn single_core_runs_each_dot_product_row_in_one_dispatch() {
+        // The RI5CY kernel's inner loop: a hardware loop over
+        // p.lw / p.lw / mul / srai / add, a TCDM and an L2 stream.
+        use iw_rv32::{AluOp, LoopIdx, ShiftOp};
+        let mut asm = Asm::new(L2_BASE);
+        asm.li(Reg::S0, TCDM_BASE as i32);
+        asm.li(Reg::S1, (L2_BASE + 0x8000) as i32);
+        asm.li(Reg::S2, 3);
+        let row = asm.new_label();
+        asm.bind(row);
+        asm.li(Reg::T3, 16);
+        let end = asm.new_label();
+        asm.lp_setup_to(LoopIdx::L0, Reg::T3, end);
+        asm.load_post(MemWidth::W, Reg::T0, Reg::S0, 4);
+        asm.load_post(MemWidth::W, Reg::T1, Reg::S1, 4);
+        asm.alu(AluOp::Mul, Reg::T0, Reg::T0, Reg::T1);
+        asm.shift(ShiftOp::Srai, Reg::T0, Reg::T0, 5);
+        asm.alu(AluOp::Add, Reg::T2, Reg::T2, Reg::T0);
+        asm.bind(end);
+        asm.addi(Reg::S2, Reg::S2, -1);
+        asm.bne_to(Reg::S2, Reg::ZERO, row);
+        asm.ecall();
+        let image = asm.assemble().unwrap();
+        let (run_ref, _, _) = run_with(&image, 1, "reference");
+        let (run_fast, sched, _) = run_with(&image, 1, "cached");
+        assert_eq!(run_fast, run_ref);
+        let stats = sched.program.unwrap();
+        assert_eq!(stats.hwloop_dot_entries, 3, "{stats:?}");
+        assert_eq!(stats.hwloop_dot_iterations, 48, "{stats:?}");
+        // li ×3, then per row: li, lp.setup, the loop op, the fused
+        // addi/bne; ecall.
+        assert_eq!(stats.dispatches, 3 + 3 * 4 + 1, "{stats:?}");
+        assert_eq!(sched.picks, 1);
+    }
+
     /// Every core cycle must be attributed: execution, arbitration
     /// stalls, or barrier parking — on both scheduler paths.
     #[test]
@@ -1191,6 +1227,10 @@ mod tests {
         L2Load(u8, u8),
         /// Hardware loop over `p.lw`/`p.lw`/`pv.sdotsp.h`.
         Dot(u8),
+        /// Hardware loop over `p.lw`/`p.lw`/`mul`/`srai`/`add` (the
+        /// kernel's fixed-point row) over a private TCDM stream and the
+        /// shared L2 stream; a count of 0 leaves the loop inactive.
+        HwDot(u8),
         /// `p.lw` + `p.mac`.
         LoadMac,
         /// `mul` + `srai` + `add`.
@@ -1225,6 +1265,7 @@ mod tests {
             shared(),
             (0u8..8, 0u8..6).prop_map(|(k, d)| Frag::L2Load(k, d)),
             (1u8..6).prop_map(Frag::Dot),
+            (0u8..6).prop_map(Frag::HwDot),
             Just(Frag::LoadMac),
             (0u8..6).prop_map(Frag::Requant),
             (1u8..5).prop_map(Frag::CountLoop),
@@ -1306,6 +1347,17 @@ mod tests {
                     asm.load_post(MemWidth::W, Reg::T0, Reg::S0, 4);
                     asm.load_post(MemWidth::W, Reg::T1, Reg::S7, 4);
                     asm.simd(SimdOp::SdotspH, Reg::T2, Reg::T0, Reg::T1);
+                    asm.bind(end);
+                }
+                Frag::HwDot(n) => {
+                    asm.li(Reg::T4, i32::from(n));
+                    let end = asm.new_label();
+                    asm.lp_setup_to(LoopIdx::L0, Reg::T4, end);
+                    asm.load_post(MemWidth::W, Reg::T0, Reg::S0, 4);
+                    asm.load_post(MemWidth::W, Reg::T1, Reg::S2, 4);
+                    asm.mul(Reg::T0, Reg::T0, Reg::T1);
+                    asm.shift(ShiftOp::Srai, Reg::T0, Reg::T0, 4);
+                    asm.add(Reg::T2, Reg::T2, Reg::T0);
                     asm.bind(end);
                 }
                 Frag::LoadMac => {

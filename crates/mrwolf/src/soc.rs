@@ -346,6 +346,53 @@ mod tests {
     }
 
     #[test]
+    fn fc_runs_each_dot_product_row_in_one_dispatch() {
+        // The Ibex kernel's inner loop over two TCDM streams, four rows
+        // of 16 passes: one loop-op dispatch per row.
+        let mut asm = Asm::new(L2_BASE);
+        asm.li(Reg::A0, TCDM_BASE as i32);
+        asm.li(Reg::A1, (TCDM_BASE + 0x400) as i32);
+        asm.li(Reg::S0, 4);
+        let row = asm.new_label();
+        asm.bind(row);
+        asm.li(Reg::T2, 16);
+        let top = asm.new_label();
+        asm.bind(top);
+        asm.lw(Reg::T0, Reg::A0, 0);
+        asm.lw(Reg::T1, Reg::A1, 0);
+        asm.addi(Reg::A0, Reg::A0, 4);
+        asm.addi(Reg::A1, Reg::A1, 4);
+        asm.mul(Reg::T0, Reg::T0, Reg::T1);
+        asm.srai(Reg::T0, Reg::T0, 5);
+        asm.add(Reg::A2, Reg::A2, Reg::T0);
+        asm.addi(Reg::T2, Reg::T2, -1);
+        asm.bne_to(Reg::T2, Reg::ZERO, top);
+        asm.addi(Reg::S0, Reg::S0, -1);
+        asm.bne_to(Reg::S0, Reg::ZERO, row);
+        asm.ecall();
+        let program = asm.assemble().unwrap();
+        let fresh = || {
+            let mut wolf = MrWolf::new();
+            wolf.l2_mut().write_bytes(L2_BASE, &program);
+            for i in 0..0x200u32 {
+                let v = i.wrapping_mul(0x9e37_79b9);
+                wolf.tcdm_mut()
+                    .write_bytes(TCDM_BASE + 4 * i, &v.to_le_bytes());
+            }
+            wolf
+        };
+        let reference = fresh().run_fc_uncached(L2_BASE, 100_000).unwrap();
+        let (product, stats) = fresh().run_fc(L2_BASE, 100_000).unwrap();
+        assert_eq!(product, reference);
+        assert_eq!(stats.counted_dot_entries, 4, "{stats:?}");
+        assert_eq!(stats.counted_dot_iterations, 64, "{stats:?}");
+        // Four set-up instructions (the second `li` is `lui` + `addi`),
+        // then per row: li, the loop op, the fused addi/bne; ecall.
+        assert_eq!(stats.dispatches, 4 + 4 * 3 + 1, "{stats:?}");
+        assert_eq!(stats.instructions, reference.result.instructions);
+    }
+
+    #[test]
     fn fc_recording_follows_self_modifying_code() {
         // The FC runs `addi a0, a0, 1`, stores `addi a0, a0, 7` over it and
         // runs it again: the recorded run re-decodes the slot once and

@@ -13,7 +13,15 @@
 //! * `p.lw` + `p.lw`, `p.lw` + `pv.sdotsp.h`, `p.lw` + `p.mac` — the
 //!   post-increment streaming pairs,
 //! * `mul` + `srai` + `add` — the fixed-point requantisation tail,
-//! * `addi` + branch — the counter back-edge.
+//! * `addi` + branch — the counter back-edge,
+//! * two *loop ops*, each a whole inner loop of the fixed-point
+//!   dot product: `p.lw` + `p.lw` + `mul` + `srai` + `add` as the complete
+//!   body of a hardware loop (RI5CY), and `lw` + `lw` + `addi` + `addi` +
+//!   `mul` + `srai` + `add` + `addi −1` + `bne` back to the op's own PC
+//!   (Ibex), each over the kernel's own distinct non-zero registers
+//!   (other register patterns fuse as the ops above). A loop op iterates
+//!   natively, following its own back edge, until the loop exits or a
+//!   stop rule fires.
 //!
 //! Every PC owns its slot, so a core can resume anywhere — after a taken
 //! branch, a hardware-loop back edge, a partial fused op or a scheduler
@@ -31,16 +39,23 @@
 //! [`Bus::store_timed`]): a handler returns the op's total cost, memory
 //! latency and arbitration stalls included, and nothing else.
 //!
-//! Correctness contract: every sub-instruction of every op retires
-//! through [`Cpu::retire`] with exactly the semantics of the frozen
-//! reference interpreter, one at a time, so a fault, cycle-limit stop,
-//! gate stop or hardware-loop redirect between sub-instructions leaves
-//! architectural state (registers, memory, `pc`, profile, retired count)
-//! bit-identical to [`Cpu::run`]. A store into the translated range drops
-//! every slot whose op covers the stored word, fused ops included, so the
-//! next dispatch re-decodes it from memory. The differential property
-//! tests in `tests/proptests.rs` enforce all of this, self-modifying code
-//! included.
+//! Correctness contract: every sub-instruction of every op has exactly
+//! the semantics of the frozen reference interpreter, one at a time, so a
+//! fault, cycle-limit stop, gate stop or hardware-loop redirect between
+//! sub-instructions leaves architectural state (registers, memory, `pc`,
+//! profile, retired count, hardware-loop counts) bit-identical to
+//! [`Cpu::run`]. Fused ops retire each sub-instruction through
+//! [`Cpu::retire`]. Loop ops update registers and memory per
+//! sub-instruction, in program order, and commit the bookkeeping that
+//! `Cpu::retire` would have accumulated (profile, retired count, loop
+//! count, `pc`) in closed form once, when they stop. They run natively
+//! only when their own loop is the only one that can redirect inside their
+//! body; otherwise the RI5CY op runs as the `p.lw` pair and the Ibex op
+//! as its first `lw` alone, and the next slots run the rest. A store into
+//! the translated range drops every slot whose op covers the stored word,
+//! fused and loop ops included, so the next dispatch re-decodes it from
+//! memory. The differential property tests in `tests/proptests.rs`
+//! enforce all of this, self-modifying code included.
 
 use crate::bus::Bus;
 use crate::cpu::{Cpu, CpuError, RunResult};
@@ -197,7 +212,38 @@ enum Kind {
         rs2b: Reg,
         offset: i32,
     },
+    HwLoopDot(HwLoopDot),
+    CountedDot(CountedDot),
 }
+
+/// `p.lw tw, 4(w!)`, `p.lw tx, 4(x!)`, `mul tw, tw, tx`,
+/// `srai tw, tw, shamt`, `add acc, acc, tw` over `regs = [w, x, tw, tx,
+/// acc]`, five distinct non-zero registers: the whole body of a hardware
+/// loop (the RI5CY dot-product row), run natively while the loop's own
+/// back edge redirects to the op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HwLoopDot {
+    regs: [Reg; 5],
+    shamt: u8,
+}
+
+/// `lw tw, 0(w)`, `lw tx, 0(x)`, `addi w, w, 4`, `addi x, x, 4`,
+/// `mul tw, tw, tx`, `srai tw, tw, shamt`, `add acc, acc, tw`,
+/// `addi n, n, -1` and `bne n, zero` back to the op over `regs = [w, x,
+/// tw, tx, acc, n]`, six distinct non-zero registers (the Ibex
+/// dot-product row): a counted loop, run natively while the branch is
+/// taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CountedDot {
+    regs: [Reg; 6],
+    shamt: u8,
+}
+
+/// Most instruction words one op covers: the counted loop op's nine.
+const MAX_OP_WORDS: usize = 9;
+
+// A slot stays at 20 bytes, loop ops included.
+const _: () = assert!(core::mem::size_of::<Option<Op>>() == 20);
 
 /// The op starting at one PC of a [`Program`]: a single pre-resolved
 /// instruction or a fused superinstruction. Obtained from
@@ -209,6 +255,8 @@ impl Op {
     /// Instructions the op covers (1 for a single instruction).
     fn width(&self) -> usize {
         match self.0 {
+            Kind::CountedDot(_) => 9,
+            Kind::HwLoopDot(_) => 5,
             Kind::LpLpSdotsp { .. } | Kind::MulSraiAdd { .. } => 3,
             Kind::LpLp { .. }
             | Kind::LpSdotsp { .. }
@@ -233,6 +281,8 @@ impl Op {
                 | Kind::LpLp { .. }
                 | Kind::LpSdotsp { .. }
                 | Kind::LpMac { .. }
+                | Kind::HwLoopDot(_)
+                | Kind::CountedDot(_)
         )
     }
 
@@ -251,6 +301,16 @@ impl Op {
             | Kind::LpLp { a, .. }
             | Kind::LpSdotsp { a, .. }
             | Kind::LpMac { a, .. } => lp(a),
+            Kind::HwLoopDot(op) => lp(op.first_load()),
+            Kind::CountedDot(CountedDot {
+                regs: [w, _, tw, ..],
+                ..
+            }) => Kind::Load {
+                width: MemWidth::W,
+                rd: tw,
+                rs1: w,
+                imm: 0,
+            },
             Kind::MulSraiAdd { rd, rs1, rs2, .. } => Kind::Mul { rd, rs1, rs2 },
             Kind::AddiBranch { rd, rs1, imm, .. } => Kind::Addi { rd, rs1, imm },
             k => k,
@@ -282,10 +342,19 @@ pub struct ProgramStats {
     pub fused_mul_srai_add: u64,
     /// `addi` + branch superinstructions executed.
     pub fused_addi_branch: u64,
+    /// Hardware-loop dot-product loop ops executed (loop entries).
+    pub hwloop_dot_entries: u64,
+    /// Whole body passes those loop ops ran natively.
+    pub hwloop_dot_iterations: u64,
+    /// Counted dot-product loop ops executed (loop entries).
+    pub counted_dot_entries: u64,
+    /// Whole body passes those loop ops ran natively.
+    pub counted_dot_iterations: u64,
 }
 
 impl ProgramStats {
-    /// Total fused superinstructions executed.
+    /// Total fused superinstructions executed, loop ops (one per loop
+    /// entry) included.
     #[must_use]
     pub fn fused_total(&self) -> u64 {
         self.fused_lp_lp_sdotsp
@@ -294,6 +363,8 @@ impl ProgramStats {
             + self.fused_lp_mac
             + self.fused_mul_srai_add
             + self.fused_addi_branch
+            + self.hwloop_dot_entries
+            + self.counted_dot_entries
     }
 
     /// Mean instructions retired per dispatched op (1.0 with no
@@ -342,8 +413,8 @@ pub struct Program {
 struct ExecState {
     base: u32,
     /// Bytes past `base` a store must land below to possibly rewrite a
-    /// translated op: the slots plus the two words a fused op in the last
-    /// slot may cover.
+    /// translated op: the slots plus the `MAX_OP_WORDS - 1` words an op in
+    /// the last slot may cover past it.
     span: u32,
     /// A store the running op made into that span, for the caller to
     /// apply once the op's slot is no longer borrowed.
@@ -436,7 +507,7 @@ impl Program {
         if k < self.max_slots {
             if k >= self.slots.len() {
                 self.slots.resize(k + 1, None);
-                self.ex.span = ((k as u32) + 3).saturating_mul(4);
+                self.ex.span = ((k + MAX_OP_WORDS) as u32).saturating_mul(4);
             }
             self.slots[k] = Some(op);
             self.ex.stats.translations += 1;
@@ -449,28 +520,32 @@ impl Program {
         if !self.xpulp && first.is_xpulp() {
             return Ok(Op(Kind::IllegalXpulp));
         }
-        // Only fusion heads pay for the look-ahead; a look-ahead word that
-        // does not fetch or decode simply ends the pattern.
-        let head = matches!(
-            first,
+        // Only fusion heads pay for the look-ahead, as far as their longest
+        // pattern reaches; a look-ahead word that does not fetch or decode
+        // simply ends the window.
+        let reach = match first {
+            Instr::Load {
+                width: MemWidth::W, ..
+            } => MAX_OP_WORDS,
             Instr::LoadPost {
-                width: MemWidth::W,
-                ..
-            } | Instr::Alu { op: AluOp::Mul, .. }
-                | Instr::AluImm {
-                    op: AluImmOp::Addi,
-                    ..
-                }
-        );
-        if head {
-            let mut next = |n: u32| fetch_decode(bus, pc.wrapping_add(4 * n)).ok();
-            let second = next(1);
-            let third = second.and_then(|_| next(2));
-            if let Some(op) = fuse(self.xpulp, first, second, third) {
-                return Ok(op);
+                width: MemWidth::W, ..
+            } => 5,
+            Instr::Alu { op: AluOp::Mul, .. }
+            | Instr::AluImm {
+                op: AluImmOp::Addi, ..
+            } => 3,
+            _ => 1,
+        };
+        let mut window = [first; MAX_OP_WORDS];
+        let mut len = 1;
+        while len < reach {
+            match fetch_decode(bus, pc.wrapping_add(4 * len as u32)) {
+                Ok(instr) => window[len] = instr,
+                Err(_) => break,
             }
+            len += 1;
         }
-        Ok(single(first))
+        Ok(fuse(self.xpulp, &window[..len]).unwrap_or_else(|| single(first)))
     }
 
     /// Drops every translated slot whose op covers a word that a store of
@@ -495,11 +570,12 @@ impl Program {
         if off >= self.ex.span {
             return false;
         }
-        // Fused ops cover at most three words: the slots that can cover
-        // word `j` start at `j - 2 ..= j`.
+        // An op covers at most `MAX_OP_WORDS` words: the slots that can
+        // cover word `j` start at `j - (MAX_OP_WORDS - 1) ..= j`.
         let j = (off / 4) as usize;
         let mut any = false;
-        for s in j.saturating_sub(2)..=j.min(self.slots.len().saturating_sub(1)) {
+        let first = j.saturating_sub(MAX_OP_WORDS - 1);
+        for s in first..=j.min(self.slots.len().saturating_sub(1)) {
             if let Some(op) = self.slots[s] {
                 if s + op.width() > j {
                     self.slots[s] = None;
@@ -526,16 +602,17 @@ impl Program {
     /// [`Bus::store_timed`]).
     ///
     /// `at` is the issue time of the op's first instruction; each later
-    /// access of a fused op issues at `at` plus the cost retired before
-    /// it. A fused op stops early — returning the cost so far, with every
-    /// retired sub-instruction complete — before a sub-instruction once
-    /// its cost exceeds `budget` (so the caller's cycle-limit check fires
-    /// between sub-instructions, as the reference's would), before a
-    /// memory sub-instruction once its cost reaches `mem_room` (so no
-    /// access issues at or past a multi-core scheduling horizon), and when
-    /// a hardware-loop back edge redirects the PC mid-pattern. A store
-    /// into translated code drops the slots it rewrote before this
-    /// returns.
+    /// access of a fused or loop op issues at `at` plus the cost retired
+    /// before it. An op stops early — returning the cost so far, with
+    /// every retired sub-instruction complete — before a sub-instruction
+    /// once its cost exceeds `budget` (so the caller's cycle-limit check
+    /// fires between sub-instructions, as the reference's would) and
+    /// before a memory sub-instruction once its cost reaches `mem_room` (so
+    /// no access issues at or past a multi-core scheduling horizon). A
+    /// fused op also stops when a hardware-loop back edge redirects the PC
+    /// mid-pattern; a loop op follows its own back edge (the hardware
+    /// loop's, or its `bne`'s) and stops when the loop exits. A store into
+    /// translated code drops the slots it rewrote before this returns.
     ///
     /// # Errors
     ///
@@ -646,7 +723,7 @@ fn run_op<B: Bus>(
             imm,
         } => {
             let addr = cpu.reg(rs1).wrapping_add(imm as u32);
-            let (v, cost) = load(cpu, bus, addr, width, t, at)?;
+            let (v, cost) = load(bus, addr, width, t, at, pc)?;
             cpu.set_reg(rd, v);
             cpu.retire(InstrClass::Load, t.load, next, true);
             Ok(cost)
@@ -658,7 +735,7 @@ fn run_op<B: Bus>(
             imm,
         } => {
             let addr = cpu.reg(rs1).wrapping_add(imm as u32);
-            let cost = store(cpu, bus, addr, width, cpu.reg(rs2), t, at)?;
+            let cost = store(bus, addr, width, cpu.reg(rs2), t, at, pc)?;
             cpu.retire(InstrClass::Store, t.store, next, true);
             ex.note_store(addr, width);
             Ok(cost)
@@ -670,7 +747,7 @@ fn run_op<B: Bus>(
             imm,
         } => {
             let addr = cpu.reg(rs1);
-            let (v, cost) = load(cpu, bus, addr, width, t, at)?;
+            let (v, cost) = load(bus, addr, width, t, at, pc)?;
             cpu.set_reg(rd, v);
             // Post-increment happens after the load; if rd == rs1 the
             // loaded value wins (as on RI5CY).
@@ -687,7 +764,7 @@ fn run_op<B: Bus>(
             imm,
         } => {
             let addr = cpu.reg(rs1);
-            let cost = store(cpu, bus, addr, width, cpu.reg(rs2), t, at)?;
+            let cost = store(bus, addr, width, cpu.reg(rs2), t, at, pc)?;
             cpu.set_reg(rs1, addr.wrapping_add(imm as u32));
             cpu.retire(InstrClass::Store, t.store, next, true);
             ex.note_store(addr, width);
@@ -834,7 +911,51 @@ fn run_op<B: Bus>(
             }
             Ok(c + branch(cpu, t, next, cond, rs1b, rs2b, offset))
         }
+        Kind::HwLoopDot(op) => op.run(ex, cpu, bus, t, at, budget, mem_room),
+        Kind::CountedDot(op) => op.run(ex, cpu, bus, t, at, budget, mem_room),
     }
+}
+
+/// The hardware loop whose body is exactly `[start, end)` and through
+/// which alone every retire in that body would redirect ([`Cpu::retire`]
+/// checks the loops in index order, first match wins): it is the first
+/// active loop ending in `(start, end]`, and every active loop that ends
+/// there ends at `end`.
+#[inline(always)]
+fn own_hwloop(cpu: &Cpu, start: u32, end: u32) -> Option<usize> {
+    let mut own = None;
+    for (l, hl) in cpu.hwloops.iter().enumerate() {
+        let inside = hl.end.wrapping_sub(start).wrapping_sub(1) < end.wrapping_sub(start);
+        if hl.count == 0 || !inside {
+            continue;
+        }
+        if hl.end != end || (own.is_none() && hl.start != start) {
+            return None;
+        }
+        own.get_or_insert(l);
+    }
+    own
+}
+
+/// `true` if an active hardware loop ends in `[start, start + len]`,
+/// where a retire of the counted loop op could be redirected.
+#[inline(always)]
+fn hwloop_ends_in(cpu: &Cpu, start: u32, len: u32) -> bool {
+    cpu.hwloops
+        .iter()
+        .any(|hl| hl.count > 0 && hl.end.wrapping_sub(start) <= len)
+}
+
+/// Commits what [`Cpu::retire`] would have accumulated over `iters` whole
+/// passes through a loop op's `body` (class and base cost per
+/// sub-instruction) plus the first `r` sub-instructions of the next: the
+/// profile and the retired count. The caller sets `pc` and loop counts.
+fn retire_passes(cpu: &mut Cpu, body: &[(InstrClass, u32)], iters: u64, r: u32) {
+    for (k, &(class, cycles)) in body.iter().enumerate() {
+        cpu.profile
+            .record_n(class, iters + u64::from(k < r as usize), cycles);
+    }
+    cpu.retired += iters * body.len() as u64 + u64::from(r);
 }
 
 impl Cpu {
@@ -933,6 +1054,310 @@ impl Cpu {
 }
 
 // ---------------------------------------------------------------------
+// Loop ops. Each runs its body natively on locals with the fused ops'
+// stops between every sub-instruction (the cycle budget; the memory gate
+// before every access but the op's first; a fault), writes the registers
+// back and commits the bookkeeping once at the stop. `r` counts the
+// sub-instructions of the unfinished pass retired at the stop.
+//
+// Each op's first load, the gate stop after it and the fallback for a
+// loop it cannot follow are inlined into the dispatch, the passes are out
+// of line: on the 8-core cluster the hardware-loop op is entered once per
+// pass and mostly retires its first load and stops at the gate, where a
+// call would cost more than the op.
+// ---------------------------------------------------------------------
+
+impl HwLoopDot {
+    /// `p.lw tw, 4(w!)`.
+    fn first_load(self) -> PostLoad {
+        let [w, _, tw, ..] = self.regs;
+        PostLoad {
+            rd: tw,
+            rs1: w,
+            imm: 4,
+        }
+    }
+
+    /// Runs the op: natively while the op's own loop is the only one that
+    /// can redirect inside the body, else as the fused load pair.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn run<B: Bus>(
+        self,
+        ex: &mut ExecState,
+        cpu: &mut Cpu,
+        bus: &mut B,
+        t: &Timing,
+        at: u64,
+        budget: u64,
+        mem_room: u64,
+    ) -> Result<u64, CpuError> {
+        ex.stats.hwloop_dot_entries += 1;
+        // The first access always issues. Stopped right after it, the op
+        // retires it as the fused load pair would.
+        let (pc, next) = (cpu.pc, cpu.pc.wrapping_add(4));
+        let c = post_lw(cpu, bus, self.first_load(), t, at, pc)?;
+        if c > budget || c >= mem_room {
+            cpu.retire(InstrClass::Load, t.load, next, true);
+            return Ok(c);
+        }
+        if let Some(l) = own_hwloop(cpu, pc, pc.wrapping_add(20)) {
+            return self.passes(l, c, ex, cpu, bus, t, at, budget, mem_room);
+        }
+        cpu.retire(InstrClass::Load, t.load, next, true);
+        if cpu.pc != next {
+            return Ok(c);
+        }
+        let [_, x, _, tx, _] = self.regs;
+        let b = PostLoad {
+            rd: tx,
+            rs1: x,
+            imm: 4,
+        };
+        Ok(c + post_load(cpu, bus, b, t, pc.wrapping_add(8), at + c)?)
+    }
+
+    /// The rest of [`HwLoopDot::run`] under the op's own loop `l`, after a
+    /// first load of cost `c` that left room to go on.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn passes<B: Bus>(
+        self,
+        l: usize,
+        mut c: u64,
+        ex: &mut ExecState,
+        cpu: &mut Cpu,
+        bus: &mut B,
+        t: &Timing,
+        at: u64,
+        budget: u64,
+        mem_room: u64,
+    ) -> Result<u64, CpuError> {
+        let pc = cpu.pc;
+        let end = pc.wrapping_add(20);
+        let n = u64::from(cpu.hwloops[l].count);
+        let shamt = self.shamt;
+        let mut iters = 0u64;
+        let [mut w, mut x, mut tw, mut tx, mut acc] = self.regs.map(|r| cpu.reg(r));
+        let (r, res) = loop {
+            match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
+                Ok((v, k)) => (tx, x, c) = (v, x.wrapping_add(4), c + k),
+                Err(e) => break (1, Err(e)),
+            }
+            if c > budget {
+                break (2, Ok(()));
+            }
+            tw = tw.wrapping_mul(tx);
+            c += u64::from(t.mul);
+            if c > budget {
+                break (3, Ok(()));
+            }
+            tw = ((tw as i32) >> shamt) as u32;
+            c += u64::from(t.alu);
+            if c > budget {
+                break (4, Ok(()));
+            }
+            acc = acc.wrapping_add(tw);
+            c += u64::from(t.alu);
+            iters += 1;
+            if iters == n || c > budget || c >= mem_room {
+                break (0, Ok(()));
+            }
+            match load(bus, w, MemWidth::W, t, at + c, pc) {
+                Ok((v, k)) => (tw, w, c) = (v, w.wrapping_add(4), c + k),
+                Err(e) => break (0, Err(e)),
+            }
+            if c > budget || c >= mem_room {
+                break (1, Ok(()));
+            }
+        };
+        for (reg, v) in self.regs.into_iter().zip([w, x, tw, tx, acc]) {
+            cpu.set_reg(reg, v);
+        }
+        let body = [
+            (InstrClass::Load, t.load),
+            (InstrClass::Load, t.load),
+            (InstrClass::Mul, t.mul),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Alu, t.alu),
+        ];
+        retire_passes(cpu, &body, iters, r);
+        // Each whole pass retired through the loop's end: a back edge
+        // while iterations remained, the exit on the last one.
+        cpu.hwloops[l].count = (n - iters) as u32;
+        cpu.pc = if r == 0 && iters == n {
+            end
+        } else {
+            pc.wrapping_add(4 * r)
+        };
+        ex.stats.hwloop_dot_iterations += iters;
+        res.map(|()| c)
+    }
+}
+
+impl CountedDot {
+    /// Runs the op: natively unless a hardware loop could redirect a
+    /// retire in the body, else as the first load's single op.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn run<B: Bus>(
+        self,
+        ex: &mut ExecState,
+        cpu: &mut Cpu,
+        bus: &mut B,
+        t: &Timing,
+        at: u64,
+        budget: u64,
+        mem_room: u64,
+    ) -> Result<u64, CpuError> {
+        ex.stats.counted_dot_entries += 1;
+        // As in the hardware-loop op, the first access is peeled.
+        let pc = cpu.pc;
+        let [w, _, tw, ..] = self.regs;
+        let (v, c) = load(bus, cpu.reg(w), MemWidth::W, t, at, pc)?;
+        cpu.set_reg(tw, v);
+        if c > budget || c >= mem_room || hwloop_ends_in(cpu, pc, 36) {
+            cpu.retire(InstrClass::Load, t.load, pc.wrapping_add(4), true);
+            return Ok(c);
+        }
+        self.passes(c, ex, cpu, bus, t, at, budget, mem_room)
+    }
+
+    /// The rest of [`CountedDot::run`], after a first load of cost `c`
+    /// that left room to go on.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn passes<B: Bus>(
+        self,
+        mut c: u64,
+        ex: &mut ExecState,
+        cpu: &mut Cpu,
+        bus: &mut B,
+        t: &Timing,
+        at: u64,
+        budget: u64,
+        mem_room: u64,
+    ) -> Result<u64, CpuError> {
+        let pc = cpu.pc;
+        let shamt = self.shamt;
+        let (mut iters, mut exited) = (0u64, false);
+        let [mut w, mut x, mut tw, mut tx, mut acc, mut left] = self.regs.map(|r| cpu.reg(r));
+        let (r, res) = loop {
+            match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
+                Ok((v, k)) => (tx, c) = (v, c + k),
+                Err(e) => break (1, Err(e)),
+            }
+            if c > budget {
+                break (2, Ok(()));
+            }
+            w = w.wrapping_add(4);
+            c += u64::from(t.alu);
+            if c > budget {
+                break (3, Ok(()));
+            }
+            x = x.wrapping_add(4);
+            c += u64::from(t.alu);
+            if c > budget {
+                break (4, Ok(()));
+            }
+            tw = tw.wrapping_mul(tx);
+            c += u64::from(t.mul);
+            if c > budget {
+                break (5, Ok(()));
+            }
+            tw = ((tw as i32) >> shamt) as u32;
+            c += u64::from(t.alu);
+            if c > budget {
+                break (6, Ok(()));
+            }
+            acc = acc.wrapping_add(tw);
+            c += u64::from(t.alu);
+            if c > budget {
+                break (7, Ok(()));
+            }
+            left = left.wrapping_sub(1);
+            c += u64::from(t.alu);
+            if c > budget {
+                break (8, Ok(()));
+            }
+            iters += 1;
+            if left == 0 {
+                exited = true;
+                c += u64::from(t.branch_not_taken);
+                break (0, Ok(()));
+            }
+            c += u64::from(t.branch_taken);
+            if c > budget || c >= mem_room {
+                break (0, Ok(()));
+            }
+            match load(bus, w, MemWidth::W, t, at + c, pc) {
+                Ok((v, k)) => (tw, c) = (v, c + k),
+                Err(e) => break (0, Err(e)),
+            }
+            if c > budget || c >= mem_room {
+                break (1, Ok(()));
+            }
+        };
+        for (reg, v) in self.regs.into_iter().zip([w, x, tw, tx, acc, left]) {
+            cpu.set_reg(reg, v);
+        }
+        let body = [
+            (InstrClass::Load, t.load),
+            (InstrClass::Load, t.load),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Mul, t.mul),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Alu, t.alu),
+        ];
+        retire_passes(cpu, &body, iters, r);
+        // The `bne` closing each whole pass: taken but on the exit.
+        let fell = u64::from(exited);
+        let p = &mut cpu.profile;
+        p.record_n(InstrClass::BranchTaken, iters - fell, t.branch_taken);
+        p.record_n(InstrClass::BranchNotTaken, fell, t.branch_not_taken);
+        cpu.retired += iters;
+        cpu.pc = if exited {
+            pc.wrapping_add(36)
+        } else {
+            pc.wrapping_add(4 * r)
+        };
+        ex.stats.counted_dot_iterations += iters;
+        res.map(|()| c)
+    }
+}
+
+/// `true` if no two of `regs` are the same and none is `x0`.
+fn distinct_nonzero(regs: &[Reg]) -> bool {
+    regs.iter()
+        .enumerate()
+        .all(|(i, r)| *r != Reg::ZERO && !regs[..i].contains(r))
+}
+
+/// `(acc, shamt)` if `tail` is the loop ops' requantisation over their
+/// loads' `tw` and `tx`: `mul tw, tw, tx`, `srai tw, tw, shamt`,
+/// `add acc, acc, tw`.
+fn dot_tail(tail: Option<Op>, tw: Reg, tx: Reg) -> Option<(Reg, u8)> {
+    match tail?.0 {
+        Kind::MulSraiAdd {
+            rd,
+            rs1,
+            rs2,
+            rd2,
+            rs1b,
+            shamt,
+            rd3,
+            rs1c,
+            rs2c,
+        } if (rd, rs1, rs2, rd2, rs1b, rs1c, rs2c) == (tw, tw, tx, tw, tw, rd3, tw) => {
+            Some((rd3, shamt))
+        }
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------
 // Translation.
 // ---------------------------------------------------------------------
 
@@ -946,10 +1371,11 @@ fn fetch_decode<B: Bus>(bus: &mut B, pc: u32) -> Result<Instr, CpuError> {
     })
 }
 
-/// The fused op for the pattern starting with `first`, if any.
-fn fuse(xpulp: bool, first: Instr, second: Option<Instr>, third: Option<Instr>) -> Option<Op> {
-    let post_load = |i: Option<Instr>| match i {
-        Some(Instr::LoadPost {
+/// The fused or loop op for the pattern at the start of `w`, the
+/// decoded words from the op's PC on, if any.
+fn fuse(xpulp: bool, w: &[Instr]) -> Option<Op> {
+    let post_load = |i: Option<&Instr>| match i {
+        Some(&Instr::LoadPost {
             width: MemWidth::W,
             rd,
             rs1,
@@ -961,8 +1387,8 @@ fn fuse(xpulp: bool, first: Instr, second: Option<Instr>, third: Option<Instr>) 
         }),
         _ => None,
     };
-    let sdotsp = |i: Option<Instr>| match i {
-        Some(Instr::Simd {
+    let sdotsp = |i: Option<&Instr>| match i {
+        Some(&Instr::Simd {
             op: SimdOp::SdotspH,
             rd,
             rs1,
@@ -970,9 +1396,54 @@ fn fuse(xpulp: bool, first: Instr, second: Option<Instr>, third: Option<Instr>) 
         }) => Some((rd, rs1, rs2)),
         _ => None,
     };
-    if let Some(a) = post_load(Some(first)) {
-        if let Some(b) = post_load(second) {
-            if let Some((acc, rs1, rs2)) = sdotsp(third) {
+    // `mul` + `srai` + `add`: the requantisation tail, also of both loop
+    // shapes.
+    let tail = |w: &[Instr]| match *w {
+        [Instr::Alu {
+            op: AluOp::Mul,
+            rd,
+            rs1,
+            rs2,
+        }, Instr::Shift {
+            op: ShiftOp::Srai,
+            rd: rd2,
+            rs1: rs1b,
+            shamt,
+        }, Instr::Alu {
+            op: AluOp::Add,
+            rd: rd3,
+            rs1: rs1c,
+            rs2: rs2c,
+        }, ..] => Some(Op(Kind::MulSraiAdd {
+            rd,
+            rs1,
+            rs2,
+            rd2,
+            rs1b,
+            shamt,
+            rd3,
+            rs1c,
+            rs2c,
+        })),
+        _ => None,
+    };
+    let addi = |rd: Reg, imm: i32| Instr::AluImm {
+        op: AluImmOp::Addi,
+        rd,
+        rs1: rd,
+        imm,
+    };
+
+    if let Some(a) = post_load(w.first()) {
+        if let Some(b) = post_load(w.get(1)) {
+            let dot = dot_tail(w.get(2..).and_then(tail), a.rd, b.rd);
+            if let (4, 4, Some((acc, shamt))) = (a.imm, b.imm, dot) {
+                let regs = [a.rs1, b.rs1, a.rd, b.rd, acc];
+                if distinct_nonzero(&regs) {
+                    return Some(Op(Kind::HwLoopDot(HwLoopDot { regs, shamt })));
+                }
+            }
+            if let Some((acc, rs1, rs2)) = sdotsp(w.get(2)) {
                 return Some(Op(Kind::LpLpSdotsp {
                     a,
                     b,
@@ -983,61 +1454,55 @@ fn fuse(xpulp: bool, first: Instr, second: Option<Instr>, third: Option<Instr>) 
             }
             return Some(Op(Kind::LpLp { a, b }));
         }
-        if let Some((acc, rs1, rs2)) = sdotsp(second) {
+        if let Some((acc, rs1, rs2)) = sdotsp(w.get(1)) {
             return Some(Op(Kind::LpSdotsp { a, acc, rs1, rs2 }));
         }
-        if let Some(Instr::Mac { rd, rs1, rs2 }) = second {
+        if let Some(&Instr::Mac { rd, rs1, rs2 }) = w.get(1) {
             return Some(Op(Kind::LpMac { a, rd, rs1, rs2 }));
         }
         return None;
     }
-    match (first, second?) {
-        (
-            Instr::Alu {
-                op: AluOp::Mul,
-                rd,
-                rs1,
-                rs2,
-            },
-            Instr::Shift {
-                op: ShiftOp::Srai,
-                rd: rd2,
-                rs1: rs1b,
-                shamt,
-            },
-        ) => match third? {
-            Instr::Alu {
-                op: AluOp::Add,
-                rd: rd3,
-                rs1: rs1c,
-                rs2: rs2c,
-            } => Some(Op(Kind::MulSraiAdd {
-                rd,
-                rs1,
-                rs2,
-                rd2,
-                rs1b,
-                shamt,
-                rd3,
-                rs1c,
-                rs2c,
-            })),
-            _ => None,
-        },
-        (
-            Instr::AluImm {
-                op: AluImmOp::Addi,
-                rd,
-                rs1,
-                imm,
-            },
-            Instr::Branch {
-                cond,
-                rs1: rs1b,
-                rs2: rs2b,
-                offset,
-            },
-        ) => Some(Op(Kind::AddiBranch {
+    if let [Instr::Load {
+        width: MemWidth::W,
+        rd: tw,
+        rs1: wp,
+        offset: 0,
+    }, Instr::Load {
+        width: MemWidth::W,
+        rd: tx,
+        rs1: xp,
+        offset: 0,
+    }, inc_a, inc_b, ref body @ .., dec, Instr::Branch {
+        cond: BranchCond::Ne,
+        rs1: n,
+        rs2: Reg::ZERO,
+        offset: -32,
+    }] = *w
+    {
+        if let Some((acc, shamt)) = dot_tail(tail(body), tw, tx) {
+            let regs = [wp, xp, tw, tx, acc, n];
+            if [inc_a, inc_b, dec] == [addi(wp, 4), addi(xp, 4), addi(n, -1)]
+                && distinct_nonzero(&regs)
+            {
+                return Some(Op(Kind::CountedDot(CountedDot { regs, shamt })));
+            }
+        }
+    }
+    if let Some(op) = tail(w) {
+        return Some(op);
+    }
+    match *w {
+        [Instr::AluImm {
+            op: AluImmOp::Addi,
+            rd,
+            rs1,
+            imm,
+        }, Instr::Branch {
+            cond,
+            rs1: rs1b,
+            rs2: rs2b,
+            offset,
+        }, ..] => Some(Op(Kind::AddiBranch {
             rd,
             rs1,
             imm,
@@ -1193,18 +1658,18 @@ fn branch(
     }
 }
 
-/// Aligned, timed, sign-extending data load.
+/// Aligned, timed, sign-extending data load of the instruction at `pc`.
 #[inline(always)]
 fn load<B: Bus>(
-    cpu: &Cpu,
     bus: &mut B,
     addr: u32,
     width: MemWidth,
     t: &Timing,
     at: u64,
+    pc: u32,
 ) -> Result<(u32, u64), CpuError> {
     if !addr.is_multiple_of(width.bytes()) {
-        return Err(CpuError::Misaligned { addr, pc: cpu.pc });
+        return Err(CpuError::Misaligned { addr, pc });
     }
     let (raw, cost) = bus.load_timed(addr, width, t.load, at)?;
     let v = match width {
@@ -1215,21 +1680,43 @@ fn load<B: Bus>(
     Ok((v, u64::from(cost)))
 }
 
-/// Aligned, timed data store.
+/// Aligned, timed data store of the instruction at `pc`.
 #[inline(always)]
 fn store<B: Bus>(
-    cpu: &Cpu,
     bus: &mut B,
     addr: u32,
     width: MemWidth,
     value: u32,
     t: &Timing,
     at: u64,
+    pc: u32,
 ) -> Result<u64, CpuError> {
     if !addr.is_multiple_of(width.bytes()) {
-        return Err(CpuError::Misaligned { addr, pc: cpu.pc });
+        return Err(CpuError::Misaligned { addr, pc });
     }
     Ok(u64::from(bus.store_timed(addr, width, value, t.store, at)?))
+}
+
+/// The effects of the `p.lw rd, imm(rs1!)` at `pc`, not yet retired;
+/// returns its cost.
+#[inline(always)]
+fn post_lw<B: Bus>(
+    cpu: &mut Cpu,
+    bus: &mut B,
+    l: PostLoad,
+    t: &Timing,
+    at: u64,
+    pc: u32,
+) -> Result<u64, CpuError> {
+    let addr = cpu.reg(l.rs1);
+    let (v, cost) = load(bus, addr, MemWidth::W, t, at, pc)?;
+    cpu.set_reg(l.rd, v);
+    // Post-increment happens after the load; if rd == rs1 the loaded
+    // value wins (as on RI5CY).
+    if l.rd != l.rs1 {
+        cpu.set_reg(l.rs1, addr.wrapping_add(l.imm as u32));
+    }
+    Ok(cost)
 }
 
 /// One `p.lw rd, imm(rs1!)` sub-instruction, retired to `next_pc`.
@@ -1242,12 +1729,7 @@ fn post_load<B: Bus>(
     next_pc: u32,
     at: u64,
 ) -> Result<u64, CpuError> {
-    let addr = cpu.reg(l.rs1);
-    let (v, cost) = load(cpu, bus, addr, MemWidth::W, t, at)?;
-    cpu.set_reg(l.rd, v);
-    if l.rd != l.rs1 {
-        cpu.set_reg(l.rs1, addr.wrapping_add(l.imm as u32));
-    }
+    let cost = post_lw(cpu, bus, l, t, at, cpu.pc)?;
     cpu.retire(InstrClass::Load, t.load, next_pc, true);
     Ok(cost)
 }
@@ -1560,5 +2042,254 @@ mod tests {
         assert!(prog.invalidate_store(2, MemWidth::W));
         assert_eq!(prog.stats().redecodes, 2);
         assert!(!prog.invalidate_store(2, MemWidth::W));
+    }
+
+    #[test]
+    fn every_op_fits_the_invalidation_window() {
+        // Code holding a site of every op kind; each PC translates to one.
+        let (a0, a1, a2, a3) = (Reg::A0, Reg::A1, Reg::A2, Reg::A3);
+        let mut asm = Asm::new(0);
+        asm.emit(Instr::Lui { rd: a0, imm: 4096 });
+        asm.add(a0, a0, a1);
+        asm.sub(a0, a0, a1);
+        asm.slli(a0, a0, 1);
+        asm.shift(ShiftOp::Srli, a0, a0, 1);
+        asm.store_post(MemWidth::W, a0, a1, 4);
+        asm.sw(a0, a1, 0);
+        asm.jalr(Reg::ZERO, a1, 0);
+        asm.emit(Instr::Fence);
+        asm.load_post(MemWidth::W, a0, a1, 4);
+        asm.mac(a2, a0, a1); // p.lw + p.mac; alone, p.mac
+        asm.load_post(MemWidth::W, a0, a1, 4);
+        asm.simd(SimdOp::SdotspH, a2, a0, a1); // p.lw + pv.sdotsp.h
+        asm.load_post(MemWidth::W, a0, a1, 4);
+        asm.load_post(MemWidth::W, a2, a3, 4); // p.lw + p.lw
+                                               // p.lw + p.lw + pv.sdotsp.h, mul/srai/add, li, ecall, then both
+                                               // loop ops (and addi/bne inside the counted one).
+        for part in [dot_kernel(), hwloop_row(8, false), counted_row(8, false)] {
+            for instr in part.instructions().unwrap() {
+                asm.emit(instr);
+            }
+        }
+        let top = asm.here();
+        asm.lw(a3, a0, 0); // alone: lw, mul, bne, jal
+        asm.mul(a0, a0, a1);
+        asm.bne_to(a0, a1, top);
+        asm.jal_to(Reg::ZERO, top);
+        let image = asm.assemble().unwrap();
+        let mut ram = Ram::new(0, 4096);
+        ram.write_bytes(0, &image);
+        let len = image.len() as u32;
+        let mut kinds: Vec<Kind> = (0..len / 4)
+            .map(|i| Program::new(0, len, true).fetch(&mut ram, 4 * i).unwrap().0)
+            .collect();
+        kinds.push(Program::new(0, len, false).fetch(&mut ram, 36).unwrap().0);
+        let mut seen = [false; 28];
+        for kind in kinds {
+            assert!(Op(kind).width() <= MAX_OP_WORDS, "{kind:?}");
+            seen[match kind {
+                Kind::Lui { .. } => 0,
+                Kind::Addi { .. } => 1,
+                Kind::Add { .. } => 2,
+                Kind::Sub { .. } => 3,
+                Kind::Mul { .. } => 4,
+                Kind::Slli { .. } => 5,
+                Kind::Srli { .. } => 6,
+                Kind::Srai { .. } => 7,
+                Kind::Load { .. } => 8,
+                Kind::Store { .. } => 9,
+                Kind::LoadPost { .. } => 10,
+                Kind::StorePost { .. } => 11,
+                Kind::Mac { .. } => 12,
+                Kind::Sdotsp { .. } => 13,
+                Kind::Branch { .. } => 14,
+                Kind::Jal { .. } => 15,
+                Kind::Jalr { .. } => 16,
+                Kind::Halt => 17,
+                Kind::IllegalXpulp => 18,
+                Kind::Other(_) => 19,
+                Kind::LpLpSdotsp { .. } => 20,
+                Kind::LpLp { .. } => 21,
+                Kind::LpSdotsp { .. } => 22,
+                Kind::LpMac { .. } => 23,
+                Kind::MulSraiAdd { .. } => 24,
+                Kind::AddiBranch { .. } => 25,
+                Kind::HwLoopDot(_) => 26,
+                Kind::CountedDot(_) => 27,
+            }] = true;
+        }
+        let missing: Vec<usize> = (0..seen.len()).filter(|&k| !seen[k]).collect();
+        assert!(missing.is_empty(), "no site of kinds {missing:?}");
+    }
+
+    /// Runs `asm` over the dot-product data on the reference and the op
+    /// program under `limit`, asserts identical state and memory, and
+    /// returns the program's counters.
+    fn loop_matches_reference(asm: &Asm, xpulp: bool, limit: u64) -> ProgramStats {
+        let (timing, new_cpu): (_, fn(u32) -> Cpu) = if xpulp {
+            (Timing::riscy(), Cpu::new)
+        } else {
+            (Timing::ibex(), Cpu::new_rv32im)
+        };
+        let image = asm.assemble().unwrap();
+        let fresh = || {
+            let mut ram = Ram::new(0, 4096);
+            ram.write_bytes(0, &image);
+            fill_data(&mut ram);
+            ram
+        };
+        let (mut ram_a, mut ref_cpu) = (fresh(), new_cpu(0));
+        let ref_res = ref_cpu.run(&mut ram_a, &timing, limit);
+        let (mut ram_b, mut cpu) = (fresh(), new_cpu(0));
+        let mut prog = Program::new(0, 4096, xpulp);
+        let res = cpu.run_program(&mut ram_b, &timing, limit, &mut prog);
+        assert_eq!(
+            outcome(&cpu, &res),
+            outcome(&ref_cpu, &ref_res),
+            "limit {limit}"
+        );
+        assert_eq!(
+            (0..2).map(|l| cpu.hwloop(l)).collect::<Vec<_>>(),
+            [0, 1].map(|l| ref_cpu.hwloop(l))
+        );
+        assert_eq!(ram_b.read_bytes(0, 4096), ram_a.read_bytes(0, 4096));
+        prog.stats()
+    }
+
+    /// The RI5CY kernel row: a hardware loop of `n` passes over
+    /// `p.lw`/`p.lw`/`mul`/`srai`/`add`; `alias` makes the multiply read
+    /// the `x` pointer, off the kernel's own register pattern.
+    fn hwloop_row(n: i32, alias: bool) -> Asm {
+        hwloop_row_over(0x200, 0x300, n, alias)
+    }
+
+    fn hwloop_row_over(w: i32, x: i32, n: i32, alias: bool) -> Asm {
+        let mut asm = Asm::new(0);
+        asm.li(Reg::A0, w);
+        asm.li(Reg::A1, x);
+        asm.li(Reg::T0, n);
+        let end = asm.new_label();
+        asm.lp_setup_to(LoopIdx::L0, Reg::T0, end);
+        asm.load_post(MemWidth::W, Reg::A3, Reg::A0, 4);
+        asm.load_post(MemWidth::W, Reg::A4, Reg::A1, 4);
+        let rs2 = if alias { Reg::A1 } else { Reg::A4 };
+        asm.alu(AluOp::Mul, Reg::A3, Reg::A3, rs2);
+        asm.shift(ShiftOp::Srai, Reg::A3, Reg::A3, 3);
+        asm.alu(AluOp::Add, Reg::A2, Reg::A2, Reg::A3);
+        asm.bind(end);
+        asm.ecall();
+        asm
+    }
+
+    /// The Ibex kernel row: a counted loop of `n` passes over
+    /// `lw`/`lw`/`addi`/`addi`/`mul`/`srai`/`add`/`addi`/`bne`; `alias`
+    /// makes the accumulator the counter.
+    fn counted_row(n: i32, alias: bool) -> Asm {
+        counted_row_over(0x200, 0x300, n, alias)
+    }
+
+    fn counted_row_over(w: i32, x: i32, n: i32, alias: bool) -> Asm {
+        let mut asm = Asm::new(0);
+        asm.li(Reg::A0, w);
+        asm.li(Reg::A1, x);
+        asm.li(Reg::T0, n);
+        let top = asm.here();
+        asm.lw(Reg::A3, Reg::A0, 0);
+        asm.lw(Reg::A4, Reg::A1, 0);
+        asm.addi(Reg::A0, Reg::A0, 4);
+        asm.addi(Reg::A1, Reg::A1, 4);
+        asm.alu(AluOp::Mul, Reg::A3, Reg::A3, Reg::A4);
+        asm.shift(ShiftOp::Srai, Reg::A3, Reg::A3, 3);
+        let acc = if alias { Reg::T0 } else { Reg::A2 };
+        asm.alu(AluOp::Add, acc, acc, Reg::A3);
+        asm.addi(Reg::T0, Reg::T0, -1);
+        asm.bne_to(Reg::T0, Reg::ZERO, top);
+        asm.ecall();
+        asm
+    }
+
+    #[test]
+    fn loop_ops_run_each_row_in_one_dispatch() {
+        let stats = loop_matches_reference(&hwloop_row(8, false), true, 100_000);
+        assert_eq!(stats.hwloop_dot_entries, 1, "{stats:?}");
+        assert_eq!(stats.hwloop_dot_iterations, 8, "{stats:?}");
+        // li, li, li, lp.setup, the loop op, ecall.
+        assert_eq!(stats.dispatches, 6, "{stats:?}");
+        let stats = loop_matches_reference(&counted_row(8, false), false, 100_000);
+        assert_eq!(stats.counted_dot_entries, 1, "{stats:?}");
+        assert_eq!(stats.counted_dot_iterations, 8, "{stats:?}");
+        assert_eq!(stats.dispatches, 5, "{stats:?}");
+        // Off the kernel's own registers, the rows run as the fused ops.
+        let stats = loop_matches_reference(&hwloop_row(8, true), true, 100_000);
+        assert_eq!((stats.hwloop_dot_entries, stats.fused_lp_lp), (0, 8));
+        let stats = loop_matches_reference(&counted_row(8, true), false, 100_000);
+        assert_eq!(stats.counted_dot_entries, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn loop_ops_stop_exactly_at_every_cycle_limit() {
+        for alias in [false, true] {
+            for limit in 1..70 {
+                loop_matches_reference(&hwloop_row(8, alias), true, limit);
+            }
+            for limit in 1..120 {
+                loop_matches_reference(&counted_row(8, alias), false, limit);
+                loop_matches_reference(&counted_row(8, alias), true, limit);
+            }
+        }
+    }
+
+    #[test]
+    fn loop_ops_fault_at_the_exact_sub_instruction() {
+        // The `x` stream runs off the end of memory after two passes, and
+        // a misaligned `w` faults on the very first load.
+        for (w, x) in [(0x200, 4096 - 8), (0x202, 0x300)] {
+            loop_matches_reference(&hwloop_row_over(w, x, 8, false), true, 100_000);
+            loop_matches_reference(&counted_row_over(w, x, 8, false), false, 100_000);
+        }
+    }
+
+    #[test]
+    fn loop_ops_run_once_when_another_loop_can_redirect_inside() {
+        // An outer hardware loop ending inside the body (at the `mul`),
+        // and one ending exactly at the body's end (shared end, lower
+        // priority than the body's own loop).
+        for (outer_end, falls_back) in [(3, true), (5, false)] {
+            let mut asm = Asm::new(0);
+            asm.li(Reg::A0, 0x200);
+            asm.li(Reg::A1, 0x300);
+            asm.li(Reg::T0, 4);
+            asm.li(Reg::T1, 3);
+            // L1: [L0 setup, body...) ends `outer_end` words into the body.
+            asm.lp_setup(LoopIdx::L1, Reg::T1, 4 * (2 + outer_end));
+            asm.lp_setup(LoopIdx::L0, Reg::T0, 4 * 6);
+            asm.load_post(MemWidth::W, Reg::A3, Reg::A0, 4);
+            asm.load_post(MemWidth::W, Reg::A4, Reg::A1, 4);
+            asm.alu(AluOp::Mul, Reg::A3, Reg::A3, Reg::A4);
+            asm.shift(ShiftOp::Srai, Reg::A3, Reg::A3, 3);
+            asm.alu(AluOp::Add, Reg::A2, Reg::A2, Reg::A3);
+            asm.ecall();
+            // Falling back, the rest of the body runs as the fused
+            // `mul`/`srai`/`add` would.
+            let stats = loop_matches_reference(&asm, true, 100_000);
+            assert_eq!(stats.fused_mul_srai_add > 0, falls_back, "{stats:?}");
+        }
+        // A hardware loop whose body is the counted loop ends right after
+        // its `bne` (or on its head): while it is active, the counted op
+        // runs the body once per entry.
+        for end_words in [10, 1] {
+            let mut asm = Asm::new(0);
+            asm.li(Reg::A0, 0x200);
+            asm.li(Reg::A1, 0x300);
+            asm.li(Reg::T1, 3);
+            asm.li(Reg::T0, 4);
+            asm.lp_setup(LoopIdx::L0, Reg::T1, 4 * end_words);
+            let counted = counted_row(4, false).assemble().unwrap();
+            for word in counted[12..].chunks_exact(4) {
+                asm.emit(decode(u32::from_le_bytes(word.try_into().unwrap())).unwrap());
+            }
+            let stats = loop_matches_reference(&asm, true, 100_000);
+            assert!(stats.fused_mul_srai_add > 0, "{stats:?}");
+        }
     }
 }

@@ -124,6 +124,14 @@ impl ExecProfile {
         slot.cycles += u64::from(cycles);
     }
 
+    /// Records `n` retired instructions of one class at `cycles` each.
+    #[inline]
+    pub(crate) fn record_n(&mut self, class: InstrClass, n: u64, cycles: u32) {
+        let slot = &mut self.slots[class.index()];
+        slot.instructions += n;
+        slot.cycles += n * u64::from(cycles);
+    }
+
     /// Counters for one class.
     #[must_use]
     pub fn class(&self, class: InstrClass) -> ClassStats {

@@ -292,6 +292,100 @@ fn any_regs() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..MEM_SIZE as u32, 31)
 }
 
+fn addi(rd: Reg, rs1: Reg, imm: i32) -> Instr {
+    Instr::AluImm {
+        op: AluImmOp::Addi,
+        rd,
+        rs1,
+        imm,
+    }
+}
+
+/// The body shared by both dot-product loop ops after their loads:
+/// `mul tw, tw, tx`, `srai tw, tw, shamt`, `add acc, acc, tw`.
+fn requant(tw: Reg, tx: Reg, acc: Reg, shamt: u8) -> [Instr; 3] {
+    [
+        Instr::Alu {
+            op: AluOp::Mul,
+            rd: tw,
+            rs1: tw,
+            rs2: tx,
+        },
+        Instr::Shift {
+            op: ShiftOp::Srai,
+            rd: tw,
+            rs1: tw,
+            shamt,
+        },
+        Instr::Alu {
+            op: AluOp::Add,
+            rd: acc,
+            rs1: acc,
+            rs2: tw,
+        },
+    ]
+}
+
+/// The Ibex kernel's inner loop, `n` counting down to zero: the counted
+/// dot-product loop op's nine words.
+fn counted_dot(w: Reg, x: Reg, tw: Reg, tx: Reg, acc: Reg, n: Reg, shamt: u8) -> Vec<Instr> {
+    let lw = |rd, rs1| Instr::Load {
+        width: MemWidth::W,
+        rd,
+        rs1,
+        offset: 0,
+    };
+    let mut v = vec![lw(tw, w), lw(tx, x), addi(w, w, 4), addi(x, x, 4)];
+    v.extend(requant(tw, tx, acc, shamt));
+    v.push(addi(n, n, -1));
+    v.push(Instr::Branch {
+        cond: BranchCond::Ne,
+        rs1: n,
+        rs2: Reg::ZERO,
+        offset: -32,
+    });
+    v
+}
+
+/// Registers `[w, x, tw, tx, acc, n]` of a dot-product loop: six distinct
+/// ones, as the kernels use them, or random ones, so operands alias.
+fn dot_regs() -> impl Strategy<Value = [Reg; 6]> {
+    prop_oneof![
+        (1u8..27).prop_map(|k| core::array::from_fn(|i| Reg::new(k + i as u8))),
+        (
+            any_reg(),
+            any_reg(),
+            any_reg(),
+            any_reg(),
+            any_reg(),
+            any_reg()
+        )
+            .prop_map(|(a, b, c, d, e, f)| [a, b, c, d, e, f]),
+    ]
+}
+
+/// Loop counts: none, one, a few and many (past the cycle limit).
+fn loop_count() -> impl Strategy<Value = i32> {
+    prop_oneof![Just(0i32), Just(1), 2i32..32, 32i32..2048]
+}
+
+/// Moves pointer `p` before a loop: nowhere (`how` 0), to `k` words
+/// before the end of memory (1) or off word alignment (2), so loads fault
+/// mid-iteration.
+fn move_pointer(p: Reg, how: u8, k: i32) -> Vec<Instr> {
+    match how {
+        1 => vec![
+            Instr::Lui {
+                rd: p,
+                imm: MEM_SIZE as i32,
+            },
+            addi(p, p, -4 * k),
+        ],
+        2 => vec![addi(p, p, 1 + k % 3)],
+        _ => Vec::new(),
+    }
+}
+
 /// Instruction groups that form the op program's fusion patterns (with
 /// random registers, so some sites alias their own operands), mixed with
 /// arbitrary instructions and word stores into the code.
@@ -367,6 +461,66 @@ fn fusion_fragment() -> impl Strategy<Value = Vec<Instr>> {
                 offset: 4 * w
             },
         ]),
+        // The hardware-loop dot-product op inside its own `lp.setup`: an
+        // immediate count, a count from register `n`, or inside an outer
+        // loop that shares its end.
+        (
+            dot_regs(),
+            (any_loop(), 0u8..3),
+            loop_count(),
+            (0u8..3, 0i32..6, any::<bool>()),
+            0u8..32,
+        )
+            .prop_map(
+                move |([w, x, tw, tx, acc, n], (l, form), count, moved, shamt)| {
+                    let (how, k, on_x) = moved;
+                    let mut v = move_pointer(if on_x { x } else { w }, how, k);
+                    let counti = count.min(31) as u8;
+                    match form {
+                        0 => v.push(Instr::LpSetupi {
+                            l,
+                            count: counti,
+                            offset: 24,
+                        }),
+                        1 => v.extend([
+                            addi(n, Reg::ZERO, count),
+                            Instr::LpSetup {
+                                l,
+                                rs1: n,
+                                offset: 24,
+                            },
+                        ]),
+                        _ => v.extend([
+                            Instr::LpSetupi {
+                                l: LoopIdx::L1,
+                                count: counti % 4,
+                                offset: 28,
+                            },
+                            Instr::LpSetupi {
+                                l: LoopIdx::L0,
+                                count: counti,
+                                offset: 24,
+                            },
+                        ]),
+                    }
+                    v.extend([lp(tw, w), lp(tx, x)]);
+                    v.extend(requant(tw, tx, acc, shamt));
+                    v
+                }
+            ),
+        // The counted dot-product op from the `li` of its count.
+        (
+            dot_regs(),
+            loop_count(),
+            (0u8..3, 0i32..6, any::<bool>()),
+            0u8..32
+        )
+            .prop_map(|([w, x, tw, tx, acc, n], count, (how, k, on_x), shamt)| {
+                let mut v = move_pointer(if on_x { x } else { w }, how, k);
+                v.push(addi(n, Reg::ZERO, count));
+                v.extend(counted_dot(w, x, tw, tx, acc, n, shamt));
+                v
+            }),
     ]
 }
 
@@ -549,4 +703,56 @@ proptest! {
         let reference = run_uncached(&words, &regs);
         assert_all_paths_match(&words, &regs, &reference);
     }
+}
+
+/// A code store rewrites the ninth word — the closing `bne` — of a
+/// counted dot-product loop op already translated, between two passes
+/// over it: the op must be dropped although the store lands eight words
+/// past its head.
+#[test]
+fn code_store_into_the_last_word_of_a_counted_loop_op() {
+    let (w, x, tw, tx, acc, n) = (Reg::A0, Reg::A1, Reg::T0, Reg::T1, Reg::A2, Reg::A3);
+    let mut program = vec![addi(Reg::S9, Reg::ZERO, 2)]; // 0x00: two passes
+    let top = program.len();
+    program.push(addi(n, Reg::ZERO, 3)); // 0x04
+    let bne_at = 4 * (program.len() + 8) as i32; // 0x28, the op's ninth word
+    program.extend(counted_dot(w, x, tw, tx, acc, n, 7)); // 0x08..0x2c
+    program.extend([
+        Instr::Store {
+            width: MemWidth::W,
+            rs2: Reg::S10,
+            rs1: Reg::ZERO,
+            offset: bne_at,
+        },
+        addi(Reg::S9, Reg::S9, -1),
+    ]);
+    let back = -4 * (program.len() - top) as i32;
+    program.extend([
+        Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: Reg::S9,
+            rs2: Reg::ZERO,
+            offset: back,
+        },
+        Instr::Ecall,
+    ]);
+    let words: Vec<u32> = program.iter().map(|i| encode(i).unwrap()).collect();
+    let mut regs = vec![0u32; 31];
+    regs[w.index() as usize - 1] = DATA_BASE;
+    regs[x.index() as usize - 1] = DATA_BASE + 0x100;
+    // The patch turns the back edge into `addi acc, acc, 100`.
+    regs[Reg::S10.index() as usize - 1] = encode(&addi(acc, acc, 100)).unwrap();
+
+    let reference = run_uncached(&words, &regs);
+    assert!(reference.result.is_ok(), "{:?}", reference.result);
+    assert_all_paths_match(&words, &regs, &reference);
+    // The patch took effect: storing the `bne` back over itself instead
+    // leaves a different `acc`.
+    let mut unpatched = regs.clone();
+    unpatched[Reg::S10.index() as usize - 1] = words[bne_at as usize / 4];
+    let same = run_uncached(&words, &unpatched);
+    assert_ne!(
+        reference.regs[acc.index() as usize],
+        same.regs[acc.index() as usize]
+    );
 }
