@@ -1,7 +1,8 @@
 //! Pins the 8-core cluster's burst schedule on Network B. The product
 //! path's loop ops must stop at the runner-up gate exactly where the fused
 //! load pair did, so the scheduler makes the same picks and the same
-//! gated breaks.
+//! gated breaks, and the run's cluster accounting (instructions, stalls,
+//! busy and barrier cycles) must not move.
 
 use iw_bench::evaluation_nets;
 use iw_kernels::{registry, PreparedFixed};
@@ -17,6 +18,14 @@ fn network_b_eight_core_schedule_is_unchanged() {
     let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
     let (run, stats) = prep.run_stats().expect("runs");
     assert_eq!(run.cycles, 93_930);
+    let cluster = run.cluster.as_ref().expect("cluster run");
+    assert_eq!(cluster.instructions, 436_688);
+    assert_eq!(cluster.tcdm_conflict_stalls, 4);
+    assert_eq!(cluster.l2_port_stalls, 81_380);
+    assert_eq!(cluster.busy_cycles, 647_336);
+    assert_eq!(cluster.barrier_wait_cycles, 2_692);
+    assert_eq!(cluster.barriers, 24);
     assert_eq!(stats.dispatches, 162_407, "scheduler picks: {stats:?}");
     assert_eq!(stats.gated_breaks, 162_207, "{stats:?}");
 }
+
