@@ -42,11 +42,15 @@ cargo run --release -q -p iw-bench --bin tables -- t3 t4 a2 a7 d1 d2 d3 d4 >/dev
 
 # Smoke: the tracing layer must produce a valid Perfetto timeline with
 # one track per cluster core and a non-empty hotspot report for the
-# 8-core RI5CY target on Network A (--check exits non-zero otherwise),
-# and the same for every single-core product loop, which records one
-# instruction per dispatch: the M4's fused program, the Ibex's RV32 op
-# program and the single RI5CY's (a one-core cluster burst).
+# 8-core RI5CY target on Network A and on Network B (--check exits
+# non-zero otherwise), and the same for every single-core product loop,
+# which records one instruction per dispatch: the M4's fused program, the
+# Ibex's RV32 op program and the single RI5CY's (a one-core cluster
+# burst). Network B's 8-core row is the one the cluster's joint mode
+# serves without a sink; a recording sink bypasses that mode and must
+# still record every instruction.
 cargo run --release -q -p iw-bench --bin trace -- neta cl8 --check >/dev/null
+cargo run --release -q -p iw-bench --bin trace -- netb cl8 --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- neta m4 --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- neta ibex --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- neta riscy --check >/dev/null

@@ -111,8 +111,8 @@ fn main() {
 fn print_product_stats(prep: &PreparedFixed) {
     let (_, s) = prep.run_stats().expect("runs");
     println!(
-        "  product: dispatches={} avg_burst={:.3} gated_breaks={}",
-        s.dispatches, s.avg_burst, s.gated_breaks
+        "  product: dispatches={} avg_burst={:.3} gated_breaks={} joint_picks={}",
+        s.dispatches, s.avg_burst, s.gated_breaks, s.joint_picks
     );
     if let Some(r) = s.rv32 {
         println!(

@@ -2,7 +2,8 @@
 //! path's loop ops must stop at the runner-up gate exactly where the fused
 //! load pair did, so the scheduler makes the same picks and the same
 //! gated breaks, and the run's cluster accounting (instructions, stalls,
-//! busy and barrier cycles) must not move.
+//! busy and barrier cycles) must not move. The joint mode (lockstep
+//! dot-product rows) must serve most of those picks.
 
 use iw_bench::evaluation_nets;
 use iw_kernels::{registry, PreparedFixed};
@@ -29,3 +30,22 @@ fn network_b_eight_core_schedule_is_unchanged() {
     assert_eq!(stats.gated_breaks, 162_207, "{stats:?}");
 }
 
+#[test]
+fn network_b_eight_core_picks_are_served_by_the_joint_mode() {
+    let nets = evaluation_nets();
+    let (_, _, fixed, qin) = &nets[1];
+    let entry = registry()
+        .into_iter()
+        .find(|e| e.id == "cluster8")
+        .expect("8-core target registered");
+    let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
+    let (_, stats) = prep.run_stats().expect("runs");
+    // Every running core sits in the same dot-product row's body for all
+    // but the row boundaries: 154 226 of the 162 407 picks.
+    assert!(
+        stats.joint_picks * 100 > stats.dispatches * 90,
+        "joint picks {} of {}",
+        stats.joint_picks,
+        stats.dispatches
+    );
+}

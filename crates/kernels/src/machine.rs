@@ -169,6 +169,13 @@ pub struct ProductStats {
     /// [`iw_mrwolf::SchedStats::gated_breaks`]); 0 on single-core
     /// targets.
     pub gated_breaks: u64,
+    /// Multi-core picks the cluster's joint mode made (see
+    /// [`iw_mrwolf::SchedStats::joint_picks`]), counted in `dispatches`
+    /// too; 0 on single-core targets.
+    pub joint_picks: u64,
+    /// Instructions the joint mode retired: with `rv32`'s, they make up
+    /// the run's instructions.
+    pub joint_instructions: u64,
     /// RV32 op-program counters (ops dispatched, fused executions per
     /// pattern, code-store re-decodes) on every Mr. Wolf target.
     pub rv32: Option<iw_rv32::ProgramStats>,
@@ -479,6 +486,8 @@ impl Deployment for M4Deployment {
             dispatches: stats.dispatches,
             avg_burst: stats.avg_burst(),
             gated_breaks: 0,
+            joint_picks: 0,
+            joint_instructions: 0,
             rv32: None,
             m4: Some(stats),
         };
@@ -752,6 +761,8 @@ impl Deployment for WolfDeployment {
                 dispatches: stats.dispatches,
                 avg_burst: stats.avg_burst(),
                 gated_breaks: 0,
+                joint_picks: 0,
+                joint_instructions: 0,
                 rv32: Some(stats),
                 m4: None,
             };
@@ -762,6 +773,8 @@ impl Deployment for WolfDeployment {
                 dispatches: sched.picks,
                 avg_burst: sched.avg_burst(),
                 gated_breaks: sched.gated_breaks,
+                joint_picks: sched.joint_picks,
+                joint_instructions: sched.joint_instructions,
                 rv32: sched.program,
                 m4: None,
             };

@@ -38,7 +38,8 @@
 //! translated code drops the slots it rewrites before the next dispatch.
 
 use iw_rv32::{
-    Bus, BusError, Cpu, CpuError, ExecProfile, MemWidth, Program, ProgramStats, Ram, Reg, Timing,
+    Bus, BusError, Cpu, CpuError, DotBody, ExecProfile, MemWidth, Program, ProgramStats, Ram, Reg,
+    Timing,
 };
 
 use iw_trace::{NoopSink, TraceSink, TrackId, CYCLES};
@@ -175,6 +176,15 @@ pub struct SchedStats {
     /// past the runner-up core's. The dominant burst terminator on
     /// memory-bound multi-core workloads.
     pub gated_breaks: u64,
+    /// Picks made by the joint mode (see the module docs), counted in
+    /// `picks` too. Their sub-instructions are not op-program dispatches,
+    /// so [`SchedStats::program`] does not count them.
+    pub joint_picks: u64,
+    /// Instructions the joint mode retired: with the op program's, they
+    /// make up `instructions`.
+    pub joint_instructions: u64,
+    /// Times the joint mode was entered.
+    pub joint_entries: u64,
     /// Op-program counters (ops dispatched, fused executions per
     /// pattern, code-store re-decodes), when the product path ran.
     pub program: Option<ProgramStats>,
@@ -225,7 +235,20 @@ impl ClusterBus<'_> {
         } else {
             word % banks
         };
-        let grant = at.max(self.bank_free[bank]);
+        // A branch, not a select: conflicts are rare, and a predicted
+        // branch keeps the bank's grant time off the caller's time chain.
+        if self.bank_free[bank] > at {
+            return self.tcdm_stall(bank, base, at);
+        }
+        self.bank_free[bank] = at + 1;
+        base
+    }
+
+    /// [`ClusterBus::tcdm_cost`] when bank `bank` is still busy at `at`.
+    #[cold]
+    #[inline(never)]
+    fn tcdm_stall(&mut self, bank: usize, base: u32, at: u64) -> u32 {
+        let grant = self.bank_free[bank];
         let stall = grant - at;
         self.bank_free[bank] = grant + 1;
         self.tcdm_stalls += stall;
@@ -506,33 +529,53 @@ fn run_cluster_inner<S: TraceSink>(
         tcdm_stalls: 0,
         l2_stalls: 0,
     };
+    // Set when a burst ended gated at a hardware-loop dot-product op: the
+    // cue to try the joint mode before the next pick.
+    let mut try_joint = false;
+    // The running core outside the body that the last try found, if any:
+    // no try can succeed before that core's own burst ends at a loop op.
+    let mut joint_wait = None;
+    // A pick the joint mode handed back mid-burst: (core, its local time,
+    // the pick's horizon).
+    let mut resume = None;
+
     loop {
-        // Pick the runnable core with the smallest key (= smallest local
-        // time, ties to the lowest id) and the runner-up key in one
-        // branch-free pass.
-        let mut m1 = u64::MAX;
-        let mut m2 = u64::MAX;
-        for &key in &ready_key {
-            let hi = m1.max(key);
-            m1 = m1.min(key);
-            m2 = m2.min(hi);
-        }
-        if m1 == u64::MAX {
-            if status.iter().all(|s| *s == CoreStatus::Halted) {
-                break;
+        if let (true, Some(prog)) = (std::mem::take(&mut try_joint), &program) {
+            match Joint::enter(prog, &cpus, &ready_key) {
+                Ok(mut joint) => {
+                    let pick =
+                        joint.run(&mut ready_key, &mut bus, &cfg.timing, max_cycles, sched)?;
+                    sched.joint_instructions +=
+                        joint.commit(&mut cpus, &ready_key, &mut ready_at, &mut run, &cfg.timing);
+                    (resume, joint_wait) = (Some(pick), None);
+                }
+                Err(wait) => joint_wait = wait,
             }
-            // Cores wait at a barrier while everyone else halted.
-            return Err(ClusterError::BarrierDeadlock);
         }
-        let i = (m1 & 7) as usize;
-        let t = m1 >> 3;
-        if t > max_cycles {
-            return Err(ClusterError::CycleLimit { limit: max_cycles });
-        }
+        let (i, t, horizon, first) = if let Some((i, at, horizon)) = resume.take() {
+            (i, at, horizon, false)
+        } else {
+            // Pick the runnable core with the smallest key (= smallest
+            // local time, ties to the lowest id) and the runner-up key,
+            // branch-free.
+            let (m1, m2) = min_two(&ready_key);
+            if m1 == u64::MAX {
+                if status.iter().all(|s| *s == CoreStatus::Halted) {
+                    break;
+                }
+                // Cores wait at a barrier while everyone else halted.
+                return Err(ClusterError::BarrierDeadlock);
+            }
+            let t = m1 >> 3;
+            if t > max_cycles {
+                return Err(ClusterError::CycleLimit { limit: max_cycles });
+            }
+            sched.picks += 1;
+            ((m1 & 7) as usize, t, m2 >> 3, true)
+        };
 
         bus.last_region = None;
         bus.barrier_arrived = false;
-        sched.picks += 1;
 
         let (done_at, halted, barrier_arrived) = if let Some(prog) = &mut program {
             // Product path: horizon burst. Every other runnable core acts
@@ -543,10 +586,9 @@ fn run_cluster_inner<S: TraceSink>(
             // mid-burst: other cores' times only change when they execute,
             // and barrier releases require this core's arrival (which ends
             // the burst).
-            let horizon = m2 >> 3;
             let cpu = &mut cpus[i];
             let mut done_at = t;
-            let mut first = true;
+            let mut first = first;
             let mut halted = false;
             let mut barrier = false;
             loop {
@@ -564,6 +606,9 @@ fn run_cluster_inner<S: TraceSink>(
                     match prog.fetch(&mut bus, pc) {
                         Ok(op) if op.is_shared() => {
                             sched.gated_breaks += 1;
+                            try_joint = !S::ENABLED
+                                && op.is_hwloop_dot()
+                                && joint_wait.is_none_or(|k| k == i);
                             break;
                         }
                         Ok(_) => {}
@@ -764,6 +809,279 @@ fn run_cluster_inner<S: TraceSink>(
     run.cycles = run.per_core_cycles.iter().copied().max().unwrap_or(0) + cfg.offload_cycles;
     sched.program = program.as_ref().map(Program::stats);
     Ok(run)
+}
+
+/// The smallest and the second-smallest of `keys`, branch-free, as a
+/// three-level tournament: the runner-up of two groups is the smaller of
+/// the larger minimum and both groups' runners-up.
+#[inline(always)]
+fn min_two(keys: &[u64; 8]) -> (u64, u64) {
+    let pair = |a: u64, b: u64| (a.min(b), a.max(b));
+    let join = |(lo_a, hi_a): (u64, u64), (lo_b, hi_b): (u64, u64)| {
+        (lo_a.min(lo_b), lo_a.max(lo_b).min(hi_a.min(hi_b)))
+    };
+    let [k0, k1, k2, k3, k4, k5, k6, k7] = *keys;
+    join(
+        join(pair(k0, k1), pair(k2, k3)),
+        join(pair(k4, k5), pair(k6, k7)),
+    )
+}
+
+/// Replaces the first of the ascending `sorted` by `key`, no smaller
+/// than it, and moves `key` up to its place. A scan, not a branch-free
+/// merge: the lockstep's picks rotate, so the scan's length repeats and
+/// predicts well.
+#[inline(always)]
+fn reinsert(sorted: &mut [u64; 8], key: u64) {
+    let mut j = 0;
+    while j < 7 && sorted[j + 1] < key {
+        sorted[j] = sorted[j + 1];
+        j += 1;
+    }
+    sorted[j] = key;
+}
+
+/// The dot-product body's `p.lw` at `pc` through `addr`, issued at `at`:
+/// the loaded word and its cost, or the fault the op would raise.
+#[inline(always)]
+fn dot_load(
+    bus: &mut ClusterBus<'_>,
+    addr: u32,
+    base: u32,
+    at: u64,
+    pc: u32,
+) -> Result<(u32, u64), CpuError> {
+    if addr & 3 != 0 {
+        return Err(CpuError::Misaligned { addr, pc });
+    }
+    let (v, cost) = bus.load_timed(addr, MemWidth::W, base, at)?;
+    Ok((v, u64::from(cost)))
+}
+
+/// One core's registers and position in the joint mode.
+#[derive(Debug, Clone, Copy, Default)]
+struct DotCore {
+    /// `[w, x, tw, tx, acc]`.
+    regs: [u32; 5],
+    /// Next body sub-instruction: 0 and 1 the loads, 2 `mul`, 3 `srai`,
+    /// 4 `add`.
+    phase: u8,
+    /// Hardware-loop count: passes left, the current one included.
+    left: u32,
+    /// `phase` and `left` at entry.
+    phase0: u8,
+    left0: u32,
+}
+
+/// The joint scheduler mode: every running core inside the body of the
+/// same hardware-loop dot-product op (see the module docs).
+struct Joint {
+    start: u32,
+    shamt: u8,
+    /// Per core, its [`DotBody`] if it was running at entry.
+    bodies: [Option<DotBody>; 8],
+    cores: [DotCore; 8],
+}
+
+impl Joint {
+    /// The joint state if at least two cores run and every running core
+    /// stands at a dispatch point of the same loop op's body, under its
+    /// own hardware loop; otherwise the first running core that does not,
+    /// if any.
+    fn enter(prog: &Program, cpus: &[Cpu], keys: &[u64; 8]) -> Result<Joint, Option<usize>> {
+        let mut joint = Joint {
+            start: 0,
+            shamt: 0,
+            bodies: [None; 8],
+            cores: [DotCore::default(); 8],
+        };
+        let mut running = 0;
+        for (k, cpu) in cpus.iter().enumerate() {
+            if keys[k] == u64::MAX {
+                continue;
+            }
+            let body = prog.dot_body(cpu).ok_or(Some(k))?;
+            if running == 0 {
+                (joint.start, joint.shamt) = (body.start, body.shamt);
+            } else if body.start != joint.start {
+                return Err(Some(k));
+            }
+            running += 1;
+            let phase = ((cpu.pc() - body.start) / 4) as u8;
+            let left = cpu.hwloop(body.hwloop).count;
+            if phase == 2 && left == 1 {
+                // Its next pick would start at the exit's `mul`.
+                return Err(Some(k));
+            }
+            joint.cores[k] = DotCore {
+                regs: body.regs.map(|r| cpu.reg(r)),
+                phase,
+                left,
+                phase0: phase,
+                left0: left,
+            };
+            joint.bodies[k] = Some(body);
+        }
+        if running < 2 {
+            return Err(None);
+        }
+        Ok(joint)
+    }
+
+    /// Makes picks until the picked core would leave the body, and
+    /// returns that pick for the generic burst to resume: its core, local
+    /// time and horizon. The core stands before the `mul` of its last
+    /// pass.
+    ///
+    /// Each pick follows the generic burst sub-instruction by
+    /// sub-instruction: the pick's first always runs; a load reached at
+    /// or past the horizon ends it as a gated break; a sub-instruction
+    /// that ends past the budget ends it too, as an error if still below
+    /// the horizon; a fault is the core's error. Loads are charged by the
+    /// bus at their issue time, so every grant is the generic loop's.
+    fn run(
+        &mut self,
+        keys: &mut [u64; 8],
+        bus: &mut ClusterBus<'_>,
+        timing: &Timing,
+        max_cycles: u64,
+        sched: &mut SchedStats,
+    ) -> Result<(usize, u64, u64), ClusterError> {
+        let (mul, alu) = (u64::from(timing.mul), u64::from(timing.alu));
+        let (start, shamt) = (self.start, self.shamt);
+        let (mut picks, mut gated) = (0u64, 0u64);
+        // The keys in ascending order: the pick and the runner-up are the
+        // first two, and a pick's new key is merged back branch-free.
+        let mut sorted = *keys;
+        sorted.sort_unstable();
+        let res = loop {
+            let (m1, m2) = (sorted[0], sorted[1]);
+            let (i, t, horizon) = ((m1 & 7) as usize, m1 >> 3, m2 >> 3);
+            if t > max_cycles {
+                break Err(ClusterError::CycleLimit { limit: max_cycles });
+            }
+            let c = &mut self.cores[i];
+            picks += 1;
+            let [mut w, mut x, mut tw, mut tx, mut acc] = c.regs;
+            let mut left = c.left;
+            let mut d = t;
+            // Past the budget after a sub-instruction that leaves the core
+            // at `phase`: below the horizon the generic loop fails the run
+            // here, at or past it the pick just ends.
+            let over = |d: u64, phase: u8| {
+                if d < horizon {
+                    Err(ClusterError::CycleLimit { limit: max_cycles })
+                } else {
+                    Ok(Some(phase))
+                }
+            };
+            let fault = |source| Err(ClusterError::Core { core: i, source });
+            // The phase the pick leaves the core at, or `None` where the
+            // core's next sub-instruction would be its last pass's `mul`:
+            // the generic burst takes the pick over there (never at the
+            // pick's start, see `enter`).
+            let mut p = c.phase;
+            let end = 'pick: loop {
+                // The first sub-instruction runs ungated; every later load
+                // passed the gate below.
+                if p == 0 {
+                    match dot_load(bus, w, timing.load, d, start) {
+                        Ok((v, k)) => (tw, w, d) = (v, w.wrapping_add(4), d + k),
+                        Err(source) => break 'pick fault(source),
+                    }
+                    if d > max_cycles {
+                        break 'pick over(d, 1);
+                    }
+                    if d >= horizon {
+                        gated += 1;
+                        break 'pick Ok(Some(1));
+                    }
+                }
+                if p <= 1 {
+                    match dot_load(bus, x, timing.load, d, start.wrapping_add(4)) {
+                        Ok((v, k)) => (tx, x, d) = (v, x.wrapping_add(4), d + k),
+                        Err(source) => break 'pick fault(source),
+                    }
+                    if d > max_cycles {
+                        break 'pick over(d, 2);
+                    }
+                }
+                if left == 1 {
+                    break 'pick Ok(None);
+                }
+                tw = tw.wrapping_mul(tx);
+                d += mul;
+                if d > max_cycles {
+                    break 'pick over(d, 3);
+                }
+                tw = ((tw as i32) >> shamt) as u32;
+                d += alu;
+                if d > max_cycles {
+                    break 'pick over(d, 4);
+                }
+                acc = acc.wrapping_add(tw);
+                left -= 1;
+                d += alu;
+                if d > max_cycles {
+                    break 'pick over(d, 0);
+                }
+                if d >= horizon {
+                    gated += 1;
+                    break 'pick Ok(Some(0));
+                }
+                p = 0;
+            };
+            c.regs = [w, x, tw, tx, acc];
+            c.left = left;
+            reinsert(&mut sorted, (d << 3) | i as u64);
+            match end {
+                Ok(Some(phase)) => c.phase = phase,
+                Ok(None) => {
+                    c.phase = 2;
+                    break Ok((i, d, horizon));
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        for key in sorted {
+            if key != u64::MAX {
+                keys[(key & 7) as usize] = key;
+            }
+        }
+        sched.picks += picks;
+        sched.gated_breaks += gated;
+        sched.joint_picks += picks;
+        sched.joint_entries += 1;
+        res
+    }
+
+    /// Writes every core's joint state back: registers, `pc`, loop count,
+    /// profile and retired count through [`DotBody::retire`], its local
+    /// time from `keys` and the busy time it spent. Returns the
+    /// instructions the cores retired in the mode.
+    fn commit(
+        &self,
+        cpus: &mut [Cpu],
+        keys: &[u64; 8],
+        ready_at: &mut [u64],
+        run: &mut ClusterRun,
+        timing: &Timing,
+    ) -> u64 {
+        let mut total = 0;
+        for (k, cpu) in cpus.iter_mut().enumerate() {
+            let Some(body) = self.bodies[k] else { continue };
+            let c = &self.cores[k];
+            let retired =
+                5 * u64::from(c.left0 - c.left) + u64::from(c.phase) - u64::from(c.phase0);
+            body.retire(cpu, c.regs, retired, timing);
+            total += retired;
+            // Stalls included, as in the generic burst.
+            let at = keys[k] >> 3;
+            run.busy_cycles += at - ready_at[k];
+            ready_at[k] = at;
+        }
+        total
+    }
 }
 
 /// Read-back access to the finished cores is not needed by the kernels
@@ -1229,7 +1547,8 @@ mod tests {
         Dot(u8),
         /// Hardware loop over `p.lw`/`p.lw`/`mul`/`srai`/`add` (the
         /// kernel's fixed-point row) over a private TCDM stream and the
-        /// shared L2 stream; a count of 0 leaves the loop inactive.
+        /// shared L2 stream; a count of 0 leaves the loop inactive, tens of
+        /// passes put every core in the joint mode.
         HwDot(u8),
         /// `p.lw` + `p.mac`.
         LoadMac,
@@ -1265,7 +1584,7 @@ mod tests {
             shared(),
             (0u8..8, 0u8..6).prop_map(|(k, d)| Frag::L2Load(k, d)),
             (1u8..6).prop_map(Frag::Dot),
-            (0u8..6).prop_map(Frag::HwDot),
+            prop_oneof![0u8..6, 20u8..70].prop_map(Frag::HwDot),
             Just(Frag::LoadMac),
             (0u8..6).prop_map(Frag::Requant),
             (1u8..5).prop_map(Frag::CountLoop),
@@ -1416,7 +1735,157 @@ mod tests {
         (res, tcdm_bytes, l2_bytes)
     }
 
+    /// One dot-product row of a joint-mode test program: a hardware loop
+    /// of `count + spread * core_id` passes (0 leaves the loop inactive)
+    /// over the body the kernels emit, then a post-increment store of the
+    /// accumulator and an optional barrier.
+    #[derive(Debug, Clone)]
+    struct DotRow {
+        count: u8,
+        spread: u8,
+        /// Where the `w` and `x` streams run: 0 a private TCDM stream and
+        /// the shared L2 stream; 1 the shared L2 stream and a TCDM stream
+        /// every core reads at the same addresses (the Network B layout);
+        /// 2 private and shared TCDM.
+        streams: u8,
+        shamt: u8,
+        barrier: bool,
+    }
+
+    fn any_dot_row() -> impl Strategy<Value = DotRow> {
+        (
+            prop_oneof![0u8..4, 10u8..90],
+            0u8..5,
+            0u8..3,
+            0u8..9,
+            any::<bool>(),
+        )
+            .prop_map(|(count, spread, streams, shamt, barrier)| DotRow {
+                count,
+                spread,
+                streams,
+                shamt,
+                barrier,
+            })
+    }
+
+    /// Assembles `rows`. With `fault = Some((r, after))`, row `r`'s `w`
+    /// stream starts `after + 16 * (cores - 1 - core_id)` words below the
+    /// end of TCDM, so the last core runs off it first, mid-loop if the
+    /// row is long enough.
+    fn build_dot_rows(rows: &[DotRow], fault: Option<(usize, u8)>) -> Vec<u8> {
+        use iw_rv32::LoopIdx;
+        let tcdm_end = TCDM_BASE + TCDM_SIZE as u32;
+        let mut asm = Asm::new(L2_BASE);
+        asm.slli(Reg::T6, Reg::A0, 10);
+        for (cur, base) in [(Reg::S0, TCDM_BASE + 0x1000), (Reg::S3, TCDM_BASE + 0x8000)] {
+            asm.li(cur, base as i32);
+            asm.add(cur, cur, Reg::T6);
+        }
+        asm.li(Reg::S4, BARRIER_ADDR as i32);
+        asm.sub(Reg::T3, Reg::A1, Reg::A0);
+        asm.addi(Reg::T3, Reg::T3, -1);
+        asm.slli(Reg::T3, Reg::T3, 6);
+        for (r, row) in rows.iter().enumerate() {
+            // The shared streams restart at every row.
+            asm.li(Reg::S1, TCDM_BASE as i32);
+            asm.li(Reg::S2, L2_DATA as i32);
+            let (mut w, x) = match row.streams {
+                0 => (Reg::S0, Reg::S2),
+                1 => (Reg::S2, Reg::S1),
+                _ => (Reg::S0, Reg::S1),
+            };
+            if let Some((_, after)) = fault.filter(|&(f, _)| f == r) {
+                asm.li(Reg::S9, (tcdm_end - 4 * u32::from(after)) as i32);
+                asm.sub(Reg::S9, Reg::S9, Reg::T3);
+                w = Reg::S9;
+            }
+            asm.li(Reg::T4, i32::from(row.count));
+            asm.li(Reg::T5, i32::from(row.spread));
+            asm.mul(Reg::T5, Reg::T5, Reg::A0);
+            asm.add(Reg::T4, Reg::T4, Reg::T5);
+            let end = asm.new_label();
+            asm.lp_setup_to(LoopIdx::L0, Reg::T4, end);
+            asm.load_post(MemWidth::W, Reg::T0, w, 4);
+            asm.load_post(MemWidth::W, Reg::T1, x, 4);
+            asm.mul(Reg::T0, Reg::T0, Reg::T1);
+            asm.srai(Reg::T0, Reg::T0, row.shamt);
+            asm.add(Reg::T2, Reg::T2, Reg::T0);
+            asm.bind(end);
+            asm.store_post(MemWidth::W, Reg::T2, Reg::S3, 4);
+            if row.barrier {
+                asm.sw(Reg::ZERO, Reg::S4, 0);
+            }
+        }
+        asm.ecall();
+        asm.assemble().unwrap()
+    }
+
+    #[test]
+    fn joint_mode_serves_lockstep_rows() {
+        let row = |streams, spread| DotRow {
+            count: 60,
+            spread,
+            streams,
+            shamt: 4,
+            barrier: true,
+        };
+        let image = build_dot_rows(&[row(1, 0), row(0, 3), row(2, 1)], None);
+        for cores in [2, 5, 8] {
+            let (run_ref, _, mem_ref) = run_with(&image, cores, "reference");
+            let (run, sched, mem) = run_with(&image, cores, "cached");
+            assert_eq!(run, run_ref, "cores={cores}");
+            assert_eq!(mem, mem_ref, "cores={cores}");
+            // Most picks are made in the joint mode, entered once per row.
+            assert!(
+                sched.joint_picks * 10 > sched.picks * 8,
+                "cores={cores}: {sched:?}"
+            );
+            assert!(sched.joint_entries >= 3, "cores={cores}: {sched:?}");
+        }
+        // A recording sink never enters the mode but sees the same run.
+        let (mut tcdm, mut l2) = fresh_mems();
+        l2.write_bytes(L2_BASE, &image);
+        let mut rec = iw_trace::Recorder::new();
+        let cfg = ClusterConfig::default();
+        let recorded =
+            run_cluster_sink(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000, &mut rec).unwrap();
+        assert_eq!(recorded, run_with(&image, 8, "reference").0);
+    }
+
     proptest! {
+
+        /// Lockstep dot-product rows on 2–8 cores, the joint mode's
+        /// domain: long and per-core-different counts, every stream
+        /// layout, a core whose stream faults mid-loop and cycle budgets
+        /// that expire anywhere in the run. The product path must
+        /// reproduce the reference pick loop exactly: the `ClusterRun` or
+        /// error, every TCDM word and the touched L2 words.
+        #[test]
+        fn dot_rows_match_reference(
+            rows in prop::collection::vec(any_dot_row(), 1..5),
+            cores in 2usize..9,
+            fault_row in 0usize..8,
+            fault_after in 1u8..60,
+            budget_pct in prop_oneof![Just(100u64), 0u64..100],
+        ) {
+            let fault = (fault_row < rows.len()).then_some((fault_row, fault_after));
+            let image = build_dot_rows(&rows, fault);
+            let unlimited = 1_000_000;
+            let full = run_random(&image, cores, false, unlimited);
+            // A budget somewhere inside the run: it expires in the joint
+            // mode on most draws.
+            let offload = ClusterConfig::default().offload_cycles;
+            let limit = match &full.0 {
+                Ok(run) if budget_pct < 100 => (run.cycles - offload) * budget_pct / 100,
+                _ => unlimited,
+            };
+            let reference = run_random(&image, cores, false, limit);
+            let product = run_random(&image, cores, true, limit);
+            prop_assert_eq!(&product.0, &reference.0, "cores={} limit={}", cores, limit);
+            prop_assert!(product.1 == reference.1, "cores={}: TCDM differs", cores);
+            prop_assert!(product.2 == reference.2, "cores={}: L2 differs", cores);
+        }
 
         /// Random SPMD programs on 1, 2 and 8 cores: the op-program
         /// product path must reproduce the reference pick loop exactly —

@@ -286,6 +286,13 @@ impl Op {
         )
     }
 
+    /// `true` if the op is the hardware-loop dot-product loop op, whose
+    /// body [`Program::dot_body`] describes.
+    #[must_use]
+    pub fn is_hwloop_dot(&self) -> bool {
+        matches!(self.0, Kind::HwLoopDot(_))
+    }
+
     /// The single op of the first instruction: `self` unless the op is a
     /// fused superinstruction.
     #[must_use]
@@ -475,6 +482,41 @@ impl Program {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
+    }
+
+    /// The body of the hardware-loop dot-product op that `cpu` stands in,
+    /// for a scheduler that runs the body's sub-instructions itself and
+    /// commits them with [`DotBody::retire`]. `Some` only at one of the
+    /// body's dispatch points (the op itself, its second `p.lw`, its
+    /// `mul`/`srai`/`add` tail), with those three slots translated, and
+    /// while the hart's own hardware loop alone can redirect inside the
+    /// body: the condition under which the op runs natively.
+    #[must_use]
+    pub fn dot_body(&self, cpu: &Cpu) -> Option<DotBody> {
+        let slot = |pc: u32| self.slots.get(self.slot_of(pc)).copied().flatten();
+        // At most one loop op's body holds `pc`: its five words cannot
+        // overlap another's.
+        let (start, op) = (0..3).find_map(|p| {
+            let start = cpu.pc.wrapping_sub(4 * p);
+            match slot(start) {
+                Some(Op(Kind::HwLoopDot(op))) => Some((start, op)),
+                _ => None,
+            }
+        })?;
+        let second = slot(start.wrapping_add(4));
+        let tail = slot(start.wrapping_add(8));
+        if !matches!(second, Some(Op(Kind::LoadPost { .. })))
+            || !matches!(tail, Some(Op(Kind::MulSraiAdd { .. })))
+        {
+            return None;
+        }
+        let hwloop = own_hwloop(cpu, start, start.wrapping_add(20))?;
+        Some(DotBody {
+            start,
+            regs: op.regs,
+            shamt: op.shamt,
+            hwloop,
+        })
     }
 
     /// Slot index of `pc`: a misaligned offset rotates its low bits to
@@ -1174,14 +1216,7 @@ impl HwLoopDot {
         for (reg, v) in self.regs.into_iter().zip([w, x, tw, tx, acc]) {
             cpu.set_reg(reg, v);
         }
-        let body = [
-            (InstrClass::Load, t.load),
-            (InstrClass::Load, t.load),
-            (InstrClass::Mul, t.mul),
-            (InstrClass::Alu, t.alu),
-            (InstrClass::Alu, t.alu),
-        ];
-        retire_passes(cpu, &body, iters, r);
+        retire_passes(cpu, &hwloop_dot_body(t), iters, r);
         // Each whole pass retired through the loop's end: a back edge
         // while iterations remained, the exit on the last one.
         cpu.hwloops[l].count = (n - iters) as u32;
@@ -1192,6 +1227,66 @@ impl HwLoopDot {
         };
         ex.stats.hwloop_dot_iterations += iters;
         res.map(|()| c)
+    }
+}
+
+/// Class and base cost of each sub-instruction of the hardware-loop
+/// dot-product body.
+fn hwloop_dot_body(t: &Timing) -> [(InstrClass, u32); 5] {
+    [
+        (InstrClass::Load, t.load),
+        (InstrClass::Load, t.load),
+        (InstrClass::Mul, t.mul),
+        (InstrClass::Alu, t.alu),
+        (InstrClass::Alu, t.alu),
+    ]
+}
+
+/// Where a hart runs the body of a hardware-loop dot-product op
+/// ([`Program::dot_body`]): the five sub-instructions `p.lw tw, 4(w!)`,
+/// `p.lw tx, 4(x!)`, `mul tw, tw, tx`, `srai tw, tw, shamt` and
+/// `add acc, acc, tw` at `start .. start + 20`, closed by the hart's
+/// hardware loop `hwloop`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DotBody {
+    /// PC of the op, the body's first instruction.
+    pub start: u32,
+    /// The op's registers `[w, x, tw, tx, acc]`, distinct and non-zero.
+    pub regs: [Reg; 5],
+    /// The `srai` shift amount.
+    pub shamt: u8,
+    /// Index of the hardware loop whose back edge closes the body.
+    pub hwloop: usize,
+}
+
+impl DotBody {
+    /// Commits `k` body sub-instructions that `cpu` retired in program
+    /// order from its current PC, none of them the loop's exit (the `add`
+    /// of the last pass), leaving `vals` in `[w, x, tw, tx, acc]`: the
+    /// registers plus what [`Cpu::retire`] would have accumulated over
+    /// them (profile, retired count, hardware-loop count, `pc`), in
+    /// closed form.
+    pub fn retire(&self, cpu: &mut Cpu, vals: [u32; 5], k: u64, t: &Timing) {
+        for (reg, v) in self.regs.into_iter().zip(vals) {
+            cpu.set_reg(reg, v);
+        }
+        let p0 = u64::from(cpu.pc.wrapping_sub(self.start) / 4);
+        debug_assert!(p0 < 5, "pc {:#x} outside the body", cpu.pc);
+        for (j, (class, cycles)) in hwloop_dot_body(t).into_iter().enumerate() {
+            // Positions `p0 + d + 5m` below `p0 + k` hold sub-instruction
+            // `j`, where `d` is `j`'s distance past `p0`.
+            let d = (j as u64 + 5 - p0) % 5;
+            cpu.profile.record_n(class, (k + 4 - d) / 5, cycles);
+        }
+        cpu.retired += k;
+        // Every whole pass retired through a back edge.
+        let (s, hl) = (p0 + k, &mut cpu.hwloops[self.hwloop]);
+        debug_assert!(
+            s / 5 < u64::from(hl.count),
+            "the exit is not committed here"
+        );
+        hl.count -= (s / 5) as u32;
+        cpu.pc = self.start.wrapping_add(4 * (s % 5) as u32);
     }
 }
 
@@ -2224,6 +2319,65 @@ mod tests {
         assert_eq!((stats.hwloop_dot_entries, stats.fused_lp_lp), (0, 8));
         let stats = loop_matches_reference(&counted_row(8, true), false, 100_000);
         assert_eq!(stats.counted_dot_entries, 0, "{stats:?}");
+    }
+
+    /// `DotBody::retire` commits `k` body sub-instructions exactly as the
+    /// reference retires them one at a time, from every dispatch point.
+    #[test]
+    fn dot_body_retire_matches_the_reference_step_by_step() {
+        let timing = Timing::riscy();
+        let mut ram = Ram::new(0, 4096);
+        ram.write_bytes(0, &hwloop_row(8, false).assemble().unwrap());
+        fill_data(&mut ram);
+        let mut prog = Program::new(0, 4096, true);
+        let mut entry = Cpu::new(0);
+        // li, li, li, lp.setup: the hart stands at the loop op.
+        for _ in 0..4 {
+            entry.step(&mut ram, &timing).unwrap();
+        }
+        let start = entry.pc();
+        prog.fetch(&mut ram, start).unwrap();
+        // The body's other dispatch points are not translated yet.
+        assert_eq!(prog.dot_body(&entry), None);
+        for p in [4, 8] {
+            prog.fetch(&mut ram, start + p).unwrap();
+        }
+        for p0 in 0..5u64 {
+            let mut at = entry.clone();
+            for _ in 0..p0 {
+                at.step(&mut ram, &timing).unwrap();
+            }
+            let Some(body) = prog.dot_body(&at) else {
+                assert!(p0 >= 3, "dispatch point {p0} not recognised");
+                continue;
+            };
+            assert!(p0 < 3, "{p0} is not a dispatch point");
+            assert_eq!((body.start, body.shamt, body.hwloop), (start, 3, 0));
+            // Up to the last pass's `add`, the loop's exit.
+            for k in 0..40 - p0 {
+                let mut reference = at.clone();
+                for _ in 0..k {
+                    reference.step(&mut ram, &timing).unwrap();
+                }
+                let mut joint = at.clone();
+                let vals = body.regs.map(|r| reference.reg(r));
+                body.retire(&mut joint, vals, k, &timing);
+                let state = |c: &Cpu| {
+                    (
+                        c.pc(),
+                        c.retired(),
+                        *c.profile(),
+                        c.hwloop(0),
+                        (0..32).map(|i| c.reg(Reg::new(i))).collect::<Vec<_>>(),
+                    )
+                };
+                assert_eq!(state(&joint), state(&reference), "p0={p0} k={k}");
+            }
+        }
+        // Past the loop no body holds the hart.
+        let mut done = entry.clone();
+        done.run(&mut ram, &timing, 100_000).unwrap();
+        assert_eq!(prog.dot_body(&done), None);
     }
 
     #[test]

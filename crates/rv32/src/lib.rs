@@ -71,7 +71,7 @@ mod instr;
 mod profile;
 mod timing;
 
-pub use block::{Op, Program, ProgramStats};
+pub use block::{DotBody, Op, Program, ProgramStats};
 pub use bus::{Bus, BusError, Ram};
 pub use cpu::{Cpu, CpuError, HwLoop, MemAccess, RunResult, Step};
 pub use decode::{decode, DecodeError};

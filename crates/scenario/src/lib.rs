@@ -195,6 +195,32 @@ impl Scenario {
         (self.duration_s / self.epoch_s).floor() as u32
     }
 
+    /// Rejects a scenario [`Scenario::compile`] cannot lower, with a
+    /// human-readable reason: one without environments, with an epoch
+    /// that is not positive and finite, or with a duration that is not
+    /// finite or shorter than one epoch.
+    ///
+    /// # Errors
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.environments.is_empty() {
+            return Err("a scenario must supply at least one environment".to_string());
+        }
+        if !(self.epoch_s > 0.0 && self.epoch_s.is_finite()) {
+            return Err(format!(
+                "epoch length must be positive and finite, got {} s",
+                self.epoch_s
+            ));
+        }
+        if !(self.duration_s.is_finite() && self.duration_s >= self.epoch_s) {
+            return Err(format!(
+                "duration must cover at least one epoch, got {} s with {} s epochs",
+                self.duration_s, self.epoch_s
+            ));
+        }
+        Ok(())
+    }
+
     /// Deterministically lowers the scenario into per-device artifacts.
     /// Pure: the same scenario compiles to the same
     /// [`CompiledScenario`], bit for bit, on every host — workers never
@@ -203,21 +229,13 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics when the scenario has no environments, a non-positive
-    /// epoch, or a non-finite duration.
+    /// epoch, or a non-finite duration ([`Scenario::validate`] names the
+    /// reason).
     #[must_use]
     pub fn compile(&self) -> CompiledScenario {
-        assert!(
-            !self.environments.is_empty(),
-            "a scenario must supply at least one environment"
-        );
-        assert!(
-            self.epoch_s > 0.0 && self.epoch_s.is_finite(),
-            "epoch length must be positive and finite"
-        );
-        assert!(
-            self.duration_s.is_finite() && self.duration_s >= self.epoch_s,
-            "duration must cover at least one epoch"
-        );
+        if let Err(reason) = self.validate() {
+            panic!("{reason}");
+        }
         let devices = self.devices;
         let epochs = self.epochs();
         let epoch_us = secs_to_us(self.epoch_s);
@@ -588,6 +606,48 @@ mod tests {
         let mut s = Scenario::epidemic(48, 2020);
         s.duration_s = 6.0 * 3_600.0;
         s
+    }
+
+    #[test]
+    fn validate_accepts_the_presets() {
+        assert_eq!(small().validate(), Ok(()));
+        assert_eq!(Scenario::epidemic(4096, 1).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_scenario_without_environments() {
+        let mut s = small();
+        s.environments.clear();
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("at least one environment"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_epoch() {
+        for epoch_s in [0.0, -3_600.0, f64::NAN, f64::INFINITY] {
+            let mut s = small();
+            s.epoch_s = epoch_s;
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("epoch length"), "{epoch_s}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_duration() {
+        for duration_s in [1_800.0, f64::NAN, f64::INFINITY] {
+            let mut s = small();
+            s.duration_s = duration_s;
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("duration"), "{duration_s}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch length must be positive and finite")]
+    fn compile_still_panics_on_what_validate_rejects() {
+        let mut s = small();
+        s.epoch_s = 0.0;
+        let _ = s.compile();
     }
 
     #[test]
