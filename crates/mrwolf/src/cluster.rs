@@ -30,6 +30,29 @@
 //! instruction alone ([`Op::head`](iw_rv32::Op::head)), so every
 //! instruction gets its PC sample and stall spans.
 //!
+//! # Joint mode (lockstep dot-product rows)
+//!
+//! On the SPMD kernels every core spends most of its run inside the same
+//! hardware-loop dot-product body (`p.lw`, `p.lw`, `mul`, `srai`, `add`,
+//! the op program's `HwLoopDot`), a few cycles apart, so almost every
+//! pick retires one or two loads before the runner-up gate stops it.
+//! When a burst ends gated at that loop op and every running core (at
+//! least two) stands at a dispatch point of the same body under its own
+//! hardware loop ([`Program::dot_body`]), the scheduler enters a joint
+//! mode instead of dispatching ops: the cores' loop registers, loop
+//! counts and body phases live in arrays, the keys stay sorted, and one
+//! loop makes the picks sub-instruction by sub-instruction with the
+//! generic burst's rules: the same packed keys, the same horizon gate
+//! before every load but a pick's first, the same budget checks, and
+//! every load charged by the bus's TCDM-bank and L2-port arbitration at
+//! its issue time, so every grant and stall is the generic loop's. Picks and gated breaks are counted as the generic loop counts
+//! them. A fault or the cycle budget ends the run exactly as there. The
+//! mode hands the pick back to the generic burst where a core would
+//! start the `mul` of its loop's last pass, whose `add` leaves the body;
+//! it commits registers, `pc`, loop counts, retired counts and profiles
+//! in closed form first ([`DotBody::retire`]). A recording sink never
+//! enters the mode.
+//!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
 //! coherence either (the fetch path models a warm shared I-cache), so
@@ -183,8 +206,6 @@ pub struct SchedStats {
     /// Instructions the joint mode retired: with the op program's, they
     /// make up `instructions`.
     pub joint_instructions: u64,
-    /// Times the joint mode was entered.
-    pub joint_entries: u64,
     /// Op-program counters (ops dispatched, fused executions per
     /// pattern, code-store re-decodes), when the product path ran.
     pub program: Option<ProgramStats>,
@@ -556,9 +577,15 @@ fn run_cluster_inner<S: TraceSink>(
             (i, at, horizon, false)
         } else {
             // Pick the runnable core with the smallest key (= smallest
-            // local time, ties to the lowest id) and the runner-up key,
-            // branch-free.
-            let (m1, m2) = min_two(&ready_key);
+            // local time, ties to the lowest id) and the runner-up key in
+            // one branch-free pass.
+            let mut m1 = u64::MAX;
+            let mut m2 = u64::MAX;
+            for &key in &ready_key {
+                let hi = m1.max(key);
+                m1 = m1.min(key);
+                m2 = m2.min(hi);
+            }
             if m1 == u64::MAX {
                 if status.iter().all(|s| *s == CoreStatus::Halted) {
                     break;
@@ -811,22 +838,6 @@ fn run_cluster_inner<S: TraceSink>(
     Ok(run)
 }
 
-/// The smallest and the second-smallest of `keys`, branch-free, as a
-/// three-level tournament: the runner-up of two groups is the smaller of
-/// the larger minimum and both groups' runners-up.
-#[inline(always)]
-fn min_two(keys: &[u64; 8]) -> (u64, u64) {
-    let pair = |a: u64, b: u64| (a.min(b), a.max(b));
-    let join = |(lo_a, hi_a): (u64, u64), (lo_b, hi_b): (u64, u64)| {
-        (lo_a.min(lo_b), lo_a.max(lo_b).min(hi_a.min(hi_b)))
-    };
-    let [k0, k1, k2, k3, k4, k5, k6, k7] = *keys;
-    join(
-        join(pair(k0, k1), pair(k2, k3)),
-        join(pair(k4, k5), pair(k6, k7)),
-    )
-}
-
 /// Replaces the first of the ascending `sorted` by `key`, no smaller
 /// than it, and moves `key` up to its place. A scan, not a branch-free
 /// merge: the lockstep's picks rotate, so the scan's length repeats and
@@ -951,7 +962,7 @@ impl Joint {
         let (start, shamt) = (self.start, self.shamt);
         let (mut picks, mut gated) = (0u64, 0u64);
         // The keys in ascending order: the pick and the runner-up are the
-        // first two, and a pick's new key is merged back branch-free.
+        // first two.
         let mut sorted = *keys;
         sorted.sort_unstable();
         let res = loop {
@@ -1051,7 +1062,6 @@ impl Joint {
         sched.picks += picks;
         sched.gated_breaks += gated;
         sched.joint_picks += picks;
-        sched.joint_entries += 1;
         res
     }
 
@@ -1836,12 +1846,11 @@ mod tests {
             let (run, sched, mem) = run_with(&image, cores, "cached");
             assert_eq!(run, run_ref, "cores={cores}");
             assert_eq!(mem, mem_ref, "cores={cores}");
-            // Most picks are made in the joint mode, entered once per row.
+            // Most picks are made in the joint mode.
             assert!(
                 sched.joint_picks * 10 > sched.picks * 8,
                 "cores={cores}: {sched:?}"
             );
-            assert!(sched.joint_entries >= 3, "cores={cores}: {sched:?}");
         }
         // A recording sink never enters the mode but sees the same run.
         let (mut tcdm, mut l2) = fresh_mems();

@@ -1263,9 +1263,9 @@ impl DotBody {
     /// Commits `k` body sub-instructions that `cpu` retired in program
     /// order from its current PC, none of them the loop's exit (the `add`
     /// of the last pass), leaving `vals` in `[w, x, tw, tx, acc]`: the
-    /// registers plus what [`Cpu::retire`] would have accumulated over
-    /// them (profile, retired count, hardware-loop count, `pc`), in
-    /// closed form.
+    /// registers plus what retiring them one at a time would have
+    /// accumulated (profile, retired count, hardware-loop count, `pc`),
+    /// in closed form.
     pub fn retire(&self, cpu: &mut Cpu, vals: [u32; 5], k: u64, t: &Timing) {
         for (reg, v) in self.regs.into_iter().zip(vals) {
             cpu.set_reg(reg, v);
