@@ -256,20 +256,7 @@ impl ClusterBus<'_> {
         } else {
             word % banks
         };
-        // A branch, not a select: conflicts are rare, and a predicted
-        // branch keeps the bank's grant time off the caller's time chain.
-        if self.bank_free[bank] > at {
-            return self.tcdm_stall(bank, base, at);
-        }
-        self.bank_free[bank] = at + 1;
-        base
-    }
-
-    /// [`ClusterBus::tcdm_cost`] when bank `bank` is still busy at `at`.
-    #[cold]
-    #[inline(never)]
-    fn tcdm_stall(&mut self, bank: usize, base: u32, at: u64) -> u32 {
-        let grant = self.bank_free[bank];
+        let grant = at.max(self.bank_free[bank]);
         let stall = grant - at;
         self.bank_free[bank] = grant + 1;
         self.tcdm_stalls += stall;
