@@ -45,13 +45,14 @@
 //! generic burst's rules: the same packed keys, the same horizon gate
 //! before every load but a pick's first, the same budget checks, and
 //! every load charged by the bus's TCDM-bank and L2-port arbitration at
-//! its issue time, so every grant and stall is the generic loop's. Picks and gated breaks are counted as the generic loop counts
-//! them. A fault or the cycle budget ends the run exactly as there. The
-//! mode hands the pick back to the generic burst where a core would
-//! start the `mul` of its loop's last pass, whose `add` leaves the body;
-//! it commits registers, `pc`, loop counts, retired counts and profiles
-//! in closed form first ([`DotBody::retire`]). A recording sink never
-//! enters the mode.
+//! its issue time, so every grant and stall is the generic loop's. Picks
+//! and gated breaks are counted as the generic loop counts them. A fault
+//! or the cycle budget ends the run exactly as there. The mode hands the
+//! pick back to the generic burst where a core would reach the `mul` of
+//! its loop's last pass, whose `add` leaves the body; it commits
+//! registers, `pc`, loop counts, retired counts and profiles in closed
+//! form first ([`DotBody::retire`]). A recording sink never enters the
+//! mode.
 //!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
