@@ -72,11 +72,12 @@ cargo run --release -q -p iw-bench --bin fleet -- --devices 64 --threads 8 --che
 # brownout state machine must not break thread-count invariance.
 cargo run --release -q -p iw-bench --bin fleet -- --devices 64 --faults harsh --check >/dev/null
 
-# Smoke: the streaming coordinator/worker service — two worker processes
-# stream 4096 devices as binary record frames with heartbeat telemetry
-# interleaved, the coordinator re-folds every record, merges the shard
-# aggregates hierarchically, exports the fleet metrics snapshot, and the
-# digest must be bit-identical to the in-process single-thread reference
+# Smoke: the streaming coordinator/worker service (iw_sim::coord) — two
+# worker processes stream 4096 devices as binary record frames with
+# heartbeats interleaved, the coordinator checks each shard's device
+# order, re-folds every record, merges the shard aggregates
+# hierarchically, exports the fleet metrics snapshot, and the digest
+# must be bit-identical to the in-process single-thread reference
 # (--check exits non-zero otherwise). The exposition itself is pinned
 # byte-for-byte by bench/tests/golden_metrics.rs; here we just require
 # that the export is present and carries histogram buckets.
@@ -96,9 +97,9 @@ cargo run --release -q -p iw-bench --bin policy-search -- \
 
 # Smoke: the networked-scenario engine — two worker processes play the
 # compiled epidemic scenario (mobility contacts via BLE scans, weather
-# fronts, gateway outages), stream scenario-bearing v4 records with
-# epoch-beat telemetry interleaved, and the coordinator's epidemic fold
-# over the merged edge set must land on a digest bit-identical to the
-# in-process single-thread reference (--check exits non-zero otherwise).
+# fronts, gateway outages), stream scenario-bearing v4 records, and the
+# coordinator's epidemic fold over the merged edge set must land on a
+# digest bit-identical to the in-process single-thread reference
+# (--check exits non-zero otherwise).
 cargo run --release -q -p iw-bench --bin fleet -- \
   --scenario epidemic --devices 256 --workers 2 --check >/dev/null

@@ -10,19 +10,18 @@
 //! cargo run --release -p iw-bench --bin fleet -- --devices 4096 --workers 2 --metrics m.prom
 //! ```
 //!
-//! `--workers N` re-spawns this binary N times in `--shard i/N` mode.
-//! Each worker serially folds its contiguous device-index shard,
-//! streaming every per-device record as a length-prefixed binary frame
-//! on stdout (`iw_sim::record`) with periodic heartbeat frames
-//! interleaved (progress, sim-days/s, RSS — advisory telemetry that
-//! never feeds the aggregate), followed by the end marker, its shard
-//! `FleetAggregate`, and a stats frame (peak RSS, wall seconds, record
-//! count). The coordinator counts records as they arrive — re-folding
-//! each one into an independent digest accumulator that must agree with
-//! the worker's shipped aggregate — folds heartbeats into a live
-//! progress board (per-worker rate, ETA, stragglers), then merges the
-//! shard aggregates hierarchically in shard order. No
-//! `Vec<DeviceResult>` exists anywhere: per-worker memory is
+//! `--workers N` re-spawns this binary N times in `--shard i/N` mode and
+//! hands the children's stdouts to `iw_sim::coord`, which holds the
+//! protocol: each worker serially folds its contiguous device-index
+//! shard and streams every per-device record as a length-prefixed
+//! binary frame (`iw_sim::record`) with heartbeats interleaved, then its
+//! shard `FleetAggregate` and a stats frame (peak RSS, wall seconds,
+//! record count); the coordinator checks each shard's device order,
+//! re-folds every record into an independent digest that must agree
+//! with the shipped aggregate, renders live progress from the
+//! heartbeats and merges the shard aggregates in shard order. This file
+//! parses arguments, spawns the workers, checks their exit status and
+//! prints. No `Vec<DeviceResult>` exists anywhere: per-worker memory is
 //! independent of `--devices`.
 //!
 //! `--check` reruns the sweep serially in-process and exits non-zero
@@ -30,36 +29,28 @@
 //! gate. `--faults clean|moderate|harsh` injects the named fault
 //! profile. `--scenario none|epidemic` attaches the compiled epidemic
 //! scenario (mobility contacts, weather fronts, gateway outages,
-//! scripted infection); workers then interleave per-epoch contact
-//! tallies as epoch-beat frames (advisory — the epidemic fold
-//! itself rides the merged aggregate edge set) and the coordinator
-//! finalises the report with the epoch-barrier epidemic outcome. `--heartbeat-ms N` sets the worker heartbeat period (0
-//! disables heartbeats). `--metrics PATH` exports the fleet metrics
+//! scripted infection); the report then carries the epoch-barrier
+//! epidemic outcome, and a worker run prints the merged contact edges
+//! per epoch. `--metrics PATH` exports the fleet metrics
 //! snapshot — Prometheus text exposition, or JSON when the path ends in
 //! `.json` — and prints the histogram summary table. `--trace PATH`
 //! re-runs the first `--trace-devices K` devices with tracing enabled
 //! and writes one Perfetto timeline with a process group per device
 //! plus, after a worker run, a "fleet progress" counter group built
 //! from the heartbeat series (off by default; never affects the
-//! aggregate). `--record PATH` appends every streamed record frame to a
+//! aggregate). `--record PATH` writes every streamed record frame to a
 //! file (frames arrive interleaved across workers; each record carries
 //! its device index).
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::process::{Command, Stdio};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use iw_metrics::Registry;
-use iw_sim::record::{
-    decode_aggregate, decode_stats, decode_stream_frame, encode_aggregate, encode_epoch,
-    encode_heartbeat, encode_result, encode_stats, read_frame, write_end, write_frame, EpochBeat,
-    Heartbeat, RecordError, StreamFrame, WorkerStats,
-};
-use iw_sim::{fleet_snapshot, DigestAccum, FleetAggregate, FleetConfig, FleetReport};
+use iw_sim::coord::{self, Coordinated};
+use iw_sim::record::WorkerStats;
+use iw_sim::{fleet_snapshot, FaultProfile, FleetConfig, FleetReport};
 use iw_trace::{merged_chrome_trace, Recorder};
-
-use iw_sim::FaultProfile;
 
 struct Args {
     devices: usize,
@@ -74,7 +65,6 @@ struct Args {
     trace: Option<String>,
     trace_devices: usize,
     record: Option<String>,
-    heartbeat_ms: u64,
     metrics: Option<String>,
 }
 
@@ -92,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         trace_devices: 4,
         record: None,
-        heartbeat_ms: 500,
         metrics: None,
     };
     let mut it = std::env::args().skip(1);
@@ -110,7 +99,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = value("--workers")? as usize,
             "--sample" => args.sample = value("--sample")? as usize,
             "--trace-devices" => args.trace_devices = value("--trace-devices")? as usize,
-            "--heartbeat-ms" => args.heartbeat_ms = value("--heartbeat-ms")?,
             "--shard" => {
                 let spec = it.next().ok_or("--shard needs i/N")?;
                 let (i, n) = spec.split_once('/').ok_or("--shard format is i/N")?;
@@ -143,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
                     "unknown flag '{other}' (expected --devices N, --threads N, --seed N, \
                      --workers N, --shard i/N, --sample N, --faults clean|moderate|harsh, \
                      --scenario none|epidemic, --trace PATH, --trace-devices K, --record PATH, \
-                     --metrics PATH, --heartbeat-ms N, --check)"
+                     --metrics PATH, --check)"
                 ))
             }
         }
@@ -159,336 +147,51 @@ fn flog(role: &str, phase: &str, msg: &str) {
     eprintln!("fleet[{role}][{phase}] {msg}");
 }
 
-fn fleet_config(args: &Args, threads: usize) -> FleetConfig {
-    // The scenario compiles deterministically from (devices, seed), so
-    // every worker process recompiles the identical artifact — nothing
-    // scenario-shaped crosses the pipe except edges and epoch beats.
-    let mut cfg = if args.scenario {
-        iw_bench::d4_fleet_config(args.devices, threads, args.seed, args.faults)
-    } else {
-        iw_bench::d3_fleet_config(args.devices, threads, args.seed, args.faults)
-    };
-    // A malformed policy (e.g. energy_aware with min_soc >= 1) silently
-    // degenerates into a device that never detects — surface it as a
-    // configuration error instead of a mysteriously idle sweep.
-    for (name, spec) in &cfg.policies {
-        if let Err(e) = spec.validate() {
-            flog(
-                "coordinator",
-                "config",
-                &format!("invalid policy '{name}': {e}"),
-            );
-            std::process::exit(2);
-        }
-    }
-    cfg.sample_devices = args.sample;
-    cfg
+/// Logs a coordinator failure and exits with `code`.
+fn fail(phase: &str, msg: &str, code: i32) -> ! {
+    flog("coordinator", phase, msg);
+    std::process::exit(code)
 }
 
-/// Peak resident-set size of this process in bytes (Linux `VmHWM`);
-/// `None` where `/proc` is unavailable or unparsable — callers render
-/// "n/a" rather than a bogus 0.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let rest = status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmHWM:"))?;
-    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-    Some(kb * 1024)
+/// The sweep on one thread. The scenario compiles deterministically
+/// from (devices, seed), so every worker process recompiles the
+/// identical artifact — nothing scenario-shaped crosses the pipe but
+/// the records' contact edges.
+///
+/// A malformed policy (e.g. energy_aware with min_soc >= 1) silently
+/// degenerates into a device that never detects, so it is refused here
+/// as a configuration error instead of running a mysteriously idle
+/// sweep.
+fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
+    let mut cfg = if args.scenario {
+        iw_bench::d4_fleet_config(args.devices, 1, args.seed, args.faults)
+    } else {
+        iw_bench::d3_fleet_config(args.devices, 1, args.seed, args.faults)
+    };
+    for (name, spec) in &cfg.policies {
+        spec.validate()
+            .map_err(|e| format!("invalid policy '{name}': {e}"))?;
+    }
+    cfg.sample_devices = args.sample;
+    Ok(cfg)
 }
 
 fn human_rss(bytes: Option<u64>) -> String {
     bytes.map_or_else(|| "n/a".to_string(), human_bytes)
 }
 
-/// Worker mode: serially fold the shard, streaming each record as it is
-/// produced, with heartbeat frames interleaved every `--heartbeat-ms`.
-/// Protocol: (record | heartbeat) frames… · end marker · aggregate
-/// frame · stats frame.
-fn run_worker(args: &Args, shard: usize, of: usize) -> Result<(), RecordError> {
-    let cfg = fleet_config(args, 1);
-    let range = cfg.shard_range(shard, of);
-    let stdout = std::io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-    let start = Instant::now();
-    let mut records = 0u64;
-    let mut stream_err: Option<RecordError> = None;
-    let mut beat = Heartbeat {
-        shard: shard as u32,
-        of: of as u32,
-        elapsed_s: 0.0,
-        devices_done: 0,
-        devices_total: range.len() as u64,
-        sim_days: 0.0,
-        events: 0,
-        fault_episodes: 0,
-        brownouts: 0,
-        rss_bytes: None,
-    };
-    let mut last_beat = Instant::now();
-    // Per-epoch observed-contact tallies for this shard, emitted as
-    // epoch-beat frames after the record stream.
-    let mut epoch_contacts: std::collections::BTreeMap<u32, u64> =
-        std::collections::BTreeMap::new();
-    let agg = cfg.run_chunk_with(range, |r| {
-        if stream_err.is_some() {
-            return;
-        }
-        for edge in &r.contact_edges {
-            *epoch_contacts.entry(edge.epoch).or_insert(0) += 1;
-        }
-        records += 1;
-        beat.devices_done += 1;
-        beat.sim_days += r.days;
-        beat.events += r.events;
-        beat.fault_episodes += r.faults.total();
-        beat.brownouts += u64::from(r.browned_out);
-        if let Err(e) = write_frame(&mut out, &encode_result(r)) {
-            stream_err = Some(e);
-            return;
-        }
-        if args.heartbeat_ms > 0 && last_beat.elapsed().as_millis() as u64 >= args.heartbeat_ms {
-            last_beat = Instant::now();
-            beat.elapsed_s = start.elapsed().as_secs_f64();
-            beat.rss_bytes = peak_rss_bytes();
-            // Flush so the coordinator sees the beat now, not whenever
-            // the BufWriter next drains.
-            if let Err(e) = write_frame(&mut out, &encode_heartbeat(&beat)) {
-                stream_err = Some(e);
-            } else if let Err(e) = out.flush() {
-                stream_err = Some(e.into());
-            }
-        }
-    });
-    if let Some(e) = stream_err {
-        return Err(e);
-    }
-    if args.heartbeat_ms > 0 {
-        // Final beat: the progress board and any trace counter series
-        // end exactly at shard completion.
-        beat.elapsed_s = start.elapsed().as_secs_f64();
-        beat.rss_bytes = peak_rss_bytes();
-        write_frame(&mut out, &encode_heartbeat(&beat))?;
-    }
-    for (epoch, contacts) in &epoch_contacts {
-        let eb = EpochBeat {
-            shard: shard as u32,
-            epoch: *epoch,
-            contacts: *contacts,
-            edges: *contacts,
-        };
-        write_frame(&mut out, &encode_epoch(&eb))?;
-    }
-    write_end(&mut out)?;
-    write_frame(&mut out, &encode_aggregate(&agg))?;
-    let stats = WorkerStats {
-        peak_rss_bytes: peak_rss_bytes(),
-        wall_s: start.elapsed().as_secs_f64(),
-        records,
-    };
-    write_frame(&mut out, &encode_stats(&stats))?;
-    out.flush()?;
-    Ok(())
-}
-
-/// One worker's live progress, folded from its heartbeat stream.
-#[derive(Clone, Default)]
-struct WorkerProgress {
-    done: u64,
-    total: u64,
-    /// Devices per second by the worker's own clock.
-    rate: f64,
-    /// `(elapsed µs, devices done)` heartbeat history — the Perfetto
-    /// counter-series bridge consumes this.
-    series: Vec<(u64, f64)>,
-}
-
-/// Coordinator-side live progress: one slot per worker, re-rendered (at
-/// most once a second) whenever a heartbeat lands.
-struct ProgressBoard {
-    started: Instant,
-    devices_total: u64,
-    workers: Vec<WorkerProgress>,
-    last_render: Option<Instant>,
-    /// Suppress live rendering (still folds heartbeat history).
-    quiet: bool,
-    /// Cross-shard per-epoch contact tallies folded from epoch beats
-    /// (advisory narration; the epidemic fold uses the aggregates).
-    epoch_contacts: std::collections::BTreeMap<u32, u64>,
-}
-
-impl ProgressBoard {
-    fn new(workers: usize, devices_total: u64, quiet: bool) -> ProgressBoard {
-        ProgressBoard {
-            started: Instant::now(),
-            devices_total,
-            workers: vec![WorkerProgress::default(); workers],
-            last_render: None,
-            quiet,
-            epoch_contacts: std::collections::BTreeMap::new(),
-        }
-    }
-
-    fn epoch_beat(&mut self, eb: &EpochBeat) {
-        *self.epoch_contacts.entry(eb.epoch).or_insert(0) += eb.contacts;
-    }
-
-    fn beat(&mut self, hb: &Heartbeat) {
-        let Some(w) = self.workers.get_mut(hb.shard as usize) else {
-            return;
-        };
-        w.done = hb.devices_done;
-        w.total = hb.devices_total;
-        w.rate = if hb.elapsed_s > 0.0 {
-            hb.devices_done as f64 / hb.elapsed_s
-        } else {
-            0.0
-        };
-        w.series
-            .push(((hb.elapsed_s * 1e6) as u64, hb.devices_done as f64));
-        self.maybe_render();
-    }
-
-    fn maybe_render(&mut self) {
-        if self.quiet {
-            return;
-        }
-        let now = Instant::now();
-        if self
-            .last_render
-            .is_some_and(|t| now.duration_since(t).as_secs_f64() < 1.0)
-        {
-            return;
-        }
-        self.last_render = Some(now);
-        let done: u64 = self.workers.iter().map(|w| w.done).sum();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let rate = done as f64 / elapsed.max(1e-9);
-        let pct = 100.0 * done as f64 / self.devices_total.max(1) as f64;
-        let remaining = self.devices_total.saturating_sub(done);
-        let eta = if rate > 0.0 {
-            format!("{:.0} s", remaining as f64 / rate)
-        } else {
-            "?".to_string()
-        };
-        let mut line = format!(
-            "{done}/{} devices ({pct:.0}%) · {rate:.1} dev/s · ETA {eta}",
-            self.devices_total
-        );
-        let stragglers = self.stragglers();
-        if !stragglers.is_empty() {
-            let list: Vec<String> = stragglers.iter().map(|s| format!("worker {s}")).collect();
-            line.push_str(&format!(" · stragglers: {}", list.join(", ")));
-        }
-        flog("coordinator", "progress", &line);
-    }
-
-    /// Workers whose own device rate has fallen more than 2× behind the
-    /// median of all reporting workers (and are not yet done).
-    fn stragglers(&self) -> Vec<usize> {
-        let mut rates: Vec<f64> = self
-            .workers
-            .iter()
-            .filter(|w| w.done > 0)
-            .map(|w| w.rate)
-            .collect();
-        if rates.len() < 2 {
-            return Vec::new();
-        }
-        rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-        let median = rates[rates.len() / 2];
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.done > 0 && w.done < w.total && w.rate * 2.0 < median)
-            .map(|(shard, _)| shard)
-            .collect()
-    }
-}
-
-/// One worker's decoded handoff on the coordinator side.
-struct ShardResult {
-    aggregate: FleetAggregate,
-    stats: WorkerStats,
-}
-
-/// Drains one worker's stdout: counts record frames (re-folding each
-/// decoded record into an independent digest accumulator), folds
-/// heartbeat and epoch-beat frames into the shared progress board, then
-/// decodes the aggregate and stats frames. The re-folded digest must
-/// match the worker's shipped aggregate — a per-shard integrity check
-/// on the wire format itself.
-fn read_worker<R: Read>(
-    shard: usize,
-    stream: &mut R,
-    mut record_sink: Option<&mut dyn Write>,
-    board: &Mutex<ProgressBoard>,
-) -> Result<ShardResult, String> {
-    let mut refold = DigestAccum::new();
-    let mut records = 0u64;
-    while let Some(frame) = read_frame(stream).map_err(|e| format!("shard {shard}: {e}"))? {
-        match decode_stream_frame(&frame)
-            .map_err(|e| format!("shard {shard} frame {records}: {e}"))?
-        {
-            StreamFrame::Result(result) => {
-                refold.fold(result.digest());
-                records += 1;
-                if let Some(sink) = record_sink.as_deref_mut() {
-                    write_frame(sink, &frame).map_err(|e| format!("--record write: {e}"))?;
-                }
-            }
-            StreamFrame::Heartbeat(hb) => {
-                board.lock().expect("progress board lock").beat(&hb);
-            }
-            StreamFrame::Epoch(eb) => {
-                board.lock().expect("progress board lock").epoch_beat(&eb);
-            }
-        }
-    }
-    let agg_frame = read_frame(stream)
-        .map_err(|e| format!("shard {shard} aggregate: {e}"))?
-        .ok_or_else(|| format!("shard {shard}: stream ended before aggregate"))?;
-    let aggregate =
-        decode_aggregate(&agg_frame).map_err(|e| format!("shard {shard} aggregate: {e}"))?;
-    let stats_frame = read_frame(stream)
-        .map_err(|e| format!("shard {shard} stats: {e}"))?
-        .ok_or_else(|| format!("shard {shard}: stream ended before stats"))?;
-    let stats = decode_stats(&stats_frame).map_err(|e| format!("shard {shard} stats: {e}"))?;
-    if stats.records != records {
-        return Err(format!(
-            "shard {shard}: worker reported {} records, coordinator saw {records}",
-            stats.records
-        ));
-    }
-    if refold.digest() != aggregate.digest() {
-        return Err(format!(
-            "shard {shard}: streamed records re-fold to digest {:016x} but the shard \
-             aggregate says {:016x}",
-            refold.digest(),
-            aggregate.digest()
-        ));
-    }
-    Ok(ShardResult { aggregate, stats })
-}
-
-/// Everything the coordinator hands back to `main`.
-struct CoordinatorRun {
-    report: FleetReport,
-    wall_s: f64,
-    stats: Vec<WorkerStats>,
-    progress: Vec<WorkerProgress>,
-    /// Per-epoch contact tallies folded from the workers' epoch beats.
-    epoch_contacts: Vec<(u32, u64)>,
-}
-
-/// Coordinator mode: spawn `workers` copies of this binary in shard
-/// mode, drain their streams concurrently (rendering live progress from
-/// the interleaved heartbeats), verify and merge the shard aggregates
-/// in shard order.
-fn run_coordinator(args: &Args) -> Result<CoordinatorRun, String> {
+/// Coordinator mode: spawn one copy of this binary per shard in shard
+/// mode, hand their stdouts to `iw_sim::coord`, then require every
+/// worker to exit cleanly.
+fn run_coordinator(args: &Args, cfg: &FleetConfig) -> Result<Coordinated, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let workers = args.workers.max(1).min(args.devices.max(1));
-    let start = Instant::now();
+    let mut record_file = match &args.record {
+        Some(path) => Some(BufWriter::new(
+            std::fs::File::create(path).map_err(|e| format!("--record {path}: {e}"))?,
+        )),
+        None => None,
+    };
+    let workers = coord::shard_count(args.devices, args.workers);
     let mut children = Vec::new();
     for shard in 0..workers {
         let mut cmd = Command::new(&exe);
@@ -502,8 +205,6 @@ fn run_coordinator(args: &Args) -> Result<CoordinatorRun, String> {
             .arg(args.faults.label())
             .arg("--scenario")
             .arg(if args.scenario { "epidemic" } else { "none" })
-            .arg("--heartbeat-ms")
-            .arg(args.heartbeat_ms.to_string())
             .arg("--shard")
             .arg(format!("{shard}/{workers}"))
             .stdout(Stdio::piped())
@@ -513,87 +214,31 @@ fn run_coordinator(args: &Args) -> Result<CoordinatorRun, String> {
             .map_err(|e| format!("spawn worker {shard}: {e}"))?;
         children.push(child);
     }
-    let record_file: Option<Mutex<std::fs::File>> = match &args.record {
-        Some(path) => Some(Mutex::new(
-            std::fs::File::create(path).map_err(|e| format!("--record {path}: {e}"))?,
-        )),
-        None => None,
-    };
-    let board = Mutex::new(ProgressBoard::new(
-        workers,
-        args.devices as u64,
-        args.heartbeat_ms == 0,
-    ));
-    // One reader per worker so a fast shard never backs up behind a
-    // slow one's pipe buffer.
-    let shard_results: Vec<Result<ShardResult, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = children
-            .iter_mut()
-            .enumerate()
-            .map(|(shard, child)| {
-                let mut stdout = child.stdout.take().expect("piped stdout");
-                let record_file = record_file.as_ref();
-                let board = &board;
-                scope.spawn(move || match record_file {
-                    Some(file) => {
-                        // Frames interleave across workers; each record
-                        // carries its device index, so order is
-                        // recoverable.
-                        let mut guard_adapter = LockedWriter(file);
-                        read_worker(shard, &mut stdout, Some(&mut guard_adapter), board)
-                    }
-                    None => read_worker(shard, &mut stdout, None, board),
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reader thread panicked"))
-            .collect()
-    });
-    let mut stats = Vec::new();
-    let cfg = fleet_config(args, 1);
-    let mut merged = FleetAggregate::new(&cfg);
-    for (shard, result) in shard_results.into_iter().enumerate() {
-        let shard_result = result?;
-        let status = children[shard]
+    let stdouts = children
+        .iter_mut()
+        .map(|child| child.stdout.take().expect("piped stdout"))
+        .collect();
+    let sink = record_file.as_mut().map(|f| f as &mut (dyn Write + Send));
+    let run = coord::coordinate(cfg, stdouts, sink)?;
+    for (shard, child) in children.iter_mut().enumerate() {
+        let status = child
             .wait()
             .map_err(|e| format!("wait worker {shard}: {e}"))?;
         if !status.success() {
             return Err(format!("worker {shard} exited with {status}"));
         }
-        // Shard aggregates merge in ascending shard order — device-index
-        // order, since shards are contiguous ranges.
-        merged.merge(shard_result.aggregate);
-        stats.push(shard_result.stats);
     }
-    let board = board.into_inner().expect("progress board lock");
-    Ok(CoordinatorRun {
-        // Scenario runs finalise through the compiled scenario so the
-        // epoch-barrier epidemic fold lands in the report (and its
-        // digest), exactly as the in-process runner does.
-        report: merged.into_report_with(cfg.scenario.as_deref()),
-        wall_s: start.elapsed().as_secs_f64(),
-        stats,
-        progress: board.workers,
-        epoch_contacts: board.epoch_contacts.into_iter().collect(),
-    })
+    if let Some(file) = &mut record_file {
+        file.flush().map_err(|e| format!("--record write: {e}"))?;
+    }
+    Ok(run)
 }
 
-/// `Write` adapter taking the record-file mutex per frame.
-struct LockedWriter<'a>(&'a Mutex<std::fs::File>);
-
-impl Write for LockedWriter<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("record file lock").write(buf)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.0.lock().expect("record file lock").flush()
-    }
-}
-
-fn run_in_process(args: &Args, threads: usize) -> (FleetReport, f64) {
-    let cfg = fleet_config(args, threads);
+fn run_in_process(cfg: &FleetConfig, threads: usize) -> (FleetReport, f64) {
+    let cfg = FleetConfig {
+        threads,
+        ..cfg.clone()
+    };
     let start = Instant::now();
     let report = cfg.run();
     (report, start.elapsed().as_secs_f64())
@@ -721,39 +366,31 @@ fn write_metrics(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            flog("coordinator", "args", &e);
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| fail("args", &e, 2));
+    // The coordinator's wall time includes its own config build, as a
+    // worker's set-up is inside the coordinator's wall too.
+    let start = Instant::now();
+    let cfg = fleet_config(&args).unwrap_or_else(|e| fail("config", &e, 2));
 
     if let Some((shard, of)) = args.shard {
         // Worker mode: frames on stdout, nothing else.
-        if let Err(e) = run_worker(&args, shard, of) {
+        let stdout = std::io::stdout();
+        if let Err(e) = coord::run_worker(&cfg, shard, of, &mut BufWriter::new(stdout.lock())) {
             flog(&format!("worker {shard}/{of}"), "stream", &e.to_string());
             std::process::exit(1);
         }
         return;
     }
 
-    let mut worker_progress: Vec<WorkerProgress> = Vec::new();
+    let mut worker_progress: Vec<Vec<(u64, f64)>> = Vec::new();
     let (report, wall_s, parallelism) = if args.workers > 0 {
-        let run = match run_coordinator(&args) {
-            Ok(r) => r,
-            Err(e) => {
-                flog("coordinator", "run", &e);
-                std::process::exit(1);
-            }
-        };
-        let CoordinatorRun {
+        let Coordinated {
             report,
-            wall_s,
             stats: worker_stats,
             progress,
             epoch_contacts,
-        } = run;
+        } = run_coordinator(&args, &cfg).unwrap_or_else(|e| fail("run", &e, 1));
+        let wall_s = start.elapsed().as_secs_f64();
         worker_progress = progress;
         let label = format!("{} worker process(es)", worker_stats.len());
         print_report(&report, &label, wall_s);
@@ -762,12 +399,8 @@ fn main() {
             "  streamed: {records} records across {} workers (coordinator re-fold verified)",
             worker_stats.len()
         );
-        if !epoch_contacts.is_empty() {
+        if let Some(&(peak_epoch, peak)) = epoch_contacts.iter().max_by_key(|&&(_, c)| c) {
             let total: u64 = epoch_contacts.iter().map(|&(_, c)| c).sum();
-            let &(peak_epoch, peak) = epoch_contacts
-                .iter()
-                .max_by_key(|&&(_, c)| c)
-                .expect("non-empty epoch beats");
             println!(
                 "  epoch beats: {total} contacts across {} epochs (peak {peak} in epoch {peak_epoch})",
                 epoch_contacts.len()
@@ -786,53 +419,38 @@ fn main() {
         }
         println!(
             "  coordinator peak RSS {} (records streamed, never retained)",
-            human_rss(peak_rss_bytes())
+            human_rss(coord::peak_rss_bytes())
         );
         if let Some(path) = &args.metrics {
-            if let Err(e) = write_metrics(path, &report, wall_s, &worker_stats) {
-                flog("coordinator", "metrics", &e);
-                std::process::exit(1);
-            }
+            write_metrics(path, &report, wall_s, &worker_stats)
+                .unwrap_or_else(|e| fail("metrics", &e, 1));
         }
         (report, wall_s, label)
     } else {
-        let (report, wall_s) = run_in_process(&args, args.threads);
+        let (report, wall_s) = run_in_process(&cfg, args.threads);
         let label = format!("{} thread(s)", args.threads);
         print_report(&report, &label, wall_s);
         if let Some(path) = &args.metrics {
-            if let Err(e) = write_metrics(path, &report, wall_s, &[]) {
-                flog("coordinator", "metrics", &e);
-                std::process::exit(1);
-            }
+            write_metrics(path, &report, wall_s, &[]).unwrap_or_else(|e| fail("metrics", &e, 1));
         }
         (report, wall_s, label)
     };
 
     if let Some(path) = &args.trace {
-        let cfg = fleet_config(&args, 1);
-        let k = args.trace_devices.min(args.devices);
-        let mut groups: Vec<(String, Recorder)> = (0..k)
-            .map(|index| {
-                let mut rec = Recorder::new();
-                let r = cfg.run_device_traced(index, &mut rec);
-                let name = format!("device {index} · {}/{}/{}", r.env, r.subject, r.policy);
-                (name, rec)
-            })
-            .collect();
+        let mut groups = cfg.trace_groups(args.trace_devices);
         // Heartbeat history from a worker run becomes a "fleet
         // progress" process group: one devices-done counter track per
         // worker, timestamped in worker wall-clock µs.
-        if worker_progress.iter().any(|w| !w.series.is_empty()) {
+        if !worker_progress.is_empty() {
             let mut rec = Recorder::new();
-            for (shard, w) in worker_progress.iter().enumerate() {
-                rec.counter_series(&format!("worker {shard}"), "devices done", 1.0, &w.series);
+            for (shard, series) in worker_progress.iter().enumerate() {
+                rec.counter_series(&format!("worker {shard}"), "devices done", 1.0, series);
             }
             groups.push(("fleet progress".to_string(), rec));
         }
         let json = merged_chrome_trace(&mut groups);
         if let Err(e) = std::fs::write(path, &json) {
-            flog("coordinator", "trace", &format!("--trace {path}: {e}"));
-            std::process::exit(1);
+            fail("trace", &format!("--trace {path}: {e}"), 1);
         }
         println!(
             "  trace: {} process group(s) written to {path} ({} bytes)",
@@ -842,7 +460,7 @@ fn main() {
     }
 
     if args.check {
-        let (serial, serial_wall) = run_in_process(&args, 1);
+        let (serial, serial_wall) = run_in_process(&cfg, 1);
         println!(
             "check: serial rerun {:.2} s wall ({:.0} sim-s/wall-s, {:.2}x speedup over serial)",
             serial_wall,
@@ -855,15 +473,14 @@ fn main() {
                 report.digest
             );
         } else {
-            flog(
-                "coordinator",
+            fail(
                 "check",
                 &format!(
                     "FAILED — digest {:016x} on {parallelism} vs {:016x} serial",
                     report.digest, serial.digest
                 ),
+                1,
             );
-            std::process::exit(1);
         }
     }
 }

@@ -1383,21 +1383,28 @@ impl FleetConfig {
     /// unaffected.
     #[must_use]
     pub fn trace_timeline(&self, devices: usize) -> String {
-        let k = devices.min(self.devices);
-        let mut groups: Vec<(String, Recorder)> = (0..k)
+        iw_trace::merged_chrome_trace(&mut self.trace_groups(devices))
+    }
+
+    /// The process groups of [`FleetConfig::trace_timeline`]: the first
+    /// `devices` devices re-run with tracing, each named
+    /// `device i · env/subject/policy`. Callers may append groups of
+    /// their own before merging them into one document.
+    #[must_use]
+    pub fn trace_groups(&self, devices: usize) -> Vec<(String, Recorder)> {
+        (0..devices.min(self.devices))
             .map(|index| {
                 let mut rec = Recorder::new();
                 let r = self.run_device_traced(index, &mut rec);
                 let name = format!("device {index} · {}/{}/{}", r.env, r.subject, r.policy);
                 (name, rec)
             })
-            .collect();
-        iw_trace::merged_chrome_trace(&mut groups)
+            .collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::device::ComputeJob;
 
@@ -1410,7 +1417,7 @@ mod tests {
     }
 
     /// A small fleet over short days so the test stays fast.
-    fn small_fleet(threads: usize) -> FleetConfig {
+    pub(crate) fn small_fleet(threads: usize) -> FleetConfig {
         let mut cfg = FleetConfig::paper(12, threads, 7, costs());
         cfg.sample_devices = cfg.devices;
         for (_, env) in &mut cfg.environments {
@@ -1605,7 +1612,7 @@ mod tests {
     /// A dense one-hour scenario over the shortened small-fleet
     /// environments: a 30 m world packs the 12 devices close enough
     /// that contacts are guaranteed.
-    fn scenario_fleet(threads: usize) -> FleetConfig {
+    pub(crate) fn scenario_fleet(threads: usize) -> FleetConfig {
         let cfg = small_fleet(threads);
         let mut sc = iw_scenario::Scenario::epidemic(cfg.devices, 7);
         sc.duration_s = 3600.0;

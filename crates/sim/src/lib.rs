@@ -21,7 +21,9 @@
 //! as it is produced, and shard aggregates merge hierarchically in
 //! index order to a digest bit-identical to the serial fold
 //! ([`FleetReport`]). The [`record`] module gives results a compact
-//! binary wire form for multi-process runs.
+//! binary wire form for multi-process runs, and the [`coord`] module
+//! runs the coordinator/worker protocol over any `Read`/`Write`
+//! streams.
 //!
 //! The fault layer (crate `iw-fault`, replayed by [`FaultComponent`])
 //! injects deterministic fault plans — electrode lead-off, motion
@@ -38,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod coord;
 mod device;
 mod engine;
 mod faults;

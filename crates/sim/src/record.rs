@@ -70,14 +70,15 @@
 //!
 //! A frame is `u32` little-endian payload length followed by the
 //! payload. A zero-length frame is the end-of-records marker
-//! ([`write_end`]): the worker protocol is *(records | heartbeats)… ·
-//! end marker · aggregate frame · stats frame*.
+//! ([`write_end`]): the worker protocol (`crate::coord`) is
+//! *(records | heartbeats)… · end marker · aggregate frame · stats
+//! frame*.
 //!
 //! Every payload's first byte is its **tag**. Result records carry
-//! [`RECORD_VERSION`]; the two telemetry frames interleaved with them
-//! carry [`HEARTBEAT_TAG`] and [`EPOCH_TAG`]. The stream decoder
-//! ([`decode_stream_frame`]) knows exactly these three tags: any other
-//! is a hard [`RecordError::Version`] error.
+//! [`RECORD_VERSION`]; the heartbeats interleaved with them carry
+//! [`HEARTBEAT_TAG`]. The stream decoder ([`decode_stream_frame`])
+//! knows exactly these two tags: any other is a hard
+//! [`RecordError::Version`] error.
 
 use std::io::{Read, Write};
 
@@ -98,9 +99,6 @@ pub const AGGREGATE_VERSION: u8 = 0x84;
 
 /// Tag byte of a worker [`Heartbeat`] frame.
 pub const HEARTBEAT_TAG: u8 = 0x48;
-
-/// Tag byte of a worker [`EpochBeat`] frame.
-pub const EPOCH_TAG: u8 = 0x45;
 
 /// Tag byte of a worker [`WorkerStats`] frame.
 pub const STATS_VERSION: u8 = 0x92;
@@ -634,53 +632,24 @@ pub fn decode_aggregate(buf: &[u8]) -> Result<FleetAggregate, RecordError> {
 ///
 /// Heartbeats are *advisory*: they never feed the aggregate or the
 /// digest (wall-clock timing is inherently non-deterministic), they
-/// only drive live progress rendering, straggler detection and the
-/// coordinator's runtime gauges.
+/// only drive the coordinator's progress board. The emitting shard and
+/// its device count are known to the coordinator from its shard plan,
+/// so the beat carries neither.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Heartbeat {
-    /// Shard index of the emitting worker.
-    pub shard: u32,
-    /// Total shard count of the run.
-    pub of: u32,
     /// Worker wall-clock time since its run started, seconds.
     pub elapsed_s: f64,
     /// Devices completed by this worker so far.
     pub devices_done: u64,
-    /// Devices in this worker's shard range.
-    pub devices_total: u64,
-    /// Simulated days completed so far (Σ days of finished devices).
-    pub sim_days: f64,
-    /// Engine events processed so far.
-    pub events: u64,
-    /// Fault episodes observed so far (all kinds).
-    pub fault_episodes: u64,
-    /// Brownout episodes observed so far.
-    pub brownouts: u64,
-    /// Worker peak RSS if the platform exposes it, bytes.
-    pub rss_bytes: Option<u64>,
 }
 
 /// Encodes a heartbeat frame payload.
 #[must_use]
 pub fn encode_heartbeat(hb: &Heartbeat) -> Vec<u8> {
-    let mut out = Vec::with_capacity(67);
+    let mut out = Vec::with_capacity(17);
     out.push(HEARTBEAT_TAG);
-    out.extend_from_slice(&hb.shard.to_le_bytes());
-    out.extend_from_slice(&hb.of.to_le_bytes());
     put_f64(&mut out, hb.elapsed_s);
     put_u64(&mut out, hb.devices_done);
-    put_u64(&mut out, hb.devices_total);
-    put_f64(&mut out, hb.sim_days);
-    put_u64(&mut out, hb.events);
-    put_u64(&mut out, hb.fault_episodes);
-    put_u64(&mut out, hb.brownouts);
-    match hb.rss_bytes {
-        Some(rss) => {
-            out.push(1);
-            put_u64(&mut out, rss);
-        }
-        None => out.push(0),
-    }
     out
 }
 
@@ -689,98 +658,19 @@ pub fn encode_heartbeat(hb: &Heartbeat) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Same failure modes as [`decode_result`], plus
-/// [`RecordError::Malformed`] on an invalid RSS presence flag.
+/// Same failure modes as [`decode_result`].
 pub fn decode_heartbeat(buf: &[u8]) -> Result<Heartbeat, RecordError> {
     let mut cur = Cur::new(buf);
     let tag = cur.u8()?;
     if tag != HEARTBEAT_TAG {
         return Err(RecordError::Version(tag));
     }
-    let shard = cur.u32()?;
-    let of = cur.u32()?;
     let elapsed_s = cur.f64()?;
     let devices_done = cur.u64()?;
-    let devices_total = cur.u64()?;
-    let sim_days = cur.f64()?;
-    let events = cur.u64()?;
-    let fault_episodes = cur.u64()?;
-    let brownouts = cur.u64()?;
-    let rss_bytes = match cur.u8()? {
-        0 => None,
-        1 => Some(cur.u64()?),
-        _ => return Err(RecordError::Malformed("rss presence flag")),
-    };
     cur.done()?;
     Ok(Heartbeat {
-        shard,
-        of,
         elapsed_s,
         devices_done,
-        devices_total,
-        sim_days,
-        events,
-        fault_episodes,
-        brownouts,
-        rss_bytes,
-    })
-}
-
-/// A per-epoch shard tally, interleaved with result records in the
-/// worker→coordinator stream under [`EPOCH_TAG`] during networked-
-/// scenario runs.
-///
-/// Like heartbeats, epoch beats are *advisory*: the deterministic
-/// cross-device exchange rides the aggregate frame's merged edge set,
-/// not these — they exist so the coordinator can narrate the epoch
-/// timeline live and sanity-check shard contact budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochBeat {
-    /// Shard index of the emitting worker.
-    pub shard: u32,
-    /// Scenario epoch index this tally covers.
-    pub epoch: u32,
-    /// Contacts the shard's devices observed in this epoch.
-    pub contacts: u64,
-    /// Contact edges the shard recorded in this epoch (== `contacts`
-    /// today; kept separate so dedup policies can diverge).
-    pub edges: u64,
-}
-
-/// Encodes an epoch-beat frame payload.
-#[must_use]
-pub fn encode_epoch(beat: &EpochBeat) -> Vec<u8> {
-    let mut out = Vec::with_capacity(25);
-    out.push(EPOCH_TAG);
-    out.extend_from_slice(&beat.shard.to_le_bytes());
-    out.extend_from_slice(&beat.epoch.to_le_bytes());
-    put_u64(&mut out, beat.contacts);
-    put_u64(&mut out, beat.edges);
-    out
-}
-
-/// Decodes an epoch-beat frame payload; the whole buffer must be
-/// consumed.
-///
-/// # Errors
-///
-/// Same failure modes as [`decode_heartbeat`].
-pub fn decode_epoch(buf: &[u8]) -> Result<EpochBeat, RecordError> {
-    let mut cur = Cur::new(buf);
-    let tag = cur.u8()?;
-    if tag != EPOCH_TAG {
-        return Err(RecordError::Version(tag));
-    }
-    let shard = cur.u32()?;
-    let epoch = cur.u32()?;
-    let contacts = cur.u64()?;
-    let edges = cur.u64()?;
-    cur.done()?;
-    Ok(EpochBeat {
-        shard,
-        epoch,
-        contacts,
-        edges,
     })
 }
 
@@ -820,7 +710,8 @@ pub fn encode_stats(s: &WorkerStats) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Same failure modes as [`decode_heartbeat`].
+/// Same failure modes as [`decode_result`], plus
+/// [`RecordError::Malformed`] on an invalid RSS presence flag.
 pub fn decode_stats(buf: &[u8]) -> Result<WorkerStats, RecordError> {
     let mut cur = Cur::new(buf);
     let tag = cur.u8()?;
@@ -854,22 +745,19 @@ pub enum StreamFrame {
     Result(DeviceResult),
     /// A worker progress heartbeat.
     Heartbeat(Heartbeat),
-    /// A per-epoch shard tally from a networked-scenario run.
-    Epoch(EpochBeat),
 }
 
 /// Decodes one worker-stream frame by its leading tag byte: a result
-/// record, a heartbeat or an epoch beat.
+/// record or a heartbeat.
 ///
 /// # Errors
 ///
 /// [`RecordError::Version`] on any other tag, plus the usual decode
-/// failures of the three frame kinds.
+/// failures of the two frame kinds.
 pub fn decode_stream_frame(buf: &[u8]) -> Result<StreamFrame, RecordError> {
     match buf.first().copied().ok_or(RecordError::Truncated)? {
         RECORD_VERSION => Ok(StreamFrame::Result(decode_result(buf)?)),
         HEARTBEAT_TAG => Ok(StreamFrame::Heartbeat(decode_heartbeat(buf)?)),
-        EPOCH_TAG => Ok(StreamFrame::Epoch(decode_epoch(buf)?)),
         tag => Err(RecordError::Version(tag)),
     }
 }
@@ -1055,30 +943,17 @@ mod tests {
     #[test]
     fn heartbeat_round_trips_and_streams() {
         let hb = Heartbeat {
-            shard: 3,
-            of: 8,
             elapsed_s: 1.25,
             devices_done: 512,
-            devices_total: 1024,
-            sim_days: 512.0 / 96.0,
-            events: 9_999_999,
-            fault_episodes: 42,
-            brownouts: 7,
-            rss_bytes: Some(12 << 20),
         };
         let bytes = encode_heartbeat(&hb);
         assert_eq!(bytes[0], HEARTBEAT_TAG);
+        assert_eq!(bytes.len(), 17);
         assert_eq!(decode_heartbeat(&bytes).unwrap(), hb);
         match decode_stream_frame(&bytes).unwrap() {
             StreamFrame::Heartbeat(back) => assert_eq!(back, hb),
             other => panic!("expected heartbeat, got {other:?}"),
         }
-        // Absent RSS survives too.
-        let na = Heartbeat {
-            rss_bytes: None,
-            ..hb
-        };
-        assert_eq!(decode_heartbeat(&encode_heartbeat(&na)).unwrap(), na);
     }
 
     #[test]
@@ -1110,7 +985,7 @@ mod tests {
     fn unknown_stream_tags_are_rejected() {
         // Telemetry-looking tags other than the two known ones are
         // errors like any other.
-        for tag in [0x40, 0x55, 0x7f] {
+        for tag in [0x40, 0x45, 0x55, 0x7f] {
             assert!(matches!(
                 decode_stream_frame(&[tag, 1, 2, 3]),
                 Err(RecordError::Version(t)) if t == tag
@@ -1167,23 +1042,6 @@ mod tests {
         let back = decode_result(&bytes).expect("round trip");
         assert_eq!(back, r);
         assert_eq!(back.digest(), r.digest());
-    }
-
-    #[test]
-    fn epoch_beat_round_trips_and_streams() {
-        let beat = EpochBeat {
-            shard: 2,
-            epoch: 17,
-            contacts: 99,
-            edges: 99,
-        };
-        let bytes = encode_epoch(&beat);
-        assert_eq!(bytes[0], EPOCH_TAG);
-        assert_eq!(decode_epoch(&bytes).unwrap(), beat);
-        match decode_stream_frame(&bytes).unwrap() {
-            StreamFrame::Epoch(back) => assert_eq!(back, beat),
-            other => panic!("expected epoch beat, got {other:?}"),
-        }
     }
 
     #[test]

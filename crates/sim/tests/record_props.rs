@@ -4,10 +4,9 @@
 
 use iw_metrics::Histogram;
 use iw_sim::record::{
-    decode_aggregate, decode_epoch, decode_heartbeat, decode_result, decode_stats,
-    decode_stream_frame, encode_epoch, encode_heartbeat, encode_result, encode_stats, read_frame,
-    EpochBeat, Heartbeat, RecordError, StreamFrame, WorkerStats, AGGREGATE_VERSION, EPOCH_TAG,
-    HEARTBEAT_TAG, RECORD_VERSION, STATS_VERSION,
+    decode_aggregate, decode_heartbeat, decode_result, decode_stats, decode_stream_frame,
+    encode_heartbeat, encode_result, encode_stats, read_frame, Heartbeat, RecordError, StreamFrame,
+    WorkerStats, AGGREGATE_VERSION, HEARTBEAT_TAG, RECORD_VERSION, STATS_VERSION,
 };
 use iw_sim::{ContactEdge, DeviceResult, FaultCounters, FaultKind, ReliabilityCounters};
 use proptest::prelude::*;
@@ -60,7 +59,6 @@ fn any_tag() -> BoxedStrategy<u8> {
         Just(RECORD_VERSION),
         Just(AGGREGATE_VERSION),
         Just(HEARTBEAT_TAG),
-        Just(EPOCH_TAG),
         Just(STATS_VERSION),
     ]
     .boxed()
@@ -230,7 +228,6 @@ proptest! {
         let _ = decode_result(&bytes);
         let _ = decode_aggregate(&bytes);
         let _ = decode_heartbeat(&bytes);
-        let _ = decode_epoch(&bytes);
         let _ = decode_stats(&bytes);
         let _ = decode_stream_frame(&bytes);
         // The same bytes as a frame stream: every Ok(Some) frame consumes
@@ -302,28 +299,11 @@ proptest! {
 
     #[test]
     fn heartbeat_round_trip_and_truncation(
-        shard in any::<u32>(),
-        of in any::<u32>(),
         elapsed_s in extreme_f64(),
-        counts in prop::collection::vec(any::<u64>(), 5),
-        sim_days in extreme_f64(),
-        rss_flag in any::<bool>(),
-        rss_val in any::<u64>(),
+        devices_done in any::<u64>(),
         cut_seed in any::<u64>(),
     ) {
-        let rss = rss_flag.then_some(rss_val);
-        let hb = Heartbeat {
-            shard,
-            of,
-            elapsed_s,
-            devices_done: counts[0],
-            devices_total: counts[1],
-            sim_days,
-            events: counts[2],
-            fault_episodes: counts[3],
-            brownouts: counts[4],
-            rss_bytes: rss,
-        };
+        let hb = Heartbeat { elapsed_s, devices_done };
         let bytes = encode_heartbeat(&hb);
         prop_assert_eq!(decode_heartbeat(&bytes).expect("well-formed heartbeat"), hb);
         match decode_stream_frame(&bytes) {
@@ -365,36 +345,14 @@ proptest! {
         tag in any::<u8>(),
         body in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        prop_assume!(![RECORD_VERSION, EPOCH_TAG, HEARTBEAT_TAG].contains(&tag));
-        // The stream knows exactly three tags; every other leading byte
+        prop_assume!(![RECORD_VERSION, HEARTBEAT_TAG].contains(&tag));
+        // The stream knows exactly two tags; every other leading byte
         // is refused before the body is looked at.
         let mut frame = vec![tag];
         frame.extend_from_slice(&body);
         match decode_stream_frame(&frame) {
             Err(RecordError::Version(t)) => prop_assert_eq!(t, tag),
             other => return Err(format!("tag {tag:#x} gave {other:?}")),
-        }
-    }
-
-    #[test]
-    fn epoch_beats_round_trip_and_truncation(
-        shard in any::<u32>(),
-        epoch in any::<u32>(),
-        contacts in any::<u64>(),
-        edges in any::<u64>(),
-        cut_seed in any::<u64>(),
-    ) {
-        let beat = EpochBeat { shard, epoch, contacts, edges };
-        let bytes = encode_epoch(&beat);
-        prop_assert_eq!(decode_epoch(&bytes).expect("well-formed epoch beat"), beat);
-        match decode_stream_frame(&bytes) {
-            Ok(StreamFrame::Epoch(back)) => prop_assert_eq!(back, beat),
-            other => return Err(format!("expected Epoch frame, got {other:?}")),
-        }
-        let cut = (cut_seed as usize) % bytes.len();
-        match decode_epoch(&bytes[..cut]) {
-            Err(RecordError::Truncated) => {}
-            other => return Err(format!("cut at {cut} gave {other:?}, expected Truncated")),
         }
     }
 }
