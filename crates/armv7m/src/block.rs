@@ -16,7 +16,17 @@
 //! * `ldr rt, [rn], #4` ×2 + `smlad` — the packed q15 MAC inner loop,
 //! * `ldr rt, [rn], #4` ×2 — post-increment streaming pairs,
 //! * `mul` + `asr #k` + `add` — the q15 requantisation tail,
-//! * `subs` + `b.cc` — the loop back-edge.
+//! * `subs` + `b.cc` — the loop back-edge,
+//!
+//! and one *loop* superinstruction: the fixed-point kernel's ×2-unrolled
+//! dot-product inner loop (`ldr`+`ldr`+`mul`+`asr`+`add` twice, then
+//! `subs`+`b.ne` back to its own head), which runs every pass of a row in
+//! one dispatch on locals and commits the registers, flags and profile
+//! once, in closed form, where it stops. It fuses only over the kernel's
+//! own register pattern (six distinct registers, post-increment `+4`, a
+//! decrement by one); any other loop keeps the fused ops above. The
+//! slots inside the loop keep the fused ops they would have without it,
+//! so a run resumed mid-loop dispatches those until the back edge.
 //!
 //! Every fused handler replays the exact per-instruction semantics of
 //! [`CortexM4::exec_decoded`] — flag updates, the load-pipelining cycle
@@ -29,7 +39,7 @@
 //! ([`CortexM4::run_fused_sink`]) executes only each slot's first
 //! instruction, so every instruction gets its own PC sample.
 
-use iw_rv32::{Bus, InstrClass, MemWidth};
+use iw_rv32::{Bus, BusError, InstrClass, MemWidth};
 use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::cpu::{CortexM4, Flags, M4Error, RunResult};
@@ -96,7 +106,13 @@ enum FusedOp {
         cond: Cond,
         target: usize,
     },
+    /// The fixed-point dot-product loop headed at this slot
+    /// ([`dot_loop_body`]): `regs` are `[w, x, tw, tx, acc, n]`, distinct.
+    DotLoop { regs: [R; 6], shamt: u8 },
 }
+
+// Every dispatch copies a slot: the loop op must not make them wider.
+const _: () = assert!(core::mem::size_of::<FusedOp>() == 24);
 
 impl FusedOp {
     /// The instruction at this slot's own index: the single instruction,
@@ -125,8 +141,103 @@ impl FusedOp {
                 rm,
             },
             FusedOp::SubsB { rd, rn, imm, .. } => ThumbInstr::SubsImm { rd, rn, imm },
+            FusedOp::DotLoop {
+                regs: [w, _, tw, ..],
+                ..
+            } => ThumbInstr::Ldr {
+                width: LsWidth::W,
+                rt: tw,
+                rn: w,
+                offset: 4,
+                mode: AddrMode::PostInc,
+            },
         }
     }
+
+    /// Number of source instructions the slot covers.
+    fn len(&self) -> usize {
+        match self {
+            FusedOp::Single(_) => 1,
+            FusedOp::LdrLdr { .. } | FusedOp::SubsB { .. } => 2,
+            FusedOp::VldrVldrVmla { .. }
+            | FusedOp::LdrLdrSmlad { .. }
+            | FusedOp::MulAsrAdd { .. } => 3,
+            FusedOp::DotLoop { .. } => DOT_LOOP_LEN,
+        }
+    }
+}
+
+/// Instructions in one pass of the dot-product loop op.
+const DOT_LOOP_LEN: usize = 12;
+
+/// The fixed-point kernel's ×2-unrolled dot-product loop headed at index
+/// `at`, over `[w, x, tw, tx, acc, n]`: twice `ldr tw, [w], #4`,
+/// `ldr tx, [x], #4`, `mul tw, tw, tx`, `asr tw, tw, #shamt`,
+/// `add acc, acc, tw`, then `subs n, n, #1` and `b.ne at`.
+fn dot_loop_body(regs: [R; 6], shamt: u8, at: usize) -> [ThumbInstr; DOT_LOOP_LEN] {
+    let [w, x, tw, tx, acc, n] = regs;
+    let ldr = |rt, rn| ThumbInstr::Ldr {
+        width: LsWidth::W,
+        rt,
+        rn,
+        offset: 4,
+        mode: AddrMode::PostInc,
+    };
+    let mac = [
+        ldr(tw, w),
+        ldr(tx, x),
+        ThumbInstr::Dp {
+            op: DpOp::Mul,
+            rd: tw,
+            rn: tw,
+            rm: tx,
+        },
+        ThumbInstr::AsrImm {
+            rd: tw,
+            rm: tw,
+            shamt,
+        },
+        ThumbInstr::Dp {
+            op: DpOp::Add,
+            rd: acc,
+            rn: acc,
+            rm: tw,
+        },
+    ];
+    let mut body = [ThumbInstr::Nop; DOT_LOOP_LEN];
+    body[..5].copy_from_slice(&mac);
+    body[5..10].copy_from_slice(&mac);
+    body[10] = ThumbInstr::SubsImm {
+        rd: n,
+        rn: n,
+        imm: 1,
+    };
+    body[11] = ThumbInstr::B {
+        cond: Cond::Ne,
+        target: at,
+    };
+    body
+}
+
+/// The dot-product loop op if `window`, starting at index `at`, is
+/// exactly [`dot_loop_body`] over six distinct registers.
+fn try_dot_loop(window: &[ThumbInstr], at: usize) -> Option<FusedOp> {
+    use ThumbInstr as I;
+    let body = window.get(..DOT_LOOP_LEN)?;
+    let (
+        &I::Ldr { rt: tw, rn: w, .. },
+        &I::Ldr { rt: tx, rn: x, .. },
+        &I::AsrImm { shamt, .. },
+        &I::Dp { rd: acc, .. },
+        &I::SubsImm { rd: n, .. },
+    ) = (&body[0], &body[1], &body[3], &body[4], &body[10])
+    else {
+        return None;
+    };
+    let regs = [w, x, tw, tx, acc, n];
+    let distinct = (1..regs.len()).all(|i| !regs[..i].contains(&regs[i]));
+    (distinct && *body == dot_loop_body(regs, shamt, at))
+        .then_some(FusedOp::DotLoop { regs, shamt })
 }
 
 /// Execution counters for [`CortexM4::run_fused`].
@@ -151,10 +262,14 @@ pub struct FusedStats {
     pub fused_mul_asr_add: u64,
     /// `subs`+`b.cc` superinstructions executed.
     pub fused_subs_b: u64,
+    /// Dot-product loop op entries (one per dispatch).
+    pub dot_loop_entries: u64,
+    /// Whole loop passes the dot-product loop op ran.
+    pub dot_loop_iterations: u64,
 }
 
 impl FusedStats {
-    /// Total fused superinstructions executed.
+    /// Total fused superinstructions executed, loop op entries included.
     #[must_use]
     pub fn fused_total(&self) -> u64 {
         self.fused_vldr_vldr_vmla
@@ -162,6 +277,7 @@ impl FusedStats {
             + self.fused_ldr_ldr
             + self.fused_mul_asr_add
             + self.fused_subs_b
+            + self.dot_loop_entries
     }
 
     /// Mean instructions retired per dispatch (1.0 with no fusion).
@@ -181,7 +297,9 @@ impl FusedStats {
 /// run with [`CortexM4::run_fused`]. Compilation is greedy left-to-right:
 /// when a fusion pattern matches at index `i` the slot at `i` becomes the
 /// superinstruction and scanning resumes past it, while slots `i+1..i+k`
-/// keep their single instructions for jump-into-pattern correctness.
+/// keep their single instructions for jump-into-pattern correctness. A
+/// dot-product loop op then takes over the slot at its loop's head; the
+/// slots inside the loop keep what the greedy pass gave them.
 ///
 /// # Examples
 ///
@@ -214,23 +332,25 @@ impl BlockProgram {
     #[must_use]
     pub fn compile(program: &[ThumbInstr]) -> BlockProgram {
         let mut ops: Vec<FusedOp> = program.iter().map(|i| FusedOp::Single(*i)).collect();
-        let mut fused_sites = 0;
-        let mut fused_instrs = 0;
         let mut i = 0;
         while i < program.len() {
             if let Some((op, len)) = try_fuse(&program[i..]) {
                 ops[i] = op;
-                fused_sites += 1;
-                fused_instrs += len;
                 i += len;
             } else {
                 i += 1;
             }
         }
+        for (at, slot) in ops.iter_mut().enumerate() {
+            if let Some(op) = try_dot_loop(&program[at..], at) {
+                *slot = op;
+            }
+        }
+        let fused = ops.iter().filter(|op| !matches!(op, FusedOp::Single(_)));
         BlockProgram {
+            fused_sites: fused.clone().count(),
+            fused_instrs: fused.map(FusedOp::len).sum(),
             ops,
-            fused_sites,
-            fused_instrs,
         }
     }
 
@@ -252,7 +372,8 @@ impl BlockProgram {
         self.fused_sites
     }
 
-    /// Number of source instructions covered by fusion sites.
+    /// Number of source instructions covered by fusion sites, summed over
+    /// the sites (a loop op's body also holds fused sites of its own).
     #[must_use]
     pub fn fused_instrs(&self) -> usize {
         self.fused_instrs
@@ -383,6 +504,130 @@ struct Burst {
     retired: u64,
 }
 
+/// The dot-product loop op's registers as locals.
+#[derive(Clone, Copy)]
+struct DotRegs {
+    w: u32,
+    x: u32,
+    tw: u32,
+    tx: u32,
+    acc: u32,
+    n: u32,
+}
+
+impl DotRegs {
+    fn read(cpu: &CortexM4, regs: [R; 6]) -> DotRegs {
+        let [w, x, tw, tx, acc, n] = regs.map(|r| cpu.reg_i(r));
+        DotRegs {
+            w,
+            x,
+            tw,
+            tx,
+            acc,
+            n,
+        }
+    }
+
+    fn write(&self, cpu: &mut CortexM4, regs: [R; 6]) {
+        let DotRegs {
+            w,
+            x,
+            tw,
+            tx,
+            acc,
+            n,
+        } = *self;
+        for (r, v) in regs.into_iter().zip([w, x, tw, tx, acc, n]) {
+            cpu.set_reg_i(r, v);
+        }
+    }
+}
+
+/// Cycle costs of a dot-product loop pass's sub-instructions after the
+/// first, which follows the back edge (`load0`, a load that does not
+/// follow a load).
+struct DotCosts {
+    load0: u64,
+    ldr: u64,
+    ldr_p: u64,
+    mul: u64,
+    alu: u64,
+}
+
+impl DotCosts {
+    fn of(t: &CortexM4Timing) -> DotCosts {
+        DotCosts {
+            load0: u64::from(t.ldr),
+            ldr: u64::from(t.ldr),
+            ldr_p: u64::from(t.ldr_pipelined),
+            mul: u64::from(t.mul),
+            alu: u64::from(t.alu),
+        }
+    }
+
+    /// A pass's cycles through its `subs`.
+    fn total(&self) -> u64 {
+        self.load0 + self.ldr + 2 * self.ldr_p + 2 * self.mul + 5 * self.alu
+    }
+}
+
+/// One pass of the dot-product loop op through its `subs`, its first load
+/// costing `load0`, adding its cycles to `c`. Returns `None` when the pass
+/// reaches its `b.ne`, else where it stopped: the sub-instructions it
+/// retired and the fault of the next, if that faulted. With `STEPPED` the
+/// pass also stops after the first sub-instruction that takes `c` past
+/// `budget`; without, it must not be able to.
+#[inline(always)]
+fn dot_pass<const STEPPED: bool, B: Bus>(
+    v: &mut DotRegs,
+    c: &mut u64,
+    load0: u64,
+    shamt: u8,
+    bus: &mut B,
+    k: &DotCosts,
+    budget: u64,
+) -> Option<(usize, Result<(), BusError>)> {
+    let over = |c: u64| STEPPED && c > budget;
+    // The two multiply-accumulates, the second at sub-instruction 5.
+    for (at, load) in [(0, load0), (5, k.ldr)] {
+        match bus.load(v.w, MemWidth::W) {
+            Ok(word) => (v.tw, v.w, *c) = (word, v.w.wrapping_add(4), *c + load),
+            Err(e) => return Some((at, Err(e))),
+        }
+        if over(*c) {
+            return Some((at + 1, Ok(())));
+        }
+        match bus.load(v.x, MemWidth::W) {
+            Ok(word) => (v.tx, v.x, *c) = (word, v.x.wrapping_add(4), *c + k.ldr_p),
+            Err(e) => return Some((at + 1, Err(e))),
+        }
+        if over(*c) {
+            return Some((at + 2, Ok(())));
+        }
+        v.tw = v.tw.wrapping_mul(v.tx);
+        *c += k.mul;
+        if over(*c) {
+            return Some((at + 3, Ok(())));
+        }
+        v.tw = ((v.tw as i32) >> shamt) as u32;
+        *c += k.alu;
+        if over(*c) {
+            return Some((at + 4, Ok(())));
+        }
+        v.acc = v.acc.wrapping_add(v.tw);
+        *c += k.alu;
+        if over(*c) {
+            return Some((at + 5, Ok(())));
+        }
+    }
+    v.n = v.n.wrapping_sub(1);
+    *c += k.alu;
+    if over(*c) {
+        return Some((11, Ok(())));
+    }
+    None
+}
+
 impl CortexM4 {
     #[inline]
     fn reg_i(&self, r: R) -> u32 {
@@ -475,6 +720,19 @@ impl CortexM4 {
         let mut retired = 1u64;
         match *op {
             FusedOp::Single(_) => unreachable!("singles dispatch via exec_decoded"),
+            FusedOp::DotLoop { regs, shamt } => {
+                // The pointers only step by 4: aligned at entry, they stay
+                // aligned. A misaligned one faults at its first access,
+                // which the head and the slots after it reach one by one.
+                if !(self.reg_i(regs[0]) | self.reg_i(regs[1])).is_multiple_of(4) {
+                    let cost = self.exec_decoded(op.head(), pc, pc + 1, bus, t)?;
+                    return Ok(Burst {
+                        cycles: u64::from(cost),
+                        retired: 1,
+                    });
+                }
+                return self.dot_loop(regs, shamt, pc, bus, t, budget, stats);
+            }
             FusedOp::VldrVldrVmla {
                 sa,
                 ra,
@@ -633,6 +891,107 @@ impl CortexM4 {
         Ok(Burst { cycles, retired })
     }
 
+    /// Runs the dot-product loop op headed at `pc` over `regs`
+    /// (`[w, x, tw, tx, acc, n]`, both pointers word-aligned) until its
+    /// `b.ne` falls through, the budget runs out after a sub-instruction
+    /// or a load faults. The passes run on locals, one bus load per access
+    /// in program order; the registers, the `subs` flags, `pc`, the
+    /// retired count and the profile are committed once, at the stop, in
+    /// closed form.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn dot_loop<B: Bus>(
+        &mut self,
+        regs: [R; 6],
+        shamt: u8,
+        pc: usize,
+        bus: &mut B,
+        t: &CortexM4Timing,
+        budget: u64,
+        stats: &mut FusedStats,
+    ) -> Result<Burst, M4Error> {
+        stats.dot_loop_entries += 1;
+        let mut v = DotRegs::read(self, regs);
+        // Only the first load of the first pass may follow a load; every
+        // later pass's follows the back edge.
+        let first = if self.last_was_load {
+            t.ldr_pipelined
+        } else {
+            t.ldr
+        };
+        let mut load0 = u64::from(first);
+        let k = DotCosts::of(t);
+        let (bt, bnt) = (u64::from(t.branch_taken), u64::from(t.branch_not_taken));
+        // A pass after its first load, through its `subs`.
+        let rest = k.total() - k.load0;
+        let (mut c, mut iters, mut exited) = (0u64, 0u64, false);
+        // `r` counts the sub-instructions of the unfinished pass retired
+        // at the stop; a fault stops at the load numbered `r`. A pass that
+        // cannot pass the budget before its `b.ne` runs without the
+        // per-sub-instruction checks: the cycle count only grows, so none
+        // of them could stop.
+        let (r, res) = loop {
+            let stop = if c + load0 + rest > budget {
+                dot_pass::<true, B>(&mut v, &mut c, load0, shamt, bus, &k, budget)
+            } else {
+                dot_pass::<false, B>(&mut v, &mut c, load0, shamt, bus, &k, budget)
+            };
+            if let Some(stop) = stop {
+                break stop;
+            }
+            iters += 1;
+            if v.n == 0 {
+                exited = true;
+                c += bnt;
+                break (0, Ok(()));
+            }
+            c += bt;
+            load0 = k.load0;
+            if c > budget {
+                break (0, Ok(()));
+            }
+        };
+        v.write(self, regs);
+        let p = &mut self.profile;
+        // The first load of every pass but the first costs `t.ldr`.
+        let loads0 = iters + u64::from(r > 0);
+        if loads0 > 0 {
+            p.record(InstrClass::Load, first);
+            p.record_n(InstrClass::Load, loads0 - 1, t.ldr);
+        }
+        let body = [
+            (InstrClass::Load, t.ldr_pipelined),
+            (InstrClass::Mul, t.mul),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Load, t.ldr),
+            (InstrClass::Load, t.ldr_pipelined),
+            (InstrClass::Mul, t.mul),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Alu, t.alu),
+            (InstrClass::Alu, t.alu),
+        ];
+        for (k, (class, cycles)) in (1..).zip(body) {
+            p.record_n(class, iters + u64::from(k < r), cycles);
+        }
+        // The `b.ne` closing each whole pass: taken but on the exit.
+        let fell = u64::from(exited);
+        p.record_n(InstrClass::BranchTaken, iters - fell, t.branch_taken);
+        p.record_n(InstrClass::BranchNotTaken, fell, t.branch_not_taken);
+        // The flags of the last `subs` retired, which left `n`.
+        if iters > 0 || r == 11 {
+            self.flags = Flags::from_sub(v.n.wrapping_add(1), 1);
+        }
+        let retired = DOT_LOOP_LEN as u64 * iters + r as u64;
+        self.retired += retired;
+        self.pc = if exited { pc + DOT_LOOP_LEN } else { pc + r };
+        // A fault is always a load's, which set the flag before faulting.
+        self.last_was_load = res.is_err() || matches!(r, 1 | 2 | 6 | 7);
+        stats.dot_loop_iterations += iters;
+        res?;
+        Ok(Burst { cycles: c, retired })
+    }
+
     /// Runs until `bkpt` over a fusion-compiled program — the M4's
     /// product interpreter. Results, cycle counts, profiles, and error
     /// states are bit-identical to running the source program's encoding
@@ -735,30 +1094,35 @@ mod tests {
     use super::*;
     use crate::asm::ThumbAsm;
     use crate::code::{encode_program, instr_len};
-    use iw_rv32::{Bus, Ram};
+    use iw_rv32::Ram;
+    use proptest::prelude::*;
 
-    /// Runs `program` on the fused path and its encoding on the
-    /// per-halfword reference, and asserts every observable output is
-    /// bit-identical (program counters compared in halfword units).
+    /// Everything a run leaves observable, program counters in halfword
+    /// units, including the load-pipelining state a later run on the same
+    /// core starts from.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        res: Result<RunResult, M4Error>,
+        pc: usize,
+        halted: bool,
+        retired: u64,
+        flags: Flags,
+        last_was_load: bool,
+        profile: iw_rv32::ExecProfile,
+        r: [u32; 15],
+        s: [u32; 32],
+        ram: Vec<u8>,
+    }
+
+    /// Runs `program` on the fused path, on the fused path under a
+    /// recording sink (one instruction per dispatch) and its encoding on
+    /// the per-halfword reference, and asserts every observable output is
+    /// bit-identical and that the recording sampled every instruction.
     fn compare(
         program: &[ThumbInstr],
         max_cycles: u64,
         setup: impl Fn(&mut CortexM4, &mut Ram),
     ) -> (CortexM4, FusedStats) {
-        let code = encode_program(program).unwrap();
-        let mut ref_cpu = CortexM4::new();
-        let mut ref_ram = Ram::new(0, 4096);
-        setup(&mut ref_cpu, &mut ref_ram);
-        let t = CortexM4Timing::default();
-        let ref_res = ref_cpu.run_code(&code, &mut ref_ram, &t, max_cycles);
-
-        let prog = BlockProgram::compile(program);
-        let mut cpu = CortexM4::new();
-        let mut ram = Ram::new(0, 4096);
-        setup(&mut cpu, &mut ram);
-        let mut stats = FusedStats::default();
-        let res = cpu.run_fused(&prog, &mut ram, &t, max_cycles, &mut stats);
-
         // Halfword offset of every instruction index, one past the end
         // included.
         let hw: Vec<usize> = core::iter::once(0)
@@ -767,35 +1131,63 @@ mod tests {
                 Some(*at)
             }))
             .collect();
-        let res = res.map_err(|e| match e {
-            M4Error::PcOutOfRange { pc } => M4Error::PcOutOfRange { pc: hw[pc] },
-            M4Error::Misaligned { addr, pc } => M4Error::Misaligned { addr, pc: hw[pc] },
-            M4Error::BadStoreWidth { pc } => M4Error::BadStoreWidth { pc: hw[pc] },
-            e => e,
-        });
-        assert_eq!(res, ref_res);
-        assert_eq!(hw[cpu.pc()], ref_cpu.pc());
-        assert_eq!(cpu.is_halted(), ref_cpu.is_halted());
-        assert_eq!(cpu.retired(), ref_cpu.retired());
-        assert_eq!(cpu.flags(), ref_cpu.flags());
-        assert_eq!(cpu.profile(), ref_cpu.profile());
-        for i in 0..15 {
-            assert_eq!(cpu.reg(R::new(i)), ref_cpu.reg(R::new(i)), "r{i}");
-        }
-        for i in 0..32 {
-            assert_eq!(
-                cpu.sreg(S::new(i)).to_bits(),
-                ref_cpu.sreg(S::new(i)).to_bits(),
-                "s{i}"
-            );
-        }
-        for addr in (0..4096u32).step_by(4) {
-            assert_eq!(
-                ram.load(addr, MemWidth::W).unwrap(),
-                ref_ram.load(addr, MemWidth::W).unwrap(),
-                "ram word {addr:#x}"
-            );
-        }
+        let observe =
+            |cpu: &CortexM4, ram: &Ram, res: Result<RunResult, M4Error>, pc: usize| Outcome {
+                res,
+                pc,
+                halted: cpu.is_halted(),
+                retired: cpu.retired(),
+                flags: cpu.flags(),
+                last_was_load: cpu.last_was_load,
+                profile: *cpu.profile(),
+                r: cpu.r,
+                s: cpu.s,
+                ram: ram.read_bytes(0, 4096).to_vec(),
+            };
+        let fresh = || {
+            let mut cpu = CortexM4::new();
+            let mut ram = Ram::new(0, 4096);
+            setup(&mut cpu, &mut ram);
+            (cpu, ram)
+        };
+        let t = CortexM4Timing::default();
+
+        let code = encode_program(program).unwrap();
+        let (mut ref_cpu, mut ref_ram) = fresh();
+        let ref_res = ref_cpu.run_code(&code, &mut ref_ram, &t, max_cycles);
+        let reference = observe(&ref_cpu, &ref_ram, ref_res, ref_cpu.pc());
+
+        let in_halfwords = |res: Result<RunResult, M4Error>| {
+            res.map_err(|e| match e {
+                M4Error::PcOutOfRange { pc } => M4Error::PcOutOfRange { pc: hw[pc] },
+                M4Error::Misaligned { addr, pc } => M4Error::Misaligned { addr, pc: hw[pc] },
+                M4Error::BadStoreWidth { pc } => M4Error::BadStoreWidth { pc: hw[pc] },
+                e => e,
+            })
+        };
+        let prog = BlockProgram::compile(program);
+        let (mut cpu, mut ram) = fresh();
+        let mut stats = FusedStats::default();
+        let res = cpu.run_fused(&prog, &mut ram, &t, max_cycles, &mut stats);
+        let fused = observe(&cpu, &ram, in_halfwords(res), hw[cpu.pc()]);
+        assert_eq!(fused, reference, "fused");
+
+        let (mut rec_cpu, mut rec_ram) = fresh();
+        let mut rec = iw_trace::Recorder::new();
+        let track = rec.track("m4", iw_trace::CYCLES);
+        let res = rec_cpu.run_fused_sink(
+            &prog,
+            &mut rec_ram,
+            &t,
+            max_cycles,
+            &mut FusedStats::default(),
+            &mut rec,
+            track,
+        );
+        let recorded = observe(&rec_cpu, &rec_ram, in_halfwords(res), hw[rec_cpu.pc()]);
+        assert_eq!(recorded, reference, "recorded");
+        let sampled: u64 = rec.pc_histogram().values().map(|s| s.count).sum();
+        assert_eq!(sampled, rec_cpu.retired(), "PC samples vs retired");
         (cpu, stats)
     }
 
@@ -962,6 +1354,152 @@ mod tests {
         assert_eq!(stats.fused_subs_b, 5);
     }
 
+    /// A fixed-point dot-product row as `emit_m4_fixed_kernel` emits it
+    /// over `[w, x, tw, tx, acc, n]`: `n` passes of the loop op's body over
+    /// the word vectors at `w` and `x`, then `bkpt`.
+    fn dot_row(regs: [R; 6], w: u32, x: u32, n: i32, shamt: u8) -> Vec<ThumbInstr> {
+        let mut asm = ThumbAsm::new();
+        asm.li(regs[0], w as i32);
+        asm.li(regs[1], x as i32);
+        asm.li(regs[5], n);
+        let top = asm.here();
+        for instr in &dot_loop_body(regs, shamt, 0)[..11] {
+            asm.emit(*instr);
+        }
+        asm.b_to(Cond::Ne, top);
+        asm.bkpt();
+        asm.finish().unwrap()
+    }
+
+    const KERNEL_REGS: [R; 6] = [R::R0, R::R1, R::R2, R::R3, R::R4, R::R5];
+
+    /// `program` with `instr` inserted at index `at` and the branch
+    /// targets it moves along shifted.
+    fn inserted(mut program: Vec<ThumbInstr>, at: usize, instr: ThumbInstr) -> Vec<ThumbInstr> {
+        for i in &mut program {
+            if let ThumbInstr::B { target, .. } = i {
+                if *target >= at {
+                    *target += 1;
+                }
+            }
+        }
+        program.insert(at, instr);
+        program
+    }
+
+    /// Fills RAM with words whose products and shifts are not trivial.
+    fn fill_words(ram: &mut Ram) {
+        for i in 0..1024u32 {
+            let v = i.wrapping_mul(0x9e37_79b9) ^ (i << 3);
+            ram.write_bytes(4 * i, &v.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn dot_loop_runs_each_row_in_one_dispatch() {
+        let program = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
+        let (cpu, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
+        assert!(cpu.is_halted());
+        assert_eq!((stats.dot_loop_entries, stats.dot_loop_iterations), (1, 8));
+        assert_eq!(stats.fused_ldr_ldr + stats.fused_subs_b, 0, "{stats:?}");
+        // Three `movw`s, the loop op and `bkpt`.
+        assert_eq!(stats.dispatches, 5);
+        assert_eq!(stats.instructions, 3 + 8 * 12 + 1);
+    }
+
+    #[test]
+    fn other_loops_keep_the_fused_ops() {
+        // `tw` doubling as the accumulator, a decrement by two, a
+        // condition other than `ne` and a branch elsewhere all miss.
+        let aliased = dot_row(
+            [R::R0, R::R1, R::R2, R::R3, R::R2, R::R5],
+            0x100,
+            0x300,
+            8,
+            7,
+        );
+        let mut by_two = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
+        by_two[13] = ThumbInstr::SubsImm {
+            rd: R::R5,
+            rn: R::R5,
+            imm: 2,
+        };
+        let mut ge = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
+        ge[14] = ThumbInstr::B {
+            cond: Cond::Ge,
+            target: 3,
+        };
+        let mut elsewhere = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
+        elsewhere[14] = ThumbInstr::B {
+            cond: Cond::Ne,
+            target: 8,
+        };
+        for program in [aliased, by_two, ge, elsewhere] {
+            assert!(BlockProgram::compile(&program)
+                .ops
+                .iter()
+                .all(|op| !matches!(op, FusedOp::DotLoop { .. })));
+            let (_, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
+            assert_eq!(stats.dot_loop_entries, 0);
+            assert!(stats.fused_ldr_ldr > 0, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn dot_loop_stops_exactly_at_every_cycle_limit() {
+        let program = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
+        // Entered right after a load too, whose pipelining discount the
+        // first pass's first load takes.
+        let load = ThumbInstr::Ldr {
+            width: LsWidth::W,
+            rt: R::R8,
+            rn: R::R9,
+            offset: 0,
+            mode: AddrMode::Offset,
+        };
+        let after_load = inserted(program.clone(), 3, load);
+        for limit in 1..170 {
+            compare(&program, limit, |_, ram| fill_words(ram));
+            compare(&after_load, limit, |_, ram| fill_words(ram));
+        }
+        let (_, stats) = compare(&after_load, 1_000_000, |_, ram| fill_words(ram));
+        assert_eq!(stats.dot_loop_entries, 1);
+    }
+
+    #[test]
+    fn dot_loop_faults_at_the_exact_sub_instruction() {
+        // Each pointer running off the end of RAM at either load of a
+        // pass, and each misaligned from the start.
+        for (w, x) in [
+            (4096 - 8, 0x100),
+            (4096 - 12, 0x100),
+            (0x100, 4096 - 8),
+            (0x100, 4096 - 12),
+            (0x102, 0x100),
+            (0x100, 0x101),
+            (0x5000, 0x100),
+        ] {
+            let program = dot_row(KERNEL_REGS, w, x, 8, 7);
+            let (cpu, _) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
+            assert!(!cpu.is_halted(), "{w:#x} {x:#x}");
+        }
+    }
+
+    #[test]
+    fn dot_loop_entered_mid_pass_runs_on_from_its_head() {
+        // A branch to the second multiply-accumulate runs the rest of the
+        // first pass on the fused ops, then every later pass in the loop op.
+        let to_mid = ThumbInstr::B {
+            cond: Cond::Al,
+            target: 3 + 1 + 5,
+        };
+        let program = inserted(dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7), 3, to_mid);
+        let (cpu, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
+        assert!(cpu.is_halted());
+        assert_eq!((stats.dot_loop_entries, stats.dot_loop_iterations), (1, 7));
+        assert_eq!(stats.fused_ldr_ldr, 1);
+    }
+
     #[test]
     fn compile_reports_fusion_sites() {
         let program = q15_dot_kernel();
@@ -976,12 +1514,302 @@ mod tests {
     fn every_slot_heads_with_its_own_instruction() {
         // A recorded run executes `head()` at every pc, fused slots
         // included, so each must rebuild the source instruction exactly.
-        for program in [q15_dot_kernel(), f32_mac_kernel()] {
+        let dot = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
+        for program in [q15_dot_kernel(), f32_mac_kernel(), dot] {
             let prog = BlockProgram::compile(&program);
             assert!(prog.fused_sites() >= 2);
             for (i, instr) in program.iter().enumerate() {
                 assert_eq!(prog.ops[i].head(), *instr, "index {i}");
             }
+        }
+    }
+
+    /// One fragment of a random program: a shape the compiler fuses, or
+    /// nearly does, with its operands set up before it.
+    #[derive(Debug, Clone)]
+    enum Frag {
+        /// A dot-product row over `regs` (`[w, x, tw, tx, acc, n]`, as
+        /// register numbers) with `n` passes over the words at `w` and `x`.
+        /// `miss` 1–3 bends one instruction out of the loop op's pattern;
+        /// the row is entered after a load, or mid-pass by a branch to the
+        /// second multiply-accumulate.
+        Dot {
+            regs: [u8; 6],
+            ptrs: (u32, u32),
+            n: i32,
+            shamt: u8,
+            entry: u8,
+            miss: u8,
+        },
+        /// `ldr`+`ldr` with post-increments `offs`, then `smlad` over
+        /// `regs[4..8]` if `smlad`.
+        LdrPair {
+            regs: [u8; 8],
+            ptrs: (u32, u32),
+            offs: (i32, i32),
+            smlad: bool,
+        },
+        /// `vldmia`+`vldmia`+`vmla.f32` over core registers `regs` and
+        /// FPU registers `sregs`.
+        VldrPair {
+            regs: [u8; 2],
+            ptrs: (u32, u32),
+            sregs: [u8; 5],
+        },
+        /// `mul`+`asr`+`add` over `regs`.
+        MulAsrAdd { regs: [u8; 8], shamt: u8 },
+        /// A counted loop over one `add`: `subs r, r, #imm; b.cond`.
+        SubsLoop {
+            reg: u8,
+            n: i32,
+            imm: i32,
+            cond: Cond,
+        },
+    }
+
+    fn reg() -> impl Strategy<Value = u8> {
+        0u8..8
+    }
+
+    fn regs8() -> impl Strategy<Value = [u8; 8]> {
+        ((reg(), reg(), reg(), reg()), (reg(), reg(), reg(), reg()))
+            .prop_map(|((a, b, c, d), (e, f, g, h))| [a, b, c, d, e, f, g, h])
+    }
+
+    /// The kernel's six distinct registers, rotated, or any six.
+    fn dot_regs() -> impl Strategy<Value = [u8; 6]> {
+        let kernel = || reg().prop_map(|k| [0, 1, 2, 3, 4, 5].map(|r| (r + k) % 8));
+        prop_oneof![
+            kernel(),
+            kernel(),
+            (reg(), reg(), reg(), reg(), reg(), reg())
+                .prop_map(|(a, b, c, d, e, f)| [a, b, c, d, e, f]),
+        ]
+    }
+
+    /// An aligned pointer into the 4 KiB RAM (a loop may walk it off the
+    /// end), a misaligned one, or one past the end.
+    fn pointer() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            (0u32..1024).prop_map(|k| 4 * k),
+            (0u32..1024).prop_map(|k| 4 * k),
+            (0u32..1024).prop_map(|k| 4 * k),
+            (0u32..1024).prop_map(|k| 4 * k),
+            (0u32..1024, 1u32..4).prop_map(|(k, m)| 4 * k + m),
+            (1024u32..1100).prop_map(|k| 4 * k),
+        ]
+    }
+
+    fn pointers() -> impl Strategy<Value = (u32, u32)> {
+        (pointer(), pointer())
+    }
+
+    /// No pass at all (the count wraps), one, or many.
+    fn passes() -> impl Strategy<Value = i32> {
+        prop_oneof![Just(0), Just(1), 2i32..40]
+    }
+
+    fn cond() -> impl Strategy<Value = Cond> {
+        prop_oneof![
+            Just(Cond::Ne),
+            Just(Cond::Ge),
+            Just(Cond::Hs),
+            Just(Cond::Gt)
+        ]
+    }
+
+    fn dot_frag() -> impl Strategy<Value = Frag> {
+        (
+            dot_regs(),
+            pointers(),
+            passes(),
+            0u8..32,
+            0u8..3,
+            prop_oneof![Just(0), Just(0), Just(0), 1u8..4],
+        )
+            .prop_map(|(regs, ptrs, n, shamt, entry, miss)| Frag::Dot {
+                regs,
+                ptrs,
+                n,
+                shamt,
+                entry,
+                miss,
+            })
+    }
+
+    fn frag() -> impl Strategy<Value = Frag> {
+        prop_oneof![
+            dot_frag(),
+            (
+                regs8(),
+                pointers(),
+                (prop_oneof![Just(4), Just(-4), Just(8)], Just(4)),
+                any::<bool>()
+            )
+                .prop_map(|(regs, ptrs, offs, smlad)| Frag::LdrPair {
+                    regs,
+                    ptrs,
+                    offs,
+                    smlad,
+                }),
+            (
+                (reg(), reg()),
+                pointers(),
+                (0u8..4, 0u8..4, 0u8..4, 0u8..4, 0u8..4)
+            )
+                .prop_map(|((a, b), ptrs, (s0, s1, s2, s3, s4))| Frag::VldrPair {
+                    regs: [a, b],
+                    ptrs,
+                    sregs: [s0, s1, s2, s3, s4],
+                }),
+            (regs8(), 0u8..32).prop_map(|(regs, shamt)| Frag::MulAsrAdd { regs, shamt }),
+            (reg(), passes(), 1i32..3, cond())
+                .prop_map(|(reg, n, imm, cond)| { Frag::SubsLoop { reg, n, imm, cond } }),
+        ]
+    }
+
+    fn emit(asm: &mut ThumbAsm, frag: &Frag) {
+        let r = |i: u8| R::new(i);
+        match *frag {
+            Frag::Dot {
+                regs,
+                ptrs: (w, x),
+                n,
+                shamt,
+                entry,
+                miss,
+            } => {
+                let regs = regs.map(r);
+                asm.li(R::R9, 0x40);
+                asm.li(regs[0], w as i32);
+                asm.li(regs[1], x as i32);
+                asm.li(regs[5], n);
+                let mid = asm.new_label();
+                match entry {
+                    1 => asm.ldr(LsWidth::W, R::R8, R::R9, 0),
+                    2 => asm.b(mid),
+                    _ => {}
+                }
+                let top = asm.here();
+                let mut body = dot_loop_body(regs, shamt, 0);
+                match miss {
+                    1 => {
+                        body[6] = ThumbInstr::Ldr {
+                            width: LsWidth::W,
+                            rt: regs[3],
+                            rn: regs[1],
+                            offset: 8,
+                            mode: AddrMode::PostInc,
+                        }
+                    }
+                    2 => {
+                        body[10] = ThumbInstr::SubsImm {
+                            rd: regs[5],
+                            rn: regs[5],
+                            imm: 2,
+                        }
+                    }
+                    3 => body[4] = ThumbInstr::Nop,
+                    _ => {}
+                }
+                for (i, instr) in body[..11].iter().enumerate() {
+                    if i == 5 {
+                        asm.bind(mid);
+                    }
+                    asm.emit(*instr);
+                }
+                asm.b_to(Cond::Ne, top);
+            }
+            Frag::LdrPair {
+                regs,
+                ptrs: (a, b),
+                offs: (offa, offb),
+                smlad,
+            } => {
+                let [ta, ra, tb, rb, rd, rn, rm, racc] = regs.map(r);
+                asm.li(ra, a as i32);
+                asm.li(rb, b as i32);
+                asm.ldr_post(LsWidth::W, ta, ra, offa);
+                asm.ldr_post(LsWidth::W, tb, rb, offb);
+                if smlad {
+                    asm.emit(ThumbInstr::Smlad {
+                        rd,
+                        rn,
+                        rm,
+                        ra: racc,
+                    });
+                }
+            }
+            Frag::VldrPair {
+                regs: [ra, rb],
+                ptrs: (a, b),
+                sregs,
+            } => {
+                let [sa, sb, sd, sn, sm] = sregs.map(S::new);
+                asm.li(r(ra), a as i32);
+                asm.li(r(rb), b as i32);
+                asm.vldr_post(sa, r(ra), 4);
+                asm.vldr_post(sb, r(rb), 4);
+                asm.emit(ThumbInstr::Vmla { sd, sn, sm });
+            }
+            Frag::MulAsrAdd { regs, shamt } => {
+                let [rd, rn, rm, rd2, rm2, rd3, rn3, rm3] = regs.map(r);
+                asm.mul(rd, rn, rm);
+                asm.asr_imm(rd2, rm2, shamt.max(1));
+                asm.dp(DpOp::Add, rd3, rn3, rm3);
+            }
+            Frag::SubsLoop { reg, n, imm, cond } => {
+                asm.li(r(reg), n);
+                let top = asm.here();
+                asm.add_imm(R::R7, R::R7, 3);
+                asm.subs(r(reg), r(reg), imm);
+                asm.b_to(cond, top);
+            }
+        }
+    }
+
+    /// A cycle budget inside the first few loop passes, further in, or
+    /// one the program finishes within (a wrapped count of loop passes
+    /// stops when a pointer leaves RAM, or at the budget).
+    fn budget() -> impl Strategy<Value = u64> {
+        prop_oneof![1u64..300, 300u64..3000, Just(20_000)]
+    }
+
+    /// Runs `frags` then `bkpt` through [`compare`] over RAM filled from
+    /// `seed`.
+    fn compare_frags(frags: &[Frag], max_cycles: u64, seed: u32) -> (CortexM4, FusedStats) {
+        let mut asm = ThumbAsm::new();
+        for frag in frags {
+            emit(&mut asm, frag);
+        }
+        asm.bkpt();
+        compare(&asm.finish().unwrap(), max_cycles, |_, ram| {
+            for i in 0..1024u32 {
+                let v = (i ^ seed).wrapping_mul(0x9e37_79b9).rotate_left(i % 32);
+                ram.write_bytes(4 * i, &v.to_le_bytes());
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn fused_runs_match_the_reference(
+            frags in prop::collection::vec(frag(), 1..4),
+            max_cycles in budget(),
+            seed in any::<u32>(),
+        ) {
+            compare_frags(&frags, max_cycles, seed);
+        }
+
+        #[test]
+        fn dot_rows_match_the_reference(
+            row in dot_frag(),
+            max_cycles in budget(),
+            seed in any::<u32>(),
+        ) {
+            compare_frags(&[row], max_cycles, seed);
         }
     }
 

@@ -107,7 +107,8 @@ fn main() {
 /// multi-core bursts the runner-up gate cut short, and, on the RV32
 /// targets, the op program's counters (ops dispatched, instructions per
 /// op, fused executions per pattern, loop-op entries and native
-/// iterations, translations and code-store re-decodes).
+/// iterations, translations and code-store re-decodes); on the M4, the
+/// fused program's per-pattern executions and loop-op counters.
 fn print_product_stats(prep: &PreparedFixed) {
     let (_, s) = prep.run_stats().expect("runs");
     println!(
@@ -147,6 +148,10 @@ fn print_product_stats(prep: &PreparedFixed) {
             m.fused_ldr_ldr,
             m.fused_mul_asr_add,
             m.fused_subs_b
+        );
+        println!(
+            "  loop ops: dot-loop entries={} iterations={}",
+            m.dot_loop_entries, m.dot_loop_iterations
         );
     }
 }

@@ -126,7 +126,7 @@ impl ExecProfile {
 
     /// Records `n` retired instructions of one class at `cycles` each.
     #[inline]
-    pub(crate) fn record_n(&mut self, class: InstrClass, n: u64, cycles: u32) {
+    pub fn record_n(&mut self, class: InstrClass, n: u64, cycles: u32) {
         let slot = &mut self.slots[class.index()];
         slot.instructions += n;
         slot.cycles += n * u64::from(cycles);
