@@ -52,7 +52,9 @@
 //! its loop's last pass, whose `add` leaves the body; it commits
 //! registers, `pc`, loop counts, retired counts and profiles in closed
 //! form first ([`DotBody::retire`]). A recording sink never enters the
-//! mode.
+//! mode. A try to enter keeps what it found per core, so the next try
+//! examines anew only the cores that ran since (all of them once the op
+//! program's slots change).
 //!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
@@ -544,19 +546,22 @@ fn run_cluster_inner<S: TraceSink>(
     // The running core outside the body that the last try found, if any:
     // no try can succeed before that core's own burst ends at a loop op.
     let mut joint_wait = None;
+    // What the tries found per core since it last ran.
+    let mut verdicts = Verdicts::default();
     // A pick the joint mode handed back mid-burst: (core, its local time,
     // the pick's horizon).
     let mut resume = None;
 
     loop {
         if let (true, Some(prog)) = (std::mem::take(&mut try_joint), &program) {
-            match Joint::enter(prog, &cpus, &ready_key) {
+            match Joint::enter(prog, &cpus, &ready_key, &mut verdicts) {
                 Ok(mut joint) => {
                     let pick =
                         joint.run(&mut ready_key, &mut bus, &cfg.timing, max_cycles, sched)?;
                     sched.joint_instructions +=
                         joint.commit(&mut cpus, &ready_key, &mut ready_at, &mut run, &cfg.timing);
                     (resume, joint_wait) = (Some(pick), None);
+                    verdicts = Verdicts::default();
                 }
                 Err(wait) => joint_wait = wait,
             }
@@ -759,6 +764,7 @@ fn run_cluster_inner<S: TraceSink>(
 
         ready_at[i] = done_at;
         ready_key[i] = (done_at << 3) | i as u64;
+        verdicts.by_core[i] = None;
 
         if halted {
             status[i] = CoreStatus::Halted;
@@ -872,6 +878,18 @@ struct DotCore {
     left0: u32,
 }
 
+/// Per core, what [`Joint::enter`] found since the core last ran: the
+/// body it can enter the joint mode in, or `None` if it cannot. A core's
+/// finding depends on its own state, which only its runs change, and on
+/// the op program's slots, which any core's run may translate or drop:
+/// the findings hold while the program's translation counters stand
+/// where they did.
+#[derive(Debug, Default)]
+struct Verdicts {
+    by_core: [Option<Option<DotBody>>; 8],
+    slots: (u64, u64),
+}
+
 /// The joint scheduler mode: every running core inside the body of the
 /// same hardware-loop dot-product op (see the module docs).
 struct Joint {
@@ -886,20 +904,40 @@ impl Joint {
     /// The joint state if at least two cores run and every running core
     /// stands at a dispatch point of the same loop op's body, under its
     /// own hardware loop; otherwise the first running core that does not,
-    /// if any.
-    fn enter(prog: &Program, cpus: &[Cpu], keys: &[u64; 8]) -> Result<Joint, Option<usize>> {
+    /// if any. Only cores that ran since the last try are examined anew
+    /// (`verdicts`).
+    fn enter(
+        prog: &Program,
+        cpus: &[Cpu],
+        keys: &[u64; 8],
+        verdicts: &mut Verdicts,
+    ) -> Result<Joint, Option<usize>> {
         let mut joint = Joint {
             start: 0,
             shamt: 0,
             bodies: [None; 8],
             cores: [DotCore::default(); 8],
         };
+        let stats = prog.stats();
+        if verdicts.slots != (stats.translations, stats.redecodes) {
+            *verdicts = Verdicts {
+                slots: (stats.translations, stats.redecodes),
+                ..Verdicts::default()
+            };
+        }
         let mut running = 0;
         for (k, cpu) in cpus.iter().enumerate() {
             if keys[k] == u64::MAX {
                 continue;
             }
-            let body = prog.dot_body(cpu).ok_or(Some(k))?;
+            let body = verdicts.by_core[k]
+                .get_or_insert_with(|| {
+                    // Its next pick would start at the exit's `mul`.
+                    prog.dot_body(cpu).filter(|body| {
+                        cpu.pc() - body.start != 8 || cpu.hwloop(body.hwloop).count != 1
+                    })
+                })
+                .ok_or(Some(k))?;
             if running == 0 {
                 (joint.start, joint.shamt) = (body.start, body.shamt);
             } else if body.start != joint.start {
@@ -908,10 +946,6 @@ impl Joint {
             running += 1;
             let phase = ((cpu.pc() - body.start) / 4) as u8;
             let left = cpu.hwloop(body.hwloop).count;
-            if phase == 2 && left == 1 {
-                // Its next pick would start at the exit's `mul`.
-                return Err(Some(k));
-            }
             joint.cores[k] = DotCore {
                 regs: body.regs.map(|r| cpu.reg(r)),
                 phase,
