@@ -50,6 +50,16 @@ impl FaultCounters {
             *a += b;
         }
     }
+
+    /// `true` when [`FaultCounters::merge`] with `other` would overflow
+    /// a count.
+    #[must_use]
+    pub fn merge_overflows(&self, other: &FaultCounters) -> bool {
+        self.counts
+            .iter()
+            .zip(&other.counts)
+            .any(|(a, b)| a.checked_add(*b).is_none())
+    }
 }
 
 /// How one BLE sync episode resolved.
@@ -136,6 +146,25 @@ impl ReliabilityCounters {
         self.sync_ok += other.sync_ok;
         self.sync_retried += other.sync_retried;
         self.sync_dropped += other.sync_dropped;
+    }
+
+    /// `true` when [`ReliabilityCounters::merge`] with `other` would
+    /// overflow a counter.
+    #[must_use]
+    pub fn merge_overflows(&self, other: &ReliabilityCounters) -> bool {
+        let pairs = [
+            (self.downtime_us, other.downtime_us),
+            (self.brownouts, other.brownouts),
+            (self.recoveries, other.recoveries),
+            (self.recovery_us, other.recovery_us),
+            (self.degraded_windows, other.degraded_windows),
+            (self.skipped_acquisitions, other.skipped_acquisitions),
+            (self.sync_episodes, other.sync_episodes),
+            (self.sync_ok, other.sync_ok),
+            (self.sync_retried, other.sync_retried),
+            (self.sync_dropped, other.sync_dropped),
+        ];
+        pairs.iter().any(|(a, b)| a.checked_add(*b).is_none())
     }
 }
 

@@ -120,6 +120,19 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
+    /// `true` when [`Histogram::merge`] with `other` would overflow a
+    /// bucket, the count or the sum (only hand-built or decoded
+    /// histograms can get there).
+    pub fn merge_overflows(&self, other: &Histogram) -> bool {
+        self.count.checked_add(other.count).is_none()
+            || self.sum.checked_add(other.sum).is_none()
+            || self
+                .buckets
+                .iter()
+                .zip(&other.buckets)
+                .any(|(a, b)| a.checked_add(*b).is_none())
+    }
+
     /// Total number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count

@@ -153,8 +153,9 @@ pub struct Coordinated {
 /// A message naming the shard, for a stream that cannot be read or
 /// decoded, a record out of its shard's device order, an incomplete
 /// shard, a shard whose re-fold, record count or policy order
-/// disagrees with its aggregate, and a failed write to `records`;
-/// also when `streams` is empty.
+/// disagrees with its aggregate, a shard aggregate whose counters would
+/// overflow the merged sums, and a failed write to `records`; also when
+/// `streams` is empty.
 pub fn coordinate<R: Read + Send>(
     cfg: &FleetConfig,
     streams: Vec<R>,
@@ -200,7 +201,9 @@ pub fn coordinate<R: Read + Send>(
                 "shard {shard}: aggregate policies {theirs:?}, expected {ours:?}"
             ));
         }
-        merged.merge(aggregate);
+        merged
+            .try_merge(aggregate)
+            .map_err(|e| format!("shard {shard}: {e}"))?;
         stats.push(shard_stats);
     }
     let mut epochs: BTreeMap<u32, u64> = BTreeMap::new();
@@ -530,7 +533,14 @@ mod tests {
             decode_aggregate(&tail[0]).expect("decodes").digest()
         );
 
-        let cases: [(&str, Vec<u8>, String); 7] = [
+        // Counters the re-fold does not cover, large enough to overflow
+        // the merged sum.
+        let mut overflowing = tail.clone();
+        let mut agg = decode_aggregate(&tail[0]).expect("decodes");
+        agg.events = u64::MAX;
+        overflowing[0] = encode_aggregate(&agg);
+
+        let cases: [(&str, Vec<u8>, String); 8] = [
             (
                 "ends before the aggregate",
                 join(&head, &[]),
@@ -553,6 +563,11 @@ mod tests {
                 "flipped policy name",
                 join(&head, &renamed),
                 "gixed-24".into(),
+            ),
+            (
+                "overflowing event count",
+                join(&head, &overflowing),
+                "overflows the fleet's events".into(),
             ),
         ];
         for (what, bad, detail) in cases {

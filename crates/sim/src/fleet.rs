@@ -28,6 +28,7 @@
 //! therefore identical under any hierarchical merge tree — not just the
 //! digest but every reported mean is topology-invariant.
 
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -355,6 +356,16 @@ impl FleetMetrics {
         }
     }
 
+    /// `true` when [`FleetMetrics::merge`] with `other` would overflow
+    /// a histogram.
+    #[must_use]
+    pub fn merge_overflows(&self, other: &FleetMetrics) -> bool {
+        self.histograms()
+            .iter()
+            .zip(other.histograms())
+            .any(|((_, a), (_, b))| a.merge_overflows(b))
+    }
+
     /// Element-wise merge of every histogram (exact, associative).
     pub fn merge(&mut self, other: &FleetMetrics) {
         self.uptime_ppm.merge(&other.uptime_ppm);
@@ -407,6 +418,26 @@ impl FleetMetrics {
         }
     }
 }
+
+/// A refused [`FleetAggregate::try_merge`]: the merged sum that would
+/// overflow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeOverflow {
+    /// Which sum.
+    pub sum: &'static str,
+}
+
+impl fmt::Display for MergeOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "merging its aggregate overflows the fleet's {}",
+            self.sum
+        )
+    }
+}
+
+impl std::error::Error for MergeOverflow {}
 
 /// Fleet-wide totals of a networked-scenario sweep: the contact budget
 /// and — when the finalising side held the [`CompiledScenario`] — the
@@ -581,6 +612,12 @@ impl ExactSum {
         self.q += other.q;
     }
 
+    /// `true` when [`ExactSum::merge`] with `other` would overflow.
+    #[must_use]
+    pub fn merge_overflows(&self, other: &ExactSum) -> bool {
+        self.q.checked_add(other.q).is_none()
+    }
+
     /// The accumulated sum as `f64`.
     #[must_use]
     pub fn value(&self) -> f64 {
@@ -651,6 +688,30 @@ impl PolicyAccum {
             sync_stretches: 0,
             reliability: ReliabilityCounters::default(),
         }
+    }
+
+    /// `true` when merging `other` into this accumulator would overflow
+    /// a sum.
+    fn merge_overflows(&self, other: &PolicyAccum) -> bool {
+        let counts = [
+            (self.brown_outs, other.brown_outs),
+            (self.detections, other.detections),
+            (self.target_m4, other.target_m4),
+            (self.target_ibex, other.target_ibex),
+            (self.target_cluster, other.target_cluster),
+            (self.backoff_skips, other.backoff_skips),
+            (self.sync_stretches, other.sync_stretches),
+        ];
+        let sums = [
+            (&self.det_per_day, &other.det_per_day),
+            (&self.final_soc, &other.final_soc),
+            (&self.uptime, &other.uptime),
+            (&self.consumed_j, &other.consumed_j),
+        ];
+        self.devices.checked_add(other.devices).is_none()
+            || counts.iter().any(|(a, b)| a.checked_add(*b).is_none())
+            || sums.iter().any(|(a, b)| a.merge_overflows(b))
+            || self.reliability.merge_overflows(&other.reliability)
     }
 
     fn stats(&self) -> PolicyStats {
@@ -839,13 +900,36 @@ impl FleetAggregate {
     /// # Panics
     ///
     /// Panics when the two aggregates were shaped for different policy
-    /// sets.
+    /// sets, or when a sum overflows (see [`FleetAggregate::try_merge`]
+    /// for aggregates decoded from outside the process).
     pub fn merge(&mut self, next: FleetAggregate) {
+        if let Err(e) = self.try_merge(next) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`FleetAggregate::merge`], refusing a `next` whose counters would
+    /// overflow a merged sum (a corrupt or forged shard aggregate; folded
+    /// devices cannot get there). A refused merge leaves `self` as it
+    /// was.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeOverflow`] naming the first sum that would overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two aggregates were shaped for different policy
+    /// sets.
+    pub fn try_merge(&mut self, next: FleetAggregate) -> Result<(), MergeOverflow> {
         assert_eq!(
             self.policies.len(),
             next.policies.len(),
             "aggregates shaped for different policy sets"
         );
+        if let Some(sum) = self.merge_overflow(&next) {
+            return Err(MergeOverflow { sum });
+        }
         self.device_count += next.device_count;
         self.digest.merge(&next.digest);
         self.simulated_s.merge(&next.simulated_s);
@@ -879,6 +963,61 @@ impl FleetAggregate {
         self.scan_energy_j.merge(&next.scan_energy_j);
         self.seeded_devices += next.seeded_devices;
         self.edges.extend(next.edges);
+        Ok(())
+    }
+
+    /// The first sum that merging `next` would overflow, if any.
+    fn merge_overflow(&self, next: &FleetAggregate) -> Option<&'static str> {
+        let u64_sums = [
+            ("events", self.events, next.events),
+            (
+                "contacts observed",
+                self.contacts_observed,
+                next.contacts_observed,
+            ),
+            (
+                "contacts missed",
+                self.contacts_missed,
+                next.contacts_missed,
+            ),
+            (
+                "contacts uplinked",
+                self.contacts_uplinked,
+                next.contacts_uplinked,
+            ),
+            ("seeded devices", self.seeded_devices, next.seeded_devices),
+        ];
+        let exact_sums = [
+            ("simulated seconds", &self.simulated_s, &next.simulated_s),
+            ("uptime", &self.uptime, &next.uptime),
+            ("scan energy", &self.scan_energy_j, &next.scan_energy_j),
+        ];
+        let others = [
+            (
+                "device count",
+                self.device_count.checked_add(next.device_count).is_none(),
+            ),
+            ("fault counters", self.faults.merge_overflows(&next.faults)),
+            (
+                "reliability counters",
+                self.reliability.merge_overflows(&next.reliability),
+            ),
+            ("metrics", self.metrics.merge_overflows(&next.metrics)),
+            (
+                "policy counters",
+                (self.policies.iter().zip(&next.policies)).any(|(a, b)| a.merge_overflows(b)),
+            ),
+        ];
+        let u64_sums = u64_sums
+            .into_iter()
+            .map(|(sum, a, b)| (sum, a.checked_add(b).is_none()));
+        let exact_sums = exact_sums
+            .into_iter()
+            .map(|(sum, a, b)| (sum, a.merge_overflows(b)));
+        u64_sums
+            .chain(exact_sums)
+            .chain(others)
+            .find_map(|(sum, over)| over.then_some(sum))
     }
 
     /// The finished fleet digest.
@@ -1634,6 +1773,42 @@ pub(crate) mod tests {
             merged.merge(cfg.run_shard(shard, 3));
         }
         assert_eq!(merged.into_report_with(cfg.scenario.as_deref()), serial);
+    }
+
+    #[test]
+    fn overflowing_merges_are_refused_and_change_nothing() {
+        let cfg = small_fleet(1);
+        let (first, second) = (cfg.run_shard(0, 2), cfg.run_shard(1, 2));
+        // Each forgery sets a sum to just over half its range on both
+        // sides, so only the merged sum overflows.
+        type Forge = fn(&mut FleetAggregate);
+        let forgeries: [(&str, Forge); 6] = [
+            ("events", |a| a.events = u64::MAX / 2 + 1),
+            ("uptime", |a| {
+                a.uptime = ExactSum::from_raw(i128::MAX / 2 + 1)
+            }),
+            ("device count", |a| a.device_count = usize::MAX / 2 + 1),
+            ("fault counters", |a| {
+                a.faults.set(FaultKind::ALL[0], u64::MAX / 2 + 1);
+            }),
+            ("metrics", |a| {
+                a.metrics.events.record_n(1, u64::MAX / 2 + 1)
+            }),
+            ("policy counters", |a| {
+                a.policies[0].detections = u64::MAX / 2 + 1;
+            }),
+        ];
+        for (sum, forge) in forgeries {
+            let (mut merged, mut next) = (first.clone(), second.clone());
+            forge(&mut merged);
+            forge(&mut next);
+            let before = merged.clone();
+            assert_eq!(merged.try_merge(next), Err(MergeOverflow { sum }));
+            assert_eq!(merged, before, "{sum}");
+        }
+        let mut merged = first.clone();
+        merged.try_merge(second).expect("fits");
+        assert_eq!(merged.into_report(), cfg.run());
     }
 
     #[test]

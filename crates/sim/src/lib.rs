@@ -58,7 +58,7 @@ pub use engine::{
 pub use faults::FaultComponent;
 pub use fleet::{
     fleet_snapshot, DeviceResult, DigestAccum, ExactSum, FleetAggregate, FleetConfig, FleetMetrics,
-    FleetReport, PolicyAccum, PolicyStats, ScenarioTotals, SubjectProfile,
+    FleetReport, MergeOverflow, PolicyAccum, PolicyStats, ScenarioTotals, SubjectProfile,
 };
 pub use iw_fault::{
     BrownoutModel, FaultCounters, FaultKind, FaultPlan, FaultProfile, FaultWindow,
