@@ -543,11 +543,8 @@ impl DotRegs {
     }
 }
 
-/// Cycle costs of a dot-product loop pass's sub-instructions after the
-/// first, which follows the back edge (`load0`, a load that does not
-/// follow a load).
+/// Cycle costs of the dot-product loop op's sub-instructions.
 struct DotCosts {
-    load0: u64,
     ldr: u64,
     ldr_p: u64,
     mul: u64,
@@ -557,7 +554,6 @@ struct DotCosts {
 impl DotCosts {
     fn of(t: &CortexM4Timing) -> DotCosts {
         DotCosts {
-            load0: u64::from(t.ldr),
             ldr: u64::from(t.ldr),
             ldr_p: u64::from(t.ldr_pipelined),
             mul: u64::from(t.mul),
@@ -565,9 +561,9 @@ impl DotCosts {
         }
     }
 
-    /// A pass's cycles through its `subs`.
-    fn total(&self) -> u64 {
-        self.load0 + self.ldr + 2 * self.ldr_p + 2 * self.mul + 5 * self.alu
+    /// A pass's cycles after its first load, through its `subs`.
+    fn rest(&self) -> u64 {
+        self.ldr + 2 * self.ldr_p + 2 * self.mul + 5 * self.alu
     }
 }
 
@@ -922,8 +918,7 @@ impl CortexM4 {
         let mut load0 = u64::from(first);
         let k = DotCosts::of(t);
         let (bt, bnt) = (u64::from(t.branch_taken), u64::from(t.branch_not_taken));
-        // A pass after its first load, through its `subs`.
-        let rest = k.total() - k.load0;
+        let rest = k.rest();
         let (mut c, mut iters, mut exited) = (0u64, 0u64, false);
         // `r` counts the sub-instructions of the unfinished pass retired
         // at the stop; a fault stops at the load numbered `r`. A pass that
@@ -946,7 +941,7 @@ impl CortexM4 {
                 break (0, Ok(()));
             }
             c += bt;
-            load0 = k.load0;
+            load0 = k.ldr;
             if c > budget {
                 break (0, Ok(()));
             }
@@ -985,7 +980,8 @@ impl CortexM4 {
         let retired = DOT_LOOP_LEN as u64 * iters + r as u64;
         self.retired += retired;
         self.pc = if exited { pc + DOT_LOOP_LEN } else { pc + r };
-        // A fault is always a load's, which set the flag before faulting.
+        // The loads are sub-instructions 0, 1, 5 and 6; a fault is always
+        // a load's, which set the flag before faulting.
         self.last_was_load = res.is_err() || matches!(r, 1 | 2 | 6 | 7);
         stats.dot_loop_iterations += iters;
         res?;

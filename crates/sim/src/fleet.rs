@@ -358,8 +358,7 @@ impl FleetMetrics {
 
     /// `true` when [`FleetMetrics::merge`] with `other` would overflow
     /// a histogram.
-    #[must_use]
-    pub fn merge_overflows(&self, other: &FleetMetrics) -> bool {
+    fn merge_overflows(&self, other: &FleetMetrics) -> bool {
         self.histograms()
             .iter()
             .zip(other.histograms())
@@ -613,8 +612,7 @@ impl ExactSum {
     }
 
     /// `true` when [`ExactSum::merge`] with `other` would overflow.
-    #[must_use]
-    pub fn merge_overflows(&self, other: &ExactSum) -> bool {
+    fn merge_overflows(&self, other: &ExactSum) -> bool {
         self.q.checked_add(other.q).is_none()
     }
 
