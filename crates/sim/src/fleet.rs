@@ -966,55 +966,52 @@ impl FleetAggregate {
 
     /// The first sum that merging `next` would overflow, if any.
     fn merge_overflow(&self, next: &FleetAggregate) -> Option<&'static str> {
-        let u64_sums = [
-            ("events", self.events, next.events),
-            (
-                "contacts observed",
-                self.contacts_observed,
-                next.contacts_observed,
-            ),
-            (
-                "contacts missed",
-                self.contacts_missed,
-                next.contacts_missed,
-            ),
-            (
-                "contacts uplinked",
-                self.contacts_uplinked,
-                next.contacts_uplinked,
-            ),
-            ("seeded devices", self.seeded_devices, next.seeded_devices),
-        ];
-        let exact_sums = [
-            ("simulated seconds", &self.simulated_s, &next.simulated_s),
-            ("uptime", &self.uptime, &next.uptime),
-            ("scan energy", &self.scan_energy_j, &next.scan_energy_j),
-        ];
-        let others = [
+        let u64_sum = |a: u64, b: u64| a.checked_add(b).is_none();
+        let (mine, theirs) = (&self.policies, &next.policies);
+        let checks = [
             (
                 "device count",
                 self.device_count.checked_add(next.device_count).is_none(),
             ),
+            (
+                "simulated seconds",
+                self.simulated_s.merge_overflows(&next.simulated_s),
+            ),
+            ("events", u64_sum(self.events, next.events)),
             ("fault counters", self.faults.merge_overflows(&next.faults)),
             (
                 "reliability counters",
                 self.reliability.merge_overflows(&next.reliability),
             ),
+            ("uptime", self.uptime.merge_overflows(&next.uptime)),
             ("metrics", self.metrics.merge_overflows(&next.metrics)),
             (
                 "policy counters",
-                (self.policies.iter().zip(&next.policies)).any(|(a, b)| a.merge_overflows(b)),
+                mine.iter().zip(theirs).any(|(a, b)| a.merge_overflows(b)),
+            ),
+            (
+                "contacts observed",
+                u64_sum(self.contacts_observed, next.contacts_observed),
+            ),
+            (
+                "contacts missed",
+                u64_sum(self.contacts_missed, next.contacts_missed),
+            ),
+            (
+                "contacts uplinked",
+                u64_sum(self.contacts_uplinked, next.contacts_uplinked),
+            ),
+            (
+                "scan energy",
+                self.scan_energy_j.merge_overflows(&next.scan_energy_j),
+            ),
+            (
+                "seeded devices",
+                u64_sum(self.seeded_devices, next.seeded_devices),
             ),
         ];
-        let u64_sums = u64_sums
+        checks
             .into_iter()
-            .map(|(sum, a, b)| (sum, a.checked_add(b).is_none()));
-        let exact_sums = exact_sums
-            .into_iter()
-            .map(|(sum, a, b)| (sum, a.merge_overflows(b)));
-        u64_sums
-            .chain(exact_sums)
-            .chain(others)
             .find_map(|(sum, over)| over.then_some(sum))
     }
 
