@@ -31,6 +31,12 @@ for pin in policy-sweep:35341c5f3af3eb32 fleet-stream:1c607c7f01e0f553 \
     --expect-digest "${pin#*:}" >/dev/null ||
     { echo "ci.sh: $workload tiny digest changed" >&2; exit 1; }
 done
+# The full-size policy-sweep pass: 135 devices across all 15 D5
+# candidates, where the tiny pin runs one device per candidate.
+cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+  --workload policy-sweep --seed 3 --seconds 1 --trace 0 \
+  --expect-digest 916ba1eeb582b238 >/dev/null ||
+  { echo "ci.sh: policy-sweep full-size digest changed" >&2; exit 1; }
 
 # Smoke: the registry-driven tables must regenerate the headline rows
 # (Tables III/IV plus the A2/A7 ablations, the D1 cluster cycle

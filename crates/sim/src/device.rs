@@ -1,14 +1,15 @@
 //! The whole-device simulation: the InfiniWolf bracelet assembled from
 //! event-engine components.
 //!
-//! Component wiring. Each component receives only the event kinds listed
-//! on its rows (its subscriptions); arrows show what it does and
-//! schedules in response. Components are added in this order, which is
-//! also the order in which two subscribers of one kind run:
+//! Component wiring. The bracelet holds the components as fields and
+//! routes each event with one `match` in `Bracelet::handle`: a component
+//! receives only the events on its rows; arrows show what it does and
+//! schedules in response. Rows run top to bottom, which is the order the
+//! components start in and the order two handlers of one event run in:
 //!
 //! ```text
-//! FaultComponent    ── every kind but Sample ─▶ fault windows, gauge noise,
-//!                                               brownout poll + recovery
+//! FaultComponent    ── every event but Sample ─▶ fault windows, gauge noise,
+//!                                                brownout poll + recovery
 //! EnvComponent      ── EnvSegment{i} ──▶ sets solar/TEG intake, End at t_end
 //! PolicyComponent   ── PolicyTick ─────▶ AcquireStart + next PolicyTick
 //! SensorComponent   ── AcquireStart ───▶ AFE load on, AcquireEnd at +3 s
@@ -23,6 +24,9 @@
 //!                   ── ContactEnd ─────▶ contact observed or missed
 //! SamplerComponent  ── Sample ─────────▶ TracePoint + harvest counters
 //! ```
+//!
+//! The radio, scanner and sampler are present only when configured (BLE
+//! notifications or sync, a contact plan, trace points).
 //!
 //! Acquisition windows (and compute jobs) may overlap when the policy
 //! rate exceeds `1 / window`; each component tracks its multiplicity and
@@ -42,7 +46,7 @@ use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, Engine, Event, EventKind, LoadSlot, SimCtx};
+use crate::engine::{secs_to_us, Component, Engine, Event, LoadSlot, SimCtx};
 use crate::faults::{finalize_reliability, FaultComponent, BLE_STREAM};
 use iw_policy::{PolicySpec, TargetRule};
 
@@ -268,70 +272,9 @@ impl DeviceConfig {
     /// set, `acquire` / `compute` / `ble-sync` spans plus `notify`
     /// instants on a `device` track (1 µs ticks).
     pub fn run_traced<S: TraceSink>(&self, sink: &mut S) -> DeviceReport {
-        let mut engine: Engine<S> = Engine::new(self.battery);
+        let mut engine = Engine::new(self.battery);
         engine.state.base_load_w = self.sleep_floor_w;
-        // The fault component goes first: state flips (brownout, signal
-        // corruption, harvest derates) land before any same-timestamp
-        // policy or sensor reads, which keeps runs order-deterministic.
-        engine.add(Box::new(FaultComponent::new(
-            self.faults.clone(),
-            self.sleep_floor_w,
-            self.detection_spans,
-        )));
-        engine.add(Box::new(EnvComponent::new(
-            &self.env,
-            &self.solar,
-            &self.teg,
-        )));
-        engine.add(Box::new(PolicyComponent::new(self.policy)));
-        engine.add(Box::new(SensorComponent::new(
-            self.costs.acquisition_j,
-            self.costs.acquisition_s,
-            self.detection_spans,
-        )));
-        match (self.target_jobs, self.policy.targets) {
-            (Some(jobs), Some(rule)) => engine.add(Box::new(ComputeComponent::adaptive(
-                jobs,
-                rule,
-                self.detection_spans,
-            ))),
-            _ => engine.add(Box::new(ComputeComponent::new(
-                self.costs.compute,
-                self.detection_spans,
-            ))),
-        }
-        // A duty-cycled policy always gets a radio: notifications are
-        // batched into the periodic sync burst even when `sync` is unset
-        // (a default nRF52 burst at the policy's interval).
-        let batch_interval_s = self.policy.sync_interval_s;
-        let sync = match (batch_interval_s, self.sync) {
-            (Some(interval_s), Some(sync)) => Some(BleSync { interval_s, ..sync }),
-            (Some(interval_s), None) => Some(BleSync::nrf52(&BleRadio::default(), interval_s, 32)),
-            (None, sync) => sync,
-        };
-        if self.notify_j > 0.0 || sync.is_some() {
-            engine.add(Box::new(RadioComponent::new(
-                self.notify_j,
-                sync,
-                self.detection_spans,
-                batch_interval_s.is_some(),
-                &self.faults,
-                self.policy.backoff.map(|b| b.sync_stretch),
-            )));
-        }
-        if !self.contacts.is_empty() {
-            engine.add(Box::new(BleScanComponent::new(
-                self.contacts.clone(),
-                self.detection_spans,
-            )));
-        }
-        if self.trace_points > 0 {
-            engine.add(Box::new(SamplerComponent::new(
-                secs_to_us(self.env.duration_s()),
-                self.trace_points,
-            )));
-        }
-        let events = engine.run(sink);
+        let events = engine.run(sink, &mut Bracelet::new(self));
         let end_us = engine.now_us();
         let queue_high_water = engine.queue_high_water();
         let mut state = engine.state;
@@ -365,6 +308,133 @@ impl DeviceConfig {
             target_counts: state.target_counts,
             backoff_skips: state.backoff_skips,
             sync_stretches: state.sync_stretches,
+        }
+    }
+}
+
+/// The bracelet: the device [`Engine::run`] drives, built from its parts
+/// as fields, so every handler call is static and the whole event loop
+/// is one monomorphized function.
+struct Bracelet {
+    fault: FaultComponent,
+    env: EnvComponent,
+    policy: PolicyComponent,
+    sensor: SensorComponent,
+    compute: ComputeComponent,
+    radio: Option<RadioComponent>,
+    scan: Option<BleScanComponent>,
+    sampler: Option<SamplerComponent>,
+}
+
+impl Bracelet {
+    fn new(cfg: &DeviceConfig) -> Bracelet {
+        let compute = match (cfg.target_jobs, cfg.policy.targets) {
+            (Some(jobs), Some(rule)) => ComputeComponent::adaptive(jobs, rule, cfg.detection_spans),
+            _ => ComputeComponent::new(cfg.costs.compute, cfg.detection_spans),
+        };
+        // A duty-cycled policy always gets a radio: notifications are
+        // batched into the periodic sync burst even when `sync` is unset
+        // (a default nRF52 burst at the policy's interval).
+        let batch_interval_s = cfg.policy.sync_interval_s;
+        let sync = match (batch_interval_s, cfg.sync) {
+            (Some(interval_s), Some(sync)) => Some(BleSync { interval_s, ..sync }),
+            (Some(interval_s), None) => Some(BleSync::nrf52(&BleRadio::default(), interval_s, 32)),
+            (None, sync) => sync,
+        };
+        let radio = (cfg.notify_j > 0.0 || sync.is_some()).then(|| {
+            RadioComponent::new(
+                cfg.notify_j,
+                sync,
+                cfg.detection_spans,
+                batch_interval_s.is_some(),
+                &cfg.faults,
+                cfg.policy.backoff.map(|b| b.sync_stretch),
+            )
+        });
+        Bracelet {
+            fault: FaultComponent::new(cfg.faults.clone(), cfg.sleep_floor_w, cfg.detection_spans),
+            env: EnvComponent::new(&cfg.env, &cfg.solar, &cfg.teg),
+            policy: PolicyComponent::new(cfg.policy),
+            sensor: SensorComponent::new(
+                cfg.costs.acquisition_j,
+                cfg.costs.acquisition_s,
+                cfg.detection_spans,
+            ),
+            compute,
+            radio,
+            scan: (!cfg.contacts.is_empty())
+                .then(|| BleScanComponent::new(cfg.contacts.clone(), cfg.detection_spans)),
+            sampler: (cfg.trace_points > 0)
+                .then(|| SamplerComponent::new(secs_to_us(cfg.env.duration_s()), cfg.trace_points)),
+        }
+    }
+}
+
+impl<S: TraceSink> Component<S> for Bracelet {
+    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+        self.fault.start(ctx);
+        self.env.start(ctx);
+        self.policy.start(ctx);
+        self.sensor.start(ctx);
+        self.compute.start(ctx);
+        if let Some(radio) = &mut self.radio {
+            radio.start(ctx);
+        }
+        if let Some(scan) = &mut self.scan {
+            scan.start(ctx);
+        }
+        if let Some(sampler) = &mut self.sampler {
+            sampler.start(ctx);
+        }
+    }
+
+    // This and every part's `handle` are `#[inline]`, so LLVM can fold
+    // the handlers into the engine loop rather than call each one out of
+    // line (EXPERIMENTS.md, "One monomorphized device loop").
+    #[inline]
+    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+        // The fault component goes first: state flips (brownout, signal
+        // corruption, harvest derates) land before any same-timestamp
+        // policy or sensor reads, which keeps runs order-deterministic.
+        // It sees every event but `Sample`: trace sampling is pure
+        // observation, and a `Sample` exists only when a sampler is
+        // attached, so polling the brownout machine on it would let the
+        // act of tracing shift detection timestamps.
+        if ev != Event::Sample {
+            self.fault.handle(ev, ctx);
+        }
+        match ev {
+            Event::EnvSegment { .. } => self.env.handle(ev, ctx),
+            Event::PolicyTick => self.policy.handle(ev, ctx),
+            Event::AcquireStart | Event::AcquireEnd | Event::FaultStart { .. } => {
+                self.sensor.handle(ev, ctx);
+            }
+            Event::ComputeStart => self.compute.handle(ev, ctx),
+            Event::ComputeEnd { .. } => {
+                // The detection retires before the radio reports it.
+                self.compute.handle(ev, ctx);
+                if let Some(radio) = &mut self.radio {
+                    radio.handle(ev, ctx);
+                }
+            }
+            Event::BleSyncStart | Event::BleSyncEnd => {
+                if let Some(radio) = &mut self.radio {
+                    radio.handle(ev, ctx);
+                }
+            }
+            Event::ContactStart { .. } | Event::ContactEnd { .. } => {
+                if let Some(scan) = &mut self.scan {
+                    scan.handle(ev, ctx);
+                }
+            }
+            Event::Sample => {
+                if let Some(sampler) = &mut self.sampler {
+                    sampler.handle(ev, ctx);
+                }
+            }
+            // The fault component's own kinds; `End` never reaches a
+            // device (the engine stops at it).
+            Event::FaultEnd { .. } | Event::GaugeTick | Event::BrownoutRecover | Event::End => {}
         }
     }
 }
@@ -404,14 +474,6 @@ impl EnvComponent {
 }
 
 impl<S: TraceSink> Component<S> for EnvComponent {
-    fn name(&self) -> &'static str {
-        "environment"
-    }
-
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[EventKind::EnvSegment]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         // End is scheduled first: at a shared final timestamp it wins the
         // sequence tie-break, so no new work starts exactly at t_end.
@@ -421,6 +483,7 @@ impl<S: TraceSink> Component<S> for EnvComponent {
         }
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         if let Event::EnvSegment { index } = ev {
             let (_, solar_w, teg_w) = self.segments[index];
@@ -451,6 +514,13 @@ pub struct PolicyComponent {
     policy: PolicySpec,
     idle_recheck_us: u64,
     min_interval_us: u64,
+    /// The fault-aware backoff's re-check interval, when it gates
+    /// acquisition.
+    backoff_recheck_us: Option<u64>,
+    /// The last positive rate's bits and the tick period it gave: most
+    /// ticks see the same rate again and skip the division and rounding.
+    last_rate_bits: u64,
+    last_period_us: u64,
 }
 
 impl PolicyComponent {
@@ -463,23 +533,23 @@ impl PolicyComponent {
             policy,
             idle_recheck_us: secs_to_us(10.0),
             min_interval_us: 1_000,
+            backoff_recheck_us: policy
+                .backoff
+                .filter(|b| b.gate_acquisition)
+                .map(|b| secs_to_us(b.recheck_s)),
+            // No positive rate has these bits (they are 0.0's).
+            last_rate_bits: 0,
+            last_period_us: 0,
         }
     }
 }
 
 impl<S: TraceSink> Component<S> for PolicyComponent {
-    fn name(&self) -> &'static str {
-        "policy"
-    }
-
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[EventKind::PolicyTick]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         ctx.schedule_at(0, Event::PolicyTick);
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         debug_assert_eq!(ev, Event::PolicyTick);
         // Maintain the trailing harvest forecast on every evaluation, so
@@ -493,13 +563,13 @@ impl<S: TraceSink> Component<S> for PolicyComponent {
             ctx.schedule_in(self.idle_recheck_us, Event::PolicyTick);
             return;
         }
-        if let Some(backoff) = self.policy.backoff {
-            if backoff.gate_acquisition && ctx.state.signal_faults > 0 {
+        if let Some(recheck_us) = self.backoff_recheck_us {
+            if ctx.state.signal_faults > 0 {
                 // Fault-aware backoff: the signal is known-corrupt, so
                 // don't pay for a window that would be gated. The tick
                 // always re-arms, so this can never deadlock detection.
                 ctx.state.backoff_skips += 1;
-                ctx.schedule_in(secs_to_us(backoff.recheck_s), Event::PolicyTick);
+                ctx.schedule_in(recheck_us, Event::PolicyTick);
                 return;
             }
         }
@@ -507,8 +577,11 @@ impl<S: TraceSink> Component<S> for PolicyComponent {
         let rate = self.policy.rate_per_s(ctx.state.observed_soc());
         if rate > 0.0 {
             ctx.schedule_in(0, Event::AcquireStart);
-            let period_us = secs_to_us(1.0 / rate).max(self.min_interval_us);
-            ctx.schedule_in(period_us, Event::PolicyTick);
+            if rate.to_bits() != self.last_rate_bits {
+                self.last_rate_bits = rate.to_bits();
+                self.last_period_us = secs_to_us(1.0 / rate).max(self.min_interval_us);
+            }
+            ctx.schedule_in(self.last_period_us, Event::PolicyTick);
         } else {
             ctx.schedule_in(self.idle_recheck_us, Event::PolicyTick);
         }
@@ -554,22 +627,11 @@ impl SensorComponent {
 }
 
 impl<S: TraceSink> Component<S> for SensorComponent {
-    fn name(&self) -> &'static str {
-        "sensors"
-    }
-
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[
-            EventKind::AcquireStart,
-            EventKind::AcquireEnd,
-            EventKind::FaultStart,
-        ]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("afe"));
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         let slot = self.slot.expect("started");
         match ev {
@@ -695,18 +757,11 @@ impl ComputeComponent {
 }
 
 impl<S: TraceSink> Component<S> for ComputeComponent {
-    fn name(&self) -> &'static str {
-        "compute"
-    }
-
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[EventKind::ComputeStart, EventKind::ComputeEnd]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("compute"));
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         let slot = self.slot.expect("started");
         match ev {
@@ -819,18 +874,6 @@ impl RadioComponent {
 }
 
 impl<S: TraceSink> Component<S> for RadioComponent {
-    fn name(&self) -> &'static str {
-        "radio"
-    }
-
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[
-            EventKind::ComputeEnd,
-            EventKind::BleSyncStart,
-            EventKind::BleSyncEnd,
-        ]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("ble"));
         if let Some(sync) = self.sync {
@@ -838,6 +881,7 @@ impl<S: TraceSink> Component<S> for RadioComponent {
         }
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         let slot = self.slot.expect("started");
         match ev {
@@ -991,14 +1035,6 @@ impl BleScanComponent {
 }
 
 impl<S: TraceSink> Component<S> for BleScanComponent {
-    fn name(&self) -> &'static str {
-        "ble-scan"
-    }
-
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[EventKind::ContactStart, EventKind::ContactEnd]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("scan"));
         if !self.plan.entries.is_empty() {
@@ -1009,6 +1045,7 @@ impl<S: TraceSink> Component<S> for BleScanComponent {
         }
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         let slot = self.slot.expect("started");
         match ev {
@@ -1082,18 +1119,11 @@ impl SamplerComponent {
 }
 
 impl<S: TraceSink> Component<S> for SamplerComponent {
-    fn name(&self) -> &'static str {
-        "sampler"
-    }
-
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[EventKind::Sample]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         ctx.schedule_at(0, Event::Sample);
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         debug_assert_eq!(ev, Event::Sample);
         let point = TracePoint {
@@ -1517,5 +1547,183 @@ mod tests {
         assert!(!report.sim.browned_out, "soc {}", report.sim.final_soc);
         assert!(report.sim.final_soc > 0.14);
         assert!(report.detections > 0);
+    }
+
+    /// The `brownout_recovers_after_the_lights_come_back` cell of
+    /// `tests/faults.rs`: a 2 J cell at 8 % drains through the cutoff in
+    /// a dark hour and recharges past the restart threshold in an hour
+    /// outdoors, at the paper's detection costs.
+    fn recovering_device() -> DeviceConfig {
+        let env = EnvProfile {
+            segments: vec![
+                iw_harvest::EnvSegment {
+                    duration_s: 3600.0,
+                    light: iw_harvest::LightCondition::dark(),
+                    thermal: iw_harvest::ThermalCondition::warm_room(),
+                },
+                iw_harvest::EnvSegment {
+                    duration_s: 3600.0,
+                    light: iw_harvest::LightCondition::outdoor(),
+                    thermal: iw_harvest::ThermalCondition::warm_room(),
+                },
+            ],
+        };
+        let costs = DetectionCosts {
+            acquisition_j: 600e-6,
+            acquisition_s: 3.0,
+            compute: ComputeJob::analytic(50e-6 + 6126.0 / 100e6, 1e-6 + 1.2e-6),
+        };
+        let duration_s = env.duration_s();
+        let mut cfg = DeviceConfig::new(env, PolicySpec::fixed_rate(24.0), costs);
+        cfg.faults = iw_fault::FaultProfile::Clean.plan(1, duration_s);
+        cfg.battery = Battery::new(2.0);
+        cfg.battery.set_soc(0.08);
+        cfg
+    }
+
+    /// A D5-style closed-loop device on the harsh 40 J cell: an SoC ramp
+    /// with batched sync, fault-aware backoff and per-classification
+    /// target selection, under the harsh fault profile.
+    fn adaptive_device() -> DeviceConfig {
+        let spec = PolicySpec::new(RateRule::SocRamp {
+            max_per_minute: 36.0,
+            min_soc: 0.10,
+            full_soc: 0.60,
+        })
+        .with_sync_interval(300.0)
+        .with_backoff(FaultBackoff {
+            gate_acquisition: true,
+            recheck_s: 30.0,
+            sync_stretch: 4.0,
+        })
+        .with_targets(TargetRule {
+            eco_below: 0.35,
+            m4_above: 0.75,
+            harvest_weight: 50.0,
+            queue_cluster: 8,
+        });
+        let env = EnvProfile::paper_indoor_day();
+        let duration_s = env.duration_s();
+        let mut cfg = DeviceConfig::new(env, spec, micro_costs());
+        cfg.battery = Battery::new(40.0);
+        cfg.battery.set_soc(0.9);
+        cfg.notify_j = 10e-6;
+        cfg.sync = Some(BleSync::nrf52(&BleRadio::default(), 300.0, 32));
+        cfg.faults = iw_fault::FaultProfile::Harsh.plan(7, duration_s);
+        cfg.target_jobs = Some([
+            ComputeJob::analytic(100e-6, 5.1e-6),
+            ComputeJob::analytic(200e-6, 1.3e-6),
+            ComputeJob::analytic(61e-6, 1.2e-6),
+        ]);
+        cfg
+    }
+
+    /// Episodes per fault kind, in [`FaultKind::ALL`] order.
+    fn fault_counts(report: &DeviceReport) -> [u64; FaultKind::COUNT] {
+        FaultKind::ALL.map(|kind| report.faults.get(kind))
+    }
+
+    #[test]
+    fn recovering_device_keeps_its_exact_run() {
+        // Values measured before the components were wired as fields of
+        // one statically routed device: the wiring, the brownout compare
+        // and the policy's period cache must not move any of them. This
+        // is the only pinned device that crosses the restart threshold.
+        let report = recovering_device().run();
+        assert_eq!(report.events, 8764);
+        assert_eq!(report.queue_high_water, 6);
+        assert_eq!(report.detections, 1587);
+        assert_eq!(
+            report.reliability,
+            ReliabilityCounters {
+                downtime_us: 3_230_000_000,
+                brownouts: 1,
+                recoveries: 1,
+                recovery_us: 3_230_000_000,
+                skipped_acquisitions: 323,
+                ..ReliabilityCounters::default()
+            }
+        );
+        assert_eq!(fault_counts(&report), [0, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(report.target_counts, [0, 0, 0]);
+        assert_eq!(report.backoff_skips, 0);
+        assert_eq!(report.sync_stretches, 0);
+        assert_eq!(report.sim.consumed_j.to_bits(), 0x3ff4_a2d0_347e_0826);
+        assert_eq!(report.sim.final_soc.to_bits(), 0x3fef_fdb9_a738_e0ca);
+    }
+
+    #[test]
+    fn adaptive_device_keeps_its_exact_run() {
+        // Measured like `recovering_device_keeps_its_exact_run`.
+        let report = adaptive_device().run();
+        assert_eq!(report.events, 181_232);
+        assert_eq!(report.queue_high_water, 12);
+        assert_eq!(report.detections, 33_671);
+        assert_eq!(
+            report.reliability,
+            ReliabilityCounters {
+                degraded_windows: 431,
+                sync_episodes: 257,
+                sync_ok: 247,
+                sync_retried: 82,
+                sync_dropped: 10,
+                ..ReliabilityCounters::default()
+            }
+        );
+        assert_eq!(fault_counts(&report), [49, 250, 28, 32, 13, 136, 1, 0]);
+        assert_eq!(report.target_counts, [1034, 836, 31_801]);
+        assert_eq!(report.backoff_skips, 928);
+        assert_eq!(report.sync_stretches, 10);
+        assert_eq!(report.sim.consumed_j.to_bits(), 0x403b_8f0b_52ed_b63f);
+        assert_eq!(report.sim.final_soc.to_bits(), 0x3fde_53bc_d6d3_aca0);
+    }
+
+    #[test]
+    fn fault_runs_before_the_sensor_on_fault_start() {
+        // 12/min from t = 0: windows open at 0, 5, 10, ... s for 3 s. A
+        // lead-off from 6 s to 6.5 s opens inside the [5, 8] s window
+        // only. The window opened clean, so it is gated only if the fault
+        // component has raised the signal flag when the sensor handles
+        // the same `FaultStart`.
+        let run = |faulted: bool| {
+            let mut cfg =
+                DeviceConfig::new(dark_day(60.0), PolicySpec::fixed_rate(12.0), micro_costs());
+            cfg.battery.set_soc(0.9);
+            if faulted {
+                cfg.faults.windows.push(iw_fault::FaultWindow {
+                    kind: FaultKind::EcgLeadOff,
+                    start_us: secs_to_us(6.0),
+                    end_us: secs_to_us(6.5),
+                    severity: 0.0,
+                });
+            }
+            cfg.run()
+        };
+        let clean = run(false);
+        let faulted = run(true);
+        assert_eq!(clean.reliability.degraded_windows, 0);
+        assert_eq!(faulted.reliability.degraded_windows, 1);
+        assert_eq!(faulted.detections + 1, clean.detections);
+    }
+
+    #[test]
+    fn sampling_never_polls_the_brownout_machine() {
+        // The recovering device browns out and resumes between policy
+        // ticks. Were `Sample` to reach the fault component, a traced run
+        // would see each threshold crossing at a sample instant instead,
+        // and its downtime would differ from the untraced run's.
+        let mut traced_cfg = recovering_device();
+        traced_cfg.trace_points = 5000;
+        let traced = traced_cfg.run_traced(&mut Recorder::new());
+        assert!(traced.sim.trace.len() > 1000);
+        let mut untraced_cfg = recovering_device();
+        untraced_cfg.trace_points = 0;
+        let untraced = untraced_cfg.run();
+        assert!(untraced.sim.trace.is_empty());
+        assert_eq!(traced.reliability, untraced.reliability);
+        assert_eq!(fault_counts(&traced), fault_counts(&untraced));
+        assert_eq!(traced.detections, untraced.detections);
+        // The energies are not compared: each sample splits an
+        // integration gap in two, which may move their last bits.
     }
 }

@@ -28,7 +28,7 @@
 use iw_fault::{mix, FaultKind, FaultPlan, SplitMix64};
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, DeviceState, Event, EventKind, SimCtx};
+use crate::engine::{secs_to_us, Component, DeviceState, Event, SimCtx};
 
 /// Stream-derivation constant for the fuel-gauge noise stream (keeps it
 /// decorrelated from the BLE-loss stream derived from the same plan
@@ -44,6 +44,12 @@ pub struct FaultComponent {
     gauge_rng: SplitMix64,
     gauge_interval_us: u64,
     sleep_floor_w: f64,
+    /// The brownout thresholds as stored charges (set in `start`):
+    /// `charge <= cutoff_j` exactly when `soc <= cutoff_soc`, and
+    /// `charge >= restart_j` exactly when `soc >= restart_soc`, so the
+    /// per-event poll compares without dividing.
+    cutoff_j: f64,
+    restart_j: f64,
     recovering: bool,
     trace: bool,
 }
@@ -60,6 +66,8 @@ impl FaultComponent {
             gauge_rng,
             gauge_interval_us,
             sleep_floor_w,
+            cutoff_j: f64::NAN,
+            restart_j: f64::NAN,
             recovering: false,
             trace,
         }
@@ -99,10 +107,10 @@ impl FaultComponent {
     /// charge on every state-changing event (events are the only instants
     /// anything can change, so per-event polling is exact).
     fn poll_brownout<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
-        let soc = ctx.state.battery.soc();
+        let charge_j = ctx.state.battery.charge_j();
         let model = self.plan.brownout;
         if ctx.state.acquisition_enabled {
-            if soc <= model.cutoff_soc {
+            if charge_j <= self.cutoff_j {
                 ctx.state.acquisition_enabled = false;
                 ctx.state.down_since_us = Some(ctx.now_us);
                 ctx.state.base_load_w = self.sleep_floor_w * model.leakage_fraction;
@@ -113,7 +121,7 @@ impl FaultComponent {
                     ctx.sink.instant(track, "brownout", ctx.now_us);
                 }
             }
-        } else if !self.recovering && soc >= model.restart_soc {
+        } else if !self.recovering && charge_j >= self.restart_j {
             self.recovering = true;
             ctx.schedule_in(secs_to_us(model.cold_start_s), Event::BrownoutRecover);
         }
@@ -123,8 +131,10 @@ impl FaultComponent {
         self.recovering = false;
         // The cold start only sticks if the battery is still above the
         // restart threshold (a load spike during the delay re-arms).
-        if ctx.state.acquisition_enabled || ctx.state.battery.soc() < self.plan.brownout.restart_soc
-        {
+        // `charge < restart_j` is `soc < restart_soc`: both are false
+        // when the threshold is NaN, and otherwise the negation of the
+        // `>=` pair above.
+        if ctx.state.acquisition_enabled || ctx.state.battery.charge_j() < self.restart_j {
             return;
         }
         ctx.state.acquisition_enabled = true;
@@ -145,37 +155,67 @@ impl FaultComponent {
     }
 }
 
+/// The largest charge `x` whose state of charge `x / capacity_j` is at
+/// most `soc`, so that `x <= charge_at_most(soc, capacity_j)` exactly when
+/// `x / capacity_j <= soc`, for every charge. Correctly rounded division
+/// by a positive capacity is monotone in the dividend, so the charges
+/// that pass form a prefix of the floats in order, and a binary search
+/// over their ordered bit patterns (at most 64 divisions) finds its end.
+/// NaN when no charge passes, which only a NaN `soc` causes (`-inf`
+/// always passes), so the compare is false for every charge, as the
+/// division's is. `capacity_j` must be positive and finite, as
+/// [`iw_harvest::Battery`] guarantees.
+pub(crate) fn charge_at_most(soc: f64, capacity_j: f64) -> f64 {
+    /// Increasing in the float's value over every non-NaN float, `-0.0`
+    /// just below `+0.0`.
+    fn key(x: f64) -> u64 {
+        let bits = x.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+    fn value(key: u64) -> f64 {
+        f64::from_bits(if key >> 63 == 1 {
+            key & !(1 << 63)
+        } else {
+            !key
+        })
+    }
+    let passes = |x: f64| x / capacity_j <= soc;
+    let (mut lo, mut hi) = (key(f64::NEG_INFINITY), key(f64::INFINITY));
+    if !passes(value(lo)) {
+        return f64::NAN;
+    }
+    if passes(value(hi)) {
+        return f64::INFINITY;
+    }
+    // `lo` passes and `hi` does not; every key between is a number.
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if passes(value(mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    value(lo)
+}
+
+/// The smallest charge `x` whose state of charge `x / capacity_j` is at
+/// least `soc`: `x >= charge_at_least(soc, capacity_j)` exactly when
+/// `x / capacity_j >= soc`. Negation is exact and commutes with the
+/// division, so this is [`charge_at_most`] mirrored through zero.
+pub(crate) fn charge_at_least(soc: f64, capacity_j: f64) -> f64 {
+    -charge_at_most(-soc, capacity_j)
+}
+
 impl<S: TraceSink> Component<S> for FaultComponent {
-    fn name(&self) -> &'static str {
-        "faults"
-    }
-
-    /// Every kind but `Sample`: the brownout machine polls on every event
-    /// that can change state. Trace sampling is pure observation — a
-    /// `Sample` event exists only when a sampler is attached — so polling
-    /// on it would let the *act of tracing* shift detection timestamps;
-    /// leaving it out keeps a traced run bit-identical to the untraced one.
-    fn subscriptions(&self) -> &'static [EventKind] {
-        &[
-            EventKind::EnvSegment,
-            EventKind::PolicyTick,
-            EventKind::AcquireStart,
-            EventKind::AcquireEnd,
-            EventKind::ComputeStart,
-            EventKind::ComputeEnd,
-            EventKind::BleSyncStart,
-            EventKind::BleSyncEnd,
-            EventKind::FaultStart,
-            EventKind::FaultEnd,
-            EventKind::ContactStart,
-            EventKind::ContactEnd,
-            EventKind::GaugeTick,
-            EventKind::BrownoutRecover,
-            EventKind::End,
-        ]
-    }
-
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let capacity_j = ctx.state.battery.capacity_j();
+        self.cutoff_j = charge_at_most(self.plan.brownout.cutoff_soc, capacity_j);
+        self.restart_j = charge_at_least(self.plan.brownout.restart_soc, capacity_j);
         if !self.plan.windows.is_empty() {
             ctx.schedule_at(
                 self.plan.windows[0].start_us,
@@ -189,6 +229,7 @@ impl<S: TraceSink> Component<S> for FaultComponent {
         }
     }
 
+    #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         match ev {
             Event::FaultStart { index } => {
@@ -270,6 +311,76 @@ mod tests {
             (FaultKind::TegCollapse, false),
         ] {
             assert_eq!(w(kind).kind.corrupts_signal(), signal);
+        }
+    }
+
+    mod threshold_props {
+        use super::*;
+        use iw_fault::BrownoutModel;
+        use iw_harvest::Battery;
+        use proptest::prelude::*;
+
+        /// The D5 stress cell, the 2 J recovery cell, the InfiniWolf
+        /// battery, or a random capacity from 2^-20 to 2^20 J.
+        fn capacity() -> impl Strategy<Value = f64> {
+            (0u8..4, 1.0f64..2.0, -20i32..20).prop_map(|(pick, mantissa, exp)| match pick {
+                0 => 40.0,
+                1 => 2.0,
+                2 => Battery::infiniwolf().capacity_j(),
+                _ => mantissa * 2f64.powi(exp),
+            })
+        }
+
+        /// The preset brownout thresholds, 0, 1, ±inf, NaN, or a random
+        /// value from -2 to 3 (negative, inside `[0, 1]` and above 1).
+        fn threshold() -> impl Strategy<Value = f64> {
+            let preset = BrownoutModel::default();
+            (0u8..9, -2.0f64..3.0).prop_map(move |(pick, random)| match pick {
+                0 => preset.cutoff_soc,
+                1 => preset.restart_soc,
+                2 => 0.0,
+                3 => 1.0,
+                4 => f64::INFINITY,
+                5 => f64::NEG_INFINITY,
+                6 => f64::NAN,
+                _ => random,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Comparing the charge with the thresholds decides exactly
+            /// what comparing the state of charge with the SoC thresholds
+            /// decides: for every charge within 64 ulps of `soc × cap`,
+            /// the thresholds themselves and random charges in
+            /// `[0, cap]`, in the `<=`, `>=` and `<` forms the brownout
+            /// machine uses.
+            #[test]
+            fn charge_thresholds_decide_like_the_soc_compare(
+                cap in capacity(),
+                soc in threshold(),
+                fractions in prop::collection::vec(0.0f64..=1.0, 16),
+            ) {
+                let cutoff_j = charge_at_most(soc, cap);
+                let restart_j = charge_at_least(soc, cap);
+                let mut charges = vec![cutoff_j, restart_j];
+                let mut near = soc * cap;
+                for _ in 0..64 {
+                    near = near.next_down();
+                }
+                for _ in 0..=128 {
+                    charges.push(near);
+                    near = near.next_up();
+                }
+                charges.extend(fractions.iter().map(|f| f * cap));
+                for charge in charges {
+                    let soc_now = charge / cap;
+                    prop_assert_eq!(charge <= cutoff_j, soc_now <= soc, "{} J of {} J", charge, cap);
+                    prop_assert_eq!(charge >= restart_j, soc_now >= soc, "{} J of {} J", charge, cap);
+                    prop_assert_eq!(charge < restart_j, soc_now < soc, "{} J of {} J", charge, cap);
+                }
+            }
         }
     }
 }

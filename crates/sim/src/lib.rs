@@ -2,13 +2,14 @@
 //!
 //! The crate replaces the old fixed-timestep battery loop with an event
 //! engine ([`Engine`]): a monotonic [`SimClock`], an event queue with
-//! deterministic (time, sequence) ordering, and a set of
-//! [`Component`]s that react to [`Event`]s. Power is piecewise constant
+//! deterministic (time, sequence) ordering, and one device, a
+//! [`Component`] that reacts to [`Event`]s. Power is piecewise constant
 //! between events and integrated *exactly* over each interval, so the
 //! engine is both faster and more accurate than stepping a fixed `dt`.
 //!
 //! The device layer ([`DeviceConfig`]) wires the existing crates into
-//! components: dual-source harvesting (`iw-harvest`), sensor acquisition
+//! the bracelet's components, routed statically by event: dual-source
+//! harvesting (`iw-harvest`), sensor acquisition
 //! windows, compute jobs dispatched through the `iw-kernels`
 //! machine/deployment registry, BLE sync bursts (`iw-nrf52`) and the
 //! detection policies in [`PolicySpec`]. Runs can stream into any
@@ -52,8 +53,7 @@ pub use device::{
     DeviceReport,
 };
 pub use engine::{
-    secs_to_us, Component, DeviceState, Engine, Event, EventKind, LoadSlot, SimClock, SimCtx,
-    Tracks, US_PER_S,
+    secs_to_us, Component, DeviceState, Engine, Event, LoadSlot, SimClock, SimCtx, Tracks, US_PER_S,
 };
 pub use faults::FaultComponent;
 pub use fleet::{
