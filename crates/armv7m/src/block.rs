@@ -1,146 +1,56 @@
-//! Superinstruction fusion for pre-decoded Thumb programs.
+//! The dot-product loop op for pre-decoded Thumb programs.
 //!
 //! The M4 executes from immutable flash, so a `&[ThumbInstr]` program can
 //! be compiled **once** into a [`BlockProgram`]: a flat array, indexed by
-//! the same instruction-index program counter, whose entries are either a
-//! single instruction or a *fused* superinstruction covering the 2–3
-//! instructions that start at that index. [`CortexM4::run_fused`] then
-//! dispatches once per superinstruction instead of once per instruction,
-//! executing the fused body as straight-line code.
+//! the same instruction-index program counter, whose slots each hold the
+//! instruction at that index, except where the fixed-point kernel's
+//! ×2-unrolled dot-product inner loop starts (`ldr`+`ldr`+`mul`+`asr`+`add`
+//! twice, then `subs`+`b.ne` back to its own head). That slot holds a
+//! *loop op*, which [`CortexM4::run_fused`] dispatches once per row: it
+//! runs every pass of the row on locals and commits the registers, flags
+//! and profile once, in closed form, where it stops. It fuses only over the
+//! kernel's own register pattern (six distinct registers, post-increment
+//! `+4`, a decrement by one); any other loop, the Q15 and float kernels'
+//! included, runs one instruction per dispatch.
 //!
-//! Fusion targets the dispatch shapes that dominate the InfiniWolf DSP
-//! kernels:
-//!
-//! * `vldmia rn!, {sa}` + `vldmia rm!, {sb}` + `vmla.f32` — the f32 MAC
-//!   inner loop,
-//! * `ldr rt, [rn], #4` ×2 + `smlad` — the packed q15 MAC inner loop,
-//! * `ldr rt, [rn], #4` ×2 — post-increment streaming pairs,
-//! * `mul` + `asr #k` + `add` — the q15 requantisation tail,
-//! * `subs` + `b.cc` — the loop back-edge,
-//!
-//! and one *loop* superinstruction: the fixed-point kernel's ×2-unrolled
-//! dot-product inner loop (`ldr`+`ldr`+`mul`+`asr`+`add` twice, then
-//! `subs`+`b.ne` back to its own head), which runs every pass of a row in
-//! one dispatch on locals and commits the registers, flags and profile
-//! once, in closed form, where it stops. It fuses only over the kernel's
-//! own register pattern (six distinct registers, post-increment `+4`, a
-//! decrement by one); any other loop keeps the fused ops above. The
-//! slots inside the loop keep the fused ops they would have without it,
-//! so a run resumed mid-loop dispatches those until the back edge.
-//!
-//! Every fused handler replays the exact per-instruction semantics of
+//! The loop op replays the exact per-instruction semantics of
 //! [`CortexM4::exec_decoded`] — flag updates, the load-pipelining cycle
 //! discount, per-class profile accounting, and fault ordering — so results,
 //! cycle counts, and error states are bit-identical to the per-halfword
-//! reference [`CortexM4::run_code`]. Indices *inside* a fused pattern keep
-//! their unfused single entries, so a branch that jumps into the middle of
-//! a pattern executes the remaining instructions individually; no
-//! basic-block boundary analysis is needed. A recorded run
-//! ([`CortexM4::run_fused_sink`]) executes only each slot's first
-//! instruction, so every instruction gets its own PC sample.
+//! reference [`CortexM4::run_code`]. The slots inside the loop keep their
+//! single instructions, so a branch into the middle of a pass, or a run
+//! resumed there, executes the rest of the pass one instruction at a time
+//! until the back edge; no basic-block boundary analysis is needed. A
+//! recorded run ([`CortexM4::run_fused_sink`]) executes only each slot's
+//! first instruction, so every instruction gets its own PC sample.
 
 use iw_rv32::{Bus, BusError, InstrClass, MemWidth};
 use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::cpu::{CortexM4, Flags, M4Error, RunResult};
-use crate::instr::{AddrMode, Cond, DpOp, LsWidth, ThumbInstr, R, S};
+use crate::instr::{AddrMode, Cond, DpOp, LsWidth, ThumbInstr, R};
 use crate::timing::CortexM4Timing;
 
-/// One slot of a [`BlockProgram`]: a single instruction or a fused
-/// superinstruction starting at this index.
+/// One slot of a [`BlockProgram`]: a single instruction or the
+/// dot-product loop op headed at this index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FusedOp {
-    /// No pattern starts here; execute one instruction.
+    /// No loop starts here; execute one instruction.
     Single(ThumbInstr),
-    /// `vldmia rn!, {sa}; vldmia rm!, {sb}; vmla.f32 sd, sn, sm`.
-    VldrVldrVmla {
-        sa: S,
-        ra: R,
-        offa: i32,
-        sb: S,
-        rb: R,
-        offb: i32,
-        sd: S,
-        sn: S,
-        sm: S,
-    },
-    /// `ldr rta, [ra], #offa; ldr rtb, [rb], #offb; smlad rd, rn, rm, racc`.
-    LdrLdrSmlad {
-        rta: R,
-        ra: R,
-        offa: i32,
-        rtb: R,
-        rb: R,
-        offb: i32,
-        rd: R,
-        rn: R,
-        rm: R,
-        racc: R,
-    },
-    /// `ldr rta, [ra], #offa; ldr rtb, [rb], #offb`.
-    LdrLdr {
-        rta: R,
-        ra: R,
-        offa: i32,
-        rtb: R,
-        rb: R,
-        offb: i32,
-    },
-    /// `mul rd, rn, rm; asr rd2, rm2, #shamt; add rd3, rn3, rm3`.
-    MulAsrAdd {
-        rd: R,
-        rn: R,
-        rm: R,
-        rd2: R,
-        rm2: R,
-        shamt: u8,
-        rd3: R,
-        rn3: R,
-        rm3: R,
-    },
-    /// `subs rd, rn, #imm; b.cond target`.
-    SubsB {
-        rd: R,
-        rn: R,
-        imm: i32,
-        cond: Cond,
-        target: usize,
-    },
     /// The fixed-point dot-product loop headed at this slot
     /// ([`dot_loop_body`]): `regs` are `[w, x, tw, tx, acc, n]`, distinct.
     DotLoop { regs: [R; 6], shamt: u8 },
 }
 
-// Every dispatch copies a slot: the loop op must not make them wider.
-const _: () = assert!(core::mem::size_of::<FusedOp>() == 24);
+// Every dispatch reads a slot: the loop op must not make them wider.
+const _: () = assert!(core::mem::size_of::<FusedOp>() == 16);
 
 impl FusedOp {
     /// The instruction at this slot's own index: the single instruction,
-    /// or the first instruction of the fused pattern.
+    /// or the first instruction of the loop.
     fn head(&self) -> ThumbInstr {
         match *self {
             FusedOp::Single(instr) => instr,
-            FusedOp::VldrVldrVmla { sa, ra, offa, .. } => ThumbInstr::VldrPost {
-                sd: sa,
-                rn: ra,
-                offset: offa,
-            },
-            FusedOp::LdrLdrSmlad { rta, ra, offa, .. } | FusedOp::LdrLdr { rta, ra, offa, .. } => {
-                ThumbInstr::Ldr {
-                    width: LsWidth::W,
-                    rt: rta,
-                    rn: ra,
-                    offset: offa,
-                    mode: AddrMode::PostInc,
-                }
-            }
-            FusedOp::MulAsrAdd { rd, rn, rm, .. } => ThumbInstr::Dp {
-                op: DpOp::Mul,
-                rd,
-                rn,
-                rm,
-            },
-            FusedOp::SubsB { rd, rn, imm, .. } => ThumbInstr::SubsImm { rd, rn, imm },
             FusedOp::DotLoop {
                 regs: [w, _, tw, ..],
                 ..
@@ -158,10 +68,6 @@ impl FusedOp {
     fn len(&self) -> usize {
         match self {
             FusedOp::Single(_) => 1,
-            FusedOp::LdrLdr { .. } | FusedOp::SubsB { .. } => 2,
-            FusedOp::VldrVldrVmla { .. }
-            | FusedOp::LdrLdrSmlad { .. }
-            | FusedOp::MulAsrAdd { .. } => 3,
             FusedOp::DotLoop { .. } => DOT_LOOP_LEN,
         }
     }
@@ -242,26 +148,16 @@ fn try_dot_loop(window: &[ThumbInstr], at: usize) -> Option<FusedOp> {
 
 /// Execution counters for [`CortexM4::run_fused`].
 ///
-/// `dispatches` counts superinstruction slots entered (fused or single);
-/// `instructions` counts instructions retired through them, so
-/// [`FusedStats::avg_burst`] is the mean number of instructions executed
-/// per dispatch — the dispatch-amortisation the fusion buys.
+/// `dispatches` counts slots entered (single or loop op); `instructions`
+/// counts instructions retired through them, so [`FusedStats::avg_burst`]
+/// is the mean number of instructions executed per dispatch — the
+/// dispatch-amortisation the loop op buys.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusedStats {
     /// Slots entered (one per dispatch-loop iteration).
     pub dispatches: u64,
     /// Instructions retired through those slots.
     pub instructions: u64,
-    /// `vldr`+`vldr`+`vmla.f32` superinstructions executed.
-    pub fused_vldr_vldr_vmla: u64,
-    /// `ldr`+`ldr`+`smlad` superinstructions executed.
-    pub fused_ldr_ldr_smlad: u64,
-    /// `ldr`+`ldr` pair superinstructions executed.
-    pub fused_ldr_ldr: u64,
-    /// `mul`+`asr`+`add` superinstructions executed.
-    pub fused_mul_asr_add: u64,
-    /// `subs`+`b.cc` superinstructions executed.
-    pub fused_subs_b: u64,
     /// Dot-product loop op entries (one per dispatch).
     pub dot_loop_entries: u64,
     /// Whole loop passes the dot-product loop op ran.
@@ -269,18 +165,7 @@ pub struct FusedStats {
 }
 
 impl FusedStats {
-    /// Total fused superinstructions executed, loop op entries included.
-    #[must_use]
-    pub fn fused_total(&self) -> u64 {
-        self.fused_vldr_vldr_vmla
-            + self.fused_ldr_ldr_smlad
-            + self.fused_ldr_ldr
-            + self.fused_mul_asr_add
-            + self.fused_subs_b
-            + self.dot_loop_entries
-    }
-
-    /// Mean instructions retired per dispatch (1.0 with no fusion).
+    /// Mean instructions retired per dispatch (1.0 with no loop op).
     #[must_use]
     pub fn avg_burst(&self) -> f64 {
         if self.dispatches == 0 {
@@ -291,15 +176,13 @@ impl FusedStats {
     }
 }
 
-/// A pre-decoded program compiled with superinstruction fusion.
+/// A pre-decoded program compiled with the dot-product loop op.
 ///
 /// Built once from a `&[ThumbInstr]` slice with [`BlockProgram::compile`];
-/// run with [`CortexM4::run_fused`]. Compilation is greedy left-to-right:
-/// when a fusion pattern matches at index `i` the slot at `i` becomes the
-/// superinstruction and scanning resumes past it, while slots `i+1..i+k`
-/// keep their single instructions for jump-into-pattern correctness. A
-/// dot-product loop op then takes over the slot at its loop's head; the
-/// slots inside the loop keep what the greedy pass gave them.
+/// run with [`CortexM4::run_fused`]. Every slot holds its own instruction,
+/// except that a dot-product loop op takes over the slot at its loop's
+/// head; the slots inside the loop keep their single instructions, for
+/// jump-into-loop correctness.
 ///
 /// # Examples
 ///
@@ -328,24 +211,13 @@ pub struct BlockProgram {
 }
 
 impl BlockProgram {
-    /// Compiles a pre-decoded program, fusing every pattern occurrence.
+    /// Compiles a pre-decoded program, placing a loop op at the head of
+    /// every dot-product loop.
     #[must_use]
     pub fn compile(program: &[ThumbInstr]) -> BlockProgram {
-        let mut ops: Vec<FusedOp> = program.iter().map(|i| FusedOp::Single(*i)).collect();
-        let mut i = 0;
-        while i < program.len() {
-            if let Some((op, len)) = try_fuse(&program[i..]) {
-                ops[i] = op;
-                i += len;
-            } else {
-                i += 1;
-            }
-        }
-        for (at, slot) in ops.iter_mut().enumerate() {
-            if let Some(op) = try_dot_loop(&program[at..], at) {
-                *slot = op;
-            }
-        }
+        let ops: Vec<FusedOp> = (0..program.len())
+            .map(|at| try_dot_loop(&program[at..], at).unwrap_or(FusedOp::Single(program[at])))
+            .collect();
         let fused = ops.iter().filter(|op| !matches!(op, FusedOp::Single(_)));
         BlockProgram {
             fused_sites: fused.clone().count(),
@@ -366,142 +238,18 @@ impl BlockProgram {
         self.ops.is_empty()
     }
 
-    /// Number of fusion sites found at compile time.
+    /// Number of loop ops placed at compile time.
     #[must_use]
     pub fn fused_sites(&self) -> usize {
         self.fused_sites
     }
 
-    /// Number of source instructions covered by fusion sites, summed over
-    /// the sites (a loop op's body also holds fused sites of its own).
+    /// Number of source instructions the loop ops cover, summed over the
+    /// sites.
     #[must_use]
     pub fn fused_instrs(&self) -> usize {
         self.fused_instrs
     }
-}
-
-/// Matches a fusion pattern at the start of `window`; returns the fused op
-/// and how many instructions it covers.
-fn try_fuse(window: &[ThumbInstr]) -> Option<(FusedOp, usize)> {
-    use ThumbInstr as I;
-    match *window {
-        [I::VldrPost {
-            sd: sa,
-            rn: ra,
-            offset: offa,
-        }, I::VldrPost {
-            sd: sb,
-            rn: rb,
-            offset: offb,
-        }, I::Vmla { sd, sn, sm }, ..] => Some((
-            FusedOp::VldrVldrVmla {
-                sa,
-                ra,
-                offa,
-                sb,
-                rb,
-                offb,
-                sd,
-                sn,
-                sm,
-            },
-            3,
-        )),
-        [I::Ldr {
-            width: LsWidth::W,
-            rt: rta,
-            rn: ra,
-            offset: offa,
-            mode: AddrMode::PostInc,
-        }, I::Ldr {
-            width: LsWidth::W,
-            rt: rtb,
-            rn: rb,
-            offset: offb,
-            mode: AddrMode::PostInc,
-        }, ..] => {
-            if let Some(&I::Smlad {
-                rd,
-                rn,
-                rm,
-                ra: racc,
-            }) = window.get(2)
-            {
-                Some((
-                    FusedOp::LdrLdrSmlad {
-                        rta,
-                        ra,
-                        offa,
-                        rtb,
-                        rb,
-                        offb,
-                        rd,
-                        rn,
-                        rm,
-                        racc,
-                    },
-                    3,
-                ))
-            } else {
-                Some((
-                    FusedOp::LdrLdr {
-                        rta,
-                        ra,
-                        offa,
-                        rtb,
-                        rb,
-                        offb,
-                    },
-                    2,
-                ))
-            }
-        }
-        [I::Dp {
-            op: DpOp::Mul,
-            rd,
-            rn,
-            rm,
-        }, I::AsrImm {
-            rd: rd2,
-            rm: rm2,
-            shamt,
-        }, I::Dp {
-            op: DpOp::Add,
-            rd: rd3,
-            rn: rn3,
-            rm: rm3,
-        }, ..] => Some((
-            FusedOp::MulAsrAdd {
-                rd,
-                rn,
-                rm,
-                rd2,
-                rm2,
-                shamt,
-                rd3,
-                rn3,
-                rm3,
-            },
-            3,
-        )),
-        [I::SubsImm { rd, rn, imm }, I::B { cond, target }, ..] => Some((
-            FusedOp::SubsB {
-                rd,
-                rn,
-                imm,
-                cond,
-                target,
-            },
-            2,
-        )),
-        _ => None,
-    }
-}
-
-/// Partial result of one fused dispatch: cycles and instructions retired.
-struct Burst {
-    cycles: u64,
-    retired: u64,
 }
 
 /// The dot-product loop op's registers as locals.
@@ -635,262 +383,12 @@ impl CortexM4 {
         self.r[r.index() as usize] = v;
     }
 
-    /// One post-increment word load sub-instruction, bit-identical to the
-    /// `Ldr { mode: PostInc, width: W }` arm of [`CortexM4::exec_decoded`].
-    #[inline]
-    fn sub_ldr_post_w<B: Bus>(
-        &mut self,
-        rt: R,
-        rn: R,
-        offset: i32,
-        bus: &mut B,
-        t: &CortexM4Timing,
-        pc: usize,
-    ) -> Result<u32, M4Error> {
-        let cost = if self.last_was_load {
-            t.ldr_pipelined
-        } else {
-            t.ldr
-        };
-        self.last_was_load = true;
-        let base = self.reg_i(rn);
-        if !base.is_multiple_of(4) {
-            return Err(M4Error::Misaligned { addr: base, pc });
-        }
-        let raw = bus.load(base, MemWidth::W)?;
-        self.set_reg_i(rt, raw);
-        if rt != rn {
-            self.set_reg_i(rn, base.wrapping_add(offset as u32));
-        }
-        self.profile.record(InstrClass::Load, cost);
-        self.pc = pc + 1;
-        self.retired += 1;
-        Ok(cost)
-    }
-
-    /// One `vldmia rn!, {sd}` sub-instruction, bit-identical to the
-    /// `VldrPost` arm of [`CortexM4::exec_decoded`].
-    #[inline]
-    fn sub_vldr_post<B: Bus>(
-        &mut self,
-        sd: S,
-        rn: R,
-        offset: i32,
-        bus: &mut B,
-        t: &CortexM4Timing,
-        pc: usize,
-    ) -> Result<u32, M4Error> {
-        let cost = if self.last_was_load {
-            t.vldr_pipelined
-        } else {
-            t.vldr
-        };
-        self.last_was_load = true;
-        let addr = self.reg_i(rn);
-        if !addr.is_multiple_of(4) {
-            return Err(M4Error::Misaligned { addr, pc });
-        }
-        let raw = bus.load(addr, MemWidth::W)?;
-        self.s[sd.index() as usize] = raw;
-        self.set_reg_i(rn, addr.wrapping_add(offset as u32));
-        self.profile.record(InstrClass::Load, cost);
-        self.pc = pc + 1;
-        self.retired += 1;
-        Ok(cost)
-    }
-
-    /// Executes one fused superinstruction starting at `pc`, stopping
-    /// early if `budget` cycles are exceeded (the caller then raises
-    /// `CycleLimit` with the partial state, exactly as the per-instruction
-    /// reference would).
-    fn exec_fused<B: Bus>(
-        &mut self,
-        op: &FusedOp,
-        pc: usize,
-        bus: &mut B,
-        t: &CortexM4Timing,
-        budget: u64,
-        stats: &mut FusedStats,
-    ) -> Result<Burst, M4Error> {
-        let mut cycles: u64;
-        let mut retired = 1u64;
-        match *op {
-            FusedOp::Single(_) => unreachable!("singles dispatch via exec_decoded"),
-            FusedOp::DotLoop { regs, shamt } => {
-                // The pointers only step by 4: aligned at entry, they stay
-                // aligned. A misaligned one faults at its first access,
-                // which the head and the slots after it reach one by one.
-                if !(self.reg_i(regs[0]) | self.reg_i(regs[1])).is_multiple_of(4) {
-                    let cost = self.exec_decoded(op.head(), pc, pc + 1, bus, t)?;
-                    return Ok(Burst {
-                        cycles: u64::from(cost),
-                        retired: 1,
-                    });
-                }
-                return self.dot_loop(regs, shamt, pc, bus, t, budget, stats);
-            }
-            FusedOp::VldrVldrVmla {
-                sa,
-                ra,
-                offa,
-                sb,
-                rb,
-                offb,
-                sd,
-                sn,
-                sm,
-            } => {
-                stats.fused_vldr_vldr_vmla += 1;
-                cycles = u64::from(self.sub_vldr_post(sa, ra, offa, bus, t, pc)?);
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                cycles += u64::from(self.sub_vldr_post(sb, rb, offb, bus, t, pc + 1)?);
-                retired += 1;
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                self.last_was_load = false;
-                let v = f32::from_bits(self.s[sd.index() as usize])
-                    + f32::from_bits(self.s[sn.index() as usize])
-                        * f32::from_bits(self.s[sm.index() as usize]);
-                self.s[sd.index() as usize] = v.to_bits();
-                self.profile.record(InstrClass::Float, t.vmla);
-                self.pc = pc + 3;
-                self.retired += 1;
-                cycles += u64::from(t.vmla);
-                retired += 1;
-            }
-            FusedOp::LdrLdrSmlad {
-                rta,
-                ra,
-                offa,
-                rtb,
-                rb,
-                offb,
-                rd,
-                rn,
-                rm,
-                racc,
-            } => {
-                stats.fused_ldr_ldr_smlad += 1;
-                cycles = u64::from(self.sub_ldr_post_w(rta, ra, offa, bus, t, pc)?);
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                cycles += u64::from(self.sub_ldr_post_w(rtb, rb, offb, bus, t, pc + 1)?);
-                retired += 1;
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                self.last_was_load = false;
-                let a = self.reg_i(rn);
-                let b = self.reg_i(rm);
-                let p0 = i32::from(a as u16 as i16) * i32::from(b as u16 as i16);
-                let p1 = i32::from((a >> 16) as u16 as i16) * i32::from((b >> 16) as u16 as i16);
-                let v = (self.reg_i(racc) as i32).wrapping_add(p0.wrapping_add(p1)) as u32;
-                self.set_reg_i(rd, v);
-                self.profile.record(InstrClass::Dsp, t.mla);
-                self.pc = pc + 3;
-                self.retired += 1;
-                cycles += u64::from(t.mla);
-                retired += 1;
-            }
-            FusedOp::LdrLdr {
-                rta,
-                ra,
-                offa,
-                rtb,
-                rb,
-                offb,
-            } => {
-                stats.fused_ldr_ldr += 1;
-                cycles = u64::from(self.sub_ldr_post_w(rta, ra, offa, bus, t, pc)?);
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                cycles += u64::from(self.sub_ldr_post_w(rtb, rb, offb, bus, t, pc + 1)?);
-                retired += 1;
-            }
-            FusedOp::MulAsrAdd {
-                rd,
-                rn,
-                rm,
-                rd2,
-                rm2,
-                shamt,
-                rd3,
-                rn3,
-                rm3,
-            } => {
-                stats.fused_mul_asr_add += 1;
-                self.last_was_load = false;
-                let v = self.reg_i(rn).wrapping_mul(self.reg_i(rm));
-                self.set_reg_i(rd, v);
-                self.profile.record(InstrClass::Mul, t.mul);
-                self.pc = pc + 1;
-                self.retired += 1;
-                cycles = u64::from(t.mul);
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                let v = ((self.reg_i(rm2) as i32) >> shamt) as u32;
-                self.set_reg_i(rd2, v);
-                self.profile.record(InstrClass::Alu, t.alu);
-                self.pc = pc + 2;
-                self.retired += 1;
-                cycles += u64::from(t.alu);
-                retired += 1;
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                let v = self.reg_i(rn3).wrapping_add(self.reg_i(rm3));
-                self.set_reg_i(rd3, v);
-                self.profile.record(InstrClass::Alu, t.alu);
-                self.pc = pc + 3;
-                self.retired += 1;
-                cycles += u64::from(t.alu);
-                retired += 1;
-            }
-            FusedOp::SubsB {
-                rd,
-                rn,
-                imm,
-                cond,
-                target,
-            } => {
-                stats.fused_subs_b += 1;
-                self.last_was_load = false;
-                let a = self.reg_i(rn);
-                self.flags = Flags::from_sub(a, imm as u32);
-                self.set_reg_i(rd, a.wrapping_sub(imm as u32));
-                self.profile.record(InstrClass::Alu, t.alu);
-                self.pc = pc + 1;
-                self.retired += 1;
-                cycles = u64::from(t.alu);
-                if cycles > budget {
-                    return Ok(Burst { cycles, retired });
-                }
-                let (cost, class) = if self.flags.check(cond) {
-                    self.pc = target;
-                    (t.branch_taken, InstrClass::BranchTaken)
-                } else {
-                    self.pc = pc + 2;
-                    (t.branch_not_taken, InstrClass::BranchNotTaken)
-                };
-                self.profile.record(class, cost);
-                self.retired += 1;
-                cycles += u64::from(cost);
-                retired += 1;
-            }
-        }
-        Ok(Burst { cycles, retired })
-    }
-
     /// Runs the dot-product loop op headed at `pc` over `regs`
     /// (`[w, x, tw, tx, acc, n]`, both pointers word-aligned) until its
-    /// `b.ne` falls through, the budget runs out after a sub-instruction
-    /// or a load faults. The passes run on locals, one bus load per access
+    /// `b.ne` falls through, `budget` cycles are exceeded after a
+    /// sub-instruction (the caller then raises `CycleLimit` with the
+    /// partial state, exactly as the per-instruction reference would) or a
+    /// load faults; returns the cycles and the instructions retired. The passes run on locals, one bus load per access
     /// in program order; the registers, the `subs` flags, `pc`, the
     /// retired count and the profile are committed once, at the stop, in
     /// closed form.
@@ -905,7 +403,7 @@ impl CortexM4 {
         t: &CortexM4Timing,
         budget: u64,
         stats: &mut FusedStats,
-    ) -> Result<Burst, M4Error> {
+    ) -> Result<(u64, u64), M4Error> {
         stats.dot_loop_entries += 1;
         let mut v = DotRegs::read(self, regs);
         // Only the first load of the first pass may follow a load; every
@@ -985,14 +483,14 @@ impl CortexM4 {
         self.last_was_load = res.is_err() || matches!(r, 1 | 2 | 6 | 7);
         stats.dot_loop_iterations += iters;
         res?;
-        Ok(Burst { cycles: c, retired })
+        Ok((c, retired))
     }
 
     /// Runs until `bkpt` over a fusion-compiled program — the M4's
     /// product interpreter. Results, cycle counts, profiles, and error
     /// states are bit-identical to running the source program's encoding
     /// on the reference ([`CortexM4::run_code`]); `stats` accumulates
-    /// dispatch and per-pattern counters across calls.
+    /// dispatch and loop-op counters across calls.
     ///
     /// # Errors
     ///
@@ -1020,7 +518,7 @@ impl CortexM4 {
     /// [`CortexM4::run_fused`] with an instrumentation sink attached.
     ///
     /// With the default [`NoopSink`] every emission site folds away and
-    /// this *is* the fused hot loop. With a recording sink each dispatch
+    /// this *is* the product hot loop. With a recording sink each dispatch
     /// executes only the first instruction of its slot, and the run emits
     /// one PC sample per retired instruction (PC in *instruction index*
     /// units — the same units [`crate::asm::ThumbAsm::mark`] records
@@ -1049,20 +547,21 @@ impl CortexM4 {
             let pc = self.pc;
             let op = prog.ops.get(pc).ok_or(M4Error::PcOutOfRange { pc })?;
             stats.dispatches += 1;
-            let (cost, retired) = match op {
-                FusedOp::Single(instr) => {
-                    let cost = self.exec_decoded(*instr, pc, pc + 1, bus, t)?;
-                    (u64::from(cost), 1)
-                }
-                // A recording sink samples every instruction: execute the
-                // fused pattern's first instruction alone.
-                _ if S::ENABLED => {
-                    let cost = self.exec_decoded(op.head(), pc, pc + 1, bus, t)?;
-                    (u64::from(cost), 1)
+            let (cost, retired) = match *op {
+                // The pointers only step by 4: aligned at entry, they stay
+                // aligned. A misaligned one faults at its first access,
+                // which the head and the slots after it reach one by one.
+                // A recording sink samples every instruction, so it runs
+                // the head alone too.
+                FusedOp::DotLoop { regs, shamt }
+                    if !S::ENABLED
+                        && (self.reg_i(regs[0]) | self.reg_i(regs[1])).is_multiple_of(4) =>
+                {
+                    self.dot_loop(regs, shamt, pc, bus, t, max_cycles - cycles, stats)?
                 }
                 _ => {
-                    let burst = self.exec_fused(op, pc, bus, t, max_cycles - cycles, stats)?;
-                    (burst.cycles, burst.retired)
+                    let cost = self.exec_decoded(op.head(), pc, pc + 1, bus, t)?;
+                    (u64::from(cost), 1)
                 }
             };
             if S::ENABLED {
@@ -1090,6 +589,7 @@ mod tests {
     use super::*;
     use crate::asm::ThumbAsm;
     use crate::code::{encode_program, instr_len};
+    use crate::instr::S;
     use iw_rv32::Ram;
     use proptest::prelude::*;
 
@@ -1224,14 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn q15_dot_matches_reference_and_fuses() {
+    fn q15_dot_matches_reference() {
         let program = q15_dot_kernel();
         let (cpu, stats) = compare(&program, 1_000_000, |_, ram| fill_q15(ram));
         assert!(cpu.is_halted());
-        assert_eq!(stats.fused_ldr_ldr_smlad, 8);
-        assert_eq!(stats.fused_subs_b, 8);
-        assert!(stats.fused_mul_asr_add >= 1);
-        assert!(stats.avg_burst() > 1.5);
+        assert_eq!(stats.dispatches, stats.instructions, "{stats:?}");
     }
 
     fn f32_mac_kernel() -> Vec<ThumbInstr> {
@@ -1262,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn f32_mac_loop_matches_reference_and_fuses() {
+    fn f32_mac_loop_matches_reference() {
         let program = f32_mac_kernel();
         let (cpu, stats) = compare(&program, 1_000_000, |_, ram| {
             for i in 0..6u32 {
@@ -1272,14 +769,14 @@ mod tests {
             }
         });
         assert!(cpu.is_halted());
-        assert_eq!(stats.fused_vldr_vldr_vmla, 6);
+        assert_eq!(stats.dispatches, stats.instructions, "{stats:?}");
         assert!(cpu.sreg(S::new(2)) > 0.0);
     }
 
     #[test]
-    fn jump_into_pattern_middle_matches_reference() {
-        // Branch lands on the second ldr of a fused (ldr, ldr, smlad)
-        // triple: the fused slot is skipped and the retained singles run.
+    fn jump_between_q15_loads_matches_reference() {
+        // Branch lands on the second ldr of an (ldr, ldr, smlad) triple:
+        // the first ldr's slot is skipped and the rest run.
         let mut asm = ThumbAsm::new();
         asm.li(R::R0, 0x100);
         asm.li(R::R1, 0x200);
@@ -1303,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_limit_stops_mid_fused_op_exactly() {
+    fn cycle_limit_stops_q15_kernel_exactly() {
         let program = q15_dot_kernel();
         for limit in 1..120 {
             compare(&program, limit, |_, ram| fill_q15(ram));
@@ -1311,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_mid_fused_op_matches_reference() {
+    fn fault_at_a_second_load_matches_reference() {
         // Second post-increment load is misaligned: the fault must land
         // with the first load's writeback already applied.
         let mut asm = ThumbAsm::new();
@@ -1335,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn subs_b_fused_loop_counts_match() {
+    fn subs_b_loop_counts_match() {
         let mut asm = ThumbAsm::new();
         asm.li(R::R0, 5);
         asm.li(R::R1, 0);
@@ -1345,9 +842,8 @@ mod tests {
         asm.b_to(Cond::Ne, top);
         asm.bkpt();
         let program = asm.finish().unwrap();
-        let (cpu, stats) = compare(&program, 1_000, |_, _| {});
+        let (cpu, _) = compare(&program, 1_000, |_, _| {});
         assert_eq!(cpu.reg(R::R1), 10);
-        assert_eq!(stats.fused_subs_b, 5);
     }
 
     /// A fixed-point dot-product row as `emit_m4_fixed_kernel` emits it
@@ -1397,14 +893,13 @@ mod tests {
         let (cpu, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
         assert!(cpu.is_halted());
         assert_eq!((stats.dot_loop_entries, stats.dot_loop_iterations), (1, 8));
-        assert_eq!(stats.fused_ldr_ldr + stats.fused_subs_b, 0, "{stats:?}");
         // Three `movw`s, the loop op and `bkpt`.
         assert_eq!(stats.dispatches, 5);
         assert_eq!(stats.instructions, 3 + 8 * 12 + 1);
     }
 
     #[test]
-    fn other_loops_keep_the_fused_ops() {
+    fn other_loops_run_one_instruction_per_dispatch() {
         // `tw` doubling as the accumulator, a decrement by two, a
         // condition other than `ne` and a branch elsewhere all miss.
         let aliased = dot_row(
@@ -1437,7 +932,7 @@ mod tests {
                 .all(|op| !matches!(op, FusedOp::DotLoop { .. })));
             let (_, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
             assert_eq!(stats.dot_loop_entries, 0);
-            assert!(stats.fused_ldr_ldr > 0, "{stats:?}");
+            assert_eq!(stats.dispatches, stats.instructions, "{stats:?}");
         }
     }
 
@@ -1484,7 +979,8 @@ mod tests {
     #[test]
     fn dot_loop_entered_mid_pass_runs_on_from_its_head() {
         // A branch to the second multiply-accumulate runs the rest of the
-        // first pass on the fused ops, then every later pass in the loop op.
+        // first pass one instruction at a time, then every later pass in
+        // the loop op.
         let to_mid = ThumbInstr::B {
             cond: Cond::Al,
             target: 3 + 1 + 5,
@@ -1493,35 +989,36 @@ mod tests {
         let (cpu, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
         assert!(cpu.is_halted());
         assert_eq!((stats.dot_loop_entries, stats.dot_loop_iterations), (1, 7));
-        assert_eq!(stats.fused_ldr_ldr, 1);
     }
 
     #[test]
     fn compile_reports_fusion_sites() {
-        let program = q15_dot_kernel();
+        let program = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
         let prog = BlockProgram::compile(&program);
         assert_eq!(prog.len(), program.len());
         assert!(!prog.is_empty());
-        assert!(prog.fused_sites() >= 3); // ldr/ldr/smlad + subs/b + mul/asr/add
-        assert!(prog.fused_instrs() >= 8);
+        assert_eq!(prog.fused_sites(), 1);
+        assert_eq!(prog.fused_instrs(), DOT_LOOP_LEN);
+        let prog = BlockProgram::compile(&q15_dot_kernel());
+        assert_eq!((prog.fused_sites(), prog.fused_instrs()), (0, 0));
     }
 
     #[test]
     fn every_slot_heads_with_its_own_instruction() {
-        // A recorded run executes `head()` at every pc, fused slots
+        // A recorded run executes `head()` at every pc, loop ops
         // included, so each must rebuild the source instruction exactly.
         let dot = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
         for program in [q15_dot_kernel(), f32_mac_kernel(), dot] {
             let prog = BlockProgram::compile(&program);
-            assert!(prog.fused_sites() >= 2);
             for (i, instr) in program.iter().enumerate() {
                 assert_eq!(prog.ops[i].head(), *instr, "index {i}");
             }
         }
     }
 
-    /// One fragment of a random program: a shape the compiler fuses, or
-    /// nearly does, with its operands set up before it.
+    /// One fragment of a random program: the loop op's shape, or nearly,
+    /// or one of the Q15, float and requantisation shapes that run one
+    /// instruction per dispatch, with its operands set up before it.
     #[derive(Debug, Clone)]
     enum Frag {
         /// A dot-product row over `regs` (`[w, x, tw, tx, acc, n]`, as

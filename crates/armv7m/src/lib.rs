@@ -17,8 +17,9 @@
 //! claiming ARM bit-exactness. Pre-decoding a whole program once with
 //! [`code::DecodedProgram`] is the M4's decode cache: code executes from
 //! immutable flash, so the cache never invalidates. The decoded
-//! `&[ThumbInstr]` compiles into a fused [`BlockProgram`] that
-//! [`CortexM4::run_fused`] dispatches (its sink twin
+//! `&[ThumbInstr]` compiles into a [`BlockProgram`] (one slot per
+//! instruction, a loop op at the head of each fixed-point dot-product
+//! loop) that [`CortexM4::run_fused`] dispatches (its sink twin
 //! [`CortexM4::run_fused_sink`] records the same run, one instruction per
 //! dispatch; [`CortexM4::run`] compiles and runs in one call). The
 //! per-halfword [`CortexM4::run_code`] path is the uncached reference,

@@ -13,8 +13,9 @@
 //! instructions per dispatched op). EXPERIMENTS.md records the derived table.
 //!
 //! `--check` skips all timing and instead asserts that the product path
-//! equals the reference for every registry target on both networks — the
-//! fast identity smoke ci.sh runs:
+//! equals the reference on both networks for the fixed-point workload on
+//! every registry target, the Q15 workload on the Q15 rows and the float
+//! workload on the M4 — the fast identity smoke ci.sh runs:
 //!
 //! ```text
 //! cargo bench -p iw-bench --bench iss_bench -- --check
@@ -23,7 +24,11 @@
 use std::time::Instant;
 
 use iw_bench::evaluation_nets;
-use iw_kernels::{registry, FixedTarget, PreparedFixed, ProductStats};
+use iw_fann::Q15Net;
+use iw_kernels::{
+    registry, targets_in, ExecPath, FixedTarget, FixedWorkload, FloatWorkload, M4Machine, Machine,
+    PreparedFixed, ProductStats, Q15Workload, TargetGroup, Workload,
+};
 use iw_metrics::Registry;
 
 /// Rounds of interleaved timing per (network, target) row.
@@ -37,26 +42,45 @@ fn main() {
     }
 }
 
-/// Identity smoke: every registered target's product path must be
-/// bit-identical to the reference, for both evaluation networks. No
-/// timing loops — this is the ci.sh gate.
+/// Identity smoke: on both evaluation networks, the product path must be
+/// bit-identical to the reference for the fixed-point workload on every
+/// registered target, the Q15 workload on the Q15 rows and the float
+/// workload on the M4. No timing loops — this is the ci.sh gate.
 fn check() {
     let mut rows = 0;
-    for (name, _, fixed, qin) in evaluation_nets() {
+    for (name, net, fixed, qin) in evaluation_nets() {
+        let q31 = FixedWorkload::new(&fixed, &qin).expect("input");
         for entry in registry() {
-            let prep = PreparedFixed::on(&*entry.machine(), &fixed, &qin).expect("deploys");
-            let product = prep.run().expect("product path runs");
-            let reference = prep.run_uncached().expect("reference path runs");
-            assert_eq!(
-                product,
-                reference,
-                "{name}/{id}: product vs reference",
-                id = entry.id
-            );
+            check_workload(&*entry.machine(), &q31, &format!("{name}/{}", entry.id));
             rows += 1;
         }
+        let q15 = Q15Net::export(&net).expect("q15 export");
+        // The float input the fixed-point one quantises.
+        let input = fixed.dequantize(&qin);
+        let q15_workload = Q15Workload::new(&q15, &q15.quantize_input(&input)).expect("input");
+        for entry in targets_in(TargetGroup::Q15) {
+            let what = format!("{name}/{}/q15", entry.id);
+            check_workload(&*entry.machine(), &q15_workload, &what);
+            rows += 1;
+        }
+        let float = FloatWorkload::new(&net, &input).expect("input");
+        check_workload(&M4Machine::new(), &float, &format!("{name}/m4/f32"));
+        rows += 1;
     }
-    println!("iss_bench --check: {rows} target×network rows, product == reference");
+    println!("iss_bench --check: {rows} workload×target×network rows, product == reference");
+}
+
+/// Asserts that `workload` on `machine` runs the same on the product path
+/// as on the reference, every observable of the run included.
+fn check_workload(machine: &dyn Machine, workload: &dyn Workload, what: &str) {
+    let deployment = machine.deploy(workload).expect("deploys");
+    let product = deployment
+        .run(ExecPath::Product)
+        .expect("product path runs");
+    let reference = deployment
+        .run(ExecPath::Reference)
+        .expect("reference path runs");
+    assert_eq!(product, reference, "{what}: product vs reference");
 }
 
 /// One timed sample: wall-clock seconds of a single simulated

@@ -1,7 +1,7 @@
 //! Manual timing harness for the ISS hot paths (`perf` is unavailable in
 //! the build environment). Times the components of the product and
-//! uncached interpreter loops on the Network B workloads so optimisation
-//! work targets the real bottleneck; run with
+//! uncached interpreter loops on the Network A and B workloads so
+//! optimisation work targets the real bottleneck; run with
 //! `cargo run --release -p iw-bench --bin iss_profile`.
 
 use std::time::Instant;
@@ -78,28 +78,29 @@ fn main() {
     });
 
     // --- Full workloads --------------------------------------------------
-    // Every paper-group registry target on Network B (the heavyweight
-    // workload); the same rows `iss_bench` measures.
-    let nets = evaluation_nets();
-    let (_, _, fixed, qin) = &nets[1]; // Network B
-    for entry in registry() {
-        if entry.group != TargetGroup::Paper {
-            continue;
+    // Every paper-group registry target on both evaluation networks; the
+    // same rows `iss_bench` measures.
+    for (net, _, fixed, qin) in &evaluation_nets() {
+        println!("== {net} ==");
+        for entry in registry() {
+            if entry.group != TargetGroup::Paper {
+                continue;
+            }
+            let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
+            let instructions = prep.run().expect("runs").instructions;
+            let name = entry.label;
+            let p = time(&format!("{name}: product run"), instructions, || {
+                prep.run().expect("runs")
+            });
+            let u = time(&format!("{name}: uncached run"), instructions, || {
+                prep.run_uncached().expect("runs")
+            });
+            println!(
+                "{name:<44} product {:.2}x over uncached ({instructions} instrs)",
+                u / p
+            );
+            print_product_stats(&prep);
         }
-        let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
-        let instructions = prep.run().expect("runs").instructions;
-        let name = entry.label;
-        let p = time(&format!("{name}: product run"), instructions, || {
-            prep.run().expect("runs")
-        });
-        let u = time(&format!("{name}: uncached run"), instructions, || {
-            prep.run_uncached().expect("runs")
-        });
-        println!(
-            "{name:<44} product {:.2}x over uncached ({instructions} instrs)",
-            u / p
-        );
-        print_product_stats(&prep);
     }
 }
 
@@ -108,7 +109,7 @@ fn main() {
 /// targets, the op program's counters (ops dispatched, instructions per
 /// op, fused executions per pattern, loop-op entries and native
 /// iterations, translations and code-store re-decodes); on the M4, the
-/// fused program's per-pattern executions and loop-op counters.
+/// loop-op counters.
 fn print_product_stats(prep: &PreparedFixed) {
     let (_, s) = prep.run_stats().expect("runs");
     println!(
@@ -124,13 +125,8 @@ fn print_product_stats(prep: &PreparedFixed) {
             r.redecodes
         );
         println!(
-            "  fused execs: lp+lp+sdotsp={} lp+lp={} lp+sdotsp={} lp+mac={} mul+srai+add={} addi+branch={}",
-            r.fused_lp_lp_sdotsp,
-            r.fused_lp_lp,
-            r.fused_lp_sdotsp,
-            r.fused_lp_mac,
-            r.fused_mul_srai_add,
-            r.fused_addi_branch
+            "  fused execs: mul+srai+add={} addi+branch={}",
+            r.fused_mul_srai_add, r.fused_addi_branch
         );
         println!(
             "  loop ops: hwloop-dot entries={} iterations={} counted-dot entries={} iterations={}",
@@ -141,14 +137,6 @@ fn print_product_stats(prep: &PreparedFixed) {
         );
     }
     if let Some(m) = s.m4 {
-        println!(
-            "  fused execs: vldr+vldr+vmla={} ldr+ldr+smlad={} ldr+ldr={} mul+asr+add={} subs+b={}",
-            m.fused_vldr_vldr_vmla,
-            m.fused_ldr_ldr_smlad,
-            m.fused_ldr_ldr,
-            m.fused_mul_asr_add,
-            m.fused_subs_b
-        );
         println!(
             "  loop ops: dot-loop entries={} iterations={}",
             m.dot_loop_entries, m.dot_loop_iterations

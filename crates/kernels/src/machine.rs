@@ -179,8 +179,8 @@ pub struct ProductStats {
     /// RV32 op-program counters (ops dispatched, fused executions per
     /// pattern, code-store re-decodes) on every Mr. Wolf target.
     pub rv32: Option<iw_rv32::ProgramStats>,
-    /// M4 fusion counters (per-pattern executed superinstructions), when
-    /// the target is the Cortex-M4.
+    /// M4 dispatch and loop-op counters, when the target is the
+    /// Cortex-M4.
     pub m4: Option<iw_armv7m::FusedStats>,
 }
 

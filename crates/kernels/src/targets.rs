@@ -465,10 +465,10 @@ mod tests {
             assert_eq!(run, plain, "target {target:?}");
             assert!(stats.avg_burst >= 1.0, "target {target:?}: {stats:?}");
             // Every product path dispatches a fused program, and every
-            // single-core one executes fused superinstructions.
+            // single-core one executes its loop ops.
             let fused = match (stats.rv32, stats.m4) {
                 (Some(rv), None) => rv.fused_total(),
-                (None, Some(m4)) => m4.fused_total(),
+                (None, Some(m4)) => m4.dot_loop_entries,
                 _ => panic!("target {target:?}: one program's counters: {stats:?}"),
             };
             let multi_core = matches!(target, FixedTarget::WolfCluster { cores } if cores > 1);

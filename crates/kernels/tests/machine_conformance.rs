@@ -6,7 +6,8 @@
 
 use iw_fann::{presets::network_a, presets::network_b, FixedNet, Mlp, Q15Net};
 use iw_kernels::{
-    registry, ExecPath, FeatureWorkload, FixedWorkload, MachineError, Q15Workload, TargetGroup,
+    registry, ExecPath, FeatureWorkload, FixedWorkload, FloatWorkload, M4Machine, Machine,
+    MachineError, Q15Workload, TargetGroup,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,6 +128,25 @@ fn q15_workload_conforms_on_q15_targets() {
             "{}: q15 outputs",
             entry.id
         );
+    }
+}
+
+/// The float workload must run the same on the M4's product path as on
+/// its reference, every observable of the run compared, on both
+/// evaluation networks: its inner loop runs one instruction per dispatch.
+#[test]
+fn float_workload_conforms_on_the_m4() {
+    for (seed, mut net) in [(17, network_a()), (18, network_b())] {
+        net.randomize_weights(&mut StdRng::seed_from_u64(seed), 0.1);
+        let input: Vec<f32> = (0..net.num_inputs())
+            .map(|i| ((i * 7) % 11) as f32 / 5.0 - 1.0)
+            .collect();
+        let workload = FloatWorkload::new(&net, &input).expect("valid input");
+        let deployment = M4Machine::new().deploy(&workload).expect("deploy");
+        let product = deployment.run(ExecPath::Product).expect("product run");
+        let reference = deployment.run(ExecPath::Reference).expect("reference run");
+        assert_eq!(product, reference, "{} inputs", net.num_inputs());
+        assert!(product.instructions > 0);
     }
 }
 

@@ -12,7 +12,7 @@
 //! instructions included, for as long as its local time stays strictly
 //! below that horizon. Past the horizon only ops whose first instruction
 //! touches no shared state (no data access, no halt) may continue; the
-//! first shared one ends the burst (a *gated break*), and a fused op stops
+//! first shared one ends the burst (a *gated break*), and a loop op stops
 //! inside itself rather than issue a second access at or past the
 //! horizon. Bank and L2-port arbitration is charged by the bus per access,
 //! at that access's own issue time, with the same grant bookkeeping the
@@ -1403,8 +1403,8 @@ mod tests {
     }
 
     #[test]
-    fn single_core_fuses_hwloop_bodies() {
-        // The Network-B inner-loop shape: hardware loop over
+    fn single_core_runs_a_q15_hwloop_in_one_pick() {
+        // The Q15 inner-loop shape: hardware loop over
         // p.lw / p.lw / pv.sdotsp.h against TCDM, per core.
         use iw_rv32::{LoopIdx, SimdOp};
         let mut asm = Asm::new(L2_BASE);
@@ -1424,11 +1424,13 @@ mod tests {
         let (run_ref, _, _) = run_with(&image, 1, "reference");
         let (run_fast, sched, _) = run_with(&image, 1, "cached");
         assert_eq!(run_fast, run_ref);
-        // With no sibling to wait for, the whole run is one pick, and
-        // every one of the 8 loop iterations is one fused dispatch.
+        // With no sibling to wait for, the whole run is one pick; no
+        // pattern fuses, so the op program dispatches every instruction
+        // as its single op.
         let stats = sched.program.unwrap();
-        assert_eq!(stats.fused_lp_lp_sdotsp, 8, "{stats:?}");
+        assert_eq!(stats.fused_total(), 0, "{stats:?}");
         assert_eq!(stats.instructions, run_fast.instructions);
+        assert_eq!(stats.dispatches, run_fast.instructions, "{stats:?}");
         assert_eq!(sched.picks, 1);
     }
 
@@ -1566,7 +1568,7 @@ mod tests {
         Alu(u8, u8, u8, i16),
         /// `p.lw` through cursor `c` (two private TCDM streams or L2).
         LoadPost(u8, u8),
-        /// Two `p.lw` back to back (a fused pair; both may hit L2).
+        /// Two `p.lw` back to back (single ops; both may hit L2).
         LoadPair(u8, u8),
         /// `p.sw` through the core's private store cursor.
         StorePost(u8),
@@ -1922,7 +1924,7 @@ mod tests {
         /// product path must reproduce the reference pick loop exactly —
         /// `ClusterRun`, every TCDM word, the touched L2 words and errors
         /// (faults, cycle limits) — through bank conflicts, L2 port
-        /// stalls, barriers, fused ops gated at the horizon and code
+        /// stalls, barriers, loop ops gated at the horizon and code
         /// stores that rewrite a fused op every core already executed
         /// and executes again.
         #[test]

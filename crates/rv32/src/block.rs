@@ -7,11 +7,8 @@
 //! pre-resolved [`Op`] that starts at that PC — register indices and
 //! immediates already extracted, every memory form specialised. Where the
 //! instructions at a PC form one of the inner-loop idioms of the InfiniWolf
-//! kernels, the slot holds a *fused* superinstruction instead:
+//! fixed-point kernels, the slot holds a *fused* superinstruction instead:
 //!
-//! * `p.lw` + `p.lw` + `pv.sdotsp.h` — the packed SIMD dot-product loop,
-//! * `p.lw` + `p.lw`, `p.lw` + `pv.sdotsp.h`, `p.lw` + `p.mac` — the
-//!   post-increment streaming pairs,
 //! * `mul` + `srai` + `add` — the fixed-point requantisation tail,
 //! * `addi` + branch — the counter back-edge,
 //! * two *loop ops*, each a whole inner loop of the fixed-point
@@ -19,9 +16,12 @@
 //!   body of a hardware loop (RI5CY), and `lw` + `lw` + `addi` + `addi` +
 //!   `mul` + `srai` + `add` + `addi −1` + `bne` back to the op's own PC
 //!   (Ibex), each over the kernel's own distinct non-zero registers
-//!   (other register patterns fuse as the ops above). A loop op iterates
-//!   natively, following its own back edge, until the loop exits or a
-//!   stop rule fires.
+//!   (other register patterns run as single ops, their tails fused as
+//!   above). A loop op iterates natively, following its own back edge,
+//!   until the loop exits or a stop rule fires.
+//!
+//! Every other instruction, the Q15 (`pv.sdotsp.h`, `p.mac`) and
+//! streaming-load shapes included, runs as its single op.
 //!
 //! Every PC owns its slot, so a core can resume anywhere — after a taken
 //! branch, a hardware-loop back edge, a partial fused op or a scheduler
@@ -50,7 +50,7 @@
 //! `Cpu::retire` would have accumulated (profile, retired count, loop
 //! count, `pc`) in closed form once, when they stop. They run natively
 //! only when their own loop is the only one that can redirect inside their
-//! body; otherwise the RI5CY op runs as the `p.lw` pair and the Ibex op
+//! body; otherwise the RI5CY op runs as its two `p.lw`s and the Ibex op
 //! as its first `lw` alone, and the next slots run the rest. A store into
 //! the translated range drops every slot whose op covers the stored word,
 //! fused and loop ops included, so the next dispatch re-decodes it from
@@ -169,29 +169,6 @@ enum Kind {
     IllegalXpulp,
     /// Any other non-memory instruction, through [`Cpu::execute`].
     Other(Instr),
-    LpLpSdotsp {
-        a: PostLoad,
-        b: PostLoad,
-        acc: Reg,
-        rs1: Reg,
-        rs2: Reg,
-    },
-    LpLp {
-        a: PostLoad,
-        b: PostLoad,
-    },
-    LpSdotsp {
-        a: PostLoad,
-        acc: Reg,
-        rs1: Reg,
-        rs2: Reg,
-    },
-    LpMac {
-        a: PostLoad,
-        rd: Reg,
-        rs1: Reg,
-        rs2: Reg,
-    },
     MulSraiAdd {
         rd: Reg,
         rs1: Reg,
@@ -242,8 +219,8 @@ struct CountedDot {
 /// Most instruction words one op covers: the counted loop op's nine.
 const MAX_OP_WORDS: usize = 9;
 
-// A slot stays at 20 bytes, loop ops included.
-const _: () = assert!(core::mem::size_of::<Option<Op>>() == 20);
+// A slot stays at 16 bytes, loop ops included.
+const _: () = assert!(core::mem::size_of::<Option<Op>>() == 16);
 
 /// The op starting at one PC of a [`Program`]: a single pre-resolved
 /// instruction or a fused superinstruction. Obtained from
@@ -257,11 +234,8 @@ impl Op {
         match self.0 {
             Kind::CountedDot(_) => 9,
             Kind::HwLoopDot(_) => 5,
-            Kind::LpLpSdotsp { .. } | Kind::MulSraiAdd { .. } => 3,
-            Kind::LpLp { .. }
-            | Kind::LpSdotsp { .. }
-            | Kind::LpMac { .. }
-            | Kind::AddiBranch { .. } => 2,
+            Kind::MulSraiAdd { .. } => 3,
+            Kind::AddiBranch { .. } => 2,
             _ => 1,
         }
     }
@@ -277,10 +251,6 @@ impl Op {
                 | Kind::LoadPost { .. }
                 | Kind::StorePost { .. }
                 | Kind::Halt
-                | Kind::LpLpSdotsp { .. }
-                | Kind::LpLp { .. }
-                | Kind::LpSdotsp { .. }
-                | Kind::LpMac { .. }
                 | Kind::HwLoopDot(_)
                 | Kind::CountedDot(_)
         )
@@ -297,18 +267,16 @@ impl Op {
     /// fused superinstruction.
     #[must_use]
     pub fn head(self) -> Op {
-        let lp = |a: PostLoad| Kind::LoadPost {
-            width: MemWidth::W,
-            rd: a.rd,
-            rs1: a.rs1,
-            imm: a.imm,
-        };
         Op(match self.0 {
-            Kind::LpLpSdotsp { a, .. }
-            | Kind::LpLp { a, .. }
-            | Kind::LpSdotsp { a, .. }
-            | Kind::LpMac { a, .. } => lp(a),
-            Kind::HwLoopDot(op) => lp(op.first_load()),
+            Kind::HwLoopDot(HwLoopDot {
+                regs: [w, _, tw, ..],
+                ..
+            }) => Kind::LoadPost {
+                width: MemWidth::W,
+                rd: tw,
+                rs1: w,
+                imm: 4,
+            },
             Kind::CountedDot(CountedDot {
                 regs: [w, _, tw, ..],
                 ..
@@ -337,14 +305,6 @@ pub struct ProgramStats {
     /// Translated slots dropped because a store rewrote a word they
     /// cover; each is re-decoded from memory if executed again.
     pub redecodes: u64,
-    /// `p.lw` + `p.lw` + `pv.sdotsp.h` superinstructions executed.
-    pub fused_lp_lp_sdotsp: u64,
-    /// `p.lw` + `p.lw` superinstructions executed.
-    pub fused_lp_lp: u64,
-    /// `p.lw` + `pv.sdotsp.h` superinstructions executed.
-    pub fused_lp_sdotsp: u64,
-    /// `p.lw` + `p.mac` superinstructions executed.
-    pub fused_lp_mac: u64,
     /// `mul` + `srai` + `add` superinstructions executed.
     pub fused_mul_srai_add: u64,
     /// `addi` + branch superinstructions executed.
@@ -364,11 +324,7 @@ impl ProgramStats {
     /// entry) included.
     #[must_use]
     pub fn fused_total(&self) -> u64 {
-        self.fused_lp_lp_sdotsp
-            + self.fused_lp_lp
-            + self.fused_lp_sdotsp
-            + self.fused_lp_mac
-            + self.fused_mul_srai_add
+        self.fused_mul_srai_add
             + self.fused_addi_branch
             + self.hwloop_dot_entries
             + self.counted_dot_entries
@@ -853,60 +809,9 @@ fn run_op<B: Bus>(
             debug_assert!(mem.is_none(), "memory forms have their own ops");
             Ok(u64::from(cycles))
         }
-        // Fused ops: between sub-instructions, stop on the cycle
-        // budget, on the memory gate before a second access, and on a
-        // hardware-loop redirect away from the next sub-instruction.
-        Kind::LpLpSdotsp {
-            a,
-            b,
-            acc,
-            rs1,
-            rs2,
-        } => {
-            ex.stats.fused_lp_lp_sdotsp += 1;
-            let mut c = post_load(cpu, bus, a, t, next, at)?;
-            if c > budget || c >= mem_room || cpu.pc != next {
-                return Ok(c);
-            }
-            c += post_load(cpu, bus, b, t, pc.wrapping_add(8), at + c)?;
-            if c > budget || cpu.pc != pc.wrapping_add(8) {
-                return Ok(c);
-            }
-            cpu.set_reg(acc, sdotsp(cpu.reg(acc), cpu.reg(rs1), cpu.reg(rs2)));
-            cpu.retire(InstrClass::Simd, t.xpulp, pc.wrapping_add(12), true);
-            Ok(c + u64::from(t.xpulp))
-        }
-        Kind::LpLp { a, b } => {
-            ex.stats.fused_lp_lp += 1;
-            let c = post_load(cpu, bus, a, t, next, at)?;
-            if c > budget || c >= mem_room || cpu.pc != next {
-                return Ok(c);
-            }
-            Ok(c + post_load(cpu, bus, b, t, pc.wrapping_add(8), at + c)?)
-        }
-        Kind::LpSdotsp { a, acc, rs1, rs2 } => {
-            ex.stats.fused_lp_sdotsp += 1;
-            let c = post_load(cpu, bus, a, t, next, at)?;
-            if c > budget || cpu.pc != next {
-                return Ok(c);
-            }
-            cpu.set_reg(acc, sdotsp(cpu.reg(acc), cpu.reg(rs1), cpu.reg(rs2)));
-            cpu.retire(InstrClass::Simd, t.xpulp, pc.wrapping_add(8), true);
-            Ok(c + u64::from(t.xpulp))
-        }
-        Kind::LpMac { a, rd, rs1, rs2 } => {
-            ex.stats.fused_lp_mac += 1;
-            let c = post_load(cpu, bus, a, t, next, at)?;
-            if c > budget || cpu.pc != next {
-                return Ok(c);
-            }
-            let v = cpu
-                .reg(rd)
-                .wrapping_add(cpu.reg(rs1).wrapping_mul(cpu.reg(rs2)));
-            cpu.set_reg(rd, v);
-            cpu.retire(InstrClass::Dsp, t.xpulp, pc.wrapping_add(8), true);
-            Ok(c + u64::from(t.xpulp))
-        }
+        // Fused ops: between sub-instructions, stop on the cycle budget
+        // and on a hardware-loop redirect away from the next
+        // sub-instruction. Neither accesses memory.
         Kind::MulSraiAdd {
             rd,
             rs1,
@@ -1121,7 +1026,7 @@ impl HwLoopDot {
     }
 
     /// Runs the op: natively while the op's own loop is the only one that
-    /// can redirect inside the body, else as the fused load pair.
+    /// can redirect inside the body, else as its two `p.lw`s.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn run<B: Bus>(
@@ -1136,7 +1041,7 @@ impl HwLoopDot {
     ) -> Result<u64, CpuError> {
         ex.stats.hwloop_dot_entries += 1;
         // The first access always issues. Stopped right after it, the op
-        // retires it as the fused load pair would.
+        // retires it alone, as the single `p.lw` would.
         let (pc, next) = (cpu.pc, cpu.pc.wrapping_add(4));
         let c = post_lw(cpu, bus, self.first_load(), t, at, pc)?;
         if c > budget || c >= mem_room {
@@ -1482,15 +1387,6 @@ fn fuse(xpulp: bool, w: &[Instr]) -> Option<Op> {
         }),
         _ => None,
     };
-    let sdotsp = |i: Option<&Instr>| match i {
-        Some(&Instr::Simd {
-            op: SimdOp::SdotspH,
-            rd,
-            rs1,
-            rs2,
-        }) => Some((rd, rs1, rs2)),
-        _ => None,
-    };
     // `mul` + `srai` + `add`: the requantisation tail, also of both loop
     // shapes.
     let tail = |w: &[Instr]| match *w {
@@ -1529,33 +1425,14 @@ fn fuse(xpulp: bool, w: &[Instr]) -> Option<Op> {
         imm,
     };
 
-    if let Some(a) = post_load(w.first()) {
-        if let Some(b) = post_load(w.get(1)) {
-            let dot = dot_tail(w.get(2..).and_then(tail), a.rd, b.rd);
-            if let (4, 4, Some((acc, shamt))) = (a.imm, b.imm, dot) {
-                let regs = [a.rs1, b.rs1, a.rd, b.rd, acc];
-                if distinct_nonzero(&regs) {
-                    return Some(Op(Kind::HwLoopDot(HwLoopDot { regs, shamt })));
-                }
+    if let (Some(a), Some(b)) = (post_load(w.first()), post_load(w.get(1))) {
+        let dot = dot_tail(w.get(2..).and_then(tail), a.rd, b.rd);
+        if let (4, 4, Some((acc, shamt))) = (a.imm, b.imm, dot) {
+            let regs = [a.rs1, b.rs1, a.rd, b.rd, acc];
+            if distinct_nonzero(&regs) {
+                return Some(Op(Kind::HwLoopDot(HwLoopDot { regs, shamt })));
             }
-            if let Some((acc, rs1, rs2)) = sdotsp(w.get(2)) {
-                return Some(Op(Kind::LpLpSdotsp {
-                    a,
-                    b,
-                    acc,
-                    rs1,
-                    rs2,
-                }));
-            }
-            return Some(Op(Kind::LpLp { a, b }));
         }
-        if let Some((acc, rs1, rs2)) = sdotsp(w.get(1)) {
-            return Some(Op(Kind::LpSdotsp { a, acc, rs1, rs2 }));
-        }
-        if let Some(&Instr::Mac { rd, rs1, rs2 }) = w.get(1) {
-            return Some(Op(Kind::LpMac { a, rd, rs1, rs2 }));
-        }
-        return None;
     }
     if let [Instr::Load {
         width: MemWidth::W,
@@ -1877,7 +1754,7 @@ mod tests {
     }
 
     fn dot_kernel() -> Asm {
-        // The Network-B inner loop shape: hardware loop around
+        // The Q15 inner loop shape: hardware loop around
         // p.lw / p.lw / pv.sdotsp.h, then a fixed-point requantize tail.
         let mut asm = Asm::new(0);
         asm.li(Reg::A0, 0x200); // w cursor
@@ -1925,11 +1802,12 @@ mod tests {
         let res = cpu.run_program(&mut ram_b, &timing, 100_000, &mut prog);
         assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
         let stats = prog.stats();
-        // Every loop iteration runs as one fused dispatch.
-        assert_eq!(stats.fused_lp_lp_sdotsp, 8, "{stats:?}");
+        // The loop body runs as single ops; the tail is one fused dispatch
+        // in place of three.
         assert_eq!(stats.fused_mul_srai_add, 1, "{stats:?}");
-        assert_eq!(stats.instructions, res.unwrap().instructions);
-        assert!(stats.avg_burst() > 1.5, "{stats:?}");
+        let instructions = res.unwrap().instructions;
+        assert_eq!(stats.instructions, instructions);
+        assert_eq!(stats.dispatches, instructions - 2, "{stats:?}");
         // Sized to the code actually reached; slots inside fusion sites
         // are never dispatched, so never translated.
         assert_eq!(prog.len(), image.len() / 4);
@@ -1980,39 +1858,42 @@ mod tests {
 
     #[test]
     fn memory_gate_stops_before_a_second_access() {
-        // A fused p.lw pair given no room for a second access retires its
-        // first load only; the pc then indexes the second load's own slot.
-        let mut asm = Asm::new(0);
-        asm.li(Reg::A0, 0x200);
-        asm.load_post(MemWidth::W, Reg::A3, Reg::A0, 4);
-        asm.load_post(MemWidth::W, Reg::A4, Reg::A0, 4);
-        asm.ecall();
+        // The hardware-loop op given no room for a second access retires
+        // its first load only, inside its own loop; the pc then indexes the
+        // second load's own slot.
         let mut ram = Ram::new(0, 4096);
-        ram.write_bytes(0, &asm.assemble().unwrap());
+        ram.write_bytes(0, &hwloop_row(8, false).assemble().unwrap());
         fill_data(&mut ram);
         let t = Timing::riscy();
         let mut cpu = Cpu::new(0);
         let mut prog = Program::new(0, 4096, true);
-        let li = prog.fetch(&mut ram, 0).unwrap();
-        prog.exec(li, &mut cpu, &mut ram, &t, 0, u64::MAX, u64::MAX)
-            .unwrap();
-        let pair = prog.fetch(&mut ram, 4).unwrap();
-        assert_eq!(pair.width(), 2);
-        assert!(pair.is_shared());
-        assert_eq!(pair.head().width(), 1);
+        // li, li, li, lp.setup: the hart stands at the loop op.
+        for _ in 0..4 {
+            let op = prog.fetch(&mut ram, cpu.pc()).unwrap();
+            prog.exec(op, &mut cpu, &mut ram, &t, 0, u64::MAX, u64::MAX)
+                .unwrap();
+        }
+        let start = cpu.pc();
+        let op = prog.fetch(&mut ram, start).unwrap();
+        assert!(op.is_hwloop_dot());
+        assert_eq!(op.width(), 5);
+        assert!(op.is_shared());
+        assert_eq!(op.head().width(), 1);
         let cost = prog
-            .exec(pair, &mut cpu, &mut ram, &t, 1, u64::MAX, u64::from(t.load))
+            .exec(op, &mut cpu, &mut ram, &t, 1, u64::MAX, u64::from(t.load))
             .unwrap();
         assert_eq!(cost, u64::from(t.load));
-        assert_eq!(cpu.pc(), 8);
+        assert_eq!(cpu.pc(), start + 4);
         assert_eq!(cpu.reg(Reg::A0), 0x204);
-        assert_eq!(prog.fetch(&mut ram, 8).unwrap().width(), 1);
+        assert_eq!(cpu.retired(), 5);
+        assert_eq!(cpu.hwloop(0).count, 8);
+        assert_eq!(prog.fetch(&mut ram, start + 4).unwrap().width(), 1);
     }
 
     #[test]
-    fn fault_mid_fused_op_matches_reference() {
-        // Second p.lw reads a misaligned address: the first sub must
-        // stay retired and the fault's pc must match the reference.
+    fn fault_at_a_second_post_load_matches_reference() {
+        // Second p.lw reads a misaligned address: the first must stay
+        // retired and the fault's pc must match the reference.
         let mut asm = Asm::new(0);
         asm.li(Reg::A0, 0x200);
         asm.li(Reg::A1, 0x301); // misaligned
@@ -2154,13 +2035,9 @@ mod tests {
         asm.jalr(Reg::ZERO, a1, 0);
         asm.emit(Instr::Fence);
         asm.load_post(MemWidth::W, a0, a1, 4);
-        asm.mac(a2, a0, a1); // p.lw + p.mac; alone, p.mac
-        asm.load_post(MemWidth::W, a0, a1, 4);
-        asm.simd(SimdOp::SdotspH, a2, a0, a1); // p.lw + pv.sdotsp.h
-        asm.load_post(MemWidth::W, a0, a1, 4);
-        asm.load_post(MemWidth::W, a2, a3, 4); // p.lw + p.lw
-                                               // p.lw + p.lw + pv.sdotsp.h, mul/srai/add, li, ecall, then both
-                                               // loop ops (and addi/bne inside the counted one).
+        asm.mac(a2, a0, a1);
+        // pv.sdotsp.h, mul/srai/add, li, ecall, then both loop ops (and
+        // addi/bne inside the counted one).
         for part in [dot_kernel(), hwloop_row(8, false), counted_row(8, false)] {
             for instr in part.instructions().unwrap() {
                 asm.emit(instr);
@@ -2179,7 +2056,7 @@ mod tests {
             .map(|i| Program::new(0, len, true).fetch(&mut ram, 4 * i).unwrap().0)
             .collect();
         kinds.push(Program::new(0, len, false).fetch(&mut ram, 36).unwrap().0);
-        let mut seen = [false; 28];
+        let mut seen = [false; 24];
         for kind in kinds {
             assert!(Op(kind).width() <= MAX_OP_WORDS, "{kind:?}");
             seen[match kind {
@@ -2203,14 +2080,10 @@ mod tests {
                 Kind::Halt => 17,
                 Kind::IllegalXpulp => 18,
                 Kind::Other(_) => 19,
-                Kind::LpLpSdotsp { .. } => 20,
-                Kind::LpLp { .. } => 21,
-                Kind::LpSdotsp { .. } => 22,
-                Kind::LpMac { .. } => 23,
-                Kind::MulSraiAdd { .. } => 24,
-                Kind::AddiBranch { .. } => 25,
-                Kind::HwLoopDot(_) => 26,
-                Kind::CountedDot(_) => 27,
+                Kind::MulSraiAdd { .. } => 20,
+                Kind::AddiBranch { .. } => 21,
+                Kind::HwLoopDot(_) => 22,
+                Kind::CountedDot(_) => 23,
             }] = true;
         }
         let missing: Vec<usize> = (0..seen.len()).filter(|&k| !seen[k]).collect();
@@ -2314,9 +2187,12 @@ mod tests {
         assert_eq!(stats.counted_dot_entries, 1, "{stats:?}");
         assert_eq!(stats.counted_dot_iterations, 8, "{stats:?}");
         assert_eq!(stats.dispatches, 5, "{stats:?}");
-        // Off the kernel's own registers, the rows run as the fused ops.
+        // Off the kernel's own registers, the rows run as single ops and
+        // fused tails: li, li, li, lp.setup, then per pass p.lw, p.lw and
+        // mul/srai/add, and ecall.
         let stats = loop_matches_reference(&hwloop_row(8, true), true, 100_000);
-        assert_eq!((stats.hwloop_dot_entries, stats.fused_lp_lp), (0, 8));
+        assert_eq!(stats.hwloop_dot_entries, 0, "{stats:?}");
+        assert_eq!(stats.dispatches, 4 + 8 * 3 + 1, "{stats:?}");
         let stats = loop_matches_reference(&counted_row(8, true), false, 100_000);
         assert_eq!(stats.counted_dot_entries, 0, "{stats:?}");
     }

@@ -386,9 +386,11 @@ fn move_pointer(p: Reg, how: u8, k: i32) -> Vec<Instr> {
     }
 }
 
-/// Instruction groups that form the op program's fusion patterns (with
-/// random registers, so some sites alias their own operands), mixed with
-/// arbitrary instructions and word stores into the code.
+/// Instruction groups that form the op program's fusion patterns, and the
+/// Q15 pair shapes (`p.lw` with `p.lw`, `pv.sdotsp.h` or `p.mac`) that
+/// run as single ops, with random registers (so some sites alias their
+/// own operands), mixed with arbitrary instructions and word stores into
+/// the code.
 fn fusion_fragment() -> impl Strategy<Value = Vec<Instr>> {
     let lp = |rd, rs1| Instr::LoadPost {
         width: MemWidth::W,
