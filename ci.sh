@@ -37,6 +37,14 @@ cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
   --workload policy-sweep --seed 3 --seconds 1 --trace 0 \
   --expect-digest 916ba1eeb582b238 >/dev/null ||
   { echo "ci.sh: policy-sweep full-size digest changed" >&2; exit 1; }
+# The full-size iss-classify pass: three inputs per network on all eight
+# paper rows, where the tiny pin runs one; it folds every run's cycles,
+# instructions and outputs, so a single-core loop op that serves a row
+# whole must land on the same digest as one that steps it.
+cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+  --workload iss-classify --seed 3 --seconds 1 --trace 0 \
+  --expect-digest b611b70cc7c8f1ab >/dev/null ||
+  { echo "ci.sh: iss-classify full-size digest changed" >&2; exit 1; }
 
 # Smoke: the registry-driven tables must regenerate the headline rows
 # (Tables III/IV plus the A2/A7 ablations, the D1 cluster cycle

@@ -13,6 +13,14 @@
 //! `+4`, a decrement by one); any other loop, the Q15 and float kernels'
 //! included, runs one instruction per dispatch.
 //!
+//! When the row's two word streams lie in memory ([`Bus::span`]) and its
+//! cycles through the last `subs` fit the budget, the loop op runs every
+//! multiply-accumulate of the row in one loop over the two borrowed
+//! slices and charges the cycles in closed form; the cycle count only
+//! grows, so no per-sub-instruction check could have stopped it.
+//! Otherwise it steps through the passes, checking the budget after every
+//! sub-instruction.
+//!
 //! The loop op replays the exact per-instruction semantics of
 //! [`CortexM4::exec_decoded`] — flag updates, the load-pipelining cycle
 //! discount, per-class profile accounting, and fault ordering — so results,
@@ -24,7 +32,7 @@
 //! recorded run ([`CortexM4::run_fused_sink`]) executes only each slot's
 //! first instruction, so every instruction gets its own PC sample.
 
-use iw_rv32::{Bus, BusError, InstrClass, MemWidth};
+use iw_rv32::{dot_row, Bus, BusError, InstrClass, MemWidth};
 use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::cpu::{CortexM4, Flags, M4Error, RunResult};
@@ -61,14 +69,6 @@ impl FusedOp {
                 offset: 4,
                 mode: AddrMode::PostInc,
             },
-        }
-    }
-
-    /// Number of source instructions the slot covers.
-    fn len(&self) -> usize {
-        match self {
-            FusedOp::Single(_) => 1,
-            FusedOp::DotLoop { .. } => DOT_LOOP_LEN,
         }
     }
 }
@@ -162,6 +162,10 @@ pub struct FusedStats {
     pub dot_loop_entries: u64,
     /// Whole loop passes the dot-product loop op ran.
     pub dot_loop_iterations: u64,
+    /// Loop-op entries that ran their whole row as one pass over borrowed
+    /// memory slices ([`Bus::span`]) with the row's cycles charged in
+    /// closed form.
+    pub whole_rows: u64,
 }
 
 impl FusedStats {
@@ -206,8 +210,6 @@ impl FusedStats {
 #[derive(Debug, Clone)]
 pub struct BlockProgram {
     ops: Vec<FusedOp>,
-    fused_sites: usize,
-    fused_instrs: usize,
 }
 
 impl BlockProgram {
@@ -215,15 +217,10 @@ impl BlockProgram {
     /// every dot-product loop.
     #[must_use]
     pub fn compile(program: &[ThumbInstr]) -> BlockProgram {
-        let ops: Vec<FusedOp> = (0..program.len())
+        let ops = (0..program.len())
             .map(|at| try_dot_loop(&program[at..], at).unwrap_or(FusedOp::Single(program[at])))
             .collect();
-        let fused = ops.iter().filter(|op| !matches!(op, FusedOp::Single(_)));
-        BlockProgram {
-            fused_sites: fused.clone().count(),
-            fused_instrs: fused.map(FusedOp::len).sum(),
-            ops,
-        }
+        BlockProgram { ops }
     }
 
     /// Number of slots (equal to the source program's instruction count).
@@ -236,19 +233,6 @@ impl BlockProgram {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Number of loop ops placed at compile time.
-    #[must_use]
-    pub fn fused_sites(&self) -> usize {
-        self.fused_sites
-    }
-
-    /// Number of source instructions the loop ops cover, summed over the
-    /// sites.
-    #[must_use]
-    pub fn fused_instrs(&self) -> usize {
-        self.fused_instrs
     }
 }
 
@@ -317,12 +301,11 @@ impl DotCosts {
 
 /// One pass of the dot-product loop op through its `subs`, its first load
 /// costing `load0`, adding its cycles to `c`. Returns `None` when the pass
-/// reaches its `b.ne`, else where it stopped: the sub-instructions it
-/// retired and the fault of the next, if that faulted. With `STEPPED` the
-/// pass also stops after the first sub-instruction that takes `c` past
-/// `budget`; without, it must not be able to.
+/// reaches its `b.ne`, else where it stopped: after the first
+/// sub-instruction that takes `c` past `budget`, or at a load that
+/// faulted; the sub-instructions it retired and the fault, if any.
 #[inline(always)]
-fn dot_pass<const STEPPED: bool, B: Bus>(
+fn dot_pass<B: Bus>(
     v: &mut DotRegs,
     c: &mut u64,
     load0: u64,
@@ -331,45 +314,74 @@ fn dot_pass<const STEPPED: bool, B: Bus>(
     k: &DotCosts,
     budget: u64,
 ) -> Option<(usize, Result<(), BusError>)> {
-    let over = |c: u64| STEPPED && c > budget;
     // The two multiply-accumulates, the second at sub-instruction 5.
     for (at, load) in [(0, load0), (5, k.ldr)] {
         match bus.load(v.w, MemWidth::W) {
             Ok(word) => (v.tw, v.w, *c) = (word, v.w.wrapping_add(4), *c + load),
             Err(e) => return Some((at, Err(e))),
         }
-        if over(*c) {
+        if *c > budget {
             return Some((at + 1, Ok(())));
         }
         match bus.load(v.x, MemWidth::W) {
             Ok(word) => (v.tx, v.x, *c) = (word, v.x.wrapping_add(4), *c + k.ldr_p),
             Err(e) => return Some((at + 1, Err(e))),
         }
-        if over(*c) {
+        if *c > budget {
             return Some((at + 2, Ok(())));
         }
         v.tw = v.tw.wrapping_mul(v.tx);
         *c += k.mul;
-        if over(*c) {
+        if *c > budget {
             return Some((at + 3, Ok(())));
         }
         v.tw = ((v.tw as i32) >> shamt) as u32;
         *c += k.alu;
-        if over(*c) {
+        if *c > budget {
             return Some((at + 4, Ok(())));
         }
         v.acc = v.acc.wrapping_add(v.tw);
         *c += k.alu;
-        if over(*c) {
+        if *c > budget {
             return Some((at + 5, Ok(())));
         }
     }
     v.n = v.n.wrapping_sub(1);
     *c += k.alu;
-    if over(*c) {
+    if *c > budget {
         return Some((11, Ok(())));
     }
     None
+}
+
+/// The word streams of a whole row at `v`'s pointers, `v.n` passes of
+/// two words each, and the row's cycles through its last `subs`, its
+/// first load costing `load0`: `Some` when `v.n` is at least 1 and below
+/// 2^28, the bus hands out both spans ([`Bus::span`]; the M4 charges its
+/// own load costs) and those cycles stay within `budget`.
+fn whole_row<'b, B: Bus>(
+    bus: &'b B,
+    v: &DotRegs,
+    load0: u64,
+    k: &DotCosts,
+    bt: u64,
+    budget: u64,
+) -> Option<(&'b [u8], &'b [u8], u64)> {
+    let n = u64::from(v.n);
+    if !(1..1 << 28).contains(&n) {
+        return None;
+    }
+    let gaps = (n - 1).checked_mul(bt + k.ldr)?;
+    let end = k
+        .rest()
+        .checked_mul(n)?
+        .checked_add(gaps)?
+        .checked_add(load0)?;
+    if end > budget {
+        return None;
+    }
+    let len = 8 * v.n;
+    Some((bus.span(v.w, len, 0)?.0, bus.span(v.x, len, 0)?.0, end))
 }
 
 impl CortexM4 {
@@ -388,10 +400,12 @@ impl CortexM4 {
     /// `b.ne` falls through, `budget` cycles are exceeded after a
     /// sub-instruction (the caller then raises `CycleLimit` with the
     /// partial state, exactly as the per-instruction reference would) or a
-    /// load faults; returns the cycles and the instructions retired. The passes run on locals, one bus load per access
-    /// in program order; the registers, the `subs` flags, `pc`, the
-    /// retired count and the profile are committed once, at the stop, in
-    /// closed form.
+    /// load faults; returns the cycles and the instructions retired. The
+    /// passes run on locals: the whole row over borrowed slices when no
+    /// stop can end it ([`whole_row`]), else one bus load per access in
+    /// program order. The registers, the `subs` flags, `pc`, the retired
+    /// count and the profile are committed once, at the stop, in closed
+    /// form.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn dot_loop<B: Bus>(
@@ -416,32 +430,35 @@ impl CortexM4 {
         let mut load0 = u64::from(first);
         let k = DotCosts::of(t);
         let (bt, bnt) = (u64::from(t.branch_taken), u64::from(t.branch_not_taken));
-        let rest = k.rest();
         let (mut c, mut iters, mut exited) = (0u64, 0u64, false);
+        // The whole row at once, when both word streams lie in memory and
+        // the row's last budget check, after its last `subs`, passes: the
+        // cycle count only grows, so no check before it could stop.
+        let row = whole_row(bus, &v, load0, &k, bt, budget);
         // `r` counts the sub-instructions of the unfinished pass retired
-        // at the stop; a fault stops at the load numbered `r`. A pass that
-        // cannot pass the budget before its `b.ne` runs without the
-        // per-sub-instruction checks: the cycle count only grows, so none
-        // of them could stop.
-        let (r, res) = loop {
-            let stop = if c + load0 + rest > budget {
-                dot_pass::<true, B>(&mut v, &mut c, load0, shamt, bus, &k, budget)
-            } else {
-                dot_pass::<false, B>(&mut v, &mut c, load0, shamt, bus, &k, budget)
-            };
-            if let Some(stop) = stop {
-                break stop;
-            }
-            iters += 1;
-            if v.n == 0 {
-                exited = true;
-                c += bnt;
-                break (0, Ok(()));
-            }
-            c += bt;
-            load0 = k.ldr;
-            if c > budget {
-                break (0, Ok(()));
+        // at the stop; a fault stops at the load numbered `r`.
+        let (r, res) = if let Some((ws, xs, end)) = row {
+            (v.acc, v.tw, v.tx) = dot_row(ws, xs, shamt, v.acc);
+            (c, iters, exited) = (end + bnt, u64::from(v.n), true);
+            (v.w, v.x, v.n) = (v.w.wrapping_add(8 * v.n), v.x.wrapping_add(8 * v.n), 0);
+            stats.whole_rows += 1;
+            (0, Ok(()))
+        } else {
+            loop {
+                if let Some(stop) = dot_pass(&mut v, &mut c, load0, shamt, bus, &k, budget) {
+                    break stop;
+                }
+                iters += 1;
+                if v.n == 0 {
+                    exited = true;
+                    c += bnt;
+                    break (0, Ok(()));
+                }
+                c += bt;
+                load0 = k.ldr;
+                if c > budget {
+                    break (0, Ok(()));
+                }
             }
         };
         v.write(self, regs);
@@ -938,7 +955,6 @@ mod tests {
 
     #[test]
     fn dot_loop_stops_exactly_at_every_cycle_limit() {
-        let program = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
         // Entered right after a load too, whose pipelining discount the
         // first pass's first load takes.
         let load = ThumbInstr::Ldr {
@@ -948,13 +964,39 @@ mod tests {
             offset: 0,
             mode: AddrMode::Offset,
         };
-        let after_load = inserted(program.clone(), 3, load);
-        for limit in 1..170 {
-            compare(&program, limit, |_, ram| fill_words(ram));
-            compare(&after_load, limit, |_, ram| fill_words(ram));
+        for n in [1, 2, 8] {
+            let program = dot_row(KERNEL_REGS, 0x100, 0x300, n, 7);
+            let after_load = inserted(program.clone(), 3, load);
+            // The row runs whole exactly when the reference gets past the
+            // last `subs`'s budget check: it then retires the `b.ne`.
+            for (program, pre) in [(program, 3), (after_load, 4)] {
+                for limit in 1..20 * n as u64 + 20 {
+                    let (cpu, stats) = compare(&program, limit, |_, ram| fill_words(ram));
+                    let whole = cpu.retired() >= pre + 12 * n as u64;
+                    assert_eq!(stats.whole_rows, u64::from(whole), "n={n} limit={limit}");
+                }
+                let (_, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
+                assert_eq!((stats.dot_loop_entries, stats.whole_rows), (1, 1));
+            }
         }
-        let (_, stats) = compare(&after_load, 1_000_000, |_, ram| fill_words(ram));
-        assert_eq!(stats.dot_loop_entries, 1);
+    }
+
+    #[test]
+    fn dot_rows_ending_at_the_ram_end_run_whole_and_past_it_fault_exactly() {
+        // Either stream ending one word before the end of RAM, exactly at
+        // it, or one word past it: the last pass's second load of that
+        // stream faults, as on the reference, and the row runs stepped.
+        for n in [1, 2, 8] {
+            for past in [-1, 0, 1] {
+                let at = (4096 - 4 * (2 * n - past)) as u32;
+                for (w, x) in [(at, 0x100), (0x100, at)] {
+                    let program = dot_row(KERNEL_REGS, w, x, n, 7);
+                    let (cpu, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
+                    assert_eq!(cpu.is_halted(), past < 1, "n={n} {w:#x} {x:#x}");
+                    assert_eq!(stats.whole_rows, u64::from(past < 1), "n={n} {w:#x} {x:#x}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -992,15 +1034,27 @@ mod tests {
     }
 
     #[test]
-    fn compile_reports_fusion_sites() {
+    fn compile_places_one_loop_op_per_dot_loop_head() {
+        // The row's three `movw`s, then the loop op at the loop's head;
+        // every other slot, the loop's own included, holds its single
+        // instruction.
         let program = dot_row(KERNEL_REGS, 0x100, 0x300, 8, 7);
         let prog = BlockProgram::compile(&program);
         assert_eq!(prog.len(), program.len());
         assert!(!prog.is_empty());
-        assert_eq!(prog.fused_sites(), 1);
-        assert_eq!(prog.fused_instrs(), DOT_LOOP_LEN);
+        let loops: Vec<usize> = (0..prog.len())
+            .filter(|&i| matches!(prog.ops[i], FusedOp::DotLoop { .. }))
+            .collect();
+        assert_eq!(loops, [3]);
+        assert_eq!(
+            prog.ops[3],
+            FusedOp::DotLoop {
+                regs: KERNEL_REGS,
+                shamt: 7
+            }
+        );
         let prog = BlockProgram::compile(&q15_dot_kernel());
-        assert_eq!((prog.fused_sites(), prog.fused_instrs()), (0, 0));
+        assert!(prog.ops.iter().all(|op| matches!(op, FusedOp::Single(_))));
     }
 
     #[test]
@@ -1111,22 +1165,32 @@ mod tests {
         ]
     }
 
+    /// A row's pointers: any two, or one whose stream ends one word
+    /// before the end of RAM, exactly at it or one word past it after
+    /// `n` passes.
     fn dot_frag() -> impl Strategy<Value = Frag> {
+        let at_end = prop_oneof![Just(None), (any::<bool>(), -1i32..=1).prop_map(Some)];
         (
             dot_regs(),
-            pointers(),
+            (pointers(), at_end),
             passes(),
             0u8..32,
             0u8..3,
             prop_oneof![Just(0), Just(0), Just(0), 1u8..4],
         )
-            .prop_map(|(regs, ptrs, n, shamt, entry, miss)| Frag::Dot {
-                regs,
-                ptrs,
-                n,
-                shamt,
-                entry,
-                miss,
+            .prop_map(|(regs, (mut ptrs, at_end), n, shamt, entry, miss)| {
+                if let Some((on_x, past)) = at_end {
+                    let at = (4096 - 4 * (2 * n - past)) as u32;
+                    *(if on_x { &mut ptrs.1 } else { &mut ptrs.0 }) = at;
+                }
+                Frag::Dot {
+                    regs,
+                    ptrs,
+                    n,
+                    shamt,
+                    entry,
+                    miss,
+                }
             })
     }
 
@@ -1269,19 +1333,38 @@ mod tests {
     }
 
     /// Runs `frags` then `bkpt` through [`compare`] over RAM filled from
-    /// `seed`.
-    fn compare_frags(frags: &[Frag], max_cycles: u64, seed: u32) -> (CortexM4, FusedStats) {
+    /// `seed`, under `max_cycles` or, with `back = Some(k)`, `k` cycles
+    /// short of the whole run's cycles (around the last budget checks of
+    /// the program's last loop).
+    fn compare_frags(
+        frags: &[Frag],
+        max_cycles: u64,
+        back: Option<u64>,
+        seed: u32,
+    ) -> (CortexM4, FusedStats) {
         let mut asm = ThumbAsm::new();
         for frag in frags {
             emit(&mut asm, frag);
         }
         asm.bkpt();
-        compare(&asm.finish().unwrap(), max_cycles, |_, ram| {
+        let program = asm.finish().unwrap();
+        let fill = |_: &mut CortexM4, ram: &mut Ram| {
             for i in 0..1024u32 {
                 let v = (i ^ seed).wrapping_mul(0x9e37_79b9).rotate_left(i % 32);
                 ram.write_bytes(4 * i, &v.to_le_bytes());
             }
-        })
+        };
+        let max_cycles = match back {
+            Some(k) => {
+                let mut ram = Ram::new(0, 4096);
+                let mut cpu = CortexM4::new();
+                fill(&mut cpu, &mut ram);
+                let full = cpu.run(&program, &mut ram, &CortexM4Timing::default(), 20_000);
+                full.map_or(max_cycles, |run| run.cycles).saturating_sub(k)
+            }
+            None => max_cycles,
+        };
+        compare(&program, max_cycles, fill)
     }
 
     proptest! {
@@ -1293,16 +1376,17 @@ mod tests {
             max_cycles in budget(),
             seed in any::<u32>(),
         ) {
-            compare_frags(&frags, max_cycles, seed);
+            compare_frags(&frags, max_cycles, None, seed);
         }
 
         #[test]
         fn dot_rows_match_the_reference(
             row in dot_frag(),
             max_cycles in budget(),
+            back in prop_oneof![Just(None), (0u64..24).prop_map(Some)],
             seed in any::<u32>(),
         ) {
-            compare_frags(&[row], max_cycles, seed);
+            compare_frags(&[row], max_cycles, back, seed);
         }
     }
 

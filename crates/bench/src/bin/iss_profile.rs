@@ -107,9 +107,9 @@ fn main() {
 /// Dispatch report for one target's product path: burst length, how many
 /// multi-core bursts the runner-up gate cut short, and, on the RV32
 /// targets, the op program's counters (ops dispatched, instructions per
-/// op, fused executions per pattern, loop-op entries and native
-/// iterations, translations and code-store re-decodes); on the M4, the
-/// loop-op counters.
+/// op, fused executions per pattern, loop-op entries, native iterations
+/// and rows served whole over memory spans, translations and code-store
+/// re-decodes); on the M4, the loop-op counters.
 fn print_product_stats(prep: &PreparedFixed) {
     let (_, s) = prep.run_stats().expect("runs");
     println!(
@@ -129,17 +129,18 @@ fn print_product_stats(prep: &PreparedFixed) {
             r.fused_mul_srai_add, r.fused_addi_branch
         );
         println!(
-            "  loop ops: hwloop-dot entries={} iterations={} counted-dot entries={} iterations={}",
+            "  loop ops: hwloop-dot entries={} iterations={} counted-dot entries={} iterations={} whole rows={}",
             r.hwloop_dot_entries,
             r.hwloop_dot_iterations,
             r.counted_dot_entries,
-            r.counted_dot_iterations
+            r.counted_dot_iterations,
+            r.whole_rows
         );
     }
     if let Some(m) = s.m4 {
         println!(
-            "  loop ops: dot-loop entries={} iterations={}",
-            m.dot_loop_entries, m.dot_loop_iterations
+            "  loop ops: dot-loop entries={} iterations={} whole rows={}",
+            m.dot_loop_entries, m.dot_loop_iterations, m.whole_rows
         );
     }
 }

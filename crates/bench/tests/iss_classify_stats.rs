@@ -1,7 +1,10 @@
 //! Pins the product path's dispatch counters on the eight iss-classify
 //! rows (Networks A and B × the four paper targets): scheduler picks,
 //! gated breaks, joint-mode picks and instructions, and every counter of
-//! the RV32 op program or the M4 fused program. A change to which ops the
+//! the RV32 op program or the M4 fused program, the rows each loop op
+//! served whole over borrowed memory slices included (every dot-product
+//! row on the three single-core targets, none on eight cores, whose bus
+//! arbitrates). A change to which ops the
 //! programs fuse or dispatch shows here first, row by row; the cycle
 //! counts and outputs of the same rows are pinned by the Table III/IV
 //! goldens, `m4_rows.rs` and `cluster_schedule.rs`.
@@ -45,6 +48,7 @@ fn network_a_m4_counters() {
         instructions: 20_668,
         dot_loop_entries: 103,
         dot_loop_iterations: 1_425,
+        whole_rows: 103,
     };
     let s = stats(0, FixedTarget::CortexM4);
     assert_row(&s, (3_671, 0, 0, 0), None, Some(m4));
@@ -57,6 +61,7 @@ fn network_b_m4_counters() {
         instructions: 519_036,
         dot_loop_entries: 1_256,
         dot_loop_iterations: 39_888,
+        whole_rows: 1_256,
     };
     let s = stats(1, FixedTarget::CortexM4);
     assert_row(&s, (41_636, 0, 0, 0), None, Some(m4));
@@ -75,6 +80,7 @@ fn network_a_ibex_counters() {
         hwloop_dot_iterations: 0,
         counted_dot_entries: 103,
         counted_dot_iterations: 2_900,
+        whole_rows: 103,
     };
     let s = stats(0, FixedTarget::WolfIbex);
     assert_row(&s, (2_700, 0, 0, 0), Some(rv), None);
@@ -93,6 +99,7 @@ fn network_b_ibex_counters() {
         hwloop_dot_iterations: 0,
         counted_dot_entries: 1_256,
         counted_dot_iterations: 79_776,
+        whole_rows: 1_256,
     };
     let s = stats(1, FixedTarget::WolfIbex);
     assert_row(&s, (32_829, 0, 0, 0), Some(rv), None);
@@ -111,10 +118,12 @@ fn network_a_riscy_counters() {
         hwloop_dot_iterations: 2_900,
         counted_dot_entries: 0,
         counted_dot_iterations: 0,
+        whole_rows: 103,
     };
-    // The single core runs the whole program in one scheduler pick.
+    // The single core runs the whole program in one scheduler pick; its
+    // dispatches are the op program's.
     let s = stats(0, FixedTarget::WolfRiscy);
-    assert_row(&s, (1, 0, 0, 0), Some(rv), None);
+    assert_row(&s, (2_700, 0, 0, 0), Some(rv), None);
 }
 
 #[test]
@@ -130,9 +139,10 @@ fn network_b_riscy_counters() {
         hwloop_dot_iterations: 79_776,
         counted_dot_entries: 0,
         counted_dot_iterations: 0,
+        whole_rows: 1_256,
     };
     let s = stats(1, FixedTarget::WolfRiscy);
-    assert_row(&s, (1, 0, 0, 0), Some(rv), None);
+    assert_row(&s, (32_829, 0, 0, 0), Some(rv), None);
 }
 
 #[test]
@@ -148,6 +158,7 @@ fn network_a_cluster8_counters() {
         hwloop_dot_iterations: 77,
         counted_dot_entries: 0,
         counted_dot_iterations: 0,
+        whole_rows: 0,
     };
     let s = stats(0, FixedTarget::WolfCluster { cores: 8 });
     assert_row(&s, (5_926, 5_902, 5_028, 12_681), Some(rv), None);
@@ -166,6 +177,7 @@ fn network_b_cluster8_counters() {
         hwloop_dot_iterations: 35,
         counted_dot_entries: 0,
         counted_dot_iterations: 0,
+        whole_rows: 0,
     };
     let s = stats(1, FixedTarget::WolfCluster { cores: 8 });
     assert_row(&s, (162_407, 162_207, 154_226, 385_097), Some(rv), None);

@@ -160,8 +160,9 @@ pub enum ExecPath {
 /// Dispatch statistics of one [`ExecPath::Product`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProductStats {
-    /// Dispatch decisions: scheduler picks on the Mr. Wolf cluster,
-    /// dispatch-loop iterations elsewhere.
+    /// Dispatch decisions: scheduler picks on the multi-core Mr. Wolf
+    /// cluster, dispatch-loop iterations (ops dispatched) elsewhere, the
+    /// single RI5CY included.
     pub dispatches: u64,
     /// Mean instructions retired per dispatch.
     pub avg_burst: f64,
@@ -769,9 +770,15 @@ impl Deployment for WolfDeployment {
             Ok((self.fc_run(&wolf, &run), product))
         } else {
             let (run, sched) = wolf.run_cluster_stats(L2_BASE, MAX_CYCLES)?;
+            // A single core runs the whole program in one pick: its
+            // dispatch decisions are the op program's.
+            let (dispatches, avg_burst) = match sched.program {
+                Some(p) if self.cfg.cores == 1 => (p.dispatches, p.avg_burst()),
+                _ => (sched.picks, sched.avg_burst()),
+            };
             let product = ProductStats {
-                dispatches: sched.picks,
-                avg_burst: sched.avg_burst(),
+                dispatches,
+                avg_burst,
                 gated_breaks: sched.gated_breaks,
                 joint_picks: sched.joint_picks,
                 joint_instructions: sched.joint_instructions,

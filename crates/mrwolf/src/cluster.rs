@@ -372,6 +372,21 @@ impl Bus for ClusterBus<'_> {
             _ => Err(BusError { addr, write: true }),
         }
     }
+
+    /// Spans inside one memory while nothing arbitrates (a single core):
+    /// TCDM at the base cost, L2 at its latency, as `load_timed` charges.
+    /// An arbitrating bus charges by issue time, so it hands out none.
+    #[inline]
+    fn span(&self, addr: u32, len: u32, base: u32) -> Option<(&[u8], u32)> {
+        if self.arbitrate {
+            return None;
+        }
+        match region_of(addr)? {
+            Region::Tcdm => self.tcdm.span(addr, len, base),
+            Region::L2 => self.l2.span(addr, len, self.l2_latency),
+            Region::EventUnit => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1468,6 +1483,65 @@ mod tests {
         // addi/bne; ecall.
         assert_eq!(stats.dispatches, 3 + 3 * 4 + 1, "{stats:?}");
         assert_eq!(sched.picks, 1);
+        // Nothing arbitrates one core: every row runs whole over a TCDM
+        // and an L2 span.
+        assert_eq!(stats.whole_rows, 3, "{stats:?}");
+        // A single core with a zero-cycle L2 keeps arbitration (see the
+        // module docs): its bus hands out no spans, and every row steps
+        // through its accesses, still matching the reference.
+        let (mut tcdm, mut l2) = fresh_mems();
+        l2.write_bytes(L2_BASE, &image);
+        let cfg = ClusterConfig {
+            cores: 1,
+            l2_latency: 0,
+            ..ClusterConfig::default()
+        };
+        let (mut ref_tcdm, mut ref_l2) = (tcdm.clone(), l2.clone());
+        let (run, sched) = run_cluster_stats(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000).unwrap();
+        let reference_cfg = ClusterConfig {
+            decode_cache: false,
+            ..cfg
+        };
+        let reference =
+            run_cluster(&reference_cfg, &mut ref_tcdm, &mut ref_l2, L2_BASE, 100_000).unwrap();
+        assert_eq!(run, reference);
+        assert_ne!(run.cycles, run_fast.cycles);
+        let stats = sched.program.unwrap();
+        assert_eq!(stats.hwloop_dot_iterations, 48, "{stats:?}");
+        assert_eq!(stats.whole_rows, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn cluster_bus_spans_only_while_nothing_arbitrates() {
+        let (mut tcdm, mut l2) = fresh_mems();
+        tcdm.write_bytes(TCDM_BASE, &[1, 2, 3, 4]);
+        l2.write_bytes(L2_BASE + 0x100, &[5, 6, 7, 8]);
+        let mut bus = ClusterBus {
+            tcdm: &mut tcdm,
+            l2: &mut l2,
+            last_region: None,
+            barrier_arrived: false,
+            arbitrate: false,
+            l2_latency: 3,
+            bank_free: vec![0; 16],
+            l2_free: 0,
+            tcdm_stalls: 0,
+            l2_stalls: 0,
+        };
+        // TCDM at the base cost, L2 at its latency, as `load_timed`
+        // charges them; nothing across a memory's end or at the event
+        // unit.
+        assert_eq!(bus.span(TCDM_BASE, 4, 1), Some((&[1, 2, 3, 4][..], 1)));
+        assert_eq!(
+            bus.span(L2_BASE + 0x100, 4, 1),
+            Some((&[5, 6, 7, 8][..], 3))
+        );
+        assert_eq!(bus.span(TCDM_BASE + TCDM_SIZE as u32 - 4, 8, 1), None);
+        assert_eq!(bus.span(BARRIER_ADDR, 4, 1), None);
+        // An arbitrating bus charges by issue time: no spans at all.
+        bus.arbitrate = true;
+        assert_eq!(bus.span(TCDM_BASE, 4, 1), None);
+        assert_eq!(bus.span(L2_BASE + 0x100, 4, 1), None);
     }
 
     /// Every core cycle must be attributed: execution, arbitration
@@ -1889,15 +1963,16 @@ mod tests {
     proptest! {
 
         /// Lockstep dot-product rows on 2–8 cores, the joint mode's
-        /// domain: long and per-core-different counts, every stream
-        /// layout, a core whose stream faults mid-loop and cycle budgets
-        /// that expire anywhere in the run. The product path must
+        /// domain, and on one core, whose rows run whole over spans:
+        /// long and per-core-different counts, every stream layout, a
+        /// core whose stream faults mid-loop and cycle budgets that
+        /// expire anywhere in the run. The product path must
         /// reproduce the reference pick loop exactly: the `ClusterRun` or
         /// error, every TCDM word and the touched L2 words.
         #[test]
         fn dot_rows_match_reference(
             rows in prop::collection::vec(any_dot_row(), 1..5),
-            cores in 2usize..9,
+            cores in 1usize..9,
             fault_row in 0usize..8,
             fault_after in 1u8..60,
             budget_pct in prop_oneof![Just(100u64), 0u64..100],

@@ -37,6 +37,17 @@ impl Bus for FcBus<'_> {
             _ => Err(BusError { addr, write: true }),
         }
     }
+
+    /// Spans inside one memory, at the base cost: nothing else is on the
+    /// bus, so no access ever waits.
+    #[inline]
+    fn span(&self, addr: u32, len: u32, base: u32) -> Option<(&[u8], u32)> {
+        match region_of(addr)? {
+            Region::Tcdm => self.tcdm.span(addr, len, base),
+            Region::L2 => self.l2.span(addr, len, base),
+            Region::EventUnit => None,
+        }
+    }
 }
 
 /// The modelled Mr. Wolf SoC.
@@ -302,6 +313,34 @@ mod tests {
     }
 
     #[test]
+    fn fc_bus_spans_one_memory_at_a_time() {
+        let (mut tcdm, mut l2) = (Ram::new(TCDM_BASE, TCDM_SIZE), Ram::new(L2_BASE, L2_SIZE));
+        tcdm.write_bytes(TCDM_BASE + 8, &[1, 2, 3, 4]);
+        l2.write_bytes(L2_BASE + 0x100, &[5, 6, 7, 8]);
+        let bus = FcBus {
+            tcdm: &mut tcdm,
+            l2: &mut l2,
+        };
+        // Each memory at the base cost, up to its very end.
+        assert_eq!(bus.span(TCDM_BASE + 8, 4, 1), Some((&[1, 2, 3, 4][..], 1)));
+        assert_eq!(
+            bus.span(L2_BASE + 0x100, 4, 2),
+            Some((&[5, 6, 7, 8][..], 2))
+        );
+        let tcdm_end = TCDM_BASE + TCDM_SIZE as u32;
+        let l2_end = L2_BASE + L2_SIZE as u32;
+        assert_eq!(bus.span(tcdm_end - 8, 8, 1).map(|(b, _)| b.len()), Some(8));
+        assert_eq!(bus.span(l2_end - 8, 8, 1).map(|(b, _)| b.len()), Some(8));
+        // Nothing past either end, in the gap between them or at the
+        // event unit.
+        assert_eq!(bus.span(tcdm_end - 4, 8, 1), None);
+        assert_eq!(bus.span(l2_end - 4, 8, 1), None);
+        assert_eq!(bus.span(tcdm_end, 4, 1), None);
+        assert_eq!(bus.span(L2_BASE - 4, 8, 1), None);
+        assert_eq!(bus.span(crate::memmap::BARRIER_ADDR, 4, 1), None);
+    }
+
+    #[test]
     fn fc_can_reach_tcdm() {
         let mut wolf = MrWolf::new();
         let mut asm = Asm::new(L2_BASE);
@@ -386,6 +425,8 @@ mod tests {
         assert_eq!(product, reference);
         assert_eq!(stats.counted_dot_entries, 4, "{stats:?}");
         assert_eq!(stats.counted_dot_iterations, 64, "{stats:?}");
+        // Each a whole row over two TCDM spans.
+        assert_eq!(stats.whole_rows, 4, "{stats:?}");
         // Four set-up instructions (the second `li` is `lui` + `addi`),
         // then per row: li, the loop op, the fused addi/bne; ecall.
         assert_eq!(stats.dispatches, 4 + 4 * 3 + 1, "{stats:?}");

@@ -23,6 +23,14 @@
 //! Every other instruction, the Q15 (`pv.sdotsp.h`, `p.mac`) and
 //! streaming-load shapes included, runs as its single op.
 //!
+//! A loop op whose bus hands out both of the row's word streams at a fixed
+//! cost per access ([`Bus::span`]: a flat memory, or a single core that
+//! nothing arbitrates) runs the whole row as one loop over the two
+//! borrowed slices ([`dot_row`]) and charges its cycles in closed form,
+//! when the row's last budget and memory-gate checks pass; the cycle
+//! count only grows, so no earlier check could stop it. Any other row
+//! steps through its accesses one at a time.
+//!
 //! Every PC owns its slot, so a core can resume anywhere — after a taken
 //! branch, a hardware-loop back edge, a partial fused op or a scheduler
 //! switch — with one index and no block lookup; instructions *inside* a
@@ -317,6 +325,10 @@ pub struct ProgramStats {
     pub counted_dot_entries: u64,
     /// Whole body passes those loop ops ran natively.
     pub counted_dot_iterations: u64,
+    /// Loop-op entries, of either kind, that ran their whole row as one
+    /// pass over borrowed memory slices ([`Bus::span`]) with the row's
+    /// cycles charged in closed form.
+    pub whole_rows: u64,
 }
 
 impl ProgramStats {
@@ -1005,7 +1017,9 @@ impl Cpu {
 // stops between every sub-instruction (the cycle budget; the memory gate
 // before every access but the op's first; a fault), writes the registers
 // back and commits the bookkeeping once at the stop. `r` counts the
-// sub-instructions of the unfinished pass retired at the stop.
+// sub-instructions of the unfinished pass retired at the stop. A row that
+// no stop can end (both streams in fixed-cost spans, its last checks
+// passing) runs whole instead, over the spans, and commits the same way.
 //
 // Each op's first load, the gate stop after it and the fallback for a
 // loop it cannot follow are inlined into the dispatch, the passes are out
@@ -1086,36 +1100,56 @@ impl HwLoopDot {
         let shamt = self.shamt;
         let mut iters = 0u64;
         let [mut w, mut x, mut tw, mut tx, mut acc] = self.regs.map(|r| cpu.reg(r));
-        let (r, res) = loop {
-            match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
-                Ok((v, k)) => (tx, x, c) = (v, x.wrapping_add(4), c + k),
-                Err(e) => break (1, Err(e)),
-            }
-            if c > budget {
-                break (2, Ok(()));
-            }
-            tw = tw.wrapping_mul(tx);
-            c += u64::from(t.mul);
-            if c > budget {
-                break (3, Ok(()));
-            }
-            tw = ((tw as i32) >> shamt) as u32;
-            c += u64::from(t.alu);
-            if c > budget {
-                break (4, Ok(()));
-            }
-            acc = acc.wrapping_add(tw);
-            c += u64::from(t.alu);
-            iters += 1;
-            if iters == n || c > budget || c >= mem_room {
-                break (0, Ok(()));
-            }
-            match load(bus, w, MemWidth::W, t, at + c, pc) {
-                Ok((v, k)) => (tw, w, c) = (v, w.wrapping_add(4), c + k),
-                Err(e) => break (0, Err(e)),
-            }
-            if c > budget || c >= mem_room {
-                break (1, Ok(()));
+        // The first load already stepped `w`. After it a pass costs `pass`
+        // and the next pass's first load `kw`; the last pass's `srai` makes
+        // the last budget check and its first load the last gate check.
+        let row =
+            row_spans(bus, w.wrapping_sub(4), x, n, t.load).and_then(|[(ws, kw), (xs, kx)]| {
+                let pass = u64::from(kx) + u64::from(t.mul) + 2 * u64::from(t.alu);
+                let end = row_cycles(c, n, pass, u64::from(kw))?;
+                (end - u64::from(t.alu) <= budget && end - pass < mem_room).then_some((ws, xs, end))
+            });
+        let (r, res) = if let Some((ws, xs, end)) = row {
+            (acc, tw, tx) = dot_row(ws, xs, shamt, acc);
+            (w, x) = (
+                w.wrapping_add(4 * (n as u32 - 1)),
+                x.wrapping_add(4 * n as u32),
+            );
+            (c, iters) = (end, n);
+            ex.stats.whole_rows += 1;
+            (0, Ok(()))
+        } else {
+            loop {
+                match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
+                    Ok((v, k)) => (tx, x, c) = (v, x.wrapping_add(4), c + k),
+                    Err(e) => break (1, Err(e)),
+                }
+                if c > budget {
+                    break (2, Ok(()));
+                }
+                tw = tw.wrapping_mul(tx);
+                c += u64::from(t.mul);
+                if c > budget {
+                    break (3, Ok(()));
+                }
+                tw = ((tw as i32) >> shamt) as u32;
+                c += u64::from(t.alu);
+                if c > budget {
+                    break (4, Ok(()));
+                }
+                acc = acc.wrapping_add(tw);
+                c += u64::from(t.alu);
+                iters += 1;
+                if iters == n || c > budget || c >= mem_room {
+                    break (0, Ok(()));
+                }
+                match load(bus, w, MemWidth::W, t, at + c, pc) {
+                    Ok((v, k)) => (tw, w, c) = (v, w.wrapping_add(4), c + k),
+                    Err(e) => break (0, Err(e)),
+                }
+                if c > budget || c >= mem_room {
+                    break (1, Ok(()));
+                }
             }
         };
         for (reg, v) in self.regs.into_iter().zip([w, x, tw, tx, acc]) {
@@ -1242,60 +1276,79 @@ impl CountedDot {
         let shamt = self.shamt;
         let (mut iters, mut exited) = (0u64, false);
         let [mut w, mut x, mut tw, mut tx, mut acc, mut left] = self.regs.map(|r| cpu.reg(r));
-        let (r, res) = loop {
-            match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
-                Ok((v, k)) => (tx, c) = (v, c + k),
-                Err(e) => break (1, Err(e)),
-            }
-            if c > budget {
-                break (2, Ok(()));
-            }
-            w = w.wrapping_add(4);
-            c += u64::from(t.alu);
-            if c > budget {
-                break (3, Ok(()));
-            }
-            x = x.wrapping_add(4);
-            c += u64::from(t.alu);
-            if c > budget {
-                break (4, Ok(()));
-            }
-            tw = tw.wrapping_mul(tx);
-            c += u64::from(t.mul);
-            if c > budget {
-                break (5, Ok(()));
-            }
-            tw = ((tw as i32) >> shamt) as u32;
-            c += u64::from(t.alu);
-            if c > budget {
-                break (6, Ok(()));
-            }
-            acc = acc.wrapping_add(tw);
-            c += u64::from(t.alu);
-            if c > budget {
-                break (7, Ok(()));
-            }
-            left = left.wrapping_sub(1);
-            c += u64::from(t.alu);
-            if c > budget {
-                break (8, Ok(()));
-            }
-            iters += 1;
-            if left == 0 {
-                exited = true;
-                c += u64::from(t.branch_not_taken);
-                break (0, Ok(()));
-            }
-            c += u64::from(t.branch_taken);
-            if c > budget || c >= mem_room {
-                break (0, Ok(()));
-            }
-            match load(bus, w, MemWidth::W, t, at + c, pc) {
-                Ok((v, k)) => (tw, c) = (v, c + k),
-                Err(e) => break (0, Err(e)),
-            }
-            if c > budget || c >= mem_room {
-                break (1, Ok(()));
+        // After the first load a pass costs `pass` through its `addi n`,
+        // which makes the last budget check; the taken `bne` and the next
+        // pass's first load come between passes, and the last pass's first
+        // load makes the last gate check.
+        let n = u64::from(left);
+        let row = row_spans(bus, w, x, n, t.load).and_then(|[(ws, kw), (xs, kx)]| {
+            let pass = u64::from(kx) + 5 * u64::from(t.alu) + u64::from(t.mul);
+            let gap = u64::from(t.branch_taken) + u64::from(kw);
+            let end = row_cycles(c, n, pass, gap)?;
+            (end <= budget && end - pass < mem_room).then_some((ws, xs, end))
+        });
+        let (r, res) = if let Some((ws, xs, end)) = row {
+            (acc, tw, tx) = dot_row(ws, xs, shamt, acc);
+            (w, x, left) = (w.wrapping_add(4 * left), x.wrapping_add(4 * left), 0);
+            (c, iters, exited) = (end + u64::from(t.branch_not_taken), n, true);
+            ex.stats.whole_rows += 1;
+            (0, Ok(()))
+        } else {
+            loop {
+                match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
+                    Ok((v, k)) => (tx, c) = (v, c + k),
+                    Err(e) => break (1, Err(e)),
+                }
+                if c > budget {
+                    break (2, Ok(()));
+                }
+                w = w.wrapping_add(4);
+                c += u64::from(t.alu);
+                if c > budget {
+                    break (3, Ok(()));
+                }
+                x = x.wrapping_add(4);
+                c += u64::from(t.alu);
+                if c > budget {
+                    break (4, Ok(()));
+                }
+                tw = tw.wrapping_mul(tx);
+                c += u64::from(t.mul);
+                if c > budget {
+                    break (5, Ok(()));
+                }
+                tw = ((tw as i32) >> shamt) as u32;
+                c += u64::from(t.alu);
+                if c > budget {
+                    break (6, Ok(()));
+                }
+                acc = acc.wrapping_add(tw);
+                c += u64::from(t.alu);
+                if c > budget {
+                    break (7, Ok(()));
+                }
+                left = left.wrapping_sub(1);
+                c += u64::from(t.alu);
+                if c > budget {
+                    break (8, Ok(()));
+                }
+                iters += 1;
+                if left == 0 {
+                    exited = true;
+                    c += u64::from(t.branch_not_taken);
+                    break (0, Ok(()));
+                }
+                c += u64::from(t.branch_taken);
+                if c > budget || c >= mem_room {
+                    break (0, Ok(()));
+                }
+                match load(bus, w, MemWidth::W, t, at + c, pc) {
+                    Ok((v, k)) => (tw, c) = (v, c + k),
+                    Err(e) => break (0, Err(e)),
+                }
+                if c > budget || c >= mem_room {
+                    break (1, Ok(()));
+                }
             }
         };
         for (reg, v) in self.regs.into_iter().zip([w, x, tw, tx, acc, left]) {
@@ -1325,6 +1378,53 @@ impl CountedDot {
         };
         ex.stats.counted_dot_iterations += iters;
         res.map(|()| c)
+    }
+}
+
+/// The word streams at `w` and `x` of a whole row of `n` passes, one word
+/// of each per pass, each with the cost its loads charge: `Some` when `n`
+/// is at least 1 and below 2^28, both pointers are word-aligned and the
+/// bus hands out both spans at a fixed cost ([`Bus::span`]), so no load
+/// of the row can fault or stall.
+#[inline(always)]
+fn row_spans<B: Bus>(bus: &B, w: u32, x: u32, n: u64, base: u32) -> Option<[(&[u8], u32); 2]> {
+    if n == 0 || n >= 1 << 28 || !(w | x).is_multiple_of(4) {
+        return None;
+    }
+    let len = 4 * n as u32;
+    Some([bus.span(w, len, base)?, bus.span(x, len, base)?])
+}
+
+/// `c0 + n * pass + (n - 1) * gap`: the cycles of `n ≥ 1` passes of
+/// `pass` cycles each, `gap` cycles apart, after `c0`; `None` past
+/// `u64::MAX`.
+#[inline(always)]
+fn row_cycles(c0: u64, n: u64, pass: u64, gap: u64) -> Option<u64> {
+    n.checked_mul(pass)?
+        .checked_add((n - 1).checked_mul(gap)?)?
+        .checked_add(c0)
+}
+
+/// The fixed-point dot product both ISSs' loop ops run over a whole row:
+/// for each pair of little-endian words of `ws` and `xs`, `tw = w * x`
+/// (wrapping), `tw = tw >> shamt` (arithmetic) and `acc += tw`
+/// (wrapping). Returns the final `acc` and the last pair's `tw` and `x`
+/// (`tx`); with no words, `acc` and zeros.
+#[must_use]
+#[inline]
+pub fn dot_row(ws: &[u8], xs: &[u8], shamt: u8, acc: u32) -> (u32, u32, u32) {
+    let term = |w: &[u8; 4], x: &[u8; 4]| {
+        let p = u32::from_le_bytes(*w).wrapping_mul(u32::from_le_bytes(*x));
+        ((p as i32) >> shamt) as u32
+    };
+    let (ws, xs) = (ws.as_chunks::<4>().0, xs.as_chunks::<4>().0);
+    let acc = ws
+        .iter()
+        .zip(xs)
+        .fold(acc, |acc, (w, x)| acc.wrapping_add(term(w, x)));
+    match ws.iter().zip(xs).next_back() {
+        Some((w, x)) => (acc, term(w, x), u32::from_le_bytes(*x)),
+        None => (acc, 0, 0),
     }
 }
 
@@ -2256,15 +2356,41 @@ mod tests {
         assert_eq!(prog.dot_body(&done), None);
     }
 
+    /// Instructions the reference retires running `asm` over the
+    /// dot-product data under `limit`.
+    fn reference_retired(asm: &Asm, xpulp: bool, limit: u64) -> u64 {
+        let (timing, mut cpu) = if xpulp {
+            (Timing::riscy(), Cpu::new(0))
+        } else {
+            (Timing::ibex(), Cpu::new_rv32im(0))
+        };
+        let mut ram = Ram::new(0, 4096);
+        ram.write_bytes(0, &asm.assemble().unwrap());
+        fill_data(&mut ram);
+        let _ = cpu.run(&mut ram, &timing, limit);
+        cpu.retired()
+    }
+
     #[test]
     fn loop_ops_stop_exactly_at_every_cycle_limit() {
-        for alias in [false, true] {
-            for limit in 1..70 {
-                loop_matches_reference(&hwloop_row(8, alias), true, limit);
-            }
-            for limit in 1..120 {
-                loop_matches_reference(&counted_row(8, alias), false, limit);
-                loop_matches_reference(&counted_row(8, alias), true, limit);
+        // A whole row runs at once exactly when the reference gets past
+        // the row's last budget check: it then retires the row's last
+        // instruction (the hardware loop's `add`, the counted loop's
+        // `bne`). Three `li`s (and an `lp.setup`) come first.
+        for n in [1, 2, 8] {
+            for alias in [false, true] {
+                let rows = [
+                    (hwloop_row(n, alias), true, 4 + 5 * n as u64),
+                    (counted_row(n, alias), false, 3 + 9 * n as u64),
+                    (counted_row(n, alias), true, 3 + 9 * n as u64),
+                ];
+                for (row, xpulp, last) in rows {
+                    for limit in 1..20 * n as u64 + 30 {
+                        let stats = loop_matches_reference(&row, xpulp, limit);
+                        let whole = !alias && reference_retired(&row, xpulp, limit) >= last;
+                        assert_eq!(stats.whole_rows, u64::from(whole), "n={n} limit={limit}");
+                    }
+                }
             }
         }
     }
@@ -2276,6 +2402,97 @@ mod tests {
         for (w, x) in [(0x200, 4096 - 8), (0x202, 0x300)] {
             loop_matches_reference(&hwloop_row_over(w, x, 8, false), true, 100_000);
             loop_matches_reference(&counted_row_over(w, x, 8, false), false, 100_000);
+        }
+    }
+
+    #[test]
+    fn rows_ending_at_the_memory_end_run_whole_and_past_it_fault_exactly() {
+        // Either stream ending exactly at the end of memory, one word
+        // before it, or one word past it: the last pass's load of that
+        // stream faults, at the same sub-instruction as the reference's,
+        // and the row runs stepped.
+        for n in [1, 2, 8] {
+            for past in [-1, 0, 1] {
+                let at = 4096 - 4 * (n - past);
+                for (w, x) in [(at, 0x300), (0x200, at)] {
+                    let rows = [
+                        (hwloop_row_over(w, x, n, false), true),
+                        (counted_row_over(w, x, n, false), false),
+                    ];
+                    for (row, xpulp) in rows {
+                        let stats = loop_matches_reference(&row, xpulp, 100_000);
+                        assert_eq!(stats.whole_rows, u64::from(past < 1), "n={n} {w:#x} {x:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Ram`] that hands out no spans, so the loop ops step every access.
+    struct Stepped<'a>(&'a mut Ram);
+
+    impl Bus for Stepped<'_> {
+        fn load(&mut self, addr: u32, width: MemWidth) -> Result<u32, crate::BusError> {
+            self.0.load(addr, width)
+        }
+        fn store(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), crate::BusError> {
+            self.0.store(addr, width, value)
+        }
+    }
+
+    #[test]
+    fn whole_rows_run_exactly_when_no_budget_or_gate_check_could_stop_them() {
+        // Every budget and memory gate around both loop ops' rows: the
+        // op over spans leaves the same state and cost as the op stepping
+        // every access, and serves the row whole exactly when the stepped
+        // op ran it to its exit.
+        for n in [1, 2, 8] {
+            let rows = [
+                (hwloop_row(n, false), true, 4, 20),
+                (counted_row(n, false), false, 3, 36),
+            ];
+            for (row, xpulp, pre, len) in rows {
+                let t = if xpulp {
+                    Timing::riscy()
+                } else {
+                    Timing::ibex()
+                };
+                let mut ram = Ram::new(0, 4096);
+                ram.write_bytes(0, &row.assemble().unwrap());
+                fill_data(&mut ram);
+                let mut entry = if xpulp {
+                    Cpu::new(0)
+                } else {
+                    Cpu::new_rv32im(0)
+                };
+                for _ in 0..pre {
+                    entry.step(&mut ram, &t).unwrap();
+                }
+                let (start, mut prog) = (entry.pc(), Program::new(0, 4096, xpulp));
+                let op = prog.fetch(&mut ram, start).unwrap();
+                let state = |c: &Cpu| {
+                    let regs: Vec<u32> = (0..32).map(|i| c.reg(Reg::new(i))).collect();
+                    (c.pc(), c.retired(), *c.profile(), c.hwloop(0), regs)
+                };
+                let full = prog
+                    .clone()
+                    .exec(op, &mut entry.clone(), &mut ram, &t, 0, u64::MAX, u64::MAX)
+                    .unwrap();
+                for budget in 0..full + 2 {
+                    for mem_room in 0..full + 2 {
+                        let (mut a, mut b) = (entry.clone(), entry.clone());
+                        let (mut pa, mut pb) = (prog.clone(), prog.clone());
+                        let ca = pa.exec(op, &mut a, &mut ram, &t, 0, budget, mem_room);
+                        let cb =
+                            pb.exec(op, &mut b, &mut Stepped(&mut ram), &t, 0, budget, mem_room);
+                        let what = format!("n={n} budget={budget} mem_room={mem_room}");
+                        assert_eq!((ca, state(&a)), (cb, state(&b)), "{what}");
+                        let exited = b.pc() == start + len;
+                        assert_eq!(pa.stats().whole_rows, u64::from(exited), "{what}");
+                        assert_eq!(pb.stats().whole_rows, 0, "{what}");
+                    }
+                }
+            }
         }
     }
 

@@ -29,6 +29,13 @@ impl std::error::Error for BusError {}
 /// Loads return the raw (zero-extended) bytes; sign extension is performed by
 /// the CPU. Implementations can be passed as `&mut B` thanks to the blanket
 /// impl for mutable references.
+///
+/// The op program ([`Program`](crate::Program)) issues its data accesses
+/// through the timed forms ([`Bus::load_timed`], [`Bus::store_timed`]),
+/// so a bus with a memory system charges latency and arbitration per
+/// access. Where a memory's per-access cost is fixed, [`Bus::span`] hands
+/// out a whole span of it at once: the dot-product loop ops then run a
+/// whole row over borrowed slices and charge its cycles in closed form.
 pub trait Bus {
     /// Reads `width.bytes()` bytes at `addr`.
     ///
@@ -96,6 +103,19 @@ pub trait Bus {
         self.store(addr, width, value)?;
         Ok(base)
     }
+
+    /// The `len` bytes at `addr` as one borrowed slice, plus the cost each
+    /// [`Bus::load_timed`] of an access inside them would charge given the
+    /// base cost `base`, when the whole span lies in one memory whose
+    /// access cost does not depend on issue time. A loop op that reads only
+    /// such spans can run a whole row over them and charge its cycles in
+    /// closed form. `None` otherwise, and by default: the caller then
+    /// issues every access through [`Bus::load_timed`].
+    #[inline(always)]
+    fn span(&self, addr: u32, len: u32, base: u32) -> Option<(&[u8], u32)> {
+        let _ = (addr, len, base);
+        None
+    }
 }
 
 impl<B: Bus + ?Sized> Bus for &mut B {
@@ -126,6 +146,9 @@ impl<B: Bus + ?Sized> Bus for &mut B {
         at: u64,
     ) -> Result<u32, BusError> {
         (**self).store_timed(addr, width, value, base, at)
+    }
+    fn span(&self, addr: u32, len: u32, base: u32) -> Option<(&[u8], u32)> {
+        (**self).span(addr, len, base)
     }
 }
 
@@ -227,6 +250,14 @@ impl Bus for Ram {
         })
         .ok_or(BusError { addr, write: true })
     }
+
+    /// Every span inside the region, at the base cost.
+    #[inline]
+    fn span(&self, addr: u32, len: u32, base: u32) -> Option<(&[u8], u32)> {
+        let off = addr.checked_sub(self.base)? as usize;
+        let bytes = self.data.get(off..off.checked_add(len as usize)?)?;
+        Some((bytes, base))
+    }
 }
 
 #[cfg(test)]
@@ -249,6 +280,40 @@ mod tests {
         assert!(ram.load(0x106, MemWidth::W).is_err());
         assert!(ram.store(0x108, MemWidth::B, 0).is_err());
         assert!(ram.load(0x104, MemWidth::W).is_ok());
+    }
+
+    #[test]
+    fn ram_spans_only_inside_the_region() {
+        let mut ram = Ram::new(0x100, 16);
+        ram.write_bytes(0x100, &(0u8..16).collect::<Vec<_>>());
+        // At the base, and ending exactly at the end, at the base cost.
+        assert_eq!(
+            ram.span(0x100, 8, 3),
+            Some((&[0, 1, 2, 3, 4, 5, 6, 7][..], 3))
+        );
+        assert_eq!(
+            ram.span(0x108, 8, 1),
+            Some((&[8, 9, 10, 11, 12, 13, 14, 15][..], 1))
+        );
+        assert_eq!(ram.span(0x100, 16, 1).map(|(b, _)| b.len()), Some(16));
+        // Empty, at the end included.
+        assert_eq!(ram.span(0x104, 0, 1), Some((&[][..], 1)));
+        assert_eq!(ram.span(0x110, 0, 1), Some((&[][..], 1)));
+        // One byte past the end, from below the base, and past the end of
+        // the address space.
+        assert_eq!(ram.span(0x109, 8, 1), None);
+        assert_eq!(ram.span(0x111, 0, 1), None);
+        assert_eq!(ram.span(0xfc, 8, 1), None);
+        assert_eq!(ram.span(0x108, u32::MAX, 1), None);
+        let top = Ram::new(0xffff_fff0, 16);
+        assert_eq!(top.span(0xffff_fff8, 8, 1).map(|(b, _)| b.len()), Some(8));
+        assert_eq!(top.span(0xffff_fff8, 12, 1), None);
+        // Through the impl for mutable references too.
+        let by_ref = &mut ram;
+        assert_eq!(
+            <&mut Ram as Bus>::span(&by_ref, 0x10c, 4, 2),
+            Some((&[12, 13, 14, 15][..], 2))
+        );
     }
 
     #[test]

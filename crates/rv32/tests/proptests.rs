@@ -242,23 +242,23 @@ fn outcome(cpu: Cpu, ram: &Ram, result: Result<RunResult, CpuError>) -> Outcome 
     }
 }
 
-fn run_uncached(words: &[u32], regs: &[u32]) -> Outcome {
+fn run_uncached(words: &[u32], regs: &[u32], limit: u64) -> Outcome {
     let (mut cpu, mut ram) = fresh_machine(words, regs);
-    let result = cpu.run(&mut ram, &Timing::riscy(), MAX_CYCLES);
+    let result = cpu.run(&mut ram, &Timing::riscy(), limit);
     outcome(cpu, &ram, result)
 }
 
-fn run_program(words: &[u32], regs: &[u32], window: u32) -> Outcome {
+fn run_program(words: &[u32], regs: &[u32], window: u32, limit: u64) -> Outcome {
     let (mut cpu, mut ram) = fresh_machine(words, regs);
     let mut prog = Program::new(0, window, true);
-    let result = cpu.run_program(&mut ram, &Timing::riscy(), MAX_CYCLES, &mut prog);
+    let result = cpu.run_program(&mut ram, &Timing::riscy(), limit, &mut prog);
     outcome(cpu, &ram, result)
 }
 
 /// [`run_program`] under a recording sink, which dispatches one
 /// instruction at a time; asserts that every retired instruction was
 /// sampled exactly once.
-fn run_recorded(words: &[u32], regs: &[u32]) -> Outcome {
+fn run_recorded(words: &[u32], regs: &[u32], limit: u64) -> Outcome {
     let (mut cpu, mut ram) = fresh_machine(words, regs);
     let mut prog = Program::new(0, MEM_SIZE as u32, true);
     let mut rec = Recorder::new();
@@ -266,7 +266,7 @@ fn run_recorded(words: &[u32], regs: &[u32]) -> Outcome {
     let result = cpu.run_program_sink(
         &mut ram,
         &Timing::riscy(),
-        MAX_CYCLES,
+        limit,
         &mut prog,
         &mut rec,
         track,
@@ -276,13 +276,14 @@ fn run_recorded(words: &[u32], regs: &[u32]) -> Outcome {
     outcome(cpu, &ram, result)
 }
 
-/// Asserts every accelerated path reproduces `reference` exactly.
-fn assert_all_paths_match(words: &[u32], regs: &[u32], reference: &Outcome) {
-    let program = run_program(words, regs, MEM_SIZE as u32);
+/// Asserts every accelerated path reproduces `reference`, the run under
+/// `limit`, exactly.
+fn assert_all_paths_match(words: &[u32], regs: &[u32], reference: &Outcome, limit: u64) {
+    let program = run_program(words, regs, MEM_SIZE as u32, limit);
     assert_eq!(&program, reference, "run_program, full window");
-    let narrow = run_program(words, regs, 0x40);
+    let narrow = run_program(words, regs, 0x40, limit);
     assert_eq!(&narrow, reference, "run_program, narrow window");
-    let recorded = run_recorded(words, regs);
+    let recorded = run_recorded(words, regs, limit);
     assert_eq!(&recorded, reference, "run_program_sink, recording");
 }
 
@@ -566,8 +567,8 @@ proptest! {
             .collect();
         words.push(encode(&Instr::Ecall).unwrap());
 
-        let reference = run_uncached(&words, &regs);
-        assert_all_paths_match(&words, &regs, &reference);
+        let reference = run_uncached(&words, &regs, MAX_CYCLES);
+        assert_all_paths_match(&words, &regs, &reference, MAX_CYCLES);
     }
 
     /// Self-modifying code: a store patches one of the instructions ahead
@@ -608,8 +609,8 @@ proptest! {
         regs[Reg::T0.index() as usize - 1] = patch;
         regs[Reg::T1.index() as usize - 1] = 4 * (1 + slot) as u32;
 
-        let reference = run_uncached(&words, &regs);
-        assert_all_paths_match(&words, &regs, &reference);
+        let reference = run_uncached(&words, &regs, MAX_CYCLES);
+        assert_all_paths_match(&words, &regs, &reference, MAX_CYCLES);
         // And the patch must actually have taken effect.
         let a0 = reference.regs[Reg::A0.index() as usize];
         prop_assert_eq!(a0, ((SLOTS as i32 - 1) + k) as u32);
@@ -655,8 +656,8 @@ proptest! {
             .collect();
         words.push(encode(&Instr::Ecall).unwrap());
 
-        let reference = run_uncached(&words, &regs);
-        assert_all_paths_match(&words, &regs, &reference);
+        let reference = run_uncached(&words, &regs, MAX_CYCLES);
+        assert_all_paths_match(&words, &regs, &reference, MAX_CYCLES);
     }
 
     /// Programs built from fusion patterns — inside hardware loops whose
@@ -702,8 +703,55 @@ proptest! {
         regs[Reg::S10.index() as usize - 1] = encode(&patches.0[0]).unwrap();
         regs[Reg::S11.index() as usize - 1] = encode(&patches.1[0]).unwrap();
 
-        let reference = run_uncached(&words, &regs);
-        assert_all_paths_match(&words, &regs, &reference);
+        let reference = run_uncached(&words, &regs, MAX_CYCLES);
+        assert_all_paths_match(&words, &regs, &reference, MAX_CYCLES);
+    }
+
+    /// A kernel dot-product row of `n` passes, either loop op, whose `w`
+    /// or `x` stream ends one word before the end of memory, exactly at
+    /// it, or one word past it (the last pass's load of that stream
+    /// faults), under a cycle limit anywhere in the run or within a few
+    /// cycles of its end: the row's last budget checks. Every path
+    /// matches the reference, whether the row runs whole over memory
+    /// spans or steps.
+    #[test]
+    fn dot_rows_at_the_memory_end_stay_bit_exact(
+        hwloop in any::<bool>(),
+        n in prop_oneof![Just(1u32), 2u32..64],
+        past in -1i32..=1,
+        on_x in any::<bool>(),
+        shamt in 0u8..32,
+        back in prop_oneof![(0u64..24).prop_map(Some), Just(None)],
+        cut in 0u64..2_000,
+    ) {
+        let [w, x, tw, tx, acc, cnt] = [Reg::A0, Reg::A1, Reg::T0, Reg::T1, Reg::A2, Reg::A3];
+        let mut program = vec![addi(cnt, Reg::ZERO, n as i32)];
+        if hwloop {
+            program.push(Instr::LpSetup { l: LoopIdx::L0, rs1: cnt, offset: 24 });
+            let lp = |rd, rs1| Instr::LoadPost { width: MemWidth::W, rd, rs1, offset: 4 };
+            program.extend([lp(tw, w), lp(tx, x)]);
+            program.extend(requant(tw, tx, acc, shamt));
+        } else {
+            program.extend(counted_dot(w, x, tw, tx, acc, cnt, shamt));
+        }
+        program.push(Instr::Ecall);
+        let words: Vec<u32> = program.iter().map(|i| encode(i).unwrap()).collect();
+        let mut regs = vec![0u32; 31];
+        let at = (MEM_SIZE as i32 - 4 * (n as i32 - past)) as u32;
+        let (pw, px) = if on_x { (DATA_BASE, at) } else { (at, DATA_BASE) };
+        regs[w.index() as usize - 1] = pw;
+        regs[x.index() as usize - 1] = px;
+        // The whole run's cycles, when it runs to the end.
+        let full = match run_uncached(&words, &regs, MAX_CYCLES).result {
+            Ok(run) => run.cycles,
+            Err(_) => MAX_CYCLES,
+        };
+        let limit = match back {
+            Some(k) => full.saturating_sub(k),
+            None => cut.min(full),
+        };
+        let reference = run_uncached(&words, &regs, limit);
+        assert_all_paths_match(&words, &regs, &reference, limit);
     }
 }
 
@@ -745,14 +793,14 @@ fn code_store_into_the_last_word_of_a_counted_loop_op() {
     // The patch turns the back edge into `addi acc, acc, 100`.
     regs[Reg::S10.index() as usize - 1] = encode(&addi(acc, acc, 100)).unwrap();
 
-    let reference = run_uncached(&words, &regs);
+    let reference = run_uncached(&words, &regs, MAX_CYCLES);
     assert!(reference.result.is_ok(), "{:?}", reference.result);
-    assert_all_paths_match(&words, &regs, &reference);
+    assert_all_paths_match(&words, &regs, &reference, MAX_CYCLES);
     // The patch took effect: storing the `bne` back over itself instead
     // leaves a different `acc`.
     let mut unpatched = regs.clone();
     unpatched[Reg::S10.index() as usize - 1] = words[bne_at as usize / 4];
-    let same = run_uncached(&words, &unpatched);
+    let same = run_uncached(&words, &unpatched, MAX_CYCLES);
     assert_ne!(
         reference.regs[acc.index() as usize],
         same.regs[acc.index() as usize]
