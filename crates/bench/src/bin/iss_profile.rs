@@ -105,7 +105,8 @@ fn main() {
 }
 
 /// Dispatch report for one target's product path: burst length, how many
-/// multi-core bursts the runner-up gate cut short, and, on the RV32
+/// multi-core bursts the runner-up gate cut short, the joint mode's
+/// period skips and the picks they stood for, and, on the RV32
 /// targets, the op program's counters (ops dispatched, instructions per
 /// op, fused executions per pattern, loop-op entries, native iterations
 /// and rows served whole over memory spans, translations and code-store
@@ -116,6 +117,12 @@ fn print_product_stats(prep: &PreparedFixed) {
         "  product: dispatches={} avg_burst={:.3} gated_breaks={} joint_picks={}",
         s.dispatches, s.avg_burst, s.gated_breaks, s.joint_picks
     );
+    if s.joint_picks > 0 {
+        println!(
+            "  joint mode: period skips={} skipped picks={}",
+            s.period_skips, s.skipped_picks
+        );
+    }
     if let Some(r) = s.rv32 {
         println!(
             "  program: ops={} instrs/op={:.3} translations={} redecodes={}",

@@ -30,6 +30,31 @@ fn network_b_eight_core_schedule_is_unchanged() {
     assert_eq!(stats.gated_breaks, 162_207, "{stats:?}");
 }
 
+/// Network A's lockstep has a different period shape (256 picks, 80
+/// cycles) and charges TCDM bank conflicts, which Network B barely does:
+/// its accounting pins the bank half of the joint mode's period state.
+#[test]
+fn network_a_eight_core_schedule_is_unchanged() {
+    let nets = evaluation_nets();
+    let (_, _, fixed, qin) = &nets[0];
+    let entry = registry()
+        .into_iter()
+        .find(|e| e.id == "cluster8")
+        .expect("8-core target registered");
+    let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
+    let (run, stats) = prep.run_stats().expect("runs");
+    assert_eq!(run.cycles, 5_725);
+    let cluster = run.cluster.as_ref().expect("cluster run");
+    assert_eq!(cluster.instructions, 17_633);
+    assert_eq!(cluster.tcdm_conflict_stalls, 105);
+    assert_eq!(cluster.l2_port_stalls, 0);
+    assert_eq!(cluster.busy_cycles, 21_622);
+    assert_eq!(cluster.barrier_wait_cycles, 2_500);
+    assert_eq!(cluster.barriers, 2);
+    assert_eq!(stats.dispatches, 5_926, "scheduler picks: {stats:?}");
+    assert_eq!(stats.gated_breaks, 5_902, "{stats:?}");
+}
+
 #[test]
 fn network_b_eight_core_picks_are_served_by_the_joint_mode() {
     let nets = evaluation_nets();

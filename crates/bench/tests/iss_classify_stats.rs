@@ -1,6 +1,7 @@
 //! Pins the product path's dispatch counters on the eight iss-classify
 //! rows (Networks A and B × the four paper targets): scheduler picks,
-//! gated breaks, joint-mode picks and instructions, and every counter of
+//! gated breaks, joint-mode picks and instructions, the joint mode's
+//! period skips and the picks they stood for, and every counter of
 //! the RV32 op program or the M4 fused program, the rows each loop op
 //! served whole over borrowed memory slices included (every dot-product
 //! row on the three single-core targets, none on eight cores, whose bus
@@ -23,10 +24,11 @@ fn stats(net: usize, target: FixedTarget) -> ProductStats {
 }
 
 /// Asserts the scheduler-level counters `(dispatches, gated_breaks,
-/// joint_picks, joint_instructions)` and the one program's counters.
+/// joint_picks, joint_instructions, period_skips, skipped_picks)` and
+/// the one program's counters.
 fn assert_row(
     s: &ProductStats,
-    sched: (u64, u64, u64, u64),
+    sched: (u64, u64, u64, u64, u64, u64),
     rv32: Option<ProgramStats>,
     m4: Option<FusedStats>,
 ) {
@@ -35,6 +37,8 @@ fn assert_row(
         s.gated_breaks,
         s.joint_picks,
         s.joint_instructions,
+        s.period_skips,
+        s.skipped_picks,
     );
     assert_eq!(got, sched, "{s:?}");
     assert_eq!(s.rv32, rv32);
@@ -51,7 +55,7 @@ fn network_a_m4_counters() {
         whole_rows: 103,
     };
     let s = stats(0, FixedTarget::CortexM4);
-    assert_row(&s, (3_671, 0, 0, 0), None, Some(m4));
+    assert_row(&s, (3_671, 0, 0, 0, 0, 0), None, Some(m4));
 }
 
 #[test]
@@ -64,7 +68,7 @@ fn network_b_m4_counters() {
         whole_rows: 1_256,
     };
     let s = stats(1, FixedTarget::CortexM4);
-    assert_row(&s, (41_636, 0, 0, 0), None, Some(m4));
+    assert_row(&s, (41_636, 0, 0, 0, 0, 0), None, Some(m4));
 }
 
 #[test]
@@ -83,7 +87,7 @@ fn network_a_ibex_counters() {
         whole_rows: 103,
     };
     let s = stats(0, FixedTarget::WolfIbex);
-    assert_row(&s, (2_700, 0, 0, 0), Some(rv), None);
+    assert_row(&s, (2_700, 0, 0, 0, 0, 0), Some(rv), None);
 }
 
 #[test]
@@ -102,7 +106,7 @@ fn network_b_ibex_counters() {
         whole_rows: 1_256,
     };
     let s = stats(1, FixedTarget::WolfIbex);
-    assert_row(&s, (32_829, 0, 0, 0), Some(rv), None);
+    assert_row(&s, (32_829, 0, 0, 0, 0, 0), Some(rv), None);
 }
 
 #[test]
@@ -123,7 +127,7 @@ fn network_a_riscy_counters() {
     // The single core runs the whole program in one scheduler pick; its
     // dispatches are the op program's.
     let s = stats(0, FixedTarget::WolfRiscy);
-    assert_row(&s, (2_700, 0, 0, 0), Some(rv), None);
+    assert_row(&s, (2_700, 0, 0, 0, 0, 0), Some(rv), None);
 }
 
 #[test]
@@ -142,7 +146,7 @@ fn network_b_riscy_counters() {
         whole_rows: 1_256,
     };
     let s = stats(1, FixedTarget::WolfRiscy);
-    assert_row(&s, (32_829, 0, 0, 0), Some(rv), None);
+    assert_row(&s, (32_829, 0, 0, 0, 0, 0), Some(rv), None);
 }
 
 #[test]
@@ -161,7 +165,7 @@ fn network_a_cluster8_counters() {
         whole_rows: 0,
     };
     let s = stats(0, FixedTarget::WolfCluster { cores: 8 });
-    assert_row(&s, (5_926, 5_902, 5_028, 12_681), Some(rv), None);
+    assert_row(&s, (5_926, 5_902, 5_028, 12_681, 6, 1_360), Some(rv), None);
 }
 
 #[test]
@@ -180,5 +184,10 @@ fn network_b_cluster8_counters() {
         whole_rows: 0,
     };
     let s = stats(1, FixedTarget::WolfCluster { cores: 8 });
-    assert_row(&s, (162_407, 162_207, 154_226, 385_097), Some(rv), None);
+    assert_row(
+        &s,
+        (162_407, 162_207, 154_226, 385_097, 133, 91_392),
+        Some(rv),
+        None,
+    );
 }

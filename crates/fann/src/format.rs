@@ -131,6 +131,15 @@ fn field<'a>(text: &'a str, name: &'static str) -> Result<&'a str, ParseError> {
     Err(ParseError::MissingField(name))
 }
 
+/// The connections of a layered network with `sizes_with_bias` neurons
+/// per layer, bias neurons included: each non-input neuron connects to
+/// every neuron of the layer before it. `None` where that overflows.
+pub(crate) fn connection_count(sizes_with_bias: &[usize]) -> Option<usize> {
+    sizes_with_bias.windows(2).try_fold(0usize, |total, w| {
+        total.checked_add(w[0].checked_mul(w[1] - 1)?)
+    })
+}
+
 fn parse_paren_pairs(body: &str) -> Vec<Vec<String>> {
     // Splits "(a, b, c) (d, e) ..." into [[a,b,c],[d,e],...].
     let mut out = Vec::new();
@@ -174,18 +183,28 @@ pub fn read_net(text: &str) -> Result<Mlp, ParseError> {
         return Err(ParseError::Inconsistent("layer sizes"));
     }
     let sizes: Vec<usize> = sizes_with_bias.iter().map(|n| n - 1).collect();
-    let mut net = Mlp::new(&sizes);
 
-    // Neuron records give per-layer activation/steepness.
+    // Neuron records give per-layer activation/steepness. The sizes must
+    // match the records (and the connections below) before the network
+    // is allocated: the records are bounded by the text, the sizes are
+    // not.
     let neurons_body = field(
         text,
         "neurons (num_inputs, activation_function, activation_steepness)",
     )?;
     let neuron_recs = parse_paren_pairs(neurons_body);
-    let expected_neurons: usize = sizes_with_bias.iter().sum();
-    if neuron_recs.len() != expected_neurons {
+    let expected_neurons = sizes_with_bias
+        .iter()
+        .try_fold(0usize, |total, &n| total.checked_add(n));
+    if expected_neurons != Some(neuron_recs.len()) {
         return Err(ParseError::Inconsistent("neuron count"));
     }
+    let conn_body = field(text, "connections (connected_to_neuron, weight)")?;
+    let conns = parse_paren_pairs(conn_body);
+    if connection_count(&sizes_with_bias) != Some(conns.len()) {
+        return Err(ParseError::Inconsistent("connection count"));
+    }
+    let mut net = Mlp::new(&sizes);
     let mut cursor = sizes_with_bias[0]; // skip input layer (incl. bias)
     for li in 0..sizes.len() - 1 {
         let rec = &neuron_recs[cursor];
@@ -215,12 +234,6 @@ pub fn read_net(text: &str) -> Result<Mlp, ParseError> {
 
     // Connections, in FANN order: for each non-input layer, for each neuron,
     // inputs then bias.
-    let conn_body = field(text, "connections (connected_to_neuron, weight)")?;
-    let conns = parse_paren_pairs(conn_body);
-    let expected_conns: usize = net.num_weights();
-    if conns.len() != expected_conns {
-        return Err(ParseError::Inconsistent("connection count"));
-    }
     let mut it = conns.iter();
     for li in 0..sizes.len() - 1 {
         let (in_count, out_count) = {
@@ -350,6 +363,42 @@ mod tests {
     fn net_rejects_garbage() {
         assert_eq!(read_net("hello"), Err(ParseError::BadHeader));
         assert!(read_net("FANN_FLO_2.1\nnum_layers=3\n").is_err());
+    }
+
+    /// A written file with its `layer_sizes` line replaced.
+    fn with_layer_sizes(text: &str, sizes: &str) -> String {
+        text.lines()
+            .map(|l| {
+                if l.starts_with("layer_sizes=") {
+                    format!("layer_sizes={sizes}")
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn net_sizes_that_disagree_with_the_records_are_rejected_before_allocating() {
+        // Two neurons and two connections on the records.
+        let text = write_net(&Mlp::new(&[1, 1]));
+        for sizes in [
+            "3000000001 3000000001".to_string(),
+            format!("{} 3", usize::MAX),
+            // About 40 GB of weights, were they allocated.
+            "100000 100000".to_string(),
+        ] {
+            assert!(
+                matches!(
+                    read_net(&with_layer_sizes(&text, &sizes)),
+                    Err(ParseError::Inconsistent(_))
+                ),
+                "{sizes}"
+            );
+        }
+        assert_eq!(connection_count(&[usize::MAX, 3]), None);
+        assert_eq!(connection_count(&[3, 4, 2]), Some(3 * 3 + 4));
     }
 
     #[test]

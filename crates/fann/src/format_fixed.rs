@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::fixed::{FixedActivation, FixedLayer, FixedNet};
-use crate::format::ParseError;
+use crate::format::{connection_count, ParseError};
 
 /// Serialises a fixed-point network in `FANN_FIX_2.1` format.
 ///
@@ -156,6 +156,11 @@ pub fn read_fixed_net(text: &str) -> Result<FixedNet, ParseError> {
         weights_flat.push(w);
         rest = &rest[open + close + 1..];
     }
+    // The weights are bounded by the text, the sizes are not: they must
+    // agree before any layer is allocated.
+    if connection_count(&sizes_with_bias) != Some(weights_flat.len()) {
+        return Err(ParseError::Inconsistent("connection count"));
+    }
 
     let mut layers = Vec::new();
     let mut cursor = 0usize;
@@ -165,9 +170,7 @@ pub fn read_fixed_net(text: &str) -> Result<FixedNet, ParseError> {
         let mut weights = vec![0i32; row_len * out_count];
         for j in 0..out_count {
             for i in 0..row_len {
-                let w = *weights_flat
-                    .get(cursor)
-                    .ok_or(ParseError::Inconsistent("connection count"))?;
+                let w = weights_flat[cursor];
                 cursor += 1;
                 // Inputs first, bias last in the file; bias first in memory.
                 let slot = if i == in_count { 0 } else { i + 1 };
@@ -180,9 +183,6 @@ pub fn read_fixed_net(text: &str) -> Result<FixedNet, ParseError> {
             weights,
             activation: activations[li].clone(),
         });
-    }
-    if cursor != weights_flat.len() {
-        return Err(ParseError::Inconsistent("connection count"));
     }
     Ok(FixedNet {
         decimal_point,
@@ -229,5 +229,30 @@ mod tests {
         let text = write_fixed_net(&fixed);
         let cut = &text[..text.len() - 30];
         assert!(read_fixed_net(cut).is_err());
+    }
+
+    #[test]
+    fn sizes_that_disagree_with_the_connections_are_rejected_before_allocating() {
+        // One stepwise table and two connections on the records.
+        let text = write_fixed_net(&FixedNet::export(&Mlp::new(&[1, 1])).unwrap());
+        for sizes in [
+            "3000000001 3000000001".to_string(),
+            format!("{} 3", usize::MAX),
+            // About 40 GB of weights, were they allocated.
+            "100000 100000".to_string(),
+        ] {
+            let file: String = text
+                .lines()
+                .map(|l| match l.strip_prefix("layer_sizes=") {
+                    Some(_) => format!("layer_sizes={sizes}\n"),
+                    None => format!("{l}\n"),
+                })
+                .collect();
+            assert_eq!(
+                read_fixed_net(&file),
+                Err(ParseError::Inconsistent("connection count")),
+                "{sizes}"
+            );
+        }
     }
 }

@@ -177,6 +177,13 @@ pub struct ProductStats {
     /// Instructions the joint mode retired: with `rv32`'s, they make up
     /// the run's instructions.
     pub joint_instructions: u64,
+    /// Whole lockstep periods the joint mode skipped in closed form (see
+    /// [`iw_mrwolf::SchedStats::period_skips`]): skips made, and the
+    /// picks they stood for, counted in `joint_picks` too; 0 on
+    /// single-core targets.
+    pub period_skips: u64,
+    /// See `period_skips`.
+    pub skipped_picks: u64,
     /// RV32 op-program counters (ops dispatched, fused executions per
     /// pattern, code-store re-decodes) on every Mr. Wolf target.
     pub rv32: Option<iw_rv32::ProgramStats>,
@@ -489,6 +496,8 @@ impl Deployment for M4Deployment {
             gated_breaks: 0,
             joint_picks: 0,
             joint_instructions: 0,
+            period_skips: 0,
+            skipped_picks: 0,
             rv32: None,
             m4: Some(stats),
         };
@@ -764,6 +773,8 @@ impl Deployment for WolfDeployment {
                 gated_breaks: 0,
                 joint_picks: 0,
                 joint_instructions: 0,
+                period_skips: 0,
+                skipped_picks: 0,
                 rv32: Some(stats),
                 m4: None,
             };
@@ -782,6 +793,8 @@ impl Deployment for WolfDeployment {
                 gated_breaks: sched.gated_breaks,
                 joint_picks: sched.joint_picks,
                 joint_instructions: sched.joint_instructions,
+                period_skips: sched.period_skips,
+                skipped_picks: sched.skipped_picks,
                 rv32: sched.program,
                 m4: None,
             };

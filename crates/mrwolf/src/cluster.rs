@@ -56,6 +56,32 @@
 //! examines anew only the cores that ran since (all of them once the op
 //! program's slots change).
 //!
+//! # Period skip
+//!
+//! The joint state of a lockstep repeats modulo a time shift: nothing in
+//! it depends on the loaded data. After a short warm-up the joint mode
+//! takes one snapshot of its state, normalised to the leading core's
+//! time: the sorted keys relative to that time (core ids included), every
+//! core's body phase, each stream pointer's region and its residue modulo
+//! `4 · tcdm_banks` (its bank), and `bank_free` and `l2_free` as
+//! `max(v, t_min) − t_min` (every later access issues at or after
+//! `t_min`, so the clamp loses nothing). Behind a cheap filter (the same
+//! picked core in the same phase) later picks compare against it; if no
+//! repeat comes within two windows it takes a fresh one. The first exact
+//! match gives the period: its picks, gated breaks, cycles, stall cycles
+//! and per-core passes. The mode then advances `m` whole periods at
+//! once: keys, `bank_free` and `l2_free` move by `m` times the period's
+//! cycles; picks, gated breaks and both stall totals grow by `m` times
+//! the period's; each core's accumulator is folded by
+//! [`iw_rv32::dot_row`] over the words its skipped loads would read
+//! (slices of the memory, as [`Bus::span`] hands them out), its last
+//! loaded registers are re-read for its phase, and its pointers and loop
+//! count advance. `m` is bounded so that every skipped word lies in one
+//! memory, no core's loop count reaches its exit and the latest key
+//! after the skip stays within the cycle budget; the stepped picks do
+//! everything else, so every fault, budget error and hand-back is the
+//! one the reference path raises.
+//!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
 //! coherence either (the fetch path models a warm shared I-cache), so
@@ -70,7 +96,9 @@ use iw_rv32::{
 
 use iw_trace::{NoopSink, TraceSink, TrackId, CYCLES};
 
-use crate::memmap::{region_of, Region, BARRIER_ADDR, PROGRAM_SIZE};
+use crate::memmap::{
+    region_of, Region, BARRIER_ADDR, L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE,
+};
 
 /// Cluster configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,6 +237,12 @@ pub struct SchedStats {
     /// Instructions the joint mode retired: with the op program's, they
     /// make up `instructions`.
     pub joint_instructions: u64,
+    /// Closed-form skips of whole lockstep periods in the joint mode
+    /// (see the module docs, "Period skip").
+    pub period_skips: u64,
+    /// Picks those skips stood for, counted in `picks`, `joint_picks`
+    /// and (their gated breaks) `gated_breaks` too.
+    pub skipped_picks: u64,
     /// Op-program counters (ops dispatched, fused executions per
     /// pattern, code-store re-decodes), when the product path ran.
     pub program: Option<ProgramStats>,
@@ -278,6 +312,22 @@ impl ClusterBus<'_> {
         self.l2_free = grant + 1;
         self.l2_stalls += stall;
         (stall + u64::from(self.l2_latency)) as u32
+    }
+
+    /// The bytes from `addr` to the end of the memory that holds it, its
+    /// region's or its RAM's, whichever comes first: what word loads
+    /// from `addr` upwards read before the first one that faults. Empty
+    /// where `addr` is unmapped.
+    fn stream(&self, addr: u32) -> &[u8] {
+        let (ram, end) = match region_of(addr) {
+            Some(Region::Tcdm) => (&*self.tcdm, TCDM_BASE + TCDM_SIZE as u32),
+            Some(Region::L2) => (&*self.l2, L2_BASE + L2_SIZE as u32),
+            _ => return &[],
+        };
+        let ram_end = u64::from(ram.base()) + ram.size() as u64;
+        let len = u64::from(end).min(ram_end).saturating_sub(u64::from(addr));
+        ram.span(addr, len as u32, 0)
+            .map_or(&[], |(bytes, _)| bytes)
     }
 }
 
@@ -563,6 +613,8 @@ fn run_cluster_inner<S: TraceSink>(
     let mut joint_wait = None;
     // What the tries found per core since it last ran.
     let mut verdicts = Verdicts::default();
+    // The joint mode's period detector, kept across entries.
+    let mut period = Period::new(cfg.tcdm_banks);
     // A pick the joint mode handed back mid-burst: (core, its local time,
     // the pick's horizon).
     let mut resume = None;
@@ -571,8 +623,14 @@ fn run_cluster_inner<S: TraceSink>(
         if let (true, Some(prog)) = (std::mem::take(&mut try_joint), &program) {
             match Joint::enter(prog, &cpus, &ready_key, &mut verdicts) {
                 Ok(mut joint) => {
-                    let pick =
-                        joint.run(&mut ready_key, &mut bus, &cfg.timing, max_cycles, sched)?;
+                    let pick = joint.run(
+                        &mut ready_key,
+                        &mut bus,
+                        &cfg.timing,
+                        max_cycles,
+                        &mut period,
+                        sched,
+                    )?;
                     sched.joint_instructions +=
                         joint.commit(&mut cpus, &ready_key, &mut ready_at, &mut run, &cfg.timing);
                     (resume, joint_wait) = (Some(pick), None);
@@ -910,6 +968,8 @@ struct Verdicts {
 struct Joint {
     start: u32,
     shamt: u8,
+    /// Running cores: the keys below `u64::MAX`.
+    running: usize,
     /// Per core, its [`DotBody`] if it was running at entry.
     bodies: [Option<DotBody>; 8],
     cores: [DotCore; 8],
@@ -930,6 +990,7 @@ impl Joint {
         let mut joint = Joint {
             start: 0,
             shamt: 0,
+            running: 0,
             bodies: [None; 8],
             cores: [DotCore::default(); 8],
         };
@@ -973,6 +1034,7 @@ impl Joint {
         if running < 2 {
             return Err(None);
         }
+        joint.running = running;
         Ok(joint)
     }
 
@@ -987,12 +1049,15 @@ impl Joint {
     /// that ends past the budget ends it too, as an error if still below
     /// the horizon; a fault is the core's error. Loads are charged by the
     /// bus at their issue time, so every grant is the generic loop's.
+    /// Whole periods of the lockstep are skipped in closed form between
+    /// picks ([`Period`]).
     fn run(
         &mut self,
         keys: &mut [u64; 8],
         bus: &mut ClusterBus<'_>,
         timing: &Timing,
         max_cycles: u64,
+        period: &mut Period,
         sched: &mut SchedStats,
     ) -> Result<(usize, u64, u64), ClusterError> {
         let (mul, alu) = (u64::from(timing.mul), u64::from(timing.alu));
@@ -1002,11 +1067,18 @@ impl Joint {
         // first two.
         let mut sorted = *keys;
         sorted.sort_unstable();
+        period.reset();
         let res = loop {
             let (m1, m2) = (sorted[0], sorted[1]);
             let (i, t, horizon) = ((m1 & 7) as usize, m1 >> 3, m2 >> 3);
             if t > max_cycles {
                 break Err(ClusterError::CycleLimit { limit: max_cycles });
+            }
+            if (i, self.cores[i].phase) == period.pick || picks == period.snap_at {
+                let counts = (&mut picks, &mut gated);
+                if period.probe(self, &mut sorted, counts, bus, max_cycles, sched) {
+                    continue;
+                }
             }
             let c = &mut self.cores[i];
             picks += 1;
@@ -1129,6 +1201,208 @@ impl Joint {
         }
         total
     }
+}
+
+/// Picks a joint run makes before the period detector takes its first
+/// snapshot: the cores' arrival in the body settles within them.
+const PERIOD_WARM_UP: u64 = 16;
+
+/// A window of picks, two Network B periods: a snapshot that has not
+/// repeated within two windows is replaced by a fresh one.
+const PERIOD_WINDOW: u64 = 512;
+
+/// The joint mode's period detector (see the module docs, "Period
+/// skip"): one snapshot of the joint state and what the run had counted
+/// when it was taken. One per cluster run, so its bank array is
+/// allocated once.
+struct Period {
+    /// Picks of the joint run at which the next snapshot is taken;
+    /// `u64::MAX` once the run can skip no more.
+    snap_at: u64,
+    /// The snapshot's picked core and its phase: a pick that differs in
+    /// either cannot repeat it. Core 8 matches no pick.
+    pick: (usize, u8),
+    /// Picks and gated breaks of the joint run so far.
+    picks: u64,
+    gated: u64,
+    /// The bus's TCDM and L2 stall totals.
+    stalls: (u64, u64),
+    sorted: [u64; 8],
+    cores: [DotCore; 8],
+    bank_free: Vec<u64>,
+    l2_free: u64,
+}
+
+impl Period {
+    fn new(banks: usize) -> Period {
+        Period {
+            snap_at: PERIOD_WARM_UP,
+            pick: (8, 0),
+            picks: 0,
+            gated: 0,
+            stalls: (0, 0),
+            sorted: [u64::MAX; 8],
+            cores: [DotCore::default(); 8],
+            bank_free: vec![0; banks],
+            l2_free: 0,
+        }
+    }
+
+    /// Forgets the snapshot at the start of a joint run.
+    fn reset(&mut self) {
+        (self.snap_at, self.pick) = (PERIOD_WARM_UP, (8, 0));
+    }
+
+    /// Called before a pick that matches the snapshot's filter or is due
+    /// for a snapshot: skips whole periods if the joint state repeats the
+    /// snapshot, else takes a fresh snapshot if one is due. Returns
+    /// whether it skipped, which moves the keys.
+    #[cold]
+    #[inline(never)]
+    fn probe(
+        &mut self,
+        joint: &mut Joint,
+        sorted: &mut [u64; 8],
+        (picks, gated): (&mut u64, &mut u64),
+        bus: &mut ClusterBus<'_>,
+        max_cycles: u64,
+        sched: &mut SchedStats,
+    ) -> bool {
+        let i = (sorted[0] & 7) as usize;
+        if (i, joint.cores[i].phase) == self.pick && self.repeats(joint, sorted, bus) {
+            // Later matches could only skip less: the loop counts, the
+            // streams and the budget left only shrink.
+            (self.snap_at, self.pick) = (u64::MAX, (8, 0));
+            return self.skip(joint, sorted, (picks, gated), bus, max_cycles, sched);
+        }
+        if *picks == self.snap_at {
+            self.snap_at = *picks + 2 * PERIOD_WINDOW;
+            self.pick = (i, joint.cores[i].phase);
+            (self.picks, self.gated) = (*picks, *gated);
+            self.stalls = (bus.tcdm_stalls, bus.l2_stalls);
+            (self.sorted, self.cores) = (*sorted, joint.cores);
+            self.bank_free.copy_from_slice(&bus.bank_free);
+            self.l2_free = bus.l2_free;
+        }
+        false
+    }
+
+    /// Whether the joint state normalised to its leading time equals the
+    /// snapshot's: the relative keys, every running core's phase, its
+    /// streams' regions and banks, and the bank and L2-port reservations
+    /// clamped at the leading time.
+    fn repeats(&self, joint: &Joint, sorted: &[u64; 8], bus: &ClusterBus<'_>) -> bool {
+        let (t0, t) = (self.sorted[0] >> 3, sorted[0] >> 3);
+        let n = joint.running;
+        let modulus = 4 * self.bank_free.len() as u64;
+        let same_stream = |a: u32, b: u32| {
+            region_of(a) == region_of(b) && u64::from(a) % modulus == u64::from(b) % modulus
+        };
+        let clamp = |v: u64, t: u64| v.max(t) - t;
+        // Most probes differ in the keys: compare those first.
+        (sorted[..n].iter().zip(&self.sorted[..n])).all(|(&a, &b)| a - (t << 3) == b - (t0 << 3))
+            && (0..8).filter(|&k| joint.bodies[k].is_some()).all(|k| {
+                let (c, c0) = (&joint.cores[k], &self.cores[k]);
+                c.phase == c0.phase
+                    && same_stream(c.regs[0], c0.regs[0])
+                    && same_stream(c.regs[1], c0.regs[1])
+            })
+            && clamp(bus.l2_free, t) == clamp(self.l2_free, t0)
+            && (bus.bank_free.iter().zip(&self.bank_free))
+                .all(|(&v, &v0)| clamp(v, t) == clamp(v0, t0))
+    }
+
+    /// Advances the joint state, which repeats the snapshot, by as many
+    /// whole periods as keep every skipped load inside its memory, every
+    /// core's loop count short of its exit and every key within the
+    /// budget. Returns whether it skipped any.
+    fn skip(
+        &self,
+        joint: &mut Joint,
+        sorted: &mut [u64; 8],
+        (picks, gated): (&mut u64, &mut u64),
+        bus: &mut ClusterBus<'_>,
+        max_cycles: u64,
+        sched: &mut SchedStats,
+    ) -> bool {
+        let n = joint.running;
+        let dt = (sorted[0] >> 3) - (self.sorted[0] >> 3);
+        let last = sorted[n - 1] >> 3;
+        let mut m = max_cycles
+            .checked_sub(last)
+            .map_or(0, |room| room.checked_div(dt).unwrap_or(u64::MAX));
+        for k in (0..8).filter(|&k| joint.bodies[k].is_some()) {
+            let (c, c0) = (&joint.cores[k], &self.cores[k]);
+            let passes = c0.left - c.left;
+            // Between picks a lockstep core stands before one of its
+            // loads: it reads its loop count after the second, so it
+            // still has a pass to go at count 1. A core still at its
+            // entry's `mul` has not been picked since the snapshot.
+            if c.phase > 1 {
+                return false;
+            }
+            if passes == 0 {
+                continue;
+            }
+            debug_assert_eq!(c.regs[0].wrapping_sub(c0.regs[0]), 4 * passes);
+            m = m.min(u64::from(c.left.saturating_sub(1) / passes));
+            for ptr in [c.regs[0], c.regs[1]] {
+                m = m.min(bus.stream(ptr).len() as u64 / (4 * u64::from(passes)));
+            }
+        }
+        if m == 0 {
+            return false;
+        }
+        let shift = m * dt;
+        for key in &mut sorted[..n] {
+            *key += shift << 3;
+        }
+        for free in &mut bus.bank_free {
+            *free += shift;
+        }
+        bus.l2_free += shift;
+        bus.tcdm_stalls += m * (bus.tcdm_stalls - self.stalls.0);
+        bus.l2_stalls += m * (bus.l2_stalls - self.stalls.1);
+        let skipped = m * (*picks - self.picks);
+        *gated += m * (*gated - self.gated);
+        *picks += skipped;
+        sched.period_skips += 1;
+        sched.skipped_picks += skipped;
+        for k in (0..8).filter(|&k| joint.bodies[k].is_some()) {
+            let (c, c0) = (&mut joint.cores[k], &self.cores[k]);
+            // At most the loop count: it fits.
+            let len = 4 * m as usize * (c0.left - c.left) as usize;
+            let (w, x) = (bus.stream(c.regs[0]), bus.stream(c.regs[1]));
+            skip_passes(c, &w[..len], &x[..len], joint.shamt);
+        }
+        true
+    }
+}
+
+/// Retires `ws.len() / 4` whole passes of core `c`, which stands at
+/// phase 0 or 1, round to the same phase: `ws` and `xs` are the words
+/// its loads read, from its `w` and `x` on. At phase 1 the pass in
+/// flight has loaded its `w` word (in `tw`) but not its `x` word. The
+/// passes fold by [`iw_rv32::dot_row`]; `tw` and `tx` are re-read for the
+/// phase.
+fn skip_passes(c: &mut DotCore, ws: &[u8], xs: &[u8], shamt: u8) {
+    let passes = ws.len() / 4;
+    if passes == 0 {
+        return;
+    }
+    let word = |s: &[u8], j: usize| u32::from_le_bytes(s.as_chunks::<4>().0[j]);
+    let [w, x, tw, _, acc] = c.regs;
+    let (acc, tw, tx) = if c.phase == 0 {
+        iw_rv32::dot_row(ws, xs, shamt, acc)
+    } else {
+        let first = ((tw.wrapping_mul(word(xs, 0)) as i32) >> shamt) as u32;
+        let k = 4 * (passes - 1);
+        let acc = iw_rv32::dot_row(&ws[..k], &xs[4..], shamt, acc.wrapping_add(first)).0;
+        (acc, word(ws, passes - 1), word(xs, passes - 1))
+    };
+    let step = 4 * passes as u32;
+    c.regs = [w.wrapping_add(step), x.wrapping_add(step), tw, tx, acc];
+    c.left -= passes as u32;
 }
 
 /// Read-back access to the finished cores is not needed by the kernels
@@ -1960,6 +2234,178 @@ mod tests {
         assert_eq!(recorded, run_with(&image, 8, "reference").0);
     }
 
+    /// One long lockstep row for the period skip: every core runs
+    /// `passes + spread * core_id` passes over its own weight stream `w`
+    /// (in L2 or in TCDM, `stride` words apart per core) and the input
+    /// stream `x` every core reads at the same addresses (in TCDM or in
+    /// L2).
+    /// `w_end`/`x_end` place the stream that reaches furthest that many
+    /// words before the end of its memory: 0 ends flush with it, −1 runs
+    /// one word past it (a fault), `None` leaves it near the start.
+    #[derive(Debug, Clone)]
+    struct LongRow {
+        passes: u16,
+        spread: u8,
+        weights_l2: bool,
+        inputs_l2: bool,
+        stride: u16,
+        offset: u8,
+        w_end: Option<i8>,
+        x_end: Option<i8>,
+        shamt: u8,
+    }
+
+    fn any_long_row() -> impl Strategy<Value = LongRow> {
+        let end = || prop_oneof![Just(None), Just(None), (-1i8..2).prop_map(Some)];
+        (
+            (40u16..301, 0u8..4, any::<bool>(), 0u16..6),
+            (
+                0u8..16,
+                end(),
+                end(),
+                0u8..9,
+                prop_oneof![Just(false), Just(false), Just(true)],
+            ),
+        )
+            .prop_map(
+                |((passes, spread, weights_l2, pad), (offset, w_end, x_end, shamt, inputs_l2))| {
+                    LongRow {
+                        passes,
+                        spread,
+                        weights_l2,
+                        inputs_l2,
+                        stride: passes + 3 * u16::from(spread) + 8 * 7 + pad,
+                        offset,
+                        w_end,
+                        x_end,
+                        shamt,
+                    }
+                },
+            )
+    }
+
+    /// Assembles `rows` for `cores` cores; each core stores every row's
+    /// accumulator to its own output word, with a barrier between rows.
+    fn build_long_rows(rows: &[LongRow], cores: usize) -> Vec<u8> {
+        use iw_rv32::LoopIdx;
+        let mut asm = Asm::new(L2_BASE);
+        asm.li(Reg::S3, (TCDM_BASE + 0x40) as i32);
+        asm.slli(Reg::T6, Reg::A0, 2);
+        asm.add(Reg::S3, Reg::S3, Reg::T6);
+        asm.li(Reg::S4, BARRIER_ADDR as i32);
+        for row in rows {
+            let words = |n: u32| 4 * n;
+            // `gap` words before `hi` (past it for a negative gap).
+            let before = |hi: u32, gap: i8| hi.wrapping_sub((4 * i32::from(gap)) as u32);
+            let most = u32::from(row.passes) + u32::from(row.spread) * (cores as u32 - 1);
+            let (w_lo, w_hi) = if row.weights_l2 {
+                (L2_DATA, L2_BASE + L2_SIZE as u32)
+            } else {
+                (TCDM_BASE + 0x4000, TCDM_BASE + TCDM_SIZE as u32)
+            };
+            let stride = words(u32::from(row.stride));
+            // The last core's stream reaches furthest.
+            let w0 = match row.w_end {
+                Some(gap) => before(w_hi, gap) - words(most) - stride * (cores as u32 - 1),
+                None => w_lo + words(u32::from(row.offset)),
+            };
+            let (x_lo, x_hi) = if row.inputs_l2 {
+                (L2_DATA + 0x4000, L2_BASE + L2_SIZE as u32)
+            } else {
+                (TCDM_BASE + 0x1000, TCDM_BASE + TCDM_SIZE as u32)
+            };
+            let x0 = match row.x_end {
+                Some(gap) => before(x_hi, gap) - words(most),
+                None => x_lo + words(u32::from(row.offset)),
+            };
+            asm.li(Reg::S0, w0 as i32);
+            asm.li(Reg::T5, stride as i32);
+            asm.mul(Reg::T5, Reg::T5, Reg::A0);
+            asm.add(Reg::S0, Reg::S0, Reg::T5);
+            asm.li(Reg::S1, x0 as i32);
+            asm.li(Reg::T4, i32::from(row.passes));
+            asm.li(Reg::T5, i32::from(row.spread));
+            asm.mul(Reg::T5, Reg::T5, Reg::A0);
+            asm.add(Reg::T4, Reg::T4, Reg::T5);
+            let end = asm.new_label();
+            asm.lp_setup_to(LoopIdx::L0, Reg::T4, end);
+            asm.load_post(MemWidth::W, Reg::T0, Reg::S0, 4);
+            asm.load_post(MemWidth::W, Reg::T1, Reg::S1, 4);
+            asm.mul(Reg::T0, Reg::T0, Reg::T1);
+            asm.srai(Reg::T0, Reg::T0, row.shamt);
+            asm.add(Reg::T2, Reg::T2, Reg::T0);
+            asm.bind(end);
+            asm.sw(Reg::T2, Reg::S3, 0);
+            asm.sw(Reg::ZERO, Reg::S4, 0);
+        }
+        asm.ecall();
+        asm.assemble().unwrap()
+    }
+
+    /// TCDM and L2 filled with a word pattern, `image` at the base of L2.
+    fn patterned_mems(image: &[u8]) -> (Ram, Ram) {
+        let (mut tcdm, mut l2) = fresh_mems();
+        let pattern = |len: usize, seed: u32| -> Vec<u8> {
+            (0..len as u32 / 4)
+                .flat_map(|w| (w.wrapping_mul(0x9e37_79b9) ^ (w << 7) ^ seed).to_le_bytes())
+                .collect()
+        };
+        tcdm.write_bytes(TCDM_BASE, &pattern(TCDM_SIZE, 0));
+        l2.write_bytes(L2_BASE, &pattern(L2_SIZE, 0x5bd1_e995));
+        l2.write_bytes(L2_BASE, image);
+        (tcdm, l2)
+    }
+
+    type Memories = (Result<(ClusterRun, SchedStats), ClusterError>, Ram, Ram);
+
+    fn run_on(mems: &(Ram, Ram), cfg: &ClusterConfig, limit: u64) -> Memories {
+        let (mut tcdm, mut l2) = mems.clone();
+        let res = run_cluster_stats(cfg, &mut tcdm, &mut l2, L2_BASE, limit);
+        (res, tcdm, l2)
+    }
+
+    #[test]
+    fn period_skip_serves_long_lockstep_rows() {
+        let row = |weights_l2, spread| LongRow {
+            passes: 200,
+            spread,
+            weights_l2,
+            inputs_l2: false,
+            stride: 260,
+            offset: 3,
+            w_end: None,
+            x_end: None,
+            shamt: 5,
+        };
+        let image = build_long_rows(&[row(true, 0), row(false, 1)], 8);
+        let mems = patterned_mems(&image);
+        for tcdm_banks in [1, 3, 16] {
+            let cfg = ClusterConfig {
+                tcdm_banks,
+                ..ClusterConfig::default()
+            };
+            let reference = ClusterConfig {
+                decode_cache: false,
+                ..cfg
+            };
+            let (expected, ref_tcdm, ref_l2) = run_on(&mems, &reference, 1_000_000);
+            let (got, tcdm, l2) = run_on(&mems, &cfg, 1_000_000);
+            let ((run, sched), (run_ref, _)) = (got.unwrap(), expected.unwrap());
+            assert_eq!(run, run_ref, "banks={tcdm_banks}");
+            assert!(
+                tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) == ref_tcdm.read_bytes(TCDM_BASE, TCDM_SIZE)
+            );
+            assert!(l2.read_bytes(L2_BASE, L2_SIZE) == ref_l2.read_bytes(L2_BASE, L2_SIZE));
+            // Both rows skip, and most of their joint picks lie in
+            // skipped periods.
+            assert!(sched.period_skips >= 2, "banks={tcdm_banks}: {sched:?}");
+            assert!(
+                sched.skipped_picks * 2 > sched.joint_picks,
+                "banks={tcdm_banks}: {sched:?}"
+            );
+        }
+    }
+
     proptest! {
 
         /// Lockstep dot-product rows on 2–8 cores, the joint mode's
@@ -2021,6 +2467,67 @@ mod tests {
                 prop_assert!(product.1 == reference.1, "cores={}: TCDM differs", cores);
                 prop_assert!(product.2 == reference.2, "cores={}: L2 differs", cores);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Rows long enough for several lockstep periods on 2–8 cores,
+        /// under every bank count the skip's state must tell apart (one
+        /// bank, a bank count that does not divide 16, Mr. Wolf's 16), L2
+        /// latencies of 1–4 cycles, weights in L2 or in TCDM, streams that
+        /// end at their memory's end or one word past it, and budgets
+        /// anywhere, within one period of the run's end included. The
+        /// product path, period skips and all, must reproduce the
+        /// reference pick loop exactly: the `ClusterRun` or error and both
+        /// memories whole.
+        #[test]
+        fn period_skips_match_reference(
+            rows in prop::collection::vec(any_long_row(), 1..3),
+            cores in 2usize..9,
+            tcdm_banks in prop_oneof![Just(1usize), Just(3), Just(16)],
+            l2_latency in 1u32..5,
+            budget in prop_oneof![
+                Just(None),
+                Just(None),
+                (0u64..100).prop_map(Some),
+                (0u64..160).prop_map(|k| Some(100 + k)),
+            ],
+        ) {
+            let mems = patterned_mems(&build_long_rows(&rows, cores));
+            let cfg = ClusterConfig {
+                cores,
+                tcdm_banks,
+                l2_latency,
+                ..ClusterConfig::default()
+            };
+            let reference = ClusterConfig {
+                decode_cache: false,
+                ..cfg
+            };
+            let unlimited = 10_000_000;
+            // A budget as a share of the run below 100, or 0–159 cycles
+            // short of its end from 100 on.
+            let limit = match (&run_on(&mems, &reference, unlimited).0, budget) {
+                (Ok((run, _)), Some(b)) => {
+                    let cycles = run.cycles - cfg.offload_cycles;
+                    if b < 100 {
+                        cycles * b / 100
+                    } else {
+                        cycles.saturating_sub(b - 100)
+                    }
+                }
+                _ => unlimited,
+            };
+            let (expected, ref_tcdm, ref_l2) = run_on(&mems, &reference, limit);
+            let (got, tcdm, l2) = run_on(&mems, &cfg, limit);
+            prop_assert_eq!(got.map(|r| r.0), expected.map(|r| r.0), "limit={}", limit);
+            let tcdm_same =
+                tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) == ref_tcdm.read_bytes(TCDM_BASE, TCDM_SIZE);
+            let l2_same = l2.read_bytes(L2_BASE, L2_SIZE) == ref_l2.read_bytes(L2_BASE, L2_SIZE);
+            prop_assert!(tcdm_same, "TCDM differs");
+            prop_assert!(l2_same, "L2 differs");
         }
     }
 }
