@@ -37,6 +37,14 @@ cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
   --workload policy-sweep --seed 3 --seconds 1 --trace 0 \
   --expect-digest 916ba1eeb582b238 >/dev/null ||
   { echo "ci.sh: policy-sweep full-size digest changed" >&2; exit 1; }
+# The full-size fleet-stream pass: 64 devices of the epidemic scenario
+# under harsh faults on two worker processes, where the tiny pin runs 8;
+# the bracelet's calendar serves nearly all of their events, so a change
+# to its dispatch order shows here.
+cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+  --workload fleet-stream --seed 3 --seconds 1 --trace 0 \
+  --expect-digest e9b8f1f3f259358d >/dev/null ||
+  { echo "ci.sh: fleet-stream full-size digest changed" >&2; exit 1; }
 # The full-size iss-classify pass: three inputs per network on all eight
 # paper rows, where the tiny pin runs one; it folds every run's cycles,
 # instructions and outputs, so a single-core loop op that serves a row

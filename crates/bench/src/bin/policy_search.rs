@@ -1,7 +1,8 @@
 //! Deterministic Pareto policy search CLI: evaluate every candidate
 //! [`iw_sim::PolicySpec`] as its own fleet run on the harsh 40 J stress
 //! cell, print the D5 table, and write the machine-readable results to
-//! `BENCH_policy.json`.
+//! `BENCH_policy.json`, with each candidate's wall seconds and the whole
+//! search's (the tracked policy-search time per candidate).
 //!
 //! ```text
 //! cargo run --release -p iw-bench --bin policy-search
@@ -85,7 +86,7 @@ fn json_f64(x: f64) -> String {
 /// Renders the outcome set as a stable, dependency-free JSON document.
 /// Candidate names are machine-generated (`[a-z0-9-]`), so no string
 /// escaping is needed beyond trusting our own generator.
-fn render_json(args: &Args, outcomes: &[PolicyOutcome]) -> String {
+fn render_json(args: &Args, outcomes: &[PolicyOutcome], wall_s: f64) -> String {
     let mut j = String::new();
     j.push_str("{\n");
     j.push_str("  \"bench\": \"policy-search\",\n");
@@ -100,7 +101,7 @@ fn render_json(args: &Args, outcomes: &[PolicyOutcome]) -> String {
              \"detections_per_day\": {}, \"energy_per_detection_j\": {}, \
              \"target_m4\": {}, \"target_ibex\": {}, \"target_cluster\": {}, \
              \"backoff_skips\": {}, \"sync_stretches\": {}, \
-             \"digest\": \"{:016x}\", \"pareto\": {}}}{}\n",
+             \"digest\": \"{:016x}\", \"pareto\": {}, \"wall_s\": {}}}{}\n",
             o.name,
             o.adaptive,
             json_f64(o.uptime),
@@ -113,6 +114,7 @@ fn render_json(args: &Args, outcomes: &[PolicyOutcome]) -> String {
             o.sync_stretches,
             o.digest,
             o.pareto,
+            json_f64(o.wall_s),
             if i + 1 < outcomes.len() { "," } else { "" }
         ));
     }
@@ -123,6 +125,11 @@ fn render_json(args: &Args, outcomes: &[PolicyOutcome]) -> String {
         .map(|o| format!("\"{}\"", o.name))
         .collect();
     j.push_str(&format!("  \"pareto_front\": [{}],\n", front.join(", ")));
+    j.push_str(&format!("  \"search_wall_s\": {},\n", json_f64(wall_s)));
+    j.push_str(&format!(
+        "  \"wall_s_per_candidate\": {},\n",
+        json_f64(wall_s / outcomes.len().max(1) as f64)
+    ));
     j.push_str(&format!(
         "  \"search_digest\": \"{:016x}\"\n",
         d5_search_digest(outcomes)
@@ -176,14 +183,16 @@ fn main() {
             args.seed
         ),
     );
+    let started = std::time::Instant::now();
     let outcomes = d5_policy_search(args.devices, args.threads, args.seed, &candidates);
+    let wall_s = started.elapsed().as_secs_f64();
     print!(
         "{}",
         iw_bench::render_d5_table(args.devices, args.threads, &outcomes)
     );
 
     if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, render_json(&args, &outcomes)) {
+        if let Err(e) = std::fs::write(path, render_json(&args, &outcomes, wall_s)) {
             plog("out", &format!("cannot write {path}: {e}"));
             std::process::exit(1);
         }

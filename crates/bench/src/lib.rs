@@ -889,6 +889,9 @@ pub struct PolicyOutcome {
     pub sync_stretches: u64,
     /// Determinism digest of the candidate's fleet run.
     pub digest: u64,
+    /// Wall-clock seconds of the candidate's fleet run (host-dependent;
+    /// kept out of every digest and table).
+    pub wall_s: f64,
     /// On the Pareto front of (uptime ↑, detections/day ↑, energy/det ↓).
     pub pareto: bool,
 }
@@ -1046,7 +1049,9 @@ pub fn d5_policy_search(
     let mut outcomes: Vec<PolicyOutcome> = candidates
         .iter()
         .map(|candidate| {
+            let started = std::time::Instant::now();
             let report = d5_fleet_config(devices, threads, seed, candidate, jobs).run();
+            let wall_s = started.elapsed().as_secs_f64();
             let stats = &report.policies[0];
             PolicyOutcome {
                 name: candidate.name.clone(),
@@ -1061,6 +1066,7 @@ pub fn d5_policy_search(
                 backoff_skips: stats.backoff_skips,
                 sync_stretches: stats.sync_stretches,
                 digest: report.digest,
+                wall_s,
                 pareto: false,
             }
         })

@@ -1,23 +1,26 @@
 //! The whole-device simulation: the InfiniWolf bracelet assembled from
 //! event-engine components.
 //!
-//! Component wiring. The bracelet holds the components as fields and
-//! routes each event with one `match` in `Bracelet::handle`: a component
-//! receives only the events on its rows; arrows show what it does and
-//! schedules in response. Rows run top to bottom, which is the order the
-//! components start in and the order two handlers of one event run in:
+//! Component wiring. The bracelet holds the components as fields. It
+//! routes each general-queue event with one `match` in
+//! `Bracelet::handle`, and runs each event of its own calendar (the
+//! detection pipeline and the gauge, `*` below; see `calendar.rs`) with
+//! one `match` in `Bracelet::step`. A component receives only the events
+//! on its rows; arrows show what it does and schedules in response. Rows
+//! run top to bottom, which is the order the components start in and the
+//! order two handlers of one event run in:
 //!
 //! ```text
 //! FaultComponent    ── every event but Sample ─▶ fault windows, gauge noise,
 //!                                                brownout poll + recovery
 //! EnvComponent      ── EnvSegment{i} ──▶ sets solar/TEG intake, End at t_end
-//! PolicyComponent   ── PolicyTick ─────▶ AcquireStart + next PolicyTick
-//! SensorComponent   ── AcquireStart ───▶ AFE load on, AcquireEnd at +3 s
-//!                   ── AcquireEnd ─────▶ AFE load off, ComputeStart
+//! PolicyComponent   ── PolicyTick* ────▶ AcquireStart* + next PolicyTick*
+//! SensorComponent   ── AcquireStart* ──▶ AFE load on, AcquireEnd* at +3 s
+//!                   ── AcquireEnd* ────▶ AFE load off, ComputeStart*
 //!                   ── FaultStart ─────▶ taints open windows (after faults)
-//! ComputeComponent  ── ComputeStart ───▶ cluster load on, ComputeEnd at +T
-//!                   ── ComputeEnd ─────▶ one detection retired
-//! RadioComponent    ── ComputeEnd ─────▶ result-notification impulse
+//! ComputeComponent  ── ComputeStart* ──▶ cluster load on, ComputeEnd* at +T
+//!                   ── ComputeEnd* ────▶ one detection retired
+//! RadioComponent    ── ComputeEnd* ────▶ result-notification impulse
 //!                   ── BleSyncStart ───▶ radio load on, BleSyncEnd at +burst
 //!                   ── BleSyncEnd ─────▶ sync outcome, retry or next burst
 //! BleScanComponent  ── ContactStart ───▶ scan load on, ContactEnd at +scan
@@ -25,16 +28,15 @@
 //! SamplerComponent  ── Sample ─────────▶ TracePoint + harvest counters
 //! ```
 //!
-//! The radio, scanner and sampler are present only when configured (BLE
-//! notifications or sync, a contact plan, trace points).
+//! The fault component's gauge tick (`GaugeTick*`) is a calendar event
+//! too. The radio, scanner and sampler are present only when configured
+//! (BLE notifications or sync, a contact plan, trace points).
 //!
 //! Acquisition windows (and compute jobs) may overlap when the policy
 //! rate exceeds `1 / window`; each component tracks its multiplicity and
 //! sets its load slot to `count × unit_power`, so the integrated energy
 //! is exactly `completed_detections × per-detection energy` — the same
 //! arithmetic as the paper's steady-state analysis.
-
-use std::collections::VecDeque;
 
 use iw_fault::{
     mix, FaultCounters, FaultKind, FaultPlan, ReliabilityCounters, SplitMix64, SyncOutcome,
@@ -46,6 +48,7 @@ use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
 use iw_trace::TraceSink;
 
+use crate::calendar::{Calendar, Due, JOB_SLOTS};
 use crate::engine::{secs_to_us, Component, Engine, Event, LoadSlot, SimCtx};
 use crate::faults::{finalize_reliability, FaultComponent, BLE_STREAM};
 use iw_policy::{PolicySpec, TargetRule};
@@ -272,9 +275,22 @@ impl DeviceConfig {
     /// set, `acquire` / `compute` / `ble-sync` spans plus `notify`
     /// instants on a `device` track (1 µs ticks).
     pub fn run_traced<S: TraceSink>(&self, sink: &mut S) -> DeviceReport {
+        self.run_bracelet(sink, &mut Bracelet::new(self))
+    }
+
+    /// [`DeviceConfig::run_traced`] with the calendar in its test-only
+    /// reference order (see `Calendar::plain`).
+    #[cfg(test)]
+    fn run_reference<S: TraceSink>(&self, sink: &mut S) -> DeviceReport {
+        let mut bracelet = Bracelet::new(self);
+        bracelet.cal.plain = true;
+        self.run_bracelet(sink, &mut bracelet)
+    }
+
+    fn run_bracelet<S: TraceSink>(&self, sink: &mut S, bracelet: &mut Bracelet) -> DeviceReport {
         let mut engine = Engine::new(self.battery);
         engine.state.base_load_w = self.sleep_floor_w;
-        let events = engine.run(sink, &mut Bracelet::new(self));
+        let events = engine.run(sink, bracelet);
         let end_us = engine.now_us();
         let queue_high_water = engine.queue_high_water();
         let mut state = engine.state;
@@ -314,8 +330,10 @@ impl DeviceConfig {
 
 /// The bracelet: the device [`Engine::run`] drives, built from its parts
 /// as fields, so every handler call is static and the whole event loop
-/// is one monomorphized function.
+/// is one monomorphized function. It keeps the calendar of its detection
+/// pipeline and gauge ticks.
 struct Bracelet {
+    cal: Calendar,
     fault: FaultComponent,
     env: EnvComponent,
     policy: PolicyComponent,
@@ -352,6 +370,7 @@ impl Bracelet {
             )
         });
         Bracelet {
+            cal: Calendar::default(),
             fault: FaultComponent::new(cfg.faults.clone(), cfg.sleep_floor_w, cfg.detection_spans),
             env: EnvComponent::new(&cfg.env, &cfg.solar, &cfg.teg),
             policy: PolicyComponent::new(cfg.policy),
@@ -372,9 +391,9 @@ impl Bracelet {
 
 impl<S: TraceSink> Component<S> for Bracelet {
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.fault.start(ctx);
+        self.fault.start(&mut self.cal, ctx);
         self.env.start(ctx);
-        self.policy.start(ctx);
+        self.policy.start(&mut self.cal, ctx);
         self.sensor.start(ctx);
         self.compute.start(ctx);
         if let Some(radio) = &mut self.radio {
@@ -405,18 +424,7 @@ impl<S: TraceSink> Component<S> for Bracelet {
         }
         match ev {
             Event::EnvSegment { .. } => self.env.handle(ev, ctx),
-            Event::PolicyTick => self.policy.handle(ev, ctx),
-            Event::AcquireStart | Event::AcquireEnd | Event::FaultStart { .. } => {
-                self.sensor.handle(ev, ctx);
-            }
-            Event::ComputeStart => self.compute.handle(ev, ctx),
-            Event::ComputeEnd { .. } => {
-                // The detection retires before the radio reports it.
-                self.compute.handle(ev, ctx);
-                if let Some(radio) = &mut self.radio {
-                    radio.handle(ev, ctx);
-                }
-            }
+            Event::FaultStart { .. } => self.sensor.fault_started(&mut self.cal, ctx),
             Event::BleSyncStart | Event::BleSyncEnd => {
                 if let Some(radio) = &mut self.radio {
                     radio.handle(ev, ctx);
@@ -434,7 +442,44 @@ impl<S: TraceSink> Component<S> for Bracelet {
             }
             // The fault component's own kinds; `End` never reaches a
             // device (the engine stops at it).
-            Event::FaultEnd { .. } | Event::GaugeTick | Event::BrownoutRecover | Event::End => {}
+            Event::FaultEnd { .. } | Event::BrownoutRecover | Event::End => {}
+        }
+    }
+
+    #[inline(always)]
+    fn next_due(&self) -> u128 {
+        self.cal.head()
+    }
+
+    #[inline(always)]
+    fn pending(&self) -> usize {
+        self.cal.len()
+    }
+
+    /// The calendar's events, in the order `handle` ran them when they
+    /// were general events: the fault component first (the gauge draw and
+    /// its next tick, then the brownout poll), then the pipeline part.
+    #[inline(always)]
+    fn step(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let due = self.cal.pop();
+        if due == Due::GaugeTick {
+            self.fault.gauge_tick(&mut self.cal, ctx);
+            return;
+        }
+        self.fault.poll_brownout(ctx);
+        match due {
+            Due::PolicyTick => self.policy.tick(&mut self.cal, ctx),
+            Due::AcquireStart => self.sensor.open(&mut self.cal, ctx),
+            Due::AcquireEnd { corrupt } => self.sensor.close(corrupt, &mut self.cal, ctx),
+            Due::ComputeStart => self.compute.dispatch(&mut self.cal, ctx),
+            Due::ComputeEnd { job } => {
+                // The detection retires before the radio reports it.
+                self.compute.retire(usize::from(job), ctx);
+                if let Some(radio) = &mut self.radio {
+                    radio.report(ctx);
+                }
+            }
+            Due::GaugeTick => unreachable!("handled above"),
         }
     }
 }
@@ -542,16 +587,13 @@ impl PolicyComponent {
             last_period_us: 0,
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for PolicyComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        ctx.schedule_at(0, Event::PolicyTick);
+    fn start<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
+        cal.set_tick(ctx.key_at(0));
     }
 
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        debug_assert_eq!(ev, Event::PolicyTick);
+    fn tick<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
         // Maintain the trailing harvest forecast on every evaluation, so
         // it is a pure function of the (deterministic) event sequence.
         ctx.state.harvest_avg_w = HARVEST_EWMA_ALPHA * ctx.state.intake_w()
@@ -560,7 +602,7 @@ impl<S: TraceSink> Component<S> for PolicyComponent {
             // Browned out: no new work until the recovery state machine
             // re-enables acquisition. Each skipped evaluation is counted.
             ctx.state.reliability.skipped_acquisitions += 1;
-            ctx.schedule_in(self.idle_recheck_us, Event::PolicyTick);
+            cal.set_tick(ctx.key_in(self.idle_recheck_us));
             return;
         }
         if let Some(recheck_us) = self.backoff_recheck_us {
@@ -569,31 +611,33 @@ impl<S: TraceSink> Component<S> for PolicyComponent {
                 // don't pay for a window that would be gated. The tick
                 // always re-arms, so this can never deadlock detection.
                 ctx.state.backoff_skips += 1;
-                ctx.schedule_in(recheck_us, Event::PolicyTick);
+                cal.set_tick(ctx.key_in(recheck_us));
                 return;
             }
         }
         // The policy reads the fuel gauge, not the true cell state.
         let rate = self.policy.rate_per_s(ctx.state.observed_soc());
         if rate > 0.0 {
-            ctx.schedule_in(0, Event::AcquireStart);
+            cal.push_acquire_start(ctx.key_in(0));
             if rate.to_bits() != self.last_rate_bits {
                 self.last_rate_bits = rate.to_bits();
                 self.last_period_us = secs_to_us(1.0 / rate).max(self.min_interval_us);
             }
-            ctx.schedule_in(self.last_period_us, Event::PolicyTick);
+            cal.set_tick(ctx.key_in(self.last_period_us));
         } else {
-            ctx.schedule_in(self.idle_recheck_us, Event::PolicyTick);
+            cal.set_tick(ctx.key_in(self.idle_recheck_us));
         }
     }
 }
 
-/// The ECG + GSR analog front ends: each [`Event::AcquireStart`] opens a
+/// The ECG + GSR analog front ends: each acquisition start opens a
 /// fixed-length window drawing the acquisition power; windows may overlap
 /// (multiplicity-counted). Each closing window dispatches a compute job —
 /// unless a signal-corrupting fault (lead-off, motion artifact, GSR
 /// detach) overlapped the window, in which case the acquisition energy is
-/// still paid but classification is skipped (signal-quality gating).
+/// still paid but classification is skipped (signal-quality gating). The
+/// open windows and their `corrupt` flags are the calendar's pending
+/// acquisition ends.
 pub struct SensorComponent {
     energy_j: f64,
     window_us: u64,
@@ -601,8 +645,6 @@ pub struct SensorComponent {
     trace_spans: bool,
     slot: Option<LoadSlot>,
     active: u32,
-    /// Open windows: `(start_us, corrupted)`.
-    starts: VecDeque<(u64, bool)>,
 }
 
 impl SensorComponent {
@@ -621,65 +663,61 @@ impl SensorComponent {
             trace_spans,
             slot: None,
             active: 0,
-            starts: VecDeque::new(),
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for SensorComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+    fn start<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("afe"));
     }
 
+    /// An acquisition start: opens a window.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::AcquireStart => {
-                if self.window_us == 0 {
-                    // Degenerate window: the energy is an impulse.
-                    ctx.consume_j(self.energy_j);
-                } else {
-                    self.active += 1;
-                    ctx.state
-                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
-                }
-                self.starts
-                    .push_back((ctx.now_us, ctx.state.signal_faults > 0));
-                ctx.schedule_in(self.window_us, Event::AcquireEnd);
+    fn open<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
+        if self.window_us == 0 {
+            // Degenerate window: the energy is an impulse.
+            ctx.consume_j(self.energy_j);
+        } else {
+            self.active += 1;
+            let slot = self.slot.expect("started");
+            ctx.state
+                .set_load(slot, f64::from(self.active) * self.unit_power_w);
+        }
+        cal.push_acquire_end(ctx.key_in(self.window_us), ctx.state.signal_faults > 0);
+    }
+
+    /// A fault window opened: if it corrupts the signal (the fault
+    /// component runs first, so the flag is already set), every currently
+    /// open window is now unusable.
+    fn fault_started<S: TraceSink>(&self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
+        if ctx.state.signal_faults > 0 {
+            cal.taint_acquisitions();
+        }
+    }
+
+    /// An acquisition end: closes the window that opened `window_us` ago.
+    #[inline]
+    fn close<S: TraceSink>(&mut self, corrupt: bool, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
+        if self.window_us > 0 {
+            self.active -= 1;
+            let slot = self.slot.expect("started");
+            ctx.state
+                .set_load(slot, f64::from(self.active) * self.unit_power_w);
+        }
+        if S::ENABLED && self.trace_spans {
+            let track = ctx.tracks.device;
+            let started = ctx.now_us - self.window_us;
+            ctx.sink.span(track, "acquire", started, ctx.now_us);
+        }
+        if corrupt {
+            // Signal-quality gate: the window's energy is spent but its
+            // samples are garbage — skip classification.
+            ctx.state.reliability.degraded_windows += 1;
+            if S::ENABLED && self.trace_spans {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "acq-gated", ctx.now_us);
             }
-            Event::FaultStart { .. } if ctx.state.signal_faults > 0 => {
-                // A signal-corrupting fault opened mid-window (the fault
-                // component runs first, so the flag is already set):
-                // every currently open window is now unusable.
-                for open in &mut self.starts {
-                    open.1 = true;
-                }
-            }
-            Event::AcquireEnd => {
-                if self.window_us > 0 {
-                    self.active -= 1;
-                    ctx.state
-                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
-                }
-                let (started, corrupt) = self.starts.pop_front().expect("balanced windows");
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.span(track, "acquire", started, ctx.now_us);
-                }
-                if corrupt {
-                    // Signal-quality gate: the window's energy is spent
-                    // but its samples are garbage — skip classification.
-                    ctx.state.reliability.degraded_windows += 1;
-                    if S::ENABLED && self.trace_spans {
-                        let track = ctx.tracks.device;
-                        ctx.sink.instant(track, "acq-gated", ctx.now_us);
-                    }
-                } else {
-                    ctx.schedule_in(0, Event::ComputeStart);
-                }
-            }
-            _ => {}
+        } else {
+            cal.push_compute_start(ctx.key_in(0));
         }
     }
 }
@@ -694,33 +732,58 @@ impl<S: TraceSink> Component<S> for SensorComponent {
 /// and picks the target *per classification* from the policy's
 /// [`TargetRule`] over the observed state of charge, the sync queue
 /// depth and the trailing harvest average. Jobs of different durations
-/// may retire out of dispatch order, so [`Event::ComputeEnd`] carries
-/// the job-slot index; within one slot every job has the same duration,
-/// so per-slot FIFO start matching stays exact.
+/// may retire out of dispatch order, so the calendar keeps one FIFO of
+/// compute ends per job slot; within one slot every job has the same
+/// duration, so each FIFO stays in time order and a retiring job started
+/// its slot's duration ago.
 pub struct ComputeComponent {
-    jobs: Vec<ComputeJob>,
-    durations_us: Vec<u64>,
-    powers_w: Vec<f64>,
+    /// One per [`iw_policy::TargetClass`]; a single-target component
+    /// uses slot 0 only.
+    slots: [JobSlot; JOB_SLOTS],
     targets: Option<TargetRule>,
     trace_spans: bool,
     slot: Option<LoadSlot>,
-    active: Vec<u32>,
-    starts: Vec<VecDeque<u64>>,
+}
+
+/// A job slot: its job, the job's duration and power, and how many of
+/// its jobs are running.
+#[derive(Debug, Clone, Copy)]
+struct JobSlot {
+    energy_j: f64,
+    duration_us: u64,
+    power_w: f64,
+    /// Jobs running, as a float: the count is exact (far below 2^53), so
+    /// `active × power` is `f64::from(count) × power` without the
+    /// conversion.
+    active: f64,
+}
+
+impl JobSlot {
+    fn new(job: ComputeJob) -> JobSlot {
+        JobSlot {
+            energy_j: job.energy_j,
+            duration_us: secs_to_us(job.duration_s),
+            power_w: job.power_w(),
+            active: 0.0,
+        }
+    }
 }
 
 impl ComputeComponent {
     /// A single compute target running `job` per detection.
     #[must_use]
     pub fn new(job: ComputeJob, trace_spans: bool) -> ComputeComponent {
+        // The unused slots draw `-0.0` W, the identity of the load sum,
+        // so the sum is bit for bit slot 0's.
+        let unused = JobSlot {
+            power_w: -0.0,
+            ..JobSlot::new(job)
+        };
         ComputeComponent {
-            jobs: vec![job],
-            durations_us: vec![secs_to_us(job.duration_s)],
-            powers_w: vec![job.power_w()],
+            slots: [JobSlot::new(job), unused, unused],
             targets: None,
             trace_spans,
             slot: None,
-            active: vec![0],
-            starts: vec![VecDeque::new()],
         }
     }
 
@@ -728,83 +791,75 @@ impl ComputeComponent {
     /// cluster order), selected per classification by `rule`.
     #[must_use]
     pub fn adaptive(
-        jobs: [ComputeJob; 3],
+        jobs: [ComputeJob; JOB_SLOTS],
         rule: TargetRule,
         trace_spans: bool,
     ) -> ComputeComponent {
         ComputeComponent {
-            durations_us: jobs.iter().map(|j| secs_to_us(j.duration_s)).collect(),
-            powers_w: jobs.iter().map(ComputeJob::power_w).collect(),
-            jobs: jobs.to_vec(),
+            slots: jobs.map(JobSlot::new),
             targets: Some(rule),
             trace_spans,
             slot: None,
-            active: vec![0; 3],
-            starts: vec![VecDeque::new(); 3],
         }
     }
 
     /// Total compute load right now: every slot's multiplicity times its
     /// unit power. For the single-target component this reduces to
     /// `active × power` — the same arithmetic as before targets existed.
+    #[inline]
     fn load_w(&self) -> f64 {
-        self.active
-            .iter()
-            .zip(&self.powers_w)
-            .map(|(&n, &power_w)| f64::from(n) * power_w)
-            .sum()
+        self.slots.iter().map(|s| s.active * s.power_w).sum()
     }
-}
 
-impl<S: TraceSink> Component<S> for ComputeComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+    fn start<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("compute"));
     }
 
+    /// A compute start: picks the job slot and dispatches its job.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::ComputeStart => {
-                let job = match self.targets {
-                    Some(rule) => {
-                        let class = rule.select(
-                            ctx.state.observed_soc(),
-                            ctx.state.queue_depth,
-                            ctx.state.harvest_avg_w,
-                        );
-                        ctx.state.target_counts[class.index()] += 1;
-                        if S::ENABLED && self.trace_spans {
-                            let track = ctx.tracks.device;
-                            ctx.sink.instant(track, class.label(), ctx.now_us);
-                        }
-                        class.index()
-                    }
-                    None => 0,
-                };
-                if self.durations_us[job] == 0 {
-                    ctx.consume_j(self.jobs[job].energy_j);
-                } else {
-                    self.active[job] += 1;
-                    ctx.state.set_load(slot, self.load_w());
-                }
-                self.starts[job].push_back(ctx.now_us);
-                ctx.schedule_in(self.durations_us[job], Event::ComputeEnd { job });
-            }
-            Event::ComputeEnd { job } => {
-                if self.durations_us[job] > 0 {
-                    self.active[job] -= 1;
-                    ctx.state.set_load(slot, self.load_w());
-                }
-                let started = self.starts[job].pop_front().expect("balanced jobs");
+    fn dispatch<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
+        let job = match self.targets {
+            Some(rule) => {
+                let class = rule.select(
+                    ctx.state.observed_soc(),
+                    ctx.state.queue_depth,
+                    ctx.state.harvest_avg_w,
+                );
+                ctx.state.target_counts[class.index()] += 1;
                 if S::ENABLED && self.trace_spans {
                     let track = ctx.tracks.device;
-                    ctx.sink.span(track, "compute", started, ctx.now_us);
+                    ctx.sink.instant(track, class.label(), ctx.now_us);
                 }
-                ctx.state.detections += 1;
+                class.index()
             }
-            _ => {}
+            None => 0,
+        };
+        let duration_us = self.slots[job].duration_us;
+        if duration_us == 0 {
+            ctx.consume_j(self.slots[job].energy_j);
+        } else {
+            self.slots[job].active += 1.0;
+            let slot = self.slot.expect("started");
+            ctx.state.set_load(slot, self.load_w());
         }
+        cal.push_job(ctx.key_in(duration_us), job);
+    }
+
+    /// A compute end: the job in slot `job` retires one detection.
+    #[inline]
+    fn retire<S: TraceSink>(&mut self, job: usize, ctx: &mut SimCtx<'_, S>) {
+        let duration_us = self.slots[job].duration_us;
+        if duration_us > 0 {
+            self.slots[job].active -= 1.0;
+            let slot = self.slot.expect("started");
+            ctx.state.set_load(slot, self.load_w());
+        }
+        if S::ENABLED && self.trace_spans {
+            let track = ctx.tracks.device;
+            let started = ctx.now_us - duration_us;
+            ctx.sink.span(track, "compute", started, ctx.now_us);
+        }
+        ctx.state.detections += 1;
     }
 }
 
@@ -871,6 +926,25 @@ impl RadioComponent {
             burst_started_us: 0,
         }
     }
+
+    /// A detection retired: notify it now, or queue it for the next sync.
+    #[inline]
+    fn report<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if self.batch {
+            // Duty-cycled: the result queues for the next sync. The
+            // backlog is mirrored into the shared state so adaptive
+            // policies can read the queue depth.
+            self.pending += 1;
+            ctx.state.queue_depth = self.pending;
+        } else if self.notify_j > 0.0 {
+            ctx.consume_j(self.notify_j);
+            ctx.state.notifications += 1;
+            if S::ENABLED && self.trace_spans {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "notify", ctx.now_us);
+            }
+        }
+    }
 }
 
 impl<S: TraceSink> Component<S> for RadioComponent {
@@ -885,21 +959,6 @@ impl<S: TraceSink> Component<S> for RadioComponent {
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         let slot = self.slot.expect("started");
         match ev {
-            Event::ComputeEnd { .. } if self.batch => {
-                // Duty-cycled: the result queues for the next sync. The
-                // backlog is mirrored into the shared state so adaptive
-                // policies can read the queue depth.
-                self.pending += 1;
-                ctx.state.queue_depth = self.pending;
-            }
-            Event::ComputeEnd { .. } if self.notify_j > 0.0 => {
-                ctx.consume_j(self.notify_j);
-                ctx.state.notifications += 1;
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.instant(track, "notify", ctx.now_us);
-                }
-            }
             Event::BleSyncStart => {
                 let sync = self.sync.expect("sync configured");
                 ctx.state.set_load(slot, sync.power_w);
@@ -1704,6 +1763,181 @@ mod tests {
         assert_eq!(clean.reliability.degraded_windows, 0);
         assert_eq!(faulted.reliability.degraded_windows, 1);
         assert_eq!(faulted.detections + 1, clean.detections);
+    }
+
+    mod calendar_props {
+        use super::*;
+        use iw_fault::FaultWindow;
+        use iw_scenario::ContactEntry;
+        use proptest::prelude::*;
+
+        /// A device drawn from `seed`: a fixed, SoC-ramped or dense rate
+        /// (down to and past the 1 ms period floor), target selection
+        /// with per-slot jobs of different lengths, fault-aware backoff,
+        /// duty-cycled sync, overlapping fault windows of every scheduled
+        /// kind, gauge noise, a lossy link, contacts and trace samples, on
+        /// a cell small enough to brown out and recover now and then.
+        /// Runs stay short: 10 minutes at up to 2 detections/s, or 4 s at
+        /// a dense rate with windows short enough to keep the pending
+        /// count in the tens.
+        fn device(seed: u64) -> DeviceConfig {
+            let mut rng = SplitMix64::new(seed);
+            let mut pick =
+                |options: &[f64]| options[(rng.next_u64() % options.len() as u64) as usize];
+            let dense = pick(&[0.0, 0.0, 1.0]) == 1.0;
+            let (horizon_s, window_s) = if dense {
+                (4.0, pick(&[0.0, 0.004, 0.03]))
+            } else {
+                (600.0, pick(&[0.0, 0.5, 3.0]))
+            };
+            let mut rng = SplitMix64::new(mix(seed, 1));
+            let rule = if dense {
+                RateRule::Fixed {
+                    per_minute: rng.range_f64(6000.0, 120_000.0),
+                }
+            } else if rng.chance(0.5) {
+                RateRule::Fixed {
+                    per_minute: rng.range_f64(1.0, 120.0),
+                }
+            } else {
+                let min_soc = rng.range_f64(0.0, 0.5);
+                RateRule::SocRamp {
+                    max_per_minute: rng.range_f64(1.0, 120.0),
+                    min_soc,
+                    full_soc: min_soc + rng.range_f64(0.1, 0.6),
+                }
+            };
+            let mut spec = PolicySpec::new(rule);
+            if rng.chance(0.5) {
+                spec.sync_interval_s = Some(if rng.chance(0.5) { 30.0 } else { 120.0 });
+            }
+            if rng.chance(0.5) {
+                spec.backoff = Some(FaultBackoff {
+                    gate_acquisition: rng.chance(0.7),
+                    recheck_s: rng.range_f64(1.0, 30.0),
+                    sync_stretch: rng.range_f64(1.0, 4.0),
+                });
+            }
+            let mut target_jobs = None;
+            if rng.chance(0.5) {
+                spec.targets = Some(TargetRule {
+                    eco_below: rng.range_f64(0.0, 0.6),
+                    m4_above: rng.range_f64(0.3, 1.0),
+                    harvest_weight: rng.range_f64(0.0, 100.0),
+                    queue_cluster: rng.next_u64() % 12,
+                });
+                target_jobs = Some([(); 3].map(|()| {
+                    let durations = [0.0, 61e-6, 1e-3, 5e-3];
+                    let duration_s = durations[(rng.next_u64() % 4) as usize];
+                    ComputeJob::analytic(duration_s, rng.range_f64(1e-7, 1e-5))
+                }));
+            }
+            let env = if rng.chance(0.5) {
+                let segment = |light| iw_harvest::EnvSegment {
+                    duration_s: horizon_s / 2.0,
+                    light,
+                    thermal: iw_harvest::ThermalCondition::warm_room(),
+                };
+                EnvProfile {
+                    segments: vec![
+                        segment(iw_harvest::LightCondition::dark()),
+                        segment(iw_harvest::LightCondition::outdoor()),
+                    ],
+                }
+            } else {
+                dark_day(horizon_s)
+            };
+            let costs = DetectionCosts {
+                acquisition_j: 600e-6,
+                acquisition_s: window_s,
+                compute: ComputeJob::analytic(61e-6, 2.2e-6),
+            };
+            let mut cfg = DeviceConfig::new(env, spec, costs);
+            cfg.battery = Battery::new(rng.range_f64(0.2, 40.0));
+            cfg.battery.set_soc(rng.range_f64(0.02, 0.9));
+            cfg.target_jobs = target_jobs;
+            let kinds = [
+                FaultKind::EcgLeadOff,
+                FaultKind::MotionArtifact,
+                FaultKind::GsrDetach,
+                FaultKind::SolarOcclusion,
+                FaultKind::TegCollapse,
+                FaultKind::BleLoss,
+            ];
+            let mut windows: Vec<FaultWindow> = (0..rng.next_u64() % 12)
+                .map(|_| {
+                    let start_us = secs_to_us(rng.range_f64(0.0, horizon_s));
+                    FaultWindow {
+                        kind: kinds[(rng.next_u64() % 6) as usize],
+                        start_us,
+                        end_us: start_us + secs_to_us(rng.range_f64(0.001, 0.5) * horizon_s).max(1),
+                        severity: rng.next_f64(),
+                    }
+                })
+                .collect();
+            windows.sort_by_key(|w| w.start_us);
+            cfg.faults = FaultPlan {
+                seed,
+                windows,
+                ble_loss_prob: rng.range_f64(0.0, 0.5),
+                ble_max_retries: (rng.next_u64() % 3) as u32,
+                gauge_noise_soc: if rng.chance(0.5) { 0.05 } else { 0.0 },
+                gauge_interval_s: rng.range_f64(0.5, 60.0),
+                ..FaultPlan::none()
+            };
+            let mut entries: Vec<ContactEntry> = (0..rng.next_u64() % 6)
+                .map(|_| {
+                    let start_us = secs_to_us(rng.range_f64(0.0, horizon_s));
+                    ContactEntry {
+                        start_us,
+                        end_us: start_us + secs_to_us(rng.range_f64(0.0, 0.1) * horizon_s),
+                        peer: (rng.next_u64() % 64) as u32,
+                        rssi_dbm: -60,
+                    }
+                })
+                .collect();
+            entries.sort_by_key(|e| (e.start_us, e.peer));
+            cfg.contacts = ContactPlan {
+                entries,
+                epoch_us: secs_to_us(60.0),
+            };
+            cfg.trace_points = (rng.next_u64() % 40) as usize;
+            cfg.notify_j = if rng.chance(0.5) { 1e-6 } else { 0.0 };
+            if rng.chance(0.5) {
+                cfg.sync = Some(BleSync {
+                    interval_s: 45.0,
+                    burst_s: 5e-3,
+                    power_w: 5e-3,
+                });
+            }
+            cfg
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The calendar's per-kind order equals the order of one pool
+            /// of every pending pipeline event (`Calendar::plain`, which
+            /// takes the earliest entry wherever it sits): the whole report
+            /// is identical, events and queue high water included, traced
+            /// and untraced, and so is the recorded timeline.
+            #[test]
+            fn calendar_order_matches_the_reference_pool(seed in any::<u64>()) {
+                let cfg = device(seed);
+                let fast = cfg.run();
+                let reference = cfg.run_reference(&mut iw_trace::NoopSink);
+                prop_assert_eq!(format!("{fast:?}"), format!("{reference:?}"));
+                let (mut fast_rec, mut reference_rec) = (Recorder::new(), Recorder::new());
+                let fast_traced = cfg.run_traced(&mut fast_rec);
+                let reference_traced = cfg.run_reference(&mut reference_rec);
+                prop_assert_eq!(format!("{fast_traced:?}"), format!("{reference_traced:?}"));
+                prop_assert_eq!(format!("{fast_traced:?}"), format!("{fast:?}"));
+                prop_assert_eq!(
+                    format!("{:?}", fast_rec.events()),
+                    format!("{:?}", reference_rec.events())
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! # Execution model
 //!
 //! Time is a monotone `u64` microsecond counter ([`SimClock`]). Components
-//! schedule [`Event`]s into the engine's queue, which dispatches them in
-//! (time, scheduling sequence number) order, so a run is a deterministic
-//! function of the initial component state — independent of component
-//! iteration order or host thread count.
+//! schedule [`Event`]s into the engine's queue, and a device may keep the
+//! events it schedules most in a calendar of its own, keyed from the same
+//! sequence counter ([`SimCtx::key_at`], [`Component::next_due`]). The
+//! engine dispatches both in one (time, scheduling sequence number) order,
+//! so a run is a deterministic function of the initial component state —
+//! independent of component iteration order or host thread count.
 //!
 //! Between two consecutive events every power contribution is constant:
 //! the harvest intake set by the environment component and the load
@@ -28,7 +30,9 @@ use iw_trace::{TraceSink, TrackId};
 /// Microseconds per second, the engine's tick rate.
 pub const US_PER_S: f64 = 1e6;
 
-/// Converts seconds to engine ticks (microseconds), rounding to nearest.
+/// Converts seconds to engine ticks (microseconds), rounding to nearest,
+/// halves away from zero: `(seconds * 1e6).round() as u64`, without the
+/// libm call.
 ///
 /// # Panics
 ///
@@ -39,7 +43,23 @@ pub fn secs_to_us(seconds: f64) -> u64 {
         seconds.is_finite() && seconds >= 0.0,
         "duration must be a non-negative finite number of seconds"
     );
-    (seconds * US_PER_S).round() as u64
+    round_us(seconds * US_PER_S)
+}
+
+/// `x.round() as u64` for a non-negative `x` (or `-0.0`). Below 2^52 the
+/// truncation `t` and the remainder `x - t` are exact (Sterbenz's lemma:
+/// `t <= x <= 2t` once `x >= 1`, and `t = 0` below), so comparing the
+/// remainder with one half decides the rounding; from 2^52 up every
+/// float is an integer, and the cast saturates as `round`'s would.
+#[inline]
+fn round_us(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x < EXACT {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x as u64
+    }
 }
 
 /// The simulation clock: current time in microseconds since t = 0.
@@ -69,36 +89,22 @@ impl SimClock {
     }
 }
 
-/// The closed event vocabulary of the whole-device simulation.
+/// The events of the engine's general queue.
 ///
-/// Components communicate exclusively through these events. The engine
-/// hands each one to the device it runs, whose [`Component::handle`]
-/// routes it to the parts that react to it (for the bracelet, one
-/// exhaustive `match` in `device.rs`), so the wiring between environment,
-/// policy, sensors, compute and radio is visible in one place.
+/// The engine hands each one to the device it runs, whose
+/// [`Component::handle`] routes it to the parts that react to it (for the
+/// bracelet, one exhaustive `match` in `device.rs`), so the wiring between
+/// environment, faults, radio, scanner and sampler is visible in one
+/// place. The bracelet's detection pipeline (policy ticks, acquisition and
+/// compute starts and ends) and its fuel-gauge ticks are not here: they
+/// are nearly every event of a run, so the bracelet keeps them in a
+/// calendar of its own ([`Component::next_due`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
     /// The environment entered segment `index` of its profile.
     EnvSegment {
         /// Index into the profile's segment list.
         index: usize,
-    },
-    /// The detection policy re-evaluates and may trigger an acquisition.
-    PolicyTick,
-    /// A 3 s ECG + GSR acquisition window opens.
-    AcquireStart,
-    /// An acquisition window closes (its samples are ready).
-    AcquireEnd,
-    /// Feature extraction + classification starts on the compute target.
-    ComputeStart,
-    /// The compute job retires: one detection is complete. `job` is the
-    /// dispatching component's job-slot index (0 for the single-target
-    /// device; the target-class index when an adaptive policy picks the
-    /// compute target per classification), so concurrent jobs of
-    /// different durations resolve to the right slot.
-    ComputeEnd {
-        /// Job-slot index within the compute component.
-        job: usize,
     },
     /// A periodic BLE sync burst keys the radio on.
     BleSyncStart,
@@ -126,8 +132,6 @@ pub enum Event {
         /// Index into the plan's entry list.
         index: usize,
     },
-    /// Fuel-gauge noise resamples the observed state of charge.
-    GaugeTick,
     /// Cold-start delay elapsed: the device attempts to resume from
     /// brownout.
     BrownoutRecover,
@@ -142,6 +146,12 @@ struct Scheduled {
     t_us: u64,
     seq: u64,
     ev: Event,
+}
+
+/// Packs `(t_us, seq)` into one integer that orders the same way.
+#[inline(always)]
+pub(crate) fn key(t_us: u64, seq: u64) -> u128 {
+    u128::from(t_us) << 64 | u128::from(seq)
 }
 
 /// Most events kept in the sorted `near` array.
@@ -193,6 +203,16 @@ impl Default for Queue {
 impl Queue {
     fn len(&self) -> usize {
         self.len + self.far.len()
+    }
+
+    /// The next event's `(t_us, seq)` key (see [`SimCtx::key_at`]),
+    /// `u128::MAX` when the queue is empty.
+    #[inline(always)]
+    fn head(&self) -> u128 {
+        match self.len.checked_sub(1) {
+            Some(last) => key(self.near[last].t_us, self.near[last].seq),
+            None => u128::MAX,
+        }
     }
 
     /// Queues `ev` at `t_us`, no earlier than the current instant.
@@ -357,8 +377,16 @@ pub struct DeviceState {
     pub consumed_j: f64,
     /// Sampled state-of-charge trajectory.
     pub trace: Vec<TracePoint>,
-    loads: Vec<(&'static str, f64)>,
+    /// Registered load slots' names and draws. Unregistered slots draw
+    /// `-0.0` W, the identity of the sum in [`DeviceState::load_w`], so a
+    /// fixed array sums bit for bit like the registered slots alone.
+    load_names: [&'static str; MAX_LOADS],
+    loads: [f64; MAX_LOADS],
 }
+
+/// Most load slots a device registers (the bracelet's front ends,
+/// compute, radio and scanner).
+const MAX_LOADS: usize = 4;
 
 impl DeviceState {
     /// Fresh state around `battery`; no intake, no loads.
@@ -398,14 +426,22 @@ impl DeviceState {
             stored_j: 0.0,
             consumed_j: 0.0,
             trace: Vec::new(),
-            loads: Vec::new(),
+            load_names: [""; MAX_LOADS],
+            loads: [-0.0; MAX_LOADS],
         }
     }
 
     /// Registers a named load slot, initially drawing nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when four slots are registered already.
     pub fn register_load(&mut self, name: &'static str) -> LoadSlot {
-        self.loads.push((name, 0.0));
-        LoadSlot(self.loads.len() - 1)
+        let slot = self.load_names.iter().position(|n| n.is_empty());
+        let slot = slot.expect("at most four load slots");
+        self.load_names[slot] = name;
+        self.loads[slot] = 0.0;
+        LoadSlot(slot)
     }
 
     /// Sets a slot's draw *absolutely* (not incrementally), watts.
@@ -415,18 +451,23 @@ impl DeviceState {
     /// # Panics
     ///
     /// Panics when `power_w` is negative or not finite.
+    #[inline]
     pub fn set_load(&mut self, slot: LoadSlot, power_w: f64) {
+        // `p.is_finite() && p >= 0.0` on the bits, in two integer
+        // compares: below +inf's bits lie +0 and every positive finite
+        // float; -0 is the one other float that passes.
+        let bits = power_w.to_bits();
         assert!(
-            power_w.is_finite() && power_w >= 0.0,
+            bits < f64::INFINITY.to_bits() || bits == (-0.0f64).to_bits(),
             "load power must be non-negative and finite"
         );
-        self.loads[slot.0].1 = power_w;
+        self.loads[slot.0] = power_w;
     }
 
     /// Total battery-side load right now, watts.
     #[must_use]
     pub fn load_w(&self) -> f64 {
-        self.base_load_w + self.loads.iter().map(|(_, w)| w).sum::<f64>()
+        self.base_load_w + self.loads.iter().sum::<f64>()
     }
 
     /// Total battery-side harvest intake right now, watts (occlusion /
@@ -518,6 +559,34 @@ impl<S: TraceSink> SimCtx<'_, S> {
         self.schedule_at(self.now_us.saturating_add(delay_us), ev);
     }
 
+    /// The dispatch key of an event a device keeps in its own calendar,
+    /// due at `t_us`: `(t_us, seq)` packed as `t_us << 64 | seq`, with
+    /// `seq` drawn from the general queue's counter, exactly as
+    /// [`SimCtx::schedule_at`] would draw it. Keys and the queue's events
+    /// therefore share one `(time, sequence)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t_us` is in the past.
+    #[inline(always)]
+    pub fn key_at(&mut self, t_us: u64) -> u128 {
+        assert!(t_us >= self.now_us, "cannot schedule into the past");
+        self.next_key(t_us)
+    }
+
+    /// [`SimCtx::key_at`] `delay_us` microseconds from now.
+    #[inline(always)]
+    pub fn key_in(&mut self, delay_us: u64) -> u128 {
+        self.next_key(self.now_us.saturating_add(delay_us))
+    }
+
+    #[inline(always)]
+    fn next_key(&mut self, t_us: u64) -> u128 {
+        let seq = self.queue.seq;
+        self.queue.seq += 1;
+        key(t_us, seq)
+    }
+
     /// Draws an energy impulse from the battery right now (used for
     /// bursts too short to matter as a power level, e.g. a 4-byte BLE
     /// result notification). Brown-out semantics match continuous loads.
@@ -529,6 +598,12 @@ impl<S: TraceSink> SimCtx<'_, S> {
 /// The simulated device, or one piece of it. [`Engine::run`] drives one
 /// device and hands it every event; a device made of parts (the bracelet
 /// in `device.rs`) passes each event on to the parts that react to it.
+///
+/// A device may also keep a calendar of its own beside the general
+/// queue, keyed by [`SimCtx::key_at`]: the engine compares its earliest
+/// key ([`Component::next_due`]) with the general queue's on every event
+/// and has the device run it ([`Component::step`]) when it comes first.
+/// The defaults are an empty calendar.
 pub trait Component<S: TraceSink> {
     /// Called once before the first event: register load slots and
     /// schedule the component's initial events.
@@ -538,6 +613,23 @@ pub trait Component<S: TraceSink> {
 
     /// Handles one event.
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>);
+
+    /// The key of the calendar's next event, `u128::MAX` when none.
+    fn next_due(&self) -> u128 {
+        u128::MAX
+    }
+
+    /// Events pending in the calendar.
+    fn pending(&self) -> usize {
+        0
+    }
+
+    /// Runs the calendar's next event. The engine has integrated the
+    /// battery up to its time and counted it.
+    fn step(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let _ = ctx;
+        unreachable!("a device without a calendar has nothing due");
+    }
 }
 
 /// The discrete-event engine: owns the clock, the queue and the shared
@@ -572,10 +664,10 @@ impl Engine {
         self.events_processed
     }
 
-    /// High-water mark of the event-queue depth across the run so far.
-    /// Components only push during dispatch (they cannot pop), so
-    /// sampling the depth after each event is dispatched captures the
-    /// true peak.
+    /// High-water mark of the pending events across the run so far: the
+    /// general queue plus the device's calendar. Components only schedule
+    /// during dispatch (they cannot pop), so sampling the depth after
+    /// each event is dispatched captures the true peak.
     #[must_use]
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water
@@ -587,47 +679,56 @@ impl Engine {
         self.clock.now_us()
     }
 
-    /// Runs `device` to completion: starts it, then pops events in
-    /// (time, sequence) order, integrates the battery over each
-    /// inter-event gap and hands every event but [`Event::End`] to
-    /// `device`. The run ends at `End`, which integrates its gap and
-    /// counts as processed, or when the queue drains. Returns the number
-    /// of events processed.
+    /// Runs `device` to completion: starts it, then takes events in
+    /// (time, sequence) order from the general queue and the device's
+    /// calendar, integrates the battery over each inter-event gap, and
+    /// hands every event but [`Event::End`] to `device` (a calendar event
+    /// through [`Component::step`]). The run ends at `End`, which
+    /// integrates its gap and counts as processed, or when nothing is
+    /// pending. Returns the number of events processed.
     pub fn run<S: TraceSink, C: Component<S>>(&mut self, sink: &mut S, device: &mut C) -> u64 {
         let tracks = Tracks {
             device: sink.track("device", 1.0),
             harvest: sink.track("harvest", 1e-6),
         };
-        device.start(&mut SimCtx {
+        let mut ctx = SimCtx {
             now_us: self.clock.now_us(),
             state: &mut self.state,
             sink,
             tracks,
             queue: &mut self.queue,
-        });
-        self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
-        while let Some((t_us, ev)) = self.queue.pop() {
+        };
+        device.start(&mut ctx);
+        let pending = |ctx: &SimCtx<'_, S>, device: &C| (ctx.queue.len() + device.pending()) as u64;
+        let mut high_water = self.queue_high_water.max(pending(&ctx, device));
+        let mut events = self.events_processed;
+        loop {
+            // The next event: the calendar's (`None`) or the queue's.
+            let due = device.next_due();
+            let (t_us, general) = if due < ctx.queue.head() {
+                ((due >> 64) as u64, None)
+            } else {
+                match ctx.queue.pop() {
+                    Some((t_us, ev)) => (t_us, Some(ev)),
+                    None => break,
+                }
+            };
             if t_us > self.clock.now_us() {
                 let dt_s = self.clock.advance_to(t_us);
-                self.state.advance(dt_s);
+                ctx.now_us = t_us;
+                ctx.state.advance(dt_s);
             }
-            self.events_processed += 1;
-            if ev == Event::End {
-                break;
+            events += 1;
+            match general {
+                None => device.step(&mut ctx),
+                Some(Event::End) => break,
+                Some(ev) => device.handle(ev, &mut ctx),
             }
-            device.handle(
-                ev,
-                &mut SimCtx {
-                    now_us: self.clock.now_us(),
-                    state: &mut self.state,
-                    sink,
-                    tracks,
-                    queue: &mut self.queue,
-                },
-            );
-            self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
+            high_water = high_water.max(pending(&ctx, device));
         }
-        self.events_processed
+        self.events_processed = events;
+        self.queue_high_water = high_water;
+        events
     }
 }
 
@@ -737,38 +838,95 @@ mod tests {
     #[test]
     fn ties_dispatch_in_scheduling_order() {
         let mut probe = Probe::new(vec![
-            (5, Event::PolicyTick),
+            (5, Event::BrownoutRecover),
             (5, Event::Sample),
             (6, Event::End),
         ]);
         let engine = run(Battery::new(10.0), &mut probe);
-        // PolicyTick was scheduled first, so at the shared timestamp it
-        // dispatches first — deterministically.
-        assert_eq!(probe.log, [(5, Event::PolicyTick), (5, Event::Sample)]);
+        // BrownoutRecover was scheduled first, so at the shared timestamp
+        // it dispatches first — deterministically.
+        assert_eq!(probe.log, [(5, Event::BrownoutRecover), (5, Event::Sample)]);
         assert_eq!(engine.events_processed(), 3);
+    }
+
+    /// Schedules general events and calendar keys, interleaved, at
+    /// shared instants, and logs what it is handed: `Ok` for a general
+    /// event, `Err(time)` for a calendar step.
+    struct Merge {
+        calendar: Vec<u128>,
+        log: Vec<Result<Event, u64>>,
+    }
+
+    impl<S: TraceSink> Component<S> for Merge {
+        fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+            ctx.schedule_at(5, Event::Sample);
+            self.calendar.push(ctx.key_at(5));
+            ctx.schedule_at(5, Event::BrownoutRecover);
+            self.calendar.push(ctx.key_at(3));
+            ctx.schedule_at(7, Event::End);
+            self.calendar.push(ctx.key_at(7));
+            self.calendar.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        fn handle(&mut self, ev: Event, _ctx: &mut SimCtx<'_, S>) {
+            self.log.push(Ok(ev));
+        }
+        fn next_due(&self) -> u128 {
+            self.calendar.last().copied().unwrap_or(u128::MAX)
+        }
+        fn pending(&self) -> usize {
+            self.calendar.len()
+        }
+        fn step(&mut self, ctx: &mut SimCtx<'_, S>) {
+            self.calendar.pop();
+            self.log.push(Err(ctx.now_us));
+        }
+    }
+
+    #[test]
+    fn calendar_and_queue_events_share_one_sequence_order() {
+        let mut merge = Merge {
+            calendar: Vec::new(),
+            log: Vec::new(),
+        };
+        let engine = run(Battery::new(10.0), &mut merge);
+        // At t = 5 the order is the scheduling order across both; `End`
+        // at t = 7 was scheduled before the calendar's t = 7 key, so the
+        // run stops first.
+        assert_eq!(
+            merge.log,
+            [
+                Err(3),
+                Ok(Event::Sample),
+                Err(5),
+                Ok(Event::BrownoutRecover)
+            ]
+        );
+        assert_eq!(engine.events_processed(), 5);
+        assert_eq!(engine.queue_high_water(), 6);
     }
 
     #[test]
     fn every_event_but_end_reaches_the_device() {
         let mut probe = Probe::new(vec![
             (1, Event::Sample),
-            (2, Event::PolicyTick),
+            (2, Event::BleSyncStart),
             (3, Event::FaultStart { index: 4 }),
             (4, Event::FaultEnd { index: 4 }),
             (9, Event::End),
-            (10, Event::GaugeTick),
+            (10, Event::BrownoutRecover),
         ]);
         let engine = run(Battery::new(10.0), &mut probe);
         assert_eq!(
             probe.log,
             [
                 (1, Event::Sample),
-                (2, Event::PolicyTick),
+                (2, Event::BleSyncStart),
                 (3, Event::FaultStart { index: 4 }),
                 (4, Event::FaultEnd { index: 4 }),
             ]
         );
-        // End counts and stops the run: the later GaugeTick never pops.
+        // End counts and stops the run: the later BrownoutRecover never
+        // pops.
         assert_eq!(engine.events_processed(), 5);
         assert_eq!(engine.now_us(), 9);
     }
@@ -777,14 +935,14 @@ mod tests {
     fn ignored_event_integrates_its_gap_and_counts() {
         let mut battery = Battery::new(100.0);
         battery.set_soc(0.5);
-        // The device ignores GaugeTick, and the queue drains after it:
+        // The device ignores BrownoutRecover, and the queue drains after it:
         // the run stops exactly at the ignored event.
         let engine = run(
             battery,
             &mut ConstantLoad {
                 power_w: 1e-3,
                 duration_us: secs_to_us(1000.0),
-                last: Event::GaugeTick,
+                last: Event::BrownoutRecover,
             },
         );
         assert_eq!(engine.now_us(), secs_to_us(1000.0));
@@ -911,17 +1069,106 @@ mod tests {
         }
     }
 
+    mod secs_to_us_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The libm rounding `secs_to_us` replaces.
+        fn reference(seconds: f64) -> u64 {
+            (seconds * US_PER_S).round() as u64
+        }
+
+        #[test]
+        fn rounds_halves_and_their_neighbours_like_libm() {
+            for k in [
+                0u64,
+                1,
+                2,
+                999,
+                1_000_000,
+                123_456_789,
+                (1 << 51) - 1,
+                (1 << 52) - 2,
+            ] {
+                let half = k as f64 + 0.5;
+                for x in [half.next_down(), half, half.next_up()] {
+                    assert_eq!(round_us(x), x.round() as u64, "{x:e}");
+                    assert_eq!(secs_to_us(x / US_PER_S), reference(x / US_PER_S), "{x:e}");
+                }
+            }
+            let big = [
+                (1u64 << 52) as f64,
+                ((1u64 << 52) as f64).next_down(),
+                ((1u64 << 52) as f64).next_up(),
+                (1u64 << 63) as f64,
+                2f64.powi(64),
+                1e300,
+                f64::MAX,
+            ];
+            for x in big {
+                assert_eq!(round_us(x), x.round() as u64, "{x:e}");
+            }
+            for s in [
+                0.0,
+                -0.0,
+                1e-7,
+                4.9999999e-7,
+                5e-7,
+                f64::MIN_POSITIVE,
+                1e300,
+                f64::MAX,
+            ] {
+                assert_eq!(secs_to_us(s), reference(s), "{s:e}");
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "non-negative finite")]
+        fn negative_durations_panic() {
+            let _ = secs_to_us(-1e-9);
+        }
+
+        #[test]
+        #[should_panic(expected = "non-negative finite")]
+        fn nan_durations_panic() {
+            let _ = secs_to_us(f64::NAN);
+        }
+
+        #[test]
+        #[should_panic(expected = "non-negative finite")]
+        fn infinite_durations_panic() {
+            let _ = secs_to_us(f64::INFINITY);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// Random durations across the whole exponent range, including
+            /// the bit patterns of whole and half microseconds.
+            #[test]
+            fn matches_libm_round(bits in any::<u64>(), whole in 0u64..1 << 53, tenth in 0u64..10) {
+                let s = f64::from_bits(bits & !(1 << 63));
+                if s.is_finite() {
+                    prop_assert_eq!(secs_to_us(s), reference(s));
+                }
+                let x = whole as f64 + tenth as f64 / 10.0;
+                prop_assert_eq!(round_us(x), x.round() as u64);
+                prop_assert_eq!(secs_to_us(x / US_PER_S), reference(x / US_PER_S));
+            }
+        }
+    }
+
     #[test]
     fn impulse_consumption_matches_continuous() {
         /// Consumes 0.5 J as a single impulse at t = 1 s.
         struct Impulse;
         impl<S: TraceSink> Component<S> for Impulse {
             fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-                ctx.schedule_at(secs_to_us(1.0), Event::PolicyTick);
+                ctx.schedule_at(secs_to_us(1.0), Event::BrownoutRecover);
                 ctx.schedule_at(secs_to_us(2.0), Event::End);
             }
             fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-                if ev == Event::PolicyTick {
+                if ev == Event::BrownoutRecover {
                     ctx.consume_j(0.5);
                 }
             }
