@@ -39,8 +39,8 @@ cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
   { echo "ci.sh: policy-sweep full-size digest changed" >&2; exit 1; }
 # The full-size fleet-stream pass: 64 devices of the epidemic scenario
 # under harsh faults on two worker processes, where the tiny pin runs 8;
-# the bracelet's calendar serves nearly all of their events, so a change
-# to its dispatch order shows here.
+# with faults, contacts and sync on, a change to the order or effect of
+# the detection pipeline's events under fault windows shows here.
 cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
   --workload fleet-stream --seed 3 --seconds 1 --trace 0 \
   --expect-digest e9b8f1f3f259358d >/dev/null ||

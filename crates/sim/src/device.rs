@@ -1,26 +1,23 @@
 //! The whole-device simulation: the InfiniWolf bracelet assembled from
 //! event-engine components.
 //!
-//! Component wiring. The bracelet holds the components as fields. It
-//! routes each general-queue event with one `match` in
-//! `Bracelet::handle`, and runs each event of its own calendar (the
-//! detection pipeline and the gauge, `*` below; see `calendar.rs`) with
-//! one `match` in `Bracelet::step`. A component receives only the events
-//! on its rows; arrows show what it does and schedules in response. Rows
-//! run top to bottom, which is the order the components start in and the
-//! order two handlers of one event run in:
+//! Component wiring. The bracelet holds the components as fields and
+//! routes each event with one `match` in `Bracelet::handle`: a component
+//! receives only the events on its rows; arrows show what it does and
+//! schedules in response. Rows run top to bottom, which is the order the
+//! components start in and the order two handlers of one event run in:
 //!
 //! ```text
 //! FaultComponent    ── every event but Sample ─▶ fault windows, gauge noise,
 //!                                                brownout poll + recovery
 //! EnvComponent      ── EnvSegment{i} ──▶ sets solar/TEG intake, End at t_end
-//! PolicyComponent   ── PolicyTick* ────▶ AcquireStart* + next PolicyTick*
-//! SensorComponent   ── AcquireStart* ──▶ AFE load on, AcquireEnd* at +3 s
-//!                   ── AcquireEnd* ────▶ AFE load off, ComputeStart*
+//! PolicyComponent   ── PolicyTick ─────▶ AcquireStart + next PolicyTick
+//! SensorComponent   ── AcquireStart ───▶ AFE load on, AcquireEnd at +3 s
+//!                   ── AcquireEnd ─────▶ AFE load off, ComputeStart
 //!                   ── FaultStart ─────▶ taints open windows (after faults)
-//! ComputeComponent  ── ComputeStart* ──▶ cluster load on, ComputeEnd* at +T
-//!                   ── ComputeEnd* ────▶ one detection retired
-//! RadioComponent    ── ComputeEnd* ────▶ result-notification impulse
+//! ComputeComponent  ── ComputeStart ───▶ cluster load on, ComputeEnd at +T
+//!                   ── ComputeEnd ─────▶ one detection retired
+//! RadioComponent    ── ComputeEnd ─────▶ result-notification impulse
 //!                   ── BleSyncStart ───▶ radio load on, BleSyncEnd at +burst
 //!                   ── BleSyncEnd ─────▶ sync outcome, retry or next burst
 //! BleScanComponent  ── ContactStart ───▶ scan load on, ContactEnd at +scan
@@ -28,9 +25,8 @@
 //! SamplerComponent  ── Sample ─────────▶ TracePoint + harvest counters
 //! ```
 //!
-//! The fault component's gauge tick (`GaugeTick*`) is a calendar event
-//! too. The radio, scanner and sampler are present only when configured
-//! (BLE notifications or sync, a contact plan, trace points).
+//! The radio, scanner and sampler are present only when configured (BLE
+//! notifications or sync, a contact plan, trace points).
 //!
 //! Acquisition windows (and compute jobs) may overlap when the policy
 //! rate exceeds `1 / window`; each component tracks its multiplicity and
@@ -48,7 +44,6 @@ use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
 use iw_trace::TraceSink;
 
-use crate::calendar::{Calendar, Due, JOB_SLOTS};
 use crate::engine::{secs_to_us, Component, Engine, Event, LoadSlot, SimCtx};
 use crate::faults::{finalize_reliability, FaultComponent, BLE_STREAM};
 use iw_policy::{PolicySpec, TargetRule};
@@ -278,12 +273,13 @@ impl DeviceConfig {
         self.run_bracelet(sink, &mut Bracelet::new(self))
     }
 
-    /// [`DeviceConfig::run_traced`] with the calendar in its test-only
-    /// reference order (see `Calendar::plain`).
+    /// [`DeviceConfig::run_traced`] with the sensor keeping every open
+    /// window's start and corrupt flag in a queue, one by one, in place
+    /// of its three counters.
     #[cfg(test)]
     fn run_reference<S: TraceSink>(&self, sink: &mut S) -> DeviceReport {
         let mut bracelet = Bracelet::new(self);
-        bracelet.cal.plain = true;
+        bracelet.sensor.reference = Some(std::collections::VecDeque::new());
         self.run_bracelet(sink, &mut bracelet)
     }
 
@@ -330,10 +326,8 @@ impl DeviceConfig {
 
 /// The bracelet: the device [`Engine::run`] drives, built from its parts
 /// as fields, so every handler call is static and the whole event loop
-/// is one monomorphized function. It keeps the calendar of its detection
-/// pipeline and gauge ticks.
+/// is one monomorphized function.
 struct Bracelet {
-    cal: Calendar,
     fault: FaultComponent,
     env: EnvComponent,
     policy: PolicyComponent,
@@ -370,7 +364,6 @@ impl Bracelet {
             )
         });
         Bracelet {
-            cal: Calendar::default(),
             fault: FaultComponent::new(cfg.faults.clone(), cfg.sleep_floor_w, cfg.detection_spans),
             env: EnvComponent::new(&cfg.env, &cfg.solar, &cfg.teg),
             policy: PolicyComponent::new(cfg.policy),
@@ -391,9 +384,9 @@ impl Bracelet {
 
 impl<S: TraceSink> Component<S> for Bracelet {
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.fault.start(&mut self.cal, ctx);
+        self.fault.start(ctx);
         self.env.start(ctx);
-        self.policy.start(&mut self.cal, ctx);
+        self.policy.start(ctx);
         self.sensor.start(ctx);
         self.compute.start(ctx);
         if let Some(radio) = &mut self.radio {
@@ -424,7 +417,18 @@ impl<S: TraceSink> Component<S> for Bracelet {
         }
         match ev {
             Event::EnvSegment { .. } => self.env.handle(ev, ctx),
-            Event::FaultStart { .. } => self.sensor.fault_started(&mut self.cal, ctx),
+            Event::PolicyTick => self.policy.handle(ev, ctx),
+            Event::AcquireStart | Event::AcquireEnd | Event::FaultStart { .. } => {
+                self.sensor.handle(ev, ctx);
+            }
+            Event::ComputeStart => self.compute.handle(ev, ctx),
+            Event::ComputeEnd { .. } => {
+                // The detection retires before the radio reports it.
+                self.compute.handle(ev, ctx);
+                if let Some(radio) = &mut self.radio {
+                    radio.handle(ev, ctx);
+                }
+            }
             Event::BleSyncStart | Event::BleSyncEnd => {
                 if let Some(radio) = &mut self.radio {
                     radio.handle(ev, ctx);
@@ -442,44 +446,7 @@ impl<S: TraceSink> Component<S> for Bracelet {
             }
             // The fault component's own kinds; `End` never reaches a
             // device (the engine stops at it).
-            Event::FaultEnd { .. } | Event::BrownoutRecover | Event::End => {}
-        }
-    }
-
-    #[inline(always)]
-    fn next_due(&self) -> u128 {
-        self.cal.head()
-    }
-
-    #[inline(always)]
-    fn pending(&self) -> usize {
-        self.cal.len()
-    }
-
-    /// The calendar's events, in the order `handle` ran them when they
-    /// were general events: the fault component first (the gauge draw and
-    /// its next tick, then the brownout poll), then the pipeline part.
-    #[inline(always)]
-    fn step(&mut self, ctx: &mut SimCtx<'_, S>) {
-        let due = self.cal.pop();
-        if due == Due::GaugeTick {
-            self.fault.gauge_tick(&mut self.cal, ctx);
-            return;
-        }
-        self.fault.poll_brownout(ctx);
-        match due {
-            Due::PolicyTick => self.policy.tick(&mut self.cal, ctx),
-            Due::AcquireStart => self.sensor.open(&mut self.cal, ctx),
-            Due::AcquireEnd { corrupt } => self.sensor.close(corrupt, &mut self.cal, ctx),
-            Due::ComputeStart => self.compute.dispatch(&mut self.cal, ctx),
-            Due::ComputeEnd { job } => {
-                // The detection retires before the radio reports it.
-                self.compute.retire(usize::from(job), ctx);
-                if let Some(radio) = &mut self.radio {
-                    radio.report(ctx);
-                }
-            }
-            Due::GaugeTick => unreachable!("handled above"),
+            Event::FaultEnd { .. } | Event::GaugeTick | Event::BrownoutRecover | Event::End => {}
         }
     }
 }
@@ -587,13 +554,16 @@ impl PolicyComponent {
             last_period_us: 0,
         }
     }
+}
 
-    fn start<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
-        cal.set_tick(ctx.key_at(0));
+impl<S: TraceSink> Component<S> for PolicyComponent {
+    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+        ctx.schedule_at(0, Event::PolicyTick);
     }
 
     #[inline]
-    fn tick<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
+    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+        debug_assert_eq!(ev, Event::PolicyTick);
         // Maintain the trailing harvest forecast on every evaluation, so
         // it is a pure function of the (deterministic) event sequence.
         ctx.state.harvest_avg_w = HARVEST_EWMA_ALPHA * ctx.state.intake_w()
@@ -602,7 +572,7 @@ impl PolicyComponent {
             // Browned out: no new work until the recovery state machine
             // re-enables acquisition. Each skipped evaluation is counted.
             ctx.state.reliability.skipped_acquisitions += 1;
-            cal.set_tick(ctx.key_in(self.idle_recheck_us));
+            ctx.schedule_in(self.idle_recheck_us, Event::PolicyTick);
             return;
         }
         if let Some(recheck_us) = self.backoff_recheck_us {
@@ -611,33 +581,38 @@ impl PolicyComponent {
                 // don't pay for a window that would be gated. The tick
                 // always re-arms, so this can never deadlock detection.
                 ctx.state.backoff_skips += 1;
-                cal.set_tick(ctx.key_in(recheck_us));
+                ctx.schedule_in(recheck_us, Event::PolicyTick);
                 return;
             }
         }
         // The policy reads the fuel gauge, not the true cell state.
         let rate = self.policy.rate_per_s(ctx.state.observed_soc());
         if rate > 0.0 {
-            cal.push_acquire_start(ctx.key_in(0));
+            ctx.schedule_in(0, Event::AcquireStart);
             if rate.to_bits() != self.last_rate_bits {
                 self.last_rate_bits = rate.to_bits();
                 self.last_period_us = secs_to_us(1.0 / rate).max(self.min_interval_us);
             }
-            cal.set_tick(ctx.key_in(self.last_period_us));
+            ctx.schedule_in(self.last_period_us, Event::PolicyTick);
         } else {
-            cal.set_tick(ctx.key_in(self.idle_recheck_us));
+            ctx.schedule_in(self.idle_recheck_us, Event::PolicyTick);
         }
     }
 }
 
-/// The ECG + GSR analog front ends: each acquisition start opens a
+/// The ECG + GSR analog front ends: each [`Event::AcquireStart`] opens a
 /// fixed-length window drawing the acquisition power; windows may overlap
 /// (multiplicity-counted). Each closing window dispatches a compute job —
 /// unless a signal-corrupting fault (lead-off, motion artifact, GSR
 /// detach) overlapped the window, in which case the acquisition energy is
-/// still paid but classification is skipped (signal-quality gating). The
-/// open windows and their `corrupt` flags are the calendar's pending
-/// acquisition ends.
+/// still paid but classification is skipped (signal-quality gating).
+///
+/// Every window lasts `window_us`, so windows close in the order they
+/// open, and a window that closes now opened `window_us` ago. A window is
+/// corrupt when a signal fault was open at its start or opened during
+/// it. The corrupt windows are always the first `tainted` in opening
+/// order (see its `handle`), so three counters stand for the open
+/// windows and their flags.
 pub struct SensorComponent {
     energy_j: f64,
     window_us: u64,
@@ -645,6 +620,15 @@ pub struct SensorComponent {
     trace_spans: bool,
     slot: Option<LoadSlot>,
     active: u32,
+    /// Windows opened and closed so far.
+    opened: u64,
+    closed: u64,
+    /// Windows `0..tainted` (in opening order) are corrupt.
+    tainted: u64,
+    /// Test-only reference: the open windows' `(start_us, corrupt)`,
+    /// kept one by one as a queue; when present, its entries decide.
+    #[cfg(test)]
+    reference: Option<std::collections::VecDeque<(u64, bool)>>,
 }
 
 impl SensorComponent {
@@ -663,61 +647,91 @@ impl SensorComponent {
             trace_spans,
             slot: None,
             active: 0,
+            opened: 0,
+            closed: 0,
+            tainted: 0,
+            #[cfg(test)]
+            reference: None,
         }
     }
+}
 
-    fn start<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+impl<S: TraceSink> Component<S> for SensorComponent {
+    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("afe"));
     }
 
-    /// An acquisition start: opens a window.
+    /// Marking every open window corrupt when one opens under a signal
+    /// fault changes no flag: a signal fault open now opened before an
+    /// open window did (which then opened corrupt) or during it (whose
+    /// `FaultStart` marked it). So the corrupt windows stay a prefix of
+    /// the opening order.
     #[inline]
-    fn open<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
-        if self.window_us == 0 {
-            // Degenerate window: the energy is an impulse.
-            ctx.consume_j(self.energy_j);
-        } else {
-            self.active += 1;
-            let slot = self.slot.expect("started");
-            ctx.state
-                .set_load(slot, f64::from(self.active) * self.unit_power_w);
-        }
-        cal.push_acquire_end(ctx.key_in(self.window_us), ctx.state.signal_faults > 0);
-    }
-
-    /// A fault window opened: if it corrupts the signal (the fault
-    /// component runs first, so the flag is already set), every currently
-    /// open window is now unusable.
-    fn fault_started<S: TraceSink>(&self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
-        if ctx.state.signal_faults > 0 {
-            cal.taint_acquisitions();
-        }
-    }
-
-    /// An acquisition end: closes the window that opened `window_us` ago.
-    #[inline]
-    fn close<S: TraceSink>(&mut self, corrupt: bool, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
-        if self.window_us > 0 {
-            self.active -= 1;
-            let slot = self.slot.expect("started");
-            ctx.state
-                .set_load(slot, f64::from(self.active) * self.unit_power_w);
-        }
-        if S::ENABLED && self.trace_spans {
-            let track = ctx.tracks.device;
-            let started = ctx.now_us - self.window_us;
-            ctx.sink.span(track, "acquire", started, ctx.now_us);
-        }
-        if corrupt {
-            // Signal-quality gate: the window's energy is spent but its
-            // samples are garbage — skip classification.
-            ctx.state.reliability.degraded_windows += 1;
-            if S::ENABLED && self.trace_spans {
-                let track = ctx.tracks.device;
-                ctx.sink.instant(track, "acq-gated", ctx.now_us);
+    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+        let slot = self.slot.expect("started");
+        match ev {
+            Event::AcquireStart => {
+                if self.window_us == 0 {
+                    // Degenerate window: the energy is an impulse.
+                    ctx.consume_j(self.energy_j);
+                } else {
+                    self.active += 1;
+                    ctx.state
+                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
+                }
+                self.opened += 1;
+                if ctx.state.signal_faults > 0 {
+                    self.tainted = self.opened;
+                }
+                #[cfg(test)]
+                if let Some(open) = &mut self.reference {
+                    open.push_back((ctx.now_us, ctx.state.signal_faults > 0));
+                }
+                ctx.schedule_in(self.window_us, Event::AcquireEnd);
             }
-        } else {
-            cal.push_compute_start(ctx.key_in(0));
+            Event::FaultStart { .. } if ctx.state.signal_faults > 0 => {
+                // A signal-corrupting fault opened mid-window (the fault
+                // component runs first, so the flag is already set):
+                // every currently open window is now unusable.
+                self.tainted = self.opened;
+                #[cfg(test)]
+                if let Some(open) = &mut self.reference {
+                    for window in open {
+                        window.1 = true;
+                    }
+                }
+            }
+            Event::AcquireEnd => {
+                if self.window_us > 0 {
+                    self.active -= 1;
+                    ctx.state
+                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
+                }
+                let corrupt = self.closed < self.tainted;
+                self.closed += 1;
+                let started = ctx.now_us - self.window_us;
+                #[cfg(test)]
+                let (started, corrupt) = match &mut self.reference {
+                    Some(open) => open.pop_front().expect("balanced windows"),
+                    None => (started, corrupt),
+                };
+                if S::ENABLED && self.trace_spans {
+                    let track = ctx.tracks.device;
+                    ctx.sink.span(track, "acquire", started, ctx.now_us);
+                }
+                if corrupt {
+                    // Signal-quality gate: the window's energy is spent
+                    // but its samples are garbage — skip classification.
+                    ctx.state.reliability.degraded_windows += 1;
+                    if S::ENABLED && self.trace_spans {
+                        let track = ctx.tracks.device;
+                        ctx.sink.instant(track, "acq-gated", ctx.now_us);
+                    }
+                } else {
+                    ctx.schedule_in(0, Event::ComputeStart);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -732,21 +746,20 @@ impl SensorComponent {
 /// and picks the target *per classification* from the policy's
 /// [`TargetRule`] over the observed state of charge, the sync queue
 /// depth and the trailing harvest average. Jobs of different durations
-/// may retire out of dispatch order, so the calendar keeps one FIFO of
-/// compute ends per job slot; within one slot every job has the same
-/// duration, so each FIFO stays in time order and a retiring job started
-/// its slot's duration ago.
+/// may retire out of dispatch order, so [`Event::ComputeEnd`] carries
+/// the job-slot index; within one slot every job has the same duration,
+/// so a retiring job started its slot's duration ago.
 pub struct ComputeComponent {
     /// One per [`iw_policy::TargetClass`]; a single-target component
     /// uses slot 0 only.
-    slots: [JobSlot; JOB_SLOTS],
+    slots: [JobSlot; 3],
     targets: Option<TargetRule>,
     trace_spans: bool,
     slot: Option<LoadSlot>,
 }
 
-/// A job slot: its job, the job's duration and power, and how many of
-/// its jobs are running.
+/// A job slot: its job's energy, duration and power, and how many of its
+/// jobs are running.
 #[derive(Debug, Clone, Copy)]
 struct JobSlot {
     energy_j: f64,
@@ -754,7 +767,9 @@ struct JobSlot {
     power_w: f64,
     /// Jobs running, as a float: the count is exact (far below 2^53), so
     /// `active × power` is `f64::from(count) × power` without the
-    /// conversion.
+    /// conversion, and every field is one 8-byte word (a wide load of
+    /// two narrow counts right after one was stored stalls on store
+    /// forwarding).
     active: f64,
 }
 
@@ -791,7 +806,7 @@ impl ComputeComponent {
     /// cluster order), selected per classification by `rule`.
     #[must_use]
     pub fn adaptive(
-        jobs: [ComputeJob; JOB_SLOTS],
+        jobs: [ComputeJob; 3],
         rule: TargetRule,
         trace_spans: bool,
     ) -> ComputeComponent {
@@ -810,56 +825,58 @@ impl ComputeComponent {
     fn load_w(&self) -> f64 {
         self.slots.iter().map(|s| s.active * s.power_w).sum()
     }
+}
 
-    fn start<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+impl<S: TraceSink> Component<S> for ComputeComponent {
+    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.slot = Some(ctx.state.register_load("compute"));
     }
 
-    /// A compute start: picks the job slot and dispatches its job.
     #[inline]
-    fn dispatch<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
-        let job = match self.targets {
-            Some(rule) => {
-                let class = rule.select(
-                    ctx.state.observed_soc(),
-                    ctx.state.queue_depth,
-                    ctx.state.harvest_avg_w,
-                );
-                ctx.state.target_counts[class.index()] += 1;
+    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+        let slot = self.slot.expect("started");
+        match ev {
+            Event::ComputeStart => {
+                let job = match self.targets {
+                    Some(rule) => {
+                        let class = rule.select(
+                            ctx.state.observed_soc(),
+                            ctx.state.queue_depth,
+                            ctx.state.harvest_avg_w,
+                        );
+                        ctx.state.target_counts[class.index()] += 1;
+                        if S::ENABLED && self.trace_spans {
+                            let track = ctx.tracks.device;
+                            ctx.sink.instant(track, class.label(), ctx.now_us);
+                        }
+                        class.index()
+                    }
+                    None => 0,
+                };
+                let duration_us = self.slots[job].duration_us;
+                if duration_us == 0 {
+                    ctx.consume_j(self.slots[job].energy_j);
+                } else {
+                    self.slots[job].active += 1.0;
+                    ctx.state.set_load(slot, self.load_w());
+                }
+                ctx.schedule_in(duration_us, Event::ComputeEnd { job });
+            }
+            Event::ComputeEnd { job } => {
+                let duration_us = self.slots[job].duration_us;
+                if duration_us > 0 {
+                    self.slots[job].active -= 1.0;
+                    ctx.state.set_load(slot, self.load_w());
+                }
                 if S::ENABLED && self.trace_spans {
                     let track = ctx.tracks.device;
-                    ctx.sink.instant(track, class.label(), ctx.now_us);
+                    let started = ctx.now_us - duration_us;
+                    ctx.sink.span(track, "compute", started, ctx.now_us);
                 }
-                class.index()
+                ctx.state.detections += 1;
             }
-            None => 0,
-        };
-        let duration_us = self.slots[job].duration_us;
-        if duration_us == 0 {
-            ctx.consume_j(self.slots[job].energy_j);
-        } else {
-            self.slots[job].active += 1.0;
-            let slot = self.slot.expect("started");
-            ctx.state.set_load(slot, self.load_w());
+            _ => {}
         }
-        cal.push_job(ctx.key_in(duration_us), job);
-    }
-
-    /// A compute end: the job in slot `job` retires one detection.
-    #[inline]
-    fn retire<S: TraceSink>(&mut self, job: usize, ctx: &mut SimCtx<'_, S>) {
-        let duration_us = self.slots[job].duration_us;
-        if duration_us > 0 {
-            self.slots[job].active -= 1.0;
-            let slot = self.slot.expect("started");
-            ctx.state.set_load(slot, self.load_w());
-        }
-        if S::ENABLED && self.trace_spans {
-            let track = ctx.tracks.device;
-            let started = ctx.now_us - duration_us;
-            ctx.sink.span(track, "compute", started, ctx.now_us);
-        }
-        ctx.state.detections += 1;
     }
 }
 
@@ -926,25 +943,6 @@ impl RadioComponent {
             burst_started_us: 0,
         }
     }
-
-    /// A detection retired: notify it now, or queue it for the next sync.
-    #[inline]
-    fn report<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
-        if self.batch {
-            // Duty-cycled: the result queues for the next sync. The
-            // backlog is mirrored into the shared state so adaptive
-            // policies can read the queue depth.
-            self.pending += 1;
-            ctx.state.queue_depth = self.pending;
-        } else if self.notify_j > 0.0 {
-            ctx.consume_j(self.notify_j);
-            ctx.state.notifications += 1;
-            if S::ENABLED && self.trace_spans {
-                let track = ctx.tracks.device;
-                ctx.sink.instant(track, "notify", ctx.now_us);
-            }
-        }
-    }
 }
 
 impl<S: TraceSink> Component<S> for RadioComponent {
@@ -959,6 +957,21 @@ impl<S: TraceSink> Component<S> for RadioComponent {
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         let slot = self.slot.expect("started");
         match ev {
+            Event::ComputeEnd { .. } if self.batch => {
+                // Duty-cycled: the result queues for the next sync. The
+                // backlog is mirrored into the shared state so adaptive
+                // policies can read the queue depth.
+                self.pending += 1;
+                ctx.state.queue_depth = self.pending;
+            }
+            Event::ComputeEnd { .. } if self.notify_j > 0.0 => {
+                ctx.consume_j(self.notify_j);
+                ctx.state.notifications += 1;
+                if S::ENABLED && self.trace_spans {
+                    let track = ctx.tracks.device;
+                    ctx.sink.instant(track, "notify", ctx.now_us);
+                }
+            }
             Event::BleSyncStart => {
                 let sync = self.sync.expect("sync configured");
                 ctx.state.set_load(slot, sync.power_w);
@@ -1765,7 +1778,7 @@ mod tests {
         assert_eq!(faulted.detections + 1, clean.detections);
     }
 
-    mod calendar_props {
+    mod window_props {
         use super::*;
         use iw_fault::FaultWindow;
         use iw_scenario::ContactEntry;
@@ -1916,13 +1929,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// The calendar's per-kind order equals the order of one pool
-            /// of every pending pipeline event (`Calendar::plain`, which
-            /// takes the earliest entry wherever it sits): the whole report
-            /// is identical, events and queue high water included, traced
-            /// and untraced, and so is the recorded timeline.
+            /// The sensor's three window counters decide every window's
+            /// corrupt flag and span start as the reference queue of open
+            /// windows does: the whole report is identical, events and
+            /// queue high water included, traced and untraced, and so is
+            /// the recorded timeline.
             #[test]
-            fn calendar_order_matches_the_reference_pool(seed in any::<u64>()) {
+            fn window_counters_match_the_reference_queue(seed in any::<u64>()) {
                 let cfg = device(seed);
                 let fast = cfg.run();
                 let reference = cfg.run_reference(&mut iw_trace::NoopSink);

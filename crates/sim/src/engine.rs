@@ -4,12 +4,10 @@
 //! # Execution model
 //!
 //! Time is a monotone `u64` microsecond counter ([`SimClock`]). Components
-//! schedule [`Event`]s into the engine's queue, and a device may keep the
-//! events it schedules most in a calendar of its own, keyed from the same
-//! sequence counter ([`SimCtx::key_at`], [`Component::next_due`]). The
-//! engine dispatches both in one (time, scheduling sequence number) order,
-//! so a run is a deterministic function of the initial component state —
-//! independent of component iteration order or host thread count.
+//! schedule [`Event`]s into the engine's queue, which dispatches them in
+//! (time, scheduling sequence number) order, so a run is a deterministic
+//! function of the initial component state — independent of component
+//! iteration order or host thread count.
 //!
 //! Between two consecutive events every power contribution is constant:
 //! the harvest intake set by the environment component and the load
@@ -89,22 +87,36 @@ impl SimClock {
     }
 }
 
-/// The events of the engine's general queue.
+/// The closed event vocabulary of the whole-device simulation.
 ///
-/// The engine hands each one to the device it runs, whose
-/// [`Component::handle`] routes it to the parts that react to it (for the
-/// bracelet, one exhaustive `match` in `device.rs`), so the wiring between
-/// environment, faults, radio, scanner and sampler is visible in one
-/// place. The bracelet's detection pipeline (policy ticks, acquisition and
-/// compute starts and ends) and its fuel-gauge ticks are not here: they
-/// are nearly every event of a run, so the bracelet keeps them in a
-/// calendar of its own ([`Component::next_due`]).
+/// Components communicate exclusively through these events. The engine
+/// hands each one to the device it runs, whose [`Component::handle`]
+/// routes it to the parts that react to it (for the bracelet, one
+/// exhaustive `match` in `device.rs`), so the wiring between environment,
+/// policy, sensors, compute and radio is visible in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
     /// The environment entered segment `index` of its profile.
     EnvSegment {
         /// Index into the profile's segment list.
         index: usize,
+    },
+    /// The detection policy re-evaluates and may trigger an acquisition.
+    PolicyTick,
+    /// A 3 s ECG + GSR acquisition window opens.
+    AcquireStart,
+    /// An acquisition window closes (its samples are ready).
+    AcquireEnd,
+    /// Feature extraction + classification starts on the compute target.
+    ComputeStart,
+    /// The compute job retires: one detection is complete. `job` is the
+    /// dispatching component's job-slot index (0 for the single-target
+    /// device; the target-class index when an adaptive policy picks the
+    /// compute target per classification), so concurrent jobs of
+    /// different durations resolve to the right slot.
+    ComputeEnd {
+        /// Job-slot index within the compute component.
+        job: usize,
     },
     /// A periodic BLE sync burst keys the radio on.
     BleSyncStart,
@@ -132,6 +144,8 @@ pub enum Event {
         /// Index into the plan's entry list.
         index: usize,
     },
+    /// Fuel-gauge noise resamples the observed state of charge.
+    GaugeTick,
     /// Cold-start delay elapsed: the device attempts to resume from
     /// brownout.
     BrownoutRecover,
@@ -146,12 +160,6 @@ struct Scheduled {
     t_us: u64,
     seq: u64,
     ev: Event,
-}
-
-/// Packs `(t_us, seq)` into one integer that orders the same way.
-#[inline(always)]
-pub(crate) fn key(t_us: u64, seq: u64) -> u128 {
-    u128::from(t_us) << 64 | u128::from(seq)
 }
 
 /// Most events kept in the sorted `near` array.
@@ -203,16 +211,6 @@ impl Default for Queue {
 impl Queue {
     fn len(&self) -> usize {
         self.len + self.far.len()
-    }
-
-    /// The next event's `(t_us, seq)` key (see [`SimCtx::key_at`]),
-    /// `u128::MAX` when the queue is empty.
-    #[inline(always)]
-    fn head(&self) -> u128 {
-        match self.len.checked_sub(1) {
-            Some(last) => key(self.near[last].t_us, self.near[last].seq),
-            None => u128::MAX,
-        }
     }
 
     /// Queues `ev` at `t_us`, no earlier than the current instant.
@@ -377,11 +375,12 @@ pub struct DeviceState {
     pub consumed_j: f64,
     /// Sampled state-of-charge trajectory.
     pub trace: Vec<TracePoint>,
-    /// Registered load slots' names and draws. Unregistered slots draw
-    /// `-0.0` W, the identity of the sum in [`DeviceState::load_w`], so a
-    /// fixed array sums bit for bit like the registered slots alone.
-    load_names: [&'static str; MAX_LOADS],
+    /// Load slots' draws; the first `registered` are in use. Unused
+    /// slots draw `-0.0` W, the identity of the sum in
+    /// [`DeviceState::load_w`], so a fixed array sums bit for bit like
+    /// the registered slots alone.
     loads: [f64; MAX_LOADS],
+    registered: usize,
 }
 
 /// Most load slots a device registers (the bracelet's front ends,
@@ -426,20 +425,22 @@ impl DeviceState {
             stored_j: 0.0,
             consumed_j: 0.0,
             trace: Vec::new(),
-            load_names: [""; MAX_LOADS],
             loads: [-0.0; MAX_LOADS],
+            registered: 0,
         }
     }
 
-    /// Registers a named load slot, initially drawing nothing.
+    /// Registers a load slot, initially drawing nothing. `name` only
+    /// labels the slot at the call site.
     ///
     /// # Panics
     ///
     /// Panics when four slots are registered already.
     pub fn register_load(&mut self, name: &'static str) -> LoadSlot {
-        let slot = self.load_names.iter().position(|n| n.is_empty());
-        let slot = slot.expect("at most four load slots");
-        self.load_names[slot] = name;
+        let _ = name;
+        let slot = self.registered;
+        assert!(slot < MAX_LOADS, "at most four load slots");
+        self.registered += 1;
         self.loads[slot] = 0.0;
         LoadSlot(slot)
     }
@@ -559,34 +560,6 @@ impl<S: TraceSink> SimCtx<'_, S> {
         self.schedule_at(self.now_us.saturating_add(delay_us), ev);
     }
 
-    /// The dispatch key of an event a device keeps in its own calendar,
-    /// due at `t_us`: `(t_us, seq)` packed as `t_us << 64 | seq`, with
-    /// `seq` drawn from the general queue's counter, exactly as
-    /// [`SimCtx::schedule_at`] would draw it. Keys and the queue's events
-    /// therefore share one `(time, sequence)` order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `t_us` is in the past.
-    #[inline(always)]
-    pub fn key_at(&mut self, t_us: u64) -> u128 {
-        assert!(t_us >= self.now_us, "cannot schedule into the past");
-        self.next_key(t_us)
-    }
-
-    /// [`SimCtx::key_at`] `delay_us` microseconds from now.
-    #[inline(always)]
-    pub fn key_in(&mut self, delay_us: u64) -> u128 {
-        self.next_key(self.now_us.saturating_add(delay_us))
-    }
-
-    #[inline(always)]
-    fn next_key(&mut self, t_us: u64) -> u128 {
-        let seq = self.queue.seq;
-        self.queue.seq += 1;
-        key(t_us, seq)
-    }
-
     /// Draws an energy impulse from the battery right now (used for
     /// bursts too short to matter as a power level, e.g. a 4-byte BLE
     /// result notification). Brown-out semantics match continuous loads.
@@ -598,12 +571,6 @@ impl<S: TraceSink> SimCtx<'_, S> {
 /// The simulated device, or one piece of it. [`Engine::run`] drives one
 /// device and hands it every event; a device made of parts (the bracelet
 /// in `device.rs`) passes each event on to the parts that react to it.
-///
-/// A device may also keep a calendar of its own beside the general
-/// queue, keyed by [`SimCtx::key_at`]: the engine compares its earliest
-/// key ([`Component::next_due`]) with the general queue's on every event
-/// and has the device run it ([`Component::step`]) when it comes first.
-/// The defaults are an empty calendar.
 pub trait Component<S: TraceSink> {
     /// Called once before the first event: register load slots and
     /// schedule the component's initial events.
@@ -613,23 +580,6 @@ pub trait Component<S: TraceSink> {
 
     /// Handles one event.
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>);
-
-    /// The key of the calendar's next event, `u128::MAX` when none.
-    fn next_due(&self) -> u128 {
-        u128::MAX
-    }
-
-    /// Events pending in the calendar.
-    fn pending(&self) -> usize {
-        0
-    }
-
-    /// Runs the calendar's next event. The engine has integrated the
-    /// battery up to its time and counted it.
-    fn step(&mut self, ctx: &mut SimCtx<'_, S>) {
-        let _ = ctx;
-        unreachable!("a device without a calendar has nothing due");
-    }
 }
 
 /// The discrete-event engine: owns the clock, the queue and the shared
@@ -664,10 +614,10 @@ impl Engine {
         self.events_processed
     }
 
-    /// High-water mark of the pending events across the run so far: the
-    /// general queue plus the device's calendar. Components only schedule
-    /// during dispatch (they cannot pop), so sampling the depth after
-    /// each event is dispatched captures the true peak.
+    /// High-water mark of the event-queue depth across the run so far.
+    /// Components only push during dispatch (they cannot pop), so
+    /// sampling the depth after each event is dispatched captures the
+    /// true peak.
     #[must_use]
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water
@@ -679,13 +629,12 @@ impl Engine {
         self.clock.now_us()
     }
 
-    /// Runs `device` to completion: starts it, then takes events in
-    /// (time, sequence) order from the general queue and the device's
-    /// calendar, integrates the battery over each inter-event gap, and
-    /// hands every event but [`Event::End`] to `device` (a calendar event
-    /// through [`Component::step`]). The run ends at `End`, which
-    /// integrates its gap and counts as processed, or when nothing is
-    /// pending. Returns the number of events processed.
+    /// Runs `device` to completion: starts it, then pops events in
+    /// (time, sequence) order, integrates the battery over each
+    /// inter-event gap and hands every event but [`Event::End`] to
+    /// `device`. The run ends at `End`, which integrates its gap and
+    /// counts as processed, or when the queue drains. Returns the number
+    /// of events processed.
     pub fn run<S: TraceSink, C: Component<S>>(&mut self, sink: &mut S, device: &mut C) -> u64 {
         let tracks = Tracks {
             device: sink.track("device", 1.0),
@@ -699,32 +648,20 @@ impl Engine {
             queue: &mut self.queue,
         };
         device.start(&mut ctx);
-        let pending = |ctx: &SimCtx<'_, S>, device: &C| (ctx.queue.len() + device.pending()) as u64;
-        let mut high_water = self.queue_high_water.max(pending(&ctx, device));
+        let mut high_water = self.queue_high_water.max(ctx.queue.len() as u64);
         let mut events = self.events_processed;
-        loop {
-            // The next event: the calendar's (`None`) or the queue's.
-            let due = device.next_due();
-            let (t_us, general) = if due < ctx.queue.head() {
-                ((due >> 64) as u64, None)
-            } else {
-                match ctx.queue.pop() {
-                    Some((t_us, ev)) => (t_us, Some(ev)),
-                    None => break,
-                }
-            };
+        while let Some((t_us, ev)) = ctx.queue.pop() {
             if t_us > self.clock.now_us() {
                 let dt_s = self.clock.advance_to(t_us);
                 ctx.now_us = t_us;
                 ctx.state.advance(dt_s);
             }
             events += 1;
-            match general {
-                None => device.step(&mut ctx),
-                Some(Event::End) => break,
-                Some(ev) => device.handle(ev, &mut ctx),
+            if ev == Event::End {
+                break;
             }
-            high_water = high_water.max(pending(&ctx, device));
+            device.handle(ev, &mut ctx);
+            high_water = high_water.max(ctx.queue.len() as u64);
         }
         self.events_processed = events;
         self.queue_high_water = high_water;
@@ -838,95 +775,38 @@ mod tests {
     #[test]
     fn ties_dispatch_in_scheduling_order() {
         let mut probe = Probe::new(vec![
-            (5, Event::BrownoutRecover),
+            (5, Event::PolicyTick),
             (5, Event::Sample),
             (6, Event::End),
         ]);
         let engine = run(Battery::new(10.0), &mut probe);
-        // BrownoutRecover was scheduled first, so at the shared timestamp
-        // it dispatches first — deterministically.
-        assert_eq!(probe.log, [(5, Event::BrownoutRecover), (5, Event::Sample)]);
+        // PolicyTick was scheduled first, so at the shared timestamp it
+        // dispatches first — deterministically.
+        assert_eq!(probe.log, [(5, Event::PolicyTick), (5, Event::Sample)]);
         assert_eq!(engine.events_processed(), 3);
-    }
-
-    /// Schedules general events and calendar keys, interleaved, at
-    /// shared instants, and logs what it is handed: `Ok` for a general
-    /// event, `Err(time)` for a calendar step.
-    struct Merge {
-        calendar: Vec<u128>,
-        log: Vec<Result<Event, u64>>,
-    }
-
-    impl<S: TraceSink> Component<S> for Merge {
-        fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-            ctx.schedule_at(5, Event::Sample);
-            self.calendar.push(ctx.key_at(5));
-            ctx.schedule_at(5, Event::BrownoutRecover);
-            self.calendar.push(ctx.key_at(3));
-            ctx.schedule_at(7, Event::End);
-            self.calendar.push(ctx.key_at(7));
-            self.calendar.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        fn handle(&mut self, ev: Event, _ctx: &mut SimCtx<'_, S>) {
-            self.log.push(Ok(ev));
-        }
-        fn next_due(&self) -> u128 {
-            self.calendar.last().copied().unwrap_or(u128::MAX)
-        }
-        fn pending(&self) -> usize {
-            self.calendar.len()
-        }
-        fn step(&mut self, ctx: &mut SimCtx<'_, S>) {
-            self.calendar.pop();
-            self.log.push(Err(ctx.now_us));
-        }
-    }
-
-    #[test]
-    fn calendar_and_queue_events_share_one_sequence_order() {
-        let mut merge = Merge {
-            calendar: Vec::new(),
-            log: Vec::new(),
-        };
-        let engine = run(Battery::new(10.0), &mut merge);
-        // At t = 5 the order is the scheduling order across both; `End`
-        // at t = 7 was scheduled before the calendar's t = 7 key, so the
-        // run stops first.
-        assert_eq!(
-            merge.log,
-            [
-                Err(3),
-                Ok(Event::Sample),
-                Err(5),
-                Ok(Event::BrownoutRecover)
-            ]
-        );
-        assert_eq!(engine.events_processed(), 5);
-        assert_eq!(engine.queue_high_water(), 6);
     }
 
     #[test]
     fn every_event_but_end_reaches_the_device() {
         let mut probe = Probe::new(vec![
             (1, Event::Sample),
-            (2, Event::BleSyncStart),
+            (2, Event::PolicyTick),
             (3, Event::FaultStart { index: 4 }),
             (4, Event::FaultEnd { index: 4 }),
             (9, Event::End),
-            (10, Event::BrownoutRecover),
+            (10, Event::GaugeTick),
         ]);
         let engine = run(Battery::new(10.0), &mut probe);
         assert_eq!(
             probe.log,
             [
                 (1, Event::Sample),
-                (2, Event::BleSyncStart),
+                (2, Event::PolicyTick),
                 (3, Event::FaultStart { index: 4 }),
                 (4, Event::FaultEnd { index: 4 }),
             ]
         );
-        // End counts and stops the run: the later BrownoutRecover never
-        // pops.
+        // End counts and stops the run: the later GaugeTick never pops.
         assert_eq!(engine.events_processed(), 5);
         assert_eq!(engine.now_us(), 9);
     }
@@ -935,14 +815,14 @@ mod tests {
     fn ignored_event_integrates_its_gap_and_counts() {
         let mut battery = Battery::new(100.0);
         battery.set_soc(0.5);
-        // The device ignores BrownoutRecover, and the queue drains after it:
+        // The device ignores GaugeTick, and the queue drains after it:
         // the run stops exactly at the ignored event.
         let engine = run(
             battery,
             &mut ConstantLoad {
                 power_w: 1e-3,
                 duration_us: secs_to_us(1000.0),
-                last: Event::BrownoutRecover,
+                last: Event::GaugeTick,
             },
         );
         assert_eq!(engine.now_us(), secs_to_us(1000.0));
@@ -1159,16 +1039,58 @@ mod tests {
     }
 
     #[test]
+    fn load_slots_are_distinct_and_sum_exactly() {
+        let mut state = DeviceState::new(Battery::new(10.0));
+        state.base_load_w = 1e-3;
+        // An empty name is only a label: it must not free its slot.
+        let a = state.register_load("");
+        let b = state.register_load("");
+        let c = state.register_load("c");
+        assert_ne!(a.0, b.0);
+        assert_ne!(b.0, c.0);
+        state.set_load(a, 0.1);
+        state.set_load(b, 0.2);
+        state.set_load(c, -0.0);
+        assert_eq!(state.load_w().to_bits(), (1e-3 + (0.1 + 0.2f64)).to_bits());
+        let _ = state.register_load("d");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most four load slots")]
+    fn a_fifth_load_slot_panics() {
+        let mut state = DeviceState::new(Battery::new(10.0));
+        for _ in 0..5 {
+            let _ = state.register_load("x");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn negative_loads_panic() {
+        let mut state = DeviceState::new(Battery::new(10.0));
+        let slot = state.register_load("x");
+        state.set_load(slot, -1e-300);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn nan_loads_panic() {
+        let mut state = DeviceState::new(Battery::new(10.0));
+        let slot = state.register_load("x");
+        state.set_load(slot, f64::NAN);
+    }
+
+    #[test]
     fn impulse_consumption_matches_continuous() {
         /// Consumes 0.5 J as a single impulse at t = 1 s.
         struct Impulse;
         impl<S: TraceSink> Component<S> for Impulse {
             fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-                ctx.schedule_at(secs_to_us(1.0), Event::BrownoutRecover);
+                ctx.schedule_at(secs_to_us(1.0), Event::PolicyTick);
                 ctx.schedule_at(secs_to_us(2.0), Event::End);
             }
             fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-                if ev == Event::BrownoutRecover {
+                if ev == Event::PolicyTick {
                     ctx.consume_j(0.5);
                 }
             }

@@ -28,8 +28,7 @@
 use iw_fault::{mix, FaultKind, FaultPlan, SplitMix64};
 use iw_trace::TraceSink;
 
-use crate::calendar::Calendar;
-use crate::engine::{secs_to_us, DeviceState, Event, SimCtx};
+use crate::engine::{secs_to_us, Component, DeviceState, Event, SimCtx};
 
 /// Stream-derivation constant for the fuel-gauge noise stream (keeps it
 /// decorrelated from the BLE-loss stream derived from the same plan
@@ -107,8 +106,7 @@ impl FaultComponent {
     /// The brownout state machine, evaluated against the *true* state of
     /// charge on every state-changing event (events are the only instants
     /// anything can change, so per-event polling is exact).
-    #[inline(always)]
-    pub(crate) fn poll_brownout<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+    fn poll_brownout<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
         let charge_j = ctx.state.battery.charge_j();
         let model = self.plan.brownout;
         if ctx.state.acquisition_enabled {
@@ -213,10 +211,8 @@ pub(crate) fn charge_at_least(soc: f64, capacity_j: f64) -> f64 {
     -charge_at_most(-soc, capacity_j)
 }
 
-impl FaultComponent {
-    /// Sets the brownout thresholds and schedules the first fault window
-    /// and, under gauge noise, the first gauge tick.
-    pub(crate) fn start<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
+impl<S: TraceSink> Component<S> for FaultComponent {
+    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         let capacity_j = ctx.state.battery.capacity_j();
         self.cutoff_j = charge_at_most(self.plan.brownout.cutoff_soc, capacity_j);
         self.restart_j = charge_at_least(self.plan.brownout.restart_soc, capacity_j);
@@ -229,13 +225,12 @@ impl FaultComponent {
         if self.plan.gauge_noise_soc > 0.0 {
             // One "episode" per run: the noise stream itself.
             ctx.state.faults.add(FaultKind::GaugeNoise);
-            cal.set_gauge(ctx.key_at(0));
+            ctx.schedule_at(0, Event::GaugeTick);
         }
     }
 
-    /// Handles a general-queue event, then polls the brownout machine.
     #[inline]
-    pub(crate) fn handle<S: TraceSink>(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         match ev {
             Event::FaultStart { index } => {
                 self.apply_window(index, ctx);
@@ -248,19 +243,14 @@ impl FaultComponent {
                 }
             }
             Event::FaultEnd { index } => self.revert_window(index, ctx),
+            Event::GaugeTick => {
+                let a = self.plan.gauge_noise_soc;
+                ctx.state.soc_bias = self.gauge_rng.range_f64(-a, a);
+                ctx.schedule_in(self.gauge_interval_us, Event::GaugeTick);
+            }
             Event::BrownoutRecover => self.try_resume(ctx),
             _ => {}
         }
-        self.poll_brownout(ctx);
-    }
-
-    /// A gauge tick: resamples the fuel-gauge read error, schedules the
-    /// next tick, then polls the brownout machine.
-    #[inline]
-    pub(crate) fn gauge_tick<S: TraceSink>(&mut self, cal: &mut Calendar, ctx: &mut SimCtx<'_, S>) {
-        let a = self.plan.gauge_noise_soc;
-        ctx.state.soc_bias = self.gauge_rng.range_f64(-a, a);
-        cal.set_gauge(ctx.key_in(self.gauge_interval_us));
         self.poll_brownout(ctx);
     }
 }

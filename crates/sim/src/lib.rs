@@ -3,8 +3,7 @@
 //! The crate replaces the old fixed-timestep battery loop with an event
 //! engine ([`Engine`]): a monotonic [`SimClock`], an event queue with
 //! deterministic (time, sequence) ordering, and one device, a
-//! [`Component`] that reacts to [`Event`]s and may keep its most frequent
-//! events in a calendar of its own, in the same order. Power is piecewise constant
+//! [`Component`] that reacts to [`Event`]s. Power is piecewise constant
 //! between events and integrated *exactly* over each interval, so the
 //! engine is both faster and more accurate than stepping a fixed `dt`.
 //!
@@ -42,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-mod calendar;
 pub mod coord;
 mod device;
 mod engine;
