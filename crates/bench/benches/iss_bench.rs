@@ -31,8 +31,11 @@ use iw_kernels::{
 };
 use iw_metrics::Registry;
 
-/// Rounds of interleaved timing per (network, target) row.
-const ROUNDS: usize = 5;
+/// Rounds of interleaved timing per (network, target) row. The product
+/// rows run in well under a millisecond on a shared host whose speed
+/// drifts between slow and fast phases, so each row keeps the best of
+/// many rounds.
+const ROUNDS: usize = 50;
 
 fn main() {
     if std::env::args().any(|a| a == "--check") {

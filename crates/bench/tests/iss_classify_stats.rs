@@ -165,7 +165,7 @@ fn network_a_cluster8_counters() {
         whole_rows: 0,
     };
     let s = stats(0, FixedTarget::WolfCluster { cores: 8 });
-    assert_row(&s, (5_926, 5_902, 5_028, 12_681, 6, 1_360), Some(rv), None);
+    assert_row(&s, (5_926, 5_902, 5_028, 12_681, 7, 4_508), Some(rv), None);
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn network_b_cluster8_counters() {
     let s = stats(1, FixedTarget::WolfCluster { cores: 8 });
     assert_row(
         &s,
-        (162_407, 162_207, 154_226, 385_097, 133, 91_392),
+        (162_407, 162_207, 154_226, 385_097, 157, 147_776),
         Some(rv),
         None,
     );

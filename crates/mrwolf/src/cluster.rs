@@ -58,29 +58,38 @@
 //!
 //! # Period skip
 //!
-//! The joint state of a lockstep repeats modulo a time shift: nothing in
-//! it depends on the loaded data. After a short warm-up the joint mode
-//! takes one snapshot of its state, normalised to the leading core's
-//! time: the sorted keys relative to that time (core ids included), every
-//! core's body phase, each stream pointer's region and its residue modulo
-//! `4 · tcdm_banks` (its bank), and `bank_free` and `l2_free` as
-//! `max(v, t_min) − t_min` (every later access issues at or after
-//! `t_min`, so the clamp loses nothing). Behind a cheap filter (the same
-//! picked core in the same phase) later picks compare against it; if no
-//! repeat comes within two windows it takes a fresh one. The first exact
-//! match gives the period: its picks, gated breaks, cycles, stall cycles
-//! and per-core passes. The mode then advances `m` whole periods at
-//! once: keys, `bank_free` and `l2_free` move by `m` times the period's
-//! cycles; picks, gated breaks and both stall totals grow by `m` times
-//! the period's; each core's accumulator is folded by
-//! [`iw_rv32::dot_row`] over the words its skipped loads would read
-//! (slices of the memory, as [`Bus::span`] hands them out), its last
-//! loaded registers are re-read for its phase, and its pointers and loop
-//! count advance. `m` is bounded so that every skipped word lies in one
-//! memory, no core's loop count reaches its exit and the latest key
-//! after the skip stays within the cycle budget; the stepped picks do
-//! everything else, so every fault, budget error and hand-back is the
-//! one the reference path raises.
+//! The joint state of a lockstep repeats modulo a time shift and a
+//! relabelling of the TCDM banks: nothing in it depends on the loaded
+//! data, and arbitration uses a bank index only to pick that bank's
+//! reservation in `bank_free`, so renumbering every bank `b` as
+//! `b + r (mod tcdm_banks)` changes no grant or stall. A stream's next
+//! word lies in the next bank, so the renumbering commutes with the
+//! lockstep. After a short warm-up the joint mode takes one snapshot of
+//! its state, normalised to the leading core's time: the sorted keys
+//! relative to that time (core ids included), every core's body phase,
+//! each stream pointer's region and, in TCDM, its bank, and `bank_free`
+//! and `l2_free` as `max(v, t_min) − t_min` (every later access issues at
+//! or after `t_min`, so the clamp loses nothing). Behind a cheap filter
+//! (the same picked core in the same phase) later picks compare against
+//! it; if no repeat comes within two windows it takes a fresh one. A
+//! repeat is a state whose keys, phases, stream regions and `l2_free`
+//! match, whose TCDM streams have every one moved by the same `r` banks,
+//! and whose `bank_free` is the snapshot's rotated by `r`: it is the
+//! snapshot relabelled and shifted, so it evolves as the snapshot did.
+//! L2 streams share one port and compare by region only. The first match
+//! gives the period: its picks, gated breaks, cycles, stall cycles,
+//! per-core passes and rotation. The mode then advances `m` whole periods
+//! at once: keys, `bank_free` and `l2_free` move by `m` times the
+//! period's cycles and `bank_free` rotates by `m · r` banks; picks, gated
+//! breaks and both stall totals grow by `m` times the period's; each
+//! core's accumulator is folded by [`iw_rv32::dot_row`] over the words
+//! its skipped loads would read (slices of the memory, as [`Bus::span`]
+//! hands them out), its last loaded registers are re-read for its phase,
+//! and its pointers and loop count advance. `m` is bounded so that every
+//! skipped word lies in one memory, no core's loop count reaches its exit
+//! and the latest key after the skip stays within the cycle budget; the
+//! stepped picks do everything else, so every fault, budget error and
+//! hand-back is the one the reference path raises.
 //!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
@@ -1204,12 +1213,16 @@ impl Joint {
 }
 
 /// Picks a joint run makes before the period detector takes its first
-/// snapshot: the cores' arrival in the body settles within them.
+/// snapshot: the cores' arrival in the body settles within them. On
+/// Network B every entry's state repeats from pick 16 on; a snapshot
+/// taken earlier has not settled and repeats later or not at all.
 const PERIOD_WARM_UP: u64 = 16;
 
-/// A window of picks, two Network B periods: a snapshot that has not
-/// repeated within two windows is replaced by a fresh one.
-const PERIOD_WINDOW: u64 = 512;
+/// A window of picks, two periods of eight cores that each make one
+/// pass in two picks (the Network B period up to a bank rotation): a
+/// snapshot that has not repeated within two windows is replaced by a
+/// fresh one.
+const PERIOD_WINDOW: u64 = 32;
 
 /// The joint mode's period detector (see the module docs, "Period
 /// skip"): one snapshot of the joint state and what the run had counted
@@ -1269,11 +1282,17 @@ impl Period {
         sched: &mut SchedStats,
     ) -> bool {
         let i = (sorted[0] & 7) as usize;
-        if (i, joint.cores[i].phase) == self.pick && self.repeats(joint, sorted, bus) {
-            // Later matches could only skip less: the loop counts, the
-            // streams and the budget left only shrink.
-            (self.snap_at, self.pick) = (u64::MAX, (8, 0));
-            return self.skip(joint, sorted, (picks, gated), bus, max_cycles, sched);
+        if (i, joint.cores[i].phase) == self.pick {
+            if let Some(rotation) = self.repeats(joint, sorted, bus) {
+                // Later matches could only skip less: the loop counts, the
+                // streams and the budget left only shrink.
+                (self.snap_at, self.pick) = (u64::MAX, (8, 0));
+                let counts = (picks, gated);
+                let skipped = self.skip(joint, sorted, counts, bus, rotation, max_cycles);
+                sched.period_skips += u64::from(skipped > 0);
+                sched.skipped_picks += skipped;
+                return skipped > 0;
+            }
         }
         if *picks == self.snap_at {
             self.snap_at = *picks + 2 * PERIOD_WINDOW;
@@ -1287,44 +1306,70 @@ impl Period {
         false
     }
 
-    /// Whether the joint state normalised to its leading time equals the
-    /// snapshot's: the relative keys, every running core's phase, its
-    /// streams' regions and banks, and the bank and L2-port reservations
-    /// clamped at the leading time.
-    fn repeats(&self, joint: &Joint, sorted: &[u64; 8], bus: &ClusterBus<'_>) -> bool {
+    /// The rotation `r` of the TCDM banks under which the joint state
+    /// normalised to its leading time equals the snapshot's, if there is
+    /// one: the relative keys and every running core's phase match, its
+    /// streams lie in the same regions, every TCDM stream of every core
+    /// has moved by `r` banks, and the bank reservations clamped at the
+    /// leading time are the snapshot's rotated by `r`, the L2 port's
+    /// equal to the snapshot's. Arbitration uses a bank index only to
+    /// pick its reservation, so the lockstep is the same under any
+    /// relabelling of the banks (see the module docs).
+    fn repeats(&self, joint: &Joint, sorted: &[u64; 8], bus: &ClusterBus<'_>) -> Option<usize> {
         let (t0, t) = (self.sorted[0] >> 3, sorted[0] >> 3);
         let n = joint.running;
-        let modulus = 4 * self.bank_free.len() as u64;
-        let same_stream = |a: u32, b: u32| {
-            region_of(a) == region_of(b) && u64::from(a) % modulus == u64::from(b) % modulus
-        };
+        let banks = self.bank_free.len();
+        let bank = |a: u32| (a >> 2) as usize % banks;
         let clamp = |v: u64, t: u64| v.max(t) - t;
         // Most probes differ in the keys: compare those first.
-        (sorted[..n].iter().zip(&self.sorted[..n])).all(|(&a, &b)| a - (t << 3) == b - (t0 << 3))
-            && (0..8).filter(|&k| joint.bodies[k].is_some()).all(|k| {
-                let (c, c0) = (&joint.cores[k], &self.cores[k]);
-                c.phase == c0.phase
-                    && same_stream(c.regs[0], c0.regs[0])
-                    && same_stream(c.regs[1], c0.regs[1])
-            })
-            && clamp(bus.l2_free, t) == clamp(self.l2_free, t0)
-            && (bus.bank_free.iter().zip(&self.bank_free))
-                .all(|(&v, &v0)| clamp(v, t) == clamp(v0, t0))
+        if !(sorted[..n].iter().zip(&self.sorted[..n]))
+            .all(|(&a, &b)| a - (t << 3) == b - (t0 << 3))
+        {
+            return None;
+        }
+        let mut rotation = None;
+        for k in (0..8).filter(|&k| joint.bodies[k].is_some()) {
+            let (c, c0) = (&joint.cores[k], &self.cores[k]);
+            if c.phase != c0.phase {
+                return None;
+            }
+            for (a, a0) in [(c.regs[0], c0.regs[0]), (c.regs[1], c0.regs[1])] {
+                let region = region_of(a);
+                if region != region_of(a0) {
+                    return None;
+                }
+                if region == Some(Region::Tcdm) {
+                    let r = (bank(a) + banks - bank(a0)) % banks;
+                    if *rotation.get_or_insert(r) != r {
+                        return None;
+                    }
+                }
+            }
+        }
+        let r = rotation.unwrap_or(0);
+        // `bus.bank_free[(b + r) % banks]` against the snapshot's bank `b`.
+        let rotated = bus.bank_free[r..].iter().chain(&bus.bank_free[..r]);
+        (clamp(bus.l2_free, t) == clamp(self.l2_free, t0)
+            && rotated
+                .zip(&self.bank_free)
+                .all(|(&v, &v0)| clamp(v, t) == clamp(v0, t0)))
+        .then_some(r)
     }
 
-    /// Advances the joint state, which repeats the snapshot, by as many
-    /// whole periods as keep every skipped load inside its memory, every
-    /// core's loop count short of its exit and every key within the
-    /// budget. Returns whether it skipped any.
+    /// Advances the joint state, which repeats the snapshot up to a
+    /// `rotation` of the banks, by as many whole periods as keep every
+    /// skipped load inside its memory, every core's loop count short of
+    /// its exit and every key within the budget. Returns the picks it
+    /// skipped.
     fn skip(
         &self,
         joint: &mut Joint,
         sorted: &mut [u64; 8],
         (picks, gated): (&mut u64, &mut u64),
         bus: &mut ClusterBus<'_>,
+        rotation: usize,
         max_cycles: u64,
-        sched: &mut SchedStats,
-    ) -> bool {
+    ) -> u64 {
         let n = joint.running;
         let dt = (sorted[0] >> 3) - (self.sorted[0] >> 3);
         let last = sorted[n - 1] >> 3;
@@ -1339,7 +1384,7 @@ impl Period {
             // still has a pass to go at count 1. A core still at its
             // entry's `mul` has not been picked since the snapshot.
             if c.phase > 1 {
-                return false;
+                return 0;
             }
             if passes == 0 {
                 continue;
@@ -1351,7 +1396,7 @@ impl Period {
             }
         }
         if m == 0 {
-            return false;
+            return 0;
         }
         let shift = m * dt;
         for key in &mut sorted[..n] {
@@ -1360,14 +1405,16 @@ impl Period {
         for free in &mut bus.bank_free {
             *free += shift;
         }
+        // Each period moves every bank's role `rotation` banks up.
+        let banks = bus.bank_free.len() as u64;
+        bus.bank_free
+            .rotate_right((m % banks * rotation as u64 % banks) as usize);
         bus.l2_free += shift;
         bus.tcdm_stalls += m * (bus.tcdm_stalls - self.stalls.0);
         bus.l2_stalls += m * (bus.l2_stalls - self.stalls.1);
         let skipped = m * (*picks - self.picks);
         *gated += m * (*gated - self.gated);
         *picks += skipped;
-        sched.period_skips += 1;
-        sched.skipped_picks += skipped;
         for k in (0..8).filter(|&k| joint.bodies[k].is_some()) {
             let (c, c0) = (&mut joint.cores[k], &self.cores[k]);
             // At most the loop count: it fits.
@@ -1375,7 +1422,7 @@ impl Period {
             let (w, x) = (bus.stream(c.regs[0]), bus.stream(c.regs[1]));
             skip_passes(c, &w[..len], &x[..len], joint.shamt);
         }
-        true
+        skipped
     }
 }
 
@@ -1411,7 +1458,7 @@ fn skip_passes(c: &mut DotCore, ws: &[u8], xs: &[u8], shamt: u8) {
 mod tests {
     use super::*;
     use crate::memmap::{L2_BASE, L2_SIZE, TCDM_BASE, TCDM_SIZE};
-    use iw_rv32::{asm::Asm, MemWidth};
+    use iw_rv32::{asm::Asm, MemWidth, ShiftOp};
     use proptest::prelude::*;
 
     fn fresh_mems() -> (Ram, Ram) {
@@ -2234,9 +2281,22 @@ mod tests {
         assert_eq!(recorded, run_with(&image, 8, "reference").0);
     }
 
+    /// Where a [`LongRow`]'s weight streams lie.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Weights {
+        /// In L2, as on Network B.
+        L2,
+        /// In TCDM: with the inputs in TCDM too, as on Network A.
+        Tcdm,
+        /// In TCDM on the even cores, in L2 on the odd ones: the two
+        /// halves run at different speeds, so their TCDM streams move by
+        /// different numbers of banks in a lockstep period.
+        Split,
+    }
+
     /// One long lockstep row for the period skip: every core runs
     /// `passes + spread * core_id` passes over its own weight stream `w`
-    /// (in L2 or in TCDM, `stride` words apart per core) and the input
+    /// (placed by `weights`, `stride` words apart per core) and the input
     /// stream `x` every core reads at the same addresses (in TCDM or in
     /// L2).
     /// `w_end`/`x_end` place the stream that reaches furthest that many
@@ -2246,7 +2306,7 @@ mod tests {
     struct LongRow {
         passes: u16,
         spread: u8,
-        weights_l2: bool,
+        weights: Weights,
         inputs_l2: bool,
         stride: u16,
         offset: u8,
@@ -2258,7 +2318,12 @@ mod tests {
     fn any_long_row() -> impl Strategy<Value = LongRow> {
         let end = || prop_oneof![Just(None), Just(None), (-1i8..2).prop_map(Some)];
         (
-            (40u16..301, 0u8..4, any::<bool>(), 0u16..6),
+            (
+                40u16..301,
+                0u8..4,
+                prop_oneof![Just(Weights::L2), Just(Weights::Tcdm), Just(Weights::Split)],
+                0u16..6,
+            ),
             (
                 0u8..16,
                 end(),
@@ -2268,11 +2333,11 @@ mod tests {
             ),
         )
             .prop_map(
-                |((passes, spread, weights_l2, pad), (offset, w_end, x_end, shamt, inputs_l2))| {
+                |((passes, spread, weights, pad), (offset, w_end, x_end, shamt, inputs_l2))| {
                     LongRow {
                         passes,
                         spread,
-                        weights_l2,
+                        weights,
                         inputs_l2,
                         stride: passes + 3 * u16::from(spread) + 8 * 7 + pad,
                         offset,
@@ -2298,16 +2363,19 @@ mod tests {
             // `gap` words before `hi` (past it for a negative gap).
             let before = |hi: u32, gap: i8| hi.wrapping_sub((4 * i32::from(gap)) as u32);
             let most = u32::from(row.passes) + u32::from(row.spread) * (cores as u32 - 1);
-            let (w_lo, w_hi) = if row.weights_l2 {
-                (L2_DATA, L2_BASE + L2_SIZE as u32)
-            } else {
-                (TCDM_BASE + 0x4000, TCDM_BASE + TCDM_SIZE as u32)
-            };
             let stride = words(u32::from(row.stride));
-            // The last core's stream reaches furthest.
-            let w0 = match row.w_end {
-                Some(gap) => before(w_hi, gap) - words(most) - stride * (cores as u32 - 1),
-                None => w_lo + words(u32::from(row.offset)),
+            // Core 0's weights in L2 or in TCDM; the last core's stream
+            // reaches furthest.
+            let w0 = |l2: bool| {
+                let (w_lo, w_hi) = if l2 {
+                    (L2_DATA, L2_BASE + L2_SIZE as u32)
+                } else {
+                    (TCDM_BASE + 0x4000, TCDM_BASE + TCDM_SIZE as u32)
+                };
+                match row.w_end {
+                    Some(gap) => before(w_hi, gap) - words(most) - stride * (cores as u32 - 1),
+                    None => w_lo + words(u32::from(row.offset)),
+                }
             };
             let (x_lo, x_hi) = if row.inputs_l2 {
                 (L2_DATA + 0x4000, L2_BASE + L2_SIZE as u32)
@@ -2318,7 +2386,15 @@ mod tests {
                 Some(gap) => before(x_hi, gap) - words(most),
                 None => x_lo + words(u32::from(row.offset)),
             };
-            asm.li(Reg::S0, w0 as i32);
+            asm.li(Reg::S0, w0(row.weights == Weights::L2) as i32);
+            if row.weights == Weights::Split {
+                // Odd cores: `w0(true) - w0(false)` further, in L2.
+                asm.slli(Reg::T3, Reg::A0, 31);
+                asm.shift(ShiftOp::Srli, Reg::T3, Reg::T3, 31);
+                asm.li(Reg::S2, w0(true).wrapping_sub(w0(false)) as i32);
+                asm.mul(Reg::T3, Reg::T3, Reg::S2);
+                asm.add(Reg::S0, Reg::S0, Reg::T3);
+            }
             asm.li(Reg::T5, stride as i32);
             asm.mul(Reg::T5, Reg::T5, Reg::A0);
             asm.add(Reg::S0, Reg::S0, Reg::T5);
@@ -2366,10 +2442,10 @@ mod tests {
 
     #[test]
     fn period_skip_serves_long_lockstep_rows() {
-        let row = |weights_l2, spread| LongRow {
+        let row = |weights, spread| LongRow {
             passes: 200,
             spread,
-            weights_l2,
+            weights,
             inputs_l2: false,
             stride: 260,
             offset: 3,
@@ -2377,7 +2453,7 @@ mod tests {
             x_end: None,
             shamt: 5,
         };
-        let image = build_long_rows(&[row(true, 0), row(false, 1)], 8);
+        let image = build_long_rows(&[row(Weights::L2, 0), row(Weights::Tcdm, 1)], 8);
         let mems = patterned_mems(&image);
         for tcdm_banks in [1, 3, 16] {
             let cfg = ClusterConfig {
@@ -2404,6 +2480,97 @@ mod tests {
                 "banks={tcdm_banks}: {sched:?}"
             );
         }
+    }
+
+    /// The period detector's match: two cores in the body, the snapshot
+    /// taken at time 100, the state compared 40 cycles later. Cores that
+    /// made one pass each moved their TCDM streams by one bank, so the
+    /// state repeats up to a rotation of one bank exactly when
+    /// `bank_free` is the snapshot's rotated by one; a core whose TCDM
+    /// stream moved by another number of banks breaks the match, one
+    /// whose weights lie in L2 does not constrain it.
+    #[test]
+    fn period_match_needs_one_bank_rotation_for_every_tcdm_stream() {
+        let (mut tcdm, mut l2) = fresh_mems();
+        let mut bus = ClusterBus {
+            tcdm: &mut tcdm,
+            l2: &mut l2,
+            last_region: None,
+            barrier_arrived: false,
+            arbitrate: true,
+            l2_latency: 3,
+            bank_free: vec![0; 16],
+            l2_free: 0,
+            tcdm_stalls: 0,
+            l2_stalls: 0,
+        };
+        let body = DotBody {
+            start: L2_BASE,
+            regs: [Reg::S0, Reg::S1, Reg::T0, Reg::T1, Reg::T2],
+            shamt: 0,
+            hwloop: 0,
+        };
+        let core = |w: u32, x: u32| DotCore {
+            regs: [w, x, 0, 0, 0],
+            left: 100,
+            ..DotCore::default()
+        };
+        let keys = |t: u64| {
+            let mut sorted = [u64::MAX; 8];
+            sorted[..2].copy_from_slice(&[t << 3, ((t + 3) << 3) | 1]);
+            sorted
+        };
+        let (w0, w1, x) = (TCDM_BASE + 0x4000, TCDM_BASE + 0x4400, TCDM_BASE + 0x1000);
+        let mut period = Period::new(16);
+        period.sorted = keys(100);
+        period.cores[..2].copy_from_slice(&[core(w0, x), core(w1, x)]);
+        // Banks 0–4 reserved past the snapshot's time, the rest before it.
+        let snapshot: Vec<u64> = (0..16).map(|b| if b < 5 { 101 + b } else { 90 }).collect();
+        period.bank_free.copy_from_slice(&snapshot);
+        period.l2_free = 95;
+        let mut joint = Joint {
+            start: L2_BASE,
+            shamt: 0,
+            running: 2,
+            bodies: [None; 8],
+            cores: [DotCore::default(); 8],
+        };
+        joint.bodies[..2].copy_from_slice(&[Some(body), Some(body)]);
+        let sorted = keys(140);
+        bus.l2_free = 50;
+        // `bank_free` rotated by `r` banks and 40 cycles on.
+        let rotated = |r: usize| {
+            let mut v: Vec<u64> = snapshot.iter().map(|t| t + 40).collect();
+            v.rotate_right(r);
+            v
+        };
+        let mut repeats = |period: &Period, cores: [DotCore; 2], bank_free: Vec<u64>| {
+            joint.cores[..2].copy_from_slice(&cores);
+            bus.bank_free = bank_free;
+            period.repeats(&joint, &sorted, &bus)
+        };
+        let one_pass = [core(w0 + 4, x + 4), core(w1 + 4, x + 4)];
+        assert_eq!(repeats(&period, one_pass, rotated(1)), Some(1));
+        assert_eq!(repeats(&period, one_pass, rotated(0)), None);
+        assert_eq!(repeats(&period, one_pass, rotated(15)), None);
+        // Seventeen passes are one bank too.
+        let far = [core(w0 + 68, x + 68), core(w1 + 4, x + 4)];
+        assert_eq!(repeats(&period, far, rotated(1)), Some(1));
+        // Core 1 made two passes: its streams moved by two banks.
+        let uneven = [core(w0 + 4, x + 4), core(w1 + 8, x + 8)];
+        assert_eq!(repeats(&period, uneven, rotated(1)), None);
+        assert_eq!(repeats(&period, uneven, rotated(2)), None);
+        // Core 1's weights moved by two banks, its inputs by one.
+        let skewed = [core(w0 + 4, x + 4), core(w1 + 8, x + 4)];
+        assert_eq!(repeats(&period, skewed, rotated(1)), None);
+        // Weights in L2: only the TCDM streams set the rotation.
+        let l2 = L2_BASE + 0x8000;
+        period.cores[..2].copy_from_slice(&[core(l2, x), core(l2 + 0x400, x)]);
+        let l2_pass = [core(l2 + 4, x + 4), core(l2 + 0x408, x + 4)];
+        assert_eq!(repeats(&period, l2_pass, rotated(1)), Some(1));
+        // A stream that left its region never matches.
+        let moved = [core(l2 + 4, x + 4), core(w1, x + 4)];
+        assert_eq!(repeats(&period, moved, rotated(1)), None);
     }
 
     proptest! {
@@ -2475,18 +2642,21 @@ mod tests {
 
         /// Rows long enough for several lockstep periods on 2–8 cores,
         /// under every bank count the skip's state must tell apart (one
-        /// bank, a bank count that does not divide 16, Mr. Wolf's 16), L2
-        /// latencies of 1–4 cycles, weights in L2 or in TCDM, streams that
-        /// end at their memory's end or one word past it, and budgets
-        /// anywhere, within one period of the run's end included. The
-        /// product path, period skips and all, must reproduce the
-        /// reference pick loop exactly: the `ClusterRun` or error and both
-        /// memories whole.
+        /// bank, bank counts that are not powers of two, 3 and 5 of them
+        /// prime, Mr. Wolf's 16), L2 latencies of 1–4 cycles, weights in
+        /// L2, in TCDM (with the inputs there too, as on Network A) or
+        /// split between the two, so that the cores' TCDM streams move by
+        /// different numbers of banks per period, streams that end at
+        /// their memory's end or one word past it, and budgets anywhere,
+        /// within one period of the run's end included. The product path,
+        /// period skips and their bank rotations included, must reproduce
+        /// the reference pick loop exactly: the `ClusterRun` or error and
+        /// both memories whole.
         #[test]
         fn period_skips_match_reference(
             rows in prop::collection::vec(any_long_row(), 1..3),
             cores in 2usize..9,
-            tcdm_banks in prop_oneof![Just(1usize), Just(3), Just(16)],
+            tcdm_banks in prop_oneof![Just(1usize), Just(3), Just(5), Just(12), Just(16)],
             l2_latency in 1u32..5,
             budget in prop_oneof![
                 Just(None),

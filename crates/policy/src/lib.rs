@@ -32,11 +32,18 @@ fn ensure_rate(what: &str, rate: f64) -> Result<(), String> {
     }
 }
 
+/// Accepts an interval the engine can schedule: finite and at least
+/// 0.5 µs, so that it rounds to a whole microsecond tick or more. A
+/// shorter one rounds to 0 µs and re-arms its event at the same instant
+/// forever.
 fn ensure_interval(what: &str, interval: f64) -> Result<(), String> {
-    if interval.is_finite() && interval > 0.0 {
+    if interval.is_finite() && interval * 1e6 >= 0.5 {
         Ok(())
     } else {
-        Err(format!("{what} must be finite and > 0, got {interval}"))
+        Err(format!(
+            "{what} must be finite and at least 0.5 µs (it rounds to whole \
+             microseconds, and 0 µs never advances), got {interval}"
+        ))
     }
 }
 
@@ -454,6 +461,37 @@ mod tests {
             .with_sync_interval(0.0)
             .validate()
             .is_err());
+    }
+
+    /// An interval that rounds to 0 µs would re-arm its tick at the same
+    /// instant forever; one that rounds to 1 µs is the shortest the
+    /// engine can schedule.
+    #[test]
+    fn validate_rejects_intervals_that_round_to_zero_microseconds() {
+        let backoff = |recheck_s| FaultBackoff {
+            gate_acquisition: true,
+            recheck_s,
+            sync_stretch: 1.0,
+        };
+        let err = PolicySpec::fixed_rate(12.0)
+            .with_backoff(backoff(1e-7))
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("recheck_s"), "{err}");
+        let err = PolicySpec::fixed_rate(12.0)
+            .with_sync_interval(4e-7)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("sync_interval_s"), "{err}");
+        for ok in [1e-6, 0.5e-6] {
+            assert_eq!(
+                PolicySpec::fixed_rate(12.0)
+                    .with_backoff(backoff(ok))
+                    .with_sync_interval(ok)
+                    .validate(),
+                Ok(())
+            );
+        }
     }
 
     #[test]
