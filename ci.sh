@@ -69,15 +69,17 @@ cargo run --release -q -p iw-bench --bin tables -- t3 t4 a2 a7 d1 d2 d3 d4 >/dev
 # which records one instruction per dispatch: the M4's fused program, the
 # Ibex's RV32 op program and the single RI5CY's (a one-core cluster
 # burst). Network B's 8-core row is the one the cluster's joint mode
-# serves without a sink, and Network B's M4 row the one the M4's
-# dot-product loop op serves a whole row per dispatch; a recording sink
-# bypasses both and must still record every instruction.
+# serves without a sink, and Network B's single-core rows (M4, Ibex,
+# single RI5CY) the ones whose loop ops serve a whole row per dispatch; a
+# recording sink bypasses both and must still record every instruction.
 cargo run --release -q -p iw-bench --bin trace -- neta cl8 --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- netb cl8 --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- neta m4 --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- netb m4 --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- neta ibex --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- neta riscy --check >/dev/null
+cargo run --release -q -p iw-bench --bin trace -- netb ibex --check >/dev/null
+cargo run --release -q -p iw-bench --bin trace -- netb riscy --check >/dev/null
 
 # Smoke: every registered target's product interpreter (the
 # fusion-compiled program on the M4; the per-PC RV32 op program on the

@@ -6,33 +6,34 @@
 //! instruction at that index, except where the fixed-point kernel's
 //! ×2-unrolled dot-product inner loop starts (`ldr`+`ldr`+`mul`+`asr`+`add`
 //! twice, then `subs`+`b.ne` back to its own head). That slot holds a
-//! *loop op*, which [`CortexM4::run_fused`] dispatches once per row: it
-//! runs every pass of the row on locals and commits the registers, flags
-//! and profile once, in closed form, where it stops. It fuses only over the
-//! kernel's own register pattern (six distinct registers, post-increment
-//! `+4`, a decrement by one); any other loop, the Q15 and float kernels'
-//! included, runs one instruction per dispatch.
+//! *loop op*, which [`CortexM4::run_fused`] dispatches once per row. It
+//! fuses only over the kernel's own register pattern (six distinct
+//! registers, post-increment `+4`, a decrement by one); any other loop,
+//! the Q15 and float kernels' included, runs one instruction per dispatch.
 //!
-//! When the row's two word streams lie in memory ([`Bus::span`]) and its
-//! cycles through the last `subs` fit the budget, the loop op runs every
+//! The loop op runs a row whole or not at all. When both pointers are
+//! word-aligned, the row's two word streams lie in memory ([`Bus::span`])
+//! and its cycles through the last `subs` fit the budget, it runs every
 //! multiply-accumulate of the row in one loop over the two borrowed
-//! slices and charges the cycles in closed form; the cycle count only
-//! grows, so no per-sub-instruction check could have stopped it.
-//! Otherwise it steps through the passes, checking the budget after every
-//! sub-instruction.
+//! slices, charges the cycles in closed form and commits the registers,
+//! flags and profile once: the cycle count only grows, so no
+//! per-sub-instruction check could have stopped the row, and none of its
+//! loads can fault. Otherwise it runs its head instruction alone, as a
+//! plain `ldr` slot would; the slots after it step the row one instruction
+//! at a time, and the loop op decides again at the back edge.
 //!
-//! The loop op replays the exact per-instruction semantics of
-//! [`CortexM4::exec_decoded`] — flag updates, the load-pipelining cycle
-//! discount, per-class profile accounting, and fault ordering — so results,
-//! cycle counts, and error states are bit-identical to the per-halfword
-//! reference [`CortexM4::run_code`]. The slots inside the loop keep their
-//! single instructions, so a branch into the middle of a pass, or a run
-//! resumed there, executes the rest of the pass one instruction at a time
-//! until the back edge; no basic-block boundary analysis is needed. A
-//! recorded run ([`CortexM4::run_fused_sink`]) executes only each slot's
-//! first instruction, so every instruction gets its own PC sample.
+//! A whole row leaves exactly what the per-instruction semantics of
+//! [`CortexM4::exec_decoded`] leave — flag updates, the load-pipelining
+//! cycle discount, per-class profile accounting — so results, cycle counts
+//! and error states are bit-identical to the per-halfword reference
+//! [`CortexM4::run_code`]. The slots inside the loop keep their single
+//! instructions, so a branch into the middle of a pass, or a run resumed
+//! there, executes the rest of the pass one instruction at a time until
+//! the back edge; no basic-block boundary analysis is needed. A recorded
+//! run ([`CortexM4::run_fused_sink`]) executes only each slot's first
+//! instruction, so every instruction gets its own PC sample.
 
-use iw_rv32::{dot_row, Bus, BusError, InstrClass, MemWidth};
+use iw_rv32::{dot_row, Bus, InstrClass};
 use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::cpu::{CortexM4, Flags, M4Error, RunResult};
@@ -158,9 +159,10 @@ pub struct FusedStats {
     pub dispatches: u64,
     /// Instructions retired through those slots.
     pub instructions: u64,
-    /// Dot-product loop op entries (one per dispatch).
+    /// Dot-product loop op entries (one per dispatch without a recording
+    /// sink), whole rows and heads run alone.
     pub dot_loop_entries: u64,
-    /// Whole loop passes the dot-product loop op ran.
+    /// Passes of the rows the dot-product loop op ran whole.
     pub dot_loop_iterations: u64,
     /// Loop-op entries that ran their whole row as one pass over borrowed
     /// memory slices ([`Bus::span`]) with the row's cycles charged in
@@ -236,152 +238,40 @@ impl BlockProgram {
     }
 }
 
-/// The dot-product loop op's registers as locals.
-#[derive(Clone, Copy)]
-struct DotRegs {
-    w: u32,
-    x: u32,
-    tw: u32,
-    tx: u32,
-    acc: u32,
-    n: u32,
-}
-
-impl DotRegs {
-    fn read(cpu: &CortexM4, regs: [R; 6]) -> DotRegs {
-        let [w, x, tw, tx, acc, n] = regs.map(|r| cpu.reg_i(r));
-        DotRegs {
-            w,
-            x,
-            tw,
-            tx,
-            acc,
-            n,
-        }
-    }
-
-    fn write(&self, cpu: &mut CortexM4, regs: [R; 6]) {
-        let DotRegs {
-            w,
-            x,
-            tw,
-            tx,
-            acc,
-            n,
-        } = *self;
-        for (r, v) in regs.into_iter().zip([w, x, tw, tx, acc, n]) {
-            cpu.set_reg_i(r, v);
-        }
-    }
-}
-
-/// Cycle costs of the dot-product loop op's sub-instructions.
-struct DotCosts {
-    ldr: u64,
-    ldr_p: u64,
-    mul: u64,
-    alu: u64,
-}
-
-impl DotCosts {
-    fn of(t: &CortexM4Timing) -> DotCosts {
-        DotCosts {
-            ldr: u64::from(t.ldr),
-            ldr_p: u64::from(t.ldr_pipelined),
-            mul: u64::from(t.mul),
-            alu: u64::from(t.alu),
-        }
-    }
-
-    /// A pass's cycles after its first load, through its `subs`.
-    fn rest(&self) -> u64 {
-        self.ldr + 2 * self.ldr_p + 2 * self.mul + 5 * self.alu
-    }
-}
-
-/// One pass of the dot-product loop op through its `subs`, its first load
-/// costing `load0`, adding its cycles to `c`. Returns `None` when the pass
-/// reaches its `b.ne`, else where it stopped: after the first
-/// sub-instruction that takes `c` past `budget`, or at a load that
-/// faulted; the sub-instructions it retired and the fault, if any.
-#[inline(always)]
-fn dot_pass<B: Bus>(
-    v: &mut DotRegs,
-    c: &mut u64,
-    load0: u64,
-    shamt: u8,
-    bus: &mut B,
-    k: &DotCosts,
-    budget: u64,
-) -> Option<(usize, Result<(), BusError>)> {
-    // The two multiply-accumulates, the second at sub-instruction 5.
-    for (at, load) in [(0, load0), (5, k.ldr)] {
-        match bus.load(v.w, MemWidth::W) {
-            Ok(word) => (v.tw, v.w, *c) = (word, v.w.wrapping_add(4), *c + load),
-            Err(e) => return Some((at, Err(e))),
-        }
-        if *c > budget {
-            return Some((at + 1, Ok(())));
-        }
-        match bus.load(v.x, MemWidth::W) {
-            Ok(word) => (v.tx, v.x, *c) = (word, v.x.wrapping_add(4), *c + k.ldr_p),
-            Err(e) => return Some((at + 1, Err(e))),
-        }
-        if *c > budget {
-            return Some((at + 2, Ok(())));
-        }
-        v.tw = v.tw.wrapping_mul(v.tx);
-        *c += k.mul;
-        if *c > budget {
-            return Some((at + 3, Ok(())));
-        }
-        v.tw = ((v.tw as i32) >> shamt) as u32;
-        *c += k.alu;
-        if *c > budget {
-            return Some((at + 4, Ok(())));
-        }
-        v.acc = v.acc.wrapping_add(v.tw);
-        *c += k.alu;
-        if *c > budget {
-            return Some((at + 5, Ok(())));
-        }
-    }
-    v.n = v.n.wrapping_sub(1);
-    *c += k.alu;
-    if *c > budget {
-        return Some((11, Ok(())));
-    }
-    None
-}
-
-/// The word streams of a whole row at `v`'s pointers, `v.n` passes of
-/// two words each, and the row's cycles through its last `subs`, its
-/// first load costing `load0`: `Some` when `v.n` is at least 1 and below
-/// 2^28, the bus hands out both spans ([`Bus::span`]; the M4 charges its
-/// own load costs) and those cycles stay within `budget`.
+/// The word streams of a whole row at `w` and `x`, `n` passes of two
+/// words each, and the row's cycles through its last `subs`, its first
+/// load costing `load0`: `Some` when both pointers are word-aligned, `n`
+/// is at least 1 and below 2^28, the bus hands out both spans
+/// ([`Bus::span`]; the M4 charges its own load costs) and those cycles
+/// stay within `budget`. The cycle count only grows, so no budget check
+/// inside the row could then stop it, and no load of it can fault.
 fn whole_row<'b, B: Bus>(
     bus: &'b B,
-    v: &DotRegs,
+    w: u32,
+    x: u32,
+    n: u32,
     load0: u64,
-    k: &DotCosts,
-    bt: u64,
+    t: &CortexM4Timing,
     budget: u64,
 ) -> Option<(&'b [u8], &'b [u8], u64)> {
-    let n = u64::from(v.n);
-    if !(1..1 << 28).contains(&n) {
+    if !(w | x).is_multiple_of(4) || !(1..1 << 28).contains(&n) {
         return None;
     }
-    let gaps = (n - 1).checked_mul(bt + k.ldr)?;
-    let end = k
-        .rest()
+    let (ldr, ldr_p) = (u64::from(t.ldr), u64::from(t.ldr_pipelined));
+    // A pass after its first load, through its `subs`; a taken `b.ne` and
+    // the next pass's first load between passes.
+    let rest = ldr + 2 * ldr_p + 2 * u64::from(t.mul) + 5 * u64::from(t.alu);
+    let gap = u64::from(t.branch_taken) + ldr;
+    let n = u64::from(n);
+    let end = rest
         .checked_mul(n)?
-        .checked_add(gaps)?
+        .checked_add((n - 1).checked_mul(gap)?)?
         .checked_add(load0)?;
     if end > budget {
         return None;
     }
-    let len = 8 * v.n;
-    Some((bus.span(v.w, len, 0)?.0, bus.span(v.x, len, 0)?.0, end))
+    let len = 8 * n as u32;
+    Some((bus.span(w, len, 0)?.0, bus.span(x, len, 0)?.0, end))
 }
 
 impl CortexM4 {
@@ -396,16 +286,13 @@ impl CortexM4 {
     }
 
     /// Runs the dot-product loop op headed at `pc` over `regs`
-    /// (`[w, x, tw, tx, acc, n]`, both pointers word-aligned) until its
-    /// `b.ne` falls through, `budget` cycles are exceeded after a
-    /// sub-instruction (the caller then raises `CycleLimit` with the
-    /// partial state, exactly as the per-instruction reference would) or a
-    /// load faults; returns the cycles and the instructions retired. The
-    /// passes run on locals: the whole row over borrowed slices when no
-    /// stop can end it ([`whole_row`]), else one bus load per access in
-    /// program order. The registers, the `subs` flags, `pc`, the retired
-    /// count and the profile are committed once, at the stop, in closed
-    /// form.
+    /// (`[w, x, tw, tx, acc, n]`) as one whole row when no budget check
+    /// or fault could stop it ([`whole_row`]), every multiply-accumulate
+    /// over the two borrowed slices, and commits the registers, the last
+    /// `subs`'s flags, `pc`, the retired count, the load-pipelining state
+    /// and the profile in closed form; returns the cycles and the
+    /// instructions retired. `None`, with the core untouched, for any
+    /// other row: the caller runs the head instruction alone.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn dot_loop<B: Bus>(
@@ -413,63 +300,34 @@ impl CortexM4 {
         regs: [R; 6],
         shamt: u8,
         pc: usize,
-        bus: &mut B,
+        bus: &B,
         t: &CortexM4Timing,
         budget: u64,
         stats: &mut FusedStats,
-    ) -> Result<(u64, u64), M4Error> {
+    ) -> Option<(u64, u64)> {
         stats.dot_loop_entries += 1;
-        let mut v = DotRegs::read(self, regs);
-        // Only the first load of the first pass may follow a load; every
-        // later pass's follows the back edge.
+        let [w, x, _, _, acc, n] = regs.map(|r| self.reg_i(r));
+        // Only the first load of the row may follow a load; every later
+        // pass's follows the back edge.
         let first = if self.last_was_load {
             t.ldr_pipelined
         } else {
             t.ldr
         };
-        let mut load0 = u64::from(first);
-        let k = DotCosts::of(t);
-        let (bt, bnt) = (u64::from(t.branch_taken), u64::from(t.branch_not_taken));
-        let (mut c, mut iters, mut exited) = (0u64, 0u64, false);
-        // The whole row at once, when both word streams lie in memory and
-        // the row's last budget check, after its last `subs`, passes: the
-        // cycle count only grows, so no check before it could stop.
-        let row = whole_row(bus, &v, load0, &k, bt, budget);
-        // `r` counts the sub-instructions of the unfinished pass retired
-        // at the stop; a fault stops at the load numbered `r`.
-        let (r, res) = if let Some((ws, xs, end)) = row {
-            (v.acc, v.tw, v.tx) = dot_row(ws, xs, shamt, v.acc);
-            (c, iters, exited) = (end + bnt, u64::from(v.n), true);
-            (v.w, v.x, v.n) = (v.w.wrapping_add(8 * v.n), v.x.wrapping_add(8 * v.n), 0);
-            stats.whole_rows += 1;
-            (0, Ok(()))
-        } else {
-            loop {
-                if let Some(stop) = dot_pass(&mut v, &mut c, load0, shamt, bus, &k, budget) {
-                    break stop;
-                }
-                iters += 1;
-                if v.n == 0 {
-                    exited = true;
-                    c += bnt;
-                    break (0, Ok(()));
-                }
-                c += bt;
-                load0 = k.ldr;
-                if c > budget {
-                    break (0, Ok(()));
-                }
-            }
-        };
-        v.write(self, regs);
-        let p = &mut self.profile;
-        // The first load of every pass but the first costs `t.ldr`.
-        let loads0 = iters + u64::from(r > 0);
-        if loads0 > 0 {
-            p.record(InstrClass::Load, first);
-            p.record_n(InstrClass::Load, loads0 - 1, t.ldr);
+        let (ws, xs, end) = whole_row(bus, w, x, n, u64::from(first), t, budget)?;
+        let (acc, tw, tx) = dot_row(ws, xs, shamt, acc);
+        let step = 8 * n;
+        for (r, v) in
+            regs.into_iter()
+                .zip([w.wrapping_add(step), x.wrapping_add(step), tw, tx, acc, 0])
+        {
+            self.set_reg_i(r, v);
         }
-        let body = [
+        let n = u64::from(n);
+        let p = &mut self.profile;
+        p.record(InstrClass::Load, first);
+        p.record_n(InstrClass::Load, n - 1, t.ldr);
+        for (class, cycles) in [
             (InstrClass::Load, t.ldr_pipelined),
             (InstrClass::Mul, t.mul),
             (InstrClass::Alu, t.alu),
@@ -480,27 +338,21 @@ impl CortexM4 {
             (InstrClass::Alu, t.alu),
             (InstrClass::Alu, t.alu),
             (InstrClass::Alu, t.alu),
-        ];
-        for (k, (class, cycles)) in (1..).zip(body) {
-            p.record_n(class, iters + u64::from(k < r), cycles);
+        ] {
+            p.record_n(class, n, cycles);
         }
-        // The `b.ne` closing each whole pass: taken but on the exit.
-        let fell = u64::from(exited);
-        p.record_n(InstrClass::BranchTaken, iters - fell, t.branch_taken);
-        p.record_n(InstrClass::BranchNotTaken, fell, t.branch_not_taken);
-        // The flags of the last `subs` retired, which left `n`.
-        if iters > 0 || r == 11 {
-            self.flags = Flags::from_sub(v.n.wrapping_add(1), 1);
-        }
-        let retired = DOT_LOOP_LEN as u64 * iters + r as u64;
+        // The `b.ne` closing each pass: taken but on the exit.
+        p.record_n(InstrClass::BranchTaken, n - 1, t.branch_taken);
+        p.record(InstrClass::BranchNotTaken, t.branch_not_taken);
+        // The last `subs` took `n` from 1 to 0.
+        self.flags = Flags::from_sub(1, 1);
+        let retired = DOT_LOOP_LEN as u64 * n;
         self.retired += retired;
-        self.pc = if exited { pc + DOT_LOOP_LEN } else { pc + r };
-        // The loads are sub-instructions 0, 1, 5 and 6; a fault is always
-        // a load's, which set the flag before faulting.
-        self.last_was_load = res.is_err() || matches!(r, 1 | 2 | 6 | 7);
-        stats.dot_loop_iterations += iters;
-        res?;
-        Ok((c, retired))
+        self.pc = pc + DOT_LOOP_LEN;
+        self.last_was_load = false;
+        stats.dot_loop_iterations += n;
+        stats.whole_rows += 1;
+        Some((end + u64::from(t.branch_not_taken), retired))
     }
 
     /// Runs until `bkpt` over a fusion-compiled program — the M4's
@@ -564,22 +416,23 @@ impl CortexM4 {
             let pc = self.pc;
             let op = prog.ops.get(pc).ok_or(M4Error::PcOutOfRange { pc })?;
             stats.dispatches += 1;
-            let (cost, retired) = match *op {
-                // The pointers only step by 4: aligned at entry, they stay
-                // aligned. A misaligned one faults at its first access,
-                // which the head and the slots after it reach one by one.
-                // A recording sink samples every instruction, so it runs
-                // the head alone too.
-                FusedOp::DotLoop { regs, shamt }
-                    if !S::ENABLED
-                        && (self.reg_i(regs[0]) | self.reg_i(regs[1])).is_multiple_of(4) =>
-                {
-                    self.dot_loop(regs, shamt, pc, bus, t, max_cycles - cycles, stats)?
+            // A recording sink samples every instruction, so it runs a loop
+            // op's head alone.
+            let row = match *op {
+                FusedOp::DotLoop { regs, shamt } if !S::ENABLED => {
+                    self.dot_loop(regs, shamt, pc, bus, t, max_cycles - cycles, stats)
                 }
-                _ => {
-                    let cost = self.exec_decoded(op.head(), pc, pc + 1, bus, t)?;
-                    (u64::from(cost), 1)
-                }
+                _ => None,
+            };
+            // Short of a whole row, the head runs alone: the slots after
+            // it step the row, and the loop op decides again at the back
+            // edge.
+            let (cost, retired) = match row {
+                Some(row) => row,
+                None => (
+                    u64::from(self.exec_decoded(op.head(), pc, pc + 1, bus, t)?),
+                    1,
+                ),
             };
             if S::ENABLED {
                 sink.pc_sample(track, pc as u32, cycles, cost as u32);
@@ -974,6 +827,9 @@ mod tests {
                     let (cpu, stats) = compare(&program, limit, |_, ram| fill_words(ram));
                     let whole = cpu.retired() >= pre + 12 * n as u64;
                     assert_eq!(stats.whole_rows, u64::from(whole), "n={n} limit={limit}");
+                    // Short of a whole row, no entry retires a pass.
+                    let passes = n as u64 * stats.whole_rows;
+                    assert_eq!(stats.dot_loop_iterations, passes, "n={n} limit={limit}");
                 }
                 let (_, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
                 assert_eq!((stats.dot_loop_entries, stats.whole_rows), (1, 1));
@@ -985,7 +841,8 @@ mod tests {
     fn dot_rows_ending_at_the_ram_end_run_whole_and_past_it_fault_exactly() {
         // Either stream ending one word before the end of RAM, exactly at
         // it, or one word past it: the last pass's second load of that
-        // stream faults, as on the reference, and the row runs stepped.
+        // stream faults, as on the reference, and the row runs one
+        // instruction at a time.
         for n in [1, 2, 8] {
             for past in [-1, 0, 1] {
                 let at = (4096 - 4 * (2 * n - past)) as u32;
@@ -994,6 +851,8 @@ mod tests {
                     let (cpu, stats) = compare(&program, 1_000_000, |_, ram| fill_words(ram));
                     assert_eq!(cpu.is_halted(), past < 1, "n={n} {w:#x} {x:#x}");
                     assert_eq!(stats.whole_rows, u64::from(past < 1), "n={n} {w:#x} {x:#x}");
+                    let passes = n as u64 * stats.whole_rows;
+                    assert_eq!(stats.dot_loop_iterations, passes, "n={n} {w:#x} {x:#x}");
                 }
             }
         }

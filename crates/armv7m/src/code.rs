@@ -8,19 +8,19 @@
 //! pc-relative branch deltas — without claiming ARM bit-exactness (the
 //! field layout is our own; see the opcode table in the source).
 //!
-//! Two execution paths consume it:
+//! Two readers consume it:
 //!
 //! * [`CortexM4::run_code`](crate::CortexM4::run_code) decodes every
 //!   *dynamic* instruction — the uncached baseline, paying the
 //!   variable-length decode on each step.
 //! * [`DecodedProgram::decode`] decodes every *static* instruction once,
-//!   turning halfword branch targets back into instruction indices. The
-//!   result compiles into the fused
-//!   [`BlockProgram`](crate::BlockProgram) that
-//!   [`CortexM4::run_fused`](crate::CortexM4::run_fused) dispatches. On
-//!   the nRF52832, code executes from flash, which data stores cannot
-//!   touch, so this pre-decoded program never needs invalidation — the
-//!   whole-program decode *is* the M4's decode cache.
+//!   turning halfword branch targets back into instruction indices: the
+//!   inverse of [`encode_program`], which tests use to check that the
+//!   encoding round-trips. The product path compiles the assembler's
+//!   instructions into the fused [`BlockProgram`](crate::BlockProgram)
+//!   directly, for [`CortexM4::run_fused`](crate::CortexM4::run_fused);
+//!   on the nRF52832, code executes from flash, which data stores cannot
+//!   touch, so that program never needs invalidation.
 //!
 //! Encoding layout: `hw1 = [wide:1][opcode:6][a:5][b:4]`, plus a 16-bit
 //! payload halfword when `wide` is set. Branches store a signed halfword

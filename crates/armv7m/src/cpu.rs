@@ -700,8 +700,8 @@ impl CortexM4 {
 
     /// Runs until `bkpt` over *encoded* code, decoding every dynamic
     /// instruction — the uncached reference for [`CortexM4::run_fused`]
-    /// on the program's [`crate::code::DecodedProgram`]. The program
-    /// counter is in halfword units here.
+    /// on the program the code encodes. The program counter is in
+    /// halfword units here.
     ///
     /// # Errors
     ///

@@ -14,18 +14,18 @@
 //! Instruction *semantics and timing* are modelled; the [`code`] module
 //! adds a variable-length halfword encoding with the same shape as real
 //! Thumb-2 (1–2 halfwords per instruction, pc-relative branches) without
-//! claiming ARM bit-exactness. Pre-decoding a whole program once with
-//! [`code::DecodedProgram`] is the M4's decode cache: code executes from
-//! immutable flash, so the cache never invalidates. The decoded
-//! `&[ThumbInstr]` compiles into a [`BlockProgram`] (one slot per
-//! instruction, a loop op at the head of each fixed-point dot-product
-//! loop) that [`CortexM4::run_fused`] dispatches (its sink twin
+//! claiming ARM bit-exactness. The assembler's `&[ThumbInstr]` compiles
+//! straight into a [`BlockProgram`] (one slot per instruction, a loop op
+//! at the head of each fixed-point dot-product loop) that
+//! [`CortexM4::run_fused`] dispatches (its sink twin
 //! [`CortexM4::run_fused_sink`] records the same run, one instruction per
-//! dispatch; [`CortexM4::run`] compiles and runs in one call). The
-//! per-halfword [`CortexM4::run_code`] path is the uncached reference,
-//! bit- and cycle-identical by differential test. This is documented in
-//! DESIGN.md: the paper's evaluation needs cycle counts and results of the
-//! kernels, which the semantic model fully determines.
+//! dispatch; [`CortexM4::run`] compiles and runs in one call); code
+//! executes from immutable flash, so the compiled program never
+//! invalidates. The per-halfword [`CortexM4::run_code`] path over the
+//! encoding is the uncached reference, bit- and cycle-identical by
+//! differential test. This is documented in DESIGN.md: the paper's
+//! evaluation needs cycle counts and results of the kernels, which the
+//! semantic model fully determines.
 //!
 //! # Examples
 //!

@@ -17,8 +17,9 @@
 //!   `mul` + `srai` + `add` + `addi −1` + `bne` back to the op's own PC
 //!   (Ibex), each over the kernel's own distinct non-zero registers
 //!   (other register patterns run as single ops, their tails fused as
-//!   above). A loop op iterates natively, following its own back edge,
-//!   until the loop exits or a stop rule fires.
+//!   above). The hardware-loop op iterates natively, following its own
+//!   back edge, until the loop exits or a stop rule fires; the counted op
+//!   runs a row whole or not at all.
 //!
 //! Every other instruction, the Q15 (`pv.sdotsp.h`, `p.mac`) and
 //! streaming-load shapes included, runs as its single op.
@@ -28,8 +29,10 @@
 //! nothing arbitrates) runs the whole row as one loop over the two
 //! borrowed slices ([`dot_row`]) and charges its cycles in closed form,
 //! when the row's last budget and memory-gate checks pass; the cycle
-//! count only grows, so no earlier check could stop it. Any other row
-//! steps through its accesses one at a time.
+//! count only grows, so no earlier check could stop it. Otherwise the
+//! hardware-loop op steps through the row one access at a time, and the
+//! counted op runs its first load alone, leaving the rest of the pass up
+//! to the back edge to the body's own slots.
 //!
 //! Every PC owns its slot, so a core can resume anywhere — after a taken
 //! branch, a hardware-loop back edge, a partial fused op or a scheduler
@@ -53,17 +56,16 @@
 //! sub-instructions leaves architectural state (registers, memory, `pc`,
 //! profile, retired count, hardware-loop counts) bit-identical to
 //! [`Cpu::run`]. Fused ops retire each sub-instruction through
-//! [`Cpu::retire`]. Loop ops update registers and memory per
-//! sub-instruction, in program order, and commit the bookkeeping that
-//! `Cpu::retire` would have accumulated (profile, retired count, loop
-//! count, `pc`) in closed form once, when they stop. They run natively
-//! only when their own loop is the only one that can redirect inside their
-//! body; otherwise the RI5CY op runs as its two `p.lw`s and the Ibex op
-//! as its first `lw` alone, and the next slots run the rest. A store into
-//! the translated range drops every slot whose op covers the stored word,
-//! fused and loop ops included, so the next dispatch re-decodes it from
-//! memory. The differential property tests in `tests/proptests.rs`
-//! enforce all of this, self-modifying code included.
+//! [`Cpu::retire`]. Loop ops commit the bookkeeping that `Cpu::retire`
+//! would have accumulated (profile, retired count, loop count, `pc`) in
+//! closed form once, at the end of a whole row or, stepping, when they
+//! stop. They run natively only when their own loop is the only one that
+//! can redirect inside their body; otherwise the RI5CY op runs as its two
+//! `p.lw`s and the Ibex op as its first `lw` alone, and the next slots run
+//! the rest. A store into the translated range drops every slot whose op
+//! covers the stored word, fused and loop ops included, so the next
+//! dispatch re-decodes it from memory. The differential property tests in
+//! `tests/proptests.rs` enforce all of this, self-modifying code included.
 
 use crate::bus::Bus;
 use crate::cpu::{Cpu, CpuError, RunResult};
@@ -321,9 +323,10 @@ pub struct ProgramStats {
     pub hwloop_dot_entries: u64,
     /// Whole body passes those loop ops ran natively.
     pub hwloop_dot_iterations: u64,
-    /// Counted dot-product loop ops executed (loop entries).
+    /// Counted dot-product loop ops executed, whole rows and first loads
+    /// run alone.
     pub counted_dot_entries: u64,
-    /// Whole body passes those loop ops ran natively.
+    /// Passes of the rows those loop ops ran whole.
     pub counted_dot_iterations: u64,
     /// Loop-op entries, of either kind, that ran their whole row as one
     /// pass over borrowed memory slices ([`Bus::span`]) with the row's
@@ -733,10 +736,7 @@ fn run_op<B: Bus>(
             imm,
         } => {
             let addr = cpu.reg(rs1).wrapping_add(imm as u32);
-            let (v, cost) = load(bus, addr, width, t, at, pc)?;
-            cpu.set_reg(rd, v);
-            cpu.retire(InstrClass::Load, t.load, next, true);
-            Ok(cost)
+            load_op(cpu, bus, width, rd, addr, t, at)
         }
         Kind::Store {
             width,
@@ -1013,19 +1013,25 @@ impl Cpu {
 }
 
 // ---------------------------------------------------------------------
-// Loop ops. Each runs its body natively on locals with the fused ops'
-// stops between every sub-instruction (the cycle budget; the memory gate
-// before every access but the op's first; a fault), writes the registers
-// back and commits the bookkeeping once at the stop. `r` counts the
-// sub-instructions of the unfinished pass retired at the stop. A row that
-// no stop can end (both streams in fixed-cost spans, its last checks
-// passing) runs whole instead, over the spans, and commits the same way.
+// Loop ops. A row that no stop can end (both streams in fixed-cost
+// spans, no other hardware loop ending in the body, the row's last budget
+// and memory-gate checks passing: the cycle count only grows, so no
+// earlier check could stop it) runs whole, over the spans, and commits
+// the registers and the bookkeeping once, in closed form.
 //
-// Each op's first load, the gate stop after it and the fallback for a
-// loop it cannot follow are inlined into the dispatch, the passes are out
-// of line: on the 8-core cluster the hardware-loop op is entered once per
-// pass and mostly retires its first load and stops at the gate, where a
-// call would cost more than the op.
+// Any other row: the counted op runs its first load alone, as the single
+// `lw`; the body's own slots step the row, and the op decides again at
+// its back edge. The hardware-loop op, the one op of the 8-core cluster's
+// arbitrating bus, steps: it runs its body natively on locals with the
+// fused ops' stops between every sub-instruction (the cycle budget; the
+// memory gate before every access but the op's first; a fault), writes
+// the registers back and commits the bookkeeping once at the stop, `r`
+// counting the sub-instructions of the unfinished pass retired there.
+// Its first load, the gate stop after it and the fallback for a loop it
+// cannot follow are inlined into the dispatch, the passes are out of
+// line: on 8 cores the op is entered once per pass and mostly retires
+// its first load and stops at the gate, where a call would cost more
+// than the op.
 // ---------------------------------------------------------------------
 
 impl HwLoopDot {
@@ -1230,8 +1236,10 @@ impl DotBody {
 }
 
 impl CountedDot {
-    /// Runs the op: natively unless a hardware loop could redirect a
-    /// retire in the body, else as the first load's single op.
+    /// Runs the op: the whole row at once when no stop could end it
+    /// ([`CountedDot::whole_row`]), else its first load alone, as the
+    /// single `lw`; the body's own slots then step the row, and the op
+    /// decides again at the back edge.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn run<B: Bus>(
@@ -1245,113 +1253,52 @@ impl CountedDot {
         mem_room: u64,
     ) -> Result<u64, CpuError> {
         ex.stats.counted_dot_entries += 1;
-        // As in the hardware-loop op, the first access is peeled.
-        let pc = cpu.pc;
-        let [w, _, tw, ..] = self.regs;
-        let (v, c) = load(bus, cpu.reg(w), MemWidth::W, t, at, pc)?;
-        cpu.set_reg(tw, v);
-        if c > budget || c >= mem_room || hwloop_ends_in(cpu, pc, 36) {
-            cpu.retire(InstrClass::Load, t.load, pc.wrapping_add(4), true);
+        if let Some(c) = self.whole_row(ex, cpu, bus, t, budget, mem_room) {
             return Ok(c);
         }
-        self.passes(c, ex, cpu, bus, t, at, budget, mem_room)
+        let [w, _, tw, ..] = self.regs;
+        load_op(cpu, bus, MemWidth::W, tw, cpu.reg(w), t, at)
     }
 
-    /// The rest of [`CountedDot::run`], after a first load of cost `c`
-    /// that left room to go on.
+    /// Runs the whole row over the two spans ([`row_spans`]) and commits
+    /// it in closed form, returning its cost: `Some` when no active
+    /// hardware loop ends in the body, where it could redirect a retire,
+    /// and the row's last budget check (at the last pass's `addi n`; the
+    /// exit `bne` is the caller's) and its last memory-gate check (before
+    /// the last pass's second load) pass. The cycle count only grows, so
+    /// no earlier check could stop the row.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn passes<B: Bus>(
+    fn whole_row<B: Bus>(
         self,
-        mut c: u64,
         ex: &mut ExecState,
         cpu: &mut Cpu,
-        bus: &mut B,
+        bus: &B,
         t: &Timing,
-        at: u64,
         budget: u64,
         mem_room: u64,
-    ) -> Result<u64, CpuError> {
+    ) -> Option<u64> {
         let pc = cpu.pc;
-        let shamt = self.shamt;
-        let (mut iters, mut exited) = (0u64, false);
-        let [mut w, mut x, mut tw, mut tx, mut acc, mut left] = self.regs.map(|r| cpu.reg(r));
-        // After the first load a pass costs `pass` through its `addi n`,
-        // which makes the last budget check; the taken `bne` and the next
-        // pass's first load come between passes, and the last pass's first
-        // load makes the last gate check.
-        let n = u64::from(left);
-        let row = row_spans(bus, w, x, n, t.load).and_then(|[(ws, kw), (xs, kx)]| {
-            let pass = u64::from(kx) + 5 * u64::from(t.alu) + u64::from(t.mul);
-            let gap = u64::from(t.branch_taken) + u64::from(kw);
-            let end = row_cycles(c, n, pass, gap)?;
-            (end <= budget && end - pass < mem_room).then_some((ws, xs, end))
-        });
-        let (r, res) = if let Some((ws, xs, end)) = row {
-            (acc, tw, tx) = dot_row(ws, xs, shamt, acc);
-            (w, x, left) = (w.wrapping_add(4 * left), x.wrapping_add(4 * left), 0);
-            (c, iters, exited) = (end + u64::from(t.branch_not_taken), n, true);
-            ex.stats.whole_rows += 1;
-            (0, Ok(()))
-        } else {
-            loop {
-                match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
-                    Ok((v, k)) => (tx, c) = (v, c + k),
-                    Err(e) => break (1, Err(e)),
-                }
-                if c > budget {
-                    break (2, Ok(()));
-                }
-                w = w.wrapping_add(4);
-                c += u64::from(t.alu);
-                if c > budget {
-                    break (3, Ok(()));
-                }
-                x = x.wrapping_add(4);
-                c += u64::from(t.alu);
-                if c > budget {
-                    break (4, Ok(()));
-                }
-                tw = tw.wrapping_mul(tx);
-                c += u64::from(t.mul);
-                if c > budget {
-                    break (5, Ok(()));
-                }
-                tw = ((tw as i32) >> shamt) as u32;
-                c += u64::from(t.alu);
-                if c > budget {
-                    break (6, Ok(()));
-                }
-                acc = acc.wrapping_add(tw);
-                c += u64::from(t.alu);
-                if c > budget {
-                    break (7, Ok(()));
-                }
-                left = left.wrapping_sub(1);
-                c += u64::from(t.alu);
-                if c > budget {
-                    break (8, Ok(()));
-                }
-                iters += 1;
-                if left == 0 {
-                    exited = true;
-                    c += u64::from(t.branch_not_taken);
-                    break (0, Ok(()));
-                }
-                c += u64::from(t.branch_taken);
-                if c > budget || c >= mem_room {
-                    break (0, Ok(()));
-                }
-                match load(bus, w, MemWidth::W, t, at + c, pc) {
-                    Ok((v, k)) => (tw, c) = (v, c + k),
-                    Err(e) => break (0, Err(e)),
-                }
-                if c > budget || c >= mem_room {
-                    break (1, Ok(()));
-                }
-            }
-        };
-        for (reg, v) in self.regs.into_iter().zip([w, x, tw, tx, acc, left]) {
+        if hwloop_ends_in(cpu, pc, 36) {
+            return None;
+        }
+        let [w, x, _, _, acc, n] = self.regs.map(|r| cpu.reg(r));
+        let [(ws, kw), (xs, kx)] = row_spans(bus, w, x, u64::from(n), t.load)?;
+        // A pass costs its first load, then `pass` through its `addi n`;
+        // the taken `bne` and the next pass's first load come between
+        // passes.
+        let pass = u64::from(kx) + 5 * u64::from(t.alu) + u64::from(t.mul);
+        let gap = u64::from(t.branch_taken) + u64::from(kw);
+        let end = row_cycles(u64::from(kw), u64::from(n), pass, gap)?;
+        if end > budget || end - pass >= mem_room {
+            return None;
+        }
+        let (acc, tw, tx) = dot_row(ws, xs, self.shamt, acc);
+        let step = 4 * n;
+        for (reg, v) in
+            self.regs
+                .into_iter()
+                .zip([w.wrapping_add(step), x.wrapping_add(step), tw, tx, acc, 0])
+        {
             cpu.set_reg(reg, v);
         }
         let body = [
@@ -1364,20 +1311,18 @@ impl CountedDot {
             (InstrClass::Alu, t.alu),
             (InstrClass::Alu, t.alu),
         ];
-        retire_passes(cpu, &body, iters, r);
-        // The `bne` closing each whole pass: taken but on the exit.
-        let fell = u64::from(exited);
-        let p = &mut cpu.profile;
-        p.record_n(InstrClass::BranchTaken, iters - fell, t.branch_taken);
-        p.record_n(InstrClass::BranchNotTaken, fell, t.branch_not_taken);
-        cpu.retired += iters;
-        cpu.pc = if exited {
-            pc.wrapping_add(36)
-        } else {
-            pc.wrapping_add(4 * r)
-        };
-        ex.stats.counted_dot_iterations += iters;
-        res.map(|()| c)
+        let n = u64::from(n);
+        retire_passes(cpu, &body, n, 0);
+        // The `bne` closing each pass: taken but on the exit.
+        cpu.profile
+            .record_n(InstrClass::BranchTaken, n - 1, t.branch_taken);
+        cpu.profile
+            .record(InstrClass::BranchNotTaken, t.branch_not_taken);
+        cpu.retired += n;
+        cpu.pc = pc.wrapping_add(36);
+        ex.stats.counted_dot_iterations += n;
+        ex.stats.whole_rows += 1;
+        Some(end + u64::from(t.branch_not_taken))
     }
 }
 
@@ -1728,6 +1673,25 @@ fn branch(
         cpu.retire(InstrClass::BranchNotTaken, t.branch_not_taken, next, true);
         u64::from(t.branch_not_taken)
     }
+}
+
+/// A plain load of `width` at `addr` into `rd`, retired as the single op
+/// at the hart's PC.
+#[inline(always)]
+fn load_op<B: Bus>(
+    cpu: &mut Cpu,
+    bus: &mut B,
+    width: MemWidth,
+    rd: Reg,
+    addr: u32,
+    t: &Timing,
+    at: u64,
+) -> Result<u64, CpuError> {
+    let pc = cpu.pc;
+    let (v, cost) = load(bus, addr, width, t, at, pc)?;
+    cpu.set_reg(rd, v);
+    cpu.retire(InstrClass::Load, t.load, pc.wrapping_add(4), true);
+    Ok(cost)
 }
 
 /// Aligned, timed, sign-extending data load of the instruction at `pc`.
@@ -2380,15 +2344,21 @@ mod tests {
         for n in [1, 2, 8] {
             for alias in [false, true] {
                 let rows = [
-                    (hwloop_row(n, alias), true, 4 + 5 * n as u64),
-                    (counted_row(n, alias), false, 3 + 9 * n as u64),
-                    (counted_row(n, alias), true, 3 + 9 * n as u64),
+                    (hwloop_row(n, alias), true, 4 + 5 * n as u64, false),
+                    (counted_row(n, alias), false, 3 + 9 * n as u64, true),
+                    (counted_row(n, alias), true, 3 + 9 * n as u64, true),
                 ];
-                for (row, xpulp, last) in rows {
+                for (row, xpulp, last, counted) in rows {
                     for limit in 1..20 * n as u64 + 30 {
                         let stats = loop_matches_reference(&row, xpulp, limit);
                         let whole = !alias && reference_retired(&row, xpulp, limit) >= last;
                         assert_eq!(stats.whole_rows, u64::from(whole), "n={n} limit={limit}");
+                        // Short of a whole row, the counted op retires no
+                        // pass.
+                        if counted {
+                            let passes = n as u64 * stats.whole_rows;
+                            assert_eq!(stats.counted_dot_iterations, passes, "n={n} limit={limit}");
+                        }
                     }
                 }
             }
@@ -2409,8 +2379,9 @@ mod tests {
     fn rows_ending_at_the_memory_end_run_whole_and_past_it_fault_exactly() {
         // Either stream ending exactly at the end of memory, one word
         // before it, or one word past it: the last pass's load of that
-        // stream faults, at the same sub-instruction as the reference's,
-        // and the row runs stepped.
+        // stream faults, at the same sub-instruction as the reference's;
+        // the hardware-loop op steps the row, the counted op leaves it to
+        // single ops.
         for n in [1, 2, 8] {
             for past in [-1, 0, 1] {
                 let at = 4096 - 4 * (n - past);
@@ -2422,13 +2393,17 @@ mod tests {
                     for (row, xpulp) in rows {
                         let stats = loop_matches_reference(&row, xpulp, 100_000);
                         assert_eq!(stats.whole_rows, u64::from(past < 1), "n={n} {w:#x} {x:#x}");
+                        if !xpulp {
+                            let passes = n as u64 * stats.whole_rows;
+                            assert_eq!(stats.counted_dot_iterations, passes, "n={n} {w:#x} {x:#x}");
+                        }
                     }
                 }
             }
         }
     }
 
-    /// [`Ram`] that hands out no spans, so the loop ops step every access.
+    /// [`Ram`] that hands out no spans, so no loop op runs a row whole.
     struct Stepped<'a>(&'a mut Ram);
 
     impl Bus for Stepped<'_> {
@@ -2440,12 +2415,42 @@ mod tests {
         }
     }
 
+    /// `true` if the reference, stepping the counted row at `entry`'s pc
+    /// under the loop ops' stops (the budget after every instruction, the
+    /// memory gate before every load but the first), reaches the row's
+    /// exit.
+    fn counted_row_exits(
+        entry: &Cpu,
+        ram: &mut Ram,
+        t: &Timing,
+        budget: u64,
+        mem_room: u64,
+    ) -> bool {
+        let (mut cpu, start, mut cost) = (entry.clone(), entry.pc(), 0u64);
+        loop {
+            // The two `lw`s open each pass.
+            if cost > 0 && cpu.pc() - start < 8 && cost >= mem_room {
+                return false;
+            }
+            cost += u64::from(cpu.step(ram, t).unwrap().unwrap().cycles);
+            if cpu.pc() == start + 36 {
+                return true;
+            }
+            if cost > budget {
+                return false;
+            }
+        }
+    }
+
     #[test]
     fn whole_rows_run_exactly_when_no_budget_or_gate_check_could_stop_them() {
-        // Every budget and memory gate around both loop ops' rows: the
-        // op over spans leaves the same state and cost as the op stepping
-        // every access, and serves the row whole exactly when the stepped
-        // op ran it to its exit.
+        // Every budget and memory gate around both loop ops' rows. The
+        // hardware-loop op over spans leaves the same state and cost as
+        // the op stepping every access, and serves the row whole exactly
+        // when the stepped op ran it to its exit. The counted op serves
+        // the row whole exactly when the reference, under the same stops,
+        // reaches the exit, and otherwise runs its first load alone, as it
+        // does over a bus without spans.
         for n in [1, 2, 8] {
             let rows = [
                 (hwloop_row(n, false), true, 4, 20),
@@ -2474,10 +2479,12 @@ mod tests {
                     let regs: Vec<u32> = (0..32).map(|i| c.reg(Reg::new(i))).collect();
                     (c.pc(), c.retired(), *c.profile(), c.hwloop(0), regs)
                 };
+                let mut done = entry.clone();
                 let full = prog
                     .clone()
-                    .exec(op, &mut entry.clone(), &mut ram, &t, 0, u64::MAX, u64::MAX)
+                    .exec(op, &mut done, &mut ram, &t, 0, u64::MAX, u64::MAX)
                     .unwrap();
+                assert_eq!(done.pc(), start + len);
                 for budget in 0..full + 2 {
                     for mem_room in 0..full + 2 {
                         let (mut a, mut b) = (entry.clone(), entry.clone());
@@ -2486,10 +2493,22 @@ mod tests {
                         let cb =
                             pb.exec(op, &mut b, &mut Stepped(&mut ram), &t, 0, budget, mem_room);
                         let what = format!("n={n} budget={budget} mem_room={mem_room}");
-                        assert_eq!((ca, state(&a)), (cb, state(&b)), "{what}");
-                        let exited = b.pc() == start + len;
-                        assert_eq!(pa.stats().whole_rows, u64::from(exited), "{what}");
                         assert_eq!(pb.stats().whole_rows, 0, "{what}");
+                        let whole = if xpulp {
+                            assert_eq!((ca, state(&a)), (cb, state(&b)), "{what}");
+                            b.pc() == start + len
+                        } else {
+                            assert_eq!(b.retired(), entry.retired() + 1, "{what}");
+                            let whole = counted_row_exits(&entry, &mut ram, &t, budget, mem_room);
+                            let expect = if whole {
+                                (Ok(full), state(&done))
+                            } else {
+                                (cb, state(&b))
+                            };
+                            assert_eq!((ca, state(&a)), expect, "{what}");
+                            whole
+                        };
+                        assert_eq!(pa.stats().whole_rows, u64::from(whole), "{what}");
                     }
                 }
             }

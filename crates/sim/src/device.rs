@@ -526,8 +526,8 @@ pub struct PolicyComponent {
     policy: PolicySpec,
     idle_recheck_us: u64,
     min_interval_us: u64,
-    /// The fault-aware backoff's re-check interval, when it gates
-    /// acquisition.
+    /// The fault-aware backoff's re-check interval, at least 1 µs, when
+    /// it gates acquisition.
     backoff_recheck_us: Option<u64>,
     /// The last positive rate's bits and the tick period it gave: most
     /// ticks see the same rate again and skip the division and rounding.
@@ -545,10 +545,13 @@ impl PolicyComponent {
             policy,
             idle_recheck_us: secs_to_us(10.0),
             min_interval_us: 1_000,
+            // Floored like the gauge and BLE backoff intervals: a spec
+            // that skipped `PolicySpec::validate` may round to 0 µs, and a
+            // tick re-armed at the same instant would never let time on.
             backoff_recheck_us: policy
                 .backoff
                 .filter(|b| b.gate_acquisition)
-                .map(|b| secs_to_us(b.recheck_s)),
+                .map(|b| secs_to_us(b.recheck_s).max(1)),
             // No positive rate has these bits (they are 0.0's).
             last_rate_bits: 0,
             last_period_us: 0,
@@ -1551,6 +1554,40 @@ mod tests {
         assert!(backed.detections * 5 >= plain.detections * 2);
         // The skipped windows' energy was genuinely saved.
         assert!(backed.sim.consumed_j < plain.sim.consumed_j);
+    }
+
+    #[test]
+    fn sub_microsecond_backoff_recheck_still_lets_time_advance() {
+        // A spec built in code, never validated, whose 0.1 µs re-check
+        // rounds to 0 µs, and a 2 ms lead-off window around the 10 s
+        // tick: the re-check is floored at 1 µs, so the run skips the
+        // 1 000 ticks from 10 s to the window's end and ends. On a thread
+        // with a timeout, a tick re-armed at the same instant forever
+        // fails instead of hanging.
+        let (done, report) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut spec = PolicySpec::fixed_rate(12.0);
+            spec.backoff = Some(FaultBackoff {
+                gate_acquisition: true,
+                recheck_s: 1e-7,
+                sync_stretch: 1.0,
+            });
+            let mut cfg = DeviceConfig::new(dark_day(60.0), spec, micro_costs());
+            cfg.sleep_floor_w = 0.0;
+            cfg.battery.set_soc(0.9);
+            cfg.faults.windows.push(iw_fault::FaultWindow {
+                kind: FaultKind::EcgLeadOff,
+                start_us: secs_to_us(9.999),
+                end_us: secs_to_us(10.001),
+                severity: 0.0,
+            });
+            done.send(cfg.run()).unwrap();
+        });
+        let report = report
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run ends");
+        // Detection resumes after the window: 12 windows a minute.
+        assert_eq!((report.backoff_skips, report.detections), (1_000, 12));
     }
 
     #[test]
