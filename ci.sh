@@ -14,6 +14,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p iw-fann -p iw-kernels -p iw-harvest -p iw-sensors -p iw-sim -p iw-fault \
   -p iw-metrics -p iw-scenario -p iw-policy -p infiniwolf -p iw-biosig -p iw-bench
 cargo test --workspace -q
+# The cluster's long differential proptests (2 048 cases of kernel-shaped
+# layers whose cores leave and rejoin the lockstep), in release.
+cargo test --release -q -p iw-mrwolf -- --ignored
 
 # The benchmark package's tiny-size checks: digest repeatability, energy
 # conservation and coordinator == in-process digest on every workload.

@@ -23,6 +23,7 @@
 
 use std::time::Instant;
 
+use iw_bench::check::first_difference;
 use iw_bench::evaluation_nets;
 use iw_fann::Q15Net;
 use iw_kernels::{
@@ -74,7 +75,8 @@ fn check() {
 }
 
 /// Asserts that `workload` on `machine` runs the same on the product path
-/// as on the reference, every observable of the run included.
+/// as on the reference, every observable of the run included; a failure
+/// names the row and the first field that differs.
 fn check_workload(machine: &dyn Machine, workload: &dyn Workload, what: &str) {
     let deployment = machine.deploy(workload).expect("deploys");
     let product = deployment
@@ -83,7 +85,9 @@ fn check_workload(machine: &dyn Machine, workload: &dyn Workload, what: &str) {
     let reference = deployment
         .run(ExecPath::Reference)
         .expect("reference path runs");
-    assert_eq!(product, reference, "{what}: product vs reference");
+    if let Some(diff) = first_difference(&product, &reference) {
+        panic!("{what}: product != reference at {diff}");
+    }
 }
 
 /// One timed sample: wall-clock seconds of a single simulated

@@ -105,8 +105,9 @@ fn main() {
 }
 
 /// Dispatch report for one target's product path: burst length, how many
-/// multi-core bursts the runner-up gate cut short, the joint mode's
-/// period skips and the picks they stood for, and, on the RV32
+/// multi-core bursts the runner-up gate cut short, the 8-core split into
+/// lockstep and generic picks with the lockstep's joins, period skips and
+/// the picks they stood for, and, on the RV32
 /// targets, the op program's counters (ops dispatched, instructions per
 /// op, fused executions per pattern, loop-op entries, native iterations
 /// and rows served whole over memory spans, translations and code-store
@@ -119,8 +120,12 @@ fn print_product_stats(prep: &PreparedFixed) {
     );
     if s.joint_picks > 0 {
         println!(
-            "  joint mode: period skips={} skipped picks={}",
-            s.period_skips, s.skipped_picks
+            "  lockstep: picks={} generic picks={} joins={} period skips={} skipped picks={}",
+            s.joint_picks,
+            s.dispatches - s.joint_picks,
+            s.joint_entries,
+            s.period_skips,
+            s.skipped_picks
         );
     }
     if let Some(r) = s.rv32 {

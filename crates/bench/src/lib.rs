@@ -32,6 +32,7 @@ pub use render::{
 use std::sync::Arc;
 pub use traceflow::{trace_target, TraceArtifacts};
 
+pub mod check;
 pub mod render;
 pub mod traceflow;
 

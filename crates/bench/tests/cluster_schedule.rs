@@ -2,8 +2,8 @@
 //! path's loop ops must stop at the runner-up gate exactly where the fused
 //! load pair did, so the scheduler makes the same picks and the same
 //! gated breaks, and the run's cluster accounting (instructions, stalls,
-//! busy and barrier cycles) must not move. The joint mode (lockstep
-//! dot-product rows) must serve most of those picks.
+//! busy and barrier cycles) must not move. The lockstep (cores in a
+//! dot-product row's body) must serve most of those picks.
 
 use iw_bench::evaluation_nets;
 use iw_kernels::{registry, PreparedFixed};
@@ -32,7 +32,7 @@ fn network_b_eight_core_schedule_is_unchanged() {
 
 /// Network A's lockstep has a different period shape (256 picks, 80
 /// cycles) and charges TCDM bank conflicts, which Network B barely does:
-/// its accounting pins the bank half of the joint mode's period state.
+/// its accounting pins the bank half of the lockstep's period state.
 #[test]
 fn network_a_eight_core_schedule_is_unchanged() {
     let nets = evaluation_nets();
@@ -65,8 +65,8 @@ fn network_b_eight_core_picks_are_served_by_the_joint_mode() {
         .expect("8-core target registered");
     let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
     let (_, stats) = prep.run_stats().expect("runs");
-    // Every running core sits in the same dot-product row's body for all
-    // but the row boundaries: 154 226 of the 162 407 picks.
+    // Every core sits in a dot-product row's body for all but its own
+    // row boundaries: 159 117 of the 162 407 picks.
     assert!(
         stats.joint_picks * 100 > stats.dispatches * 90,
         "joint picks {} of {}",

@@ -177,6 +177,10 @@ pub struct ProductStats {
     /// Instructions the joint mode retired: with `rv32`'s, they make up
     /// the run's instructions.
     pub joint_instructions: u64,
+    /// Cores that joined the cluster's lockstep (see
+    /// [`iw_mrwolf::SchedStats::joint_entries`]); 0 on single-core
+    /// targets.
+    pub joint_entries: u64,
     /// Whole lockstep periods the joint mode skipped in closed form (see
     /// [`iw_mrwolf::SchedStats::period_skips`]): skips made, and the
     /// picks they stood for, counted in `joint_picks` too; 0 on
@@ -496,6 +500,7 @@ impl Deployment for M4Deployment {
             gated_breaks: 0,
             joint_picks: 0,
             joint_instructions: 0,
+            joint_entries: 0,
             period_skips: 0,
             skipped_picks: 0,
             rv32: None,
@@ -773,6 +778,7 @@ impl Deployment for WolfDeployment {
                 gated_breaks: 0,
                 joint_picks: 0,
                 joint_instructions: 0,
+                joint_entries: 0,
                 period_skips: 0,
                 skipped_picks: 0,
                 rv32: Some(stats),
@@ -793,6 +799,7 @@ impl Deployment for WolfDeployment {
                 gated_breaks: sched.gated_breaks,
                 joint_picks: sched.joint_picks,
                 joint_instructions: sched.joint_instructions,
+                joint_entries: sched.joint_entries,
                 period_skips: sched.period_skips,
                 skipped_picks: sched.skipped_picks,
                 rv32: sched.program,

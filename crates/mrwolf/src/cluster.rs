@@ -30,43 +30,45 @@
 //! instruction alone ([`Op::head`](iw_rv32::Op::head)), so every
 //! instruction gets its PC sample and stall spans.
 //!
-//! # Joint mode (lockstep dot-product rows)
+//! # Lockstep (the joint mode: dot-product rows)
 //!
 //! On the SPMD kernels every core spends most of its run inside the same
 //! hardware-loop dot-product body (`p.lw`, `p.lw`, `mul`, `srai`, `add`,
 //! the op program's `HwLoopDot`), a few cycles apart, so almost every
-//! pick retires one or two loads before the runner-up gate stops it.
-//! When a burst ends gated at that loop op and every running core (at
-//! least two) stands at a dispatch point of the same body under its own
-//! hardware loop ([`Program::dot_body`]), the scheduler enters a joint
-//! mode instead of dispatching ops: the cores' loop registers, loop
-//! counts and body phases live in arrays, the keys stay sorted, and one
-//! loop makes the picks sub-instruction by sub-instruction with the
-//! generic burst's rules: the same packed keys, the same horizon gate
-//! before every load but a pick's first, the same budget checks, and
-//! every load charged by the bus's TCDM-bank and L2-port arbitration at
-//! its issue time, so every grant and stall is the generic loop's. Picks
-//! and gated breaks are counted as the generic loop counts them. A fault
-//! or the cycle budget ends the run exactly as there. The mode hands the
-//! pick back to the generic burst where a core would reach the `mul` of
-//! its loop's last pass, whose `add` leaves the body; it commits
-//! registers, `pc`, loop counts, retired counts and profiles in closed
-//! form first ([`DotBody::retire`]). A recording sink never enters the
-//! mode. A try to enter keeps what it found per core, so the next try
-//! examines anew only the cores that ran since (all of them once the op
-//! program's slots change).
+//! pick retires one or two loads before the runner-up gate stops it. A
+//! core whose burst ends gated at the head of such a body under its own
+//! hardware loop ([`Program::dot_body`]) joins the lockstep: its loop
+//! registers, loop count, body phase and body live in a `DotCore`, and
+//! its picks run there instead of dispatching ops. Each such pick
+//! follows the generic burst's rules sub-instruction by sub-instruction:
+//! the same packed keys, the same horizon gate before every load but a
+//! pick's first, the same budget checks, and every load charged by the
+//! bus's TCDM-bank and L2-port arbitration at its issue time, so every
+//! grant and stall is the generic loop's. Picks and gated breaks are
+//! counted as the generic loop counts them. A fault or the cycle budget
+//! ends the run exactly as there. Where a member's next sub-instruction
+//! would be the `mul` of its loop's last pass, whose `add` leaves the
+//! body, the member leaves: its registers, `pc`, loop count, retired
+//! count and profile are committed in closed form ([`DotBody::retire`])
+//! and its generic burst continues the pick. Every other core's pick
+//! runs through the generic burst meanwhile, so the cores cross their
+//! row boundaries one by one while the rest stay. A generic burst whose
+//! stores move the op program's re-decode counter sends every member
+//! through the same commit, so it dispatches what memory now holds. A
+//! recording sink never joins.
 //!
 //! # Period skip
 //!
-//! The joint state of a lockstep repeats modulo a time shift and a
-//! relabelling of the TCDM banks: nothing in it depends on the loaded
-//! data, and arbitration uses a bank index only to pick that bank's
-//! reservation in `bank_free`, so renumbering every bank `b` as
-//! `b + r (mod tcdm_banks)` changes no grant or stall. A stream's next
-//! word lies in the next bank, so the renumbering commutes with the
-//! lockstep. After a short warm-up the joint mode takes one snapshot of
-//! its state, normalised to the leading core's time: the sorted keys
-//! relative to that time (core ids included), every core's body phase,
+//! The lockstep state repeats modulo a time shift and a relabelling of
+//! the TCDM banks: nothing in it depends on the loaded data, and
+//! arbitration uses a bank index only to pick that bank's reservation in
+//! `bank_free`, so renumbering every bank `b` as `b + r (mod tcdm_banks)`
+//! changes no grant or stall. A stream's next word lies in the next bank,
+//! so the renumbering commutes with the lockstep. While every running
+//! core is a member, at least two, all in the same body, and after a
+//! short warm-up, the period detector takes one snapshot of the state,
+//! normalised to the leading core's time: the sorted keys relative to
+//! that time (core ids included), every core's body phase,
 //! each stream pointer's region and, in TCDM, its bank, and `bank_free`
 //! and `l2_free` as `max(v, t_min) − t_min` (every later access issues at
 //! or after `t_min`, so the clamp loses nothing). Behind a cheap filter
@@ -78,8 +80,8 @@
 //! snapshot relabelled and shifted, so it evolves as the snapshot did.
 //! L2 streams share one port and compare by region only. The first match
 //! gives the period: its picks, gated breaks, cycles, stall cycles,
-//! per-core passes and rotation. The mode then advances `m` whole periods
-//! at once: keys, `bank_free` and `l2_free` move by `m` times the
+//! per-core passes and rotation. The lockstep then advances `m` whole
+//! periods at once: keys, `bank_free` and `l2_free` move by `m` times the
 //! period's cycles and `bank_free` rotates by `m · r` banks; picks, gated
 //! breaks and both stall totals grow by `m` times the period's; each
 //! core's accumulator is folded by [`iw_rv32::dot_row`] over the words
@@ -89,7 +91,9 @@
 //! skipped word lies in one memory, no core's loop count reaches its exit
 //! and the latest key after the skip stays within the cycle budget; the
 //! stepped picks do everything else, so every fault, budget error and
-//! hand-back is the one the reference path raises.
+//! exit is the one the reference path raises. The detector starts afresh
+//! after every generic pick, where the membership and the running set
+//! change.
 //!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
@@ -239,15 +243,17 @@ pub struct SchedStats {
     /// past the runner-up core's. The dominant burst terminator on
     /// memory-bound multi-core workloads.
     pub gated_breaks: u64,
-    /// Picks made by the joint mode (see the module docs), counted in
-    /// `picks` too. Their sub-instructions are not op-program dispatches,
-    /// so [`SchedStats::program`] does not count them.
+    /// Picks made by lockstep members (see the module docs, "Lockstep"),
+    /// counted in `picks` too. Their sub-instructions are not op-program
+    /// dispatches, so [`SchedStats::program`] does not count them.
     pub joint_picks: u64,
-    /// Instructions the joint mode retired: with the op program's, they
+    /// Instructions lockstep members retired: with the op program's, they
     /// make up `instructions`.
     pub joint_instructions: u64,
-    /// Closed-form skips of whole lockstep periods in the joint mode
-    /// (see the module docs, "Period skip").
+    /// Lockstep joins: cores that entered the lockstep at a body's head.
+    pub joint_entries: u64,
+    /// Closed-form skips of whole lockstep periods (see the module docs,
+    /// "Period skip").
     pub period_skips: u64,
     /// Picks those skips stood for, counted in `picks`, `joint_picks`
     /// and (their gated breaks) `gated_breaks` too.
@@ -551,6 +557,8 @@ fn run_cluster_inner<S: TraceSink>(
         })
         .collect();
     let mut status = vec![CoreStatus::Running; n];
+    // Per core, the local time its hart's state stands at: its key's time,
+    // except for a lockstep member, whose hart stands where it joined.
     let mut ready_at = vec![0u64; n];
     // Scheduler keys: `time << 3 | core_id` for Running cores (so one
     // branchless min pass yields both the pick and the tie-break by id),
@@ -614,182 +622,100 @@ fn run_cluster_inner<S: TraceSink>(
         tcdm_stalls: 0,
         l2_stalls: 0,
     };
-    // Set when a burst ended gated at a hardware-loop dot-product op: the
-    // cue to try the joint mode before the next pick.
-    let mut try_joint = false;
-    // The running core outside the body that the last try found, if any:
-    // no try can succeed before that core's own burst ends at a loop op.
-    let mut joint_wait = None;
-    // What the tries found per core since it last ran.
-    let mut verdicts = Verdicts::default();
-    // The joint mode's period detector, kept across entries.
+    // The cores in the lockstep and its period detector.
+    let mut lock = Lockstep::default();
     let mut period = Period::new(cfg.tcdm_banks);
-    // A pick the joint mode handed back mid-burst: (core, its local time,
-    // the pick's horizon).
-    let mut resume = None;
 
     loop {
-        if let (true, Some(prog)) = (std::mem::take(&mut try_joint), &program) {
-            match Joint::enter(prog, &cpus, &ready_key, &mut verdicts) {
-                Ok(mut joint) => {
-                    let pick = joint.run(
-                        &mut ready_key,
-                        &mut bus,
-                        &cfg.timing,
-                        max_cycles,
-                        &mut period,
-                        sched,
-                    )?;
-                    sched.joint_instructions +=
-                        joint.commit(&mut cpus, &ready_key, &mut ready_at, &mut run, &cfg.timing);
-                    (resume, joint_wait) = (Some(pick), None);
-                    verdicts = Verdicts::default();
-                }
-                Err(wait) => joint_wait = wait,
-            }
+        // Pick the runnable core with the smallest key (= smallest local
+        // time, ties to the lowest id) and the runner-up key in one
+        // branch-free pass.
+        let mut m1 = u64::MAX;
+        let mut m2 = u64::MAX;
+        for &key in &ready_key {
+            let hi = m1.max(key);
+            m1 = m1.min(key);
+            m2 = m2.min(hi);
         }
-        let (i, t, horizon, first) = if let Some((i, at, horizon)) = resume.take() {
-            (i, at, horizon, false)
-        } else {
-            // Pick the runnable core with the smallest key (= smallest
-            // local time, ties to the lowest id) and the runner-up key in
-            // one branch-free pass.
-            let mut m1 = u64::MAX;
-            let mut m2 = u64::MAX;
-            for &key in &ready_key {
-                let hi = m1.max(key);
-                m1 = m1.min(key);
-                m2 = m2.min(hi);
+        if m1 == u64::MAX {
+            if status.iter().all(|s| *s == CoreStatus::Halted) {
+                break;
             }
-            if m1 == u64::MAX {
-                if status.iter().all(|s| *s == CoreStatus::Halted) {
-                    break;
-                }
-                // Cores wait at a barrier while everyone else halted.
-                return Err(ClusterError::BarrierDeadlock);
-            }
-            let t = m1 >> 3;
-            if t > max_cycles {
-                return Err(ClusterError::CycleLimit { limit: max_cycles });
-            }
-            sched.picks += 1;
-            ((m1 & 7) as usize, t, m2 >> 3, true)
-        };
-
-        bus.last_region = None;
-        bus.barrier_arrived = false;
+            // Cores wait at a barrier while everyone else halted.
+            return Err(ClusterError::BarrierDeadlock);
+        }
+        let t = m1 >> 3;
+        if t > max_cycles {
+            return Err(ClusterError::CycleLimit { limit: max_cycles });
+        }
+        let (i, horizon) = ((m1 & 7) as usize, m2 >> 3);
 
         let (done_at, halted, barrier_arrived) = if let Some(prog) = &mut program {
-            // Product path: horizon burst. Every other runnable core acts
-            // no earlier than `horizon` (the runner-up scheduler key), so
-            // while this core's local time stays strictly below it, the
-            // scheduler could only ever pick this core again — run it
-            // inline, memory arbitration included. `horizon` cannot move
-            // mid-burst: other cores' times only change when they execute,
-            // and barrier releases require this core's arrival (which ends
-            // the burst).
-            let cpu = &mut cpus[i];
-            let mut done_at = t;
-            let mut first = first;
-            let mut halted = false;
-            let mut barrier = false;
-            loop {
-                // The first op of a pick always runs (the reference runs
-                // its first instruction at this exact pick). Past the
-                // horizon, only ops whose first instruction cannot
-                // interact with the rest of the cluster may continue —
-                // non-memory, non-halting ones touch no shared state, so
-                // their interleaving with other cores is unobservable.
-                // Below the horizon everything may run: no other core can
-                // act before this one, so a fault there is the one the
-                // reference raises at this core's next pick.
-                let pc = cpu.pc();
-                if !first && done_at >= horizon {
-                    match prog.fetch(&mut bus, pc) {
-                        Ok(op) if op.is_shared() => {
-                            sched.gated_breaks += 1;
-                            try_joint = !S::ENABLED
-                                && op.is_hwloop_dot()
-                                && joint_wait.is_none_or(|k| k == i);
-                            break;
-                        }
-                        Ok(_) => {}
-                        // Re-raised through the pick path next time this
-                        // core is the minimum; a failed translation
-                        // mutates nothing.
-                        Err(_) => break,
-                    }
+            // Product path. A lockstep member's pick runs on its
+            // `DotCore`; one that leaves the lockstep hands the rest of
+            // its pick to the generic burst, from its last pass's `mul`.
+            let (mut at, mut first) = (t, true);
+            if let Some(c) = &lock.cores[i] {
+                if period.due(i, c.phase, sched.picks)
+                    && period.probe(&mut lock, &mut ready_key, &mut bus, max_cycles, sched)
+                {
+                    continue;
                 }
-                let (timing, room) = (&cfg.timing, horizon.saturating_sub(done_at));
-                let budget = max_cycles.saturating_sub(done_at);
-                // Read back by the recording sink only.
-                let stalls_before = (bus.tcdm_stalls, bus.l2_stalls);
-                let res = if S::ENABLED {
-                    // A recording sink samples every instruction: dispatch
-                    // the fused op's head instruction alone.
-                    prog.fetch(&mut bus, pc).and_then(|op| {
-                        prog.exec(op.head(), cpu, &mut bus, timing, done_at, budget, room)
-                    })
-                } else {
-                    prog.step(cpu, &mut bus, timing, done_at, budget, room)
+                let Some(c) = &mut lock.cores[i] else {
+                    unreachable!("a probe keeps every member")
                 };
-                let cost = match res {
-                    Ok(cost) => cost,
-                    Err(source) if first || done_at < horizon => {
-                        return Err(ClusterError::Core { core: i, source });
-                    }
-                    // Past the horizon only non-memory ops run, and the
-                    // ones that can fail (a translation, an op through
-                    // `Cpu::execute`) fail before mutating anything, so the
-                    // re-run at the next pick raises identically.
-                    Err(_) => break,
-                };
-                if S::ENABLED {
-                    // One instruction, so at most one stalled access.
-                    let tcdm_stall = bus.tcdm_stalls - stalls_before.0;
-                    let stall = tcdm_stall + bus.l2_stalls - stalls_before.1;
-                    if stall > 0 {
-                        if done_at > busy_from[i] {
-                            sink.span(core_tracks[i], "busy", busy_from[i], done_at);
-                        }
-                        let kind = if tcdm_stall > 0 {
-                            "tcdm-stall"
-                        } else {
-                            "l2-stall"
-                        };
-                        sink.span(core_tracks[i], kind, done_at, done_at + stall);
-                        busy_from[i] = done_at + stall;
-                    }
-                    sink.pc_sample(core_tracks[i], pc, done_at, cost as u32);
+                sched.picks += 1;
+                sched.joint_picks += 1;
+                let (d, leaves) =
+                    c.pick(i, t, horizon, &mut bus, &cfg.timing, max_cycles, sched)?;
+                if !leaves {
+                    ready_key[i] = (d << 3) | i as u64;
+                    continue;
                 }
-                done_at += cost;
-                first = false;
-                if cpu.is_halted() {
-                    halted = true;
-                    break;
-                }
-                if bus.barrier_arrived {
-                    barrier = true;
-                    break;
-                }
-                if done_at < horizon {
-                    if done_at > max_cycles {
-                        // Mirrors the pick-time check: the reference would
-                        // pick this core next and fail the budget test.
-                        return Err(ClusterError::CycleLimit { limit: max_cycles });
+                sched.joint_instructions += lock.leave(i, &mut cpus[i], &cfg.timing);
+                (at, first) = (d, false);
+            } else {
+                sched.picks += 1;
+            }
+            let redecodes = prog.stats().redecodes;
+            let end = burst(
+                prog,
+                &mut cpus[i],
+                &mut bus,
+                &cfg.timing,
+                (i, at, horizon, first),
+                max_cycles,
+                sched,
+                (sink, &core_tracks, &mut busy_from),
+            )?;
+            if prog.stats().redecodes != redecodes {
+                // A store dropped translated code, perhaps in a member's
+                // body: every member leaves, and its next pick dispatches
+                // what memory now holds.
+                for k in 0..n {
+                    if lock.cores[k].is_some() {
+                        sched.joint_instructions += lock.leave(k, &mut cpus[k], &cfg.timing);
+                        let at = ready_key[k] >> 3;
+                        run.busy_cycles += at - ready_at[k];
+                        ready_at[k] = at;
                     }
-                } else if done_at > max_cycles {
-                    // Out of budget and past the horizon: whether another
-                    // core still fits the budget is the scheduler's call.
-                    break;
+                }
+            }
+            if end.at_head {
+                if let Some(body) = prog.dot_body(&cpus[i]) {
+                    lock.join(i, body, &cpus[i]);
+                    sched.joint_entries += 1;
                 }
             }
             // Stalls included: the bus's stall totals come back out of
             // the busy time once the run ends.
-            run.busy_cycles += done_at - t;
-            (done_at, halted, barrier)
+            run.busy_cycles += end.done_at - ready_at[i];
+            (end.done_at, end.halted, end.barrier)
         } else {
             // Reference path: exactly one instruction per pick.
+            sched.picks += 1;
+            bus.last_region = None;
+            bus.barrier_arrived = false;
             let step = cpus[i]
                 .step(&mut bus, &cfg.timing)
                 .map_err(|source| ClusterError::Core { core: i, source })?;
@@ -846,7 +772,6 @@ fn run_cluster_inner<S: TraceSink>(
 
         ready_at[i] = done_at;
         ready_key[i] = (done_at << 3) | i as u64;
-        verdicts.by_core[i] = None;
 
         if halted {
             status[i] = CoreStatus::Halted;
@@ -897,6 +822,9 @@ fn run_cluster_inner<S: TraceSink>(
                 run.barriers += 1;
             }
         }
+        // Every membership change and every change of the running set
+        // ends a pick here: the period detector starts afresh.
+        period.reset(sched.picks);
     }
 
     for cpu in &cpus {
@@ -914,18 +842,134 @@ fn run_cluster_inner<S: TraceSink>(
     Ok(run)
 }
 
-/// Replaces the first of the ascending `sorted` by `key`, no smaller
-/// than it, and moves `key` up to its place. A scan, not a branch-free
-/// merge: the lockstep's picks rotate, so the scan's length repeats and
-/// predicts well.
-#[inline(always)]
-fn reinsert(sorted: &mut [u64; 8], key: u64) {
-    let mut j = 0;
-    while j < 7 && sorted[j + 1] < key {
-        sorted[j] = sorted[j + 1];
-        j += 1;
+/// How a generic burst ended: the core's local time, whether it halted or
+/// arrived at a barrier, and whether it stopped at the runner-up gate
+/// before a hardware-loop dot-product op, where it may join the lockstep.
+struct BurstEnd {
+    done_at: u64,
+    halted: bool,
+    barrier: bool,
+    at_head: bool,
+}
+
+/// The generic product-path burst of core `i` from local time `at`: every
+/// other runnable core acts no earlier than `horizon` (the runner-up
+/// scheduler key), so while this core's local time stays strictly below
+/// it, the scheduler could only ever pick this core again — run it
+/// inline, memory arbitration included. `horizon` cannot move mid-burst:
+/// other cores' times only change when they execute, and barrier releases
+/// require this core's arrival (which ends the burst). `first` is set on
+/// a fresh pick and clear on the rest of a pick a lockstep member handed
+/// over.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn burst<S: TraceSink>(
+    prog: &mut Program,
+    cpu: &mut Cpu,
+    bus: &mut ClusterBus<'_>,
+    timing: &Timing,
+    (i, at, horizon, first): (usize, u64, u64, bool),
+    max_cycles: u64,
+    sched: &mut SchedStats,
+    (sink, core_tracks, busy_from): (&mut S, &[TrackId], &mut [u64]),
+) -> Result<BurstEnd, ClusterError> {
+    bus.last_region = None;
+    bus.barrier_arrived = false;
+    let mut end = BurstEnd {
+        done_at: at,
+        halted: false,
+        barrier: false,
+        at_head: false,
+    };
+    let mut first = first;
+    loop {
+        let done_at = end.done_at;
+        // The first op of a pick always runs (the reference runs its first
+        // instruction at this exact pick). Past the horizon, only ops
+        // whose first instruction cannot interact with the rest of the
+        // cluster may continue — non-memory, non-halting ones touch no
+        // shared state, so their interleaving with other cores is
+        // unobservable. Below the horizon everything may run: no other
+        // core can act before this one, so a fault there is the one the
+        // reference raises at this core's next pick.
+        let pc = cpu.pc();
+        if !first && done_at >= horizon {
+            match prog.fetch(bus, pc) {
+                Ok(op) if op.is_shared() => {
+                    sched.gated_breaks += 1;
+                    end.at_head = !S::ENABLED && op.is_hwloop_dot();
+                    break;
+                }
+                Ok(_) => {}
+                // Re-raised through the pick path next time this core is
+                // the minimum; a failed translation mutates nothing.
+                Err(_) => break,
+            }
+        }
+        let room = horizon.saturating_sub(done_at);
+        let budget = max_cycles.saturating_sub(done_at);
+        // Read back by the recording sink only.
+        let stalls_before = (bus.tcdm_stalls, bus.l2_stalls);
+        let res = if S::ENABLED {
+            // A recording sink samples every instruction: dispatch the
+            // fused op's head instruction alone.
+            prog.fetch(bus, pc)
+                .and_then(|op| prog.exec(op.head(), cpu, bus, timing, done_at, budget, room))
+        } else {
+            prog.step(cpu, bus, timing, done_at, budget, room)
+        };
+        let cost = match res {
+            Ok(cost) => cost,
+            Err(source) if first || done_at < horizon => {
+                return Err(ClusterError::Core { core: i, source });
+            }
+            // Past the horizon only non-memory ops run, and the ones that
+            // can fail (a translation, an op through `Cpu::execute`) fail
+            // before mutating anything, so the re-run at the next pick
+            // raises identically.
+            Err(_) => break,
+        };
+        if S::ENABLED {
+            // One instruction, so at most one stalled access.
+            let tcdm_stall = bus.tcdm_stalls - stalls_before.0;
+            let stall = tcdm_stall + bus.l2_stalls - stalls_before.1;
+            if stall > 0 {
+                if done_at > busy_from[i] {
+                    sink.span(core_tracks[i], "busy", busy_from[i], done_at);
+                }
+                let kind = if tcdm_stall > 0 {
+                    "tcdm-stall"
+                } else {
+                    "l2-stall"
+                };
+                sink.span(core_tracks[i], kind, done_at, done_at + stall);
+                busy_from[i] = done_at + stall;
+            }
+            sink.pc_sample(core_tracks[i], pc, done_at, cost as u32);
+        }
+        end.done_at += cost;
+        first = false;
+        if cpu.is_halted() {
+            end.halted = true;
+            break;
+        }
+        if bus.barrier_arrived {
+            end.barrier = true;
+            break;
+        }
+        if end.done_at < horizon {
+            if end.done_at > max_cycles {
+                // Mirrors the pick-time check: the reference would pick
+                // this core next and fail the budget test.
+                return Err(ClusterError::CycleLimit { limit: max_cycles });
+            }
+        } else if end.done_at > max_cycles {
+            // Out of budget and past the horizon: whether another core
+            // still fits the budget is the scheduler's call.
+            break;
+        }
     }
-    sorted[j] = key;
+    Ok(end)
 }
 
 /// The dot-product body's `p.lw` at `pc` through `addr`, issued at `at`:
@@ -945,8 +989,9 @@ fn dot_load(
     Ok((v, u64::from(cost)))
 }
 
-/// One core's registers and position in the joint mode.
-#[derive(Debug, Clone, Copy, Default)]
+/// One lockstep member: its registers and position in its dot-product
+/// body.
+#[derive(Debug, Clone, Copy)]
 struct DotCore {
     /// `[w, x, tw, tx, acc]`.
     regs: [u32; 5],
@@ -955,267 +1000,173 @@ struct DotCore {
     phase: u8,
     /// Hardware-loop count: passes left, the current one included.
     left: u32,
-    /// `phase` and `left` at entry.
-    phase0: u8,
+    /// `left` when the core joined, at the body's head.
     left0: u32,
+    /// The body, its start and shift amount included.
+    body: DotBody,
 }
 
-/// Per core, what [`Joint::enter`] found since the core last ran: the
-/// body it can enter the joint mode in, or `None` if it cannot. A core's
-/// finding depends on its own state, which only its runs change, and on
-/// the op program's slots, which any core's run may translate or drop:
-/// the findings hold while the program's translation counters stand
-/// where they did.
-#[derive(Debug, Default)]
-struct Verdicts {
-    by_core: [Option<Option<DotBody>>; 8],
-    slots: (u64, u64),
-}
-
-/// The joint scheduler mode: every running core inside the body of the
-/// same hardware-loop dot-product op (see the module docs).
-struct Joint {
-    start: u32,
-    shamt: u8,
-    /// Running cores: the keys below `u64::MAX`.
-    running: usize,
-    /// Per core, its [`DotBody`] if it was running at entry.
-    bodies: [Option<DotBody>; 8],
-    cores: [DotCore; 8],
-}
-
-impl Joint {
-    /// The joint state if at least two cores run and every running core
-    /// stands at a dispatch point of the same loop op's body, under its
-    /// own hardware loop; otherwise the first running core that does not,
-    /// if any. Only cores that ran since the last try are examined anew
-    /// (`verdicts`).
-    fn enter(
-        prog: &Program,
-        cpus: &[Cpu],
-        keys: &[u64; 8],
-        verdicts: &mut Verdicts,
-    ) -> Result<Joint, Option<usize>> {
-        let mut joint = Joint {
-            start: 0,
-            shamt: 0,
-            running: 0,
-            bodies: [None; 8],
-            cores: [DotCore::default(); 8],
-        };
-        let stats = prog.stats();
-        if verdicts.slots != (stats.translations, stats.redecodes) {
-            *verdicts = Verdicts {
-                slots: (stats.translations, stats.redecodes),
-                ..Verdicts::default()
-            };
-        }
-        let mut running = 0;
-        for (k, cpu) in cpus.iter().enumerate() {
-            if keys[k] == u64::MAX {
-                continue;
-            }
-            let body = verdicts.by_core[k]
-                .get_or_insert_with(|| {
-                    // Its next pick would start at the exit's `mul`.
-                    prog.dot_body(cpu).filter(|body| {
-                        cpu.pc() - body.start != 8 || cpu.hwloop(body.hwloop).count != 1
-                    })
-                })
-                .ok_or(Some(k))?;
-            if running == 0 {
-                (joint.start, joint.shamt) = (body.start, body.shamt);
-            } else if body.start != joint.start {
-                return Err(Some(k));
-            }
-            running += 1;
-            let phase = ((cpu.pc() - body.start) / 4) as u8;
-            let left = cpu.hwloop(body.hwloop).count;
-            joint.cores[k] = DotCore {
-                regs: body.regs.map(|r| cpu.reg(r)),
-                phase,
-                left,
-                phase0: phase,
-                left0: left,
-            };
-            joint.bodies[k] = Some(body);
-        }
-        if running < 2 {
-            return Err(None);
-        }
-        joint.running = running;
-        Ok(joint)
-    }
-
-    /// Makes picks until the picked core would leave the body, and
-    /// returns that pick for the generic burst to resume: its core, local
-    /// time and horizon. The core stands before the `mul` of its last
-    /// pass.
+impl DotCore {
+    /// Makes core `i`'s pick at local time `t` under `horizon`. Returns
+    /// the time the pick ends and whether the core leaves the lockstep
+    /// there: it then stands before its last pass's `mul`, and the
+    /// generic burst takes the pick over.
     ///
-    /// Each pick follows the generic burst sub-instruction by
-    /// sub-instruction: the pick's first always runs; a load reached at
-    /// or past the horizon ends it as a gated break; a sub-instruction
-    /// that ends past the budget ends it too, as an error if still below
-    /// the horizon; a fault is the core's error. Loads are charged by the
-    /// bus at their issue time, so every grant is the generic loop's.
-    /// Whole periods of the lockstep are skipped in closed form between
-    /// picks ([`Period`]).
-    fn run(
+    /// The pick follows the generic burst sub-instruction by
+    /// sub-instruction: its first always runs; a load reached at or past
+    /// the horizon ends it as a gated break; a sub-instruction that ends
+    /// past the budget ends it too, as an error if still below the
+    /// horizon; a fault is the core's error. Loads are charged by the bus
+    /// at their issue time, so every grant is the generic loop's.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn pick(
         &mut self,
-        keys: &mut [u64; 8],
+        i: usize,
+        t: u64,
+        horizon: u64,
         bus: &mut ClusterBus<'_>,
         timing: &Timing,
         max_cycles: u64,
-        period: &mut Period,
         sched: &mut SchedStats,
-    ) -> Result<(usize, u64, u64), ClusterError> {
+    ) -> Result<(u64, bool), ClusterError> {
         let (mul, alu) = (u64::from(timing.mul), u64::from(timing.alu));
-        let (start, shamt) = (self.start, self.shamt);
-        let (mut picks, mut gated) = (0u64, 0u64);
-        // The keys in ascending order: the pick and the runner-up are the
-        // first two.
-        let mut sorted = *keys;
-        sorted.sort_unstable();
-        period.reset();
-        let res = loop {
-            let (m1, m2) = (sorted[0], sorted[1]);
-            let (i, t, horizon) = ((m1 & 7) as usize, m1 >> 3, m2 >> 3);
-            if t > max_cycles {
-                break Err(ClusterError::CycleLimit { limit: max_cycles });
-            }
-            if (i, self.cores[i].phase) == period.pick || picks == period.snap_at {
-                let counts = (&mut picks, &mut gated);
-                if period.probe(self, &mut sorted, counts, bus, max_cycles, sched) {
-                    continue;
-                }
-            }
-            let c = &mut self.cores[i];
-            picks += 1;
-            let [mut w, mut x, mut tw, mut tx, mut acc] = c.regs;
-            let mut left = c.left;
-            let mut d = t;
-            // Past the budget after a sub-instruction that leaves the core
-            // at `phase`: below the horizon the generic loop fails the run
-            // here, at or past it the pick just ends.
-            let over = |d: u64, phase: u8| {
-                if d < horizon {
-                    Err(ClusterError::CycleLimit { limit: max_cycles })
-                } else {
-                    Ok(Some(phase))
-                }
-            };
-            let fault = |source| Err(ClusterError::Core { core: i, source });
-            // The phase the pick leaves the core at, or `None` where the
-            // core's next sub-instruction would be its last pass's `mul`:
-            // the generic burst takes the pick over there (never at the
-            // pick's start, see `enter`).
-            let mut p = c.phase;
-            let end = 'pick: loop {
-                // The first sub-instruction runs ungated; every later load
-                // passed the gate below.
-                if p == 0 {
-                    match dot_load(bus, w, timing.load, d, start) {
-                        Ok((v, k)) => (tw, w, d) = (v, w.wrapping_add(4), d + k),
-                        Err(source) => break 'pick fault(source),
-                    }
-                    if d > max_cycles {
-                        break 'pick over(d, 1);
-                    }
-                    if d >= horizon {
-                        gated += 1;
-                        break 'pick Ok(Some(1));
-                    }
-                }
-                if p <= 1 {
-                    match dot_load(bus, x, timing.load, d, start.wrapping_add(4)) {
-                        Ok((v, k)) => (tx, x, d) = (v, x.wrapping_add(4), d + k),
-                        Err(source) => break 'pick fault(source),
-                    }
-                    if d > max_cycles {
-                        break 'pick over(d, 2);
-                    }
-                }
-                if left == 1 {
-                    break 'pick Ok(None);
-                }
-                tw = tw.wrapping_mul(tx);
-                d += mul;
-                if d > max_cycles {
-                    break 'pick over(d, 3);
-                }
-                tw = ((tw as i32) >> shamt) as u32;
-                d += alu;
-                if d > max_cycles {
-                    break 'pick over(d, 4);
-                }
-                acc = acc.wrapping_add(tw);
-                left -= 1;
-                d += alu;
-                if d > max_cycles {
-                    break 'pick over(d, 0);
-                }
-                if d >= horizon {
-                    gated += 1;
-                    break 'pick Ok(Some(0));
-                }
-                p = 0;
-            };
-            c.regs = [w, x, tw, tx, acc];
-            c.left = left;
-            reinsert(&mut sorted, (d << 3) | i as u64);
-            match end {
-                Ok(Some(phase)) => c.phase = phase,
-                Ok(None) => {
-                    c.phase = 2;
-                    break Ok((i, d, horizon));
-                }
-                Err(e) => break Err(e),
+        let (start, shamt) = (self.body.start, self.body.shamt);
+        let [mut w, mut x, mut tw, mut tx, mut acc] = self.regs;
+        let mut left = self.left;
+        let mut d = t;
+        // Past the budget after a sub-instruction that leaves the core at
+        // `phase`: below the horizon the generic loop fails the run here,
+        // at or past it the pick just ends.
+        let over = |d: u64, phase: u8| {
+            if d < horizon {
+                Err(ClusterError::CycleLimit { limit: max_cycles })
+            } else {
+                Ok(Some(phase))
             }
         };
-        for key in sorted {
-            if key != u64::MAX {
-                keys[(key & 7) as usize] = key;
+        let fault = |source| Err(ClusterError::Core { core: i, source });
+        // The phase the pick leaves the core at, or `None` where the
+        // core's next sub-instruction would be its last pass's `mul`.
+        let mut p = self.phase;
+        let end = 'pick: loop {
+            // The first sub-instruction runs ungated; every later load
+            // passed the gate below.
+            if p == 0 {
+                match dot_load(bus, w, timing.load, d, start) {
+                    Ok((v, k)) => (tw, w, d) = (v, w.wrapping_add(4), d + k),
+                    Err(source) => break 'pick fault(source),
+                }
+                if d > max_cycles {
+                    break 'pick over(d, 1);
+                }
+                if d >= horizon {
+                    sched.gated_breaks += 1;
+                    break 'pick Ok(Some(1));
+                }
+            }
+            if p <= 1 {
+                match dot_load(bus, x, timing.load, d, start.wrapping_add(4)) {
+                    Ok((v, k)) => (tx, x, d) = (v, x.wrapping_add(4), d + k),
+                    Err(source) => break 'pick fault(source),
+                }
+                if d > max_cycles {
+                    break 'pick over(d, 2);
+                }
+            }
+            if left == 1 {
+                break 'pick Ok(None);
+            }
+            tw = tw.wrapping_mul(tx);
+            d += mul;
+            if d > max_cycles {
+                break 'pick over(d, 3);
+            }
+            tw = ((tw as i32) >> shamt) as u32;
+            d += alu;
+            if d > max_cycles {
+                break 'pick over(d, 4);
+            }
+            acc = acc.wrapping_add(tw);
+            left -= 1;
+            d += alu;
+            if d > max_cycles {
+                break 'pick over(d, 0);
+            }
+            if d >= horizon {
+                sched.gated_breaks += 1;
+                break 'pick Ok(Some(0));
+            }
+            p = 0;
+        };
+        self.regs = [w, x, tw, tx, acc];
+        self.left = left;
+        match end? {
+            Some(phase) => {
+                self.phase = phase;
+                Ok((d, false))
+            }
+            None => {
+                self.phase = 2;
+                Ok((d, true))
             }
         }
-        sched.picks += picks;
-        sched.gated_breaks += gated;
-        sched.joint_picks += picks;
-        res
-    }
-
-    /// Writes every core's joint state back: registers, `pc`, loop count,
-    /// profile and retired count through [`DotBody::retire`], its local
-    /// time from `keys` and the busy time it spent. Returns the
-    /// instructions the cores retired in the mode.
-    fn commit(
-        &self,
-        cpus: &mut [Cpu],
-        keys: &[u64; 8],
-        ready_at: &mut [u64],
-        run: &mut ClusterRun,
-        timing: &Timing,
-    ) -> u64 {
-        let mut total = 0;
-        for (k, cpu) in cpus.iter_mut().enumerate() {
-            let Some(body) = self.bodies[k] else { continue };
-            let c = &self.cores[k];
-            let retired =
-                5 * u64::from(c.left0 - c.left) + u64::from(c.phase) - u64::from(c.phase0);
-            body.retire(cpu, c.regs, retired, timing);
-            total += retired;
-            // Stalls included, as in the generic burst.
-            let at = keys[k] >> 3;
-            run.busy_cycles += at - ready_at[k];
-            ready_at[k] = at;
-        }
-        total
     }
 }
 
-/// Picks a joint run makes before the period detector takes its first
-/// snapshot: the cores' arrival in the body settles within them. On
-/// Network B every entry's state repeats from pick 16 on; a snapshot
-/// taken earlier has not settled and repeats later or not at all.
+/// The lockstep (joint mode, see the module docs): per core, its
+/// [`DotCore`] while it is a member.
+#[derive(Debug, Default)]
+struct Lockstep {
+    cores: [Option<DotCore>; 8],
+}
+
+impl Lockstep {
+    /// Core `k`, standing at `body`'s head after a burst gated there,
+    /// becomes a member.
+    fn join(&mut self, k: usize, body: DotBody, cpu: &Cpu) {
+        debug_assert_eq!(cpu.pc(), body.start, "members join at the head");
+        let left = cpu.hwloop(body.hwloop).count;
+        self.cores[k] = Some(DotCore {
+            regs: body.regs.map(|r| cpu.reg(r)),
+            phase: 0,
+            left,
+            left0: left,
+            body,
+        });
+    }
+
+    /// Member `k` leaves: its state goes back to its hart (registers,
+    /// `pc`, loop count, profile and retired count, through
+    /// [`DotBody::retire`]). Returns the instructions it retired as a
+    /// member.
+    fn leave(&mut self, k: usize, cpu: &mut Cpu, timing: &Timing) -> u64 {
+        let c = self.cores[k].take().expect("only members leave");
+        let retired = 5 * u64::from(c.left0 - c.left) + u64::from(c.phase);
+        c.body.retire(cpu, c.regs, retired, timing);
+        retired
+    }
+
+    /// Whether every running core (a key below `u64::MAX`) is a member,
+    /// at least two of them, all in the same body: the lockstep state the
+    /// period detector compares.
+    fn uniform(&self, keys: &[u64; 8]) -> bool {
+        let (mut start, mut members) = (None, 0);
+        keys.iter().zip(&self.cores).all(|(&key, c)| match c {
+            Some(c) => {
+                members += 1;
+                *start.get_or_insert(c.body.start) == c.body.start
+            }
+            None => key == u64::MAX,
+        }) && members >= 2
+    }
+}
+
+/// Picks the lockstep makes, after the period detector starts afresh,
+/// before it takes its first snapshot: the cores' arrival in the body
+/// settles within them. On Network B every row's state repeats from pick
+/// 16 on; a snapshot taken earlier has not settled and repeats later or
+/// not at all.
 const PERIOD_WARM_UP: u64 = 16;
 
 /// A window of picks, two periods of eight cores that each make one
@@ -1224,24 +1175,26 @@ const PERIOD_WARM_UP: u64 = 16;
 /// fresh one.
 const PERIOD_WINDOW: u64 = 32;
 
-/// The joint mode's period detector (see the module docs, "Period
-/// skip"): one snapshot of the joint state and what the run had counted
-/// when it was taken. One per cluster run, so its bank array is
-/// allocated once.
+/// The lockstep's period detector (see the module docs, "Period skip"):
+/// one snapshot of the lockstep state and what the run had counted when
+/// it was taken. One per cluster run, so its bank array is allocated
+/// once; it starts afresh after every generic pick.
 struct Period {
-    /// Picks of the joint run at which the next snapshot is taken;
-    /// `u64::MAX` once the run can skip no more.
+    /// The run's picks when the detector last started afresh.
+    origin: u64,
+    /// Picks past `origin` at which the next snapshot is taken;
+    /// `u64::MAX` once the lockstep can skip no more.
     snap_at: u64,
     /// The snapshot's picked core and its phase: a pick that differs in
     /// either cannot repeat it. Core 8 matches no pick.
     pick: (usize, u8),
-    /// Picks and gated breaks of the joint run so far.
+    /// The run's picks and gated breaks.
     picks: u64,
     gated: u64,
     /// The bus's TCDM and L2 stall totals.
     stalls: (u64, u64),
     sorted: [u64; 8],
-    cores: [DotCore; 8],
+    cores: [Option<DotCore>; 8],
     bank_free: Vec<u64>,
     l2_free: u64,
 }
@@ -1249,87 +1202,115 @@ struct Period {
 impl Period {
     fn new(banks: usize) -> Period {
         Period {
+            origin: 0,
             snap_at: PERIOD_WARM_UP,
             pick: (8, 0),
             picks: 0,
             gated: 0,
             stalls: (0, 0),
             sorted: [u64::MAX; 8],
-            cores: [DotCore::default(); 8],
+            cores: [None; 8],
             bank_free: vec![0; banks],
             l2_free: 0,
         }
     }
 
-    /// Forgets the snapshot at the start of a joint run.
-    fn reset(&mut self) {
-        (self.snap_at, self.pick) = (PERIOD_WARM_UP, (8, 0));
+    /// Forgets the snapshot; the run has made `picks` picks.
+    #[inline(always)]
+    fn reset(&mut self, picks: u64) {
+        (self.origin, self.snap_at, self.pick) = (picks, PERIOD_WARM_UP, (8, 0));
     }
 
-    /// Called before a pick that matches the snapshot's filter or is due
-    /// for a snapshot: skips whole periods if the joint state repeats the
-    /// snapshot, else takes a fresh snapshot if one is due. Returns
-    /// whether it skipped, which moves the keys.
+    /// Whether the pick of core `i` at `phase`, after the run's `picks`,
+    /// matches the snapshot's filter or is due for a snapshot.
+    #[inline(always)]
+    fn due(&self, i: usize, phase: u8, picks: u64) -> bool {
+        (i, phase) == self.pick || picks - self.origin == self.snap_at
+    }
+
+    /// Called before a member's pick that is [`Period::due`]: skips whole
+    /// periods if the lockstep state repeats the snapshot, else takes a
+    /// fresh snapshot if one is due and the lockstep is uniform
+    /// ([`Lockstep::uniform`]), or stops probing until the detector
+    /// starts afresh if it is not. Returns whether it skipped, which
+    /// moves the keys.
     #[cold]
     #[inline(never)]
     fn probe(
         &mut self,
-        joint: &mut Joint,
-        sorted: &mut [u64; 8],
-        (picks, gated): (&mut u64, &mut u64),
+        lock: &mut Lockstep,
+        keys: &mut [u64; 8],
         bus: &mut ClusterBus<'_>,
         max_cycles: u64,
         sched: &mut SchedStats,
     ) -> bool {
+        let mut sorted = *keys;
+        sorted.sort_unstable();
         let i = (sorted[0] & 7) as usize;
-        if (i, joint.cores[i].phase) == self.pick {
-            if let Some(rotation) = self.repeats(joint, sorted, bus) {
+        let phase = lock.cores[i].map_or(0, |c| c.phase);
+        if (i, phase) == self.pick {
+            if let Some(rotation) = self.repeats(lock, &sorted, bus) {
                 // Later matches could only skip less: the loop counts, the
                 // streams and the budget left only shrink.
                 (self.snap_at, self.pick) = (u64::MAX, (8, 0));
-                let counts = (picks, gated);
-                let skipped = self.skip(joint, sorted, counts, bus, rotation, max_cycles);
+                let skipped = self.skip(lock, keys, &sorted, bus, rotation, max_cycles, sched);
                 sched.period_skips += u64::from(skipped > 0);
                 sched.skipped_picks += skipped;
                 return skipped > 0;
             }
         }
-        if *picks == self.snap_at {
-            self.snap_at = *picks + 2 * PERIOD_WINDOW;
-            self.pick = (i, joint.cores[i].phase);
-            (self.picks, self.gated) = (*picks, *gated);
+        if sched.picks - self.origin == self.snap_at {
+            // Uniformity changes only where the detector starts afresh.
+            if !lock.uniform(keys) {
+                (self.snap_at, self.pick) = (u64::MAX, (8, 0));
+                return false;
+            }
+            self.snap_at += 2 * PERIOD_WINDOW;
+            self.pick = (i, phase);
+            (self.picks, self.gated) = (sched.picks, sched.gated_breaks);
             self.stalls = (bus.tcdm_stalls, bus.l2_stalls);
-            (self.sorted, self.cores) = (*sorted, joint.cores);
+            (self.sorted, self.cores) = (sorted, lock.cores);
             self.bank_free.copy_from_slice(&bus.bank_free);
             self.l2_free = bus.l2_free;
         }
         false
     }
 
-    /// The rotation `r` of the TCDM banks under which the joint state
+    /// The members with their snapshot states: the same cores, as the
+    /// detector starts afresh whenever the membership changes.
+    fn pairs<'a>(
+        &'a self,
+        lock: &'a Lockstep,
+    ) -> impl Iterator<Item = (&'a DotCore, &'a DotCore)> + 'a {
+        lock.cores
+            .iter()
+            .zip(&self.cores)
+            .filter_map(|(c, c0)| Some((c.as_ref()?, c0.as_ref()?)))
+    }
+
+    /// The rotation `r` of the TCDM banks under which the lockstep state
     /// normalised to its leading time equals the snapshot's, if there is
-    /// one: the relative keys and every running core's phase match, its
+    /// one: the relative keys and every member's phase match, its
     /// streams lie in the same regions, every TCDM stream of every core
     /// has moved by `r` banks, and the bank reservations clamped at the
     /// leading time are the snapshot's rotated by `r`, the L2 port's
     /// equal to the snapshot's. Arbitration uses a bank index only to
     /// pick its reservation, so the lockstep is the same under any
     /// relabelling of the banks (see the module docs).
-    fn repeats(&self, joint: &Joint, sorted: &[u64; 8], bus: &ClusterBus<'_>) -> Option<usize> {
+    fn repeats(&self, lock: &Lockstep, sorted: &[u64; 8], bus: &ClusterBus<'_>) -> Option<usize> {
         let (t0, t) = (self.sorted[0] >> 3, sorted[0] >> 3);
-        let n = joint.running;
         let banks = self.bank_free.len();
         let bank = |a: u32| (a >> 2) as usize % banks;
         let clamp = |v: u64, t: u64| v.max(t) - t;
         // Most probes differ in the keys: compare those first.
-        if !(sorted[..n].iter().zip(&self.sorted[..n]))
+        let running = sorted.iter().take_while(|&&k| k != u64::MAX).count();
+        if !(sorted[..running].iter().zip(&self.sorted[..running]))
             .all(|(&a, &b)| a - (t << 3) == b - (t0 << 3))
         {
             return None;
         }
         let mut rotation = None;
-        for k in (0..8).filter(|&k| joint.bodies[k].is_some()) {
-            let (c, c0) = (&joint.cores[k], &self.cores[k]);
+        for (c, c0) in self.pairs(lock) {
             if c.phase != c0.phase {
                 return None;
             }
@@ -1356,33 +1337,37 @@ impl Period {
         .then_some(r)
     }
 
-    /// Advances the joint state, which repeats the snapshot up to a
+    /// Advances the lockstep state, which repeats the snapshot up to a
     /// `rotation` of the banks, by as many whole periods as keep every
-    /// skipped load inside its memory, every core's loop count short of
+    /// skipped load inside its memory, every member's loop count short of
     /// its exit and every key within the budget. Returns the picks it
     /// skipped.
+    #[allow(clippy::too_many_arguments)]
     fn skip(
         &self,
-        joint: &mut Joint,
-        sorted: &mut [u64; 8],
-        (picks, gated): (&mut u64, &mut u64),
+        lock: &mut Lockstep,
+        keys: &mut [u64; 8],
+        sorted: &[u64; 8],
         bus: &mut ClusterBus<'_>,
         rotation: usize,
         max_cycles: u64,
+        sched: &mut SchedStats,
     ) -> u64 {
-        let n = joint.running;
         let dt = (sorted[0] >> 3) - (self.sorted[0] >> 3);
-        let last = sorted[n - 1] >> 3;
+        let last = sorted
+            .iter()
+            .rev()
+            .find(|&&k| k != u64::MAX)
+            .map_or(0, |k| k >> 3);
         let mut m = max_cycles
             .checked_sub(last)
             .map_or(0, |room| room.checked_div(dt).unwrap_or(u64::MAX));
-        for k in (0..8).filter(|&k| joint.bodies[k].is_some()) {
-            let (c, c0) = (&joint.cores[k], &self.cores[k]);
+        for (c, c0) in self.pairs(lock) {
             let passes = c0.left - c.left;
             // Between picks a lockstep core stands before one of its
             // loads: it reads its loop count after the second, so it
-            // still has a pass to go at count 1. A core still at its
-            // entry's `mul` has not been picked since the snapshot.
+            // still has a pass to go at count 1. A core past its loads
+            // ran out of budget.
             if c.phase > 1 {
                 return 0;
             }
@@ -1399,7 +1384,7 @@ impl Period {
             return 0;
         }
         let shift = m * dt;
-        for key in &mut sorted[..n] {
+        for key in keys.iter_mut().filter(|k| **k != u64::MAX) {
             *key += shift << 3;
         }
         for free in &mut bus.bank_free {
@@ -1412,31 +1397,35 @@ impl Period {
         bus.l2_free += shift;
         bus.tcdm_stalls += m * (bus.tcdm_stalls - self.stalls.0);
         bus.l2_stalls += m * (bus.l2_stalls - self.stalls.1);
-        let skipped = m * (*picks - self.picks);
-        *gated += m * (*gated - self.gated);
-        *picks += skipped;
-        for k in (0..8).filter(|&k| joint.bodies[k].is_some()) {
-            let (c, c0) = (&mut joint.cores[k], &self.cores[k]);
+        let skipped = m * (sched.picks - self.picks);
+        sched.gated_breaks += m * (sched.gated_breaks - self.gated);
+        sched.picks += skipped;
+        sched.joint_picks += skipped;
+        for (c, c0) in lock.cores.iter_mut().zip(&self.cores) {
+            let (Some(c), Some(c0)) = (c, c0) else {
+                continue;
+            };
             // At most the loop count: it fits.
             let len = 4 * m as usize * (c0.left - c.left) as usize;
             let (w, x) = (bus.stream(c.regs[0]), bus.stream(c.regs[1]));
-            skip_passes(c, &w[..len], &x[..len], joint.shamt);
+            skip_passes(c, &w[..len], &x[..len]);
         }
         skipped
     }
 }
 
-/// Retires `ws.len() / 4` whole passes of core `c`, which stands at
+/// Retires `ws.len() / 4` whole passes of member `c`, which stands at
 /// phase 0 or 1, round to the same phase: `ws` and `xs` are the words
 /// its loads read, from its `w` and `x` on. At phase 1 the pass in
 /// flight has loaded its `w` word (in `tw`) but not its `x` word. The
 /// passes fold by [`iw_rv32::dot_row`]; `tw` and `tx` are re-read for the
 /// phase.
-fn skip_passes(c: &mut DotCore, ws: &[u8], xs: &[u8], shamt: u8) {
+fn skip_passes(c: &mut DotCore, ws: &[u8], xs: &[u8]) {
     let passes = ws.len() / 4;
     if passes == 0 {
         return;
     }
+    let shamt = c.body.shamt;
     let word = |s: &[u8], j: usize| u32::from_le_bytes(s.as_chunks::<4>().0[j]);
     let [w, x, tw, _, acc] = c.regs;
     let (acc, tw, tx) = if c.phase == 0 {
@@ -1808,8 +1797,9 @@ mod tests {
         // and an L2 span.
         assert_eq!(stats.whole_rows, 3, "{stats:?}");
         // A single core with a zero-cycle L2 keeps arbitration (see the
-        // module docs): its bus hands out no spans, and every row steps
-        // through its accesses, still matching the reference.
+        // module docs): its bus hands out no spans, so the loop op runs
+        // each pass's first load alone and the body's slots step the
+        // rest, still matching the reference.
         let (mut tcdm, mut l2) = fresh_mems();
         l2.write_bytes(L2_BASE, &image);
         let cfg = ClusterConfig {
@@ -1828,7 +1818,8 @@ mod tests {
         assert_eq!(run, reference);
         assert_ne!(run.cycles, run_fast.cycles);
         let stats = sched.program.unwrap();
-        assert_eq!(stats.hwloop_dot_iterations, 48, "{stats:?}");
+        assert_eq!(stats.hwloop_dot_entries, 48, "{stats:?}");
+        assert_eq!(stats.hwloop_dot_iterations, 0, "{stats:?}");
         assert_eq!(stats.whole_rows, 0, "{stats:?}");
     }
 
@@ -2510,10 +2501,14 @@ mod tests {
             shamt: 0,
             hwloop: 0,
         };
-        let core = |w: u32, x: u32| DotCore {
-            regs: [w, x, 0, 0, 0],
-            left: 100,
-            ..DotCore::default()
+        let core = |w: u32, x: u32| {
+            Some(DotCore {
+                regs: [w, x, 0, 0, 0],
+                phase: 0,
+                left: 100,
+                left0: 100,
+                body,
+            })
         };
         let keys = |t: u64| {
             let mut sorted = [u64::MAX; 8];
@@ -2528,14 +2523,7 @@ mod tests {
         let snapshot: Vec<u64> = (0..16).map(|b| if b < 5 { 101 + b } else { 90 }).collect();
         period.bank_free.copy_from_slice(&snapshot);
         period.l2_free = 95;
-        let mut joint = Joint {
-            start: L2_BASE,
-            shamt: 0,
-            running: 2,
-            bodies: [None; 8],
-            cores: [DotCore::default(); 8],
-        };
-        joint.bodies[..2].copy_from_slice(&[Some(body), Some(body)]);
+        let mut lock = Lockstep::default();
         let sorted = keys(140);
         bus.l2_free = 50;
         // `bank_free` rotated by `r` banks and 40 cycles on.
@@ -2544,10 +2532,10 @@ mod tests {
             v.rotate_right(r);
             v
         };
-        let mut repeats = |period: &Period, cores: [DotCore; 2], bank_free: Vec<u64>| {
-            joint.cores[..2].copy_from_slice(&cores);
+        let mut repeats = |period: &Period, cores: [Option<DotCore>; 2], bank_free: Vec<u64>| {
+            lock.cores[..2].copy_from_slice(&cores);
             bus.bank_free = bank_free;
-            period.repeats(&joint, &sorted, &bus)
+            period.repeats(&lock, &sorted, &bus)
         };
         let one_pass = [core(w0 + 4, x + 4), core(w1 + 4, x + 4)];
         assert_eq!(repeats(&period, one_pass, rotated(1)), Some(1));
@@ -2698,6 +2686,275 @@ mod tests {
             let l2_same = l2.read_bytes(L2_BASE, L2_SIZE) == ref_l2.read_bytes(L2_BASE, L2_SIZE);
             prop_assert!(tcdm_same, "TCDM differs");
             prop_assert!(l2_same, "L2 differs");
+        }
+    }
+
+    /// One layer of a [`build_layers`] program, shaped like the kernels'
+    /// fixed-point layers: core `c` computes `rows + (c * row_spread >> 2)`
+    /// rows (none on some cores, as in layers narrower than the core
+    /// count), each a bias load, a hardware loop of `len + len_spread * c`
+    /// dot-product passes over its own weight stream and the shared input
+    /// stream, and an epilogue that clamps the sum with a branch, may
+    /// divide it and stores it. Past its rows each core may spin through
+    /// a counted loop that loads an input word, picked beside the cores
+    /// still in their rows; a barrier closes the layer.
+    #[derive(Debug, Clone)]
+    struct Layer {
+        rows: u8,
+        row_spread: u8,
+        len: u8,
+        len_spread: u8,
+        weights_l2: bool,
+        shamt: u8,
+        div: bool,
+        /// Past its last row, each core rewrites the body's second `p.lw`
+        /// into one that reads the same input word again: the cores still
+        /// in their rows see the store at their next load, as on the
+        /// reference, which no core can reach before it.
+        patch: bool,
+        /// Passes of the spin loop, in fours.
+        spin: u8,
+    }
+
+    fn any_layer() -> impl Strategy<Value = Layer> {
+        (
+            (0u8..4, 0u8..4, 1u8..41, 0u8..4),
+            (
+                any::<bool>(),
+                0u8..9,
+                any::<bool>(),
+                prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+                prop_oneof![Just(0u8), Just(0), 1u8..60],
+            ),
+        )
+            .prop_map(
+                |((rows, row_spread, len, len_spread), (weights_l2, shamt, div, patch, spin))| {
+                    Layer {
+                        rows,
+                        row_spread,
+                        len,
+                        len_spread,
+                        weights_l2,
+                        shamt,
+                        div,
+                        patch,
+                        spin,
+                    }
+                },
+            )
+    }
+
+    /// Assembles `layers`; every core stores each row's result to its own
+    /// output word.
+    fn build_layers(layers: &[Layer]) -> Vec<u8> {
+        use iw_rv32::{encode, AluOp, Instr, LoopIdx};
+        let mut asm = Asm::new(L2_BASE);
+        asm.li(Reg::S3, (TCDM_BASE + 0x40) as i32);
+        asm.slli(Reg::T6, Reg::A0, 2);
+        asm.add(Reg::S3, Reg::S3, Reg::T6);
+        asm.li(Reg::S4, BARRIER_ADDR as i32);
+        for layer in layers {
+            let w = if layer.weights_l2 {
+                L2_DATA
+            } else {
+                TCDM_BASE + 0x4000
+            };
+            asm.li(Reg::S0, w as i32);
+            asm.slli(Reg::T5, Reg::A0, 10);
+            asm.add(Reg::S0, Reg::S0, Reg::T5);
+            asm.li(Reg::S5, i32::from(layer.rows));
+            asm.li(Reg::T5, i32::from(layer.row_spread));
+            asm.mul(Reg::T5, Reg::T5, Reg::A0);
+            asm.srai(Reg::T5, Reg::T5, 2);
+            asm.add(Reg::S5, Reg::S5, Reg::T5);
+            let layer_end = asm.new_label();
+            asm.beq_to(Reg::S5, Reg::ZERO, layer_end);
+            let row_top = asm.here();
+            asm.li(Reg::S1, (TCDM_BASE + 0x1000) as i32);
+            asm.load_post(MemWidth::W, Reg::T2, Reg::S0, 4);
+            asm.li(Reg::T4, i32::from(layer.len));
+            asm.li(Reg::T5, i32::from(layer.len_spread));
+            asm.mul(Reg::T5, Reg::T5, Reg::A0);
+            asm.add(Reg::T4, Reg::T4, Reg::T5);
+            let end = asm.new_label();
+            asm.lp_setup_to(LoopIdx::L0, Reg::T4, end);
+            asm.load_post(MemWidth::W, Reg::T0, Reg::S0, 4);
+            let x_load = asm.current_addr();
+            asm.load_post(MemWidth::W, Reg::T1, Reg::S1, 4);
+            asm.mul(Reg::T0, Reg::T0, Reg::T1);
+            asm.srai(Reg::T0, Reg::T0, layer.shamt);
+            asm.add(Reg::T2, Reg::T2, Reg::T0);
+            asm.bind(end);
+            let below = asm.new_label();
+            asm.li(Reg::S6, 1 << 20);
+            asm.blt_to(Reg::T2, Reg::S6, below);
+            asm.mv(Reg::T2, Reg::S6);
+            asm.bind(below);
+            if layer.div {
+                asm.li(Reg::S6, 7);
+                asm.alu(AluOp::Div, Reg::T2, Reg::T2, Reg::S6);
+            }
+            asm.sw(Reg::T2, Reg::S3, 0);
+            asm.addi(Reg::S3, Reg::S3, 32);
+            asm.addi(Reg::S5, Reg::S5, -1);
+            asm.bne_to(Reg::S5, Reg::ZERO, row_top);
+            asm.bind(layer_end);
+            if layer.patch {
+                let again = Instr::LoadPost {
+                    width: MemWidth::W,
+                    rd: Reg::T1,
+                    rs1: Reg::S1,
+                    offset: 0,
+                };
+                asm.li(Reg::S7, x_load as i32);
+                asm.li(Reg::S8, encode(&again).unwrap() as i32);
+                asm.sw(Reg::S8, Reg::S7, 0);
+            }
+            if layer.spin > 0 {
+                asm.li(Reg::S9, 4 * i32::from(layer.spin));
+                let spin = asm.here();
+                asm.lw(Reg::T3, Reg::S1, 0);
+                asm.addi(Reg::S9, Reg::S9, -1);
+                asm.bne_to(Reg::S9, Reg::ZERO, spin);
+            }
+            asm.sw(Reg::ZERO, Reg::S4, 0);
+        }
+        asm.ecall();
+        asm.assemble().unwrap()
+    }
+
+    /// Runs `layers` on `cores` cores and `tcdm_banks` banks, on the
+    /// product path and the reference, under a budget drawn by `budget`
+    /// (`None` unlimited; below 100 a share of the run; from 100 on,
+    /// 0–159 cycles short of its end), and compares the `ClusterRun` or
+    /// error and both memories whole.
+    fn leave_and_rejoin_matches_reference(
+        layers: &[Layer],
+        cores: usize,
+        tcdm_banks: usize,
+        budget: Option<u64>,
+    ) -> Result<(), String> {
+        let mems = patterned_mems(&build_layers(layers));
+        let cfg = ClusterConfig {
+            cores,
+            tcdm_banks,
+            ..ClusterConfig::default()
+        };
+        let reference = ClusterConfig {
+            decode_cache: false,
+            ..cfg
+        };
+        let unlimited = 10_000_000;
+        let limit = match (&run_on(&mems, &reference, unlimited).0, budget) {
+            (Ok((run, _)), Some(b)) => {
+                let cycles = run.cycles - cfg.offload_cycles;
+                if b < 100 {
+                    cycles * b / 100
+                } else {
+                    cycles.saturating_sub(b - 100)
+                }
+            }
+            _ => unlimited,
+        };
+        let (expected, ref_tcdm, ref_l2) = run_on(&mems, &reference, limit);
+        let (got, tcdm, l2) = run_on(&mems, &cfg, limit);
+        let (got, expected) = (got.map(|r| r.0), expected.map(|r| r.0));
+        if got != expected {
+            return Err(format!("limit={limit}: {got:?} != {expected:?}"));
+        }
+        if tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) != ref_tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) {
+            return Err(format!("limit={limit}: TCDM differs"));
+        }
+        if l2.read_bytes(L2_BASE, L2_SIZE) != ref_l2.read_bytes(L2_BASE, L2_SIZE) {
+            return Err(format!("limit={limit}: L2 differs"));
+        }
+        Ok(())
+    }
+
+    fn any_budget() -> impl Strategy<Value = Option<u64>> {
+        prop_oneof![
+            Just(None),
+            (0u64..100).prop_map(Some),
+            (0u64..100).prop_map(Some),
+            (0u64..160).prop_map(|k| Some(100 + k)),
+        ]
+    }
+
+    #[test]
+    fn cores_leave_and_rejoin_the_lockstep_at_every_row() {
+        let layer = |rows, row_spread, len, patch| Layer {
+            rows,
+            row_spread,
+            len,
+            len_spread: 1,
+            weights_l2: true,
+            shamt: 4,
+            div: true,
+            patch,
+            spin: 10,
+        };
+        let layers = [layer(3, 2, 30, false), layer(2, 3, 20, true)];
+        let mems = patterned_mems(&build_layers(&layers));
+        for cores in [2, 8] {
+            leave_and_rejoin_matches_reference(&layers, cores, 16, None).unwrap();
+            let cfg = ClusterConfig {
+                cores,
+                ..ClusterConfig::default()
+            };
+            let (run, sched) = run_on(&mems, &cfg, 10_000_000).0.unwrap();
+            // Every core joins once per row of the first layer; in the
+            // second, the first core past its rows rewrites the body, and
+            // every member leaves.
+            let rows: u64 = (0..cores as u64).map(|c| 3 + ((2 * c) >> 2)).sum();
+            assert!(sched.joint_entries >= rows, "cores={cores}: {sched:?}");
+            assert_eq!(run.instructions, sched.instructions);
+            let prog = sched.program.unwrap();
+            assert!(prog.redecodes > 0, "cores={cores}: {prog:?}");
+            assert_eq!(
+                prog.instructions + sched.joint_instructions,
+                run.instructions
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Kernel-shaped layers on 2–8 cores under 1, 3 and 16 banks:
+        /// per-core row counts and lengths, so that cores leave the
+        /// lockstep at their last pass, run their epilogues (a branch, a
+        /// `div`, a store) beside members still in their rows and join
+        /// again at their next row's head; barriers between layers; a
+        /// core past its rows rewriting the body the others still run;
+        /// budgets anywhere, inside a row boundary included. The product
+        /// path must reproduce the reference pick loop exactly: the
+        /// `ClusterRun` or error and both memories whole.
+        #[test]
+        fn cores_leave_and_rejoin_lockstep_match_reference(
+            layers in prop::collection::vec(any_layer(), 1..5),
+            cores in 2usize..9,
+            tcdm_banks in prop_oneof![Just(1usize), Just(3), Just(16)],
+            budget in any_budget(),
+        ) {
+            leave_and_rejoin_matches_reference(&layers, cores, tcdm_banks, budget)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// [`cores_leave_and_rejoin_lockstep_match_reference`] over 2 048
+        /// cases: run it with `cargo test --release -p iw-mrwolf --
+        /// --ignored`.
+        #[test]
+        #[ignore = "2 048 cases: run in release with --ignored"]
+        fn cores_leave_and_rejoin_lockstep_match_reference_2048(
+            layers in prop::collection::vec(any_layer(), 1..5),
+            cores in 2usize..9,
+            tcdm_banks in prop_oneof![Just(1usize), Just(3), Just(16)],
+            budget in any_budget(),
+        ) {
+            leave_and_rejoin_matches_reference(&layers, cores, tcdm_banks, budget)?;
         }
     }
 }

@@ -206,8 +206,8 @@ enum Kind {
 /// `p.lw tw, 4(w!)`, `p.lw tx, 4(x!)`, `mul tw, tw, tx`,
 /// `srai tw, tw, shamt`, `add acc, acc, tw` over `regs = [w, x, tw, tx,
 /// acc]`, five distinct non-zero registers: the whole body of a hardware
-/// loop (the RI5CY dot-product row), run natively while the loop's own
-/// back edge redirects to the op.
+/// loop (the RI5CY dot-product row), run as a whole row while the loop's
+/// own back edge alone redirects inside the body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HwLoopDot {
     regs: [Reg; 5],
@@ -439,6 +439,7 @@ impl Program {
 
     /// Counters accumulated so far.
     #[must_use]
+    #[inline]
     pub fn stats(&self) -> ProgramStats {
         self.ex.stats
     }
@@ -461,7 +462,7 @@ impl Program {
     /// body's dispatch points (the op itself, its second `p.lw`, its
     /// `mul`/`srai`/`add` tail), with those three slots translated, and
     /// while the hart's own hardware loop alone can redirect inside the
-    /// body: the condition under which the op runs natively.
+    /// body: the condition under which the op may run a whole row.
     #[must_use]
     pub fn dot_body(&self, cpu: &Cpu) -> Option<DotBody> {
         let slot = |pc: u32| self.slots.get(self.slot_of(pc)).copied().flatten();
@@ -1019,34 +1020,18 @@ impl Cpu {
 // earlier check could stop it) runs whole, over the spans, and commits
 // the registers and the bookkeeping once, in closed form.
 //
-// Any other row: the counted op runs its first load alone, as the single
-// `lw`; the body's own slots step the row, and the op decides again at
-// its back edge. The hardware-loop op, the one op of the 8-core cluster's
-// arbitrating bus, steps: it runs its body natively on locals with the
-// fused ops' stops between every sub-instruction (the cycle budget; the
-// memory gate before every access but the op's first; a fault), writes
-// the registers back and commits the bookkeeping once at the stop, `r`
-// counting the sub-instructions of the unfinished pass retired there.
-// Its first load, the gate stop after it and the fallback for a loop it
-// cannot follow are inlined into the dispatch, the passes are out of
-// line: on 8 cores the op is entered once per pass and mostly retires
-// its first load and stops at the gate, where a call would cost more
-// than the op.
+// Any other row: the op runs its first load alone, as the single `p.lw`
+// or `lw`; the body's own slots step the row, and the op decides again at
+// the next pass's head. On the 8-core cluster's arbitrating bus, which
+// hands out no spans, every entry runs its first load alone; the
+// cluster's scheduler runs the lockstep rows itself ([`DotBody`]).
 // ---------------------------------------------------------------------
 
 impl HwLoopDot {
-    /// `p.lw tw, 4(w!)`.
-    fn first_load(self) -> PostLoad {
-        let [w, _, tw, ..] = self.regs;
-        PostLoad {
-            rd: tw,
-            rs1: w,
-            imm: 4,
-        }
-    }
-
-    /// Runs the op: natively while the op's own loop is the only one that
-    /// can redirect inside the body, else as its two `p.lw`s.
+    /// Runs the op: the whole row at once when no stop could end it
+    /// ([`HwLoopDot::whole_row`]), else its first load alone, as the
+    /// single `p.lw`; the body's own slots then step the pass, and the op
+    /// decides again at the next pass's head.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn run<B: Bus>(
@@ -1060,118 +1045,65 @@ impl HwLoopDot {
         mem_room: u64,
     ) -> Result<u64, CpuError> {
         ex.stats.hwloop_dot_entries += 1;
-        // The first access always issues. Stopped right after it, the op
-        // retires it alone, as the single `p.lw` would.
-        let (pc, next) = (cpu.pc, cpu.pc.wrapping_add(4));
-        let c = post_lw(cpu, bus, self.first_load(), t, at, pc)?;
-        if c > budget || c >= mem_room {
-            cpu.retire(InstrClass::Load, t.load, next, true);
+        if let Some(c) = self.whole_row(ex, cpu, bus, t, budget, mem_room) {
             return Ok(c);
         }
-        if let Some(l) = own_hwloop(cpu, pc, pc.wrapping_add(20)) {
-            return self.passes(l, c, ex, cpu, bus, t, at, budget, mem_room);
-        }
-        cpu.retire(InstrClass::Load, t.load, next, true);
-        if cpu.pc != next {
-            return Ok(c);
-        }
-        let [_, x, _, tx, _] = self.regs;
-        let b = PostLoad {
-            rd: tx,
-            rs1: x,
-            imm: 4,
-        };
-        Ok(c + post_load(cpu, bus, b, t, pc.wrapping_add(8), at + c)?)
+        // `p.lw tw, 4(w!)`: the op's registers are distinct.
+        let [w, _, tw, ..] = self.regs;
+        let (pc, addr) = (cpu.pc, cpu.reg(w));
+        let (v, c) = load(bus, addr, MemWidth::W, t, at, pc)?;
+        cpu.set_reg(tw, v);
+        cpu.set_reg(w, addr.wrapping_add(4));
+        cpu.retire(InstrClass::Load, t.load, pc.wrapping_add(4), true);
+        Ok(c)
     }
 
-    /// The rest of [`HwLoopDot::run`] under the op's own loop `l`, after a
-    /// first load of cost `c` that left room to go on.
+    /// Runs the whole row over the two spans ([`row_spans`]) and commits
+    /// it in closed form, returning its cost: `Some` when the op's own
+    /// hardware loop alone can redirect inside the body, and the row's
+    /// last budget check (at the last pass's `srai`; the exiting `add` is
+    /// the caller's) and its last memory-gate check (before the last
+    /// pass's second load) pass. The cycle count only grows, so no
+    /// earlier check could stop the row.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn passes<B: Bus>(
+    fn whole_row<B: Bus>(
         self,
-        l: usize,
-        mut c: u64,
         ex: &mut ExecState,
         cpu: &mut Cpu,
-        bus: &mut B,
+        bus: &B,
         t: &Timing,
-        at: u64,
         budget: u64,
         mem_room: u64,
-    ) -> Result<u64, CpuError> {
+    ) -> Option<u64> {
         let pc = cpu.pc;
-        let end = pc.wrapping_add(20);
+        let l = own_hwloop(cpu, pc, pc.wrapping_add(20))?;
         let n = u64::from(cpu.hwloops[l].count);
-        let shamt = self.shamt;
-        let mut iters = 0u64;
-        let [mut w, mut x, mut tw, mut tx, mut acc] = self.regs.map(|r| cpu.reg(r));
-        // The first load already stepped `w`. After it a pass costs `pass`
-        // and the next pass's first load `kw`; the last pass's `srai` makes
-        // the last budget check and its first load the last gate check.
-        let row =
-            row_spans(bus, w.wrapping_sub(4), x, n, t.load).and_then(|[(ws, kw), (xs, kx)]| {
-                let pass = u64::from(kx) + u64::from(t.mul) + 2 * u64::from(t.alu);
-                let end = row_cycles(c, n, pass, u64::from(kw))?;
-                (end - u64::from(t.alu) <= budget && end - pass < mem_room).then_some((ws, xs, end))
-            });
-        let (r, res) = if let Some((ws, xs, end)) = row {
-            (acc, tw, tx) = dot_row(ws, xs, shamt, acc);
-            (w, x) = (
-                w.wrapping_add(4 * (n as u32 - 1)),
-                x.wrapping_add(4 * n as u32),
-            );
-            (c, iters) = (end, n);
-            ex.stats.whole_rows += 1;
-            (0, Ok(()))
-        } else {
-            loop {
-                match load(bus, x, MemWidth::W, t, at + c, pc.wrapping_add(4)) {
-                    Ok((v, k)) => (tx, x, c) = (v, x.wrapping_add(4), c + k),
-                    Err(e) => break (1, Err(e)),
-                }
-                if c > budget {
-                    break (2, Ok(()));
-                }
-                tw = tw.wrapping_mul(tx);
-                c += u64::from(t.mul);
-                if c > budget {
-                    break (3, Ok(()));
-                }
-                tw = ((tw as i32) >> shamt) as u32;
-                c += u64::from(t.alu);
-                if c > budget {
-                    break (4, Ok(()));
-                }
-                acc = acc.wrapping_add(tw);
-                c += u64::from(t.alu);
-                iters += 1;
-                if iters == n || c > budget || c >= mem_room {
-                    break (0, Ok(()));
-                }
-                match load(bus, w, MemWidth::W, t, at + c, pc) {
-                    Ok((v, k)) => (tw, w, c) = (v, w.wrapping_add(4), c + k),
-                    Err(e) => break (0, Err(e)),
-                }
-                if c > budget || c >= mem_room {
-                    break (1, Ok(()));
-                }
-            }
-        };
-        for (reg, v) in self.regs.into_iter().zip([w, x, tw, tx, acc]) {
+        let [w, x, _, _, acc] = self.regs.map(|r| cpu.reg(r));
+        let [(ws, kw), (xs, kx)] = row_spans(bus, w, x, n, t.load)?;
+        // A pass costs its first load, then `pass`; the next pass's first
+        // load comes between passes.
+        let pass = u64::from(kx) + u64::from(t.mul) + 2 * u64::from(t.alu);
+        let end = row_cycles(u64::from(kw), n, pass, u64::from(kw))?;
+        if end - u64::from(t.alu) > budget || end - pass >= mem_room {
+            return None;
+        }
+        let (acc, tw, tx) = dot_row(ws, xs, self.shamt, acc);
+        let step = 4 * n as u32;
+        for (reg, v) in
+            self.regs
+                .into_iter()
+                .zip([w.wrapping_add(step), x.wrapping_add(step), tw, tx, acc])
+        {
             cpu.set_reg(reg, v);
         }
-        retire_passes(cpu, &hwloop_dot_body(t), iters, r);
-        // Each whole pass retired through the loop's end: a back edge
-        // while iterations remained, the exit on the last one.
-        cpu.hwloops[l].count = (n - iters) as u32;
-        cpu.pc = if r == 0 && iters == n {
-            end
-        } else {
-            pc.wrapping_add(4 * r)
-        };
-        ex.stats.hwloop_dot_iterations += iters;
-        res.map(|()| c)
+        retire_passes(cpu, &hwloop_dot_body(t), n, 0);
+        // Each pass retired through the loop's end: a back edge while
+        // passes remained, the exit on the last one.
+        cpu.hwloops[l].count = 0;
+        cpu.pc = pc.wrapping_add(20);
+        ex.stats.hwloop_dot_iterations += n;
+        ex.stats.whole_rows += 1;
+        Some(end)
     }
 }
 
@@ -1731,43 +1663,6 @@ fn store<B: Bus>(
         return Err(CpuError::Misaligned { addr, pc });
     }
     Ok(u64::from(bus.store_timed(addr, width, value, t.store, at)?))
-}
-
-/// The effects of the `p.lw rd, imm(rs1!)` at `pc`, not yet retired;
-/// returns its cost.
-#[inline(always)]
-fn post_lw<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    l: PostLoad,
-    t: &Timing,
-    at: u64,
-    pc: u32,
-) -> Result<u64, CpuError> {
-    let addr = cpu.reg(l.rs1);
-    let (v, cost) = load(bus, addr, MemWidth::W, t, at, pc)?;
-    cpu.set_reg(l.rd, v);
-    // Post-increment happens after the load; if rd == rs1 the loaded
-    // value wins (as on RI5CY).
-    if l.rd != l.rs1 {
-        cpu.set_reg(l.rs1, addr.wrapping_add(l.imm as u32));
-    }
-    Ok(cost)
-}
-
-/// One `p.lw rd, imm(rs1!)` sub-instruction, retired to `next_pc`.
-#[inline(always)]
-fn post_load<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    l: PostLoad,
-    t: &Timing,
-    next_pc: u32,
-    at: u64,
-) -> Result<u64, CpuError> {
-    let cost = post_lw(cpu, bus, l, t, at, cpu.pc)?;
-    cpu.retire(InstrClass::Load, t.load, next_pc, true);
-    Ok(cost)
 }
 
 #[cfg(test)]
@@ -2344,21 +2239,18 @@ mod tests {
         for n in [1, 2, 8] {
             for alias in [false, true] {
                 let rows = [
-                    (hwloop_row(n, alias), true, 4 + 5 * n as u64, false),
-                    (counted_row(n, alias), false, 3 + 9 * n as u64, true),
-                    (counted_row(n, alias), true, 3 + 9 * n as u64, true),
+                    (hwloop_row(n, alias), true, 4 + 5 * n as u64),
+                    (counted_row(n, alias), false, 3 + 9 * n as u64),
+                    (counted_row(n, alias), true, 3 + 9 * n as u64),
                 ];
-                for (row, xpulp, last, counted) in rows {
+                for (row, xpulp, last) in rows {
                     for limit in 1..20 * n as u64 + 30 {
                         let stats = loop_matches_reference(&row, xpulp, limit);
                         let whole = !alias && reference_retired(&row, xpulp, limit) >= last;
                         assert_eq!(stats.whole_rows, u64::from(whole), "n={n} limit={limit}");
-                        // Short of a whole row, the counted op retires no
-                        // pass.
-                        if counted {
-                            let passes = n as u64 * stats.whole_rows;
-                            assert_eq!(stats.counted_dot_iterations, passes, "n={n} limit={limit}");
-                        }
+                        // Short of a whole row, neither op retires a pass.
+                        let passes = stats.hwloop_dot_iterations + stats.counted_dot_iterations;
+                        assert_eq!(passes, n as u64 * stats.whole_rows, "n={n} limit={limit}");
                     }
                 }
             }
@@ -2380,8 +2272,7 @@ mod tests {
         // Either stream ending exactly at the end of memory, one word
         // before it, or one word past it: the last pass's load of that
         // stream faults, at the same sub-instruction as the reference's;
-        // the hardware-loop op steps the row, the counted op leaves it to
-        // single ops.
+        // both loop ops leave such a row to single ops.
         for n in [1, 2, 8] {
             for past in [-1, 0, 1] {
                 let at = 4096 - 4 * (n - past);
@@ -2393,10 +2284,8 @@ mod tests {
                     for (row, xpulp) in rows {
                         let stats = loop_matches_reference(&row, xpulp, 100_000);
                         assert_eq!(stats.whole_rows, u64::from(past < 1), "n={n} {w:#x} {x:#x}");
-                        if !xpulp {
-                            let passes = n as u64 * stats.whole_rows;
-                            assert_eq!(stats.counted_dot_iterations, passes, "n={n} {w:#x} {x:#x}");
-                        }
+                        let passes = stats.hwloop_dot_iterations + stats.counted_dot_iterations;
+                        assert_eq!(passes, n as u64 * stats.whole_rows, "n={n} {w:#x} {x:#x}");
                     }
                 }
             }
@@ -2415,25 +2304,26 @@ mod tests {
         }
     }
 
-    /// `true` if the reference, stepping the counted row at `entry`'s pc
-    /// under the loop ops' stops (the budget after every instruction, the
-    /// memory gate before every load but the first), reaches the row's
-    /// exit.
-    fn counted_row_exits(
+    /// `true` if the reference, stepping the row at `entry`'s pc under the
+    /// loop ops' stops (the budget after every instruction, the memory
+    /// gate before every load but the first), reaches the row's exit
+    /// `len` bytes past its head.
+    fn row_exits(
         entry: &Cpu,
         ram: &mut Ram,
         t: &Timing,
         budget: u64,
         mem_room: u64,
+        len: u32,
     ) -> bool {
         let (mut cpu, start, mut cost) = (entry.clone(), entry.pc(), 0u64);
         loop {
-            // The two `lw`s open each pass.
+            // The two loads open each pass.
             if cost > 0 && cpu.pc() - start < 8 && cost >= mem_room {
                 return false;
             }
             cost += u64::from(cpu.step(ram, t).unwrap().unwrap().cycles);
-            if cpu.pc() == start + 36 {
+            if cpu.pc() == start + len {
                 return true;
             }
             if cost > budget {
@@ -2444,13 +2334,10 @@ mod tests {
 
     #[test]
     fn whole_rows_run_exactly_when_no_budget_or_gate_check_could_stop_them() {
-        // Every budget and memory gate around both loop ops' rows. The
-        // hardware-loop op over spans leaves the same state and cost as
-        // the op stepping every access, and serves the row whole exactly
-        // when the stepped op ran it to its exit. The counted op serves
-        // the row whole exactly when the reference, under the same stops,
-        // reaches the exit, and otherwise runs its first load alone, as it
-        // does over a bus without spans.
+        // Every budget and memory gate around both loop ops' rows. Each op
+        // serves the row whole exactly when the reference, under the same
+        // stops, reaches the exit, and otherwise runs its first load
+        // alone, as it does over a bus without spans.
         for n in [1, 2, 8] {
             let rows = [
                 (hwloop_row(n, false), true, 4, 20),
@@ -2494,20 +2381,14 @@ mod tests {
                             pb.exec(op, &mut b, &mut Stepped(&mut ram), &t, 0, budget, mem_room);
                         let what = format!("n={n} budget={budget} mem_room={mem_room}");
                         assert_eq!(pb.stats().whole_rows, 0, "{what}");
-                        let whole = if xpulp {
-                            assert_eq!((ca, state(&a)), (cb, state(&b)), "{what}");
-                            b.pc() == start + len
+                        assert_eq!(b.retired(), entry.retired() + 1, "{what}");
+                        let whole = row_exits(&entry, &mut ram, &t, budget, mem_room, len);
+                        let expect = if whole {
+                            (Ok(full), state(&done))
                         } else {
-                            assert_eq!(b.retired(), entry.retired() + 1, "{what}");
-                            let whole = counted_row_exits(&entry, &mut ram, &t, budget, mem_room);
-                            let expect = if whole {
-                                (Ok(full), state(&done))
-                            } else {
-                                (cb, state(&b))
-                            };
-                            assert_eq!((ca, state(&a)), expect, "{what}");
-                            whole
+                            (cb, state(&b))
                         };
+                        assert_eq!((ca, state(&a)), expect, "{what}");
                         assert_eq!(pa.stats().whole_rows, u64::from(whole), "{what}");
                     }
                 }
