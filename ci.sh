@@ -7,6 +7,16 @@ cd "$(dirname "$0")"
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Layering: the event engine takes only costs (durations and energies),
+# so it must not link the kernel deployment layer (iw-kernels), the
+# cluster model (iw-mrwolf) or the network library (iw-fann).
+sim_deps=$(cargo tree -p iw-sim -e normal --offline)
+for layer in iw-kernels iw-mrwolf iw-fann; do
+  if grep -q "$layer v" <<<"$sim_deps"; then
+    echo "ci.sh: iw-sim depends on $layer" >&2
+    exit 1
+  fi
+done
 # Docs must build warning-free for our crates (the vendored offline
 # stubs under vendor/ are excluded — not ours to lint).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \

@@ -698,12 +698,6 @@ impl DecodedProgram {
     pub fn instrs(&self) -> &[ThumbInstr] {
         &self.instrs
     }
-
-    /// Consumes the program, returning the instruction list.
-    #[must_use]
-    pub fn into_instrs(self) -> Vec<ThumbInstr> {
-        self.instrs
-    }
 }
 
 #[cfg(test)]

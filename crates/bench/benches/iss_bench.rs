@@ -30,7 +30,7 @@ use iw_kernels::{
     registry, targets_in, ExecPath, FixedTarget, FixedWorkload, FloatWorkload, M4Machine, Machine,
     PreparedFixed, ProductStats, Q15Workload, TargetGroup, Workload,
 };
-use iw_metrics::Registry;
+use iw_metrics::{Snapshot, Value};
 
 /// Rounds of interleaved timing per (network, target) row. The product
 /// rows run in well under a millisecond on a shared host whose speed
@@ -127,7 +127,7 @@ fn bench() {
     // Machine-readable mirror of the throughput table, in the same
     // sample schema the fleet `--metrics` exporter emits — one gauge
     // per (network, target, path) plus the dispatch statistics.
-    let reg = Registry::new();
+    let mut snap = Snapshot::new();
     let nets = evaluation_nets();
     for (ni, (name, _, fixed, qin)) in nets.iter().enumerate() {
         println!("== iss_throughput/{name} ==");
@@ -167,19 +167,25 @@ fn bench() {
                 d = row.stats.dispatches,
             );
             for (path, seconds) in [("reference", r), ("product", p)] {
-                reg.gauge(
+                snap.push(
                     "iss_minstr_per_s",
                     &[("network", name), ("target", &row.target), ("path", path)],
-                )
-                .set(row.minstr(seconds));
+                    Value::Gauge(row.minstr(seconds)),
+                );
             }
             let labels = [("network", name.as_str()), ("target", row.target.as_str())];
-            reg.counter("iss_instructions", &labels)
-                .add(row.instructions);
-            reg.gauge("iss_product_avg_burst", &labels)
-                .set(row.stats.avg_burst);
+            snap.push(
+                "iss_instructions",
+                &labels,
+                Value::Counter(row.instructions),
+            );
+            snap.push(
+                "iss_product_avg_burst",
+                &labels,
+                Value::Gauge(row.stats.avg_burst),
+            );
             if let Some(per_op) = row.instrs_per_op() {
-                reg.gauge("iss_product_instrs_per_op", &labels).set(per_op);
+                snap.push("iss_product_instrs_per_op", &labels, Value::Gauge(per_op));
             }
             rows.push(row);
         }
@@ -211,7 +217,8 @@ fn bench() {
         ));
     }
     out.push_str("  ],\n  \"metrics\": ");
-    out.push_str(&reg.snapshot().to_json());
+    snap.sort();
+    out.push_str(&snap.to_json());
     out.push_str("\n}\n");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_iss.json");

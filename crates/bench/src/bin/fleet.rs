@@ -46,7 +46,7 @@ use std::io::{BufWriter, Write};
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-use iw_metrics::Registry;
+use iw_metrics::Value;
 use iw_sim::coord::{self, Coordinated};
 use iw_sim::record::WorkerStats;
 use iw_sim::{fleet_snapshot, FaultProfile, FleetConfig, FleetReport};
@@ -333,23 +333,27 @@ fn write_metrics(
     wall_s: f64,
     worker_stats: &[WorkerStats],
 ) -> Result<(), String> {
-    let reg = Registry::new();
-    reg.gauge("fleet_wall_seconds", &[]).set(wall_s);
-    reg.gauge("fleet_device_days_per_wall_second", &[])
-        .set(report.simulated_s / 86_400.0 / wall_s.max(1e-9));
+    let mut snap = fleet_snapshot(report);
+    snap.push("fleet_wall_seconds", &[], Value::Gauge(wall_s));
+    snap.push(
+        "fleet_device_days_per_wall_second",
+        &[],
+        Value::Gauge(report.simulated_s / 86_400.0 / wall_s.max(1e-9)),
+    );
     for (shard, s) in worker_stats.iter().enumerate() {
         let shard = shard.to_string();
         let labels = [("shard", shard.as_str())];
-        reg.counter("fleet_worker_records", &labels).add(s.records);
-        reg.gauge("fleet_worker_wall_seconds", &labels)
-            .set(s.wall_s);
+        snap.push("fleet_worker_records", &labels, Value::Counter(s.records));
+        snap.push("fleet_worker_wall_seconds", &labels, Value::Gauge(s.wall_s));
         if let Some(rss) = s.peak_rss_bytes {
-            reg.gauge("fleet_worker_peak_rss_bytes", &labels)
-                .set(rss as f64);
+            snap.push(
+                "fleet_worker_peak_rss_bytes",
+                &labels,
+                Value::Gauge(rss as f64),
+            );
         }
     }
-    let mut snap = fleet_snapshot(report);
-    snap.extend(reg.snapshot());
+    snap.sort();
     let body = if path.ends_with(".json") {
         snap.to_json()
     } else {

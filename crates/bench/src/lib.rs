@@ -10,12 +10,11 @@ use infiniwolf::{measure_detection_budget, sustainability, DetectionBudget};
 use iw_fann::presets::{network_a, network_b};
 use iw_fann::{FixedNet, Footprint, Mlp};
 use iw_harvest::{
-    daily_intake, EnvProfile, Illuminant, LightCondition, SolarHarvester, TegHarvester,
-    ThermalCondition,
+    EnvProfile, Illuminant, LightCondition, SolarHarvester, TegHarvester, ThermalCondition,
 };
 use iw_kernels::{
-    run_fixed, run_fixed_on, run_m4_fixed, run_m4_float, run_wolf_fixed_with, targets_in,
-    FixedTarget, RvKernelOpts, TargetGroup,
+    run_fixed, run_m4_float, targets_in, FixedTarget, PreparedFixed, RvKernelOpts, TargetGroup,
+    WolfMachine,
 };
 use iw_mrwolf::ClusterConfig;
 use iw_nrf52::BleRadio;
@@ -152,7 +151,9 @@ pub fn table3_and_4() -> Vec<(String, Vec<(Row, Row)>)> {
                 .into_iter()
                 .enumerate()
                 .map(|(ti, entry)| {
-                    let run = run_fixed_on(&*entry.machine(), &fixed, &qin).expect("target runs");
+                    let run = PreparedFixed::on(&*entry.machine(), &fixed, &qin)
+                        .and_then(|prep| prep.run())
+                        .expect("target runs");
                     (
                         Row {
                             label: entry.label.to_string(),
@@ -231,7 +232,7 @@ pub fn x1_float_vs_fixed() -> Vec<Row> {
     let [(_, net, fixed, qin), _] = evaluation_nets();
     let mut rng = StdRng::seed_from_u64(SEED + 1);
     let input: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let fx = run_m4_fixed(&fixed, &qin).expect("fixed runs");
+    let fx = run_fixed(FixedTarget::CortexM4, &fixed, &qin).expect("fixed runs");
     let fl = run_m4_float(&net, &input).expect("float runs");
     vec![
         Row {
@@ -358,7 +359,9 @@ pub fn a2_xpulp_ablation() -> Vec<(String, Vec<(String, u64)>)> {
             let rows = targets_in(TargetGroup::XpulpAblation)
                 .into_iter()
                 .map(|entry| {
-                    let run = run_fixed_on(&*entry.machine(), &fixed, &qin).expect("riscy runs");
+                    let run = PreparedFixed::on(&*entry.machine(), &fixed, &qin)
+                        .and_then(|prep| prep.run())
+                        .expect("riscy runs");
                     (entry.label.to_string(), run.cycles)
                 })
                 .collect();
@@ -379,9 +382,15 @@ pub fn a3_tcdm_banks() -> Vec<(usize, u64, u64)> {
                 tcdm_banks: banks,
                 ..ClusterConfig::default()
             };
-            let run =
-                run_wolf_fixed_with(&fixed, &qin, &RvKernelOpts::cluster(8), Some(cfg), false)
-                    .expect("cluster runs");
+            let machine = WolfMachine::with_opts(
+                "Mr. Wolf (custom)",
+                RvKernelOpts::cluster(8),
+                Some(cfg),
+                false,
+            );
+            let run = PreparedFixed::on(&machine, &fixed, &qin)
+                .and_then(|prep| prep.run())
+                .expect("cluster runs");
             let stats = run.cluster.expect("cluster stats");
             (banks, run.cycles, stats.tcdm_conflict_stalls)
         })
@@ -547,7 +556,8 @@ pub fn a7_q15_simd() -> Q15Comparison {
                 .into_iter()
                 .map(|entry| {
                     let machine = entry.machine();
-                    let q31 = run_fixed_on(&*machine, &fixed, &qin)
+                    let q31 = PreparedFixed::on(&*machine, &fixed, &qin)
+                        .and_then(|prep| prep.run())
                         .expect("q31 runs")
                         .cycles;
                     let q15c = run_q15_on(&*machine, &q15, &q15_in)
@@ -837,18 +847,6 @@ pub fn d4_epidemic_sweep(devices: usize, threads: usize) -> Vec<(FaultProfile, F
             (profile, report)
         })
         .collect()
-}
-
-/// Checks the daily-intake figure directly (used by the `tables` binary's
-/// header for X3).
-#[must_use]
-pub fn daily_intake_j() -> f64 {
-    daily_intake(
-        &EnvProfile::paper_indoor_day(),
-        &SolarHarvester::infiniwolf(),
-        &TegHarvester::infiniwolf(),
-    )
-    .total_j()
 }
 
 /// One candidate of the D5 policy search: a stable display name plus the

@@ -52,7 +52,10 @@ fn prometheus_export_carries_the_coordinator_section() {
         ("fleet_worker_peak_rss_bytes", "gauge"),
     ] {
         let type_line = format!("# TYPE {name} {kind}\n");
-        assert!(prom.contains(&type_line), "missing `{type_line}` in:\n{prom}");
+        assert!(
+            prom.contains(&type_line),
+            "missing `{type_line}` in:\n{prom}"
+        );
     }
     for name in [
         "fleet_worker_records",
@@ -77,7 +80,10 @@ fn prometheus_export_carries_the_coordinator_section() {
         .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
         .sum();
     assert_eq!(records, 8, "every device streams one record");
-    let info = format!("fleet_digest_info{{digest=\"{}\"}} 1\n", printed_digest(&stdout));
+    let info = format!(
+        "fleet_digest_info{{digest=\"{}\"}} 1\n",
+        printed_digest(&stdout)
+    );
     assert!(prom.contains(&info), "missing `{info}` in:\n{prom}");
 }
 

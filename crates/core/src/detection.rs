@@ -1,7 +1,7 @@
 //! Per-detection energy budget — the paper's 602.2 µJ breakdown.
 
 use iw_fann::FixedNet;
-use iw_kernels::{run_fixed_on, FeatureCost, FixedTarget, KernelError};
+use iw_kernels::{FeatureCost, FixedTarget, MachineError, PreparedFixed};
 use iw_mrwolf::OperatingPoint;
 use iw_sensors::Acquisition;
 
@@ -52,17 +52,17 @@ impl DetectionBudget {
 ///
 /// # Errors
 ///
-/// Propagates [`KernelError`] from the classification run.
+/// Propagates [`MachineError`] from the classification run.
 pub fn measure_detection_budget(
     fixed: &FixedNet,
     input: &[i32],
     target: FixedTarget,
-) -> Result<DetectionBudget, KernelError> {
+) -> Result<DetectionBudget, MachineError> {
     let acquisition = Acquisition::default();
     let features = FeatureCost::default();
     let op = OperatingPoint::efficient();
     let machine = target.machine();
-    let run = run_fixed_on(&*machine, fixed, input)?;
+    let run = PreparedFixed::on(&*machine, fixed, input)?.run()?;
     Ok(DetectionBudget {
         acquisition_j: acquisition.energy_j(),
         features_j: features.energy_j(&op),

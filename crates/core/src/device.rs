@@ -5,7 +5,7 @@
 use iw_harvest::{Battery, PowerSupply, SolarHarvester, TegHarvester};
 use iw_mrwolf::OperatingPoint;
 use iw_nrf52::{BleRadio, Nrf52Mode, Nrf52Power};
-use iw_sensors::{Acquisition, Afe};
+use iw_sensors::Acquisition;
 
 /// Operating modes of the bracelet (the nRF52832 firmware's state machine
 /// as the paper describes it).
@@ -116,13 +116,6 @@ impl InfiniWolf {
         let bytes = self.acquisition.ecg.bytes_for(self.acquisition.window_s)
             + self.acquisition.gsr.bytes_for(self.acquisition.window_s);
         self.radio.notify_energy_j(bytes)
-    }
-
-    /// The IMU/pressure/microphone inventory (powered off during stress
-    /// detection, listed for completeness).
-    #[must_use]
-    pub fn auxiliary_sensors() -> [Afe; 3] {
-        [Afe::icm20948(), Afe::bmp280(), Afe::ics43434()]
     }
 }
 

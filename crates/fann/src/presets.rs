@@ -11,12 +11,6 @@ pub fn network_a() -> Mlp {
     Mlp::new(&[5, 50, 50, 3])
 }
 
-/// Layer sizes of Network A, input first.
-#[must_use]
-pub fn network_a_sizes() -> Vec<usize> {
-    vec![5, 50, 50, 3]
-}
-
 /// **Network B** — the larger benchmark network: 100 inputs, 8 outputs and
 /// 24 hidden layers in pairs of increasing width (8, 8, 16, 16, …, 96, 96).
 /// 1356 neurons, 81032 weights, ~353 kB — sized to still fit Mr. Wolf's

@@ -211,12 +211,6 @@ impl Q15Net {
             .map(|(i, _)| i)
             .expect("at least one output")
     }
-
-    /// Total weight halfwords including bias/padding.
-    #[must_use]
-    pub fn num_weight_halfwords(&self) -> usize {
-        self.layers.iter().map(|l| l.weights.len()).sum()
-    }
 }
 
 impl FixedActivation {

@@ -63,8 +63,5 @@ pub use q15::{
     run_wolf_q15, Q15Run,
 };
 pub use rv::{emit_fixed_kernel, RvKernelOpts, XpulpOpts};
-pub use targets::{
-    run_fixed, run_fixed_on, run_fixed_uncached, run_m4_fixed, run_m4_fixed_uncached, run_m4_float,
-    run_wolf_fixed_with, FixedRun, FixedTarget, FloatRun, KernelError, PreparedFixed,
-};
+pub use targets::{run_fixed, run_m4_float, FixedRun, FixedTarget, FloatRun, PreparedFixed};
 pub use workloads::{FixedWorkload, FloatWorkload, Q15Workload};

@@ -20,8 +20,7 @@ use iw_rv32::asm::Asm;
 use iw_rv32::{BranchCond, LoopIdx, MemWidth, Reg, ShiftOp, SimdOp};
 
 use crate::layout::Placement;
-use crate::machine::{ExecPath, M4Machine, Machine, MachineRun, WolfMachine};
-use crate::targets::KernelError;
+use crate::machine::{ExecPath, M4Machine, Machine, MachineError, MachineRun, WolfMachine};
 use crate::workloads::Q15Workload;
 
 /// Assigns addresses for a Q15 network: halfword weights, halfword
@@ -251,12 +250,12 @@ impl Q15Run {
 ///
 /// # Errors
 ///
-/// See [`KernelError`].
+/// See [`MachineError`].
 pub fn run_q15_on(
     machine: &dyn Machine,
     net: &Q15Net,
     input: &[i16],
-) -> Result<Q15Run, KernelError> {
+) -> Result<Q15Run, MachineError> {
     let workload = Q15Workload::new(net, input)?;
     Ok(Q15Run::from_machine(
         machine.deploy(&workload)?.run(ExecPath::Product)?,
@@ -268,8 +267,8 @@ pub fn run_q15_on(
 ///
 /// # Errors
 ///
-/// See [`KernelError`].
-pub fn run_wolf_q15(net: &Q15Net, input: &[i16], cores: usize) -> Result<Q15Run, KernelError> {
+/// See [`MachineError`].
+pub fn run_wolf_q15(net: &Q15Net, input: &[i16], cores: usize) -> Result<Q15Run, MachineError> {
     run_q15_on(&WolfMachine::cluster(cores), net, input)
 }
 
@@ -277,8 +276,8 @@ pub fn run_wolf_q15(net: &Q15Net, input: &[i16], cores: usize) -> Result<Q15Run,
 ///
 /// # Errors
 ///
-/// See [`KernelError`].
-pub fn run_m4_q15(net: &Q15Net, input: &[i16]) -> Result<Q15Run, KernelError> {
+/// See [`MachineError`].
+pub fn run_m4_q15(net: &Q15Net, input: &[i16]) -> Result<Q15Run, MachineError> {
     run_q15_on(&M4Machine::new(), net, input)
 }
 
@@ -371,7 +370,7 @@ mod tests {
         let (q, _) = net_and_input(12, &[5, 4, 2]);
         assert!(matches!(
             run_wolf_q15(&q, &[1, 2], 1),
-            Err(KernelError::BadInput { .. })
+            Err(MachineError::BadInput { .. })
         ));
     }
 }

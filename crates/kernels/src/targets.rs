@@ -3,27 +3,22 @@
 //!
 //! These are thin, typed views over the execution layer in
 //! [`crate::machine`]: every target is a [`Machine`], every network+input
-//! pair a [`Workload`](crate::machine::Workload), and the per-target
-//! staging/run/energy logic that used to live here is gone — the same
-//! deployment path serves the paper tables, the ablations and the bench.
+//! pair a [`Workload`](crate::machine::Workload). There is one way to run
+//! a fixed-point classification: deploy it once with [`PreparedFixed::new`]
+//! (a paper target) or [`PreparedFixed::on`] (any [`Machine`], registry
+//! rows and custom Mr. Wolf options included), then run it through the
+//! product interpreter, the reference, with dispatch statistics or with a
+//! recorder. [`run_fixed`] and [`run_m4_float`] are the one-shot forms
+//! for a single run.
 
 use iw_fann::{FixedNet, Mlp};
 use iw_mrwolf::ClusterRun;
 use iw_rv32::ExecProfile;
 
-use iw_mrwolf::ClusterConfig;
-
 use crate::machine::{
     Deployment, ExecPath, M4Machine, Machine, MachineError, MachineRun, ProductStats, WolfMachine,
 };
-use crate::rv::RvKernelOpts;
 use crate::workloads::{FixedWorkload, FloatWorkload};
-
-/// Error produced while deploying or running a kernel.
-///
-/// Alias of the execution layer's [`MachineError`] — the historical name,
-/// kept for the public API.
-pub type KernelError = MachineError;
 
 /// Result of one fixed-point classification on a target.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +133,7 @@ impl FixedTarget {
 /// ([`wolf_layout`]). Returns the placement and whether the weights landed
 /// in TCDM.
 #[cfg(test)]
-fn place_on_wolf(net: &FixedNet) -> Result<(crate::layout::Placement, bool), KernelError> {
+fn place_on_wolf(net: &FixedNet) -> Result<(crate::layout::Placement, bool), MachineError> {
     use crate::layout::place_fixed;
     use crate::machine::{wolf_layout, WorkloadFootprint};
     let probe = place_fixed(net, 0, 0);
@@ -187,12 +182,12 @@ impl PreparedFixed {
     ///
     /// # Errors
     ///
-    /// See [`KernelError`].
+    /// See [`MachineError`].
     pub fn new(
         target: FixedTarget,
         net: &FixedNet,
         input: &[i32],
-    ) -> Result<PreparedFixed, KernelError> {
+    ) -> Result<PreparedFixed, MachineError> {
         PreparedFixed::on(&*target.machine(), net, input)
     }
 
@@ -200,42 +195,16 @@ impl PreparedFixed {
     ///
     /// # Errors
     ///
-    /// See [`KernelError`].
+    /// See [`MachineError`].
     pub fn on(
         machine: &dyn Machine,
         net: &FixedNet,
         input: &[i32],
-    ) -> Result<PreparedFixed, KernelError> {
+    ) -> Result<PreparedFixed, MachineError> {
         let workload = FixedWorkload::new(net, input)?;
         Ok(PreparedFixed {
             deployment: machine.deploy(&workload)?,
         })
-    }
-
-    /// Deploys `net` to the nRF52832's Cortex-M4.
-    ///
-    /// # Errors
-    ///
-    /// See [`KernelError`].
-    pub fn m4(net: &FixedNet, input: &[i32]) -> Result<PreparedFixed, KernelError> {
-        PreparedFixed::on(&M4Machine::new(), net, input)
-    }
-
-    /// Deploys `net` to Mr. Wolf with explicit kernel options (used
-    /// directly by the Xpulp/TCDM ablations).
-    ///
-    /// # Errors
-    ///
-    /// See [`KernelError`].
-    pub fn wolf(
-        net: &FixedNet,
-        input: &[i32],
-        opts: &RvKernelOpts,
-        cluster_cfg: Option<ClusterConfig>,
-        on_fc: bool,
-    ) -> Result<PreparedFixed, KernelError> {
-        let machine = WolfMachine::with_opts("Mr. Wolf (custom)", *opts, cluster_cfg, on_fc);
-        PreparedFixed::on(&machine, net, input)
     }
 
     /// Simulates one classification through the target's product
@@ -243,8 +212,8 @@ impl PreparedFixed {
     ///
     /// # Errors
     ///
-    /// See [`KernelError`].
-    pub fn run(&self) -> Result<FixedRun, KernelError> {
+    /// See [`MachineError`].
+    pub fn run(&self) -> Result<FixedRun, MachineError> {
         Ok(FixedRun::from_machine(
             self.deployment.run(ExecPath::Product)?,
         ))
@@ -257,8 +226,8 @@ impl PreparedFixed {
     ///
     /// # Errors
     ///
-    /// See [`KernelError`].
-    pub fn run_uncached(&self) -> Result<FixedRun, KernelError> {
+    /// See [`MachineError`].
+    pub fn run_uncached(&self) -> Result<FixedRun, MachineError> {
         Ok(FixedRun::from_machine(
             self.deployment.run(ExecPath::Reference)?,
         ))
@@ -269,8 +238,8 @@ impl PreparedFixed {
     ///
     /// # Errors
     ///
-    /// See [`KernelError`].
-    pub fn run_stats(&self) -> Result<(FixedRun, ProductStats), KernelError> {
+    /// See [`MachineError`].
+    pub fn run_stats(&self) -> Result<(FixedRun, ProductStats), MachineError> {
         let (run, stats) = self.deployment.run_stats()?;
         Ok((FixedRun::from_machine(run), stats))
     }
@@ -282,73 +251,23 @@ impl PreparedFixed {
     ///
     /// # Errors
     ///
-    /// See [`KernelError`].
-    pub fn run_recorded(&self, rec: &mut iw_trace::Recorder) -> Result<FixedRun, KernelError> {
+    /// See [`MachineError`].
+    pub fn run_recorded(&self, rec: &mut iw_trace::Recorder) -> Result<FixedRun, MachineError> {
         Ok(FixedRun::from_machine(self.deployment.run_recorded(rec)?))
     }
-}
-
-/// Runs one fixed-point classification on an arbitrary [`Machine`] — the
-/// primary entry point for registry-driven experiments.
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn run_fixed_on(
-    machine: &dyn Machine,
-    net: &FixedNet,
-    input: &[i32],
-) -> Result<FixedRun, KernelError> {
-    PreparedFixed::on(machine, net, input)?.run()
-}
-
-/// Runs one fixed-point classification on Mr. Wolf with explicit kernel
-/// options (used directly by the Xpulp/TCDM ablations).
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn run_wolf_fixed_with(
-    net: &FixedNet,
-    input: &[i32],
-    opts: &RvKernelOpts,
-    cluster_cfg: Option<ClusterConfig>,
-    on_fc: bool,
-) -> Result<FixedRun, KernelError> {
-    PreparedFixed::wolf(net, input, opts, cluster_cfg, on_fc)?.run()
-}
-
-/// Runs one fixed-point classification on the nRF52832's Cortex-M4.
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn run_m4_fixed(net: &FixedNet, input: &[i32]) -> Result<FixedRun, KernelError> {
-    PreparedFixed::m4(net, input)?.run()
-}
-
-/// Reference Cortex-M4 run: the generated kernel is lowered to halfword
-/// code and every dynamic instruction is decoded during execution —
-/// the uncached baseline for [`run_m4_fixed`], bit- and cycle-identical.
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn run_m4_fixed_uncached(net: &FixedNet, input: &[i32]) -> Result<FixedRun, KernelError> {
-    PreparedFixed::m4(net, input)?.run_uncached()
 }
 
 /// Runs one float (FPU) classification on the nRF52832's Cortex-M4F.
 ///
 /// # Errors
 ///
-/// See [`KernelError`].
+/// See [`MachineError`].
 ///
 /// # Panics
 ///
 /// Panics if the network uses non-tanh activations (see
 /// [`crate::emit_m4_float_kernel`]).
-pub fn run_m4_float(net: &Mlp, input: &[f32]) -> Result<FloatRun, KernelError> {
+pub fn run_m4_float(net: &Mlp, input: &[f32]) -> Result<FloatRun, MachineError> {
     let workload = FloatWorkload::new(net, input)?;
     let run = M4Machine::new().deploy(&workload)?.run(ExecPath::Product)?;
     Ok(FloatRun {
@@ -364,35 +283,21 @@ pub fn run_m4_float(net: &Mlp, input: &[f32]) -> Result<FloatRun, KernelError> {
 ///
 /// # Errors
 ///
-/// See [`KernelError`].
+/// See [`MachineError`].
 pub fn run_fixed(
     target: FixedTarget,
     net: &FixedNet,
     input: &[i32],
-) -> Result<FixedRun, KernelError> {
+) -> Result<FixedRun, MachineError> {
     PreparedFixed::new(target, net, input)?.run()
-}
-
-/// Runs one fixed-point classification on any target using the *uncached*
-/// reference interpreters (no pre-decoding, no batching). Results are bit-
-/// and cycle-identical to [`run_fixed`]; only the simulator is slower.
-/// Exists as the baseline for the ISS-throughput bench.
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn run_fixed_uncached(
-    target: FixedTarget,
-    net: &FixedNet,
-    input: &[i32],
-) -> Result<FixedRun, KernelError> {
-    PreparedFixed::new(target, net, input)?.run_uncached()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rv::RvKernelOpts;
     use iw_mrwolf::memmap::L2_BASE;
+    use iw_mrwolf::ClusterConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -449,8 +354,9 @@ mod tests {
     fn uncached_reference_matches_cached_on_all_targets() {
         let (_, fixed, qin) = small_net(108);
         for target in FixedTarget::paper_targets() {
-            let fast = run_fixed(target, &fixed, &qin).unwrap();
-            let reference = run_fixed_uncached(target, &fixed, &qin).unwrap();
+            let prep = PreparedFixed::new(target, &fixed, &qin).unwrap();
+            let fast = prep.run().unwrap();
+            let reference = prep.run_uncached().unwrap();
             assert_eq!(fast, reference, "target {target:?}");
         }
     }
@@ -528,7 +434,7 @@ mod tests {
                 .write_bytes(placement.input_addr() + 4 * i as u32, &v.to_le_bytes());
         }
         let encoded_run = soc.run_code(&code, MAX_CYCLES).unwrap();
-        let reference = run_m4_fixed(&fixed, &qin).unwrap();
+        let reference = run_fixed(FixedTarget::CortexM4, &fixed, &qin).unwrap();
         assert_eq!(encoded_run.result.cycles, reference.cycles);
         assert_eq!(encoded_run.result.instructions, reference.instructions);
         assert_eq!(encoded_run.profile, reference.profile);
@@ -540,7 +446,7 @@ mod tests {
         let err = run_fixed(FixedTarget::CortexM4, &fixed, &[1, 2]).unwrap_err();
         assert!(matches!(
             err,
-            KernelError::BadInput {
+            MachineError::BadInput {
                 expected: 5,
                 got: 2
             }
@@ -578,17 +484,19 @@ mod tests {
         // only timing.
         let (_, fixed, qin) = small_net(105);
         let expected = fixed.forward(&qin);
-        let starved = run_wolf_fixed_with(
-            &fixed,
-            &qin,
-            &RvKernelOpts::cluster(8),
+        let starved = WolfMachine::with_opts(
+            "one TCDM bank",
+            RvKernelOpts::cluster(8),
             Some(ClusterConfig {
                 tcdm_banks: 1,
                 ..ClusterConfig::default()
             }),
             false,
-        )
-        .unwrap();
+        );
+        let starved = PreparedFixed::on(&starved, &fixed, &qin)
+            .unwrap()
+            .run()
+            .unwrap();
         let roomy = run_fixed(FixedTarget::WolfCluster { cores: 8 }, &fixed, &qin).unwrap();
         assert_eq!(starved.outputs, expected);
         assert_eq!(roomy.outputs, expected);

@@ -1,15 +1,13 @@
 //! `iw-metrics`: operational telemetry for the InfiniWolf fleet stack.
 //!
-//! Three layers, all dependency-free:
+//! Two layers, both dependency-free:
 //!
 //! 1. [`Histogram`] — log-linear, `u64`-valued, with *exact* mergeable
 //!    buckets (element-wise `u64` addition), so fleet-level
 //!    distributions are bit-identical across shard/thread topology just
 //!    like the scalar digest algebra in `iw-sim::fleet`.
-//! 2. [`Registry`] — named, atomically-updated [`Counter`]s and
-//!    [`Gauge`]s plus locked [`HistogramHandle`]s for live runtime
-//!    telemetry (coordinator progress, bench gauges).
-//! 3. [`Snapshot`] — a frozen, sorted set of samples with
+//! 2. [`Snapshot`] — a set of samples, built with [`Snapshot::push`] and
+//!    put in canonical order with [`Snapshot::sort`], with
 //!    [Prometheus text exposition](Snapshot::to_prometheus), a
 //!    [JSON export](Snapshot::to_json) of the same schema, and a
 //!    human [summary table](Snapshot::render_table).
@@ -23,65 +21,6 @@
 mod hist;
 
 pub use hist::{bucket_bounds, bucket_index, Histogram, MAX_BUCKETS};
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A monotonically increasing counter backed by an [`AtomicU64`].
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins `f64` gauge stored as bits in an [`AtomicU64`].
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Replaces the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// A shared, lock-guarded [`Histogram`] for live recording from
-/// multiple threads. Hot per-event paths in the simulator own plain
-/// `Histogram`s instead; this handle is for coarse runtime telemetry
-/// (heartbeats, bench rows) where a mutex is irrelevant.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Arc<Mutex<Histogram>>);
-
-impl HistogramHandle {
-    /// Records one observation.
-    pub fn record(&self, v: u64) {
-        self.0.lock().expect("metrics lock").record(v);
-    }
-
-    /// Clones the current contents.
-    pub fn snapshot(&self) -> Histogram {
-        self.0.lock().expect("metrics lock").clone()
-    }
-}
 
 /// One sampled value in a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,139 +42,6 @@ pub struct Sample {
     pub labels: Vec<(String, String)>,
     /// The sampled value.
     pub value: Value,
-}
-
-enum Slot {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(HistogramHandle),
-}
-
-struct Entry {
-    name: String,
-    labels: Vec<(String, String)>,
-    slot: Slot,
-}
-
-/// A registry of live metric handles. Handles are cheap clones of
-/// shared atomics; [`Registry::snapshot`] freezes the current values.
-///
-/// Registering the same `(name, labels)` twice returns the *same*
-/// underlying handle, so independent call sites accumulate into one
-/// series.
-#[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn sorted_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        out.sort();
-        out
-    }
-
-    fn slot<T: Clone>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        get: impl Fn(&Slot) -> Option<T>,
-        make: impl FnOnce() -> (T, Slot),
-    ) -> T {
-        let labels = Self::sorted_labels(labels);
-        let mut entries = self.entries.lock().expect("metrics lock");
-        for e in entries.iter() {
-            if e.name == name && e.labels == labels {
-                if let Some(t) = get(&e.slot) {
-                    return t;
-                }
-                panic!("metric {name} re-registered with a different type");
-            }
-        }
-        let (handle, slot) = make();
-        entries.push(Entry {
-            name: name.to_string(),
-            labels,
-            slot,
-        });
-        handle
-    }
-
-    /// Returns (registering on first use) the counter `name{labels}`.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.slot(
-            name,
-            labels,
-            |s| match s {
-                Slot::Counter(c) => Some(c.clone()),
-                _ => None,
-            },
-            || {
-                let c = Counter::default();
-                (c.clone(), Slot::Counter(c))
-            },
-        )
-    }
-
-    /// Returns (registering on first use) the gauge `name{labels}`.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.slot(
-            name,
-            labels,
-            |s| match s {
-                Slot::Gauge(g) => Some(g.clone()),
-                _ => None,
-            },
-            || {
-                let g = Gauge::default();
-                (g.clone(), Slot::Gauge(g))
-            },
-        )
-    }
-
-    /// Returns (registering on first use) the histogram `name{labels}`.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
-        self.slot(
-            name,
-            labels,
-            |s| match s {
-                Slot::Histogram(h) => Some(h.clone()),
-                _ => None,
-            },
-            || {
-                let h = HistogramHandle::default();
-                (h.clone(), Slot::Histogram(h))
-            },
-        )
-    }
-
-    /// Freezes the current values into a sorted [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        let entries = self.entries.lock().expect("metrics lock");
-        let mut snap = Snapshot::new();
-        for e in entries.iter() {
-            let value = match &e.slot {
-                Slot::Counter(c) => Value::Counter(c.get()),
-                Slot::Gauge(g) => Value::Gauge(g.get()),
-                Slot::Histogram(h) => Value::Histogram(h.snapshot()),
-            };
-            snap.samples.push(Sample {
-                name: e.name.clone(),
-                labels: e.labels.clone(),
-                value,
-            });
-        }
-        snap.sort();
-        snap
-    }
 }
 
 /// A frozen, renderable set of metric samples.
@@ -270,12 +76,6 @@ impl Snapshot {
     pub fn sort(&mut self) {
         self.samples
             .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-    }
-
-    /// Appends all samples of `other`, then re-sorts.
-    pub fn extend(&mut self, other: Snapshot) {
-        self.samples.extend(other.samples);
-        self.sort();
     }
 
     fn label_block(labels: &[(String, String)], extra: Option<(&str, String)>) -> String {
@@ -516,27 +316,6 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_dedups_handles() {
-        let reg = Registry::new();
-        let a = reg.counter("x_total", &[("k", "v")]);
-        let b = reg.counter("x_total", &[("k", "v")]);
-        a.add(2);
-        b.inc();
-        assert_eq!(a.get(), 3);
-        let snap = reg.snapshot();
-        assert_eq!(snap.samples.len(), 1);
-        assert_eq!(snap.samples[0].value, Value::Counter(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn registry_rejects_type_confusion() {
-        let reg = Registry::new();
-        reg.counter("x", &[]);
-        reg.gauge("x", &[]);
-    }
 
     #[test]
     fn prometheus_render_is_deterministic_and_sorted() {

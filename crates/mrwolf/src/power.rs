@@ -13,7 +13,7 @@
 //! * Cluster powered, eight cores active: ≈ 19.6 mW (matches the ~20 mW
 //!   the paper assumes for parallel execution).
 //!
-//! The calibration constants live in [`iw_power::mrwolf`] — the one table
+//! The calibration constants live in [`iw_power::mrwolf`] — the one set
 //! shared with the nRF52 model and the whole-device simulator — and this
 //! module builds the typed operating point from them.
 
@@ -168,13 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn model_matches_shared_power_table() {
-        // The typed model and the iw-power table must never disagree —
-        // they are the same constants by construction.
+    fn cluster_power_matches_shared_constants() {
+        // The typed model and iw-power's cluster power must never disagree.
         let op = OperatingPoint::efficient();
-        let t = iw_power::mrwolf::table();
-        assert_eq!(op.power_w(WolfMode::FcOnly), t.power_w("fc-only"));
-        assert_eq!(op.sleep_power_w, t.power_w("sleep"));
         for cores in 1..=8 {
             assert_eq!(
                 op.power_w(WolfMode::Cluster {

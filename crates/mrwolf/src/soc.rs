@@ -118,12 +118,6 @@ impl MrWolf {
         }
     }
 
-    /// The cluster configuration in force.
-    #[must_use]
-    pub fn cluster_config(&self) -> &ClusterConfig {
-        &self.cluster_cfg
-    }
-
     /// Mutable access to the L2 memory (load programs/data here).
     pub fn l2_mut(&mut self) -> &mut Ram {
         &mut self.l2

@@ -10,7 +10,7 @@
 //! EXPERIMENTS.md.
 //!
 //! The calibration constants themselves live in [`iw_power::nrf52`] — the
-//! one table shared with the whole-device simulator — and this module
+//! one set shared with the whole-device simulator — and this module
 //! builds the typed model from them.
 
 /// Power states of the nRF52832.
@@ -99,18 +99,6 @@ mod tests {
         let net_b = p.active_energy_j(902_763) * 1e6;
         assert!((net_a - 5.1).abs() < 0.2, "Net A energy {net_a} µJ");
         assert!((net_b - 153.8).abs() < 3.0, "Net B energy {net_b} µJ");
-    }
-
-    #[test]
-    fn model_matches_shared_power_table() {
-        // The typed model and the iw-power table must never disagree —
-        // they are the same constants by construction.
-        let p = Nrf52Power::default();
-        let t = iw_power::nrf52::table();
-        assert_eq!(p.power_w(Nrf52Mode::Active), t.power_w("active"));
-        assert_eq!(p.power_w(Nrf52Mode::Idle), t.power_w("idle"));
-        assert_eq!(p.power_w(Nrf52Mode::SystemOff), t.power_w("system-off"));
-        assert_eq!(p.active_energy_j(30_210), t.energy_j(30_210, "active"));
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Nrf52 {
         &self.cpu
     }
 
-    /// Mutable CPU access (to preset registers).
-    pub fn cpu_mut(&mut self) -> &mut CortexM4 {
-        &mut self.cpu
-    }
-
     /// The memory.
     #[must_use]
     pub fn mem(&self) -> &Ram {

@@ -1,4 +1,4 @@
-//! # iw-power — shared device power tables
+//! # iw-power — shared device power constants
 //!
 //! Single source of truth for the calibrated power constants of both SoCs
 //! on the InfiniWolf bracelet. Before this crate existed the same numbers
@@ -7,16 +7,12 @@
 //! crates *and* the event-driven device engine (`iw-sim`) all read from
 //! here, so a recalibration is one edit.
 //!
-//! Two kinds of items:
-//!
-//! * plain `const` calibration values ([`nrf52`], [`mrwolf`]) — the SoC
-//!   crates build their typed models (`iw_nrf52::Nrf52Power`,
-//!   `iw_mrwolf::OperatingPoint`) from exactly these constants, so the
-//!   numbers stay bit-identical to the pre-split models;
-//! * a uniform [`PowerTable`] view (name → watts per mode at a fixed
-//!   clock) used by diagnostics and the device simulator, with the shared
-//!   `cycles / freq × power` energy arithmetic in one place
-//!   ([`active_energy_j`]).
+//! It holds plain `const` calibration values ([`nrf52`], [`mrwolf`]), a
+//! few derived powers, and the shared `cycles / freq × power` energy
+//! arithmetic in one place ([`active_energy_j`]). The SoC crates build
+//! their typed models (`iw_nrf52::Nrf52Power`, `iw_mrwolf::OperatingPoint`)
+//! from exactly these constants, so the numbers stay bit-identical to the
+//! pre-split models.
 //!
 //! Calibration provenance for every number is documented in DESIGN.md §5.
 
@@ -72,21 +68,6 @@ pub mod nrf52 {
     pub fn scan_window_energy_j() -> f64 {
         scan_power_w() * SCAN_WINDOW_S
     }
-
-    /// The nRF52832 mode/power table.
-    #[must_use]
-    pub fn table() -> crate::PowerTable {
-        crate::PowerTable {
-            device: "nRF52832",
-            freq_hz: FREQ_HZ,
-            modes: vec![
-                ("active", ACTIVE_A * SUPPLY_V),
-                ("scan", scan_power_w()),
-                ("idle", IDLE_A * SUPPLY_V),
-                ("system-off", SYSTEM_OFF_A * SUPPLY_V),
-            ],
-        }
-    }
 }
 
 /// Mr. Wolf calibration constants at the most energy-efficient operating
@@ -118,56 +99,6 @@ pub mod mrwolf {
         );
         SOC_POWER_W + CLUSTER_BASE_POWER_W + active_cores as f64 * CORE_POWER_W
     }
-
-    /// The Mr. Wolf mode/power table (FC-only, 1/8-core cluster, sleep).
-    #[must_use]
-    pub fn table() -> crate::PowerTable {
-        crate::PowerTable {
-            device: "Mr. Wolf",
-            freq_hz: FREQ_HZ,
-            modes: vec![
-                ("fc-only", SOC_POWER_W),
-                ("cluster-1", cluster_power_w(1)),
-                ("cluster-8", cluster_power_w(8)),
-                ("sleep", SLEEP_POWER_W),
-            ],
-        }
-    }
-}
-
-/// Uniform name → watts view of one device's power modes at a fixed
-/// clock, for diagnostics and the whole-device simulator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerTable {
-    /// Device name.
-    pub device: &'static str,
-    /// Clock the `active_energy_j` conversion uses, hertz.
-    pub freq_hz: f64,
-    /// `(mode name, watts)` rows.
-    pub modes: Vec<(&'static str, f64)>,
-}
-
-impl PowerTable {
-    /// Power of a named mode, watts.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the mode is not in the table (a typo, not a runtime
-    /// condition).
-    #[must_use]
-    pub fn power_w(&self, mode: &str) -> f64 {
-        self.modes
-            .iter()
-            .find(|(name, _)| *name == mode)
-            .unwrap_or_else(|| panic!("{}: no power mode '{mode}'", self.device))
-            .1
-    }
-
-    /// Energy to run `cycles` cycles in a named mode, joules.
-    #[must_use]
-    pub fn energy_j(&self, cycles: u64, mode: &str) -> f64 {
-        active_energy_j(cycles, self.freq_hz, self.power_w(mode))
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +107,7 @@ mod tests {
 
     #[test]
     fn nrf52_active_power_near_datasheet() {
-        let w = nrf52::table().power_w("active");
+        let w = nrf52::ACTIVE_A * nrf52::SUPPLY_V;
         assert!((w - 10.8e-3).abs() < 0.1e-3, "active power {w}");
     }
 
@@ -184,7 +115,6 @@ mod tests {
     fn nrf52_scan_energy_is_rx_power_times_window() {
         let e = nrf52::scan_window_energy_j();
         assert!((e - 5.4e-3 * 3.0 * 0.512).abs() < 1e-12);
-        assert_eq!(nrf52::table().power_w("scan"), nrf52::scan_power_w());
     }
 
     #[test]
@@ -200,18 +130,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no power mode")]
-    fn unknown_mode_panics() {
-        let _ = nrf52::table().power_w("warp");
-    }
-
-    #[test]
     fn energy_formula_is_shared() {
-        let t = mrwolf::table();
-        // 1 ms at 3.2 mW = 3.2 µJ, through the table and the free fn.
-        let via_table = t.energy_j(100_000, "fc-only");
-        let direct = active_energy_j(100_000, mrwolf::FREQ_HZ, mrwolf::SOC_POWER_W);
-        assert_eq!(via_table, direct);
-        assert!((via_table * 1e6 - 3.2).abs() < 1e-9);
+        // 1 ms at 3.2 mW = 3.2 µJ.
+        let e = active_energy_j(100_000, mrwolf::FREQ_HZ, mrwolf::SOC_POWER_W);
+        assert!((e * 1e6 - 3.2).abs() < 1e-9);
     }
 }

@@ -3,8 +3,9 @@
 //! The paper's per-detection energy budget hinges on two numbers measured
 //! on the prototype: the MAX30001 ECG channel draws **171 µW** while
 //! acquiring and the GSR front end **30 µW**; a detection needs **3 s** of
-//! data (600 µJ, the dominant cost). The other sensors are modelled for
-//! completeness (they stay off during stress detection).
+//! data (600 µJ, the dominant cost). The bracelet's other sensors (IMU,
+//! pressure, microphone) stay off during stress detection and are not
+//! modelled.
 
 /// Power states of a sensor front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,48 +56,6 @@ impl Afe {
             sample_rate_hz: 16.0,
             bytes_per_sample: 2,
         }
-    }
-
-    /// ICM-20948 9-axis IMU (accel+gyro low-power mode).
-    #[must_use]
-    pub fn icm20948() -> Afe {
-        Afe {
-            name: "ICM-20948 IMU",
-            active_w: 900e-6,
-            standby_w: 8e-6,
-            sample_rate_hz: 100.0,
-            bytes_per_sample: 18,
-        }
-    }
-
-    /// BMP280 pressure sensor (1 Hz, forced mode).
-    #[must_use]
-    pub fn bmp280() -> Afe {
-        Afe {
-            name: "BMP280 pressure",
-            active_w: 8.2e-6,
-            standby_w: 0.3e-6,
-            sample_rate_hz: 1.0,
-            bytes_per_sample: 6,
-        }
-    }
-
-    /// ICS-43434 MEMS microphone.
-    #[must_use]
-    pub fn ics43434() -> Afe {
-        Afe {
-            name: "ICS-43434 mic",
-            active_w: 1.5e-3,
-            standby_w: 1.0e-6,
-            sample_rate_hz: 16_000.0,
-            bytes_per_sample: 3,
-        }
-    }
-
-    /// Energy to acquire for `duration_s` seconds, joules.
-    #[must_use]
-    pub fn acquisition_energy_j(&self, duration_s: f64) -> f64 {
-        self.active_w * duration_s
     }
 
     /// Raw data produced in `duration_s` seconds, bytes.

@@ -38,7 +38,6 @@ use iw_fault::{
     mix, FaultCounters, FaultKind, FaultPlan, ReliabilityCounters, SplitMix64, SyncOutcome,
 };
 use iw_harvest::{Battery, EnvProfile, SimReport, SolarHarvester, TegHarvester, TracePoint};
-use iw_kernels::MachineRun;
 use iw_metrics::Histogram;
 use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
@@ -48,16 +47,15 @@ use crate::engine::{secs_to_us, Component, Engine, Event, LoadSlot, SimCtx};
 use crate::faults::{finalize_reliability, FaultComponent, BLE_STREAM};
 use iw_policy::{PolicySpec, TargetRule};
 
-/// One compute job dispatched per detection: duration and energy, derived
-/// from a cycle count on a simulated machine (or given analytically).
+/// One compute job dispatched per detection: duration and energy, as
+/// the caller costs them (the detection budget of a simulated machine,
+/// or an analytic figure).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeJob {
     /// Job duration, seconds.
     pub duration_s: f64,
     /// Job energy, joules.
     pub energy_j: f64,
-    /// Cycle count behind `duration_s` (0 when analytic).
-    pub cycles: u64,
 }
 
 impl ComputeJob {
@@ -67,18 +65,6 @@ impl ComputeJob {
         ComputeJob {
             duration_s,
             energy_j,
-            cycles: 0,
-        }
-    }
-
-    /// A job from a finished [`MachineRun`]: cycles at `clock_hz` give the
-    /// event duration, the run's energy breakdown gives the burst energy.
-    #[must_use]
-    pub fn from_run(run: &MachineRun, clock_hz: f64) -> ComputeJob {
-        ComputeJob {
-            duration_s: run.cycles as f64 / clock_hz,
-            energy_j: run.energy.total_j,
-            cycles: run.cycles,
         }
     }
 
@@ -228,16 +214,16 @@ pub struct DeviceConfig {
     pub detection_spans: bool,
 }
 
-/// Battery-side sleep floor from the shared power tables: both SoCs idle
-/// (nRF52832 system-ON idle + Mr. Wolf deep sleep).
+/// Battery-side sleep floor from the shared power constants: both SoCs
+/// idle (nRF52832 system-ON idle + Mr. Wolf deep sleep).
 #[must_use]
 pub fn default_sleep_floor_w() -> f64 {
-    iw_power::nrf52::table().power_w("idle") + iw_power::mrwolf::table().power_w("sleep")
+    iw_power::nrf52::IDLE_A * iw_power::nrf52::SUPPLY_V + iw_power::mrwolf::SLEEP_POWER_W
 }
 
 impl DeviceConfig {
     /// A paper-configured device: InfiniWolf harvesters and battery, the
-    /// shared-table sleep floor, no BLE, ~500 trace points.
+    /// shared-constant sleep floor, no BLE, ~500 trace points.
     #[must_use]
     pub fn new(env: EnvProfile, policy: PolicySpec, costs: DetectionCosts) -> DeviceConfig {
         DeviceConfig {
@@ -661,7 +647,7 @@ impl SensorComponent {
 
 impl<S: TraceSink> Component<S> for SensorComponent {
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("afe"));
+        self.slot = Some(ctx.state.register_load());
     }
 
     /// Marking every open window corrupt when one opens under a signal
@@ -832,7 +818,7 @@ impl ComputeComponent {
 
 impl<S: TraceSink> Component<S> for ComputeComponent {
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("compute"));
+        self.slot = Some(ctx.state.register_load());
     }
 
     #[inline]
@@ -950,7 +936,7 @@ impl RadioComponent {
 
 impl<S: TraceSink> Component<S> for RadioComponent {
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("ble"));
+        self.slot = Some(ctx.state.register_load());
         if let Some(sync) = self.sync {
             ctx.schedule_in(secs_to_us(sync.interval_s), Event::BleSyncStart);
         }
@@ -1086,7 +1072,7 @@ pub struct BleScanComponent {
 }
 
 impl BleScanComponent {
-    /// A scanner for `plan`, drawing the shared-table nRF52 scan power
+    /// A scanner for `plan`, drawing the shared nRF52 scan power
     /// while windows are open.
     #[must_use]
     pub fn new(plan: ContactPlan, trace_spans: bool) -> BleScanComponent {
@@ -1111,7 +1097,7 @@ impl BleScanComponent {
 
 impl<S: TraceSink> Component<S> for BleScanComponent {
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("scan"));
+        self.slot = Some(ctx.state.register_load());
         if !self.plan.entries.is_empty() {
             ctx.schedule_at(
                 self.plan.entries[0].start_us,

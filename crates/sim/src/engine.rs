@@ -11,7 +11,7 @@
 //!
 //! Between two consecutive events every power contribution is constant:
 //! the harvest intake set by the environment component and the load
-//! registered in named [`LoadSlot`]s. The engine therefore integrates the
+//! registered in [`LoadSlot`]s. The engine therefore integrates the
 //! battery *exactly* (power × elapsed time) when it advances the clock —
 //! there is no fixed integration step and no step-size error. Power only
 //! changes at an event; bookkeeping events (policy and gauge ticks, trace
@@ -280,7 +280,7 @@ impl Queue {
     }
 }
 
-/// Handle to one named battery-side load contribution (see
+/// Handle to one battery-side load contribution (see
 /// [`DeviceState::register_load`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadSlot(usize);
@@ -430,14 +430,13 @@ impl DeviceState {
         }
     }
 
-    /// Registers a load slot, initially drawing nothing. `name` only
-    /// labels the slot at the call site.
+    /// Registers a load slot, initially drawing nothing. Slots are
+    /// handed out in registration order.
     ///
     /// # Panics
     ///
     /// Panics when four slots are registered already.
-    pub fn register_load(&mut self, name: &'static str) -> LoadSlot {
-        let _ = name;
+    pub fn register_load(&mut self) -> LoadSlot {
         let slot = self.registered;
         assert!(slot < MAX_LOADS, "at most four load slots");
         self.registered += 1;
@@ -695,7 +694,7 @@ mod tests {
 
     impl<S: TraceSink> Component<S> for ConstantLoad {
         fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-            let slot = ctx.state.register_load("constant");
+            let slot = ctx.state.register_load();
             ctx.state.set_load(slot, self.power_w);
             ctx.schedule_in(self.duration_us, self.last);
         }
@@ -1042,17 +1041,16 @@ mod tests {
     fn load_slots_are_distinct_and_sum_exactly() {
         let mut state = DeviceState::new(Battery::new(10.0));
         state.base_load_w = 1e-3;
-        // An empty name is only a label: it must not free its slot.
-        let a = state.register_load("");
-        let b = state.register_load("");
-        let c = state.register_load("c");
+        let a = state.register_load();
+        let b = state.register_load();
+        let c = state.register_load();
         assert_ne!(a.0, b.0);
         assert_ne!(b.0, c.0);
         state.set_load(a, 0.1);
         state.set_load(b, 0.2);
         state.set_load(c, -0.0);
         assert_eq!(state.load_w().to_bits(), (1e-3 + (0.1 + 0.2f64)).to_bits());
-        let _ = state.register_load("d");
+        let _ = state.register_load();
     }
 
     #[test]
@@ -1060,7 +1058,7 @@ mod tests {
     fn a_fifth_load_slot_panics() {
         let mut state = DeviceState::new(Battery::new(10.0));
         for _ in 0..5 {
-            let _ = state.register_load("x");
+            let _ = state.register_load();
         }
     }
 
@@ -1068,7 +1066,7 @@ mod tests {
     #[should_panic(expected = "non-negative and finite")]
     fn negative_loads_panic() {
         let mut state = DeviceState::new(Battery::new(10.0));
-        let slot = state.register_load("x");
+        let slot = state.register_load();
         state.set_load(slot, -1e-300);
     }
 
@@ -1076,7 +1074,7 @@ mod tests {
     #[should_panic(expected = "non-negative and finite")]
     fn nan_loads_panic() {
         let mut state = DeviceState::new(Battery::new(10.0));
-        let slot = state.register_load("x");
+        let slot = state.register_load();
         state.set_load(slot, f64::NAN);
     }
 

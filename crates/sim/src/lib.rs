@@ -10,8 +10,8 @@
 //! The device layer ([`DeviceConfig`]) wires the existing crates into
 //! the bracelet's components, routed statically by event: dual-source
 //! harvesting (`iw-harvest`), sensor acquisition
-//! windows, compute jobs dispatched through the `iw-kernels`
-//! machine/deployment registry, BLE sync bursts (`iw-nrf52`) and the
+//! windows, compute jobs whose duration and energy the caller costs
+//! ([`ComputeJob`]), BLE sync bursts (`iw-nrf52`) and the
 //! detection policies in [`PolicySpec`]. Runs can stream into any
 //! `iw-trace` [`iw_trace::TraceSink`].
 //!
