@@ -17,6 +17,17 @@ for layer in iw-kernels iw-mrwolf iw-fann; do
     exit 1
   fi
 done
+# The root package's normal dependencies must each be named (as a crate,
+# `-` read as `_`) somewhere under src/, tests/ or examples/: an edge
+# nothing names only lengthens the build.
+root_deps=$(cargo tree -p infiniwolf-suite -e normal --depth 1 --prefix none --offline |
+  tail -n +2 | cut -d' ' -f1)
+for dep in $root_deps; do
+  if ! grep -rqw "${dep//-/_}" src tests examples; then
+    echo "ci.sh: infiniwolf-suite depends on $dep, which src/, tests/ and examples/ never name" >&2
+    exit 1
+  fi
+done
 # Docs must build warning-free for our crates (the vendored offline
 # stubs under vendor/ are excluded — not ours to lint).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \

@@ -29,12 +29,12 @@
 //! [`CortexM4::run_code`]. The slots inside the loop keep their single
 //! instructions, so a branch into the middle of a pass, or a run resumed
 //! there, executes the rest of the pass one instruction at a time until
-//! the back edge; no basic-block boundary analysis is needed. A recorded
-//! run ([`CortexM4::run_fused_sink`]) executes only each slot's first
-//! instruction, so every instruction gets its own PC sample.
+//! the back edge; no basic-block boundary analysis is needed. A run of
+//! [`CortexM4::run_fused`] under a recording sink executes only each
+//! slot's first instruction, so every instruction gets its own PC sample.
 
 use iw_rv32::{dot_row, Bus, InstrClass};
-use iw_trace::{NoopSink, TraceSink, TrackId};
+use iw_trace::{TraceSink, TrackId};
 
 use crate::cpu::{CortexM4, Flags, M4Error, RunResult};
 use crate::instr::{AddrMode, Cond, DpOp, LsWidth, ThumbInstr, R};
@@ -196,6 +196,7 @@ impl FusedStats {
 /// use iw_armv7m::{asm::ThumbAsm, BlockProgram, CortexM4, CortexM4Timing, FusedStats};
 /// use iw_armv7m::{Cond, LsWidth, R};
 /// use iw_rv32::Ram;
+/// use iw_trace::{NoopSink, TrackId};
 /// let mut asm = ThumbAsm::new();
 /// asm.li(R::R0, 6);
 /// asm.li(R::R1, 7);
@@ -205,7 +206,9 @@ impl FusedStats {
 /// let mut cpu = CortexM4::new();
 /// let mut ram = Ram::new(0, 64);
 /// let mut stats = FusedStats::default();
-/// cpu.run_fused(&prog, &mut ram, &CortexM4Timing::default(), 1_000, &mut stats)?;
+/// let t = CortexM4Timing::default();
+/// let track = TrackId::default();
+/// cpu.run_fused(&prog, &mut ram, &t, 1_000, &mut stats, &mut NoopSink, track)?;
 /// assert_eq!(cpu.reg(R::R0), 42);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -361,46 +364,22 @@ impl CortexM4 {
     /// on the reference ([`CortexM4::run_code`]); `stats` accumulates
     /// dispatch and loop-op counters across calls.
     ///
+    /// With [`NoopSink`](iw_trace::NoopSink) every emission site folds
+    /// away and this is the product hot loop. With a recording sink each
+    /// dispatch executes only the first instruction of its slot, and the
+    /// run emits one PC sample per retired instruction (PC in
+    /// *instruction index* units — the same units
+    /// [`crate::asm::ThumbAsm::mark`] records symbols in) plus a single
+    /// `exec-batch` span covering the whole run: nRF52832 code executes
+    /// from flash, which stores cannot reach, so the compiled program is
+    /// never invalidated and the batch never breaks.
+    ///
     /// # Errors
     ///
     /// Returns [`M4Error::CycleLimit`] if `max_cycles` elapses first, or any
     /// other [`M4Error`] the program raises.
-    pub fn run_fused<B: Bus>(
-        &mut self,
-        prog: &BlockProgram,
-        bus: &mut B,
-        t: &CortexM4Timing,
-        max_cycles: u64,
-        stats: &mut FusedStats,
-    ) -> Result<RunResult, M4Error> {
-        self.run_fused_sink(
-            prog,
-            bus,
-            t,
-            max_cycles,
-            stats,
-            &mut NoopSink,
-            TrackId::default(),
-        )
-    }
-
-    /// [`CortexM4::run_fused`] with an instrumentation sink attached.
-    ///
-    /// With the default [`NoopSink`] every emission site folds away and
-    /// this *is* the product hot loop. With a recording sink each dispatch
-    /// executes only the first instruction of its slot, and the run emits
-    /// one PC sample per retired instruction (PC in *instruction index*
-    /// units — the same units [`crate::asm::ThumbAsm::mark`] records
-    /// symbols in) plus a single `exec-batch` span covering the whole run:
-    /// nRF52832 code executes from flash, which stores cannot reach, so
-    /// the compiled program is never invalidated and the batch never
-    /// breaks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CortexM4::run_fused`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_fused_sink<B: Bus, S: TraceSink>(
+    pub fn run_fused<B: Bus, S: TraceSink>(
         &mut self,
         prog: &BlockProgram,
         bus: &mut B,
@@ -461,6 +440,7 @@ mod tests {
     use crate::code::{encode_program, instr_len};
     use crate::instr::S;
     use iw_rv32::Ram;
+    use iw_trace::NoopSink;
     use proptest::prelude::*;
 
     /// Everything a run leaves observable, program counters in halfword
@@ -534,14 +514,22 @@ mod tests {
         let prog = BlockProgram::compile(program);
         let (mut cpu, mut ram) = fresh();
         let mut stats = FusedStats::default();
-        let res = cpu.run_fused(&prog, &mut ram, &t, max_cycles, &mut stats);
+        let res = cpu.run_fused(
+            &prog,
+            &mut ram,
+            &t,
+            max_cycles,
+            &mut stats,
+            &mut NoopSink,
+            TrackId::default(),
+        );
         let fused = observe(&cpu, &ram, in_halfwords(res), hw[cpu.pc()]);
         assert_eq!(fused, reference, "fused");
 
         let (mut rec_cpu, mut rec_ram) = fresh();
         let mut rec = iw_trace::Recorder::new();
         let track = rec.track("m4", iw_trace::CYCLES);
-        let res = rec_cpu.run_fused_sink(
+        let res = rec_cpu.run_fused(
             &prog,
             &mut rec_ram,
             &t,
@@ -1256,7 +1244,15 @@ mod tests {
         let mut ram = Ram::new(0, 16);
         let mut stats = FusedStats::default();
         let err = cpu
-            .run_fused(&prog, &mut ram, &CortexM4Timing::default(), 100, &mut stats)
+            .run_fused(
+                &prog,
+                &mut ram,
+                &CortexM4Timing::default(),
+                100,
+                &mut stats,
+                &mut NoopSink,
+                TrackId::default(),
+            )
             .unwrap_err();
         assert!(matches!(err, M4Error::PcOutOfRange { pc: 0 }));
     }

@@ -708,6 +708,7 @@ mod tests {
     use crate::timing::CortexM4Timing;
     use crate::{BlockProgram, FusedStats};
     use iw_rv32::Ram;
+    use iw_trace::{NoopSink, TrackId};
 
     /// A program touching every encoding family: narrow + wide integer,
     /// loads/stores both modes, branches both directions, and VFP.
@@ -791,7 +792,15 @@ mod tests {
         let fused = BlockProgram::compile(decoded.instrs());
         let mut stats = FusedStats::default();
         let ref_res = ref_cpu
-            .run_fused(&fused, &mut ram_a, &t, 1_000_000, &mut stats)
+            .run_fused(
+                &fused,
+                &mut ram_a,
+                &t,
+                1_000_000,
+                &mut stats,
+                &mut NoopSink,
+                TrackId::default(),
+            )
             .unwrap();
 
         let mut ram_b = Ram::new(0, 4096);

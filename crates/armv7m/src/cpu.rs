@@ -1,6 +1,7 @@
 //! The Cortex-M4F interpreter.
 
 use iw_rv32::{Bus, BusError, ExecProfile, InstrClass, MemWidth};
+use iw_trace::{NoopSink, TrackId};
 
 use crate::instr::{AddrMode, Cond, DpOp, LsWidth, ThumbInstr, R, S};
 use crate::timing::CortexM4Timing;
@@ -695,7 +696,16 @@ impl CortexM4 {
         max_cycles: u64,
     ) -> Result<RunResult, M4Error> {
         let prog = crate::BlockProgram::compile(program);
-        self.run_fused(&prog, bus, t, max_cycles, &mut crate::FusedStats::default())
+        let mut stats = crate::FusedStats::default();
+        self.run_fused(
+            &prog,
+            bus,
+            t,
+            max_cycles,
+            &mut stats,
+            &mut NoopSink,
+            TrackId::default(),
+        )
     }
 
     /// Runs until `bkpt` over *encoded* code, decoding every dynamic

@@ -17,9 +17,9 @@
 //! claiming ARM bit-exactness. The assembler's `&[ThumbInstr]` compiles
 //! straight into a [`BlockProgram`] (one slot per instruction, a loop op
 //! at the head of each fixed-point dot-product loop) that
-//! [`CortexM4::run_fused`] dispatches (its sink twin
-//! [`CortexM4::run_fused_sink`] records the same run, one instruction per
-//! dispatch; [`CortexM4::run`] compiles and runs in one call); code
+//! [`CortexM4::run_fused`] dispatches (under a recording sink it records
+//! the same run, one instruction per dispatch; [`CortexM4::run`] compiles
+//! and runs in one call); code
 //! executes from immutable flash, so the compiled program never
 //! invalidates. The per-halfword [`CortexM4::run_code`] path over the
 //! encoding is the uncached reference, bit- and cycle-identical by

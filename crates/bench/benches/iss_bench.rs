@@ -27,7 +27,7 @@ use iw_bench::check::first_difference;
 use iw_bench::evaluation_nets;
 use iw_fann::Q15Net;
 use iw_kernels::{
-    registry, targets_in, ExecPath, FixedTarget, FixedWorkload, FloatWorkload, M4Machine, Machine,
+    registry, targets_in, FixedTarget, FixedWorkload, FloatWorkload, M4Machine, Machine,
     PreparedFixed, ProductStats, Q15Workload, TargetGroup, Workload,
 };
 use iw_metrics::{Snapshot, Value};
@@ -79,12 +79,8 @@ fn check() {
 /// names the row and the first field that differs.
 fn check_workload(machine: &dyn Machine, workload: &dyn Workload, what: &str) {
     let deployment = machine.deploy(workload).expect("deploys");
-    let product = deployment
-        .run(ExecPath::Product)
-        .expect("product path runs");
-    let reference = deployment
-        .run(ExecPath::Reference)
-        .expect("reference path runs");
+    let (product, _) = deployment.run().expect("product path runs");
+    let reference = deployment.run_reference().expect("reference path runs");
     if let Some(diff) = first_difference(&product, &reference) {
         panic!("{what}: product != reference at {diff}");
     }

@@ -117,7 +117,7 @@ fn cluster_difference(p: &ClusterRun, r: &ClusterRun) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iw_kernels::{registry, ExecPath, FixedWorkload};
+    use iw_kernels::{registry, FixedWorkload};
 
     /// The Network A run of the 8-core cluster, which has every field.
     fn cluster_run() -> MachineRun {
@@ -129,7 +129,7 @@ mod tests {
             .expect("registered");
         let machine = entry.machine();
         let deployment = machine.deploy(&workload).expect("deploys");
-        deployment.run(ExecPath::Reference).expect("runs")
+        deployment.run_reference().expect("runs")
     }
 
     #[test]

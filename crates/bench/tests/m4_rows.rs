@@ -16,7 +16,7 @@ fn m4_run(net: usize) -> FixedRun {
         .find(|e| e.id == "m4")
         .expect("M4 target registered");
     let prep = PreparedFixed::on(&*entry.machine(), fixed, qin).expect("deploys");
-    prep.run_stats().expect("runs").0
+    prep.run().expect("runs")
 }
 
 /// Asserts `run`'s profile holds exactly `classes` (instructions, base

@@ -54,8 +54,8 @@ pub mod workloads;
 pub use features::{FeatureCost, FeatureSummary, FeatureWorkload};
 pub use m4::{emit_m4_fixed_kernel, emit_m4_float_kernel};
 pub use machine::{
-    registry, targets_in, Deployment, EnergyBreakdown, ExecPath, Isa, Machine, MachineError,
-    MachineRun, ProductStats, TargetEntry, TargetGroup, Workload, WorkloadFootprint,
+    registry, targets_in, Deployment, EnergyBreakdown, Isa, Machine, MachineError, MachineRun,
+    ProductStats, TargetEntry, TargetGroup, Workload, WorkloadFootprint,
 };
 pub use machine::{M4Machine, WolfMachine};
 pub use q15::{

@@ -8,11 +8,12 @@
 //! one call:
 //!
 //! ```text
-//! Machine::deploy(workload) -> Deployment       (place, lower, encode; once)
-//! Deployment::run(ExecPath) -> MachineRun       (stage memories, run-to-halt)
+//! Machine::deploy(workload) -> Deployment     (place, lower, encode; once)
+//! Deployment::run() -> (MachineRun, ProductStats)
+//!                                             (stage memories, run-to-halt)
 //! ```
 //!
-//! Each target has one product interpreter, [`ExecPath::Product`], chosen
+//! Each target has one product interpreter, [`Deployment::run`], chosen
 //! by the target and not by the caller:
 //!
 //! | Target | Product path |
@@ -22,11 +23,12 @@
 //! | single RI5CY | the same op program, one burst with no horizon |
 //! | multi-core cluster | the same op program, horizon bursts |
 //!
-//! [`ExecPath::Reference`] is the frozen per-instruction interpreter. The
-//! two are bit- and cycle-identical by the conformance tests. Recorded
-//! runs ([`Deployment::run_recorded`]) go through the product path with a
-//! recording sink, which dispatches one instruction at a time so each
-//! gets its own PC sample; they are identical to both.
+//! [`Deployment::run_reference`] is the frozen per-instruction
+//! interpreter. The two are bit- and cycle-identical by the conformance
+//! tests. Recorded runs ([`Deployment::run_recorded`]) go through the
+//! product path's own body with a recording sink, which dispatches one
+//! instruction at a time so each gets its own PC sample; they are
+//! identical to both.
 //!
 //! The target list itself is data: [`registry`] returns one row per
 //! registered backend (the four paper columns, the A2 Xpulp ablation
@@ -37,7 +39,7 @@
 //!
 //! ```
 //! use iw_fann::{presets::network_a, FixedNet};
-//! use iw_kernels::machine::{ExecPath, Machine, WolfMachine};
+//! use iw_kernels::machine::{Machine, WolfMachine};
 //! use iw_kernels::workloads::FixedWorkload;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -47,8 +49,8 @@
 //! let input = fixed.quantize_input(&[0.1, -0.3, 0.7, 0.2, -0.5]);
 //! let workload = FixedWorkload::new(&fixed, &input)?;
 //! let deployment = WolfMachine::cluster(8).deploy(&workload)?;
-//! let fast = deployment.run(ExecPath::Product)?;
-//! let reference = deployment.run(ExecPath::Reference)?;
+//! let (fast, _stats) = deployment.run()?;
+//! let reference = deployment.run_reference()?;
 //! assert_eq!(fast, reference); // the frozen path agrees bit-for-bit
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -59,7 +61,7 @@ use iw_mrwolf::{ClusterConfig, ClusterError, ClusterRun, FcRun, MrWolf, Operatin
 use iw_nrf52::{Nrf52, FLASH_BASE, FLASH_SIZE, RAM_BASE, RAM_SIZE};
 use iw_rv32::asm::AsmError;
 use iw_rv32::{CpuError, ExecProfile};
-use iw_trace::{Recorder, TraceSink, CYCLES};
+use iw_trace::{NoopSink, Recorder, TraceSink, CYCLES};
 
 use crate::rv::RvKernelOpts;
 
@@ -146,19 +148,8 @@ impl From<M4Error> for MachineError {
     }
 }
 
-/// Which interpreter a run uses. Both are bit- and cycle-identical; only
-/// the simulator's wall-clock speed differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecPath {
-    /// The target's product interpreter (see the module docs).
-    Product,
-    /// The frozen reference path: fetch and decode every dynamic
-    /// instruction, no batching.
-    Reference,
-}
-
-/// Dispatch statistics of one [`ExecPath::Product`] run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Dispatch statistics of one product run ([`Deployment::run`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProductStats {
     /// Dispatch decisions: scheduler picks on the multi-core Mr. Wolf
     /// cluster, dispatch-loop iterations (ops dispatched) elsewhere, the
@@ -338,41 +329,37 @@ pub trait Machine {
     fn deploy(&self, workload: &dyn Workload) -> Result<Box<dyn Deployment>, MachineError>;
 }
 
-/// A workload deployed to one machine, ready to run repeatedly. Each
-/// [`Deployment::run`] stages fresh memories and simulates a single
-/// run-to-halt, so repeated execution does not re-pay code generation.
+/// A workload deployed to one machine, ready to run repeatedly. Each run
+/// stages fresh memories and simulates a single run-to-halt, so repeated
+/// execution does not re-pay code generation. All three runs are bit- and
+/// cycle-identical; only the simulator's wall-clock speed differs.
 pub trait Deployment {
-    /// Simulates one run-to-halt on the given interpreter path.
+    /// Simulates one run-to-halt on the target's product interpreter (see
+    /// the module docs) and returns its dispatch statistics alongside.
     ///
     /// # Errors
     ///
     /// See [`MachineError`].
-    fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError>;
+    fn run(&self) -> Result<(MachineRun, ProductStats), MachineError>;
 
-    /// Simulates one run-to-halt with `rec` recording the full timeline:
+    /// Simulates one run-to-halt on the frozen reference path: fetch and
+    /// decode every dynamic instruction, no batching.
+    ///
+    /// # Errors
+    ///
+    /// See [`MachineError`].
+    fn run_reference(&self) -> Result<MachineRun, MachineError>;
+
+    /// Simulates one product run with `rec` recording the full timeline:
     /// execution tracks and PC samples from the backend, the workload's
     /// symbol table, the machine clock, and end-of-run energy counters on
-    /// an `soc` track. Every target records through its product path,
-    /// one instruction per dispatch. The recorded run is observationally
-    /// identical to [`Deployment::run`].
-    ///
-    /// The default implementation records nothing (backends opt in).
+    /// an `soc` track. The product path runs one instruction per
+    /// dispatch under a recording sink.
     ///
     /// # Errors
     ///
     /// See [`MachineError`].
-    fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
-        let _ = rec;
-        self.run(ExecPath::Product)
-    }
-
-    /// [`Deployment::run`] on [`ExecPath::Product`], additionally
-    /// returning the product path's dispatch statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`MachineError`].
-    fn run_stats(&self) -> Result<(MachineRun, ProductStats), MachineError>;
+    fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError>;
 }
 
 /// Cycle budget for a single run (Network B on Ibex is ~1 M cycles; leave
@@ -476,50 +463,45 @@ impl M4Deployment {
             output,
         }
     }
-}
 
-impl Deployment for M4Deployment {
-    fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError> {
-        match path {
-            ExecPath::Product => Ok(self.run_stats()?.0),
-            ExecPath::Reference => {
-                let mut soc = self.staged_soc();
-                let run = soc.run_code(&self.code, MAX_CYCLES)?;
-                Ok(self.machine_run(&soc, run))
-            }
-        }
-    }
-
-    fn run_stats(&self) -> Result<(MachineRun, ProductStats), MachineError> {
+    /// The product run under `sink`: stage, run the fused program, read
+    /// back; a recording sink also gets the `m4` and `soc` tracks.
+    fn product<S: TraceSink>(
+        &self,
+        sink: &mut S,
+    ) -> Result<(MachineRun, ProductStats), MachineError> {
+        let track = sink.track("m4", CYCLES);
         let mut soc = self.staged_soc();
         let mut stats = iw_armv7m::FusedStats::default();
-        let run = soc.run_blocks(&self.fused, MAX_CYCLES, &mut stats)?;
+        let run = soc.run_blocks(&self.fused, MAX_CYCLES, &mut stats, sink, track)?;
+        let run = self.machine_run(&soc, run);
+        let soc = sink.track("soc", CYCLES);
+        sink.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
         let product = ProductStats {
             dispatches: stats.dispatches,
             avg_burst: stats.avg_burst(),
-            gated_breaks: 0,
-            joint_picks: 0,
-            joint_instructions: 0,
-            joint_entries: 0,
-            period_skips: 0,
-            skipped_picks: 0,
-            rv32: None,
             m4: Some(stats),
+            ..ProductStats::default()
         };
-        Ok((self.machine_run(&soc, run), product))
+        Ok((run, product))
+    }
+}
+
+impl Deployment for M4Deployment {
+    fn run(&self) -> Result<(MachineRun, ProductStats), MachineError> {
+        self.product(&mut NoopSink)
+    }
+
+    fn run_reference(&self) -> Result<MachineRun, MachineError> {
+        let mut soc = self.staged_soc();
+        let run = soc.run_code(&self.code, MAX_CYCLES)?;
+        Ok(self.machine_run(&soc, run))
     }
 
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
         rec.set_cycles_per_us(iw_nrf52::Nrf52Power::default().freq_hz / 1e6);
         rec.set_symbols(self.symbols.clone());
-        let track = rec.track("m4", CYCLES);
-        let mut soc = self.staged_soc();
-        let mut stats = iw_armv7m::FusedStats::default();
-        let run = soc.run_blocks_sink(&self.fused, MAX_CYCLES, &mut stats, rec, track)?;
-        let run = self.machine_run(&soc, run);
-        let soc = rec.track("soc", CYCLES);
-        rec.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
-        Ok(run)
+        Ok(self.product(rec)?.0)
     }
 }
 
@@ -696,8 +678,8 @@ struct WolfDeployment {
 }
 
 impl WolfDeployment {
-    fn staged_wolf(&self, cfg: ClusterConfig) -> MrWolf {
-        let mut wolf = MrWolf::with_cluster_config(cfg);
+    fn staged_wolf(&self) -> MrWolf {
+        let mut wolf = MrWolf::with_cluster_config(self.cfg);
         wolf.l2_mut().write_bytes(L2_BASE, &self.program);
         for (addr, bytes) in &self.image {
             if *addr >= L2_BASE {
@@ -746,47 +728,27 @@ impl WolfDeployment {
         let (cycles, instructions, profile) = (run.cycles, run.instructions, run.profile);
         self.machine_run(wolf, cycles, instructions, Some(run), profile)
     }
-}
 
-impl Deployment for WolfDeployment {
-    fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError> {
-        match path {
-            ExecPath::Product => Ok(self.run_stats()?.0),
-            ExecPath::Reference => {
-                let mut wolf = self.staged_wolf(ClusterConfig {
-                    decode_cache: false,
-                    ..self.cfg
-                });
-                if self.on_fc {
-                    let run = wolf.run_fc_uncached(L2_BASE, MAX_CYCLES)?;
-                    Ok(self.fc_run(&wolf, &run))
-                } else {
-                    let run = wolf.run_cluster(L2_BASE, MAX_CYCLES)?;
-                    Ok(self.cluster_run(&wolf, run))
-                }
-            }
-        }
-    }
-
-    fn run_stats(&self) -> Result<(MachineRun, ProductStats), MachineError> {
-        let mut wolf = self.staged_wolf(self.cfg);
-        if self.on_fc {
-            let (run, stats) = wolf.run_fc(L2_BASE, MAX_CYCLES)?;
+    /// The product run under `sink`: stage, run the FC's op program or
+    /// the cluster's horizon bursts, read back; a recording sink also gets
+    /// the `fc` (or per-core cluster) and `soc` tracks.
+    fn product<S: TraceSink>(
+        &self,
+        sink: &mut S,
+    ) -> Result<(MachineRun, ProductStats), MachineError> {
+        let mut wolf = self.staged_wolf();
+        let (run, product) = if self.on_fc {
+            let track = sink.track("fc", CYCLES);
+            let (run, stats) = wolf.run_fc(L2_BASE, MAX_CYCLES, sink, track)?;
             let product = ProductStats {
                 dispatches: stats.dispatches,
                 avg_burst: stats.avg_burst(),
-                gated_breaks: 0,
-                joint_picks: 0,
-                joint_instructions: 0,
-                joint_entries: 0,
-                period_skips: 0,
-                skipped_picks: 0,
                 rv32: Some(stats),
-                m4: None,
+                ..ProductStats::default()
             };
-            Ok((self.fc_run(&wolf, &run), product))
+            (self.fc_run(&wolf, &run), product)
         } else {
-            let (run, sched) = wolf.run_cluster_stats(L2_BASE, MAX_CYCLES)?;
+            let (run, sched) = wolf.run_cluster(L2_BASE, MAX_CYCLES, sink)?;
             // A single core runs the whole program in one pick: its
             // dispatch decisions are the op program's.
             let (dispatches, avg_burst) = match sched.program {
@@ -805,26 +767,35 @@ impl Deployment for WolfDeployment {
                 rv32: sched.program,
                 m4: None,
             };
-            Ok((self.cluster_run(&wolf, run), product))
+            (self.cluster_run(&wolf, run), product)
+        };
+        let soc = sink.track("soc", CYCLES);
+        sink.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
+        sink.counter(soc, "cluster_uj", run.cycles, run.energy.cluster_j * 1e6);
+        Ok((run, product))
+    }
+}
+
+impl Deployment for WolfDeployment {
+    fn run(&self) -> Result<(MachineRun, ProductStats), MachineError> {
+        self.product(&mut NoopSink)
+    }
+
+    fn run_reference(&self) -> Result<MachineRun, MachineError> {
+        let mut wolf = self.staged_wolf();
+        if self.on_fc {
+            let run = wolf.run_fc_uncached(L2_BASE, MAX_CYCLES)?;
+            Ok(self.fc_run(&wolf, &run))
+        } else {
+            let run = wolf.run_cluster_uncached(L2_BASE, MAX_CYCLES, &mut NoopSink)?;
+            Ok(self.cluster_run(&wolf, run))
         }
     }
 
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
         rec.set_cycles_per_us(OperatingPoint::efficient().freq_hz / 1e6);
         rec.set_symbols(self.symbols.clone());
-        let mut wolf = self.staged_wolf(self.cfg);
-        let run = if self.on_fc {
-            let track = rec.track("fc", CYCLES);
-            let (run, _) = wolf.run_fc_sink(L2_BASE, MAX_CYCLES, rec, track)?;
-            self.fc_run(&wolf, &run)
-        } else {
-            let run = wolf.run_cluster_sink(L2_BASE, MAX_CYCLES, rec)?;
-            self.cluster_run(&wolf, run)
-        };
-        let soc = rec.track("soc", CYCLES);
-        rec.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
-        rec.counter(soc, "cluster_uj", run.cycles, run.energy.cluster_j * 1e6);
-        Ok(run)
+        Ok(self.product(rec)?.0)
     }
 }
 

@@ -20,7 +20,7 @@ use iw_rv32::asm::Asm;
 use iw_rv32::{BranchCond, LoopIdx, MemWidth, Reg, ShiftOp, SimdOp};
 
 use crate::layout::Placement;
-use crate::machine::{ExecPath, M4Machine, Machine, MachineError, MachineRun, WolfMachine};
+use crate::machine::{M4Machine, Machine, MachineError, MachineRun, WolfMachine};
 use crate::workloads::Q15Workload;
 
 /// Assigns addresses for a Q15 network: halfword weights, halfword
@@ -257,9 +257,7 @@ pub fn run_q15_on(
     input: &[i16],
 ) -> Result<Q15Run, MachineError> {
     let workload = Q15Workload::new(net, input)?;
-    Ok(Q15Run::from_machine(
-        machine.deploy(&workload)?.run(ExecPath::Product)?,
-    ))
+    Ok(Q15Run::from_machine(machine.deploy(&workload)?.run()?.0))
 }
 
 /// Runs a Q15 classification on the RI5CY cluster (`cores` = 1 for the

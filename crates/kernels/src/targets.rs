@@ -16,7 +16,7 @@ use iw_mrwolf::ClusterRun;
 use iw_rv32::ExecProfile;
 
 use crate::machine::{
-    Deployment, ExecPath, M4Machine, Machine, MachineError, MachineRun, ProductStats, WolfMachine,
+    Deployment, M4Machine, Machine, MachineError, MachineRun, ProductStats, WolfMachine,
 };
 use crate::workloads::{FixedWorkload, FloatWorkload};
 
@@ -208,15 +208,13 @@ impl PreparedFixed {
     }
 
     /// Simulates one classification through the target's product
-    /// interpreter ([`ExecPath::Product`]).
+    /// interpreter ([`Deployment::run`]).
     ///
     /// # Errors
     ///
     /// See [`MachineError`].
     pub fn run(&self) -> Result<FixedRun, MachineError> {
-        Ok(FixedRun::from_machine(
-            self.deployment.run(ExecPath::Product)?,
-        ))
+        Ok(FixedRun::from_machine(self.deployment.run()?.0))
     }
 
     /// Simulates one classification through the uncached reference
@@ -228,9 +226,7 @@ impl PreparedFixed {
     ///
     /// See [`MachineError`].
     pub fn run_uncached(&self) -> Result<FixedRun, MachineError> {
-        Ok(FixedRun::from_machine(
-            self.deployment.run(ExecPath::Reference)?,
-        ))
+        Ok(FixedRun::from_machine(self.deployment.run_reference()?))
     }
 
     /// [`PreparedFixed::run`] plus the product path's dispatch statistics
@@ -240,7 +236,7 @@ impl PreparedFixed {
     ///
     /// See [`MachineError`].
     pub fn run_stats(&self) -> Result<(FixedRun, ProductStats), MachineError> {
-        let (run, stats) = self.deployment.run_stats()?;
+        let (run, stats) = self.deployment.run()?;
         Ok((FixedRun::from_machine(run), stats))
     }
 
@@ -269,7 +265,7 @@ impl PreparedFixed {
 /// [`crate::emit_m4_float_kernel`]).
 pub fn run_m4_float(net: &Mlp, input: &[f32]) -> Result<FloatRun, MachineError> {
     let workload = FloatWorkload::new(net, input)?;
-    let run = M4Machine::new().deploy(&workload)?.run(ExecPath::Product)?;
+    let (run, _) = M4Machine::new().deploy(&workload)?.run()?;
     Ok(FloatRun {
         cycles: run.cycles,
         instructions: run.instructions,

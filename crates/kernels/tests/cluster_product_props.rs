@@ -7,7 +7,7 @@
 //! instructions, energy, profile, cluster accounting and output bytes.
 
 use iw_fann::{FixedNet, Mlp};
-use iw_kernels::{ExecPath, FixedWorkload, Machine, WolfMachine};
+use iw_kernels::{FixedWorkload, Machine, WolfMachine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,8 +28,8 @@ proptest! {
         let x: Vec<f32> = (0..sizes[0]).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let workload = FixedWorkload::new(&fixed, &fixed.quantize_input(&x)).expect("input");
         let deployment = WolfMachine::cluster(cores).deploy(&workload).expect("deploys");
-        let product = deployment.run(ExecPath::Product).expect("product run");
-        let reference = deployment.run(ExecPath::Reference).expect("reference run");
+        let (product, _) = deployment.run().expect("product run");
+        let reference = deployment.run_reference().expect("reference run");
         prop_assert_eq!(product, reference, "sizes={:?} cores={}", sizes, cores);
     }
 }

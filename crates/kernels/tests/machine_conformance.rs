@@ -6,8 +6,8 @@
 
 use iw_fann::{presets::network_a, presets::network_b, FixedNet, Mlp, Q15Net};
 use iw_kernels::{
-    registry, ExecPath, FeatureWorkload, FixedWorkload, FloatWorkload, M4Machine, Machine,
-    MachineError, Q15Workload, TargetGroup,
+    registry, FeatureWorkload, FixedWorkload, FloatWorkload, M4Machine, Machine, MachineError,
+    Q15Workload, TargetGroup,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,9 +18,10 @@ fn fixed_net(seed: u64) -> FixedNet {
     FixedNet::export(&net).expect("export network A")
 }
 
-/// Product and reference interpreters must agree on every observable:
-/// retired work, cycle count, energy and output bytes — on every
-/// registered backend, not just the four paper targets.
+/// Product and reference interpreters must agree on every observable —
+/// the whole [`MachineRun`](iw_kernels::MachineRun): retired work, cycle
+/// count, profile, energy split, cluster accounting and output bytes —
+/// on every registered backend, not just the four paper targets.
 #[test]
 fn fixed_product_path_matches_reference_on_every_backend() {
     let fixed = fixed_net(11);
@@ -30,24 +31,9 @@ fn fixed_product_path_matches_reference_on_every_backend() {
         let machine = entry.machine();
         let workload = FixedWorkload::new(&fixed, &input).expect("valid input");
         let deployment = machine.deploy(&workload).expect("deploy");
-        let product = deployment.run(ExecPath::Product).expect("product run");
-        let reference = deployment.run(ExecPath::Reference).expect("reference run");
-        assert_eq!(product.cycles, reference.cycles, "{}: cycles", entry.id);
-        assert_eq!(
-            product.instructions, reference.instructions,
-            "{}: instructions",
-            entry.id
-        );
-        assert_eq!(
-            product.output, reference.output,
-            "{}: output bytes",
-            entry.id
-        );
-        assert_eq!(
-            product.energy.total_j, reference.energy.total_j,
-            "{}: energy",
-            entry.id
-        );
+        let (product, _) = deployment.run().expect("product run");
+        let reference = deployment.run_reference().expect("reference run");
+        assert_eq!(product, reference, "{}", entry.id);
         assert_eq!(
             FixedWorkload::decode_outputs(&product.output),
             expect,
@@ -75,8 +61,9 @@ fn energy_is_decomposed_and_monotone_in_cycles() {
             machine
                 .deploy(&workload)
                 .expect("deploy")
-                .run(ExecPath::Product)
+                .run()
                 .expect("run")
+                .0
         };
         let a = run(&small, &small_input);
         let b = run(&big, &big_input);
@@ -114,8 +101,8 @@ fn q15_workload_conforms_on_q15_targets() {
         let machine = entry.machine();
         let workload = Q15Workload::new(&q15, &input).expect("valid input");
         let deployment = machine.deploy(&workload).expect("deploy");
-        let product = deployment.run(ExecPath::Product).expect("product run");
-        let reference = deployment.run(ExecPath::Reference).expect("reference run");
+        let (product, _) = deployment.run().expect("product run");
+        let reference = deployment.run_reference().expect("reference run");
         assert_eq!(product.cycles, reference.cycles, "{}: cycles", entry.id);
         assert_eq!(
             product.output, reference.output,
@@ -143,8 +130,8 @@ fn float_workload_conforms_on_the_m4() {
             .collect();
         let workload = FloatWorkload::new(&net, &input).expect("valid input");
         let deployment = M4Machine::new().deploy(&workload).expect("deploy");
-        let product = deployment.run(ExecPath::Product).expect("product run");
-        let reference = deployment.run(ExecPath::Reference).expect("reference run");
+        let (product, _) = deployment.run().expect("product run");
+        let reference = deployment.run_reference().expect("reference run");
         assert_eq!(product, reference, "{} inputs", net.num_inputs());
         assert!(product.instructions > 0);
     }
@@ -162,8 +149,8 @@ fn feature_workload_conforms_on_every_backend() {
     for entry in registry() {
         let machine = entry.machine();
         let deployment = machine.deploy(&workload).expect("deploy");
-        let product = deployment.run(ExecPath::Product).expect("product run");
-        let reference = deployment.run(ExecPath::Reference).expect("reference run");
+        let (product, _) = deployment.run().expect("product run");
+        let reference = deployment.run_reference().expect("reference run");
         assert_eq!(product.cycles, reference.cycles, "{}: cycles", entry.id);
         assert_eq!(
             product.output, reference.output,
@@ -194,8 +181,9 @@ fn profile_counts_account_for_every_instruction_and_cycle() {
         let run = machine
             .deploy(&workload)
             .expect("deploy")
-            .run(ExecPath::Product)
-            .expect("run");
+            .run()
+            .expect("run")
+            .0;
         let total = run.profile.total();
         assert_eq!(
             total.instructions, run.instructions,

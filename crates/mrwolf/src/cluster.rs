@@ -4,7 +4,7 @@
 //! # Batched execution (horizon bursts)
 //!
 //! The scheduler is an event loop: the core with the smallest local time
-//! steps next. With [`ClusterConfig::decode_cache`] enabled, each pick
+//! steps next. On the product path ([`run_cluster`]) each pick
 //! computes the *horizon* — the earliest instant any **other** runnable
 //! core can act — and then bursts the picked core through the ops of one
 //! shared per-PC [`Program`] (all cores run the same SPMD image, so every
@@ -19,7 +19,7 @@
 //! reference uses. Halts, barrier arrivals, faults and the cycle budget
 //! break back to the scheduler exactly where the reference would act, so
 //! results are bit- and cycle-identical to the one-instruction-per-pick
-//! reference path (`decode_cache: false`).
+//! reference path ([`run_cluster_uncached`]).
 //!
 //! A single core with memory timings of at least one cycle runs the same
 //! burst with no horizon (there is no runner-up) and without arbitration:
@@ -107,7 +107,7 @@ use iw_rv32::{
     Timing,
 };
 
-use iw_trace::{NoopSink, TraceSink, TrackId, CYCLES};
+use iw_trace::{TraceSink, TrackId, CYCLES};
 
 use crate::memmap::{
     region_of, Region, BARRIER_ADDR, L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE,
@@ -133,11 +133,6 @@ pub struct ClusterConfig {
     pub offload_cycles: u64,
     /// Core timing model.
     pub timing: Timing,
-    /// Run the product path: horizon bursts over the per-PC op program
-    /// (see the module docs). Results are identical to the reference
-    /// event loop. Disable to force the one-instruction-per-pick
-    /// reference interpreter.
-    pub decode_cache: bool,
 }
 
 impl Default for ClusterConfig {
@@ -149,7 +144,6 @@ impl Default for ClusterConfig {
             barrier_latency: 6,
             offload_cycles: 2_500,
             timing: Timing::riscy(),
-            decode_cache: true,
         }
     }
 }
@@ -461,7 +455,10 @@ enum CoreStatus {
     Halted,
 }
 
-/// Runs an SPMD program on the cluster.
+/// Runs an SPMD program on the cluster: the product path, horizon bursts
+/// over one shared per-PC op program (see the module docs), returning the
+/// scheduler statistics (picks, burst length, op-program counters)
+/// alongside the run.
 ///
 /// Every active core starts at `entry` with `a0 = core_id` and
 /// `a1 = active core count`. Execution is event-driven and deterministic:
@@ -469,50 +466,15 @@ enum CoreStatus {
 /// next; TCDM banks grant one access per cycle each, the L2 port one access
 /// per cycle total.
 ///
-/// # Errors
-///
-/// See [`ClusterError`].
-pub fn run_cluster(
-    cfg: &ClusterConfig,
-    tcdm: &mut Ram,
-    l2: &mut Ram,
-    entry: u32,
-    max_cycles: u64,
-) -> Result<ClusterRun, ClusterError> {
-    run_cluster_sink(cfg, tcdm, l2, entry, max_cycles, &mut NoopSink)
-}
-
-/// [`run_cluster`] that also reports scheduler statistics (picks, burst
-/// length, op-program counters) alongside the run.
-///
-/// # Errors
-///
-/// See [`ClusterError`].
-pub fn run_cluster_stats(
-    cfg: &ClusterConfig,
-    tcdm: &mut Ram,
-    l2: &mut Ram,
-    entry: u32,
-    max_cycles: u64,
-) -> Result<(ClusterRun, SchedStats), ClusterError> {
-    let mut sched = SchedStats::default();
-    let run = run_cluster_inner(cfg, tcdm, l2, entry, max_cycles, &mut NoopSink, &mut sched)?;
-    Ok((run, sched))
-}
-
-/// [`run_cluster`] with an instrumentation sink attached.
-///
-/// With the default [`NoopSink`] every emission site folds away and this
-/// *is* the event-driven scheduler. With a recording sink it registers
-/// one `cluster/core{i}` track per active core (stamped in cluster
-/// cycles) and emits:
+/// With [`NoopSink`](iw_trace::NoopSink) every emission site folds away.
+/// A recording sink gets one `cluster/core{i}` track per active core
+/// (stamped in cluster cycles) carrying:
 ///
 /// * coalesced `busy` spans covering instruction execution (base cost),
 /// * `tcdm-stall` / `l2-stall` spans for every arbitration wait,
 /// * `barrier-wait` spans from each core's arrival to its release, with
 ///   `barrier-arrive` instants, and a `halt` instant per core,
-/// * one PC sample per retired instruction (stall cycles included), on
-///   both the burst and the reference path.
+/// * one PC sample per retired instruction (stall cycles included).
 ///
 /// The timeline accounts for every core cycle: per core, busy + stall +
 /// barrier-wait span ticks equal the core's completion time.
@@ -520,27 +482,49 @@ pub fn run_cluster_stats(
 /// # Errors
 ///
 /// See [`ClusterError`].
-pub fn run_cluster_sink<S: TraceSink>(
+pub fn run_cluster<S: TraceSink>(
     cfg: &ClusterConfig,
     tcdm: &mut Ram,
     l2: &mut Ram,
     entry: u32,
     max_cycles: u64,
     sink: &mut S,
-) -> Result<ClusterRun, ClusterError> {
-    let mut sched = SchedStats::default();
-    run_cluster_inner(cfg, tcdm, l2, entry, max_cycles, sink, &mut sched)
+) -> Result<(ClusterRun, SchedStats), ClusterError> {
+    schedule(cfg, tcdm, l2, entry, max_cycles, sink, true)
 }
 
-fn run_cluster_inner<S: TraceSink>(
+/// The reference path of [`run_cluster`]: the same event loop, exactly
+/// one instruction per pick, fetched and decoded each time, with the
+/// arbitration charged by the scheduler. Bit- and cycle-identical to
+/// [`run_cluster`], and it records the same timeline.
+///
+/// # Errors
+///
+/// See [`ClusterError`].
+pub fn run_cluster_uncached<S: TraceSink>(
     cfg: &ClusterConfig,
     tcdm: &mut Ram,
     l2: &mut Ram,
     entry: u32,
     max_cycles: u64,
     sink: &mut S,
-    sched: &mut SchedStats,
 ) -> Result<ClusterRun, ClusterError> {
+    Ok(schedule(cfg, tcdm, l2, entry, max_cycles, sink, false)?.0)
+}
+
+/// The scheduler loop of both paths: `product` picks horizon bursts over
+/// the op program, else one reference instruction per pick.
+fn schedule<S: TraceSink>(
+    cfg: &ClusterConfig,
+    tcdm: &mut Ram,
+    l2: &mut Ram,
+    entry: u32,
+    max_cycles: u64,
+    sink: &mut S,
+    product: bool,
+) -> Result<(ClusterRun, SchedStats), ClusterError> {
+    let mut stats = SchedStats::default();
+    let sched = &mut stats;
     if cfg.cores == 0 || cfg.cores > 8 || cfg.tcdm_banks == 0 {
         return Err(ClusterError::BadConfig);
     }
@@ -600,9 +584,7 @@ fn run_cluster_inner<S: TraceSink>(
 
     // One per-PC op program shared by all cores: they run the same SPMD
     // image, so every core dispatches slots its siblings translated.
-    let mut program = cfg
-        .decode_cache
-        .then(|| Program::new(entry, PROGRAM_SIZE as u32, true));
+    let mut program = product.then(|| Program::new(entry, PROGRAM_SIZE as u32, true));
     let mut bus = ClusterBus {
         tcdm,
         l2,
@@ -839,7 +821,7 @@ fn run_cluster_inner<S: TraceSink>(
     run.busy_cycles -= bus.tcdm_stalls + bus.l2_stalls;
     run.cycles = run.per_core_cycles.iter().copied().max().unwrap_or(0) + cfg.offload_cycles;
     sched.program = program.as_ref().map(Program::stats);
-    Ok(run)
+    Ok((run, stats))
 }
 
 /// How a generic burst ended: the core's local time, whether it halted or
@@ -1448,10 +1430,27 @@ mod tests {
     use super::*;
     use crate::memmap::{L2_BASE, L2_SIZE, TCDM_BASE, TCDM_SIZE};
     use iw_rv32::{asm::Asm, MemWidth, ShiftOp};
+    use iw_trace::NoopSink;
     use proptest::prelude::*;
 
     fn fresh_mems() -> (Ram, Ram) {
         (Ram::new(TCDM_BASE, TCDM_SIZE), Ram::new(L2_BASE, L2_SIZE))
+    }
+
+    /// The run of the product path (`product`) or the reference from
+    /// `L2_BASE`, without the scheduler statistics.
+    fn run_path<S: TraceSink>(
+        product: bool,
+        cfg: &ClusterConfig,
+        (tcdm, l2): (&mut Ram, &mut Ram),
+        limit: u64,
+        sink: &mut S,
+    ) -> Result<ClusterRun, ClusterError> {
+        if product {
+            Ok(run_cluster(cfg, tcdm, l2, L2_BASE, limit, sink)?.0)
+        } else {
+            run_cluster_uncached(cfg, tcdm, l2, L2_BASE, limit, sink)
+        }
     }
 
     #[test]
@@ -1466,7 +1465,9 @@ mod tests {
         let (mut tcdm, mut l2) = fresh_mems();
         l2.write_bytes(L2_BASE, &asm.assemble().unwrap());
         let cfg = ClusterConfig::default();
-        let run = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 10_000).unwrap();
+        let run = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 10_000, &mut NoopSink)
+            .unwrap()
+            .0;
         for id in 0..8u32 {
             assert_eq!(
                 tcdm.load(TCDM_BASE + 4 * id, MemWidth::W).unwrap(),
@@ -1490,7 +1491,9 @@ mod tests {
         let (mut tcdm, mut l2) = fresh_mems();
         l2.write_bytes(L2_BASE, &asm.assemble().unwrap());
         let cfg = ClusterConfig::default();
-        let run = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 10_000).unwrap();
+        let run = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 10_000, &mut NoopSink)
+            .unwrap()
+            .0;
         assert!(run.tcdm_conflict_stalls > 0, "expected conflicts, got none");
 
         // Same program on one core: no conflicts.
@@ -1500,7 +1503,9 @@ mod tests {
             cores: 1,
             ..ClusterConfig::default()
         };
-        let run1 = run_cluster(&cfg1, &mut tcdm1, &mut l21, L2_BASE, 10_000).unwrap();
+        let run1 = run_cluster(&cfg1, &mut tcdm1, &mut l21, L2_BASE, 10_000, &mut NoopSink)
+            .unwrap()
+            .0;
         assert_eq!(run1.tcdm_conflict_stalls, 0);
     }
 
@@ -1521,8 +1526,10 @@ mod tests {
             &mut l2,
             L2_BASE,
             10_000,
+            &mut NoopSink,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(run.tcdm_conflict_stalls, 0);
     }
 
@@ -1542,8 +1549,10 @@ mod tests {
             &mut l2,
             L2_BASE,
             10_000,
+            &mut NoopSink,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(run.l2_port_stalls > 0);
     }
 
@@ -1581,8 +1590,10 @@ mod tests {
             &mut l2,
             L2_BASE,
             100_000,
+            &mut NoopSink,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(run.barriers, 1);
         for id in 0..8u32 {
             assert_eq!(
@@ -1612,6 +1623,7 @@ mod tests {
             &mut l2,
             L2_BASE,
             100_000,
+            &mut NoopSink,
         )
         .unwrap_err();
         assert_eq!(err, ClusterError::BarrierDeadlock);
@@ -1625,7 +1637,7 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(
-            run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100).unwrap_err(),
+            run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100, &mut NoopSink).unwrap_err(),
             ClusterError::BadConfig
         );
         let cfg = ClusterConfig {
@@ -1633,7 +1645,7 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(
-            run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100).unwrap_err(),
+            run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100, &mut NoopSink).unwrap_err(),
             ClusterError::BadConfig
         );
     }
@@ -1651,6 +1663,7 @@ mod tests {
             &mut l2,
             L2_BASE,
             1_000,
+            &mut NoopSink,
         )
         .unwrap_err();
         assert!(matches!(err, ClusterError::CycleLimit { .. }));
@@ -1684,15 +1697,28 @@ mod tests {
         asm
     }
 
-    fn run_with(image: &[u8], cores: usize, mode: &str) -> (ClusterRun, SchedStats, Vec<u32>) {
+    /// Runs `image` on `cores` cores on the `"product"` path or the
+    /// `"reference"`: the run, the product path's scheduler statistics and
+    /// the first TCDM words.
+    fn run_with(
+        image: &[u8],
+        cores: usize,
+        mode: &str,
+    ) -> (ClusterRun, Option<SchedStats>, Vec<u32>) {
         let (mut tcdm, mut l2) = fresh_mems();
         l2.write_bytes(L2_BASE, image);
         let cfg = ClusterConfig {
             cores,
-            decode_cache: mode == "cached",
             ..ClusterConfig::default()
         };
-        let (run, sched) = run_cluster_stats(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000).unwrap();
+        let (t, l) = (&mut tcdm, &mut l2);
+        let (run, sched) = if mode == "product" {
+            let (run, sched) = run_cluster(&cfg, t, l, L2_BASE, 100_000, &mut NoopSink).unwrap();
+            (run, Some(sched))
+        } else {
+            let run = run_cluster_uncached(&cfg, t, l, L2_BASE, 100_000, &mut NoopSink).unwrap();
+            (run, None)
+        };
         let mem: Vec<u32> = (0..0x80)
             .map(|w| tcdm.load(TCDM_BASE + 4 * w, MemWidth::W).unwrap())
             .collect();
@@ -1703,21 +1729,19 @@ mod tests {
     fn cached_cluster_matches_reference() {
         let image = contended_program().assemble().unwrap();
         for cores in [1, 2, 8] {
-            let (run_ref, sched_ref, mem_ref) = run_with(&image, cores, "reference");
-            let (run_fast, sched_fast, mem_fast) = run_with(&image, cores, "cached");
+            let (run_ref, _, mem_ref) = run_with(&image, cores, "reference");
+            let (run_fast, sched_fast, mem_fast) = run_with(&image, cores, "product");
+            let sched_fast = sched_fast.expect("product path");
             assert_eq!(run_fast, run_ref, "cores={cores}: ClusterRun must match");
             assert_eq!(mem_fast, mem_ref, "cores={cores}: TCDM must match");
             assert!(
-                sched_fast.avg_burst() > sched_ref.avg_burst(),
-                "cores={cores}: bursts must beat one-instruction picks ({} vs {})",
+                sched_fast.avg_burst() > 1.0,
+                "cores={cores}: bursts must beat one-instruction picks ({})",
                 sched_fast.avg_burst(),
-                sched_ref.avg_burst()
             );
-            // Every core count dispatches the op program; the reference
-            // translates nothing.
+            // Every core count dispatches the op program.
             let prog = sched_fast.program.expect("product path");
             assert_eq!(prog.instructions, run_fast.instructions, "cores={cores}");
-            assert!(sched_ref.program.is_none(), "cores={cores}");
         }
         let (run_ref, _, _) = run_with(&image, 8, "reference");
         assert!(
@@ -1747,7 +1771,8 @@ mod tests {
         asm.ecall();
         let image = asm.assemble().unwrap();
         let (run_ref, _, _) = run_with(&image, 1, "reference");
-        let (run_fast, sched, _) = run_with(&image, 1, "cached");
+        let (run_fast, sched, _) = run_with(&image, 1, "product");
+        let sched = sched.unwrap();
         assert_eq!(run_fast, run_ref);
         // With no sibling to wait for, the whole run is one pick; no
         // pattern fuses, so the op program dispatches every instruction
@@ -1784,7 +1809,8 @@ mod tests {
         asm.ecall();
         let image = asm.assemble().unwrap();
         let (run_ref, _, _) = run_with(&image, 1, "reference");
-        let (run_fast, sched, _) = run_with(&image, 1, "cached");
+        let (run_fast, sched, _) = run_with(&image, 1, "product");
+        let sched = sched.unwrap();
         assert_eq!(run_fast, run_ref);
         let stats = sched.program.unwrap();
         assert_eq!(stats.hwloop_dot_entries, 3, "{stats:?}");
@@ -1808,13 +1834,10 @@ mod tests {
             ..ClusterConfig::default()
         };
         let (mut ref_tcdm, mut ref_l2) = (tcdm.clone(), l2.clone());
-        let (run, sched) = run_cluster_stats(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000).unwrap();
-        let reference_cfg = ClusterConfig {
-            decode_cache: false,
-            ..cfg
-        };
-        let reference =
-            run_cluster(&reference_cfg, &mut ref_tcdm, &mut ref_l2, L2_BASE, 100_000).unwrap();
+        let (run, sched) =
+            run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000, &mut NoopSink).unwrap();
+        let (t, l) = (&mut ref_tcdm, &mut ref_l2);
+        let reference = run_cluster_uncached(&cfg, t, l, L2_BASE, 100_000, &mut NoopSink).unwrap();
         assert_eq!(run, reference);
         assert_ne!(run.cycles, run_fast.cycles);
         let stats = sched.program.unwrap();
@@ -1861,7 +1884,7 @@ mod tests {
     #[test]
     fn cycle_accounting_is_conservative() {
         let image = contended_program().assemble().unwrap();
-        for mode in ["reference", "cached"] {
+        for mode in ["reference", "product"] {
             let (run, _, _) = run_with(&image, 8, mode);
             let total: u64 = run.per_core_cycles.iter().sum();
             assert_eq!(
@@ -1885,25 +1908,17 @@ mod tests {
         use iw_trace::Recorder;
 
         let image = contended_program().assemble().unwrap();
-        for decode_cache in [false, true] {
+        let cfg = ClusterConfig::default();
+        for product in [false, true] {
             let run_plain = {
                 let (mut tcdm, mut l2) = fresh_mems();
                 l2.write_bytes(L2_BASE, &image);
-                let cfg = ClusterConfig {
-                    decode_cache,
-                    ..ClusterConfig::default()
-                };
-                run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000).unwrap()
+                run_path(product, &cfg, (&mut tcdm, &mut l2), 100_000, &mut NoopSink).unwrap()
             };
             let (mut tcdm, mut l2) = fresh_mems();
             l2.write_bytes(L2_BASE, &image);
-            let cfg = ClusterConfig {
-                decode_cache,
-                ..ClusterConfig::default()
-            };
             let mut rec = Recorder::new();
-            let run =
-                run_cluster_sink(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000, &mut rec).unwrap();
+            let run = run_path(product, &cfg, (&mut tcdm, &mut l2), 100_000, &mut rec).unwrap();
             assert_eq!(run, run_plain, "recording must not perturb the run");
             rec.finish();
             for (i, &per_core) in run.per_core_cycles.iter().enumerate() {
@@ -1914,7 +1929,7 @@ mod tests {
                     + rec.span_ticks(track, "tcdm-stall")
                     + rec.span_ticks(track, "l2-stall")
                     + rec.span_ticks(track, "barrier-wait");
-                assert_eq!(spans, per_core, "core {i} (cache={decode_cache})");
+                assert_eq!(spans, per_core, "core {i} (product={product})");
             }
             assert!(!rec.pc_histogram().is_empty());
         }
@@ -1928,19 +1943,19 @@ mod tests {
         asm.addi(Reg::T0, Reg::T0, 1);
         asm.jal_to(Reg::ZERO, top);
         let image = asm.assemble().unwrap();
-        for (cores, decode_cache) in [(1, false), (1, true), (8, false), (8, true)] {
+        for (cores, product) in [(1, false), (1, true), (8, false), (8, true)] {
             let (mut tcdm, mut l2) = fresh_mems();
             l2.write_bytes(L2_BASE, &image);
             let cfg = ClusterConfig {
                 cores,
-                decode_cache,
                 ..ClusterConfig::default()
             };
-            let err = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 1_000).unwrap_err();
+            let mems = (&mut tcdm, &mut l2);
+            let err = run_path(product, &cfg, mems, 1_000, &mut NoopSink).unwrap_err();
             assert_eq!(
                 err,
                 ClusterError::CycleLimit { limit: 1_000 },
-                "cores={cores} cache={decode_cache}"
+                "cores={cores} product={product}"
             );
         }
     }
@@ -2132,7 +2147,7 @@ mod tests {
 
     type Outcome = (Result<ClusterRun, ClusterError>, Vec<u8>, Vec<u8>);
 
-    fn run_random(image: &[u8], cores: usize, decode_cache: bool, limit: u64) -> Outcome {
+    fn run_random(image: &[u8], cores: usize, product: bool, limit: u64) -> Outcome {
         let (mut tcdm, mut l2) = fresh_mems();
         for w in 0..(TCDM_SIZE as u32 / 4) {
             let v = w.wrapping_mul(0x9e37_79b9) ^ (w << 7);
@@ -2145,10 +2160,9 @@ mod tests {
         l2.write_bytes(L2_BASE, image);
         let cfg = ClusterConfig {
             cores,
-            decode_cache,
             ..ClusterConfig::default()
         };
-        let res = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, limit);
+        let res = run_path(product, &cfg, (&mut tcdm, &mut l2), limit, &mut NoopSink);
         // TCDM whole; L2: the code and the data block the loads touch.
         let tcdm_bytes = tcdm.read_bytes(TCDM_BASE, TCDM_SIZE).to_vec();
         let l2_bytes = l2.read_bytes(L2_BASE, 0x9000).to_vec();
@@ -2253,7 +2267,8 @@ mod tests {
         let image = build_dot_rows(&[row(1, 0), row(0, 3), row(2, 1)], None);
         for cores in [2, 5, 8] {
             let (run_ref, _, mem_ref) = run_with(&image, cores, "reference");
-            let (run, sched, mem) = run_with(&image, cores, "cached");
+            let (run, sched, mem) = run_with(&image, cores, "product");
+            let sched = sched.unwrap();
             assert_eq!(run, run_ref, "cores={cores}");
             assert_eq!(mem, mem_ref, "cores={cores}");
             // Most picks are made in the joint mode.
@@ -2267,8 +2282,8 @@ mod tests {
         l2.write_bytes(L2_BASE, &image);
         let mut rec = iw_trace::Recorder::new();
         let cfg = ClusterConfig::default();
-        let recorded =
-            run_cluster_sink(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000, &mut rec).unwrap();
+        let (recorded, _) =
+            run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000, &mut rec).unwrap();
         assert_eq!(recorded, run_with(&image, 8, "reference").0);
     }
 
@@ -2423,11 +2438,27 @@ mod tests {
         (tcdm, l2)
     }
 
-    type Memories = (Result<(ClusterRun, SchedStats), ClusterError>, Ram, Ram);
+    type Memories<T> = (Result<T, ClusterError>, Ram, Ram);
 
-    fn run_on(mems: &(Ram, Ram), cfg: &ClusterConfig, limit: u64) -> Memories {
+    /// The product run on copies of `mems`, and the memories it leaves.
+    fn run_on(
+        mems: &(Ram, Ram),
+        cfg: &ClusterConfig,
+        limit: u64,
+    ) -> Memories<(ClusterRun, SchedStats)> {
         let (mut tcdm, mut l2) = mems.clone();
-        let res = run_cluster_stats(cfg, &mut tcdm, &mut l2, L2_BASE, limit);
+        let res = run_cluster(cfg, &mut tcdm, &mut l2, L2_BASE, limit, &mut NoopSink);
+        (res, tcdm, l2)
+    }
+
+    /// [`run_on`] on the reference path.
+    fn run_reference_on(
+        mems: &(Ram, Ram),
+        cfg: &ClusterConfig,
+        limit: u64,
+    ) -> Memories<ClusterRun> {
+        let (mut tcdm, mut l2) = mems.clone();
+        let res = run_cluster_uncached(cfg, &mut tcdm, &mut l2, L2_BASE, limit, &mut NoopSink);
         (res, tcdm, l2)
     }
 
@@ -2451,13 +2482,9 @@ mod tests {
                 tcdm_banks,
                 ..ClusterConfig::default()
             };
-            let reference = ClusterConfig {
-                decode_cache: false,
-                ..cfg
-            };
-            let (expected, ref_tcdm, ref_l2) = run_on(&mems, &reference, 1_000_000);
+            let (expected, ref_tcdm, ref_l2) = run_reference_on(&mems, &cfg, 1_000_000);
             let (got, tcdm, l2) = run_on(&mems, &cfg, 1_000_000);
-            let ((run, sched), (run_ref, _)) = (got.unwrap(), expected.unwrap());
+            let ((run, sched), run_ref) = (got.unwrap(), expected.unwrap());
             assert_eq!(run, run_ref, "banks={tcdm_banks}");
             assert!(
                 tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) == ref_tcdm.read_bytes(TCDM_BASE, TCDM_SIZE)
@@ -2660,15 +2687,11 @@ mod tests {
                 l2_latency,
                 ..ClusterConfig::default()
             };
-            let reference = ClusterConfig {
-                decode_cache: false,
-                ..cfg
-            };
             let unlimited = 10_000_000;
             // A budget as a share of the run below 100, or 0–159 cycles
             // short of its end from 100 on.
-            let limit = match (&run_on(&mems, &reference, unlimited).0, budget) {
-                (Ok((run, _)), Some(b)) => {
+            let limit = match (&run_reference_on(&mems, &cfg, unlimited).0, budget) {
+                (Ok(run), Some(b)) => {
                     let cycles = run.cycles - cfg.offload_cycles;
                     if b < 100 {
                         cycles * b / 100
@@ -2678,9 +2701,9 @@ mod tests {
                 }
                 _ => unlimited,
             };
-            let (expected, ref_tcdm, ref_l2) = run_on(&mems, &reference, limit);
+            let (expected, ref_tcdm, ref_l2) = run_reference_on(&mems, &cfg, limit);
             let (got, tcdm, l2) = run_on(&mems, &cfg, limit);
-            prop_assert_eq!(got.map(|r| r.0), expected.map(|r| r.0), "limit={}", limit);
+            prop_assert_eq!(got.map(|r| r.0), expected, "limit={}", limit);
             let tcdm_same =
                 tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) == ref_tcdm.read_bytes(TCDM_BASE, TCDM_SIZE);
             let l2_same = l2.read_bytes(L2_BASE, L2_SIZE) == ref_l2.read_bytes(L2_BASE, L2_SIZE);
@@ -2840,13 +2863,9 @@ mod tests {
             tcdm_banks,
             ..ClusterConfig::default()
         };
-        let reference = ClusterConfig {
-            decode_cache: false,
-            ..cfg
-        };
         let unlimited = 10_000_000;
-        let limit = match (&run_on(&mems, &reference, unlimited).0, budget) {
-            (Ok((run, _)), Some(b)) => {
+        let limit = match (&run_reference_on(&mems, &cfg, unlimited).0, budget) {
+            (Ok(run), Some(b)) => {
                 let cycles = run.cycles - cfg.offload_cycles;
                 if b < 100 {
                     cycles * b / 100
@@ -2856,9 +2875,9 @@ mod tests {
             }
             _ => unlimited,
         };
-        let (expected, ref_tcdm, ref_l2) = run_on(&mems, &reference, limit);
+        let (expected, ref_tcdm, ref_l2) = run_reference_on(&mems, &cfg, limit);
         let (got, tcdm, l2) = run_on(&mems, &cfg, limit);
-        let (got, expected) = (got.map(|r| r.0), expected.map(|r| r.0));
+        let got = got.map(|r| r.0);
         if got != expected {
             return Err(format!("limit={limit}: {got:?} != {expected:?}"));
         }

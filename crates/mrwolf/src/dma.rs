@@ -1,13 +1,10 @@
-//! The cluster DMA engine (µDMA-style L2 ↔ TCDM mover).
+//! The cluster DMA's transfer-cost model (µDMA-style L2 ↔ TCDM mover).
 //!
 //! Mr. Wolf's cluster DMA moves data between L2 and the TCDM at 64 bits per
 //! cycle after a short programming/setup phase. The kernels use it to
 //! stream per-layer weight tiles for networks that do not fit the 64 kB
 //! TCDM (Network B); the transfer cost model lets the deployment driver
 //! account for double-buffered prefetch overlap.
-
-use iw_rv32::Ram;
-use iw_trace::{TraceSink, TrackId};
 
 /// DMA transfer-cost parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,77 +39,5 @@ impl DmaModel {
     #[must_use]
     pub fn transfer_cycles(&self, len: usize) -> u64 {
         u64::from(self.setup_cycles) + (len as u64).div_ceil(u64::from(self.bytes_per_cycle))
-    }
-
-    /// Copies `len` bytes from `src_addr` in `src` to `dst_addr` in `dst`
-    /// and returns the cycle cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range falls outside its memory region.
-    pub fn copy(&self, src: &Ram, src_addr: u32, dst: &mut Ram, dst_addr: u32, len: usize) -> u64 {
-        let bytes = src.read_bytes(src_addr, len).to_vec();
-        dst.write_bytes(dst_addr, &bytes);
-        self.transfer_cycles(len)
-    }
-
-    /// [`DmaModel::copy`] with an instrumentation sink attached: emits a
-    /// `dma` span on `track` covering `[start_cycle, start_cycle +
-    /// transfer_cycles(len))` and returns the transfer's *end* cycle, so
-    /// chained transfers can thread the running time through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range falls outside its memory region.
-    #[allow(clippy::too_many_arguments)]
-    pub fn copy_sink<S: TraceSink>(
-        &self,
-        src: &Ram,
-        src_addr: u32,
-        dst: &mut Ram,
-        dst_addr: u32,
-        len: usize,
-        sink: &mut S,
-        track: TrackId,
-        start_cycle: u64,
-    ) -> u64 {
-        let cycles = self.copy(src, src_addr, dst, dst_addr, len);
-        let end = start_cycle + cycles;
-        if S::ENABLED {
-            sink.span(track, "dma", start_cycle, end);
-        }
-        end
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn copy_sink_emits_transfer_span() {
-        use iw_trace::{Recorder, CYCLES};
-
-        let mut a = Ram::new(0, 64);
-        let mut b = Ram::new(0x1000, 64);
-        a.write_bytes(0, &[9; 16]);
-        let dma = DmaModel::default();
-        let mut rec = Recorder::new();
-        let track = rec.track("dma", CYCLES);
-        let end = dma.copy_sink(&a, 0, &mut b, 0x1000, 16, &mut rec, track, 100);
-        assert_eq!(end, 100 + dma.transfer_cycles(16));
-        assert_eq!(rec.span_ticks(track, "dma"), dma.transfer_cycles(16));
-        assert_eq!(b.read_bytes(0x1000, 16), &[9; 16]);
-    }
-
-    #[test]
-    fn copy_moves_bytes_and_charges_cycles() {
-        let mut a = Ram::new(0, 64);
-        let mut b = Ram::new(0x1000, 64);
-        a.write_bytes(8, &[1, 2, 3, 4, 5]);
-        let dma = DmaModel::default();
-        let cycles = dma.copy(&a, 8, &mut b, 0x1010, 5);
-        assert_eq!(b.read_bytes(0x1010, 5), &[1, 2, 3, 4, 5]);
-        assert_eq!(cycles, 12 + 1);
     }
 }

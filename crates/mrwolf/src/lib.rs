@@ -23,6 +23,7 @@
 //! ```
 //! use iw_mrwolf::{memmap::{L2_BASE, TCDM_BASE}, MrWolf, OperatingPoint, WolfMode};
 //! use iw_rv32::{asm::Asm, Reg};
+//! use iw_trace::NoopSink;
 //!
 //! let mut wolf = MrWolf::new();
 //! let mut asm = Asm::new(L2_BASE);
@@ -33,7 +34,7 @@
 //! asm.ecall();
 //! wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble()?);
 //!
-//! let run = wolf.run_cluster(L2_BASE, 100_000)?;
+//! let (run, _) = wolf.run_cluster(L2_BASE, 100_000, &mut NoopSink)?;
 //! let energy = OperatingPoint::efficient()
 //!     .energy(run.cycles, WolfMode::Cluster { active_cores: 8 });
 //! assert!(energy.energy_j > 0.0);
@@ -49,7 +50,7 @@ mod power;
 mod soc;
 
 pub use cluster::{
-    run_cluster, run_cluster_stats, ClusterConfig, ClusterError, ClusterRun, SchedStats,
+    run_cluster, run_cluster_uncached, ClusterConfig, ClusterError, ClusterRun, SchedStats,
 };
 pub use dma::DmaModel;
 pub use power::{EnergyReport, OperatingPoint, WolfMode};

@@ -6,7 +6,7 @@ use iw_rv32::{
     RunResult, Timing,
 };
 
-use iw_trace::{NoopSink, TraceSink, TrackId};
+use iw_trace::{TraceSink, TrackId};
 
 use crate::cluster::{ClusterConfig, ClusterError, ClusterRun, SchedStats};
 use crate::memmap::{region_of, Region, L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE};
@@ -61,6 +61,7 @@ impl Bus for FcBus<'_> {
 /// ```
 /// use iw_mrwolf::{MrWolf, memmap::L2_BASE};
 /// use iw_rv32::{asm::Asm, Reg};
+/// use iw_trace::{NoopSink, TrackId};
 ///
 /// let mut wolf = MrWolf::new();
 /// let mut asm = Asm::new(L2_BASE);
@@ -71,7 +72,7 @@ impl Bus for FcBus<'_> {
 /// # asm.li(Reg::A0, 7);
 /// # asm.ecall();
 /// wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble()?);
-/// let (run, _) = wolf.run_fc(L2_BASE, 10_000)?;
+/// let (run, _) = wolf.run_fc(L2_BASE, 10_000, &mut NoopSink, TrackId::default())?;
 /// assert!(run.result.instructions > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -147,26 +148,13 @@ impl MrWolf {
     /// a per-PC op program ([`Cpu::run_program`]): each static instruction
     /// is translated once per run into a pre-resolved op, with
     /// superinstruction fusion. Bit- and cycle-identical to the reference
-    /// interpreter ([`MrWolf::run_fc_uncached`]).
+    /// interpreter ([`MrWolf::run_fc_uncached`]). See
+    /// [`Cpu::run_program`] for the events `sink` receives on `track`.
     ///
     /// # Errors
     ///
     /// Propagates [`CpuError`] (including the cycle limit).
-    pub fn run_fc(
-        &mut self,
-        entry: u32,
-        max_cycles: u64,
-    ) -> Result<(FcRun, ProgramStats), CpuError> {
-        self.run_fc_sink(entry, max_cycles, &mut NoopSink, TrackId::default())
-    }
-
-    /// [`MrWolf::run_fc`] with an instrumentation sink attached; see
-    /// [`Cpu::run_program_sink`] for the events emitted on `track`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MrWolf::run_fc`].
-    pub fn run_fc_sink<S: TraceSink>(
+    pub fn run_fc<S: TraceSink>(
         &mut self,
         entry: u32,
         max_cycles: u64,
@@ -177,7 +165,7 @@ impl MrWolf {
         // The FC is alone on its bus; xpulp=false translates Xpulp
         // encodings to faulting ops, as Ibex would.
         let mut prog = Program::new(entry, PROGRAM_SIZE as u32, false);
-        let result = cpu.run_program_sink(
+        let result = cpu.run_program(
             &mut bus,
             &Timing::ibex(),
             max_cycles,
@@ -213,31 +201,21 @@ impl MrWolf {
         (cpu, bus)
     }
 
-    /// Runs an SPMD program on the RI5CY cluster; see
-    /// [`crate::cluster::run_cluster`] for the execution model.
+    /// Runs an SPMD program on the RI5CY cluster and returns the
+    /// scheduler statistics alongside; see [`crate::run_cluster`] for the
+    /// execution model and the timeline `sink` receives.
     ///
     /// # Errors
     ///
     /// See [`ClusterError`].
-    pub fn run_cluster(&mut self, entry: u32, max_cycles: u64) -> Result<ClusterRun, ClusterError> {
-        self.run_cluster_sink(entry, max_cycles, &mut NoopSink)
-    }
-
-    /// [`MrWolf::run_cluster`] with an instrumentation sink attached:
-    /// each core gets a `cluster/core{i}` track carrying `busy`,
-    /// `tcdm-stall`, `l2-stall` and `barrier-wait` spans plus PC samples.
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterError`].
-    pub fn run_cluster_sink<S: TraceSink>(
+    pub fn run_cluster<S: TraceSink>(
         &mut self,
         entry: u32,
         max_cycles: u64,
         sink: &mut S,
-    ) -> Result<ClusterRun, ClusterError> {
-        crate::cluster::run_cluster_sink(
-            &self.cluster_cfg.clone(),
+    ) -> Result<(ClusterRun, SchedStats), ClusterError> {
+        crate::cluster::run_cluster(
+            &self.cluster_cfg,
             &mut self.tcdm,
             &mut self.l2,
             entry,
@@ -246,23 +224,26 @@ impl MrWolf {
         )
     }
 
-    /// [`MrWolf::run_cluster`] that also reports scheduler statistics
-    /// (picks, average burst length, op-program counters).
+    /// Reference cluster run, one instruction per scheduler pick; see
+    /// [`crate::run_cluster_uncached`]. Bit- and cycle-identical to
+    /// [`MrWolf::run_cluster`].
     ///
     /// # Errors
     ///
     /// See [`ClusterError`].
-    pub fn run_cluster_stats(
+    pub fn run_cluster_uncached<S: TraceSink>(
         &mut self,
         entry: u32,
         max_cycles: u64,
-    ) -> Result<(ClusterRun, SchedStats), ClusterError> {
-        crate::cluster::run_cluster_stats(
-            &self.cluster_cfg.clone(),
+        sink: &mut S,
+    ) -> Result<ClusterRun, ClusterError> {
+        crate::cluster::run_cluster_uncached(
+            &self.cluster_cfg,
             &mut self.tcdm,
             &mut self.l2,
             entry,
             max_cycles,
+            sink,
         )
     }
 }
@@ -280,7 +261,7 @@ fn fc_run(cpu: &Cpu, result: RunResult) -> FcRun {
 mod tests {
     use super::*;
     use iw_rv32::asm::Asm;
-    use iw_trace::{Event, Recorder, CYCLES};
+    use iw_trace::{Event, NoopSink, Recorder, CYCLES};
 
     #[test]
     fn fc_runs_and_returns_a0() {
@@ -291,7 +272,9 @@ mod tests {
         asm.mul(Reg::A0, Reg::A0, Reg::A1);
         asm.ecall();
         wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble().unwrap());
-        let (run, _) = wolf.run_fc(L2_BASE, 10_000).unwrap();
+        let (run, _) = wolf
+            .run_fc(L2_BASE, 10_000, &mut NoopSink, TrackId::default())
+            .unwrap();
         assert_eq!(run.a0, 42);
     }
 
@@ -302,7 +285,9 @@ mod tests {
         asm.mac(Reg::A0, Reg::A1, Reg::A2);
         asm.ecall();
         wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble().unwrap());
-        let err = wolf.run_fc(L2_BASE, 10_000).unwrap_err();
+        let err = wolf
+            .run_fc(L2_BASE, 10_000, &mut NoopSink, TrackId::default())
+            .unwrap_err();
         assert!(matches!(err, CpuError::IllegalXpulp { .. }));
     }
 
@@ -344,7 +329,9 @@ mod tests {
         asm.lw(Reg::A0, Reg::T0, 0);
         asm.ecall();
         wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble().unwrap());
-        let (run, _) = wolf.run_fc(L2_BASE, 10_000).unwrap();
+        let (run, _) = wolf
+            .run_fc(L2_BASE, 10_000, &mut NoopSink, TrackId::default())
+            .unwrap();
         assert_eq!(run.a0, 123);
     }
 
@@ -368,7 +355,9 @@ mod tests {
             wolf
         };
         let reference = fresh().run_fc_uncached(L2_BASE, 100_000).unwrap();
-        let (product, stats) = fresh().run_fc(L2_BASE, 100_000).unwrap();
+        let (product, stats) = fresh()
+            .run_fc(L2_BASE, 100_000, &mut NoopSink, TrackId::default())
+            .unwrap();
         assert_eq!(product, reference);
         // Each of the 200 iterations dispatches add + fused addi/bne, and
         // only the five op heads (li, li, add, addi/bne, ecall) translate.
@@ -415,7 +404,9 @@ mod tests {
             wolf
         };
         let reference = fresh().run_fc_uncached(L2_BASE, 100_000).unwrap();
-        let (product, stats) = fresh().run_fc(L2_BASE, 100_000).unwrap();
+        let (product, stats) = fresh()
+            .run_fc(L2_BASE, 100_000, &mut NoopSink, TrackId::default())
+            .unwrap();
         assert_eq!(product, reference);
         assert_eq!(stats.counted_dot_entries, 4, "{stats:?}");
         assert_eq!(stats.counted_dot_iterations, 64, "{stats:?}");
@@ -464,9 +455,7 @@ mod tests {
         assert_eq!(reference.a0, 1 + 7);
         let mut rec = Recorder::new();
         let track = rec.track("fc", CYCLES);
-        let (recorded, stats) = fresh()
-            .run_fc_sink(L2_BASE, 10_000, &mut rec, track)
-            .unwrap();
+        let (recorded, stats) = fresh().run_fc(L2_BASE, 10_000, &mut rec, track).unwrap();
         assert_eq!(recorded, reference);
         assert!(stats.redecodes > 0, "{stats:?}");
         let invalidations = rec
@@ -489,7 +478,7 @@ mod tests {
         asm.sw(Reg::T2, Reg::T0, 0);
         asm.ecall();
         wolf.l2_mut().write_bytes(L2_BASE, &asm.assemble().unwrap());
-        wolf.run_cluster(L2_BASE, 10_000).unwrap();
+        wolf.run_cluster(L2_BASE, 10_000, &mut NoopSink).unwrap();
         for id in 0..8u32 {
             let bytes: [u8; 4] = wolf
                 .tcdm()

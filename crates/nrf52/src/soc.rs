@@ -127,39 +127,25 @@ impl Nrf52 {
     /// Propagates [`M4Error`] (including the cycle limit).
     pub fn run(&mut self, program: &[ThumbInstr], max_cycles: u64) -> Result<Nrf52Run, M4Error> {
         let program = BlockProgram::compile(program);
-        self.run_blocks(&program, max_cycles, &mut FusedStats::default())
-    }
-
-    /// Runs a fusion-compiled program (see [`BlockProgram::compile`]) —
-    /// the M4's product interpreter, bit- and cycle-identical to
-    /// [`Nrf52::run_code`] by differential test. Dispatch and loop-op
-    /// counters accumulate into `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`M4Error`] (including the cycle limit).
-    pub fn run_blocks(
-        &mut self,
-        program: &BlockProgram,
-        max_cycles: u64,
-        stats: &mut FusedStats,
-    ) -> Result<Nrf52Run, M4Error> {
-        self.run_blocks_sink(
-            program,
+        self.run_blocks(
+            &program,
             max_cycles,
-            stats,
+            &mut FusedStats::default(),
             &mut NoopSink,
             TrackId::default(),
         )
     }
 
-    /// [`Nrf52::run_blocks`] with an instrumentation sink attached; see
-    /// [`CortexM4::run_fused_sink`] for the events emitted on `track`.
+    /// Runs a fusion-compiled program (see [`BlockProgram::compile`]) —
+    /// the M4's product interpreter, bit- and cycle-identical to
+    /// [`Nrf52::run_code`] by differential test. Dispatch and loop-op
+    /// counters accumulate into `stats`; see [`CortexM4::run_fused`] for
+    /// the events `sink` receives on `track`.
     ///
     /// # Errors
     ///
-    /// Same as [`Nrf52::run_blocks`].
-    pub fn run_blocks_sink<S: TraceSink>(
+    /// Propagates [`M4Error`] (including the cycle limit).
+    pub fn run_blocks<S: TraceSink>(
         &mut self,
         program: &BlockProgram,
         max_cycles: u64,
@@ -169,7 +155,7 @@ impl Nrf52 {
     ) -> Result<Nrf52Run, M4Error> {
         self.cpu.set_pc(0);
         self.cpu.reset_profile();
-        let result = self.cpu.run_fused_sink(
+        let result = self.cpu.run_fused(
             program,
             &mut self.mem,
             &self.timing,
@@ -250,7 +236,15 @@ mod tests {
         let fused = iw_armv7m::BlockProgram::compile(&program);
         let mut soc_c = Nrf52::new();
         let mut stats = iw_armv7m::FusedStats::default();
-        let run_c = soc_c.run_blocks(&fused, 10_000, &mut stats).unwrap();
+        let run_c = soc_c
+            .run_blocks(
+                &fused,
+                10_000,
+                &mut stats,
+                &mut NoopSink,
+                TrackId::default(),
+            )
+            .unwrap();
         assert_eq!(run_a, run_c);
         assert_eq!(soc_a.cpu().reg(R::R2), soc_c.cpu().reg(R::R2));
         assert_eq!(

@@ -39,8 +39,8 @@
 //! switch — with one index and no block lookup; instructions *inside* a
 //! fusion site keep their own slots. The single op of a fusion site's
 //! first instruction stays reachable through [`Op::head`], for callers
-//! that need one instruction per dispatch (recorded runs:
-//! [`Cpu::run_program_sink`] and the cluster's bursts).
+//! that need one instruction per dispatch (recorded runs of
+//! [`Cpu::run_program`] and of the cluster's bursts).
 //!
 //! Translation is lazy and per run: slots are decoded from the bus on
 //! first execution, and the array grows to the highest PC reached, so it
@@ -73,7 +73,7 @@ use crate::decode::{decode, DecodeError};
 use crate::instr::{AluImmOp, AluOp, BranchCond, Instr, MemWidth, Reg, ShiftOp, SimdOp};
 use crate::profile::InstrClass;
 use crate::timing::Timing;
-use iw_trace::{NoopSink, TraceSink, TrackId};
+use iw_trace::{TraceSink, TrackId};
 
 /// Operands of one `p.lw rd, imm(rs1!)` sub-instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -363,6 +363,7 @@ impl ProgramStats {
 ///
 /// ```
 /// use iw_rv32::{asm::Asm, Cpu, Program, Ram, Reg, Timing};
+/// use iw_trace::{NoopSink, TrackId};
 /// let mut asm = Asm::new(0);
 /// asm.li(Reg::A0, 21);
 /// asm.add(Reg::A0, Reg::A0, Reg::A0);
@@ -371,7 +372,8 @@ impl ProgramStats {
 /// ram.write_bytes(0, &asm.assemble()?);
 /// let mut prog = Program::new(0, 64, true);
 /// let mut cpu = Cpu::new(0);
-/// let run = cpu.run_program(&mut ram, &Timing::riscy(), 1_000, &mut prog)?;
+/// let track = TrackId::default();
+/// let run = cpu.run_program(&mut ram, &Timing::riscy(), 1_000, &mut prog, &mut NoopSink, track)?;
 /// assert_eq!(cpu.reg(Reg::A0), 42);
 /// assert_eq!(prog.stats().instructions, run.instructions);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -930,33 +932,11 @@ impl Cpu {
     /// [`Bus::store_timed`]); with the default bus timing they are the
     /// base costs [`Cpu::run`] charges.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Cpu::run`].
-    pub fn run_program<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        timing: &Timing,
-        max_cycles: u64,
-        prog: &mut Program,
-    ) -> Result<RunResult, CpuError> {
-        self.run_program_sink(
-            bus,
-            timing,
-            max_cycles,
-            prog,
-            &mut NoopSink,
-            TrackId::default(),
-        )
-    }
-
-    /// [`Cpu::run_program`] with an instrumentation sink attached.
-    ///
-    /// With the default [`NoopSink`] (`S::ENABLED == false`) every
-    /// emission site folds away and this *is* the fused hot loop. With a
-    /// recording sink each dispatch runs only the head instruction of its
-    /// op ([`Op::head`]), so every retired instruction is sampled, and it
-    /// emits on `track`:
+    /// With [`NoopSink`](iw_trace::NoopSink) (`S::ENABLED == false`)
+    /// every emission site folds away and this is the fused hot loop.
+    /// With a recording sink each dispatch runs only the head instruction
+    /// of its op ([`Op::head`]), so every retired instruction is sampled,
+    /// and it emits on `track`:
     ///
     /// * one `exec-batch` span per uninterrupted stretch of translated
     ///   execution (batches end at stores that dropped translated slots,
@@ -969,7 +949,7 @@ impl Cpu {
     /// # Errors
     ///
     /// Same as [`Cpu::run`].
-    pub fn run_program_sink<B: Bus, S: TraceSink>(
+    pub fn run_program<B: Bus, S: TraceSink>(
         &mut self,
         bus: &mut B,
         timing: &Timing,
@@ -1671,6 +1651,7 @@ mod tests {
     use crate::asm::Asm;
     use crate::bus::Ram;
     use crate::instr::LoopIdx;
+    use iw_trace::NoopSink;
 
     fn outcome(cpu: &Cpu, res: &Result<RunResult, CpuError>) -> impl PartialEq + core::fmt::Debug {
         (
@@ -1707,7 +1688,14 @@ mod tests {
         ram_b.write_bytes(0, &image);
         let mut cpu = new_cpu(0);
         let mut prog = Program::new(0, 4096, xpulp);
-        let res = cpu.run_program(&mut ram_b, &timing, max_cycles, &mut prog);
+        let res = cpu.run_program(
+            &mut ram_b,
+            &timing,
+            max_cycles,
+            &mut prog,
+            &mut NoopSink,
+            TrackId::default(),
+        );
         assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
         assert_eq!(ram_b.read_bytes(0, 4096), ram_a.read_bytes(0, 4096));
     }
@@ -1758,7 +1746,14 @@ mod tests {
         fill_data(&mut ram_b);
         let mut cpu = Cpu::new(0);
         let mut prog = Program::new(0, 4096, true);
-        let res = cpu.run_program(&mut ram_b, &timing, 100_000, &mut prog);
+        let res = cpu.run_program(
+            &mut ram_b,
+            &timing,
+            100_000,
+            &mut prog,
+            &mut NoopSink,
+            TrackId::default(),
+        );
         assert_eq!(outcome(&cpu, &res), outcome(&ref_cpu, &ref_res));
         let stats = prog.stats();
         // The loop body runs as single ops; the tail is one fused dispatch
@@ -1806,7 +1801,14 @@ mod tests {
             fill_data(&mut ram_b);
             let mut cpu = Cpu::new(0);
             let mut prog = Program::new(0, 4096, true);
-            let res = cpu.run_program(&mut ram_b, &timing, limit, &mut prog);
+            let res = cpu.run_program(
+                &mut ram_b,
+                &timing,
+                limit,
+                &mut prog,
+                &mut NoopSink,
+                TrackId::default(),
+            );
             assert_eq!(
                 outcome(&cpu, &res),
                 outcome(&ref_cpu, &ref_res),
@@ -1891,7 +1893,14 @@ mod tests {
             cpu.set_reg(Reg::T2, patch_word);
             let res = if program {
                 let mut prog = Program::new(0, 4096, true);
-                let r = cpu.run_program(&mut ram, &Timing::riscy(), 1_000_000, &mut prog);
+                let r = cpu.run_program(
+                    &mut ram,
+                    &Timing::riscy(),
+                    1_000_000,
+                    &mut prog,
+                    &mut NoopSink,
+                    TrackId::default(),
+                );
                 assert!(prog.stats().redecodes > 0);
                 r
             } else {
@@ -1954,7 +1963,14 @@ mod tests {
         let mut cpu = Cpu::new(0x100);
         let mut prog = Program::new(0, 64, true); // window ends at 0x40
         let res = cpu
-            .run_program(&mut ram, &Timing::riscy(), 1_000, &mut prog)
+            .run_program(
+                &mut ram,
+                &Timing::riscy(),
+                1_000,
+                &mut prog,
+                &mut NoopSink,
+                TrackId::default(),
+            )
             .unwrap();
         assert_eq!(cpu.reg(Reg::A0), 7);
         assert!(res.instructions > 0);
@@ -2069,7 +2085,14 @@ mod tests {
         let ref_res = ref_cpu.run(&mut ram_a, &timing, limit);
         let (mut ram_b, mut cpu) = (fresh(), new_cpu(0));
         let mut prog = Program::new(0, 4096, xpulp);
-        let res = cpu.run_program(&mut ram_b, &timing, limit, &mut prog);
+        let res = cpu.run_program(
+            &mut ram_b,
+            &timing,
+            limit,
+            &mut prog,
+            &mut NoopSink,
+            TrackId::default(),
+        );
         assert_eq!(
             outcome(&cpu, &res),
             outcome(&ref_cpu, &ref_res),

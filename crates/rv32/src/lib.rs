@@ -24,9 +24,9 @@
 //! once: a [`Program`] holds one pre-resolved op per PC, fusing the
 //! kernels' inner-loop idioms into superinstructions, and
 //! [`Cpu::run_program`] dispatches it with bit- and cycle-identical
-//! results to the fetch-and-decode reference path ([`Cpu::run`]). Its
-//! sink twin ([`Cpu::run_program_sink`]) records the same run, one
-//! instruction per dispatch.
+//! results to the fetch-and-decode reference path ([`Cpu::run`]). It
+//! takes an instrumentation sink: the no-op sink compiles away, and a
+//! recording sink records the same run, one instruction per dispatch.
 //!
 //! # Examples
 //!

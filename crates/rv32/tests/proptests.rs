@@ -1,7 +1,7 @@
 //! Property tests: every constructible instruction encodes to a word that
 //! decodes back to itself, decoding arbitrary words never panics, and the
 //! per-PC op program ([`Cpu::run_program`]), fused or recorded one
-//! instruction per dispatch ([`Cpu::run_program_sink`]), is bit- and
+//! instruction per dispatch under a recording sink, is bit- and
 //! cycle-identical to the fetch-and-decode reference ([`Cpu::run`]),
 //! including on faults, cycle-limit exits and self-modifying stores.
 
@@ -9,7 +9,7 @@ use iw_rv32::{
     decode, encode, AluImmOp, AluOp, BranchCond, Cpu, CpuError, Instr, LoopIdx, MemWidth, Program,
     PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
 };
-use iw_trace::{Recorder, TraceSink, CYCLES};
+use iw_trace::{NoopSink, Recorder, TraceSink, TrackId, CYCLES};
 use proptest::prelude::*;
 
 fn any_reg() -> impl Strategy<Value = Reg> {
@@ -251,7 +251,14 @@ fn run_uncached(words: &[u32], regs: &[u32], limit: u64) -> Outcome {
 fn run_program(words: &[u32], regs: &[u32], window: u32, limit: u64) -> Outcome {
     let (mut cpu, mut ram) = fresh_machine(words, regs);
     let mut prog = Program::new(0, window, true);
-    let result = cpu.run_program(&mut ram, &Timing::riscy(), limit, &mut prog);
+    let result = cpu.run_program(
+        &mut ram,
+        &Timing::riscy(),
+        limit,
+        &mut prog,
+        &mut NoopSink,
+        TrackId::default(),
+    );
     outcome(cpu, &ram, result)
 }
 
@@ -263,7 +270,7 @@ fn run_recorded(words: &[u32], regs: &[u32], limit: u64) -> Outcome {
     let mut prog = Program::new(0, MEM_SIZE as u32, true);
     let mut rec = Recorder::new();
     let track = rec.track("core", CYCLES);
-    let result = cpu.run_program_sink(
+    let result = cpu.run_program(
         &mut ram,
         &Timing::riscy(),
         limit,
@@ -284,7 +291,7 @@ fn assert_all_paths_match(words: &[u32], regs: &[u32], reference: &Outcome, limi
     let narrow = run_program(words, regs, 0x40, limit);
     assert_eq!(&narrow, reference, "run_program, narrow window");
     let recorded = run_recorded(words, regs, limit);
-    assert_eq!(&recorded, reference, "run_program_sink, recording");
+    assert_eq!(&recorded, reference, "run_program, recording");
 }
 
 /// Register values biased into the mapped address range so that random

@@ -7,26 +7,13 @@
 //! pressure, microphone) stay off during stress detection and are not
 //! modelled.
 
-/// Power states of a sensor front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AfeState {
-    /// Converting / streaming.
-    Active,
-    /// Configured but idle.
-    Standby,
-    /// Power-gated.
-    Off,
-}
-
-/// A sensor front end with simple per-state power.
+/// A sensor front end: its power while acquiring and its data rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Afe {
     /// Descriptive name.
     pub name: &'static str,
     /// Active power, watts.
     pub active_w: f64,
-    /// Standby power, watts.
-    pub standby_w: f64,
     /// Output data rate while active, samples/s.
     pub sample_rate_hz: f64,
     /// Bytes per sample (for BLE-streaming comparisons).
@@ -40,7 +27,6 @@ impl Afe {
         Afe {
             name: "MAX30001 ECG",
             active_w: 171e-6,
-            standby_w: 1.2e-6,
             sample_rate_hz: 256.0,
             bytes_per_sample: 3,
         }
@@ -52,7 +38,6 @@ impl Afe {
         Afe {
             name: "GSR",
             active_w: 30e-6,
-            standby_w: 0.5e-6,
             sample_rate_hz: 16.0,
             bytes_per_sample: 2,
         }

@@ -37,7 +37,7 @@ mod gsr;
 mod stress;
 mod subject;
 
-pub use afe::{Acquisition, Afe, AfeState};
+pub use afe::{Acquisition, Afe};
 pub use dataset::{generate_dataset, DatasetConfig, WindowRecord};
 pub use ecg::{
     synth_ecg, synth_ecg_with, synth_rr_intervals, synth_rr_intervals_with, EcgConfig, EcgSegment,
