@@ -751,9 +751,10 @@ impl WolfDeployment {
             let (run, sched) = wolf.run_cluster(L2_BASE, MAX_CYCLES, sink)?;
             // A single core runs the whole program in one pick: its
             // dispatch decisions are the op program's.
-            let (dispatches, avg_burst) = match sched.program {
-                Some(p) if self.cfg.cores == 1 => (p.dispatches, p.avg_burst()),
-                _ => (sched.picks, sched.avg_burst()),
+            let (dispatches, avg_burst) = if self.cfg.cores == 1 {
+                (sched.program.dispatches, sched.program.avg_burst())
+            } else {
+                (sched.picks, sched.avg_burst())
             };
             let product = ProductStats {
                 dispatches,
@@ -764,7 +765,7 @@ impl WolfDeployment {
                 joint_entries: sched.joint_entries,
                 period_skips: sched.period_skips,
                 skipped_picks: sched.skipped_picks,
-                rv32: sched.program,
+                rv32: Some(sched.program),
                 m4: None,
             };
             (self.cluster_run(&wolf, run), product)
@@ -787,7 +788,7 @@ impl Deployment for WolfDeployment {
             let run = wolf.run_fc_uncached(L2_BASE, MAX_CYCLES)?;
             Ok(self.fc_run(&wolf, &run))
         } else {
-            let run = wolf.run_cluster_uncached(L2_BASE, MAX_CYCLES, &mut NoopSink)?;
+            let (run, _) = wolf.run_cluster_uncached(L2_BASE, MAX_CYCLES, &mut NoopSink)?;
             Ok(self.cluster_run(&wolf, run))
         }
     }

@@ -253,8 +253,9 @@ pub struct SchedStats {
     /// and (their gated breaks) `gated_breaks` too.
     pub skipped_picks: u64,
     /// Op-program counters (ops dispatched, fused executions per
-    /// pattern, code-store re-decodes), when the product path ran.
-    pub program: Option<ProgramStats>,
+    /// pattern, code-store re-decodes); all zero on the reference path,
+    /// which translates nothing.
+    pub program: ProgramStats,
 }
 
 impl SchedStats {
@@ -496,7 +497,8 @@ pub fn run_cluster<S: TraceSink>(
 /// The reference path of [`run_cluster`]: the same event loop, exactly
 /// one instruction per pick, fetched and decoded each time, with the
 /// arbitration charged by the scheduler. Bit- and cycle-identical to
-/// [`run_cluster`], and it records the same timeline.
+/// [`run_cluster`], and it records the same timeline; its [`SchedStats`]
+/// count one pick per instruction and no op-program dispatch.
 ///
 /// # Errors
 ///
@@ -508,8 +510,8 @@ pub fn run_cluster_uncached<S: TraceSink>(
     entry: u32,
     max_cycles: u64,
     sink: &mut S,
-) -> Result<ClusterRun, ClusterError> {
-    Ok(schedule(cfg, tcdm, l2, entry, max_cycles, sink, false)?.0)
+) -> Result<(ClusterRun, SchedStats), ClusterError> {
+    schedule(cfg, tcdm, l2, entry, max_cycles, sink, false)
 }
 
 /// The scheduler loop of both paths: `product` picks horizon bursts over
@@ -820,7 +822,9 @@ fn schedule<S: TraceSink>(
     run.l2_port_stalls += bus.l2_stalls;
     run.busy_cycles -= bus.tcdm_stalls + bus.l2_stalls;
     run.cycles = run.per_core_cycles.iter().copied().max().unwrap_or(0) + cfg.offload_cycles;
-    sched.program = program.as_ref().map(Program::stats);
+    if let Some(prog) = &program {
+        sched.program = prog.stats();
+    }
     Ok((run, stats))
 }
 
@@ -1438,19 +1442,20 @@ mod tests {
     }
 
     /// The run of the product path (`product`) or the reference from
-    /// `L2_BASE`, without the scheduler statistics.
+    /// `L2_BASE`, with its scheduler statistics.
     fn run_path<S: TraceSink>(
         product: bool,
         cfg: &ClusterConfig,
         (tcdm, l2): (&mut Ram, &mut Ram),
         limit: u64,
         sink: &mut S,
-    ) -> Result<ClusterRun, ClusterError> {
-        if product {
-            Ok(run_cluster(cfg, tcdm, l2, L2_BASE, limit, sink)?.0)
+    ) -> Result<(ClusterRun, SchedStats), ClusterError> {
+        let entry = if product {
+            run_cluster
         } else {
-            run_cluster_uncached(cfg, tcdm, l2, L2_BASE, limit, sink)
-        }
+            run_cluster_uncached
+        };
+        entry(cfg, tcdm, l2, L2_BASE, limit, sink)
     }
 
     #[test]
@@ -1698,27 +1703,17 @@ mod tests {
     }
 
     /// Runs `image` on `cores` cores on the `"product"` path or the
-    /// `"reference"`: the run, the product path's scheduler statistics and
-    /// the first TCDM words.
-    fn run_with(
-        image: &[u8],
-        cores: usize,
-        mode: &str,
-    ) -> (ClusterRun, Option<SchedStats>, Vec<u32>) {
+    /// `"reference"`: the run, its scheduler statistics and the first
+    /// TCDM words.
+    fn run_with(image: &[u8], cores: usize, mode: &str) -> (ClusterRun, SchedStats, Vec<u32>) {
         let (mut tcdm, mut l2) = fresh_mems();
         l2.write_bytes(L2_BASE, image);
         let cfg = ClusterConfig {
             cores,
             ..ClusterConfig::default()
         };
-        let (t, l) = (&mut tcdm, &mut l2);
-        let (run, sched) = if mode == "product" {
-            let (run, sched) = run_cluster(&cfg, t, l, L2_BASE, 100_000, &mut NoopSink).unwrap();
-            (run, Some(sched))
-        } else {
-            let run = run_cluster_uncached(&cfg, t, l, L2_BASE, 100_000, &mut NoopSink).unwrap();
-            (run, None)
-        };
+        let mems = (&mut tcdm, &mut l2);
+        let (run, sched) = run_path(mode == "product", &cfg, mems, 100_000, &mut NoopSink).unwrap();
         let mem: Vec<u32> = (0..0x80)
             .map(|w| tcdm.load(TCDM_BASE + 4 * w, MemWidth::W).unwrap())
             .collect();
@@ -1729,19 +1724,21 @@ mod tests {
     fn cached_cluster_matches_reference() {
         let image = contended_program().assemble().unwrap();
         for cores in [1, 2, 8] {
-            let (run_ref, _, mem_ref) = run_with(&image, cores, "reference");
+            let (run_ref, sched_ref, mem_ref) = run_with(&image, cores, "reference");
             let (run_fast, sched_fast, mem_fast) = run_with(&image, cores, "product");
-            let sched_fast = sched_fast.expect("product path");
             assert_eq!(run_fast, run_ref, "cores={cores}: ClusterRun must match");
             assert_eq!(mem_fast, mem_ref, "cores={cores}: TCDM must match");
             assert!(
-                sched_fast.avg_burst() > 1.0,
-                "cores={cores}: bursts must beat one-instruction picks ({})",
+                sched_fast.avg_burst() > sched_ref.avg_burst(),
+                "cores={cores}: bursts must beat one-instruction picks ({} vs {})",
                 sched_fast.avg_burst(),
+                sched_ref.avg_burst()
             );
-            // Every core count dispatches the op program.
-            let prog = sched_fast.program.expect("product path");
+            // Every core count dispatches the op program; the reference
+            // translates nothing.
+            let prog = sched_fast.program;
             assert_eq!(prog.instructions, run_fast.instructions, "cores={cores}");
+            assert_eq!(sched_ref.program, ProgramStats::default(), "cores={cores}");
         }
         let (run_ref, _, _) = run_with(&image, 8, "reference");
         assert!(
@@ -1772,12 +1769,11 @@ mod tests {
         let image = asm.assemble().unwrap();
         let (run_ref, _, _) = run_with(&image, 1, "reference");
         let (run_fast, sched, _) = run_with(&image, 1, "product");
-        let sched = sched.unwrap();
         assert_eq!(run_fast, run_ref);
         // With no sibling to wait for, the whole run is one pick; no
         // pattern fuses, so the op program dispatches every instruction
         // as its single op.
-        let stats = sched.program.unwrap();
+        let stats = sched.program;
         assert_eq!(stats.fused_total(), 0, "{stats:?}");
         assert_eq!(stats.instructions, run_fast.instructions);
         assert_eq!(stats.dispatches, run_fast.instructions, "{stats:?}");
@@ -1810,9 +1806,8 @@ mod tests {
         let image = asm.assemble().unwrap();
         let (run_ref, _, _) = run_with(&image, 1, "reference");
         let (run_fast, sched, _) = run_with(&image, 1, "product");
-        let sched = sched.unwrap();
         assert_eq!(run_fast, run_ref);
-        let stats = sched.program.unwrap();
+        let stats = sched.program;
         assert_eq!(stats.hwloop_dot_entries, 3, "{stats:?}");
         assert_eq!(stats.hwloop_dot_iterations, 48, "{stats:?}");
         // li ×3, then per row: li, lp.setup, the loop op, the fused
@@ -1837,10 +1832,11 @@ mod tests {
         let (run, sched) =
             run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000, &mut NoopSink).unwrap();
         let (t, l) = (&mut ref_tcdm, &mut ref_l2);
-        let reference = run_cluster_uncached(&cfg, t, l, L2_BASE, 100_000, &mut NoopSink).unwrap();
+        let (reference, _) =
+            run_cluster_uncached(&cfg, t, l, L2_BASE, 100_000, &mut NoopSink).unwrap();
         assert_eq!(run, reference);
         assert_ne!(run.cycles, run_fast.cycles);
-        let stats = sched.program.unwrap();
+        let stats = sched.program;
         assert_eq!(stats.hwloop_dot_entries, 48, "{stats:?}");
         assert_eq!(stats.hwloop_dot_iterations, 0, "{stats:?}");
         assert_eq!(stats.whole_rows, 0, "{stats:?}");
@@ -1913,12 +1909,15 @@ mod tests {
             let run_plain = {
                 let (mut tcdm, mut l2) = fresh_mems();
                 l2.write_bytes(L2_BASE, &image);
-                run_path(product, &cfg, (&mut tcdm, &mut l2), 100_000, &mut NoopSink).unwrap()
+                run_path(product, &cfg, (&mut tcdm, &mut l2), 100_000, &mut NoopSink)
+                    .unwrap()
+                    .0
             };
             let (mut tcdm, mut l2) = fresh_mems();
             l2.write_bytes(L2_BASE, &image);
             let mut rec = Recorder::new();
-            let run = run_path(product, &cfg, (&mut tcdm, &mut l2), 100_000, &mut rec).unwrap();
+            let (run, _) =
+                run_path(product, &cfg, (&mut tcdm, &mut l2), 100_000, &mut rec).unwrap();
             assert_eq!(run, run_plain, "recording must not perturb the run");
             rec.finish();
             for (i, &per_core) in run.per_core_cycles.iter().enumerate() {
@@ -2162,7 +2161,7 @@ mod tests {
             cores,
             ..ClusterConfig::default()
         };
-        let res = run_path(product, &cfg, (&mut tcdm, &mut l2), limit, &mut NoopSink);
+        let res = run_path(product, &cfg, (&mut tcdm, &mut l2), limit, &mut NoopSink).map(|r| r.0);
         // TCDM whole; L2: the code and the data block the loads touch.
         let tcdm_bytes = tcdm.read_bytes(TCDM_BASE, TCDM_SIZE).to_vec();
         let l2_bytes = l2.read_bytes(L2_BASE, 0x9000).to_vec();
@@ -2268,7 +2267,6 @@ mod tests {
         for cores in [2, 5, 8] {
             let (run_ref, _, mem_ref) = run_with(&image, cores, "reference");
             let (run, sched, mem) = run_with(&image, cores, "product");
-            let sched = sched.unwrap();
             assert_eq!(run, run_ref, "cores={cores}");
             assert_eq!(mem, mem_ref, "cores={cores}");
             // Most picks are made in the joint mode.
@@ -2440,25 +2438,16 @@ mod tests {
 
     type Memories<T> = (Result<T, ClusterError>, Ram, Ram);
 
-    /// The product run on copies of `mems`, and the memories it leaves.
+    /// The product (`product`) or reference run on copies of `mems`, and
+    /// the memories it leaves.
     fn run_on(
         mems: &(Ram, Ram),
         cfg: &ClusterConfig,
         limit: u64,
+        product: bool,
     ) -> Memories<(ClusterRun, SchedStats)> {
         let (mut tcdm, mut l2) = mems.clone();
-        let res = run_cluster(cfg, &mut tcdm, &mut l2, L2_BASE, limit, &mut NoopSink);
-        (res, tcdm, l2)
-    }
-
-    /// [`run_on`] on the reference path.
-    fn run_reference_on(
-        mems: &(Ram, Ram),
-        cfg: &ClusterConfig,
-        limit: u64,
-    ) -> Memories<ClusterRun> {
-        let (mut tcdm, mut l2) = mems.clone();
-        let res = run_cluster_uncached(cfg, &mut tcdm, &mut l2, L2_BASE, limit, &mut NoopSink);
+        let res = run_path(product, cfg, (&mut tcdm, &mut l2), limit, &mut NoopSink);
         (res, tcdm, l2)
     }
 
@@ -2482,9 +2471,9 @@ mod tests {
                 tcdm_banks,
                 ..ClusterConfig::default()
             };
-            let (expected, ref_tcdm, ref_l2) = run_reference_on(&mems, &cfg, 1_000_000);
-            let (got, tcdm, l2) = run_on(&mems, &cfg, 1_000_000);
-            let ((run, sched), run_ref) = (got.unwrap(), expected.unwrap());
+            let (expected, ref_tcdm, ref_l2) = run_on(&mems, &cfg, 1_000_000, false);
+            let (got, tcdm, l2) = run_on(&mems, &cfg, 1_000_000, true);
+            let ((run, sched), (run_ref, _)) = (got.unwrap(), expected.unwrap());
             assert_eq!(run, run_ref, "banks={tcdm_banks}");
             assert!(
                 tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) == ref_tcdm.read_bytes(TCDM_BASE, TCDM_SIZE)
@@ -2690,8 +2679,8 @@ mod tests {
             let unlimited = 10_000_000;
             // A budget as a share of the run below 100, or 0–159 cycles
             // short of its end from 100 on.
-            let limit = match (&run_reference_on(&mems, &cfg, unlimited).0, budget) {
-                (Ok(run), Some(b)) => {
+            let limit = match (&run_on(&mems, &cfg, unlimited, false).0, budget) {
+                (Ok((run, _)), Some(b)) => {
                     let cycles = run.cycles - cfg.offload_cycles;
                     if b < 100 {
                         cycles * b / 100
@@ -2701,9 +2690,9 @@ mod tests {
                 }
                 _ => unlimited,
             };
-            let (expected, ref_tcdm, ref_l2) = run_reference_on(&mems, &cfg, limit);
-            let (got, tcdm, l2) = run_on(&mems, &cfg, limit);
-            prop_assert_eq!(got.map(|r| r.0), expected, "limit={}", limit);
+            let (expected, ref_tcdm, ref_l2) = run_on(&mems, &cfg, limit, false);
+            let (got, tcdm, l2) = run_on(&mems, &cfg, limit, true);
+            prop_assert_eq!(got.map(|r| r.0), expected.map(|r| r.0), "limit={}", limit);
             let tcdm_same =
                 tcdm.read_bytes(TCDM_BASE, TCDM_SIZE) == ref_tcdm.read_bytes(TCDM_BASE, TCDM_SIZE);
             let l2_same = l2.read_bytes(L2_BASE, L2_SIZE) == ref_l2.read_bytes(L2_BASE, L2_SIZE);
@@ -2864,8 +2853,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let unlimited = 10_000_000;
-        let limit = match (&run_reference_on(&mems, &cfg, unlimited).0, budget) {
-            (Ok(run), Some(b)) => {
+        let limit = match (&run_on(&mems, &cfg, unlimited, false).0, budget) {
+            (Ok((run, _)), Some(b)) => {
                 let cycles = run.cycles - cfg.offload_cycles;
                 if b < 100 {
                     cycles * b / 100
@@ -2875,9 +2864,9 @@ mod tests {
             }
             _ => unlimited,
         };
-        let (expected, ref_tcdm, ref_l2) = run_reference_on(&mems, &cfg, limit);
-        let (got, tcdm, l2) = run_on(&mems, &cfg, limit);
-        let got = got.map(|r| r.0);
+        let (expected, ref_tcdm, ref_l2) = run_on(&mems, &cfg, limit, false);
+        let (got, tcdm, l2) = run_on(&mems, &cfg, limit, true);
+        let (got, expected) = (got.map(|r| r.0), expected.map(|r| r.0));
         if got != expected {
             return Err(format!("limit={limit}: {got:?} != {expected:?}"));
         }
@@ -2920,14 +2909,14 @@ mod tests {
                 cores,
                 ..ClusterConfig::default()
             };
-            let (run, sched) = run_on(&mems, &cfg, 10_000_000).0.unwrap();
+            let (run, sched) = run_on(&mems, &cfg, 10_000_000, true).0.unwrap();
             // Every core joins once per row of the first layer; in the
             // second, the first core past its rows rewrites the body, and
             // every member leaves.
             let rows: u64 = (0..cores as u64).map(|c| 3 + ((2 * c) >> 2)).sum();
             assert!(sched.joint_entries >= rows, "cores={cores}: {sched:?}");
             assert_eq!(run.instructions, sched.instructions);
-            let prog = sched.program.unwrap();
+            let prog = sched.program;
             assert!(prog.redecodes > 0, "cores={cores}: {prog:?}");
             assert_eq!(
                 prog.instructions + sched.joint_instructions,

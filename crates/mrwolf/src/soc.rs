@@ -236,7 +236,7 @@ impl MrWolf {
         entry: u32,
         max_cycles: u64,
         sink: &mut S,
-    ) -> Result<ClusterRun, ClusterError> {
+    ) -> Result<(ClusterRun, SchedStats), ClusterError> {
         crate::cluster::run_cluster_uncached(
             &self.cluster_cfg,
             &mut self.tcdm,
