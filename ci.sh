@@ -105,6 +105,11 @@ cargo run --release -q -p iw-bench --bin trace -- neta riscy --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- netb ibex --check >/dev/null
 cargo run --release -q -p iw-bench --bin trace -- netb riscy --check >/dev/null
 
+# Smoke: the ISS profile (per-target ns/instr, dispatch and loop-op
+# counters on both networks' paper rows) that ROADMAP.md and
+# EXPERIMENTS.md quote must run to the end without faulting.
+cargo run --release -q -p iw-bench --bin iss_profile >/dev/null
+
 # Smoke: every registered target's product interpreter (the
 # fusion-compiled program on the M4; the per-PC RV32 op program on the
 # Ibex FC, a single RI5CY and, in horizon bursts, the multi-core cluster)

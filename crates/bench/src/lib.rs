@@ -65,19 +65,25 @@ impl Row {
 #[must_use]
 pub fn evaluation_nets() -> [(String, Mlp, FixedNet, Vec<i32>); 2] {
     let mut rng = StdRng::seed_from_u64(SEED);
-    let mut make = |name: &str, mut net: Mlp| {
-        net.randomize_weights(&mut rng, 0.1);
-        let fixed = FixedNet::export(&net).expect("evaluation nets quantise");
-        let input: Vec<f32> = (0..net.num_inputs())
-            .map(|_| rng.gen_range(-1.0..1.0))
-            .collect();
-        let qin = fixed.quantize_input(&input);
-        (name.to_string(), net, fixed, qin)
-    };
-    [
-        make("Network A", network_a()),
-        make("Network B", network_b()),
-    ]
+    let a = evaluation_net(&mut rng, "Network A", network_a());
+    [a, evaluation_net(&mut rng, "Network B", network_b())]
+}
+
+/// Network A of [`evaluation_nets`], without building Network B: the
+/// networks draw from one seeded stream, Network A first.
+#[must_use]
+pub fn evaluation_net_a() -> (String, Mlp, FixedNet, Vec<i32>) {
+    evaluation_net(&mut StdRng::seed_from_u64(SEED), "Network A", network_a())
+}
+
+fn evaluation_net(rng: &mut StdRng, name: &str, mut net: Mlp) -> (String, Mlp, FixedNet, Vec<i32>) {
+    net.randomize_weights(rng, 0.1);
+    let fixed = FixedNet::export(&net).expect("evaluation nets quantise");
+    let input: Vec<f32> = (0..net.num_inputs())
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let qin = fixed.quantize_input(&input);
+    (name.to_string(), net, fixed, qin)
 }
 
 /// **T1** — Table I: solar power generation (mW into the battery).
@@ -229,7 +235,7 @@ pub fn fig3() -> Vec<Row> {
 /// **X1** — in-text: Network A on the M4, float (FPU) vs fixed point.
 #[must_use]
 pub fn x1_float_vs_fixed() -> Vec<Row> {
-    let [(_, net, fixed, qin), _] = evaluation_nets();
+    let (_, net, fixed, qin) = evaluation_net_a();
     let mut rng = StdRng::seed_from_u64(SEED + 1);
     let input: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let fx = run_fixed(FixedTarget::CortexM4, &fixed, &qin).expect("fixed runs");
@@ -259,7 +265,7 @@ pub fn x1_float_vs_fixed() -> Vec<Row> {
 /// **X2** — in-text: the per-detection energy budget (µJ).
 #[must_use]
 pub fn x2_detection_budget() -> (DetectionBudget, Vec<Row>) {
-    let [(_, _, fixed, qin), _] = evaluation_nets();
+    let (_, _, fixed, qin) = evaluation_net_a();
     let budget = measure_detection_budget(&fixed, &qin, FixedTarget::WolfCluster { cores: 8 })
         .expect("cluster runs");
     let rows = vec![
@@ -374,7 +380,7 @@ pub fn a2_xpulp_ablation() -> Vec<(String, Vec<(String, u64)>)> {
 /// (Network A; returns `(banks, cycles, conflict stalls)`).
 #[must_use]
 pub fn a3_tcdm_banks() -> Vec<(usize, u64, u64)> {
-    let [(_, _, fixed, qin), _] = evaluation_nets();
+    let (_, _, fixed, qin) = evaluation_net_a();
     [1usize, 2, 4, 8, 16, 32]
         .into_iter()
         .map(|banks| {
@@ -642,7 +648,7 @@ pub type CycleBreakdown = Vec<(String, u64, Vec<(&'static str, u64, f64)>)>;
 /// `(target name, total cycles, Vec<(class label, cycles, share)>)`.
 #[must_use]
 pub fn a10_cycle_breakdown() -> CycleBreakdown {
-    let [(_, _, fixed, qin), _] = evaluation_nets();
+    let (_, _, fixed, qin) = evaluation_net_a();
     FixedTarget::paper_targets()
         .into_iter()
         .map(|target| {
@@ -902,7 +908,7 @@ pub struct PolicyOutcome {
 /// job, once per class.
 #[must_use]
 pub fn d5_target_jobs() -> [ComputeJob; 3] {
-    let [(_, _, fixed, qin), _] = evaluation_nets();
+    let (_, _, fixed, qin) = evaluation_net_a();
     [
         FixedTarget::CortexM4,
         FixedTarget::WolfIbex,

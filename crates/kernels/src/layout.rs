@@ -1,8 +1,8 @@
 //! Memory placement of a network image on a target.
 //!
 //! Layouts are target-agnostic: [`Placement`] assigns addresses, and the
-//! image is produced as `(address, bytes)` chunks that the runner copies
-//! into the target's memories.
+//! weight image is produced as one `(address, bytes)` chunk that the
+//! target maps or copies into its memories.
 //!
 //! Weight rows are laid out exactly as [`iw_fann::FixedLayer`] stores them:
 //! row-major, one row per output neuron, **bias first**, 4 bytes per value,
@@ -15,6 +15,8 @@ use iw_fann::{FixedNet, Mlp};
 /// Addresses assigned to a network image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
+    /// Start address of the weight block (the first layer's weights).
+    pub weights_base: u32,
     /// Start address of each layer's weight block.
     pub layer_weights: Vec<u32>,
     /// The two ping-pong activation buffers.
@@ -85,6 +87,7 @@ pub fn place_fixed(net: &FixedNet, weights_base: u32, buf_base: u32) -> Placemen
         addr += (layer.weights.len() * 4) as u32;
     }
     Placement {
+        weights_base,
         layer_weights,
         bufs: [buf_base, buf_base + buf_bytes],
         buf_width: width,
@@ -92,21 +95,40 @@ pub fn place_fixed(net: &FixedNet, weights_base: u32, buf_base: u32) -> Placemen
     }
 }
 
-/// Serialises a fixed-point network's weights into `(address, bytes)`
-/// chunks according to `placement`.
+/// Serialises a fixed-point network's weights into one `(address, bytes)`
+/// chunk at `placement.weights_base`, every layer back to back as
+/// [`place_fixed`] lays them out.
+///
+/// # Panics
+///
+/// Panics if `placement` holds fewer weight bytes than `net` has (it was
+/// placed for another network).
 #[must_use]
-pub fn fixed_image(net: &FixedNet, placement: &Placement) -> Vec<(u32, Vec<u8>)> {
-    net.layers
-        .iter()
-        .zip(&placement.layer_weights)
-        .map(|(layer, &addr)| {
-            let mut bytes = Vec::with_capacity(layer.weights.len() * 4);
-            for w in &layer.weights {
-                bytes.extend_from_slice(&w.to_le_bytes());
-            }
-            (addr, bytes)
-        })
-        .collect()
+pub fn fixed_image(net: &FixedNet, placement: &Placement) -> (u32, Vec<u8>) {
+    render(
+        placement,
+        net.layers.iter().map(|l| &l.weights[..]),
+        i32::to_le_bytes,
+    )
+}
+
+/// Renders `layers`' values, little endian, back to back into one buffer
+/// of `placement.weight_bytes` bytes at `placement.weights_base`.
+pub(crate) fn render<'a, T: Copy + 'a, const N: usize>(
+    placement: &Placement,
+    layers: impl Iterator<Item = &'a [T]>,
+    le_bytes: impl Fn(T) -> [u8; N],
+) -> (u32, Vec<u8>) {
+    let mut bytes = vec![0; placement.weight_bytes];
+    let mut rest = &mut bytes[..];
+    for values in layers {
+        let (layer, tail) = rest.split_at_mut(values.len() * N);
+        for (dst, &v) in layer.chunks_exact_mut(N).zip(values) {
+            dst.copy_from_slice(&le_bytes(v));
+        }
+        rest = tail;
+    }
+    (placement.weights_base, bytes)
 }
 
 /// Assigns addresses for a float network (the M4F FPU kernel). Same scheme
@@ -128,6 +150,7 @@ pub fn place_float(net: &Mlp, weights_base: u32, buf_base: u32) -> Placement {
         addr += (layer.weights().len() * 4) as u32;
     }
     Placement {
+        weights_base,
         layer_weights,
         bufs: [buf_base, buf_base + buf_bytes],
         buf_width: width,
@@ -135,20 +158,19 @@ pub fn place_float(net: &Mlp, weights_base: u32, buf_base: u32) -> Placement {
     }
 }
 
-/// Serialises a float network's weights (IEEE-754 single, little endian).
+/// Serialises a float network's weights (IEEE-754 single, little endian)
+/// into one chunk, as [`fixed_image`] does.
+///
+/// # Panics
+///
+/// As [`fixed_image`].
 #[must_use]
-pub fn float_image(net: &Mlp, placement: &Placement) -> Vec<(u32, Vec<u8>)> {
-    net.layers()
-        .iter()
-        .zip(&placement.layer_weights)
-        .map(|(layer, &addr)| {
-            let mut bytes = Vec::with_capacity(layer.weights().len() * 4);
-            for w in layer.weights() {
-                bytes.extend_from_slice(&w.to_bits().to_le_bytes());
-            }
-            (addr, bytes)
-        })
-        .collect()
+pub fn float_image(net: &Mlp, placement: &Placement) -> (u32, Vec<u8>) {
+    render(
+        placement,
+        net.layers().iter().map(iw_fann::Layer::weights),
+        f32::to_le_bytes,
+    )
 }
 
 #[cfg(test)]
@@ -183,16 +205,30 @@ mod tests {
     }
 
     #[test]
-    fn image_chunks_cover_all_weights() {
+    fn image_covers_all_weights_in_one_chunk() {
         let mut net = Mlp::new(&[3, 5, 2]);
         net.randomize_weights(&mut StdRng::seed_from_u64(2), 0.3);
         let fixed = FixedNet::export(&net).unwrap();
         let p = place_fixed(&fixed, 0x100, 0);
-        let chunks = fixed_image(&fixed, &p);
-        let total: usize = chunks.iter().map(|(_, b)| b.len()).sum();
-        assert_eq!(total, fixed.num_weights() * 4);
-        // First word of layer 0 is the bias of neuron 0.
-        let first = i32::from_le_bytes(chunks[0].1[0..4].try_into().unwrap());
-        assert_eq!(first, fixed.layers[0].weights[0]);
+        let (addr, bytes) = fixed_image(&fixed, &p);
+        assert_eq!(addr, 0x100);
+        assert_eq!(bytes.len(), fixed.num_weights() * 4);
+        // First word of layer 0 is the bias of neuron 0; every layer
+        // starts at its placed address.
+        let word = |at: u32| {
+            let off = (at - addr) as usize;
+            i32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
+        };
+        for (layer, &at) in fixed.layers.iter().zip(&p.layer_weights) {
+            assert_eq!(word(at), layer.weights[0]);
+            let last = at + 4 * (layer.weights.len() as u32 - 1);
+            assert_eq!(word(last), *layer.weights.last().unwrap());
+        }
+        // The float image lays the same values out the same way.
+        let pf = place_float(&net, 0x100, 0);
+        let (faddr, fbytes) = float_image(&net, &pf);
+        assert_eq!((faddr, fbytes.len()), (addr, bytes.len()));
+        let first = f32::from_le_bytes(fbytes[0..4].try_into().unwrap());
+        assert_eq!(first, net.layers()[0].weights()[0]);
     }
 }

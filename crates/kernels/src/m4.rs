@@ -361,8 +361,7 @@ mod tests {
     use super::*;
     use crate::layout::{fixed_image, float_image, place_fixed, place_float};
     use iw_armv7m::{CortexM4, CortexM4Timing};
-    use iw_nrf52::{FLASH_BASE, RAM_BASE};
-    use iw_rv32::Ram;
+    use iw_nrf52::{Nrf52Memory, FLASH_BASE, RAM_BASE};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -378,14 +377,13 @@ mod tests {
             emit_m4_fixed_kernel(&mut asm, &fixed, &placement);
             let program = asm.finish().unwrap();
 
-            let mut mem = Ram::new(FLASH_BASE, (RAM_BASE as usize) + 64 * 1024);
-            for (addr, bytes) in fixed_image(&fixed, &placement) {
-                mem.write_bytes(addr, &bytes);
-            }
+            let (at, weights) = fixed_image(&fixed, &placement);
+            let mut mem = Nrf52Memory::new(vec![(at, &weights[..])]).unwrap();
             let input: Vec<f32> = (0..sizes[0]).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let qin = fixed.quantize_input(&input);
             for (i, &v) in qin.iter().enumerate() {
-                mem.write_bytes(placement.input_addr() + 4 * i as u32, &v.to_le_bytes());
+                mem.ram_mut()
+                    .write_bytes(placement.input_addr() + 4 * i as u32, &v.to_le_bytes());
             }
 
             let mut cpu = CortexM4::new();
@@ -396,7 +394,8 @@ mod tests {
             let out_addr = placement.output_addr(fixed.layers.len());
             for (i, &e) in expected.iter().enumerate() {
                 let got = i32::from_le_bytes(
-                    mem.read_bytes(out_addr + 4 * i as u32, 4)
+                    mem.ram()
+                        .read_bytes(out_addr + 4 * i as u32, 4)
                         .try_into()
                         .unwrap(),
                 );
@@ -415,14 +414,12 @@ mod tests {
         emit_m4_float_kernel(&mut asm, &net, &placement);
         let program = asm.finish().unwrap();
 
+        let (at, weights) = float_image(&net, &placement);
         for trial in 0..10 {
-            let mut mem = Ram::new(FLASH_BASE, (RAM_BASE as usize) + 64 * 1024);
-            for (addr, bytes) in float_image(&net, &placement) {
-                mem.write_bytes(addr, &bytes);
-            }
+            let mut mem = Nrf52Memory::new(vec![(at, &weights[..])]).unwrap();
             let input: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
             for (i, x) in input.iter().enumerate() {
-                mem.write_bytes(
+                mem.ram_mut().write_bytes(
                     placement.input_addr() + 4 * i as u32,
                     &x.to_bits().to_le_bytes(),
                 );
@@ -435,7 +432,8 @@ mod tests {
             let out_addr = placement.output_addr(net.layers().len());
             for (i, &e) in expected.iter().enumerate() {
                 let bits = u32::from_le_bytes(
-                    mem.read_bytes(out_addr + 4 * i as u32, 4)
+                    mem.ram()
+                        .read_bytes(out_addr + 4 * i as u32, 4)
                         .try_into()
                         .unwrap(),
                 );
@@ -464,15 +462,13 @@ mod tests {
         emit_m4_float_kernel(&mut asm_float, &net, &pl);
 
         let run = |program: &[ThumbInstr],
-                   image: Vec<(u32, Vec<u8>)>,
+                   (at, weights): (u32, Vec<u8>),
                    input_words: Vec<u32>,
                    in_addr: u32| {
-            let mut mem = Ram::new(FLASH_BASE, (RAM_BASE as usize) + 64 * 1024);
-            for (addr, bytes) in image {
-                mem.write_bytes(addr, &bytes);
-            }
+            let mut mem = Nrf52Memory::new(vec![(at, &weights[..])]).unwrap();
             for (i, w) in input_words.iter().enumerate() {
-                mem.write_bytes(in_addr + 4 * i as u32, &w.to_le_bytes());
+                mem.ram_mut()
+                    .write_bytes(in_addr + 4 * i as u32, &w.to_le_bytes());
             }
             let mut cpu = CortexM4::new();
             cpu.run(program, &mut mem, &CortexM4Timing::default(), 100_000_000)

@@ -8,10 +8,18 @@
 //! one call:
 //!
 //! ```text
-//! Machine::deploy(workload) -> Deployment     (place, lower, encode; once)
+//! Machine::deploy(workload) -> Deployment     (place, lower, encode,
+//!                                              render the image; once)
 //! Deployment::run() -> (MachineRun, ProductStats)
-//!                                             (stage memories, run-to-halt)
+//!                                             (stage the RAM, run-to-halt)
 //! ```
+//!
+//! A run stages only what it writes. The read-only part of the image (the
+//! nRF52832's flash: the weights; Mr. Wolf's L2: the program and, when
+//! they spill there, the weights) stays with the deployment and every run
+//! maps it borrowed; Mr. Wolf's L2 copies it on the first store, which no
+//! kernel makes. Each run makes only the RAM it writes fresh (the nRF52's
+//! RAM, Mr. Wolf's TCDM) and stages the rest of the image into it.
 //!
 //! Each target has one product interpreter, [`Deployment::run`], chosen
 //! by the target and not by the caller:
@@ -57,10 +65,12 @@
 
 use iw_armv7m::{M4Error, ThumbInstr};
 use iw_mrwolf::memmap::{L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE};
-use iw_mrwolf::{ClusterConfig, ClusterError, ClusterRun, FcRun, MrWolf, OperatingPoint, WolfMode};
+use iw_mrwolf::{
+    ClusterConfig, ClusterError, ClusterRun, FcRun, MrWolf, OperatingPoint, WolfMode, L2,
+};
 use iw_nrf52::{Nrf52, FLASH_BASE, FLASH_SIZE, RAM_BASE, RAM_SIZE};
 use iw_rv32::asm::AsmError;
-use iw_rv32::{CpuError, ExecProfile};
+use iw_rv32::{CpuError, ExecProfile, Ram, Rom};
 use iw_trace::{NoopSink, Recorder, TraceSink, CYCLES};
 
 use crate::rv::RvKernelOpts;
@@ -302,8 +312,8 @@ pub trait Workload {
     /// the ISA; [`MachineError::Asm`] when assembly fails.
     fn lower(&self, isa: &Isa, layout: &DataLayout) -> Result<LoweredProgram, MachineError>;
 
-    /// Data segments (weights and staged inputs) as absolute
-    /// `(address, bytes)` chunks.
+    /// Data segments as absolute `(address, bytes)` chunks: one per
+    /// contiguous block (the weights, the input).
     fn image(&self, layout: &DataLayout) -> Vec<(u32, Vec<u8>)>;
 
     /// `(address, bytes)` window to read back after the run halts.
@@ -330,8 +340,9 @@ pub trait Machine {
 }
 
 /// A workload deployed to one machine, ready to run repeatedly. Each run
-/// stages fresh memories and simulates a single run-to-halt, so repeated
-/// execution does not re-pay code generation. All three runs are bit- and
+/// maps the deployment's read-only image, stages the rest into fresh RAM
+/// (see the module docs) and simulates a single run-to-halt, so repeated
+/// execution does not re-pay code generation or the image. All three runs are bit- and
 /// cycle-identical; only the simulator's wall-clock speed differs.
 pub trait Deployment {
     /// Simulates one run-to-halt on the target's product interpreter (see
@@ -365,6 +376,57 @@ pub trait Deployment {
 /// Cycle budget for a single run (Network B on Ibex is ~1 M cycles; leave
 /// ample headroom).
 pub const MAX_CYCLES: u64 = 500_000_000;
+
+/// An image chunk: its address and bytes.
+type Chunk = (u32, Vec<u8>);
+
+/// Writes each chunk into `ram`, the memory a run makes fresh.
+///
+/// # Errors
+///
+/// [`MachineError::DoesNotFit`] for the first chunk that `ram` does not
+/// hold whole (see [`does_not_fit`]); the chunks before it are written.
+fn stage(chunks: &[Chunk], ram: &mut Ram) -> Result<(), MachineError> {
+    for (addr, bytes) in chunks {
+        if !holds(ram, *addr, bytes.len()) {
+            return Err(does_not_fit(ram, *addr, bytes.len()));
+        }
+        ram.write_bytes(*addr, bytes);
+    }
+    Ok(())
+}
+
+/// The `len` bytes at `addr` (a workload's output window), copied out of
+/// `ram`.
+///
+/// # Errors
+///
+/// [`MachineError::DoesNotFit`] when `ram` does not hold them whole.
+fn read_back(ram: &Ram, (addr, len): (u32, usize)) -> Result<Vec<u8>, MachineError> {
+    if !holds(ram, addr, len) {
+        return Err(does_not_fit(ram, addr, len));
+    }
+    Ok(ram.read_bytes(addr, len).to_vec())
+}
+
+fn holds(ram: &Ram, addr: u32, len: usize) -> bool {
+    u32::try_from(len).is_ok_and(|len| ram.contains(addr, len))
+}
+
+/// The error for `len` bytes at `addr` that `ram` does not hold whole:
+/// they need `len`, and `ram` has the bytes from `addr` to its end (none
+/// when `addr` lies outside it).
+fn does_not_fit(ram: &Ram, addr: u32, len: usize) -> MachineError {
+    let available = if ram.contains(addr, 0) {
+        ram.size() - (addr - ram.base()) as usize
+    } else {
+        0
+    };
+    MachineError::DoesNotFit {
+        required: len,
+        available,
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Cortex-M4 backend
@@ -421,36 +483,79 @@ impl Machine for M4Machine {
                 isa: "thumb2",
             });
         };
+        let (flash, staged) = split(workload.image(&layout), FLASH_BASE, FLASH_SIZE);
+        let flash = mapped(flash, FLASH_BASE, FLASH_SIZE);
         Ok(Box::new(M4Deployment {
             fused: iw_armv7m::BlockProgram::compile(&program),
             code,
             symbols,
-            image: workload.image(&layout),
+            flash,
+            staged,
             out: workload.output_window(&layout),
         }))
     }
+}
+
+/// Splits an image into the chunks that the `size` bytes at `base` hold
+/// whole, which a deployment maps, and the rest, which each run stages.
+fn split(image: Vec<Chunk>, base: u32, size: usize) -> (Vec<Chunk>, Vec<Chunk>) {
+    image.into_iter().partition(|(addr, bytes)| {
+        addr.checked_sub(base)
+            .is_some_and(|off| off as usize + bytes.len() <= size)
+    })
+}
+
+/// The chunks a deployment maps as the pieces of one read-only image of
+/// the `size` bytes at `base`: as they are, or rendered into one buffer
+/// when they overlap, in order, so that a later chunk overwrites an
+/// earlier one as staging them would.
+fn mapped(chunks: Vec<Chunk>, base: u32, size: usize) -> Vec<Chunk> {
+    if Rom::new(base, size, pieces(&chunks)).is_ok() {
+        return chunks;
+    }
+    let at = chunks.iter().map(|c| c.0).min().unwrap_or(base);
+    let end = chunks.iter().map(|(a, b)| *a as usize + b.len()).max();
+    let mut bytes = vec![0; end.unwrap_or(0) - at as usize];
+    for (addr, chunk) in &chunks {
+        let off = (addr - at) as usize;
+        bytes[off..off + chunk.len()].copy_from_slice(chunk);
+    }
+    vec![(at, bytes)]
+}
+
+/// Chunks as the borrowed pieces of a read-only image.
+fn pieces(chunks: &[Chunk]) -> Vec<(u32, &[u8])> {
+    chunks
+        .iter()
+        .map(|(addr, bytes)| (*addr, &bytes[..]))
+        .collect()
 }
 
 struct M4Deployment {
     fused: iw_armv7m::BlockProgram,
     code: Vec<u16>,
     symbols: Vec<(u32, String)>,
-    image: Vec<(u32, Vec<u8>)>,
+    /// The flash image, rendered once at deploy and mapped by every run.
+    flash: Vec<Chunk>,
+    /// What each run stages into its fresh RAM: the input.
+    staged: Vec<Chunk>,
     out: (u32, usize),
 }
 
 impl M4Deployment {
-    fn staged_soc(&self) -> Nrf52 {
-        let mut soc = Nrf52::new();
-        for (addr, bytes) in &self.image {
-            soc.mem_mut().write_bytes(*addr, bytes);
-        }
-        soc
+    fn staged_soc(&self) -> Result<Nrf52<'_>, MachineError> {
+        let mut soc = Nrf52::with_flash(pieces(&self.flash))?;
+        stage(&self.staged, soc.mem_mut().ram_mut())?;
+        Ok(soc)
     }
 
-    fn machine_run(&self, soc: &Nrf52, run: iw_nrf52::Nrf52Run) -> MachineRun {
-        let output = soc.mem().read_bytes(self.out.0, self.out.1).to_vec();
-        MachineRun {
+    fn machine_run(
+        &self,
+        soc: &Nrf52,
+        run: iw_nrf52::Nrf52Run,
+    ) -> Result<MachineRun, MachineError> {
+        let output = read_back(soc.mem().ram(), self.out)?;
+        Ok(MachineRun {
             cycles: run.result.cycles,
             instructions: run.result.instructions,
             energy: EnergyBreakdown {
@@ -461,7 +566,7 @@ impl M4Deployment {
             profile: run.profile,
             cluster: None,
             output,
-        }
+        })
     }
 
     /// The product run under `sink`: stage, run the fused program, read
@@ -471,10 +576,10 @@ impl M4Deployment {
         sink: &mut S,
     ) -> Result<(MachineRun, ProductStats), MachineError> {
         let track = sink.track("m4", CYCLES);
-        let mut soc = self.staged_soc();
+        let mut soc = self.staged_soc()?;
         let mut stats = iw_armv7m::FusedStats::default();
         let run = soc.run_blocks(&self.fused, MAX_CYCLES, &mut stats, sink, track)?;
-        let run = self.machine_run(&soc, run);
+        let run = self.machine_run(&soc, run)?;
         let soc = sink.track("soc", CYCLES);
         sink.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
         let product = ProductStats {
@@ -493,9 +598,9 @@ impl Deployment for M4Deployment {
     }
 
     fn run_reference(&self) -> Result<MachineRun, MachineError> {
-        let mut soc = self.staged_soc();
+        let mut soc = self.staged_soc()?;
         let run = soc.run_code(&self.code, MAX_CYCLES)?;
-        Ok(self.machine_run(&soc, run))
+        self.machine_run(&soc, run)
     }
 
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
@@ -655,40 +760,42 @@ impl Machine for WolfMachine {
             cores: self.opts.cores,
             ..ClusterConfig::default()
         });
+        let mut image = vec![(L2_BASE, program)];
+        image.extend(workload.image(&layout));
+        let (l2, staged) = split(image, L2_BASE, L2_SIZE);
+        let l2 = mapped(l2, L2_BASE, L2_SIZE);
         Ok(Box::new(WolfDeployment {
-            program,
             symbols,
             cfg,
             on_fc: self.on_fc,
             mode: self.mode(),
-            image: workload.image(&layout),
+            l2,
+            staged,
             out: workload.output_window(&layout),
         }))
     }
 }
 
 struct WolfDeployment {
-    program: Vec<u8>,
     symbols: Vec<(u32, String)>,
     cfg: ClusterConfig,
     on_fc: bool,
     mode: WolfMode,
-    image: Vec<(u32, Vec<u8>)>,
+    /// The L2 image every run maps, borrowed until a store: the program
+    /// and, when they spill to L2, the weights.
+    l2: Vec<Chunk>,
+    /// What each run stages into its fresh TCDM: the input and, when they
+    /// fit there, the weights.
+    staged: Vec<Chunk>,
     out: (u32, usize),
 }
 
 impl WolfDeployment {
-    fn staged_wolf(&self) -> MrWolf {
-        let mut wolf = MrWolf::with_cluster_config(self.cfg);
-        wolf.l2_mut().write_bytes(L2_BASE, &self.program);
-        for (addr, bytes) in &self.image {
-            if *addr >= L2_BASE {
-                wolf.l2_mut().write_bytes(*addr, bytes);
-            } else {
-                wolf.tcdm_mut().write_bytes(*addr, bytes);
-            }
-        }
-        wolf
+    fn staged_wolf(&self) -> Result<MrWolf<'_>, MachineError> {
+        let l2 = L2::with_image(pieces(&self.l2)).expect("deploy maps the L2 pieces apart");
+        let mut wolf = MrWolf::with_l2(self.cfg, l2);
+        stage(&self.staged, wolf.tcdm_mut())?;
+        Ok(wolf)
     }
 
     fn machine_run(
@@ -698,14 +805,10 @@ impl WolfDeployment {
         instructions: u64,
         cluster: Option<ClusterRun>,
         profile: ExecProfile,
-    ) -> MachineRun {
-        let output = if self.out.0 >= L2_BASE {
-            wolf.l2().read_bytes(self.out.0, self.out.1).to_vec()
-        } else {
-            wolf.tcdm().read_bytes(self.out.0, self.out.1).to_vec()
-        };
+    ) -> Result<MachineRun, MachineError> {
+        let output = read_back(wolf.tcdm(), self.out)?;
         let energy = OperatingPoint::efficient().domain_energy(cycles, self.mode);
-        MachineRun {
+        Ok(MachineRun {
             cycles,
             instructions,
             energy: EnergyBreakdown {
@@ -716,15 +819,15 @@ impl WolfDeployment {
             profile,
             cluster,
             output,
-        }
+        })
     }
 
-    fn fc_run(&self, wolf: &MrWolf, run: &FcRun) -> MachineRun {
+    fn fc_run(&self, wolf: &MrWolf, run: &FcRun) -> Result<MachineRun, MachineError> {
         let r = run.result;
         self.machine_run(wolf, r.cycles, r.instructions, None, run.profile)
     }
 
-    fn cluster_run(&self, wolf: &MrWolf, run: ClusterRun) -> MachineRun {
+    fn cluster_run(&self, wolf: &MrWolf, run: ClusterRun) -> Result<MachineRun, MachineError> {
         let (cycles, instructions, profile) = (run.cycles, run.instructions, run.profile);
         self.machine_run(wolf, cycles, instructions, Some(run), profile)
     }
@@ -736,7 +839,7 @@ impl WolfDeployment {
         &self,
         sink: &mut S,
     ) -> Result<(MachineRun, ProductStats), MachineError> {
-        let mut wolf = self.staged_wolf();
+        let mut wolf = self.staged_wolf()?;
         let (run, product) = if self.on_fc {
             let track = sink.track("fc", CYCLES);
             let (run, stats) = wolf.run_fc(L2_BASE, MAX_CYCLES, sink, track)?;
@@ -746,7 +849,7 @@ impl WolfDeployment {
                 rv32: Some(stats),
                 ..ProductStats::default()
             };
-            (self.fc_run(&wolf, &run), product)
+            (self.fc_run(&wolf, &run)?, product)
         } else {
             let (run, sched) = wolf.run_cluster(L2_BASE, MAX_CYCLES, sink)?;
             // A single core runs the whole program in one pick: its
@@ -768,7 +871,7 @@ impl WolfDeployment {
                 rv32: Some(sched.program),
                 m4: None,
             };
-            (self.cluster_run(&wolf, run), product)
+            (self.cluster_run(&wolf, run)?, product)
         };
         let soc = sink.track("soc", CYCLES);
         sink.counter(soc, "soc_uj", run.cycles, run.energy.soc_j * 1e6);
@@ -783,13 +886,13 @@ impl Deployment for WolfDeployment {
     }
 
     fn run_reference(&self) -> Result<MachineRun, MachineError> {
-        let mut wolf = self.staged_wolf();
+        let mut wolf = self.staged_wolf()?;
         if self.on_fc {
             let run = wolf.run_fc_uncached(L2_BASE, MAX_CYCLES)?;
-            Ok(self.fc_run(&wolf, &run))
+            self.fc_run(&wolf, &run)
         } else {
             let (run, _) = wolf.run_cluster_uncached(L2_BASE, MAX_CYCLES, &mut NoopSink)?;
-            Ok(self.cluster_run(&wolf, run))
+            self.cluster_run(&wolf, run)
         }
     }
 
@@ -950,12 +1053,34 @@ pub fn targets_in(group: TargetGroup) -> Vec<TargetEntry> {
 mod tests {
     use super::*;
 
-    /// A workload whose RV32 image is `bytes` long and does nothing else.
-    struct RawImage(usize);
+    /// A workload with a given Thumb program, RV32 program (assembled at
+    /// `L2_BASE`), data image and output window.
+    struct Chunks {
+        program: Vec<ThumbInstr>,
+        rv32: Vec<u8>,
+        image: Vec<Chunk>,
+        out: (u32, usize),
+    }
 
-    impl Workload for RawImage {
+    impl Chunks {
+        /// Programs that halt at once.
+        fn halting(image: Vec<Chunk>, out: (u32, usize)) -> Chunks {
+            let mut asm = iw_armv7m::asm::ThumbAsm::new();
+            asm.bkpt();
+            let mut rv32 = iw_rv32::asm::Asm::new(L2_BASE);
+            rv32.ecall();
+            Chunks {
+                program: asm.finish().unwrap(),
+                rv32: rv32.assemble().unwrap(),
+                image,
+                out,
+            }
+        }
+    }
+
+    impl Workload for Chunks {
         fn name(&self) -> &'static str {
-            "raw-image"
+            "chunks"
         }
 
         fn footprint(&self) -> WorkloadFootprint {
@@ -966,36 +1091,187 @@ mod tests {
         }
 
         fn lower(&self, isa: &Isa, _: &DataLayout) -> Result<LoweredProgram, MachineError> {
-            match isa {
-                Isa::Rv32 { .. } => Ok(LoweredProgram::Rv32 {
-                    image: vec![0; self.0],
+            Ok(match isa {
+                Isa::Thumb2 => LoweredProgram::Thumb {
+                    code: iw_armv7m::encode_program(&self.program).unwrap(),
+                    program: self.program.clone(),
                     symbols: Vec::new(),
-                }),
-                Isa::Thumb2 => Err(MachineError::Unsupported {
-                    workload: self.name(),
-                    isa: isa.name(),
-                }),
+                },
+                Isa::Rv32 { entry, .. } => {
+                    assert_eq!(*entry, L2_BASE);
+                    LoweredProgram::Rv32 {
+                        image: self.rv32.clone(),
+                        symbols: Vec::new(),
+                    }
+                }
+            })
+        }
+
+        fn image(&self, _: &DataLayout) -> Vec<Chunk> {
+            self.image.clone()
+        }
+
+        fn output_window(&self, _: &DataLayout) -> (u32, usize) {
+            self.out
+        }
+    }
+
+    /// Every run entry of `deployment`, each expected to fail with
+    /// `DoesNotFit { required, available }`.
+    fn assert_does_not_fit(deployment: &dyn Deployment, required: usize, available: usize) {
+        let errs = [
+            deployment.run().err(),
+            deployment.run_reference().err(),
+            deployment.run_recorded(&mut Recorder::new()).err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(
+                    err,
+                    Some(MachineError::DoesNotFit { required: r, available: a })
+                        if r == required && a == available
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn staging_a_chunk_in_the_nrf52_gap_is_an_error_not_a_panic() {
+        let gap = FLASH_BASE + FLASH_SIZE as u32;
+        let mut soc = Nrf52::new();
+        for addr in [gap, 0x1fff_fffc] {
+            let err = stage(&[(addr, vec![1; 4])], soc.mem_mut().ram_mut());
+            assert!(
+                matches!(
+                    err,
+                    Err(MachineError::DoesNotFit {
+                        required: 4,
+                        available: 0
+                    })
+                ),
+                "{addr:#x}: {err:?}"
+            );
+            let chunk = Chunks::halting(vec![(addr, vec![1; 4])], (RAM_BASE, 4));
+            assert_does_not_fit(&*M4Machine::new().deploy(&chunk).unwrap(), 4, 0);
+        }
+        // Across the end of the RAM: two of the four bytes fit.
+        let ram_end = RAM_BASE + RAM_SIZE as u32;
+        let chunk = Chunks::halting(vec![(ram_end - 2, vec![1; 4])], (RAM_BASE, 4));
+        assert_does_not_fit(&*M4Machine::new().deploy(&chunk).unwrap(), 4, 2);
+        // An output window outside the RAM fails the same way.
+        let chunk = Chunks::halting(Vec::new(), (gap, 4));
+        assert_does_not_fit(&*M4Machine::new().deploy(&chunk).unwrap(), 4, 0);
+    }
+
+    #[test]
+    fn staging_outside_mr_wolfs_memories_is_an_error_not_a_panic() {
+        let l2_end = L2_BASE + L2_SIZE as u32;
+        // What the L2 does not hold whole is staged into the TCDM.
+        let tcdm_end = TCDM_BASE + TCDM_SIZE as u32;
+        let cases = [
+            (0, 0),
+            (TCDM_BASE - 4, 0),
+            (tcdm_end - 1, 1),
+            (l2_end - 1, 0),
+        ];
+        for (addr, available) in cases.into_iter().chain([(l2_end, 0)]) {
+            let chunk = Chunks::halting(vec![(addr, vec![1; 4])], (TCDM_BASE, 4));
+            for machine in [WolfMachine::ibex(), WolfMachine::cluster(8)] {
+                let deployment = machine.deploy(&chunk).unwrap();
+                assert_does_not_fit(&*deployment, 4, available);
             }
         }
+        // Its kernels write their outputs to the TCDM: a window outside it
+        // is read back from nowhere.
+        let chunk = Chunks::halting(Vec::new(), (L2_BASE, 4));
+        let deployment = WolfMachine::ibex().deploy(&chunk).unwrap();
+        assert_does_not_fit(&*deployment, 4, 0);
+    }
 
-        fn image(&self, _: &DataLayout) -> Vec<(u32, Vec<u8>)> {
-            Vec::new()
-        }
+    #[test]
+    fn flash_chunks_map_as_pieces_and_overlaps_render_in_order() {
+        use iw_armv7m::{asm::ThumbAsm, LsWidth, R};
+        // Two flash chunks with a hole between them, and one RAM chunk;
+        // the program adds a word of each and stores the sum.
+        let (a, b) = (FLASH_BASE + 0x4000, FLASH_BASE + 0x4010);
+        let image = vec![
+            (b, 20u32.to_le_bytes().to_vec()),
+            (RAM_BASE + 8, 300u32.to_le_bytes().to_vec()),
+            (a, 1u32.to_le_bytes().to_vec()),
+        ];
+        let (flash, staged) = split(image.clone(), FLASH_BASE, FLASH_SIZE);
+        assert_eq!(staged, vec![image[1].clone()]);
+        assert_eq!(mapped(flash.clone(), FLASH_BASE, FLASH_SIZE), flash);
+        // Overlapping chunks render into one, the later on top.
+        let overlapping = vec![(a, vec![1; 8]), (a + 4, vec![2; 8]), (a + 2, vec![3; 1])];
+        let rendered = mapped(overlapping, FLASH_BASE, FLASH_SIZE);
+        assert_eq!(
+            rendered,
+            vec![(a, vec![1, 1, 3, 1, 2, 2, 2, 2, 2, 2, 2, 2])]
+        );
 
-        fn output_window(&self, layout: &DataLayout) -> (u32, usize) {
-            (layout.buf_base, 0)
+        let mut asm = ThumbAsm::new();
+        asm.li(R::R0, a as i32);
+        asm.ldr(LsWidth::W, R::R1, R::R0, 0);
+        asm.ldr(LsWidth::W, R::R2, R::R0, 0x10);
+        asm.add(R::R1, R::R1, R::R2);
+        asm.li(R::R0, RAM_BASE as i32);
+        asm.ldr(LsWidth::W, R::R2, R::R0, 8);
+        asm.add(R::R1, R::R1, R::R2);
+        asm.str(LsWidth::W, R::R1, R::R0, 0);
+        asm.bkpt();
+        let chunk = Chunks {
+            program: asm.finish().unwrap(),
+            image,
+            out: (RAM_BASE, 4),
+            ..Chunks::halting(Vec::new(), (0, 0))
+        };
+        let deployment = M4Machine::new().deploy(&chunk).unwrap();
+        let (run, _) = deployment.run().unwrap();
+        assert_eq!(run.output, 321u32.to_le_bytes());
+        assert_eq!(deployment.run_reference().unwrap(), run);
+    }
+
+    #[test]
+    fn overlapping_l2_chunks_read_as_staged_in_order() {
+        use iw_rv32::Reg;
+        // The later chunk overwrites the earlier one where they overlap;
+        // every core copies the overlapped word to the TCDM.
+        let at = L2_BASE + PROGRAM_SIZE as u32;
+        let image = vec![(at, vec![1; 8]), (at + 4, vec![2; 8])];
+        let mut asm = iw_rv32::asm::Asm::new(L2_BASE);
+        asm.li(Reg::T0, (at + 4) as i32);
+        asm.lw(Reg::T1, Reg::T0, 0);
+        asm.li(Reg::T0, TCDM_BASE as i32);
+        asm.sw(Reg::T1, Reg::T0, 0);
+        asm.ecall();
+        let chunk = Chunks {
+            rv32: asm.assemble().unwrap(),
+            ..Chunks::halting(image, (TCDM_BASE, 4))
+        };
+        for machine in [WolfMachine::ibex(), WolfMachine::cluster(8)] {
+            let deployment = machine.deploy(&chunk).unwrap();
+            let (run, _) = deployment.run().unwrap();
+            assert_eq!(run.output, [2; 4], "{}", machine.name());
+            assert_eq!(deployment.run_reference().unwrap(), run);
         }
     }
 
     #[test]
     fn oversized_rv32_program_is_an_error_not_a_panic() {
+        // A workload whose RV32 image is `bytes` long and does nothing else.
+        let raw_image = |bytes| Chunks {
+            rv32: vec![0; bytes],
+            ..Chunks::halting(Vec::new(), (TCDM_BASE, 0))
+        };
         for machine in [
             WolfMachine::ibex(),
             WolfMachine::riscy(),
             WolfMachine::cluster(8),
         ] {
             for bytes in [PROGRAM_SIZE, PROGRAM_SIZE + 4096] {
-                let err = machine.deploy(&RawImage(bytes)).err();
+                let err = machine.deploy(&raw_image(bytes)).err();
                 assert!(
                     matches!(
                         err,
@@ -1006,7 +1282,7 @@ mod tests {
                     machine.name()
                 );
             }
-            assert!(machine.deploy(&RawImage(PROGRAM_SIZE - 4)).is_ok());
+            assert!(machine.deploy(&raw_image(PROGRAM_SIZE - 4)).is_ok());
         }
     }
 

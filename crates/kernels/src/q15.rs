@@ -42,6 +42,7 @@ pub fn place_q15(net: &Q15Net, weights_base: u32, buf_base: u32) -> Placement {
         addr += (layer.weights.len() * 2) as u32;
     }
     Placement {
+        weights_base,
         layer_weights,
         bufs: [buf_base, buf_base + buf_bytes],
         buf_width: width,
@@ -49,20 +50,19 @@ pub fn place_q15(net: &Q15Net, weights_base: u32, buf_base: u32) -> Placement {
     }
 }
 
-/// Serialises a Q15 network's weights (little-endian halfwords).
+/// Serialises a Q15 network's weights (little-endian halfwords) into one
+/// chunk, as [`crate::layout::fixed_image`] does.
+///
+/// # Panics
+///
+/// As [`crate::layout::fixed_image`].
 #[must_use]
-pub fn q15_image(net: &Q15Net, placement: &Placement) -> Vec<(u32, Vec<u8>)> {
-    net.layers
-        .iter()
-        .zip(&placement.layer_weights)
-        .map(|(layer, &addr)| {
-            let mut bytes = Vec::with_capacity(layer.weights.len() * 2);
-            for w in &layer.weights {
-                bytes.extend_from_slice(&w.to_le_bytes());
-            }
-            (addr, bytes)
-        })
-        .collect()
+pub fn q15_image(net: &Q15Net, placement: &Placement) -> (u32, Vec<u8>) {
+    crate::layout::render(
+        placement,
+        net.layers.iter().map(|l| &l.weights[..]),
+        i16::to_le_bytes,
+    )
 }
 
 const W_PTR: Reg = Reg::T0;

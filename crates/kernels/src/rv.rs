@@ -296,9 +296,8 @@ mod tests {
 
         // Flat RAM spanning TCDM..L2+program for the bare-CPU test.
         let mut tcdm = Ram::new(TCDM_BASE, 64 * 1024);
-        for (addr, bytes) in crate::layout::fixed_image(&fixed, &placement) {
-            tcdm.write_bytes(addr, &bytes);
-        }
+        let (addr, bytes) = crate::layout::fixed_image(&fixed, &placement);
+        tcdm.write_bytes(addr, &bytes);
         let input: Vec<f32> = (0..sizes[0]).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let qin = fixed.quantize_input(&input);
         for (i, &v) in qin.iter().enumerate() {
@@ -406,9 +405,8 @@ mod tests {
             let mut asm = Asm::new(L2_BASE);
             emit_fixed_kernel(&mut asm, &fixed, &placement, opts);
             let mut mem = Ram::new(TCDM_BASE, 64 * 1024);
-            for (addr, bytes) in crate::layout::fixed_image(&fixed, &placement) {
-                mem.write_bytes(addr, &bytes);
-            }
+            let (addr, bytes) = crate::layout::fixed_image(&fixed, &placement);
+            mem.write_bytes(addr, &bytes);
             let mut prog = Ram::new(L2_BASE, 128 * 1024);
             prog.write_bytes(L2_BASE, &asm.assemble().unwrap());
             struct TwoRams {

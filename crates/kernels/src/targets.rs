@@ -152,10 +152,12 @@ fn place_on_wolf(net: &FixedNet) -> Result<(crate::layout::Placement, bool), Mac
 ///
 /// Deployment work — kernel emission, assembly/encoding, pre-decoding and
 /// rendering the weight/bias image — happens once, in the constructors
-/// (one [`Machine::deploy`] call). Each [`PreparedFixed::run`] then stages
-/// fresh memories and simulates a single classification, so repeated
-/// inference (and the ISS-throughput bench, whose timed region is exactly
-/// one `run`) does not re-pay code generation.
+/// (one [`Machine::deploy`] call). Each [`PreparedFixed::run`] then maps
+/// the deployment's read-only image (the nRF52's flash, Mr. Wolf's L2),
+/// stages the input into a fresh RAM (the nRF52's RAM, Mr. Wolf's TCDM)
+/// and simulates a single classification, so repeated inference (and the
+/// ISS-throughput bench, whose timed region is exactly one `run`) does
+/// not re-pay code generation or the image.
 ///
 /// # Examples
 ///
@@ -421,12 +423,11 @@ mod tests {
         let decoded = iw_armv7m::DecodedProgram::decode(&code).unwrap();
         assert_eq!(decoded.instrs(), &program[..]);
 
-        let mut soc = Nrf52::new();
-        for (addr, bytes) in fixed_image(&fixed, &placement) {
-            soc.mem_mut().write_bytes(addr, &bytes);
-        }
+        let (at, weights) = fixed_image(&fixed, &placement);
+        let mut soc = Nrf52::with_flash(vec![(at, &weights[..])]).unwrap();
         for (i, &v) in qin.iter().enumerate() {
             soc.mem_mut()
+                .ram_mut()
                 .write_bytes(placement.input_addr() + 4 * i as u32, &v.to_le_bytes());
         }
         let encoded_run = soc.run_code(&code, MAX_CYCLES).unwrap();

@@ -123,13 +123,12 @@ impl Workload for FixedWorkload<'_> {
 
     fn image(&self, layout: &DataLayout) -> Vec<(u32, Vec<u8>)> {
         let placement = self.place(layout);
-        let mut chunks = fixed_image(self.net, &placement);
+        let weights = fixed_image(self.net, &placement);
         let mut staged = Vec::with_capacity(self.input.len() * 4);
         for v in &self.input {
             staged.extend_from_slice(&v.to_le_bytes());
         }
-        chunks.push((placement.input_addr(), staged));
-        chunks
+        vec![weights, (placement.input_addr(), staged)]
     }
 
     fn output_window(&self, layout: &DataLayout) -> (u32, usize) {
@@ -207,13 +206,12 @@ impl Workload for FloatWorkload<'_> {
 
     fn image(&self, layout: &DataLayout) -> Vec<(u32, Vec<u8>)> {
         let placement = self.place(layout);
-        let mut chunks = float_image(self.net, &placement);
+        let weights = float_image(self.net, &placement);
         let mut staged = Vec::with_capacity(self.input.len() * 4);
         for x in &self.input {
             staged.extend_from_slice(&x.to_bits().to_le_bytes());
         }
-        chunks.push((placement.input_addr(), staged));
-        chunks
+        vec![weights, (placement.input_addr(), staged)]
     }
 
     fn output_window(&self, layout: &DataLayout) -> (u32, usize) {
@@ -295,7 +293,7 @@ impl Workload for Q15Workload<'_> {
 
     fn image(&self, layout: &DataLayout) -> Vec<(u32, Vec<u8>)> {
         let placement = self.place(layout);
-        let mut chunks = q15_image(self.net, &placement);
+        let weights = q15_image(self.net, &placement);
         // Inputs are staged padded to an even count so the pair loads of
         // the SIMD kernels see a clean tail slot.
         let padded = self.net.num_inputs.div_ceil(2) * 2;
@@ -304,8 +302,7 @@ impl Workload for Q15Workload<'_> {
             let v = self.input.get(i).copied().unwrap_or(0);
             staged.extend_from_slice(&v.to_le_bytes());
         }
-        chunks.push((placement.input_addr(), staged));
-        chunks
+        vec![weights, (placement.input_addr(), staged)]
     }
 
     fn output_window(&self, layout: &DataLayout) -> (u32, usize) {

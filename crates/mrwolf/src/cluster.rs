@@ -109,6 +109,7 @@ use iw_rv32::{
 
 use iw_trace::{TraceSink, TrackId, CYCLES};
 
+use crate::l2::L2Memory;
 use crate::memmap::{
     region_of, Region, BARRIER_ADDR, L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE,
 };
@@ -273,9 +274,9 @@ impl SchedStats {
 /// which region the last data access hit. Timed accesses (the product
 /// path) also charge the memory system: the L2 latency and, when
 /// `arbitrate` is set, bank and L2-port stalls at the access's issue time.
-struct ClusterBus<'a> {
+struct ClusterBus<'a, L> {
     tcdm: &'a mut Ram,
-    l2: &'a mut Ram,
+    l2: &'a mut L,
     last_region: Option<Region>,
     barrier_arrived: bool,
     arbitrate: bool,
@@ -287,7 +288,7 @@ struct ClusterBus<'a> {
     l2_stalls: u64,
 }
 
-impl ClusterBus<'_> {
+impl<L: L2Memory> ClusterBus<'_, L> {
     /// Cost of a TCDM access issued at `at`: bank-conflict stall plus the
     /// instruction's base cost.
     #[inline(always)]
@@ -324,24 +325,20 @@ impl ClusterBus<'_> {
         (stall + u64::from(self.l2_latency)) as u32
     }
 
-    /// The bytes from `addr` to the end of the memory that holds it, its
-    /// region's or its RAM's, whichever comes first: what word loads
-    /// from `addr` upwards read before the first one that faults. Empty
-    /// where `addr` is unmapped.
+    /// The bytes word loads from `addr` upwards read, up to the end of
+    /// its region and as far as the memory that holds it lends them in
+    /// one slice (see [`L2Memory::stream`]). Empty where `addr` is
+    /// unmapped.
     fn stream(&self, addr: u32) -> &[u8] {
-        let (ram, end) = match region_of(addr) {
-            Some(Region::Tcdm) => (&*self.tcdm, TCDM_BASE + TCDM_SIZE as u32),
-            Some(Region::L2) => (&*self.l2, L2_BASE + L2_SIZE as u32),
-            _ => return &[],
-        };
-        let ram_end = u64::from(ram.base()) + ram.size() as u64;
-        let len = u64::from(end).min(ram_end).saturating_sub(u64::from(addr));
-        ram.span(addr, len as u32, 0)
-            .map_or(&[], |(bytes, _)| bytes)
+        match region_of(addr) {
+            Some(Region::Tcdm) => self.tcdm.stream(addr, TCDM_BASE + TCDM_SIZE as u32),
+            Some(Region::L2) => self.l2.stream(addr, L2_BASE + L2_SIZE as u32),
+            _ => &[],
+        }
     }
 }
 
-impl Bus for ClusterBus<'_> {
+impl<L: L2Memory> Bus for ClusterBus<'_, L> {
     fn load(&mut self, addr: u32, width: MemWidth) -> Result<u32, BusError> {
         match region_of(addr) {
             Some(Region::Tcdm) => {
@@ -483,10 +480,10 @@ enum CoreStatus {
 /// # Errors
 ///
 /// See [`ClusterError`].
-pub fn run_cluster<S: TraceSink>(
+pub fn run_cluster<S: TraceSink, L: L2Memory>(
     cfg: &ClusterConfig,
     tcdm: &mut Ram,
-    l2: &mut Ram,
+    l2: &mut L,
     entry: u32,
     max_cycles: u64,
     sink: &mut S,
@@ -503,10 +500,10 @@ pub fn run_cluster<S: TraceSink>(
 /// # Errors
 ///
 /// See [`ClusterError`].
-pub fn run_cluster_uncached<S: TraceSink>(
+pub fn run_cluster_uncached<S: TraceSink, L: L2Memory>(
     cfg: &ClusterConfig,
     tcdm: &mut Ram,
-    l2: &mut Ram,
+    l2: &mut L,
     entry: u32,
     max_cycles: u64,
     sink: &mut S,
@@ -516,10 +513,10 @@ pub fn run_cluster_uncached<S: TraceSink>(
 
 /// The scheduler loop of both paths: `product` picks horizon bursts over
 /// the op program, else one reference instruction per pick.
-fn schedule<S: TraceSink>(
+fn schedule<S: TraceSink, L: L2Memory>(
     cfg: &ClusterConfig,
     tcdm: &mut Ram,
-    l2: &mut Ram,
+    l2: &mut L,
     entry: u32,
     max_cycles: u64,
     sink: &mut S,
@@ -849,10 +846,10 @@ struct BurstEnd {
 /// over.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn burst<S: TraceSink>(
+fn burst<S: TraceSink, L: L2Memory>(
     prog: &mut Program,
     cpu: &mut Cpu,
-    bus: &mut ClusterBus<'_>,
+    bus: &mut ClusterBus<'_, L>,
     timing: &Timing,
     (i, at, horizon, first): (usize, u64, u64, bool),
     max_cycles: u64,
@@ -961,8 +958,8 @@ fn burst<S: TraceSink>(
 /// The dot-product body's `p.lw` at `pc` through `addr`, issued at `at`:
 /// the loaded word and its cost, or the fault the op would raise.
 #[inline(always)]
-fn dot_load(
-    bus: &mut ClusterBus<'_>,
+fn dot_load<L: L2Memory>(
+    bus: &mut ClusterBus<'_, L>,
     addr: u32,
     base: u32,
     at: u64,
@@ -1006,12 +1003,12 @@ impl DotCore {
     /// at their issue time, so every grant is the generic loop's.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn pick(
+    fn pick<L: L2Memory>(
         &mut self,
         i: usize,
         t: u64,
         horizon: u64,
-        bus: &mut ClusterBus<'_>,
+        bus: &mut ClusterBus<'_, L>,
         timing: &Timing,
         max_cycles: u64,
         sched: &mut SchedStats,
@@ -1222,11 +1219,11 @@ impl Period {
     /// moves the keys.
     #[cold]
     #[inline(never)]
-    fn probe(
+    fn probe<L: L2Memory>(
         &mut self,
         lock: &mut Lockstep,
         keys: &mut [u64; 8],
-        bus: &mut ClusterBus<'_>,
+        bus: &mut ClusterBus<'_, L>,
         max_cycles: u64,
         sched: &mut SchedStats,
     ) -> bool {
@@ -1283,7 +1280,12 @@ impl Period {
     /// equal to the snapshot's. Arbitration uses a bank index only to
     /// pick its reservation, so the lockstep is the same under any
     /// relabelling of the banks (see the module docs).
-    fn repeats(&self, lock: &Lockstep, sorted: &[u64; 8], bus: &ClusterBus<'_>) -> Option<usize> {
+    fn repeats(
+        &self,
+        lock: &Lockstep,
+        sorted: &[u64; 8],
+        bus: &ClusterBus<'_, impl L2Memory>,
+    ) -> Option<usize> {
         let (t0, t) = (self.sorted[0] >> 3, sorted[0] >> 3);
         let banks = self.bank_free.len();
         let bank = |a: u32| (a >> 2) as usize % banks;
@@ -1329,12 +1331,12 @@ impl Period {
     /// its exit and every key within the budget. Returns the picks it
     /// skipped.
     #[allow(clippy::too_many_arguments)]
-    fn skip(
+    fn skip<L: L2Memory>(
         &self,
         lock: &mut Lockstep,
         keys: &mut [u64; 8],
         sorted: &[u64; 8],
-        bus: &mut ClusterBus<'_>,
+        bus: &mut ClusterBus<'_, L>,
         rotation: usize,
         max_cycles: u64,
         sched: &mut SchedStats,

@@ -3,8 +3,9 @@
 //! The PULP substrate of the InfiniWolf reproduction (Magno et al., DATE
 //! 2020). [`MrWolf`] combines:
 //!
-//! * 512 kB **L2** in the SoC domain and 64 kB banked **TCDM** in the
-//!   cluster ([`memmap`]),
+//! * 512 kB **L2** in the SoC domain, served from a borrowed image until
+//!   the first store ([`L2`]), and 64 kB banked **TCDM** in the cluster
+//!   ([`memmap`]),
 //! * the **Ibex fabric controller** (RV32IM, [`MrWolf::run_fc`]),
 //! * an **8-core RI5CY cluster** with event-driven, deterministic
 //!   execution: word-interleaved TCDM banks grant one access per cycle
@@ -45,6 +46,7 @@
 
 mod cluster;
 mod dma;
+mod l2;
 pub mod memmap;
 mod power;
 mod soc;
@@ -53,5 +55,6 @@ pub use cluster::{
     run_cluster, run_cluster_uncached, ClusterConfig, ClusterError, ClusterRun, SchedStats,
 };
 pub use dma::DmaModel;
+pub use l2::{L2Memory, L2};
 pub use power::{EnergyReport, OperatingPoint, WolfMode};
 pub use soc::{FcRun, MrWolf};

@@ -9,17 +9,18 @@ use iw_rv32::{
 use iw_trace::{TraceSink, TrackId};
 
 use crate::cluster::{ClusterConfig, ClusterError, ClusterRun, SchedStats};
+use crate::l2::L2;
 use crate::memmap::{region_of, Region, L2_BASE, L2_SIZE, PROGRAM_SIZE, TCDM_BASE, TCDM_SIZE};
 
 /// Bus seen by the fabric controller: L2 and TCDM, no contention (the
 /// cluster is off while the FC computes in this model, as in the paper's
 /// "SoC domain only" configuration).
-struct FcBus<'a> {
+struct FcBus<'a, L> {
     tcdm: &'a mut Ram,
-    l2: &'a mut Ram,
+    l2: &'a mut L,
 }
 
-impl Bus for FcBus<'_> {
+impl<L: Bus> Bus for FcBus<'_, L> {
     #[inline(always)]
     fn load(&mut self, addr: u32, width: MemWidth) -> Result<u32, BusError> {
         match region_of(addr) {
@@ -52,9 +53,10 @@ impl Bus for FcBus<'_> {
 
 /// The modelled Mr. Wolf SoC.
 ///
-/// Owns the two memories; programs and data are loaded into them directly,
-/// then executed either on the fabric controller ([`MrWolf::run_fc`]) or on
-/// the cluster ([`MrWolf::run_cluster`]).
+/// Owns the TCDM and the [`L2`], which may borrow its image (see
+/// [`MrWolf::with_l2`]); programs and data are loaded into them, then
+/// executed either on the fabric controller ([`MrWolf::run_fc`]) or on the
+/// cluster ([`MrWolf::run_cluster`]).
 ///
 /// # Examples
 ///
@@ -77,9 +79,9 @@ impl Bus for FcBus<'_> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct MrWolf {
+pub struct MrWolf<'a> {
     tcdm: Ram,
-    l2: Ram,
+    l2: L2<'a>,
     cluster_cfg: ClusterConfig,
 }
 
@@ -94,39 +96,49 @@ pub struct FcRun {
     pub profile: ExecProfile,
 }
 
-impl Default for MrWolf {
-    fn default() -> MrWolf {
+impl Default for MrWolf<'static> {
+    fn default() -> MrWolf<'static> {
         MrWolf::new()
     }
 }
 
-impl MrWolf {
+impl MrWolf<'static> {
     /// Creates an SoC with zeroed memories and the default cluster
     /// configuration (8 cores, 16 TCDM banks).
     #[must_use]
-    pub fn new() -> MrWolf {
+    pub fn new() -> MrWolf<'static> {
         MrWolf::with_cluster_config(ClusterConfig::default())
     }
 
     /// Creates an SoC with a custom cluster configuration (used by the
     /// ablation benches).
     #[must_use]
-    pub fn with_cluster_config(cfg: ClusterConfig) -> MrWolf {
+    pub fn with_cluster_config(cfg: ClusterConfig) -> MrWolf<'static> {
+        MrWolf::with_l2(cfg, L2::new())
+    }
+}
+
+impl<'a> MrWolf<'a> {
+    /// Creates an SoC with a custom cluster configuration, `l2` as its L2
+    /// (see [`L2::with_image`]) and a zeroed TCDM.
+    #[must_use]
+    pub fn with_l2(cfg: ClusterConfig, l2: L2<'a>) -> MrWolf<'a> {
         MrWolf {
             tcdm: Ram::new(TCDM_BASE, TCDM_SIZE),
-            l2: Ram::new(L2_BASE, L2_SIZE),
+            l2,
             cluster_cfg: cfg,
         }
     }
 
-    /// Mutable access to the L2 memory (load programs/data here).
+    /// Mutable access to the L2 memory (load programs/data here); copies
+    /// a borrowed image first (see [`L2::ram_mut`]).
     pub fn l2_mut(&mut self) -> &mut Ram {
-        &mut self.l2
+        self.l2.ram_mut()
     }
 
     /// Shared access to the L2 memory.
     #[must_use]
-    pub fn l2(&self) -> &Ram {
+    pub fn l2(&self) -> &L2<'a> {
         &self.l2
     }
 
@@ -191,7 +203,7 @@ impl MrWolf {
     }
 
     /// A fresh Ibex hart at `entry` (stack at the top of L2) and its bus.
-    fn fc(&mut self, entry: u32) -> (Cpu, FcBus<'_>) {
+    fn fc(&mut self, entry: u32) -> (Cpu, FcBus<'_, L2<'a>>) {
         let mut cpu = Cpu::new_rv32im(entry);
         cpu.set_reg(Reg::SP, L2_BASE + L2_SIZE as u32);
         let bus = FcBus {
@@ -317,6 +329,42 @@ mod tests {
         assert_eq!(bus.span(tcdm_end, 4, 1), None);
         assert_eq!(bus.span(L2_BASE - 4, 8, 1), None);
         assert_eq!(bus.span(crate::memmap::BARRIER_ADDR, 4, 1), None);
+    }
+
+    #[test]
+    fn runs_that_store_nothing_to_l2_never_copy_its_image() {
+        let weights_at = L2_BASE + PROGRAM_SIZE as u32;
+        let weights = 0x1234_5678u32.to_le_bytes();
+        // Copy the word at `from` to `to`, then to the TCDM.
+        let program = |from: u32, to: u32| {
+            let mut asm = Asm::new(L2_BASE);
+            asm.li(Reg::T0, from as i32);
+            asm.lw(Reg::T1, Reg::T0, 0);
+            asm.li(Reg::T0, to as i32);
+            asm.sw(Reg::T1, Reg::T0, 0);
+            asm.lw(Reg::T2, Reg::T0, 0);
+            asm.li(Reg::T0, TCDM_BASE as i32);
+            asm.sw(Reg::T2, Reg::T0, 0);
+            asm.ecall();
+            asm.assemble().unwrap()
+        };
+        for (to, copied) in [(TCDM_BASE + 8, false), (weights_at + 4, true)] {
+            let code = program(weights_at, to);
+            let image = vec![(L2_BASE, &code[..]), (weights_at, &weights[..])];
+            for on_fc in [true, false] {
+                let l2 = L2::with_image(image.clone()).unwrap();
+                let mut wolf = MrWolf::with_l2(ClusterConfig::default(), l2);
+                if on_fc {
+                    wolf.run_fc(L2_BASE, 10_000, &mut NoopSink, TrackId::default())
+                        .unwrap();
+                } else {
+                    wolf.run_cluster(L2_BASE, 10_000, &mut NoopSink).unwrap();
+                }
+                assert_eq!(wolf.l2().is_copied(), copied, "{to:#x} fc {on_fc}");
+                assert_eq!(wolf.tcdm().read_bytes(TCDM_BASE, 4), weights);
+            }
+        }
+        assert_eq!(weights, 0x1234_5678u32.to_le_bytes());
     }
 
     #[test]

@@ -20,4 +20,4 @@ mod soc;
 
 pub use ble::BleRadio;
 pub use power::{Nrf52Mode, Nrf52Power};
-pub use soc::{Nrf52, Nrf52Run, FLASH_BASE, FLASH_SIZE, RAM_BASE, RAM_SIZE};
+pub use soc::{Nrf52, Nrf52Memory, Nrf52Run, FLASH_BASE, FLASH_SIZE, RAM_BASE, RAM_SIZE};

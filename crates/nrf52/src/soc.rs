@@ -1,10 +1,10 @@
-//! The nRF52832 as a compute target: Cortex-M4F core + RAM + energy
-//! accounting.
+//! The nRF52832 as a compute target: Cortex-M4F core, its flash and RAM
+//! regions, and energy accounting.
 
 use iw_armv7m::{
     BlockProgram, CortexM4, CortexM4Timing, FusedStats, M4Error, RunResult, ThumbInstr,
 };
-use iw_rv32::{ExecProfile, Ram};
+use iw_rv32::{Bus, BusError, ExecProfile, MemWidth, Ram, Rom};
 use iw_trace::{NoopSink, TraceSink, TrackId};
 
 use crate::power::Nrf52Power;
@@ -13,8 +13,7 @@ use crate::power::Nrf52Power;
 pub const RAM_SIZE: usize = 64 * 1024;
 /// Base address of the data RAM (matches the real chip's SRAM base).
 pub const RAM_BASE: u32 = 0x2000_0000;
-/// Size of the flash (512 kB) — modelled as extra constant-data RAM, since
-/// the kernels only read from it.
+/// Size of the flash (512 kB).
 pub const FLASH_SIZE: usize = 512 * 1024;
 /// Base address of the flash region.
 pub const FLASH_BASE: u32 = 0x0000_0000;
@@ -30,11 +29,95 @@ pub struct Nrf52Run {
     pub profile: ExecProfile,
 }
 
+/// The nRF52832's data memory map: the flash at [`FLASH_BASE`] and the RAM
+/// at [`RAM_BASE`] on one bus.
+///
+/// The flash is a [`Rom`] of borrowed image pieces: loads inside the flash
+/// but outside the pieces read 0, and every store into the flash faults.
+/// The RAM is owned and zeroed at creation. Any access that is not whole
+/// inside one of the two regions (the gap between them included) faults.
+///
+/// # Examples
+///
+/// ```
+/// use iw_nrf52::{Nrf52Memory, FLASH_BASE, RAM_BASE};
+/// use iw_rv32::{Bus, MemWidth};
+///
+/// let mut mem = Nrf52Memory::new(vec![(FLASH_BASE + 0x4000, &[1, 2, 3, 4][..])])?;
+/// assert_eq!(mem.load(FLASH_BASE + 0x4000, MemWidth::W)?, 0x0403_0201);
+/// assert_eq!(mem.load(FLASH_BASE + 0x4004, MemWidth::W)?, 0);
+/// assert!(mem.store(FLASH_BASE + 0x4000, MemWidth::W, 7).is_err());
+/// mem.store(RAM_BASE, MemWidth::W, 7)?;
+/// assert_eq!(mem.ram().read_bytes(RAM_BASE, 1), &[7]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct Nrf52Memory<'f> {
+    flash: Rom<'f>,
+    ram: Ram,
+}
+
+impl<'f> Nrf52Memory<'f> {
+    /// A memory map whose flash holds `image`, `(address, bytes)` pieces,
+    /// and whose RAM is zeroed.
+    ///
+    /// # Errors
+    ///
+    /// [`M4Error::Bus`] at the first piece that does not lie whole inside
+    /// the flash or that overlaps another (see [`Rom::new`]).
+    pub fn new(image: Vec<(u32, &'f [u8])>) -> Result<Nrf52Memory<'f>, M4Error> {
+        Ok(Nrf52Memory {
+            flash: Rom::new(FLASH_BASE, FLASH_SIZE, image)?,
+            ram: Ram::new(RAM_BASE, RAM_SIZE),
+        })
+    }
+
+    /// The RAM.
+    #[must_use]
+    pub fn ram(&self) -> &Ram {
+        &self.ram
+    }
+
+    /// Mutable RAM access (to stage data).
+    pub fn ram_mut(&mut self) -> &mut Ram {
+        &mut self.ram
+    }
+}
+
+impl Bus for Nrf52Memory<'_> {
+    #[inline]
+    fn load(&mut self, addr: u32, width: MemWidth) -> Result<u32, BusError> {
+        if addr >= RAM_BASE {
+            self.ram.load(addr, width)
+        } else {
+            self.flash.load(addr, width)
+        }
+    }
+
+    /// Stores reach the RAM only: the flash is read-only.
+    #[inline]
+    fn store(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), BusError> {
+        self.ram.store(addr, width, value)
+    }
+
+    /// Spans inside the RAM or inside one flash image piece, at the base
+    /// cost.
+    #[inline]
+    fn span(&self, addr: u32, len: u32, base: u32) -> Option<(&[u8], u32)> {
+        if addr >= RAM_BASE {
+            self.ram.span(addr, len, base)
+        } else {
+            self.flash.span(addr, len, base)
+        }
+    }
+}
+
 /// The Nordic nRF52832: a Cortex-M4F with 64 kB RAM and 512 kB flash.
 ///
-/// Data memory is a single address space covering both regions; the flash
-/// region is writable in the model (used to stage constant data) — the
-/// generated kernels never store to it.
+/// Its data memory is an [`Nrf52Memory`]: the flash holds a borrowed,
+/// read-only image (the kernels' constant data) and the RAM is fresh per
+/// SoC. Instructions do not go through the data bus: the core runs a
+/// pre-decoded or halfword-encoded program handed to it.
 ///
 /// # Examples
 ///
@@ -43,7 +126,7 @@ pub struct Nrf52Run {
 /// use iw_armv7m::{asm::ThumbAsm, LsWidth, R};
 ///
 /// let mut soc = Nrf52::new();
-/// soc.mem_mut().write_bytes(RAM_BASE, &7u32.to_le_bytes());
+/// soc.mem_mut().ram_mut().write_bytes(RAM_BASE, &7u32.to_le_bytes());
 /// let mut asm = ThumbAsm::new();
 /// asm.li(R::R0, RAM_BASE as i32);
 /// asm.ldr(LsWidth::W, R::R1, R::R0, 0);
@@ -52,38 +135,45 @@ pub struct Nrf52Run {
 /// asm.bkpt();
 /// let run = soc.run(&asm.finish()?, 1_000)?;
 /// assert!(run.energy_j > 0.0);
-/// assert_eq!(soc.mem().read_bytes(RAM_BASE + 4, 4), &14u32.to_le_bytes());
+/// assert_eq!(soc.mem().ram().read_bytes(RAM_BASE + 4, 4), &14u32.to_le_bytes());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct Nrf52 {
+pub struct Nrf52<'f> {
     cpu: CortexM4,
-    mem: Ram,
+    mem: Nrf52Memory<'f>,
     timing: CortexM4Timing,
     power: Nrf52Power,
 }
 
-impl Default for Nrf52 {
-    fn default() -> Nrf52 {
+impl Default for Nrf52<'static> {
+    fn default() -> Nrf52<'static> {
         Nrf52::new()
     }
 }
 
-impl Nrf52 {
-    /// Creates an nRF52832 with zeroed memory.
+impl Nrf52<'static> {
+    /// Creates an nRF52832 with an empty flash and zeroed RAM.
     #[must_use]
-    pub fn new() -> Nrf52 {
-        Nrf52 {
+    pub fn new() -> Nrf52<'static> {
+        Nrf52::with_flash(Vec::new()).expect("an empty image fits the flash")
+    }
+}
+
+impl<'f> Nrf52<'f> {
+    /// Creates an nRF52832 whose flash holds `image` (see
+    /// [`Nrf52Memory::new`]) and whose RAM is zeroed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Nrf52Memory::new`].
+    pub fn with_flash(image: Vec<(u32, &'f [u8])>) -> Result<Nrf52<'f>, M4Error> {
+        Ok(Nrf52 {
             cpu: CortexM4::new(),
-            // One flat region spanning flash..=RAM keeps the bus simple;
-            // the gap between the regions is still unmapped-by-size.
-            mem: Ram::new(
-                FLASH_BASE,
-                (RAM_BASE as usize - FLASH_BASE as usize) + RAM_SIZE,
-            ),
+            mem: Nrf52Memory::new(image)?,
             timing: CortexM4Timing::default(),
             power: Nrf52Power::default(),
-        }
+        })
     }
 
     /// The CPU (for register inspection after a run).
@@ -92,14 +182,14 @@ impl Nrf52 {
         &self.cpu
     }
 
-    /// The memory.
+    /// The memory map.
     #[must_use]
-    pub fn mem(&self) -> &Ram {
+    pub fn mem(&self) -> &Nrf52Memory<'f> {
         &self.mem
     }
 
-    /// Mutable memory access (to stage data).
-    pub fn mem_mut(&mut self) -> &mut Ram {
+    /// Mutable access to the memory map (to stage RAM data).
+    pub fn mem_mut(&mut self) -> &mut Nrf52Memory<'f> {
         &mut self.mem
     }
 
@@ -201,11 +291,111 @@ mod tests {
 
     #[test]
     fn memory_regions_reachable() {
-        let mut soc = Nrf52::new();
-        soc.mem_mut().write_bytes(FLASH_BASE + 0x100, &[9]);
-        soc.mem_mut().write_bytes(RAM_BASE + 0x10, &[8]);
-        assert_eq!(soc.mem().read_bytes(FLASH_BASE + 0x100, 1), &[9]);
-        assert_eq!(soc.mem().read_bytes(RAM_BASE + 0x10, 1), &[8]);
+        let mut soc = Nrf52::with_flash(vec![(FLASH_BASE + 0x100, &[9][..])]).unwrap();
+        soc.mem_mut().ram_mut().write_bytes(RAM_BASE + 0x10, &[8]);
+        assert_eq!(
+            soc.mem().span(FLASH_BASE + 0x100, 1, 0),
+            Some((&[9][..], 0))
+        );
+        assert_eq!(soc.mem().ram().read_bytes(RAM_BASE + 0x10, 1), &[8]);
+        assert_eq!(soc.mem_mut().load(FLASH_BASE + 0x100, MemWidth::Bu), Ok(9));
+        assert_eq!(soc.mem_mut().load(RAM_BASE + 0x10, MemWidth::Bu), Ok(8));
+    }
+
+    #[test]
+    fn the_gap_between_flash_and_ram_faults() {
+        let mut mem = Nrf52Memory::new(vec![(FLASH_BASE, &[1; 64][..])]).unwrap();
+        let flash_end = FLASH_BASE + FLASH_SIZE as u32;
+        for addr in [flash_end, 0x1fff_fffc, RAM_BASE + RAM_SIZE as u32] {
+            for width in [MemWidth::B, MemWidth::H, MemWidth::W] {
+                let load = BusError { addr, write: false };
+                let store = BusError { addr, write: true };
+                assert_eq!(mem.load(addr, width), Err(load), "{addr:#x}");
+                assert_eq!(mem.store(addr, width, 1), Err(store), "{addr:#x}");
+            }
+            assert_eq!(mem.span(addr, 4, 0), None, "{addr:#x}");
+        }
+        // Accesses that straddle the end of a region fault too.
+        assert!(mem.load(flash_end - 2, MemWidth::W).is_err());
+        assert!(mem
+            .load(RAM_BASE + RAM_SIZE as u32 - 2, MemWidth::W)
+            .is_err());
+        assert_eq!(mem.load(flash_end - 4, MemWidth::W), Ok(0));
+        assert_eq!(mem.load(RAM_BASE, MemWidth::W), Ok(0));
+    }
+
+    #[test]
+    fn stores_into_flash_fault() {
+        let image = [0xaa; 16];
+        let mut mem = Nrf52Memory::new(vec![(FLASH_BASE + 0x4000, &image[..])]).unwrap();
+        for addr in [FLASH_BASE, FLASH_BASE + 0x4000, FLASH_BASE + 0x4010] {
+            let fault = BusError { addr, write: true };
+            assert_eq!(mem.store(addr, MemWidth::W, 0), Err(fault), "{addr:#x}");
+            assert_eq!(mem.store(addr, MemWidth::B, 0), Err(fault), "{addr:#x}");
+        }
+        assert_eq!(mem.load(FLASH_BASE + 0x4000, MemWidth::W), Ok(0xaaaa_aaaa));
+
+        // So does a program's store.
+        let mut soc = Nrf52::with_flash(vec![(FLASH_BASE + 0x4000, &image[..])]).unwrap();
+        let mut asm = ThumbAsm::new();
+        asm.li(R::R0, (FLASH_BASE + 0x4000) as i32);
+        asm.str(iw_armv7m::LsWidth::W, R::R1, R::R0, 0);
+        asm.bkpt();
+        let err = soc.run(&asm.finish().unwrap(), 1_000).unwrap_err();
+        assert_eq!(
+            err,
+            M4Error::Bus(BusError {
+                addr: FLASH_BASE + 0x4000,
+                write: true
+            })
+        );
+    }
+
+    #[test]
+    fn flash_outside_the_image_reads_zero() {
+        let image = [1, 2, 3, 4, 5, 6];
+        let mut mem = Nrf52Memory::new(vec![(FLASH_BASE + 0x100, &image[..])]).unwrap();
+        assert_eq!(mem.load(FLASH_BASE + 0x100, MemWidth::W), Ok(0x0403_0201));
+        assert_eq!(mem.load(FLASH_BASE + 0x104, MemWidth::Hu), Ok(0x0605));
+        // Past the image, before it, and across either of its ends.
+        assert_eq!(mem.load(FLASH_BASE + 0x108, MemWidth::W), Ok(0));
+        assert_eq!(mem.load(FLASH_BASE + 0x7_fffc, MemWidth::W), Ok(0));
+        assert_eq!(mem.load(FLASH_BASE, MemWidth::W), Ok(0));
+        assert_eq!(mem.load(FLASH_BASE + 0x104, MemWidth::W), Ok(0x0605));
+        assert_eq!(mem.load(FLASH_BASE + 0xfe, MemWidth::W), Ok(0x0201_0000));
+    }
+
+    #[test]
+    fn spans_stay_inside_the_image_or_the_ram() {
+        let image: Vec<u8> = (0..16).collect();
+        let mem = Nrf52Memory::new(vec![(FLASH_BASE + 0x100, &image[..])]).unwrap();
+        let end = FLASH_BASE + 0x110;
+        assert_eq!(mem.span(FLASH_BASE + 0x100, 16, 2), Some((&image[..], 2)));
+        assert_eq!(mem.span(end - 4, 4, 1), Some((&image[12..], 1)));
+        // Across the image's end or start, and past it, inside the flash.
+        assert_eq!(mem.span(end - 4, 8, 1), None);
+        assert_eq!(mem.span(FLASH_BASE + 0xfc, 8, 1), None);
+        assert_eq!(mem.span(end, 4, 1), None);
+        // Inside the RAM, and across its end.
+        assert_eq!(mem.span(RAM_BASE, 8, 1), Some((&[0; 8][..], 1)));
+        assert_eq!(mem.span(RAM_BASE + RAM_SIZE as u32 - 4, 8, 1), None);
+    }
+
+    #[test]
+    fn an_image_must_fit_the_flash() {
+        let image = [0; 16];
+        let flash_end = FLASH_BASE + FLASH_SIZE as u32;
+        assert!(Nrf52Memory::new(vec![(flash_end - 16, &image[..])]).is_ok());
+        for at in [flash_end - 8, flash_end, RAM_BASE] {
+            let err = Nrf52::with_flash(vec![(at, &image[..])]).unwrap_err();
+            assert_eq!(
+                err,
+                M4Error::Bus(BusError {
+                    addr: at,
+                    write: true
+                })
+            );
+        }
     }
 
     #[test]
@@ -229,8 +419,8 @@ mod tests {
         assert_eq!(run_a, run_b);
         assert_eq!(soc_a.cpu().reg(R::R2), soc_b.cpu().reg(R::R2));
         assert_eq!(
-            soc_a.mem().read_bytes(RAM_BASE, 4),
-            soc_b.mem().read_bytes(RAM_BASE, 4)
+            soc_a.mem().ram().read_bytes(RAM_BASE, 4),
+            soc_b.mem().ram().read_bytes(RAM_BASE, 4)
         );
 
         let fused = iw_armv7m::BlockProgram::compile(&program);
@@ -248,8 +438,8 @@ mod tests {
         assert_eq!(run_a, run_c);
         assert_eq!(soc_a.cpu().reg(R::R2), soc_c.cpu().reg(R::R2));
         assert_eq!(
-            soc_a.mem().read_bytes(RAM_BASE, 4),
-            soc_c.mem().read_bytes(RAM_BASE, 4)
+            soc_a.mem().ram().read_bytes(RAM_BASE, 4),
+            soc_c.mem().ram().read_bytes(RAM_BASE, 4)
         );
         assert_eq!(stats.instructions, run_c.result.instructions);
     }

@@ -260,6 +260,133 @@ impl Bus for Ram {
     }
 }
 
+/// A read-only region of `size` bytes at `base` whose content is a set
+/// of borrowed, non-overlapping pieces, and 0 elsewhere: a flash image,
+/// say, or the bytes an L2 starts with. Loads read it; stores fault.
+///
+/// # Examples
+///
+/// ```
+/// use iw_rv32::{Bus, MemWidth, Rom};
+/// let program = [1, 2, 3, 4];
+/// let mut rom = Rom::new(0x1000, 64, vec![(0x1010, &program[..])])?;
+/// assert_eq!(rom.load(0x1010, MemWidth::W)?, 0x0403_0201);
+/// assert_eq!(rom.load(0x1014, MemWidth::W)?, 0);
+/// assert!(rom.store(0x1010, MemWidth::W, 0).is_err());
+/// assert!(rom.load(0x1040, MemWidth::B).is_err());
+/// # Ok::<(), iw_rv32::BusError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Rom<'a> {
+    base: u32,
+    size: usize,
+    /// In address order.
+    pieces: Vec<(u32, &'a [u8])>,
+}
+
+impl<'a> Rom<'a> {
+    /// A region of `size` bytes at `base` that holds `pieces`, each
+    /// `(address, bytes)`, and 0 elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// A [`BusError`] store at the first piece, in address order, that
+    /// does not lie whole inside the region or that overlaps the one
+    /// before it.
+    pub fn new(
+        base: u32,
+        size: usize,
+        mut pieces: Vec<(u32, &'a [u8])>,
+    ) -> Result<Rom<'a>, BusError> {
+        pieces.sort_by_key(|&(addr, _)| addr);
+        let end = u64::from(base) + size as u64;
+        let mut free = u64::from(base);
+        for &(addr, bytes) in &pieces {
+            let piece_end = u64::from(addr) + bytes.len() as u64;
+            if u64::from(addr) < free || piece_end > end {
+                return Err(BusError { addr, write: true });
+            }
+            free = piece_end;
+        }
+        Ok(Rom { base, size, pieces })
+    }
+
+    /// The region's content copied into a RAM of the same place and size.
+    #[must_use]
+    pub fn to_ram(&self) -> Ram {
+        let mut ram = Ram::new(self.base, self.size);
+        for &(addr, bytes) in &self.pieces {
+            ram.write_bytes(addr, bytes);
+        }
+        ram
+    }
+
+    /// The bytes from `addr` to the end of the piece that holds it: the
+    /// last piece, in address order, that starts at or below `addr`
+    /// (empty at its very end, `None` past it).
+    #[inline(always)]
+    #[must_use]
+    pub fn piece_from(&self, addr: u32) -> Option<&'a [u8]> {
+        for &(at, bytes) in self.pieces.iter().rev() {
+            if let Some(off) = addr.checked_sub(at) {
+                return bytes.get(off as usize..);
+            }
+        }
+        None
+    }
+
+    /// A load of `len` bytes at `addr` assembled byte by byte: each from
+    /// the piece that holds it, else 0; a fault unless the region holds
+    /// the whole access. Off the hot path: kernels load inside pieces.
+    #[cold]
+    #[inline(never)]
+    fn load_bytewise(&self, addr: u32, len: u32) -> Result<u32, BusError> {
+        let fault = BusError { addr, write: false };
+        let off = addr.checked_sub(self.base).ok_or(fault)? as usize;
+        if off + len as usize > self.size {
+            return Err(fault);
+        }
+        let mut word = [0u8; 4];
+        for (i, byte) in word.iter_mut().take(len as usize).enumerate() {
+            if let Some(&b) = self.piece_from(addr + i as u32).and_then(<[u8]>::first) {
+                *byte = b;
+            }
+        }
+        Ok(u32::from_le_bytes(word))
+    }
+}
+
+impl Bus for Rom<'_> {
+    /// Always inlined, with the byte-by-byte fallback kept out of line: a
+    /// cluster's bus loads its weights through it one access at a time.
+    #[inline(always)]
+    fn load(&mut self, addr: u32, width: MemWidth) -> Result<u32, BusError> {
+        let bytes = self.piece_from(addr).unwrap_or_default();
+        let value = match width {
+            MemWidth::B | MemWidth::Bu => bytes.first().map(|&b| u32::from(b)),
+            MemWidth::H | MemWidth::Hu => bytes
+                .first_chunk()
+                .map(|&h| u32::from(u16::from_le_bytes(h))),
+            MemWidth::W => bytes.first_chunk().map(|&w| u32::from_le_bytes(w)),
+        };
+        match value {
+            Some(value) => Ok(value),
+            None => self.load_bytewise(addr, width.bytes()),
+        }
+    }
+
+    /// Every store faults: the region is read-only.
+    fn store(&mut self, addr: u32, _: MemWidth, _: u32) -> Result<(), BusError> {
+        Err(BusError { addr, write: true })
+    }
+
+    /// Spans inside one piece, at the base cost.
+    #[inline]
+    fn span(&self, addr: u32, len: u32, base: u32) -> Option<(&[u8], u32)> {
+        Some((self.piece_from(addr)?.get(..len as usize)?, base))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,5 +448,57 @@ mod tests {
         let mut ram = Ram::new(0x10, 8);
         ram.write_bytes(0x12, &[1, 2, 3]);
         assert_eq!(ram.read_bytes(0x12, 3), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn rom_reads_its_pieces_and_zero_between_them() {
+        let (low, high) = ([1u8, 2, 3, 4, 5, 6], [9u8, 10, 11, 12]);
+        let pieces = vec![(0x120, &high[..]), (0x100, &low[..])];
+        let mut rom = Rom::new(0x100, 0x40, pieces).unwrap();
+        let ram = rom.to_ram();
+        // Each load reads what the copy holds: inside a piece, across a
+        // piece's end, between pieces and at the region's end.
+        for addr in [0x100, 0x102, 0x104, 0x106, 0x11e, 0x120, 0x122, 0x13c] {
+            for width in [MemWidth::Bu, MemWidth::Hu, MemWidth::W] {
+                let copy = ram.clone().load(addr, width);
+                assert_eq!(rom.load(addr, width), copy, "{addr:#x} {width:?}");
+            }
+        }
+        assert_eq!(rom.load(0x104, MemWidth::W), Ok(0x0605));
+        assert_eq!(rom.load(0x11e, MemWidth::W), Ok(0x0a09_0000));
+        for addr in [0xfc, 0x13e, 0x140] {
+            assert!(rom.load(addr, MemWidth::W).is_err(), "{addr:#x}");
+        }
+        for addr in [0x100, 0x110, 0x140] {
+            let fault = BusError { addr, write: true };
+            assert_eq!(rom.store(addr, MemWidth::B, 0), Err(fault));
+        }
+    }
+
+    #[test]
+    fn rom_lends_only_inside_one_piece() {
+        let bytes: Vec<u8> = (0..16).collect();
+        let rom = Rom::new(0x100, 0x100, vec![(0x140, &bytes[..])]).unwrap();
+        assert_eq!(rom.span(0x140, 16, 3), Some((&bytes[..], 3)));
+        assert_eq!(rom.span(0x14c, 4, 3), Some((&bytes[12..], 3)));
+        assert_eq!(rom.span(0x150, 0, 3), Some((&[][..], 3)));
+        assert_eq!(rom.span(0x14c, 8, 3), None);
+        assert_eq!(rom.span(0x13c, 8, 3), None);
+        assert_eq!(rom.span(0x100, 4, 3), None);
+        assert_eq!(rom.piece_from(0x144), Some(&bytes[4..]));
+        assert_eq!(rom.piece_from(0x100), None);
+    }
+
+    #[test]
+    fn rom_pieces_must_fit_and_not_overlap() {
+        let bytes = [0u8; 8];
+        let at = |addr| Rom::new(0x100, 0x40, vec![(addr, &bytes[..])]).err();
+        let fault = |addr| Some(BusError { addr, write: true });
+        assert_eq!(at(0x138), None);
+        assert_eq!(at(0x13c), fault(0x13c));
+        assert_eq!(at(0xfc), fault(0xfc));
+        let pieces = |a, b| Rom::new(0x100, 0x40, vec![(a, &bytes[..]), (b, &bytes[..])]).err();
+        assert_eq!(pieces(0x104, 0x100), fault(0x104));
+        assert_eq!(pieces(0x108, 0x100), None);
     }
 }

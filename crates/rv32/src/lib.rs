@@ -72,7 +72,7 @@ mod profile;
 mod timing;
 
 pub use block::{dot_row, DotBody, Op, Program, ProgramStats};
-pub use bus::{Bus, BusError, Ram};
+pub use bus::{Bus, BusError, Ram, Rom};
 pub use cpu::{Cpu, CpuError, HwLoop, MemAccess, RunResult, Step};
 pub use decode::{decode, DecodeError};
 pub use encode::{encode, EncodeError};
