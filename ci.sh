@@ -135,11 +135,13 @@ cargo run --release -q -p iw-bench --bin fleet -- --devices 64 --faults harsh --
 # must be bit-identical to the in-process single-thread reference
 # (--check exits non-zero otherwise). The exposition itself is pinned
 # byte-for-byte by bench/tests/golden_metrics.rs; here we just require
-# that the export is present and carries histogram buckets.
+# that the export is present and carries histogram buckets. The export
+# goes to a fresh temporary file, removed on exit however the script ends.
+metrics=$(mktemp --suffix=.prom)
+trap 'rm -f "$metrics"' EXIT
 cargo run --release -q -p iw-bench --bin fleet -- \
-  --devices 4096 --workers 2 --metrics /tmp/iw_fleet_metrics.prom --check >/dev/null
-grep -q "fleet_device_uptime_ppm_bucket" /tmp/iw_fleet_metrics.prom
-rm -f /tmp/iw_fleet_metrics.prom
+  --devices 4096 --workers 2 --metrics "$metrics" --check >/dev/null
+grep -q "fleet_device_uptime_ppm_bucket" "$metrics"
 
 # Smoke: the Pareto policy search on a tiny grid — 5 candidates × 64
 # devices on the harsh stress cell. --check re-runs the sweep under a

@@ -64,7 +64,6 @@ pub fn trace_target(net_key: &str, target_id: &str) -> Result<TraceArtifacts, St
         detection_costs(&DetectionBudget::paper()),
     );
     day.battery.set_soc(0.5);
-    day.detection_spans = false;
     let report = day.run();
     record_harvest(&report.sim, &mut rec);
 

@@ -201,21 +201,37 @@ impl Ram {
     ///
     /// # Panics
     ///
-    /// Panics if the range falls outside the region.
+    /// Panics, naming the address, the length and the region, if the
+    /// range falls outside the region.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        let off = (addr - self.base) as usize;
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        let range = self.offsets(addr, bytes.len());
+        self.data[range].copy_from_slice(bytes);
     }
 
     /// Reads `len` bytes starting at absolute address `addr`.
     ///
     /// # Panics
     ///
-    /// Panics if the range falls outside the region.
+    /// Panics, naming the address, the length and the region, if the
+    /// range falls outside the region.
     #[must_use]
     pub fn read_bytes(&self, addr: u32, len: usize) -> &[u8] {
-        let off = (addr - self.base) as usize;
-        &self.data[off..off + len]
+        &self.data[self.offsets(addr, len)]
+    }
+
+    /// The offsets of the `len` bytes at `addr` into the region, checked
+    /// in every build profile.
+    fn offsets(&self, addr: u32, len: usize) -> std::ops::Range<usize> {
+        addr.checked_sub(self.base)
+            .and_then(|off| Some(off as usize..(off as usize).checked_add(len)?))
+            .filter(|range| range.end <= self.data.len())
+            .unwrap_or_else(|| {
+                panic!(
+                    "{len} bytes at {addr:#x} fall outside the RAM at {:#x}..{:#x}",
+                    self.base,
+                    u64::from(self.base) + self.data.len() as u64
+                )
+            })
     }
 }
 
@@ -448,6 +464,28 @@ mod tests {
         let mut ram = Ram::new(0x10, 8);
         ram.write_bytes(0x12, &[1, 2, 3]);
         assert_eq!(ram.read_bytes(0x12, 3), &[1, 2, 3]);
+        // Ending exactly at the end, and empty at the end.
+        ram.write_bytes(0x15, &[4, 5, 6]);
+        assert_eq!(ram.read_bytes(0x12, 6), &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(ram.read_bytes(0x18, 0), &[] as &[u8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 bytes at 0xe fall outside the RAM at 0x10..0x18")]
+    fn write_bytes_below_the_base_panics() {
+        Ram::new(0x10, 8).write_bytes(0xe, &[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "4 bytes at 0x16 fall outside the RAM at 0x10..0x18")]
+    fn read_bytes_past_the_end_panics() {
+        let _ = Ram::new(0x10, 8).read_bytes(0x16, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "fall outside the RAM at 0xfffffff0..0x100000000")]
+    fn read_bytes_past_the_address_space_panics() {
+        let _ = Ram::new(0xffff_fff0, 16).read_bytes(0xffff_fff8, usize::MAX);
     }
 
     #[test]

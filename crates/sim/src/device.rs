@@ -1,37 +1,40 @@
 //! The whole-device simulation: the InfiniWolf bracelet assembled from
-//! event-engine components.
+//! its parts.
 //!
-//! Component wiring. The bracelet holds the components as fields and
-//! routes each event with one `match` in `Bracelet::handle`: a component
-//! receives only the events on its rows; arrows show what it does and
-//! schedules in response. Rows run top to bottom, which is the order the
-//! components start in and the order two handlers of one event run in:
+//! Part wiring. The bracelet holds its parts as fields, plain state with
+//! one method per event they react to, and routes each event with one
+//! `match` in `Bracelet::handle`: a part sees only the events on its rows;
+//! arrows name the method and what it does and schedules. Rows run top to
+//! bottom, which is the order the parts start in and the order two
+//! methods of one event run in:
 //!
 //! ```text
-//! FaultComponent    ── every event but Sample ─▶ fault windows, gauge noise,
-//!                                                brownout poll + recovery
-//! EnvComponent      ── EnvSegment{i} ──▶ sets solar/TEG intake, End at t_end
-//! PolicyComponent   ── PolicyTick ─────▶ AcquireStart + next PolicyTick
-//! SensorComponent   ── AcquireStart ───▶ AFE load on, AcquireEnd at +3 s
-//!                   ── AcquireEnd ─────▶ AFE load off, ComputeStart
-//!                   ── FaultStart ─────▶ taints open windows (after faults)
-//! ComputeComponent  ── ComputeStart ───▶ cluster load on, ComputeEnd at +T
-//!                   ── ComputeEnd ─────▶ one detection retired
-//! RadioComponent    ── ComputeEnd ─────▶ result-notification impulse
-//!                   ── BleSyncStart ───▶ radio load on, BleSyncEnd at +burst
-//!                   ── BleSyncEnd ─────▶ sync outcome, retry or next burst
-//! BleScanComponent  ── ContactStart ───▶ scan load on, ContactEnd at +scan
-//!                   ── ContactEnd ─────▶ contact observed or missed
-//! SamplerComponent  ── Sample ─────────▶ TracePoint + harvest counters
+//! Faults   ── FaultStart/End{i} ──▶ window_start/end: signal flag, derates
+//!          ── GaugeTick ──────────▶ gauge: fuel-gauge noise, next tick
+//!          ── BrownoutRecover ────▶ recover: resume if still charged
+//!          ── every event but Sample ─▶ poll_brownout, after the above
+//! Env      ── EnvSegment{i} ──▶ segment: solar/TEG intake, next segment
+//! Policy   ── PolicyTick ─────▶ tick: AcquireStart + next PolicyTick
+//! Sensor   ── AcquireStart ───▶ open: AFE load on, AcquireEnd at +3 s
+//!          ── AcquireEnd ─────▶ close: AFE load off, ComputeStart
+//!          ── FaultStart ─────▶ taint: open windows corrupt (after faults)
+//! Compute  ── ComputeStart ───▶ dispatch: cluster load on, ComputeEnd at +T
+//!          ── ComputeEnd ─────▶ retire: one detection retired
+//! Radio    ── ComputeEnd ─────▶ retired: result-notification impulse
+//!          ── BleSyncStart ───▶ sync_start: radio load on, BleSyncEnd
+//!          ── BleSyncEnd ─────▶ sync_end: sync outcome, retry or next burst
+//! Scanner  ── ContactStart{i} ▶ contact_start: scan load on, ContactEnd
+//!          ── ContactEnd{i} ──▶ contact_end: contact observed or missed
+//! Sampler  ── Sample ─────────▶ sample: TracePoint + harvest counters
 //! ```
 //!
 //! The radio, scanner and sampler are present only when configured (BLE
 //! notifications or sync, a contact plan, trace points).
 //!
 //! Acquisition windows (and compute jobs) may overlap when the policy
-//! rate exceeds `1 / window`; each component tracks its multiplicity and
-//! sets its load slot to `count × unit_power`, so the integrated energy
-//! is exactly `completed_detections × per-detection energy` — the same
+//! rate exceeds `1 / window`; each part tracks its multiplicity and sets
+//! its load slot to `count × unit_power`, so the integrated energy is
+//! exactly `completed_detections × per-detection energy` — the same
 //! arithmetic as the paper's steady-state analysis.
 
 use iw_fault::{
@@ -43,8 +46,8 @@ use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, Engine, Event, LoadSlot, SimCtx};
-use crate::faults::{finalize_reliability, FaultComponent, BLE_STREAM};
+use crate::engine::{secs_to_us, Component, DeviceState, Engine, Event, LoadSlot, SimCtx};
+use crate::faults::{finalize_reliability, Faults, BLE_STREAM};
 use iw_policy::{PolicySpec, TargetRule};
 
 /// One compute job dispatched per detection: duration and energy, as
@@ -209,9 +212,6 @@ pub struct DeviceConfig {
     pub contacts: ContactPlan,
     /// Target number of trace samples over the run (0 = no trace).
     pub trace_points: usize,
-    /// Emit a span per acquisition window / compute job when tracing
-    /// (disable for day-scale traces where only the counters matter).
-    pub detection_spans: bool,
 }
 
 /// Battery-side sleep floor from the shared power constants: both SoCs
@@ -240,7 +240,6 @@ impl DeviceConfig {
             faults: FaultPlan::none(),
             contacts: ContactPlan::default(),
             trace_points: 500,
-            detection_spans: true,
         }
     }
 
@@ -250,13 +249,12 @@ impl DeviceConfig {
         self.run_traced(&mut iw_trace::NoopSink)
     }
 
-    /// Runs the device with every component emitting into `sink`:
-    /// `soc_pct` / `solar_mw` / `teg_mw` / `load_mw` counters on a
-    /// `harvest` track (1 s ticks) and, when [`Self::detection_spans`] is
-    /// set, `acquire` / `compute` / `ble-sync` spans plus `notify`
-    /// instants on a `device` track (1 µs ticks).
+    /// Runs the device with every part emitting into `sink`: `soc_pct` /
+    /// `solar_mw` / `teg_mw` / `load_mw` counters on a `harvest` track
+    /// (1 s ticks) and `acquire` / `compute` / `ble-sync` spans plus
+    /// `notify` instants on a `device` track (1 µs ticks).
     pub fn run_traced<S: TraceSink>(&self, sink: &mut S) -> DeviceReport {
-        self.run_bracelet(sink, &mut Bracelet::new(self))
+        self.run_bracelet(sink, |_| {})
     }
 
     /// [`DeviceConfig::run_traced`] with the sensor keeping every open
@@ -264,15 +262,23 @@ impl DeviceConfig {
     /// of its three counters.
     #[cfg(test)]
     fn run_reference<S: TraceSink>(&self, sink: &mut S) -> DeviceReport {
-        let mut bracelet = Bracelet::new(self);
-        bracelet.sensor.reference = Some(std::collections::VecDeque::new());
-        self.run_bracelet(sink, &mut bracelet)
+        self.run_bracelet(sink, |bracelet| {
+            bracelet.sensor.reference = Some(std::collections::VecDeque::new());
+        })
     }
 
-    fn run_bracelet<S: TraceSink>(&self, sink: &mut S, bracelet: &mut Bracelet) -> DeviceReport {
+    /// Builds the bracelet on a fresh engine, lets `prepare` adjust it,
+    /// runs it and reports.
+    fn run_bracelet<S: TraceSink>(
+        &self,
+        sink: &mut S,
+        prepare: impl FnOnce(&mut Bracelet),
+    ) -> DeviceReport {
         let mut engine = Engine::new(self.battery);
         engine.state.base_load_w = self.sleep_floor_w;
-        let events = engine.run(sink, bracelet);
+        let mut bracelet = Bracelet::new(self, &mut engine.state);
+        prepare(&mut bracelet);
+        let events = engine.run(sink, &mut bracelet);
         let end_us = engine.now_us();
         let queue_high_water = engine.queue_high_water();
         let mut state = engine.state;
@@ -311,24 +317,34 @@ impl DeviceConfig {
 }
 
 /// The bracelet: the device [`Engine::run`] drives, built from its parts
-/// as fields, so every handler call is static and the whole event loop
-/// is one monomorphized function.
+/// as fields. Only its `start` and `handle` call the parts' methods, so
+/// every call is static and the whole event loop is one monomorphized
+/// function.
 struct Bracelet {
-    fault: FaultComponent,
-    env: EnvComponent,
-    policy: PolicyComponent,
-    sensor: SensorComponent,
-    compute: ComputeComponent,
-    radio: Option<RadioComponent>,
-    scan: Option<BleScanComponent>,
-    sampler: Option<SamplerComponent>,
+    fault: Faults,
+    env: Env,
+    policy: Policy,
+    sensor: Sensor,
+    compute: Compute,
+    radio: Option<Radio>,
+    scan: Option<Scanner>,
+    sampler: Option<Sampler>,
 }
 
 impl Bracelet {
-    fn new(cfg: &DeviceConfig) -> Bracelet {
+    /// The parts of the device `cfg` describes. The sensor, compute,
+    /// radio and scanner register their load slots on `state` here, in
+    /// that order; an absent part's slot stays unregistered and draws
+    /// `-0.0`, the identity of the load sum.
+    fn new(cfg: &DeviceConfig, state: &mut DeviceState) -> Bracelet {
+        let sensor = Sensor::new(
+            cfg.costs.acquisition_j,
+            cfg.costs.acquisition_s,
+            state.register_load(),
+        );
         let compute = match (cfg.target_jobs, cfg.policy.targets) {
-            (Some(jobs), Some(rule)) => ComputeComponent::adaptive(jobs, rule, cfg.detection_spans),
-            _ => ComputeComponent::new(cfg.costs.compute, cfg.detection_spans),
+            (Some(jobs), Some(rule)) => Compute::adaptive(jobs, rule, state.register_load()),
+            _ => Compute::new(cfg.costs.compute, state.register_load()),
         };
         // A duty-cycled policy always gets a radio: notifications are
         // batched into the periodic sync burst even when `sync` is unset
@@ -339,121 +355,176 @@ impl Bracelet {
             (Some(interval_s), None) => Some(BleSync::nrf52(&BleRadio::default(), interval_s, 32)),
             (None, sync) => sync,
         };
-        let radio = (cfg.notify_j > 0.0 || sync.is_some()).then(|| {
-            RadioComponent::new(
-                cfg.notify_j,
-                sync,
-                cfg.detection_spans,
-                batch_interval_s.is_some(),
-                &cfg.faults,
-                cfg.policy.backoff.map(|b| b.sync_stretch),
-            )
+        let radio = (cfg.notify_j > 0.0 || sync.is_some()).then(|| Radio {
+            notify_j: cfg.notify_j,
+            sync,
+            batch: batch_interval_s.is_some(),
+            loss_prob: cfg.faults.ble_loss_prob,
+            max_retries: cfg.faults.ble_max_retries,
+            backoff_us: secs_to_us(cfg.faults.ble_backoff_s).max(1),
+            rng: SplitMix64::new(mix(cfg.faults.seed, BLE_STREAM)),
+            attempt: 0,
+            pending: 0,
+            sync_stretch: cfg.policy.backoff.map(|b| b.sync_stretch),
+            load: state.register_load(),
+            burst_started_us: 0,
         });
+        let scan = (!cfg.contacts.is_empty()).then(|| Scanner {
+            plan: cfg.contacts.clone(),
+            scan_power_w: iw_power::nrf52::scan_power_w(),
+            load: state.register_load(),
+            active: 0,
+        });
+        let duration_us = secs_to_us(cfg.env.duration_s());
         Bracelet {
-            fault: FaultComponent::new(cfg.faults.clone(), cfg.sleep_floor_w, cfg.detection_spans),
-            env: EnvComponent::new(&cfg.env, &cfg.solar, &cfg.teg),
-            policy: PolicyComponent::new(cfg.policy),
-            sensor: SensorComponent::new(
-                cfg.costs.acquisition_j,
-                cfg.costs.acquisition_s,
-                cfg.detection_spans,
+            fault: Faults::new(
+                cfg.faults.clone(),
+                cfg.sleep_floor_w,
+                cfg.battery.capacity_j(),
             ),
+            env: Env::new(&cfg.env, &cfg.solar, &cfg.teg),
+            policy: Policy::new(cfg.policy),
+            sensor,
             compute,
             radio,
-            scan: (!cfg.contacts.is_empty())
-                .then(|| BleScanComponent::new(cfg.contacts.clone(), cfg.detection_spans)),
-            sampler: (cfg.trace_points > 0)
-                .then(|| SamplerComponent::new(secs_to_us(cfg.env.duration_s()), cfg.trace_points)),
+            scan,
+            sampler: (cfg.trace_points > 0).then(|| Sampler {
+                interval_us: (duration_us / cfg.trace_points as u64).max(1),
+            }),
         }
     }
 }
 
 impl<S: TraceSink> Component<S> for Bracelet {
+    /// Schedules the parts' first events in wiring order: fault, env,
+    /// policy, radio, scanner, sampler (the sensor and compute wait for
+    /// work). The order fixes the events' sequence numbers.
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.fault.start(ctx);
         self.env.start(ctx);
-        self.policy.start(ctx);
-        self.sensor.start(ctx);
-        self.compute.start(ctx);
-        if let Some(radio) = &mut self.radio {
+        ctx.schedule_at(0, Event::PolicyTick);
+        if let Some(radio) = &self.radio {
             radio.start(ctx);
         }
-        if let Some(scan) = &mut self.scan {
+        if let Some(scan) = &self.scan {
             scan.start(ctx);
         }
-        if let Some(sampler) = &mut self.sampler {
-            sampler.start(ctx);
+        if self.sampler.is_some() {
+            ctx.schedule_at(0, Event::Sample);
         }
     }
 
-    // This and every part's `handle` are `#[inline]`, so LLVM can fold
-    // the handlers into the engine loop rather than call each one out of
+    // This and every part's event methods are `#[inline]`, so LLVM can
+    // fold them into the engine loop rather than call each one out of
     // line (EXPERIMENTS.md, "One monomorphized device loop").
+    //
+    // The fault part goes first: its own event's method, then its
+    // brownout poll, so state flips (brownout, signal corruption, harvest
+    // derates) land before any same-timestamp policy or sensor reads,
+    // which keeps runs order-deterministic. It sees every event but
+    // `Sample`: trace sampling is pure observation, and a `Sample` exists
+    // only when a sampler is attached, so polling the brownout machine on
+    // it would let the act of tracing shift detection timestamps.
     #[inline]
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        // The fault component goes first: state flips (brownout, signal
-        // corruption, harvest derates) land before any same-timestamp
-        // policy or sensor reads, which keeps runs order-deterministic.
-        // It sees every event but `Sample`: trace sampling is pure
-        // observation, and a `Sample` exists only when a sampler is
-        // attached, so polling the brownout machine on it would let the
-        // act of tracing shift detection timestamps.
-        if ev != Event::Sample {
-            self.fault.handle(ev, ctx);
-        }
+        let fault = &mut self.fault;
         match ev {
-            Event::EnvSegment { .. } => self.env.handle(ev, ctx),
-            Event::PolicyTick => self.policy.handle(ev, ctx),
-            Event::AcquireStart | Event::AcquireEnd | Event::FaultStart { .. } => {
-                self.sensor.handle(ev, ctx);
+            Event::FaultStart { index } => {
+                fault.window_start(index, ctx);
+                fault.poll_brownout(ctx);
+                self.sensor.taint(ctx);
             }
-            Event::ComputeStart => self.compute.handle(ev, ctx),
-            Event::ComputeEnd { .. } => {
+            Event::FaultEnd { index } => {
+                fault.window_end(index, ctx);
+                fault.poll_brownout(ctx);
+            }
+            Event::GaugeTick => {
+                fault.gauge(ctx);
+                fault.poll_brownout(ctx);
+            }
+            Event::BrownoutRecover => {
+                fault.recover(ctx);
+                fault.poll_brownout(ctx);
+            }
+            Event::EnvSegment { index } => {
+                fault.poll_brownout(ctx);
+                self.env.segment(index, ctx);
+            }
+            Event::PolicyTick => {
+                fault.poll_brownout(ctx);
+                self.policy.tick(ctx);
+            }
+            Event::AcquireStart => {
+                fault.poll_brownout(ctx);
+                self.sensor.open(ctx);
+            }
+            Event::AcquireEnd => {
+                fault.poll_brownout(ctx);
+                self.sensor.close(ctx);
+            }
+            Event::ComputeStart => {
+                fault.poll_brownout(ctx);
+                self.compute.dispatch(ctx);
+            }
+            Event::ComputeEnd { job } => {
+                fault.poll_brownout(ctx);
                 // The detection retires before the radio reports it.
-                self.compute.handle(ev, ctx);
+                self.compute.retire(job, ctx);
                 if let Some(radio) = &mut self.radio {
-                    radio.handle(ev, ctx);
+                    radio.retired(ctx);
                 }
             }
-            Event::BleSyncStart | Event::BleSyncEnd => {
+            Event::BleSyncStart => {
+                fault.poll_brownout(ctx);
                 if let Some(radio) = &mut self.radio {
-                    radio.handle(ev, ctx);
+                    radio.sync_start(ctx);
                 }
             }
-            Event::ContactStart { .. } | Event::ContactEnd { .. } => {
+            Event::BleSyncEnd => {
+                fault.poll_brownout(ctx);
+                if let Some(radio) = &mut self.radio {
+                    radio.sync_end(ctx);
+                }
+            }
+            Event::ContactStart { index } => {
+                fault.poll_brownout(ctx);
                 if let Some(scan) = &mut self.scan {
-                    scan.handle(ev, ctx);
+                    scan.contact_start(index, ctx);
+                }
+            }
+            Event::ContactEnd { index } => {
+                fault.poll_brownout(ctx);
+                if let Some(scan) = &mut self.scan {
+                    scan.contact_end(index, ctx);
                 }
             }
             Event::Sample => {
-                if let Some(sampler) = &mut self.sampler {
-                    sampler.handle(ev, ctx);
+                if let Some(sampler) = &self.sampler {
+                    sampler.sample(ctx);
                 }
             }
-            // The fault component's own kinds; `End` never reaches a
-            // device (the engine stops at it).
-            Event::FaultEnd { .. } | Event::GaugeTick | Event::BrownoutRecover | Event::End => {}
+            // `End` never reaches a device: the engine stops at it.
+            Event::End => {}
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Components
+// Parts
 // ---------------------------------------------------------------------------
 
 /// Plays an [`EnvProfile`] back: at each segment boundary it sets the
 /// battery-side intake of both harvesting chains, and it schedules
 /// [`Event::End`] at the profile's end.
-pub struct EnvComponent {
+struct Env {
     /// `(start_us, solar_w, teg_w)` per segment.
     segments: Vec<(u64, f64, f64)>,
     end_us: u64,
 }
 
-impl EnvComponent {
+impl Env {
     /// Precomputes the per-segment battery-side intakes.
-    #[must_use]
-    pub fn new(profile: &EnvProfile, solar: &SolarHarvester, teg: &TegHarvester) -> EnvComponent {
+    fn new(profile: &EnvProfile, solar: &SolarHarvester, teg: &TegHarvester) -> Env {
         let mut segments = Vec::with_capacity(profile.segments.len());
         let mut t_s = 0.0;
         for seg in &profile.segments {
@@ -464,15 +535,13 @@ impl EnvComponent {
             ));
             t_s += seg.duration_s;
         }
-        EnvComponent {
+        Env {
             segments,
             end_us: secs_to_us(t_s),
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for EnvComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         // End is scheduled first: at a shared final timestamp it wins the
         // sequence tie-break, so no new work starts exactly at t_end.
         ctx.schedule_at(self.end_us, Event::End);
@@ -481,22 +550,20 @@ impl<S: TraceSink> Component<S> for EnvComponent {
         }
     }
 
+    /// Segment `index` begins.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        if let Event::EnvSegment { index } = ev {
-            let (_, solar_w, teg_w) = self.segments[index];
-            ctx.state.solar_w = solar_w;
-            ctx.state.teg_w = teg_w;
-            if let Some(&(next_us, ..)) = self.segments.get(index + 1) {
-                ctx.schedule_at(next_us, Event::EnvSegment { index: index + 1 });
-            }
+    fn segment<S: TraceSink>(&self, index: usize, ctx: &mut SimCtx<'_, S>) {
+        let (_, solar_w, teg_w) = self.segments[index];
+        ctx.state.solar_w = solar_w;
+        ctx.state.teg_w = teg_w;
+        if let Some(&(next_us, ..)) = self.segments.get(index + 1) {
+            ctx.schedule_at(next_us, Event::EnvSegment { index: index + 1 });
         }
     }
 }
 
 /// Weight of the newest intake sample in the trailing harvest average
-/// the policy component maintains (see
-/// [`crate::DeviceState::harvest_avg_w`]).
+/// the policy maintains (see [`DeviceState::harvest_avg_w`]).
 const HARVEST_EWMA_ALPHA: f64 = 0.1;
 
 /// Evaluates the [`PolicySpec`] and spaces acquisitions: at each tick it
@@ -508,7 +575,7 @@ const HARVEST_EWMA_ALPHA: f64 = 0.1;
 /// its energy is saved; the tick keeps re-arming at the backoff's
 /// re-check cadence, so acquisition always resumes once the fault
 /// clears.
-pub struct PolicyComponent {
+struct Policy {
     policy: PolicySpec,
     idle_recheck_us: u64,
     min_interval_us: u64,
@@ -521,13 +588,12 @@ pub struct PolicyComponent {
     last_period_us: u64,
 }
 
-impl PolicyComponent {
-    /// A component for `policy` with a 10 s paused-state re-check (the
+impl Policy {
+    /// A policy part for `policy` with a 10 s paused-state re-check (the
     /// old fixed-timestep simulator's granularity) and a 1 ms floor on
     /// the detection period.
-    #[must_use]
-    pub fn new(policy: PolicySpec) -> PolicyComponent {
-        PolicyComponent {
+    fn new(policy: PolicySpec) -> Policy {
+        Policy {
             policy,
             idle_recheck_us: secs_to_us(10.0),
             min_interval_us: 1_000,
@@ -543,16 +609,10 @@ impl PolicyComponent {
             last_period_us: 0,
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for PolicyComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        ctx.schedule_at(0, Event::PolicyTick);
-    }
-
+    /// A policy tick.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        debug_assert_eq!(ev, Event::PolicyTick);
+    fn tick<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
         // Maintain the trailing harvest forecast on every evaluation, so
         // it is a pure function of the (deterministic) event sequence.
         ctx.state.harvest_avg_w = HARVEST_EWMA_ALPHA * ctx.state.intake_w()
@@ -600,14 +660,13 @@ impl<S: TraceSink> Component<S> for PolicyComponent {
 /// open, and a window that closes now opened `window_us` ago. A window is
 /// corrupt when a signal fault was open at its start or opened during
 /// it. The corrupt windows are always the first `tainted` in opening
-/// order (see its `handle`), so three counters stand for the open
+/// order (see [`Sensor::open`]), so three counters stand for the open
 /// windows and their flags.
-pub struct SensorComponent {
+struct Sensor {
     energy_j: f64,
     window_us: u64,
     unit_power_w: f64,
-    trace_spans: bool,
-    slot: Option<LoadSlot>,
+    load: LoadSlot,
     active: u32,
     /// Windows opened and closed so far.
     opened: u64,
@@ -620,21 +679,19 @@ pub struct SensorComponent {
     reference: Option<std::collections::VecDeque<(u64, bool)>>,
 }
 
-impl SensorComponent {
-    /// A front-end pair drawing `energy_j` over each `window_s` window.
-    #[must_use]
-    pub fn new(energy_j: f64, window_s: f64, trace_spans: bool) -> SensorComponent {
-        let window_us = secs_to_us(window_s);
-        SensorComponent {
+impl Sensor {
+    /// A front-end pair drawing `energy_j` over each `window_s` window
+    /// through `load`.
+    fn new(energy_j: f64, window_s: f64, load: LoadSlot) -> Sensor {
+        Sensor {
             energy_j,
-            window_us,
+            window_us: secs_to_us(window_s),
             unit_power_w: if window_s > 0.0 {
                 energy_j / window_s
             } else {
                 0.0
             },
-            trace_spans,
-            slot: None,
+            load,
             active: 0,
             opened: 0,
             closed: 0,
@@ -643,84 +700,79 @@ impl SensorComponent {
             reference: None,
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for SensorComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load());
+    /// A window opens. Marking every open window corrupt when one opens
+    /// under a signal fault changes no flag: a signal fault open now
+    /// opened before an open window did (which then opened corrupt) or
+    /// during it (whose `FaultStart` marked it). So the corrupt windows
+    /// stay a prefix of the opening order.
+    #[inline]
+    fn open<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if self.window_us == 0 {
+            // Degenerate window: the energy is an impulse.
+            ctx.consume_j(self.energy_j);
+        } else {
+            self.active += 1;
+            ctx.state
+                .set_load(self.load, f64::from(self.active) * self.unit_power_w);
+        }
+        self.opened += 1;
+        if ctx.state.signal_faults > 0 {
+            self.tainted = self.opened;
+        }
+        #[cfg(test)]
+        if let Some(open) = &mut self.reference {
+            open.push_back((ctx.now_us, ctx.state.signal_faults > 0));
+        }
+        ctx.schedule_in(self.window_us, Event::AcquireEnd);
     }
 
-    /// Marking every open window corrupt when one opens under a signal
-    /// fault changes no flag: a signal fault open now opened before an
-    /// open window did (which then opened corrupt) or during it (whose
-    /// `FaultStart` marked it). So the corrupt windows stay a prefix of
-    /// the opening order.
+    /// A fault window opened, after the fault part handled it: when a
+    /// signal-corrupting fault is now open, every open window is
+    /// unusable.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::AcquireStart => {
-                if self.window_us == 0 {
-                    // Degenerate window: the energy is an impulse.
-                    ctx.consume_j(self.energy_j);
-                } else {
-                    self.active += 1;
-                    ctx.state
-                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
-                }
-                self.opened += 1;
-                if ctx.state.signal_faults > 0 {
-                    self.tainted = self.opened;
-                }
-                #[cfg(test)]
-                if let Some(open) = &mut self.reference {
-                    open.push_back((ctx.now_us, ctx.state.signal_faults > 0));
-                }
-                ctx.schedule_in(self.window_us, Event::AcquireEnd);
-            }
-            Event::FaultStart { .. } if ctx.state.signal_faults > 0 => {
-                // A signal-corrupting fault opened mid-window (the fault
-                // component runs first, so the flag is already set):
-                // every currently open window is now unusable.
-                self.tainted = self.opened;
-                #[cfg(test)]
-                if let Some(open) = &mut self.reference {
-                    for window in open {
-                        window.1 = true;
-                    }
+    fn taint<S: TraceSink>(&mut self, ctx: &SimCtx<'_, S>) {
+        if ctx.state.signal_faults > 0 {
+            self.tainted = self.opened;
+            #[cfg(test)]
+            if let Some(open) = &mut self.reference {
+                for window in open {
+                    window.1 = true;
                 }
             }
-            Event::AcquireEnd => {
-                if self.window_us > 0 {
-                    self.active -= 1;
-                    ctx.state
-                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
-                }
-                let corrupt = self.closed < self.tainted;
-                self.closed += 1;
-                let started = ctx.now_us - self.window_us;
-                #[cfg(test)]
-                let (started, corrupt) = match &mut self.reference {
-                    Some(open) => open.pop_front().expect("balanced windows"),
-                    None => (started, corrupt),
-                };
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.span(track, "acquire", started, ctx.now_us);
-                }
-                if corrupt {
-                    // Signal-quality gate: the window's energy is spent
-                    // but its samples are garbage — skip classification.
-                    ctx.state.reliability.degraded_windows += 1;
-                    if S::ENABLED && self.trace_spans {
-                        let track = ctx.tracks.device;
-                        ctx.sink.instant(track, "acq-gated", ctx.now_us);
-                    }
-                } else {
-                    ctx.schedule_in(0, Event::ComputeStart);
-                }
+        }
+    }
+
+    /// The oldest open window closes.
+    #[inline]
+    fn close<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if self.window_us > 0 {
+            self.active -= 1;
+            ctx.state
+                .set_load(self.load, f64::from(self.active) * self.unit_power_w);
+        }
+        let corrupt = self.closed < self.tainted;
+        self.closed += 1;
+        let started = ctx.now_us - self.window_us;
+        #[cfg(test)]
+        let (started, corrupt) = match &mut self.reference {
+            Some(open) => open.pop_front().expect("balanced windows"),
+            None => (started, corrupt),
+        };
+        if S::ENABLED {
+            let track = ctx.tracks.device;
+            ctx.sink.span(track, "acquire", started, ctx.now_us);
+        }
+        if corrupt {
+            // Signal-quality gate: the window's energy is spent but its
+            // samples are garbage — skip classification.
+            ctx.state.reliability.degraded_windows += 1;
+            if S::ENABLED {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "acq-gated", ctx.now_us);
             }
-            _ => {}
+        } else {
+            ctx.schedule_in(0, Event::ComputeStart);
         }
     }
 }
@@ -729,22 +781,21 @@ impl<S: TraceSink> Component<S> for SensorComponent {
 /// [`ComputeJob`] (duration from its cycle count, power from its energy);
 /// each completion retires one detection.
 ///
-/// A single-target component ([`ComputeComponent::new`]) runs every
-/// classification on one job. An adaptive component
-/// ([`ComputeComponent::adaptive`]) holds one job per [`iw_policy::TargetClass`]
-/// and picks the target *per classification* from the policy's
-/// [`TargetRule`] over the observed state of charge, the sync queue
-/// depth and the trailing harvest average. Jobs of different durations
-/// may retire out of dispatch order, so [`Event::ComputeEnd`] carries
-/// the job-slot index; within one slot every job has the same duration,
-/// so a retiring job started its slot's duration ago.
-pub struct ComputeComponent {
-    /// One per [`iw_policy::TargetClass`]; a single-target component
-    /// uses slot 0 only.
+/// A single-target part ([`Compute::new`]) runs every classification on
+/// one job. An adaptive part ([`Compute::adaptive`]) holds one job per
+/// [`iw_policy::TargetClass`] and picks the target *per classification*
+/// from the policy's [`TargetRule`] over the observed state of charge,
+/// the sync queue depth and the trailing harvest average. Jobs of
+/// different durations may retire out of dispatch order, so
+/// [`Event::ComputeEnd`] carries the job-slot index; within one slot
+/// every job has the same duration, so a retiring job started its slot's
+/// duration ago.
+struct Compute {
+    /// One per [`iw_policy::TargetClass`]; a single-target part uses
+    /// slot 0 only.
     slots: [JobSlot; 3],
     targets: Option<TargetRule>,
-    trace_spans: bool,
-    slot: Option<LoadSlot>,
+    load: LoadSlot,
 }
 
 /// A job slot: its job's energy, duration and power, and how many of its
@@ -773,99 +824,83 @@ impl JobSlot {
     }
 }
 
-impl ComputeComponent {
+impl Compute {
     /// A single compute target running `job` per detection.
-    #[must_use]
-    pub fn new(job: ComputeJob, trace_spans: bool) -> ComputeComponent {
+    fn new(job: ComputeJob, load: LoadSlot) -> Compute {
         // The unused slots draw `-0.0` W, the identity of the load sum,
         // so the sum is bit for bit slot 0's.
         let unused = JobSlot {
             power_w: -0.0,
             ..JobSlot::new(job)
         };
-        ComputeComponent {
+        Compute {
             slots: [JobSlot::new(job), unused, unused],
             targets: None,
-            trace_spans,
-            slot: None,
+            load,
         }
     }
 
-    /// An adaptive component: one job per [`iw_policy::TargetClass`] (M4, Ibex,
-    /// cluster order), selected per classification by `rule`.
-    #[must_use]
-    pub fn adaptive(
-        jobs: [ComputeJob; 3],
-        rule: TargetRule,
-        trace_spans: bool,
-    ) -> ComputeComponent {
-        ComputeComponent {
+    /// An adaptive part: one job per [`iw_policy::TargetClass`] (M4,
+    /// Ibex, cluster order), selected per classification by `rule`.
+    fn adaptive(jobs: [ComputeJob; 3], rule: TargetRule, load: LoadSlot) -> Compute {
+        Compute {
             slots: jobs.map(JobSlot::new),
             targets: Some(rule),
-            trace_spans,
-            slot: None,
+            load,
         }
     }
 
     /// Total compute load right now: every slot's multiplicity times its
-    /// unit power. For the single-target component this reduces to
+    /// unit power. For the single-target part this reduces to
     /// `active × power` — the same arithmetic as before targets existed.
     #[inline]
     fn load_w(&self) -> f64 {
         self.slots.iter().map(|s| s.active * s.power_w).sum()
     }
-}
 
-impl<S: TraceSink> Component<S> for ComputeComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load());
+    /// A classification starts.
+    #[inline]
+    fn dispatch<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let job = match self.targets {
+            Some(rule) => {
+                let class = rule.select(
+                    ctx.state.observed_soc(),
+                    ctx.state.queue_depth,
+                    ctx.state.harvest_avg_w,
+                );
+                ctx.state.target_counts[class.index()] += 1;
+                if S::ENABLED {
+                    let track = ctx.tracks.device;
+                    ctx.sink.instant(track, class.label(), ctx.now_us);
+                }
+                class.index()
+            }
+            None => 0,
+        };
+        let duration_us = self.slots[job].duration_us;
+        if duration_us == 0 {
+            ctx.consume_j(self.slots[job].energy_j);
+        } else {
+            self.slots[job].active += 1.0;
+            ctx.state.set_load(self.load, self.load_w());
+        }
+        ctx.schedule_in(duration_us, Event::ComputeEnd { job });
     }
 
+    /// A job of slot `job` retires: one detection is complete.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::ComputeStart => {
-                let job = match self.targets {
-                    Some(rule) => {
-                        let class = rule.select(
-                            ctx.state.observed_soc(),
-                            ctx.state.queue_depth,
-                            ctx.state.harvest_avg_w,
-                        );
-                        ctx.state.target_counts[class.index()] += 1;
-                        if S::ENABLED && self.trace_spans {
-                            let track = ctx.tracks.device;
-                            ctx.sink.instant(track, class.label(), ctx.now_us);
-                        }
-                        class.index()
-                    }
-                    None => 0,
-                };
-                let duration_us = self.slots[job].duration_us;
-                if duration_us == 0 {
-                    ctx.consume_j(self.slots[job].energy_j);
-                } else {
-                    self.slots[job].active += 1.0;
-                    ctx.state.set_load(slot, self.load_w());
-                }
-                ctx.schedule_in(duration_us, Event::ComputeEnd { job });
-            }
-            Event::ComputeEnd { job } => {
-                let duration_us = self.slots[job].duration_us;
-                if duration_us > 0 {
-                    self.slots[job].active -= 1.0;
-                    ctx.state.set_load(slot, self.load_w());
-                }
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    let started = ctx.now_us - duration_us;
-                    ctx.sink.span(track, "compute", started, ctx.now_us);
-                }
-                ctx.state.detections += 1;
-            }
-            _ => {}
+    fn retire<S: TraceSink>(&mut self, job: usize, ctx: &mut SimCtx<'_, S>) {
+        let duration_us = self.slots[job].duration_us;
+        if duration_us > 0 {
+            self.slots[job].active -= 1.0;
+            ctx.state.set_load(self.load, self.load_w());
         }
+        if S::ENABLED {
+            let track = ctx.tracks.device;
+            let started = ctx.now_us - duration_us;
+            ctx.sink.span(track, "compute", started, ctx.now_us);
+        }
+        ctx.state.detections += 1;
     }
 }
 
@@ -881,209 +916,169 @@ impl<S: TraceSink> Component<S> for ComputeComponent {
 /// notifications are suppressed; results accumulate and their
 /// notification energy is flushed on the next *successful* sync (dropped
 /// episodes carry the backlog forward).
-pub struct RadioComponent {
+struct Radio {
     notify_j: f64,
     sync: Option<BleSync>,
-    trace_spans: bool,
     batch: bool,
+    /// The plan's loss probability, retry budget and backoff, and the
+    /// per-attempt loss stream it seeds.
     loss_prob: f64,
     max_retries: u32,
     backoff_us: u64,
     rng: SplitMix64,
     attempt: u32,
     pending: u64,
+    /// From the policy's fault-aware backoff (≥ 1): multiplies the next
+    /// sync interval whenever the episode resolves with the link still
+    /// looking dead — the gateway unreachable, or the episode dropped
+    /// after its whole retry budget — spending fewer bursts into a dead
+    /// link.
     sync_stretch: Option<f64>,
-    slot: Option<LoadSlot>,
+    load: LoadSlot,
     burst_started_us: u64,
 }
 
-impl RadioComponent {
-    /// A radio notifying `notify_j` per detection plus optional `sync`
-    /// bursts. `batch` suppresses per-detection notifications in favour
-    /// of flush-on-sync; `plan` supplies the loss probability, retry
-    /// budget and backoff, and seeds the per-attempt loss stream.
-    /// `sync_stretch` (≥ 1, from the policy's fault-aware backoff)
-    /// multiplies the next sync interval whenever the episode resolves
-    /// with the link still looking dead — the gateway unreachable, or
-    /// the episode dropped after its whole retry budget — spending
-    /// fewer bursts into a dead link.
-    #[must_use]
-    pub fn new(
-        notify_j: f64,
-        sync: Option<BleSync>,
-        trace_spans: bool,
-        batch: bool,
-        plan: &FaultPlan,
-        sync_stretch: Option<f64>,
-    ) -> RadioComponent {
-        RadioComponent {
-            notify_j,
-            sync,
-            trace_spans,
-            batch,
-            loss_prob: plan.ble_loss_prob,
-            max_retries: plan.ble_max_retries,
-            backoff_us: secs_to_us(plan.ble_backoff_s).max(1),
-            rng: SplitMix64::new(mix(plan.seed, BLE_STREAM)),
-            attempt: 0,
-            pending: 0,
-            sync_stretch,
-            slot: None,
-            burst_started_us: 0,
-        }
-    }
-}
-
-impl<S: TraceSink> Component<S> for RadioComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load());
+impl Radio {
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         if let Some(sync) = self.sync {
             ctx.schedule_in(secs_to_us(sync.interval_s), Event::BleSyncStart);
         }
     }
 
+    /// A detection retired: notify it now, or queue it for the next sync
+    /// under a duty-cycled policy.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::ComputeEnd { .. } if self.batch => {
-                // Duty-cycled: the result queues for the next sync. The
-                // backlog is mirrored into the shared state so adaptive
-                // policies can read the queue depth.
-                self.pending += 1;
-                ctx.state.queue_depth = self.pending;
+    fn retired<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if self.batch {
+            // Duty-cycled: the result queues for the next sync. The
+            // backlog is mirrored into the shared state so adaptive
+            // policies can read the queue depth.
+            self.pending += 1;
+            ctx.state.queue_depth = self.pending;
+        } else if self.notify_j > 0.0 {
+            ctx.consume_j(self.notify_j);
+            ctx.state.notifications += 1;
+            if S::ENABLED {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "notify", ctx.now_us);
             }
-            Event::ComputeEnd { .. } if self.notify_j > 0.0 => {
-                ctx.consume_j(self.notify_j);
-                ctx.state.notifications += 1;
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.instant(track, "notify", ctx.now_us);
-                }
-            }
-            Event::BleSyncStart => {
-                let sync = self.sync.expect("sync configured");
-                ctx.state.set_load(slot, sync.power_w);
-                self.burst_started_us = ctx.now_us;
-                ctx.schedule_in(secs_to_us(sync.burst_s), Event::BleSyncEnd);
-            }
-            Event::BleSyncEnd => {
-                let sync = self.sync.expect("sync configured");
-                ctx.state.set_load(slot, 0.0);
-                ctx.state.sync_bursts += 1;
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink
-                        .span(track, "ble-sync", self.burst_started_us, ctx.now_us);
-                }
-                // A scenario-compiled gateway outage forces the loss
-                // without consuming a draw from the per-attempt loss
-                // stream, so runs with and without outage windows stay
-                // aligned outside them.
-                let lost = ctx.state.gateway_down > 0
-                    || (self.loss_prob > 0.0 && self.rng.chance(self.loss_prob));
-                if lost {
-                    ctx.state.faults.add(FaultKind::BleLoss);
-                    if self.attempt < self.max_retries {
-                        self.attempt += 1;
-                        if S::ENABLED && self.trace_spans {
-                            let track = ctx.tracks.device;
-                            ctx.sink.instant(track, "sync-retry", ctx.now_us);
-                        }
-                        let backoff = self.backoff_us << (self.attempt - 1);
-                        ctx.state.sync_backoff_us.record(backoff);
-                        ctx.schedule_in(backoff, Event::BleSyncStart);
-                        return;
-                    }
-                    // Retry budget exhausted: the episode is dropped; a
-                    // batched backlog stays pending for the next interval.
-                    ctx.state.reliability.record_sync(SyncOutcome::Dropped);
-                    if S::ENABLED && self.trace_spans {
-                        let track = ctx.tracks.device;
-                        ctx.sink.instant(track, "sync-drop", ctx.now_us);
-                    }
-                } else {
-                    let outcome = if self.attempt > 0 {
-                        SyncOutcome::Retried
-                    } else {
-                        SyncOutcome::Ok
-                    };
-                    ctx.state.reliability.record_sync(outcome);
-                    if self.batch && self.pending > 0 {
-                        // Flush the backlog: one notification impulse per
-                        // queued result, delivered inside this burst.
-                        ctx.consume_j(self.pending as f64 * self.notify_j);
-                        ctx.state.notifications += self.pending;
-                        self.pending = 0;
-                        ctx.state.queue_depth = 0;
-                    }
-                    if ctx.state.pending_contacts > 0 {
-                        // Queued contact observations ride the same
-                        // successful burst, one notification-sized
-                        // impulse each.
-                        ctx.consume_j(ctx.state.pending_contacts as f64 * self.notify_j);
-                        ctx.state.contacts_uplinked += ctx.state.pending_contacts;
-                        ctx.state.pending_contacts = 0;
-                    }
-                }
-                // Episode resolved (delivered or dropped): its attempt
-                // count feeds the fleet retry histogram.
-                ctx.state.sync_attempts.record(u64::from(self.attempt) + 1);
-                self.attempt = 0;
-                let mut interval_s = (sync.interval_s - sync.burst_s).max(0.0);
-                if let Some(stretch) = self.sync_stretch {
-                    // Fault-aware backoff: the link looks dead — a
-                    // scenario gateway outage is still open, or this
-                    // episode just exhausted its retry budget — so
-                    // stretch the cadence instead of burning the next
-                    // burst into the same dead link. `lost` here can
-                    // only mean "dropped": the retry path returned.
-                    if ctx.state.gateway_down > 0 || lost {
-                        interval_s *= stretch;
-                        ctx.state.sync_stretches += 1;
-                    }
-                }
-                ctx.schedule_in(secs_to_us(interval_s), Event::BleSyncStart);
-            }
-            _ => {}
         }
+    }
+
+    /// A sync burst keys the radio on.
+    #[inline]
+    fn sync_start<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let sync = self.sync.expect("sync configured");
+        ctx.state.set_load(self.load, sync.power_w);
+        self.burst_started_us = ctx.now_us;
+        ctx.schedule_in(secs_to_us(sync.burst_s), Event::BleSyncEnd);
+    }
+
+    /// The sync burst ends: the attempt is delivered or lost, and the
+    /// radio retries or waits for the next interval.
+    #[inline]
+    fn sync_end<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let sync = self.sync.expect("sync configured");
+        ctx.state.set_load(self.load, 0.0);
+        ctx.state.sync_bursts += 1;
+        if S::ENABLED {
+            let track = ctx.tracks.device;
+            ctx.sink
+                .span(track, "ble-sync", self.burst_started_us, ctx.now_us);
+        }
+        // A scenario-compiled gateway outage forces the loss without
+        // consuming a draw from the per-attempt loss stream, so runs with
+        // and without outage windows stay aligned outside them.
+        let lost =
+            ctx.state.gateway_down > 0 || (self.loss_prob > 0.0 && self.rng.chance(self.loss_prob));
+        if lost {
+            ctx.state.faults.add(FaultKind::BleLoss);
+            if self.attempt < self.max_retries {
+                self.attempt += 1;
+                if S::ENABLED {
+                    let track = ctx.tracks.device;
+                    ctx.sink.instant(track, "sync-retry", ctx.now_us);
+                }
+                let backoff = self.backoff_us << (self.attempt - 1);
+                ctx.state.sync_backoff_us.record(backoff);
+                ctx.schedule_in(backoff, Event::BleSyncStart);
+                return;
+            }
+            // Retry budget exhausted: the episode is dropped; a batched
+            // backlog stays pending for the next interval.
+            ctx.state.reliability.record_sync(SyncOutcome::Dropped);
+            if S::ENABLED {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "sync-drop", ctx.now_us);
+            }
+        } else {
+            let outcome = if self.attempt > 0 {
+                SyncOutcome::Retried
+            } else {
+                SyncOutcome::Ok
+            };
+            ctx.state.reliability.record_sync(outcome);
+            if self.batch && self.pending > 0 {
+                // Flush the backlog: one notification impulse per queued
+                // result, delivered inside this burst.
+                ctx.consume_j(self.pending as f64 * self.notify_j);
+                ctx.state.notifications += self.pending;
+                self.pending = 0;
+                ctx.state.queue_depth = 0;
+            }
+            if ctx.state.pending_contacts > 0 {
+                // Queued contact observations ride the same successful
+                // burst, one notification-sized impulse each.
+                ctx.consume_j(ctx.state.pending_contacts as f64 * self.notify_j);
+                ctx.state.contacts_uplinked += ctx.state.pending_contacts;
+                ctx.state.pending_contacts = 0;
+            }
+        }
+        // Episode resolved (delivered or dropped): its attempt count
+        // feeds the fleet retry histogram.
+        ctx.state.sync_attempts.record(u64::from(self.attempt) + 1);
+        self.attempt = 0;
+        let mut interval_s = (sync.interval_s - sync.burst_s).max(0.0);
+        if let Some(stretch) = self.sync_stretch {
+            // Fault-aware backoff: the link looks dead — a scenario
+            // gateway outage is still open, or this episode just
+            // exhausted its retry budget — so stretch the cadence instead
+            // of burning the next burst into the same dead link. `lost`
+            // here can only mean "dropped": the retry path returned.
+            if ctx.state.gateway_down > 0 || lost {
+                interval_s *= stretch;
+                ctx.state.sync_stretches += 1;
+            }
+        }
+        ctx.schedule_in(secs_to_us(interval_s), Event::BleSyncStart);
     }
 }
 
 /// Plays a scenario-compiled [`ContactPlan`] back: each contact window
-/// opens a BLE scan (the nRF52832 scanner in RX, multiplicity-counted
-/// when windows overlap) lasting the lesser of one standard scan window
-/// and the co-location window itself. A scan that completes while the
-/// device is operational *observes* the contact: the `(epoch, peer)`
-/// edge is recorded and the observation queues for the next successful
-/// sync burst (the radio component flushes the queue and counts the
-/// uplinks). A scan the device was too browned out to start — or to
-/// finish — is a *missed* contact; the epidemic fold never sees its
-/// edge, so detection coverage degrades exactly where the power model
-/// says the device was down.
-pub struct BleScanComponent {
+/// opens a BLE scan (the nRF52832 scanner in RX, drawing the shared nRF52
+/// scan power, multiplicity-counted when windows overlap) lasting the
+/// lesser of one standard scan window and the co-location window itself.
+/// A scan that completes while the device is operational *observes* the
+/// contact: the `(epoch, peer)` edge is recorded and the observation
+/// queues for the next successful sync burst (the radio flushes the queue
+/// and counts the uplinks). A scan the device was too browned out to
+/// start — or to finish — is a *missed* contact; the epidemic fold never
+/// sees its edge, so detection coverage degrades exactly where the power
+/// model says the device was down.
+struct Scanner {
     plan: ContactPlan,
     scan_power_w: f64,
-    trace_spans: bool,
-    slot: Option<LoadSlot>,
+    load: LoadSlot,
     active: u32,
-    /// Per-entry flag: did this contact's scan actually open?
-    opened: Vec<bool>,
 }
 
-impl BleScanComponent {
-    /// A scanner for `plan`, drawing the shared nRF52 scan power
-    /// while windows are open.
-    #[must_use]
-    pub fn new(plan: ContactPlan, trace_spans: bool) -> BleScanComponent {
-        let opened = vec![false; plan.entries.len()];
-        BleScanComponent {
-            plan,
-            scan_power_w: iw_power::nrf52::scan_power_w(),
-            trace_spans,
-            slot: None,
-            active: 0,
-            opened,
+impl Scanner {
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
+        if !self.plan.entries.is_empty() {
+            ctx.schedule_at(
+                self.plan.entries[0].start_us,
+                Event::ContactStart { index: 0 },
+            );
         }
     }
 
@@ -1093,100 +1088,71 @@ impl BleScanComponent {
         let e = self.plan.entries[index];
         secs_to_us(iw_power::nrf52::SCAN_WINDOW_S).min(e.end_us.saturating_sub(e.start_us))
     }
-}
 
-impl<S: TraceSink> Component<S> for BleScanComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load());
-        if !self.plan.entries.is_empty() {
+    /// Contact `index` begins: scan, unless browned out.
+    #[inline]
+    fn contact_start<S: TraceSink>(&mut self, index: usize, ctx: &mut SimCtx<'_, S>) {
+        // Chained scheduling, same shape as the fault plan: the next
+        // window is armed regardless of this one's fate.
+        if index + 1 < self.plan.entries.len() {
             ctx.schedule_at(
-                self.plan.entries[0].start_us,
-                Event::ContactStart { index: 0 },
+                self.plan.entries[index + 1].start_us,
+                Event::ContactStart { index: index + 1 },
             );
         }
+        if !ctx.state.acquisition_enabled {
+            // Browned out: the peer passed by unseen.
+            ctx.state.contacts_missed += 1;
+            return;
+        }
+        self.active += 1;
+        ctx.state
+            .set_load(self.load, f64::from(self.active) * self.scan_power_w);
+        ctx.schedule_in(self.scan_us(index), Event::ContactEnd { index });
     }
 
+    /// The scan of contact `index` ends: observed, or missed if the
+    /// device went down mid-scan. Only an opened scan schedules its end.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::ContactStart { index } => {
-                // Chained scheduling, same shape as the fault plan: the
-                // next window is armed regardless of this one's fate.
-                if index + 1 < self.plan.entries.len() {
-                    ctx.schedule_at(
-                        self.plan.entries[index + 1].start_us,
-                        Event::ContactStart { index: index + 1 },
-                    );
-                }
-                if !ctx.state.acquisition_enabled {
-                    // Browned out: the peer passed by unseen.
-                    ctx.state.contacts_missed += 1;
-                    return;
-                }
-                self.opened[index] = true;
-                self.active += 1;
-                ctx.state
-                    .set_load(slot, f64::from(self.active) * self.scan_power_w);
-                ctx.schedule_in(self.scan_us(index), Event::ContactEnd { index });
+    fn contact_end<S: TraceSink>(&mut self, index: usize, ctx: &mut SimCtx<'_, S>) {
+        self.active -= 1;
+        ctx.state
+            .set_load(self.load, f64::from(self.active) * self.scan_power_w);
+        let entry = self.plan.entries[index];
+        let dur_us = self.scan_us(index);
+        ctx.state.scan_energy_j += self.scan_power_w * dur_us as f64 * 1e-6;
+        if S::ENABLED {
+            let track = ctx.tracks.device;
+            ctx.sink.span(track, "scan", entry.start_us, ctx.now_us);
+        }
+        if ctx.state.acquisition_enabled {
+            let epoch = (entry.start_us / self.plan.epoch_us.max(1)) as u32;
+            ctx.state.contact_edges.push((epoch, entry.peer));
+            ctx.state.contacts_observed += 1;
+            ctx.state.pending_contacts += 1;
+            if S::ENABLED {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "contact", ctx.now_us);
             }
-            Event::ContactEnd { index } => {
-                debug_assert!(self.opened[index], "scan end without start");
-                self.active -= 1;
-                ctx.state
-                    .set_load(slot, f64::from(self.active) * self.scan_power_w);
-                let entry = self.plan.entries[index];
-                let dur_us = self.scan_us(index);
-                ctx.state.scan_energy_j += self.scan_power_w * dur_us as f64 * 1e-6;
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.span(track, "scan", entry.start_us, ctx.now_us);
-                }
-                if ctx.state.acquisition_enabled {
-                    let epoch = (entry.start_us / self.plan.epoch_us.max(1)) as u32;
-                    ctx.state.contact_edges.push((epoch, entry.peer));
-                    ctx.state.contacts_observed += 1;
-                    ctx.state.pending_contacts += 1;
-                    if S::ENABLED && self.trace_spans {
-                        let track = ctx.tracks.device;
-                        ctx.sink.instant(track, "contact", ctx.now_us);
-                    }
-                } else {
-                    // Browned out mid-scan: energy spent, contact lost.
-                    ctx.state.contacts_missed += 1;
-                }
-            }
-            _ => {}
+        } else {
+            // Browned out mid-scan: energy spent, contact lost.
+            ctx.state.contacts_missed += 1;
         }
     }
 }
 
-/// Samples the battery trajectory at a fixed cadence into
-/// [`crate::engine::DeviceState::trace`] and, when tracing, mirrors each
-/// sample as counters on the `harvest` track (second ticks, same names
-/// the fixed-timestep simulator used).
-pub struct SamplerComponent {
+/// Samples the battery trajectory at a fixed cadence (~`trace_points`
+/// samples over the run) into [`DeviceState::trace`] and, when tracing,
+/// mirrors each sample as counters on the `harvest` track (second ticks,
+/// same names the fixed-timestep simulator used).
+struct Sampler {
     interval_us: u64,
 }
 
-impl SamplerComponent {
-    /// A sampler spreading ~`points` samples over `duration_us`.
-    #[must_use]
-    pub fn new(duration_us: u64, points: usize) -> SamplerComponent {
-        SamplerComponent {
-            interval_us: (duration_us / points.max(1) as u64).max(1),
-        }
-    }
-}
-
-impl<S: TraceSink> Component<S> for SamplerComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        ctx.schedule_at(0, Event::Sample);
-    }
-
+impl Sampler {
+    /// A sample is due.
     #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        debug_assert_eq!(ev, Event::Sample);
+    fn sample<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         let point = TracePoint {
             t_s: ctx.now_s(),
             soc: ctx.state.battery.soc(),
@@ -1778,7 +1744,7 @@ mod tests {
         // 12/min from t = 0: windows open at 0, 5, 10, ... s for 3 s. A
         // lead-off from 6 s to 6.5 s opens inside the [5, 8] s window
         // only. The window opened clean, so it is gated only if the fault
-        // component has raised the signal flag when the sensor handles
+        // part has raised the signal flag when the sensor handles
         // the same `FaultStart`.
         let run = |faulted: bool| {
             let mut cfg =
@@ -1979,7 +1945,7 @@ mod tests {
     #[test]
     fn sampling_never_polls_the_brownout_machine() {
         // The recovering device browns out and resumes between policy
-        // ticks. Were `Sample` to reach the fault component, a traced run
+        // ticks. Were `Sample` to reach the fault part, a traced run
         // would see each threshold crossing at a sample instant instead,
         // and its downtime would differ from the untraced run's.
         let mut traced_cfg = recovering_device();

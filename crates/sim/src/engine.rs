@@ -3,14 +3,14 @@
 //!
 //! # Execution model
 //!
-//! Time is a monotone `u64` microsecond counter ([`SimClock`]). Components
-//! schedule [`Event`]s into the engine's queue, which dispatches them in
-//! (time, scheduling sequence number) order, so a run is a deterministic
-//! function of the initial component state — independent of component
-//! iteration order or host thread count.
+//! Time is a monotone `u64` microsecond counter ([`SimClock`]). The
+//! device schedules [`Event`]s into the engine's queue, which dispatches
+//! them in (time, scheduling sequence number) order, so a run is a
+//! deterministic function of the device's initial state — independent of
+//! host thread count.
 //!
 //! Between two consecutive events every power contribution is constant:
-//! the harvest intake set by the environment component and the load
+//! the harvest intake set by the device's environment and the load
 //! registered in [`LoadSlot`]s. The engine therefore integrates the
 //! battery *exactly* (power × elapsed time) when it advances the clock —
 //! there is no fixed integration step and no step-size error. Power only
@@ -89,11 +89,12 @@ impl SimClock {
 
 /// The closed event vocabulary of the whole-device simulation.
 ///
-/// Components communicate exclusively through these events. The engine
-/// hands each one to the device it runs, whose [`Component::handle`]
-/// routes it to the parts that react to it (for the bracelet, one
-/// exhaustive `match` in `device.rs`), so the wiring between environment,
-/// policy, sensors, compute and radio is visible in one place.
+/// A device's parts communicate exclusively through these events. The
+/// engine hands each one to the device it runs, whose
+/// [`Component::handle`] routes it to the parts that react to it (for the
+/// bracelet, one exhaustive `match` in `device.rs` that calls one method
+/// per part), so the wiring between environment, policy, sensors, compute
+/// and radio is visible in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
     /// The environment entered segment `index` of its profile.
@@ -110,12 +111,12 @@ pub enum Event {
     /// Feature extraction + classification starts on the compute target.
     ComputeStart,
     /// The compute job retires: one detection is complete. `job` is the
-    /// dispatching component's job-slot index (0 for the single-target
+    /// dispatching compute part's job-slot index (0 for the single-target
     /// device; the target-class index when an adaptive policy picks the
     /// compute target per classification), so concurrent jobs of
     /// different durations resolve to the right slot.
     ComputeEnd {
-        /// Job-slot index within the compute component.
+        /// Job-slot index within the compute part.
         job: usize,
     },
     /// A periodic BLE sync burst keys the radio on.
@@ -205,7 +206,7 @@ impl Default for Queue {
 }
 
 // `push` and `pop` run once per event, and `push` is called from the
-// component handlers in other codegen units, where LLVM keeps it out of
+// device's handlers in other codegen units, where LLVM keeps it out of
 // line even when marked `#[inline]`; hence `#[inline(always)]`. Only the
 // common case is inlined at each call site: the rest is `push_far`.
 impl Queue {
@@ -285,7 +286,7 @@ impl Queue {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadSlot(usize);
 
-/// The shared mutable state every component sees: the battery, the
+/// The shared mutable state every part of the device sees: the battery, the
 /// harvest intake, the load registry and the run's accumulators.
 #[derive(Debug, Clone)]
 pub struct DeviceState {
@@ -324,7 +325,7 @@ pub struct DeviceState {
     /// Periodic BLE sync bursts completed.
     pub sync_bursts: u64,
     /// Distribution of BLE transmission attempts per sync episode
-    /// (1 = first try succeeded; see `RadioComponent`).
+    /// (1 = first try succeeded).
     pub sync_attempts: Histogram,
     /// Distribution of BLE retry backoff delays, µs.
     pub sync_backoff_us: Histogram,
@@ -346,11 +347,11 @@ pub struct DeviceState {
     pub scan_energy_j: f64,
     /// Results currently batched for the next sync flush (the radio
     /// mirrors its backlog here so adaptive policies can read the queue
-    /// depth without reaching into the component).
+    /// depth without reaching into the radio).
     pub queue_depth: u64,
     /// Trailing exponentially-weighted average of the harvest intake,
     /// watts — the adaptive policies' harvest forecast. Updated by the
-    /// policy component on its own ticks, so it is a deterministic
+    /// policy on its own ticks, so it is a deterministic
     /// function of the event sequence.
     pub harvest_avg_w: f64,
     /// Classifications dispatched per compute-target class
@@ -445,7 +446,7 @@ impl DeviceState {
     }
 
     /// Sets a slot's draw *absolutely* (not incrementally), watts.
-    /// Components that overlap work (e.g. concurrent acquisition windows)
+    /// Parts that overlap work (e.g. concurrent acquisition windows)
     /// set `count × unit_power`, so float error can never accumulate.
     ///
     /// # Panics
@@ -510,8 +511,27 @@ impl DeviceState {
     }
 }
 
-/// Track handles the engine registers once per run and hands to every
-/// component through [`SimCtx`].
+#[cfg(test)]
+impl DeviceState {
+    /// Runs `f` at `now_us` on a context over this state, as a handler
+    /// runs, with no sink and a scratch queue whose events are dropped.
+    pub(crate) fn with_ctx(
+        &mut self,
+        now_us: u64,
+        f: impl FnOnce(&mut SimCtx<'_, iw_trace::NoopSink>),
+    ) {
+        f(&mut SimCtx {
+            now_us,
+            state: self,
+            sink: &mut iw_trace::NoopSink,
+            tracks: Tracks::default(),
+            queue: &mut Queue::default(),
+        })
+    }
+}
+
+/// Track handles the engine registers once per run and hands to the
+/// device through [`SimCtx`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tracks {
     /// Device activity track (spans/instants), microsecond ticks.
@@ -520,7 +540,7 @@ pub struct Tracks {
     pub harvest: TrackId,
 }
 
-/// What a component sees while handling an event: the clock, the shared
+/// What the device sees while handling an event: the clock, the shared
 /// state, the sink, and the scheduling interface.
 pub struct SimCtx<'a, S: TraceSink> {
     /// Current simulation time, microseconds.
@@ -567,15 +587,15 @@ impl<S: TraceSink> SimCtx<'_, S> {
     }
 }
 
-/// The simulated device, or one piece of it. [`Engine::run`] drives one
-/// device and hands it every event; a device made of parts (the bracelet
-/// in `device.rs`) passes each event on to the parts that react to it.
+/// A device the engine drives. [`Engine::run`] starts one device and
+/// hands it every event. The bracelet in `device.rs` is the one product
+/// device: its parts are plain state, and its `handle` calls the one
+/// method of each part that reacts to the event; the engine's tests drive
+/// small devices of their own.
 pub trait Component<S: TraceSink> {
-    /// Called once before the first event: register load slots and
-    /// schedule the component's initial events.
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        let _ = ctx;
-    }
+    /// Called once before the first event: schedule the device's initial
+    /// events (and register any load slot not registered yet).
+    fn start(&mut self, ctx: &mut SimCtx<'_, S>);
 
     /// Handles one event.
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>);
@@ -614,7 +634,7 @@ impl Engine {
     }
 
     /// High-water mark of the event-queue depth across the run so far.
-    /// Components only push during dispatch (they cannot pop), so
+    /// The device only pushes during dispatch (it cannot pop), so
     /// sampling the depth after each event is dispatched captures the
     /// true peak.
     #[must_use]

@@ -1,13 +1,12 @@
-//! The fault-injection component and the brownout-safe degradation
-//! state machine.
+//! The bracelet's fault part and the brownout-safe degradation state
+//! machine.
 //!
-//! [`FaultComponent`] plays a pre-materialised [`FaultPlan`] back into
-//! the engine: scheduled fault windows become [`Event::FaultStart`] /
+//! [`Faults`] plays a pre-materialised [`FaultPlan`] back into the
+//! engine: scheduled fault windows become [`Event::FaultStart`] /
 //! [`Event::FaultEnd`] pairs that flip the shared-state flags the other
-//! components react to (signal corruption for the sensor front end,
-//! harvest derating for the environment, fuel-gauge bias for the
-//! policy). On top of the plan it runs the always-armed brownout state
-//! machine:
+//! parts react to (signal corruption for the sensor front end, harvest
+//! derating for the environment, fuel-gauge bias for the policy). On top
+//! of the plan it runs the always-armed brownout state machine:
 //!
 //! ```text
 //!            soc ≤ cutoff                     soc ≥ restart
@@ -28,7 +27,7 @@
 use iw_fault::{mix, FaultKind, FaultPlan, SplitMix64};
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, DeviceState, Event, SimCtx};
+use crate::engine::{secs_to_us, DeviceState, Event, SimCtx};
 
 /// Stream-derivation constant for the fuel-gauge noise stream (keeps it
 /// decorrelated from the BLE-loss stream derived from the same plan
@@ -39,41 +38,56 @@ pub(crate) const GAUGE_STREAM: u64 = 0x6741_5547_4531; // "gAUGE1"
 pub(crate) const BLE_STREAM: u64 = 0x424c_4531; // "BLE1"
 
 /// Plays a [`FaultPlan`] and runs the brownout state machine.
-pub struct FaultComponent {
+pub(crate) struct Faults {
     plan: FaultPlan,
     gauge_rng: SplitMix64,
     gauge_interval_us: u64,
     sleep_floor_w: f64,
-    /// The brownout thresholds as stored charges (set in `start`):
-    /// `charge <= cutoff_j` exactly when `soc <= cutoff_soc`, and
-    /// `charge >= restart_j` exactly when `soc >= restart_soc`, so the
-    /// per-event poll compares without dividing.
+    /// The brownout thresholds as stored charges: `charge <= cutoff_j`
+    /// exactly when `soc <= cutoff_soc`, and `charge >= restart_j`
+    /// exactly when `soc >= restart_soc`, so the per-event poll compares
+    /// without dividing.
     cutoff_j: f64,
     restart_j: f64,
     recovering: bool,
-    trace: bool,
 }
 
-impl FaultComponent {
-    /// A component for `plan`. `sleep_floor_w` is the configured base
-    /// load, restored when the device resumes from brownout.
-    #[must_use]
-    pub fn new(plan: FaultPlan, sleep_floor_w: f64, trace: bool) -> FaultComponent {
-        let gauge_rng = SplitMix64::new(mix(plan.seed, GAUGE_STREAM));
-        let gauge_interval_us = secs_to_us(plan.gauge_interval_s).max(1);
-        FaultComponent {
-            plan,
-            gauge_rng,
-            gauge_interval_us,
+impl Faults {
+    /// A fault part for `plan` on a cell of `capacity_j`. `sleep_floor_w`
+    /// is the configured base load, restored when the device resumes from
+    /// brownout.
+    pub(crate) fn new(plan: FaultPlan, sleep_floor_w: f64, capacity_j: f64) -> Faults {
+        Faults {
+            gauge_rng: SplitMix64::new(mix(plan.seed, GAUGE_STREAM)),
+            gauge_interval_us: secs_to_us(plan.gauge_interval_s).max(1),
             sleep_floor_w,
-            cutoff_j: f64::NAN,
-            restart_j: f64::NAN,
+            cutoff_j: charge_at_most(plan.brownout.cutoff_soc, capacity_j),
+            restart_j: charge_at_least(plan.brownout.restart_soc, capacity_j),
             recovering: false,
-            trace,
+            plan,
         }
     }
 
-    fn apply_window<S: TraceSink>(&self, index: usize, ctx: &mut SimCtx<'_, S>) {
+    /// Schedules the first fault window and, under gauge noise, the first
+    /// gauge tick.
+    pub(crate) fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
+        if !self.plan.windows.is_empty() {
+            ctx.schedule_at(
+                self.plan.windows[0].start_us,
+                Event::FaultStart { index: 0 },
+            );
+        }
+        if self.plan.gauge_noise_soc > 0.0 {
+            // One "episode" per run: the noise stream itself.
+            ctx.state.faults.add(FaultKind::GaugeNoise);
+            ctx.schedule_at(0, Event::GaugeTick);
+        }
+    }
+
+    /// Window `index` opens: flips its flag, counts its episode, and
+    /// schedules its end and the next window's start.
+    #[inline]
+    pub(crate) fn window_start<S: TraceSink>(&self, index: usize, ctx: &mut SimCtx<'_, S>) {
         let w = self.plan.windows[index];
         match w.kind {
             k if k.corrupts_signal() => ctx.state.signal_faults += 1,
@@ -86,15 +100,20 @@ impl FaultComponent {
             _ => {}
         }
         ctx.state.faults.add(w.kind);
-        if S::ENABLED && self.trace {
+        if S::ENABLED {
             let track = ctx.tracks.device;
             ctx.sink.instant(track, w.kind.label(), ctx.now_us);
         }
+        ctx.schedule_at(w.end_us, Event::FaultEnd { index });
+        if let Some(next) = self.plan.windows.get(index + 1) {
+            ctx.schedule_at(next.start_us, Event::FaultStart { index: index + 1 });
+        }
     }
 
-    fn revert_window<S: TraceSink>(&self, index: usize, ctx: &mut SimCtx<'_, S>) {
-        let w = self.plan.windows[index];
-        match w.kind {
+    /// Window `index` closes: restores its flag.
+    #[inline]
+    pub(crate) fn window_end<S: TraceSink>(&self, index: usize, ctx: &mut SimCtx<'_, S>) {
+        match self.plan.windows[index].kind {
             k if k.corrupts_signal() => ctx.state.signal_faults -= 1,
             FaultKind::SolarOcclusion => ctx.state.solar_derate = 1.0,
             FaultKind::TegCollapse => ctx.state.teg_derate = 1.0,
@@ -103,10 +122,19 @@ impl FaultComponent {
         }
     }
 
+    /// Fuel-gauge noise resamples the gauge's read error.
+    #[inline]
+    pub(crate) fn gauge<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let a = self.plan.gauge_noise_soc;
+        ctx.state.soc_bias = self.gauge_rng.range_f64(-a, a);
+        ctx.schedule_in(self.gauge_interval_us, Event::GaugeTick);
+    }
+
     /// The brownout state machine, evaluated against the *true* state of
     /// charge on every state-changing event (events are the only instants
     /// anything can change, so per-event polling is exact).
-    fn poll_brownout<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+    #[inline]
+    pub(crate) fn poll_brownout<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
         let charge_j = ctx.state.battery.charge_j();
         let model = self.plan.brownout;
         if ctx.state.acquisition_enabled {
@@ -116,7 +144,7 @@ impl FaultComponent {
                 ctx.state.base_load_w = self.sleep_floor_w * model.leakage_fraction;
                 ctx.state.faults.add(FaultKind::Brownout);
                 ctx.state.reliability.brownouts += 1;
-                if S::ENABLED && self.trace {
+                if S::ENABLED {
                     let track = ctx.tracks.device;
                     ctx.sink.instant(track, "brownout", ctx.now_us);
                 }
@@ -127,7 +155,10 @@ impl FaultComponent {
         }
     }
 
-    fn try_resume<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+    /// The cold-start delay elapsed: the device resumes if the battery is
+    /// still above the restart threshold.
+    #[inline]
+    pub(crate) fn recover<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
         self.recovering = false;
         // The cold start only sticks if the battery is still above the
         // restart threshold (a load spike during the delay re-arms).
@@ -148,7 +179,7 @@ impl FaultComponent {
         ctx.state.reliability.downtime_us += episode_us;
         ctx.state.reliability.recovery_us += episode_us;
         ctx.state.reliability.recoveries += 1;
-        if S::ENABLED && self.trace {
+        if S::ENABLED {
             let track = ctx.tracks.device;
             ctx.sink.instant(track, "resume", ctx.now_us);
         }
@@ -211,50 +242,6 @@ pub(crate) fn charge_at_least(soc: f64, capacity_j: f64) -> f64 {
     -charge_at_most(-soc, capacity_j)
 }
 
-impl<S: TraceSink> Component<S> for FaultComponent {
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        let capacity_j = ctx.state.battery.capacity_j();
-        self.cutoff_j = charge_at_most(self.plan.brownout.cutoff_soc, capacity_j);
-        self.restart_j = charge_at_least(self.plan.brownout.restart_soc, capacity_j);
-        if !self.plan.windows.is_empty() {
-            ctx.schedule_at(
-                self.plan.windows[0].start_us,
-                Event::FaultStart { index: 0 },
-            );
-        }
-        if self.plan.gauge_noise_soc > 0.0 {
-            // One "episode" per run: the noise stream itself.
-            ctx.state.faults.add(FaultKind::GaugeNoise);
-            ctx.schedule_at(0, Event::GaugeTick);
-        }
-    }
-
-    #[inline]
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        match ev {
-            Event::FaultStart { index } => {
-                self.apply_window(index, ctx);
-                ctx.schedule_at(self.plan.windows[index].end_us, Event::FaultEnd { index });
-                if index + 1 < self.plan.windows.len() {
-                    ctx.schedule_at(
-                        self.plan.windows[index + 1].start_us,
-                        Event::FaultStart { index: index + 1 },
-                    );
-                }
-            }
-            Event::FaultEnd { index } => self.revert_window(index, ctx),
-            Event::GaugeTick => {
-                let a = self.plan.gauge_noise_soc;
-                ctx.state.soc_bias = self.gauge_rng.range_f64(-a, a);
-                ctx.schedule_in(self.gauge_interval_us, Event::GaugeTick);
-            }
-            Event::BrownoutRecover => self.try_resume(ctx),
-            _ => {}
-        }
-        self.poll_brownout(ctx);
-    }
-}
-
 /// Finalises the reliability accumulators after a run: closes a
 /// still-open brownout episode against the run horizon `end_us`.
 pub(crate) fn finalize_reliability(state: &mut DeviceState, end_us: u64) {
@@ -289,29 +276,89 @@ mod tests {
     #[test]
     fn component_construction_is_deterministic() {
         let plan = FaultProfile::Harsh.plan(5, 3600.0);
-        let a = FaultComponent::new(plan.clone(), 1e-3, false);
-        let b = FaultComponent::new(plan, 1e-3, false);
+        let a = Faults::new(plan.clone(), 1e-3, 40.0);
+        let b = Faults::new(plan, 1e-3, 40.0);
         assert_eq!(a.gauge_rng, b.gauge_rng);
         assert_eq!(a.gauge_interval_us, b.gauge_interval_us);
     }
 
     #[test]
     fn window_kinds_route_to_the_right_flags() {
-        let w = |kind| FaultWindow {
-            kind,
-            start_us: 0,
-            end_us: 10,
-            severity: 0.25,
+        use FaultKind::*;
+        // One window of each scheduled kind, then two overlapping signal
+        // windows, opened at 0 µs and closed at 10 µs.
+        let kinds = [
+            EcgLeadOff,
+            MotionArtifact,
+            GsrDetach,
+            SolarOcclusion,
+            TegCollapse,
+            BleLoss,
+            EcgLeadOff,
+            MotionArtifact,
+        ];
+        let plan = FaultPlan {
+            windows: kinds
+                .iter()
+                .map(|&kind| FaultWindow {
+                    kind,
+                    start_us: 0,
+                    end_us: 10,
+                    severity: 0.25,
+                })
+                .collect(),
+            ..FaultPlan::none()
         };
-        for (kind, signal) in [
-            (FaultKind::EcgLeadOff, true),
-            (FaultKind::MotionArtifact, true),
-            (FaultKind::GsrDetach, true),
-            (FaultKind::SolarOcclusion, false),
-            (FaultKind::TegCollapse, false),
-        ] {
-            assert_eq!(w(kind).kind.corrupts_signal(), signal);
+        let fault = Faults::new(plan, 1e-3, 10.0);
+        let mut state = DeviceState::new(iw_harvest::Battery::new(10.0));
+        // (signal_faults, solar_derate, teg_derate, gateway_down)
+        let flags = |s: &DeviceState| {
+            (
+                s.signal_faults,
+                s.solar_derate,
+                s.teg_derate,
+                s.gateway_down,
+            )
+        };
+        let clear = (0, 1.0, 1.0, 0);
+        for (index, open) in [
+            (1, 1.0, 1.0, 0),
+            (1, 1.0, 1.0, 0),
+            (1, 1.0, 1.0, 0),
+            (0, 0.25, 1.0, 0),
+            (0, 1.0, 0.25, 0),
+            (0, 1.0, 1.0, 1),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let kind = kinds[index];
+            state.with_ctx(0, |ctx| fault.window_start(index, ctx));
+            assert_eq!(flags(&state), open, "{kind:?} open");
+            assert_eq!(state.faults.get(kind), 1, "{kind:?} open");
+            state.with_ctx(10, |ctx| fault.window_end(index, ctx));
+            assert_eq!(flags(&state), clear, "{kind:?} closed");
+            assert_eq!(state.faults.get(kind), 1, "{kind:?} closed");
         }
+        // The two signal windows nest: the flag counts open windows.
+        let mut signal = Vec::new();
+        state.with_ctx(0, |ctx| fault.window_start(6, ctx));
+        signal.push(state.signal_faults);
+        state.with_ctx(0, |ctx| fault.window_start(7, ctx));
+        signal.push(state.signal_faults);
+        state.with_ctx(10, |ctx| fault.window_end(6, ctx));
+        signal.push(state.signal_faults);
+        state.with_ctx(10, |ctx| fault.window_end(7, ctx));
+        signal.push(state.signal_faults);
+        assert_eq!(signal, [1, 2, 1, 0]);
+        assert_eq!(
+            (
+                state.faults.get(EcgLeadOff),
+                state.faults.get(MotionArtifact)
+            ),
+            (2, 2)
+        );
+        assert_eq!(flags(&state), clear);
     }
 
     mod threshold_props {

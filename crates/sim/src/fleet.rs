@@ -1323,7 +1323,7 @@ impl FleetConfig {
         if let Some(scenario) = &self.scenario {
             // The scenario's correlated windows (weather fronts over this
             // device's environment, regional gateway outages) merge into
-            // the same per-device plan the fault component plays back.
+            // the same per-device plan the bracelet's fault part plays back.
             let extra = scenario.device_fault_windows(index);
             if !extra.is_empty() {
                 cfg.faults.windows.extend_from_slice(extra);

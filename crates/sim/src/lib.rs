@@ -8,12 +8,13 @@
 //! engine is both faster and more accurate than stepping a fixed `dt`.
 //!
 //! The device layer ([`DeviceConfig`]) wires the existing crates into
-//! the bracelet's components, routed statically by event: dual-source
-//! harvesting (`iw-harvest`), sensor acquisition
-//! windows, compute jobs whose duration and energy the caller costs
-//! ([`ComputeJob`]), BLE sync bursts (`iw-nrf52`) and the
-//! detection policies in [`PolicySpec`]. Runs can stream into any
-//! `iw-trace` [`iw_trace::TraceSink`].
+//! the bracelet's parts: dual-source harvesting (`iw-harvest`), sensor
+//! acquisition windows, compute jobs whose duration and energy the
+//! caller costs ([`ComputeJob`]), BLE sync bursts (`iw-nrf52`) and the
+//! detection policies in [`PolicySpec`]. The bracelet is the one
+//! [`Component`] the engine drives; it routes each event with one
+//! `match` to the one method of each part that reacts to it. Runs can
+//! stream into any `iw-trace` [`iw_trace::TraceSink`].
 //!
 //! The fleet layer ([`FleetConfig`]) sweeps N devices × wearer subjects
 //! × environment profiles with deterministic per-device seeding. It is
@@ -26,14 +27,14 @@
 //! runs the coordinator/worker protocol over any `Read`/`Write`
 //! streams.
 //!
-//! The fault layer (crate `iw-fault`, replayed by [`FaultComponent`])
-//! injects deterministic fault plans — electrode lead-off, motion
+//! The fault layer (crate `iw-fault`, replayed by the bracelet's fault
+//! part) injects deterministic fault plans — electrode lead-off, motion
 //! artifacts, harvest occlusion, BLE sync loss, fuel-gauge noise — and
 //! runs the brownout / cold-start degradation state machine; reliability
 //! counters surface in [`DeviceReport`] and the fleet aggregates.
 //!
-//! The scenario layer (crate `iw-scenario`, played by
-//! [`BleScanComponent`]) compiles fleet-wide scripts — mobility-driven
+//! The scenario layer (crate `iw-scenario`, played by the bracelet's BLE
+//! scanner) compiles fleet-wide scripts — mobility-driven
 //! contact windows, weather fronts, regional gateway outages, epidemic
 //! seeding — into per-device artifacts, so networked devices stay
 //! independently simulable; the fleet fold then runs a deterministic
@@ -49,13 +50,11 @@ mod fleet;
 pub mod record;
 
 pub use device::{
-    default_sleep_floor_w, BleScanComponent, BleSync, ComputeJob, DetectionCosts, DeviceConfig,
-    DeviceReport,
+    default_sleep_floor_w, BleSync, ComputeJob, DetectionCosts, DeviceConfig, DeviceReport,
 };
 pub use engine::{
     secs_to_us, Component, DeviceState, Engine, Event, LoadSlot, SimClock, SimCtx, Tracks, US_PER_S,
 };
-pub use faults::FaultComponent;
 pub use fleet::{
     fleet_snapshot, DeviceResult, DigestAccum, ExactSum, FleetAggregate, FleetConfig, FleetMetrics,
     FleetReport, MergeOverflow, PolicyAccum, PolicyStats, ScenarioTotals, SubjectProfile,
