@@ -35,9 +35,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p iw-fann -p iw-kernels -p iw-harvest -p iw-sensors -p iw-sim -p iw-fault \
   -p iw-metrics -p iw-scenario -p iw-policy -p infiniwolf -p iw-biosig -p iw-bench
 cargo test --workspace -q
-# The cluster's long differential proptests (2 048 cases of kernel-shaped
-# layers whose cores leave and rejoin the lockstep), in release.
-cargo test --release -q -p iw-mrwolf -- --ignored
+# The long proptests, in release: the cluster's differential one (2 048
+# cases of kernel-shaped layers whose cores leave and rejoin the
+# lockstep) and the device's (1 024 random devices whose report must not
+# change with trace samples or a recording sink).
+cargo test --release -q -p iw-mrwolf -p iw-sim -- --ignored
 
 # The benchmark package's tiny-size checks: digest repeatability, energy
 # conservation and coordinator == in-process digest on every workload.

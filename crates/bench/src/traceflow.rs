@@ -7,7 +7,7 @@ use infiniwolf::{detection_costs, DetectionBudget};
 use iw_harvest::{record_harvest, EnvProfile};
 use iw_kernels::{registry, FixedRun, PreparedFixed};
 use iw_sim::{DeviceConfig, PolicySpec};
-use iw_trace::Recorder;
+use iw_trace::{NoopSink, Recorder};
 
 use crate::evaluation_nets;
 
@@ -64,7 +64,7 @@ pub fn trace_target(net_key: &str, target_id: &str) -> Result<TraceArtifacts, St
         detection_costs(&DetectionBudget::paper()),
     );
     day.battery.set_soc(0.5);
-    let report = day.run();
+    let report = day.run(&mut NoopSink);
     record_harvest(&report.sim, &mut rec);
 
     let net = if ni == 0 { "neta" } else { "netb" };

@@ -4,7 +4,7 @@
 
 use iw_harvest::{daily_intake, Battery, EnvProfile, SimReport, SolarHarvester, TegHarvester};
 use iw_sensors::Acquisition;
-use iw_sim::{ComputeJob, DetectionCosts, DeviceConfig};
+use iw_sim::{ComputeJob, DetectionCosts, DeviceConfig, NoopSink};
 
 use crate::detection::DetectionBudget;
 
@@ -95,7 +95,7 @@ pub fn simulate_policy(
     cfg.teg = *teg;
     cfg.battery = *battery;
     cfg.sleep_floor_w = sleep_floor_w;
-    let report = cfg.run();
+    let report = cfg.run(&mut NoopSink);
     *battery = report.battery;
     report.sim
 }

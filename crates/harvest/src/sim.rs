@@ -6,7 +6,7 @@
 //! [`SimReport`]) that the engine fills in and downstream consumers
 //! (plots, traces, sustainability analysis) read back.
 
-use iw_trace::TraceSink;
+use iw_trace::{TraceSink, TrackId};
 
 use crate::env::EnvProfile;
 use crate::solar::SolarHarvester;
@@ -76,6 +76,18 @@ pub struct TracePoint {
     pub consumed_w: f64,
 }
 
+impl TracePoint {
+    /// Emits the point as the `soc_pct`, `solar_mw`, `teg_mw` and
+    /// `load_mw` counters on `track`, at its whole second.
+    pub fn record<S: TraceSink>(&self, sink: &mut S, track: TrackId) {
+        let t = self.t_s as u64;
+        sink.counter(track, "soc_pct", t, self.soc * 100.0);
+        sink.counter(track, "solar_mw", t, self.solar_w * 1e3);
+        sink.counter(track, "teg_mw", t, self.teg_w * 1e3);
+        sink.counter(track, "load_mw", t, self.consumed_w * 1e3);
+    }
+}
+
 /// Result of a battery-coupled simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -103,11 +115,7 @@ pub fn record_harvest<S: TraceSink>(report: &SimReport, sink: &mut S) {
     }
     let track = sink.track("harvest", 1e-6);
     for p in &report.trace {
-        let t = p.t_s as u64;
-        sink.counter(track, "soc_pct", t, p.soc * 100.0);
-        sink.counter(track, "solar_mw", t, p.solar_w * 1e3);
-        sink.counter(track, "teg_mw", t, p.teg_w * 1e3);
-        sink.counter(track, "load_mw", t, p.consumed_w * 1e3);
+        p.record(sink, track);
     }
 }
 

@@ -14,8 +14,9 @@
 //! registered in [`LoadSlot`]s. The engine therefore integrates the
 //! battery *exactly* (power × elapsed time) when it advances the clock —
 //! there is no fixed integration step and no step-size error. Power only
-//! changes at an event; bookkeeping events (policy and gauge ticks, trace
-//! samples) fall between changes and integrate a gap like any other.
+//! changes at an event; bookkeeping events (policy and gauge ticks) fall
+//! between changes and integrate a gap like any other. Trace samples are
+//! not events: they read the state without splitting a gap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -150,8 +151,6 @@ pub enum Event {
     /// Cold-start delay elapsed: the device attempts to resume from
     /// brownout.
     BrownoutRecover,
-    /// Trace sampling tick: record a [`TracePoint`].
-    Sample,
     /// End of simulation: integrate up to here, then stop.
     End,
 }
@@ -486,27 +485,63 @@ impl DeviceState {
         (self.battery.soc() + self.soc_bias).clamp(0.0, 1.0)
     }
 
-    /// Integrates the piecewise-constant powers over `dt_s` seconds:
-    /// charge first (losses + capacity clipping apply), then discharge.
-    /// On brown-out the available energy is drained, the flag sticks, and
-    /// the simulation continues (the device rides the harvest trickle).
-    fn advance(&mut self, dt_s: f64) {
-        if dt_s <= 0.0 {
-            return;
+    /// Records the trace sample due at `at_us`, inside the gap from the
+    /// last event (at `from_us`) to the next, into [`Self::trace`] and
+    /// `sink`'s `harvest` track. Intake and load hold over the gap, so its
+    /// SoC is a copy of the battery integrated up to `at_us`.
+    #[cold]
+    fn sample<S: TraceSink>(&mut self, from_us: u64, at_us: u64, sink: &mut S, harvest: TrackId) {
+        let mut battery = self.battery;
+        let dt_s = (at_us - from_us) as f64 / US_PER_S;
+        let _ = integrate(&mut battery, self.intake_w(), self.load_w(), dt_s);
+        let point = TracePoint {
+            t_s: at_us as f64 / US_PER_S,
+            soc: battery.soc(),
+            solar_w: self.solar_w,
+            teg_w: self.teg_w,
+            consumed_w: self.load_w(),
+        };
+        self.trace.push(point);
+        if S::ENABLED {
+            point.record(sink, harvest);
         }
-        self.stored_j += self.battery.charge(self.intake_w() * dt_s);
-        self.draw(self.load_w() * dt_s);
     }
 
-    /// Draws `energy_j` from the cell with brown-out semantics.
-    fn draw(&mut self, energy_j: f64) {
-        match self.battery.discharge(energy_j) {
-            Ok(()) => self.consumed_j += energy_j,
-            Err(e) => {
-                let _ = self.battery.discharge(e.available_j);
-                self.browned_out = true;
-                self.consumed_j += e.available_j;
-            }
+    /// Integrates the piecewise-constant powers over `dt_s` seconds
+    /// ([`integrate`]). On brown-out the available energy is drained, the
+    /// flag sticks, and the simulation continues (the device rides the
+    /// harvest trickle).
+    fn advance(&mut self, dt_s: f64) {
+        if dt_s > 0.0 {
+            let (intake_w, load_w) = (self.intake_w(), self.load_w());
+            let (stored_j, drawn_j, short) = integrate(&mut self.battery, intake_w, load_w, dt_s);
+            self.stored_j += stored_j;
+            self.consumed_j += drawn_j;
+            self.browned_out |= short;
+        }
+    }
+}
+
+/// Holds `intake_w` and `load_w` for `dt_s` seconds on `battery`: charge
+/// first (losses and capacity clipping apply), then [`draw`]. Returns the
+/// energy stored and drawn and whether the cell fell short. The run's
+/// gaps and the trace samples both take this step.
+#[inline]
+fn integrate(battery: &mut Battery, intake_w: f64, load_w: f64, dt_s: f64) -> (f64, f64, bool) {
+    let stored_j = battery.charge(intake_w * dt_s);
+    let (drawn_j, short) = draw(battery, load_w * dt_s);
+    (stored_j, drawn_j, short)
+}
+
+/// Draws `energy_j` from `battery`, or drains it when it holds less.
+/// Returns the energy drawn and whether the cell fell short.
+#[inline]
+fn draw(battery: &mut Battery, energy_j: f64) -> (f64, bool) {
+    match battery.discharge(energy_j) {
+        Ok(()) => (energy_j, false),
+        Err(e) => {
+            let _ = battery.discharge(e.available_j);
+            (e.available_j, true)
         }
     }
 }
@@ -583,7 +618,9 @@ impl<S: TraceSink> SimCtx<'_, S> {
     /// bursts too short to matter as a power level, e.g. a 4-byte BLE
     /// result notification). Brown-out semantics match continuous loads.
     pub fn consume_j(&mut self, energy_j: f64) {
-        self.state.draw(energy_j);
+        let (drawn_j, short) = draw(&mut self.state.battery, energy_j);
+        self.state.consumed_j += drawn_j;
+        self.state.browned_out |= short;
     }
 }
 
@@ -654,7 +691,19 @@ impl Engine {
     /// `device`. The run ends at `End`, which integrates its gap and
     /// counts as processed, or when the queue drains. Returns the number
     /// of events processed.
-    pub fn run<S: TraceSink, C: Component<S>>(&mut self, sink: &mut S, device: &mut C) -> u64 {
+    ///
+    /// With `sample_us`, a trace sample ([`TracePoint`] and `harvest`
+    /// counters) is due at every multiple of it. Before integrating the
+    /// gap up to an event at `t`, the run records each sample due before
+    /// `t`, so a sample sees the state after every event at or before its
+    /// instant, and none falls at or after `End`. Samples change no
+    /// state, count or queue depth.
+    pub fn run<S: TraceSink, C: Component<S>>(
+        &mut self,
+        sink: &mut S,
+        device: &mut C,
+        sample_us: Option<u64>,
+    ) -> u64 {
         let tracks = Tracks {
             device: sink.track("device", 1.0),
             harvest: sink.track("harvest", 1e-6),
@@ -669,8 +718,17 @@ impl Engine {
         device.start(&mut ctx);
         let mut high_water = self.queue_high_water.max(ctx.queue.len() as u64);
         let mut events = self.events_processed;
+        let interval_us = sample_us.map_or(u64::MAX, |us| us.max(1));
+        let mut next_sample_us = sample_us.map_or(u64::MAX, |_| {
+            self.clock.now_us().next_multiple_of(interval_us)
+        });
         while let Some((t_us, ev)) = ctx.queue.pop() {
             if t_us > self.clock.now_us() {
+                while next_sample_us < t_us {
+                    ctx.state
+                        .sample(ctx.now_us, next_sample_us, ctx.sink, ctx.tracks.harvest);
+                    next_sample_us = next_sample_us.saturating_add(interval_us);
+                }
                 let dt_s = self.clock.advance_to(t_us);
                 ctx.now_us = t_us;
                 ctx.state.advance(dt_s);
@@ -723,8 +781,17 @@ mod tests {
 
     /// Runs a fresh engine around `battery` on `device`.
     fn run(battery: Battery, device: &mut impl Component<NoopSink>) -> Engine {
+        sampled(battery, device, None)
+    }
+
+    /// [`run`] with a trace sample due every `sample_us`.
+    fn sampled(
+        battery: Battery,
+        device: &mut impl Component<NoopSink>,
+        sample_us: Option<u64>,
+    ) -> Engine {
         let mut engine = Engine::new(battery);
-        engine.run(&mut NoopSink, device);
+        engine.run(&mut NoopSink, device, sample_us);
         engine
     }
 
@@ -795,20 +862,20 @@ mod tests {
     fn ties_dispatch_in_scheduling_order() {
         let mut probe = Probe::new(vec![
             (5, Event::PolicyTick),
-            (5, Event::Sample),
+            (5, Event::GaugeTick),
             (6, Event::End),
         ]);
         let engine = run(Battery::new(10.0), &mut probe);
         // PolicyTick was scheduled first, so at the shared timestamp it
         // dispatches first — deterministically.
-        assert_eq!(probe.log, [(5, Event::PolicyTick), (5, Event::Sample)]);
+        assert_eq!(probe.log, [(5, Event::PolicyTick), (5, Event::GaugeTick)]);
         assert_eq!(engine.events_processed(), 3);
     }
 
     #[test]
     fn every_event_but_end_reaches_the_device() {
         let mut probe = Probe::new(vec![
-            (1, Event::Sample),
+            (1, Event::BrownoutRecover),
             (2, Event::PolicyTick),
             (3, Event::FaultStart { index: 4 }),
             (4, Event::FaultEnd { index: 4 }),
@@ -819,7 +886,7 @@ mod tests {
         assert_eq!(
             probe.log,
             [
-                (1, Event::Sample),
+                (1, Event::BrownoutRecover),
                 (2, Event::PolicyTick),
                 (3, Event::FaultStart { index: 4 }),
                 (4, Event::FaultEnd { index: 4 }),
@@ -849,6 +916,113 @@ mod tests {
         // 1 mW × 1000 s = 1 J.
         assert!((engine.state.consumed_j - 1.0).abs() < 1e-12);
         assert!((engine.state.battery.charge_j() - 49.0).abs() < 1e-12);
+    }
+
+    /// Steps its load: at each `(t_us, power_w)` a `PolicyTick` sets the
+    /// power, and the run ends at `end_us`. Intake comes from a fixed
+    /// solar power.
+    struct LoadSteps {
+        steps: Vec<(u64, f64)>,
+        end_us: u64,
+        slot: Option<LoadSlot>,
+        next: usize,
+    }
+
+    impl LoadSteps {
+        fn new(steps: &[(u64, f64)], end_us: u64) -> LoadSteps {
+            LoadSteps {
+                steps: steps.to_vec(),
+                end_us,
+                slot: None,
+                next: 0,
+            }
+        }
+    }
+
+    impl<S: TraceSink> Component<S> for LoadSteps {
+        fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+            self.slot = Some(ctx.state.register_load());
+            ctx.state.solar_w = 3e-4;
+            ctx.schedule_at(self.end_us, Event::End);
+            for &(t_us, _) in &self.steps {
+                ctx.schedule_at(t_us, Event::PolicyTick);
+            }
+        }
+        fn handle(&mut self, _ev: Event, ctx: &mut SimCtx<'_, S>) {
+            let slot = self.slot.expect("started");
+            ctx.state.set_load(slot, self.steps[self.next].1);
+            self.next += 1;
+        }
+    }
+
+    fn half_full(capacity_j: f64) -> Battery {
+        let mut battery = Battery::new(capacity_j);
+        battery.set_soc(0.5);
+        battery
+    }
+
+    const STEPS: [(u64, f64); 4] = [(0, 1e-3), (7, 2e-3), (20, 5e-4), (33, 4e-3)];
+
+    #[test]
+    fn samples_fall_on_multiples_of_the_interval_before_end() {
+        for (end_us, expected) in [(40, 4), (41, 5), (1, 1), (0, 0)] {
+            let mut device = LoadSteps::new(&STEPS[..1], end_us);
+            let engine = sampled(half_full(1.0), &mut device, Some(10));
+            let instants: Vec<f64> = engine.state.trace.iter().map(|p| p.t_s).collect();
+            let want: Vec<f64> = (0..expected).map(|k| k as f64 * 10.0 / US_PER_S).collect();
+            // The sample due at `End`'s instant (40 µs) is not taken.
+            assert_eq!(instants, want, "end {end_us}");
+        }
+    }
+
+    #[test]
+    fn a_sample_sees_every_event_at_its_instant() {
+        let mut device = LoadSteps::new(&STEPS, 50);
+        let engine = sampled(half_full(1.0), &mut device, Some(10));
+        let loads: Vec<f64> = engine.state.trace.iter().map(|p| p.consumed_w).collect();
+        // The sample at 20 µs sees the step the tick at 20 µs sets, and
+        // the one at 0 the step at 0.
+        assert_eq!(loads, [1e-3, 2e-3, 5e-4, 5e-4, 4e-3]);
+        assert!(engine.state.trace.iter().all(|p| p.solar_w == 3e-4));
+    }
+
+    #[test]
+    fn samples_read_the_state_an_end_at_their_instant_leaves() {
+        // The 10 nJ cell browns out early, so the look-ahead drains it
+        // as the live run does.
+        for capacity_j in [1.0, 1e-8] {
+            let mut device = LoadSteps::new(&STEPS, 50);
+            let engine = sampled(half_full(capacity_j), &mut device, Some(3));
+            for point in &engine.state.trace {
+                let at_us = (point.t_s * US_PER_S).round() as u64;
+                let mut cut = LoadSteps::new(&STEPS, at_us);
+                let until = run(half_full(capacity_j), &mut cut);
+                assert_eq!(
+                    point.soc.to_bits(),
+                    until.state.battery.soc().to_bits(),
+                    "{capacity_j} J at {at_us} µs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn samples_change_no_state_or_count() {
+        for capacity_j in [1.0, 1e-8] {
+            let mut plain = LoadSteps::new(&STEPS, 50);
+            let plain = run(half_full(capacity_j), &mut plain);
+            let mut traced = LoadSteps::new(&STEPS, 50);
+            let traced = sampled(half_full(capacity_j), &mut traced, Some(1));
+            assert_eq!(traced.state.trace.len(), 50);
+            assert!(plain.state.trace.is_empty());
+            assert_eq!(plain.state.browned_out, capacity_j < 1.0);
+            assert_eq!(traced.events_processed(), plain.events_processed());
+            assert_eq!(traced.queue_high_water(), plain.queue_high_water());
+            assert_eq!(traced.now_us(), plain.now_us());
+            let (mut traced_state, plain_state) = (traced.state, plain.state);
+            traced_state.trace.clear();
+            assert_eq!(format!("{traced_state:?}"), format!("{plain_state:?}"));
+        }
     }
 
     mod queue_props {

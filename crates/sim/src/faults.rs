@@ -37,9 +37,9 @@ pub(crate) const GAUGE_STREAM: u64 = 0x6741_5547_4531; // "gAUGE1"
 /// Stream-derivation constant for the BLE sync-loss stream.
 pub(crate) const BLE_STREAM: u64 = 0x424c_4531; // "BLE1"
 
-/// Plays a [`FaultPlan`] and runs the brownout state machine.
-pub(crate) struct Faults {
-    plan: FaultPlan,
+/// Plays a borrowed [`FaultPlan`] and runs the brownout state machine.
+pub(crate) struct Faults<'a> {
+    plan: &'a FaultPlan,
     gauge_rng: SplitMix64,
     gauge_interval_us: u64,
     sleep_floor_w: f64,
@@ -52,11 +52,11 @@ pub(crate) struct Faults {
     recovering: bool,
 }
 
-impl Faults {
+impl<'a> Faults<'a> {
     /// A fault part for `plan` on a cell of `capacity_j`. `sleep_floor_w`
     /// is the configured base load, restored when the device resumes from
     /// brownout.
-    pub(crate) fn new(plan: FaultPlan, sleep_floor_w: f64, capacity_j: f64) -> Faults {
+    pub(crate) fn new(plan: &'a FaultPlan, sleep_floor_w: f64, capacity_j: f64) -> Faults<'a> {
         Faults {
             gauge_rng: SplitMix64::new(mix(plan.seed, GAUGE_STREAM)),
             gauge_interval_us: secs_to_us(plan.gauge_interval_s).max(1),
@@ -276,8 +276,8 @@ mod tests {
     #[test]
     fn component_construction_is_deterministic() {
         let plan = FaultProfile::Harsh.plan(5, 3600.0);
-        let a = Faults::new(plan.clone(), 1e-3, 40.0);
-        let b = Faults::new(plan, 1e-3, 40.0);
+        let a = Faults::new(&plan, 1e-3, 40.0);
+        let b = Faults::new(&plan, 1e-3, 40.0);
         assert_eq!(a.gauge_rng, b.gauge_rng);
         assert_eq!(a.gauge_interval_us, b.gauge_interval_us);
     }
@@ -309,7 +309,7 @@ mod tests {
                 .collect(),
             ..FaultPlan::none()
         };
-        let fault = Faults::new(plan, 1e-3, 10.0);
+        let fault = Faults::new(&plan, 1e-3, 10.0);
         let mut state = DeviceState::new(iw_harvest::Battery::new(10.0));
         // (signal_faults, solar_derate, teg_derate, gateway_down)
         let flags = |s: &DeviceState| {

@@ -36,11 +36,11 @@ use iw_fault::{mix, FaultCounters, FaultKind, FaultProfile, ReliabilityCounters}
 use iw_harvest::{Battery, EnvProfile};
 use iw_metrics::{Histogram, Snapshot, Value};
 use iw_scenario::{run_epidemic, CompiledScenario, ContactEdge, EpidemicOutcome};
-use iw_trace::{Recorder, TraceSink};
+use iw_trace::{NoopSink, Recorder, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::device::{BleSync, ComputeJob, DetectionCosts, DeviceConfig, DeviceReport};
+use crate::device::{BleSync, ComputeJob, DetectionCosts, DeviceConfig};
 use iw_policy::PolicySpec;
 
 /// Stream-derivation constant separating each device's fault-plan seed
@@ -53,9 +53,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// [`DigestAccum`] (odd, hence invertible mod 2⁶⁴).
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// Trace samples per device on the observability path
-/// ([`FleetConfig::run_device_traced`]); the aggregate path traces
-/// nothing.
+/// Trace samples per device when a device runs into a recording sink
+/// ([`FleetConfig::trace_groups`]); the aggregate path samples nothing.
+/// Samples only observe, so either run gives the same [`DeviceResult`].
 const FLEET_TRACE_POINTS: usize = 256;
 
 /// A wearer archetype: scales the policy's detection rate.
@@ -197,12 +197,10 @@ impl DeviceResult {
     /// The device's digest contribution: FNV-1a over the result's
     /// determinism-relevant fields (index, detections, brown-out flag,
     /// the exact bit patterns of the energy bookkeeping, and every
-    /// fault / reliability counter). Engine-event counts, queue depth,
-    /// trace sampling and the telemetry histograms are deliberately
-    /// excluded, so an observability re-run
-    /// ([`FleetConfig::run_device_traced`]) digests identically
-    /// (tracing adds `Sample` events, which shifts event counts and
-    /// queue depth without perturbing any decision).
+    /// fault / reliability counter). Engine-event counts, queue depth
+    /// and the telemetry histograms are left out: they are engine
+    /// instrumentation, not results. A traced re-run
+    /// ([`FleetConfig::trace_groups`]) gives the same whole result.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
@@ -1346,16 +1344,28 @@ impl FleetConfig {
         )
     }
 
-    fn finish_device(
-        &self,
-        index: usize,
-        who: DeviceAssignment,
-        initial_j: f64,
-        report: &DeviceReport,
-    ) -> DeviceResult {
-        let conservation_j =
-            (initial_j + report.sim.stored_j - report.sim.consumed_j - report.battery.charge_j())
-                .abs();
+    /// Runs one device of the sweep. Pure function of `(self, index)` —
+    /// this is what makes the fleet digest worker-topology invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the environment, subject or policy lists are empty.
+    #[must_use]
+    pub fn run_device(&self, index: usize) -> DeviceResult {
+        self.run_device_into(index, &mut NoopSink)
+    }
+
+    /// [`FleetConfig::run_device`] streaming the device's spans into
+    /// `sink`, and its harvest counters at [`FLEET_TRACE_POINTS`] samples
+    /// when the sink records. The result is the same either way.
+    fn run_device_into<S: TraceSink>(&self, index: usize, sink: &mut S) -> DeviceResult {
+        let (mut cfg, who) = self.device_setup(index);
+        cfg.trace_points = if S::ENABLED { FLEET_TRACE_POINTS } else { 0 };
+        let report = cfg.run(sink);
+        let conservation_j = (cfg.battery.charge_j() + report.sim.stored_j
+            - report.sim.consumed_j
+            - report.battery.charge_j())
+        .abs();
         let (scenario, infected_seed) = match &self.scenario {
             Some(s) => (true, s.seeded_infected(index)),
             None => (false, false),
@@ -1373,8 +1383,8 @@ impl FleetConfig {
             consumed_j: report.sim.consumed_j,
             events: report.events,
             queue_high_water: report.queue_high_water,
-            sync_attempts: report.sync_attempts.clone(),
-            sync_backoff_us: report.sync_backoff_us.clone(),
+            sync_attempts: report.sync_attempts,
+            sync_backoff_us: report.sync_backoff_us,
             uptime: report.uptime,
             faults: report.faults,
             reliability: report.reliability,
@@ -1401,40 +1411,6 @@ impl FleetConfig {
             backoff_skips: report.backoff_skips,
             sync_stretches: report.sync_stretches,
         }
-    }
-
-    /// Runs one device of the sweep. Pure function of `(self, index)` —
-    /// this is what makes the fleet digest worker-topology invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the environment, subject or policy lists are empty.
-    #[must_use]
-    pub fn run_device(&self, index: usize) -> DeviceResult {
-        let (mut cfg, who) = self.device_setup(index);
-        cfg.trace_points = 0; // the aggregate path keeps no traces
-        let initial_j = cfg.battery.charge_j();
-        let report = cfg.run();
-        self.finish_device(index, who, initial_j, &report)
-    }
-
-    /// Runs one device with tracing enabled — the observability face of
-    /// the fleet, entirely off the aggregation path (the fleet digest is
-    /// always computed from untraced [`FleetConfig::run_device`] runs).
-    /// The device's spans and harvest counters stream into `sink`.
-    ///
-    /// Tracing is semantically non-perturbing: sample events never poll
-    /// the brownout machine, so every decision instant matches the
-    /// untraced run. Energy bookkeeping can still differ by float
-    /// roundoff (a sample timestamp subdivides one exact integration
-    /// interval into two), which is why traced results are *not* folded
-    /// into aggregates.
-    pub fn run_device_traced<S: TraceSink>(&self, index: usize, sink: &mut S) -> DeviceResult {
-        let (mut cfg, who) = self.device_setup(index);
-        cfg.trace_points = FLEET_TRACE_POINTS;
-        let initial_j = cfg.battery.charge_j();
-        let report = cfg.run_traced(sink);
-        self.finish_device(index, who, initial_j, &report)
     }
 
     /// The contiguous device-index range of `shard` out of `of` equal
@@ -1512,9 +1488,8 @@ impl FleetConfig {
     /// Renders the sampled fleet timeline: the first `devices` devices
     /// re-run with tracing into one Chrome-trace/Perfetto JSON document,
     /// one *process group* per device (`pid` = device index) with its
-    /// `device` span track and `harvest` counter track as threads.
-    /// Off the aggregation path entirely — results and digest are
-    /// unaffected.
+    /// `device` span track and `harvest` counter track as threads. Each
+    /// re-run draws the history of the run the digest folds.
     #[must_use]
     pub fn trace_timeline(&self, devices: usize) -> String {
         iw_trace::merged_chrome_trace(&mut self.trace_groups(devices))
@@ -1529,7 +1504,7 @@ impl FleetConfig {
         (0..devices.min(self.devices))
             .map(|index| {
                 let mut rec = Recorder::new();
-                let r = self.run_device_traced(index, &mut rec);
+                let r = self.run_device_into(index, &mut rec);
                 let name = format!("device {index} · {}/{}/{}", r.env, r.subject, r.policy);
                 (name, rec)
             })
@@ -1826,22 +1801,56 @@ pub(crate) mod tests {
     #[test]
     fn traced_device_matches_untraced_run() {
         let cfg = small_fleet(1);
-        let plain = cfg.run_device(3);
         let mut rec = iw_trace::Recorder::new();
-        let traced = cfg.run_device_traced(3, &mut rec);
-        // Tracing never perturbs decisions: identical detections,
-        // brownout history and reliability counters. Energy bookkeeping
-        // may differ by roundoff only (sample timestamps subdivide
-        // integration intervals), which is why traced runs stay off the
-        // aggregation path.
-        assert_eq!(plain.detections, traced.detections);
-        assert_eq!(plain.browned_out, traced.browned_out);
-        assert_eq!(plain.reliability, traced.reliability);
-        assert_eq!(plain.faults.total(), traced.faults.total());
-        assert!((plain.final_soc - traced.final_soc).abs() < 1e-9);
-        assert!((plain.stored_j - traced.stored_j).abs() < 1e-9);
+        let traced = cfg.run_device_into(3, &mut rec);
+        // Tracing only observes: the result is the aggregate path's,
+        // whole, events and queue depth included.
+        assert_eq!(traced, cfg.run_device(3));
         // The trace itself is non-empty.
         assert!(rec.track_count() >= 2);
+    }
+
+    /// A D3-shaped reliability fleet over whole days: the paper fleet on
+    /// a 40 J cell with BLE result notifications, 300 s sync bursts, a
+    /// duty-cycled policy and `profile` faults.
+    fn reliability_fleet(devices: usize, seed: u64, profile: FaultProfile) -> FleetConfig {
+        let mut cfg = FleetConfig::paper(devices, 1, seed, costs());
+        cfg.battery = Battery::new(40.0);
+        cfg.notify_j = 10e-6;
+        cfg.sync = Some(BleSync::nrf52(&iw_nrf52::BleRadio::default(), 300.0, 32));
+        cfg.policies.push((
+            "duty-300s".into(),
+            PolicySpec::fixed_rate(24.0).with_sync_interval(300.0),
+        ));
+        cfg.faults = profile;
+        cfg
+    }
+
+    #[test]
+    fn traced_devices_match_the_aggregate_path_whole() {
+        // Every device of a small fleet per fault profile and of the
+        // networked harsh cell: SoC-ramped `aware-24` devices read the
+        // fuel gauge on every tick, so a sample that moved the charge's
+        // last bits would move their detections too.
+        let mut fleets: Vec<FleetConfig> = FaultProfile::ALL
+            .into_iter()
+            .map(|profile| reliability_fleet(27, 2020, profile))
+            .collect();
+        let scenario = iw_scenario::Scenario::epidemic(27, 3).compile();
+        fleets
+            .push(reliability_fleet(27, 3, FaultProfile::Harsh).with_scenario(Arc::new(scenario)));
+        for cfg in &fleets {
+            for index in 0..cfg.devices {
+                let mut rec = iw_trace::Recorder::new();
+                let traced = cfg.run_device_into(index, &mut rec);
+                assert_eq!(
+                    traced,
+                    cfg.run_device(index),
+                    "{:?} device {index}",
+                    cfg.faults
+                );
+            }
+        }
     }
 
     #[test]

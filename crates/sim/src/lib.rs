@@ -13,8 +13,9 @@
 //! caller costs ([`ComputeJob`]), BLE sync bursts (`iw-nrf52`) and the
 //! detection policies in [`PolicySpec`]. The bracelet is the one
 //! [`Component`] the engine drives; it routes each event with one
-//! `match` to the one method of each part that reacts to it. Runs can
-//! stream into any `iw-trace` [`iw_trace::TraceSink`].
+//! `match` to the one method of each part that reacts to it. A run
+//! streams into any `iw-trace` [`iw_trace::TraceSink`]; [`NoopSink`]
+//! runs it without tracing, and either way the report is the same.
 //!
 //! The fleet layer ([`FleetConfig`]) sweeps N devices × wearer subjects
 //! × environment profiles with deterministic per-device seeding. It is
@@ -68,3 +69,4 @@ pub use iw_scenario::{
     paper_environments, run_epidemic, CompiledScenario, ContactEdge, ContactEntry, ContactPlan,
     EpidemicOutcome, EpidemicScript, Scenario,
 };
+pub use iw_trace::NoopSink;

@@ -9,7 +9,7 @@ use iw_harvest::{Battery, EnvProfile, EnvSegment, LightCondition, ThermalConditi
 use iw_nrf52::BleRadio;
 use iw_sim::{
     BleSync, ComputeJob, DetectionCosts, DeviceConfig, FaultBackoff, FaultKind, FaultProfile,
-    FaultWindow, FleetConfig, PolicySpec, RateRule, TargetRule,
+    FaultWindow, FleetConfig, NoopSink, PolicySpec, RateRule, TargetRule,
 };
 
 fn lit_env(duration_s: f64) -> EnvProfile {
@@ -74,7 +74,7 @@ fn sync_stretch_fires_on_gateway_outage_and_saves_bursts() {
         cfg.faults
             .windows
             .push(FaultWindow::spanning(FaultKind::BleLoss, 600.0, 1800.0));
-        cfg.run()
+        cfg.run(&mut NoopSink)
     };
     let flat = run(1.0);
     let stretched = run(4.0);
@@ -177,7 +177,7 @@ mod proptests {
                 start_s,
                 start_s + len_s,
             ));
-            let report = cfg.run();
+            let report = cfg.run(&mut NoopSink);
             // The gate engaged while the window was open...
             prop_assert!(report.backoff_skips > 0, "gate never engaged: {report:?}");
             // ...and acquisition came back: the fault-free head and tail

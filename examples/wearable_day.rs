@@ -10,7 +10,7 @@ use infiniwolf::{detection_costs, sustainability, DetectionBudget, InfiniWolf, P
 use iw_harvest::{
     EnvProfile, EnvSegment, LightCondition, SolarHarvester, TegHarvester, ThermalCondition,
 };
-use iw_sim::DeviceConfig;
+use iw_sim::{DeviceConfig, NoopSink};
 
 fn sparkline(socs: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -48,7 +48,7 @@ fn run_scenario(name: &str, profile: &EnvProfile, policy: PolicySpec, start_soc:
     cfg.teg = dev.teg;
     cfg.battery.set_soc(start_soc);
     cfg.sleep_floor_w = dev.battery_power_w(infiniwolf::DeviceMode::Sleep);
-    let report = cfg.run();
+    let report = cfg.run(&mut NoopSink);
     let socs: Vec<f64> = report.sim.trace.iter().map(|p| p.soc).collect();
     println!("\n{name}");
     println!("  policy: {policy:?}");

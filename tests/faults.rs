@@ -5,7 +5,7 @@
 
 use infiniwolf::{detection_costs, DetectionBudget};
 use iw_harvest::{Battery, EnvProfile, EnvSegment, LightCondition, ThermalCondition};
-use iw_sim::{DeviceConfig, FaultProfile, PolicySpec};
+use iw_sim::{DeviceConfig, FaultProfile, NoopSink, PolicySpec};
 use proptest::prelude::*;
 
 /// A short two-segment day: `lit_h` hours of indoor light, `dark_h`
@@ -60,7 +60,7 @@ fn brownout_recovers_after_the_lights_come_back() {
     let mut cfg = faulted_config(FaultProfile::Clean, 1, env);
     cfg.battery = Battery::new(2.0);
     cfg.battery.set_soc(0.08);
-    let report = cfg.run();
+    let report = cfg.run(&mut NoopSink);
     let rel = &report.reliability;
     assert!(rel.brownouts >= 1, "never browned out: {rel:?}");
     assert!(rel.recoveries >= 1, "never recovered: {rel:?}");
@@ -79,7 +79,7 @@ fn harsh_profile_degrades_but_keeps_running() {
     let mut cfg = faulted_config(FaultProfile::Harsh, 7, lit_then_dark(12.0, 12.0));
     cfg.policy = PolicySpec::fixed_rate(24.0).with_sync_interval(300.0);
     cfg.notify_j = 10e-6;
-    let report = cfg.run();
+    let report = cfg.run(&mut NoopSink);
     assert!(report.faults.total() > 0, "harsh plan injected nothing");
     assert!(report.reliability.degraded_windows > 0);
     assert!(report.detections > 0, "device must keep detecting");
@@ -97,7 +97,7 @@ fn duty_cycled_sync_reports_outcomes_even_fault_free() {
     let mut cfg = faulted_config(FaultProfile::Clean, 3, lit_then_dark(2.0, 0.5));
     cfg.policy = PolicySpec::fixed_rate(24.0).with_sync_interval(120.0);
     cfg.notify_j = 10e-6;
-    let report = cfg.run();
+    let report = cfg.run(&mut NoopSink);
     let rel = &report.reliability;
     assert!(rel.sync_episodes > 0, "no sync episodes recorded");
     assert_eq!(rel.sync_ok, rel.sync_episodes, "clean runs never drop");
@@ -108,7 +108,8 @@ fn duty_cycled_sync_reports_outcomes_even_fault_free() {
 
 #[test]
 fn fault_runs_are_repeatable() {
-    let run = || faulted_config(FaultProfile::Harsh, 99, lit_then_dark(4.0, 4.0)).run();
+    let run =
+        || faulted_config(FaultProfile::Harsh, 99, lit_then_dark(4.0, 4.0)).run(&mut NoopSink);
     let (a, b) = (run(), run());
     assert_eq!(a.detections, b.detections);
     assert_eq!(a.faults, b.faults);
@@ -146,7 +147,7 @@ proptest! {
         cfg.battery = Battery::new(capacity_j);
         cfg.battery.set_soc(start_soc);
         let initial_j = cfg.battery.charge_j();
-        let report = cfg.run();
+        let report = cfg.run(&mut NoopSink);
         let drift = (initial_j + report.sim.stored_j
             - report.sim.consumed_j
             - report.battery.charge_j())

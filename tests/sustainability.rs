@@ -8,7 +8,7 @@ use iw_harvest::{
     daily_intake, Battery, EnvProfile, EnvSegment, Illuminant, LightCondition, SolarHarvester,
     TegHarvester, ThermalCondition,
 };
-use iw_sim::DeviceConfig;
+use iw_sim::{DeviceConfig, NoopSink};
 use proptest::prelude::*;
 
 #[test]
@@ -196,7 +196,7 @@ proptest! {
         );
         cfg.battery.set_soc(start_soc);
         let initial_j = cfg.battery.charge_j();
-        let report = cfg.run();
+        let report = cfg.run(&mut NoopSink);
         // Stored − consumed = battery ΔE, to float roundoff.
         let delta = report.battery.charge_j() - initial_j;
         let balance = report.sim.stored_j - report.sim.consumed_j;
